@@ -102,7 +102,7 @@ func main() {
 	}
 	if *profile {
 		p := m.Profile()
-		fmt.Fprintf(os.Stderr, "profile: %d steps, %d engine transfers, %d frames allocated, %d frames reused, %d vector rows, %s wall time\n",
-			p.Steps, p.Transfers, p.FramesAlloc, p.FramesReuse, p.VecRows, elapsed)
+		fmt.Fprintf(os.Stderr, "profile: %d steps, %d engine transfers, %d frames allocated, %d frames reused, %d vector / %d batched / %d row-at-a-time rows, %s wall time\n",
+			p.Steps, p.Transfers, p.FramesAlloc, p.FramesReuse, p.VecRows, p.BatchRows, p.RowRows, elapsed)
 	}
 }

@@ -33,15 +33,22 @@ import (
 // exactly as against a decoded PTML tree. gen supplies fresh variables
 // (nil allocates a private generator).
 func Decompile(p *Program, gen *tml.VarGen) (*tml.Abs, []*tml.Var, error) {
+	return DecompileBlock(p, p.Entry, gen)
+}
+
+// DecompileBlock is Decompile for any block of p — the nested blocks the
+// closure instruction instantiates (query predicates, local procedures).
+// The returned free variables align, index for index, with the block's
+// FreeNames and therefore with the Free list of every TAMClosure over it.
+func DecompileBlock(p *Program, blk int, gen *tml.VarGen) (*tml.Abs, []*tml.Var, error) {
+	if blk < 0 || blk >= len(p.Blocks) {
+		return nil, nil, fmt.Errorf("machine: decompile: no block %d", blk)
+	}
 	if gen == nil {
 		gen = tml.NewVarGen()
 	}
 	d := &decompiler{prog: p, gen: gen}
-	abs, free, err := d.block(p.Entry)
-	if err != nil {
-		return nil, nil, err
-	}
-	return abs, free, nil
+	return d.block(blk)
 }
 
 type decompiler struct {

@@ -282,3 +282,84 @@ func TestDecompileIsReoptimizable(t *testing.T) {
 		t.Fatalf("rec(10) = %v, %v", v, err)
 	}
 }
+
+// TestDecompileNestedBlocks round-trips the blocks Decompile never
+// reaches on its own: the nested procedures a closure instruction
+// instantiates — query predicates, as tycd serves them. For each, the
+// reconstructed abstraction must be well-formed, name its free variables
+// exactly as the block's capture list does (index for index: that is how
+// relalg lines them up with TAMClosure.Free), recompile to the same
+// instruction count, and — closed over the same captured values — agree
+// with the compiled block on result, exception and abstract step count.
+func TestDecompileNestedBlocks(t *testing.T) {
+	preds := map[string]string{
+		"compare-capture": `proc(x !ce !cc) ([] x 1 cont(a) (< a n cont() (cc true) cont() (cc false)))`,
+		"arith-two-captures": `proc(x !ce !cc) ([] x 0 cont(a) (+ a n ce cont(b)
+			(* b m ce cont(c) (vector c a cont(row) (cc row)))))`,
+		"raises":        `proc(x !ce !cc) ([] x 0 cont(a) (== a n cont() (ce "boom") cont() (cc false)))`,
+		"row-forwarded": `proc(x !ce !cc) (cc x)`,
+		"no-captures":   `proc(x !ce !cc) ([] x 1 cont(a) (and a true cont(b) (cc b)))`,
+	}
+	rows := [][]Value{ints(3, 4), ints(0, 0), ints(1<<62, 1<<62), {Str("s"), BoolValue(true)}, ints(7)}
+	for name, pred := range preds {
+		t.Run(name, func(t *testing.T) {
+			outer := compileAbsSrc(t, `proc(n m !e !k) (k `+pred+`)`)
+			prog, err := CompileProc(outer, "outer", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(prog.Blocks) != 2 {
+				t.Fatalf("%d blocks, want entry + predicate\n%s", len(prog.Blocks), Disasm(prog))
+			}
+			inner := 1 - prog.Entry
+			rec, free, err := DecompileBlock(prog, inner, nil)
+			if err != nil {
+				t.Fatalf("decompile: %v\n%s", err, Disasm(prog))
+			}
+			if err := tml.Check(rec, tml.CheckOpts{Signatures: prim.Signatures, AllowFree: free}); err != nil {
+				t.Fatalf("reconstructed tree ill-formed: %v\n%s", err, tml.Print(rec))
+			}
+			blk := prog.Blocks[inner]
+			if len(free) != len(blk.FreeNames) {
+				t.Fatalf("free %v, captures %v", free, blk.FreeNames)
+			}
+			caps := make([]Value, len(free))
+			for i, fv := range free {
+				if fv.String() != blk.FreeNames[i] {
+					t.Errorf("free %d is %s, capture list says %s", i, fv, blk.FreeNames[i])
+				}
+				caps[i] = Int(int64(3 + 2*i))
+				if blk.FreeNames[i][0] == 'm' {
+					caps[i] = Int(1 << 40) // overflows the multiplication on the wide row
+				}
+			}
+			again, err := CompileProc(rec, "again", nil)
+			if err != nil {
+				t.Fatalf("recompile: %v", err)
+			}
+			if got, want := len(again.EntryBlock().Instrs), len(blk.Instrs); got != want {
+				t.Errorf("recompiled to %d instructions, block has %d", got, want)
+			}
+			compiled := &TAMClosure{Prog: prog, Blk: inner, Free: caps}
+			interp := &Closure{Abs: rec, Env: (*Env)(nil).Extend(free, caps)}
+			for _, row := range rows {
+				arg := []Value{&Vector{Elems: row}}
+				m1, m2 := New(nil), New(nil)
+				v1, err1 := m1.Apply(compiled, arg)
+				v2, err2 := m2.Apply(interp, arg)
+				if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {
+					t.Fatalf("row %v: compiled error %v, reconstruction %v", row, err1, err2)
+				}
+				if err1 == nil && v1.Show() != v2.Show() {
+					t.Errorf("row %v: compiled %s, reconstruction %s", row, v1.Show(), v2.Show())
+				}
+				if m1.Steps() != m2.Steps() {
+					t.Errorf("row %v: compiled %d steps, reconstruction %d", row, m1.Steps(), m2.Steps())
+				}
+			}
+		})
+	}
+	if _, _, err := DecompileBlock(&Program{}, 0, nil); err == nil {
+		t.Error("DecompileBlock accepted a block index out of range")
+	}
+}

@@ -45,6 +45,8 @@ type Machine struct {
 	framesAlloc int64
 	framesReuse int64
 	vecRows     int64
+	batchRows   int64
+	rowRows     int64
 	// freeFrames is the TAM frame free-list: a block whose frame provably
 	// does not escape (CodeBlock.frameSafe) returns it here when control
 	// leaves the block, and transfer reuses it for the next activation —
@@ -193,24 +195,33 @@ type Profile struct {
 	Transfers   int64
 	FramesAlloc int64
 	FramesReuse int64
-	// VecRows counts rows processed by vectorized query kernels instead
-	// of per-row machine re-entry (the exec lane's data-path telemetry).
-	VecRows int64
+	// VecRows, BatchRows and RowRows split the rows the query operators
+	// scanned by the kernel tier that served them: vectorized (no machine
+	// re-entry), batched (one recycled frame per call) and row-at-a-time
+	// (one Apply per row).
+	VecRows, BatchRows, RowRows int64
 }
 
 // Profile reports the machine's execution counters.
 func (m *Machine) Profile() Profile {
 	return Profile{Steps: m.steps, Transfers: m.transfers,
 		FramesAlloc: m.framesAlloc, FramesReuse: m.framesReuse,
-		VecRows: m.vecRows}
+		VecRows: m.vecRows, BatchRows: m.batchRows, RowRows: m.rowRows}
 }
 
 // AddVecRows records rows served by a vectorized kernel.
 func (m *Machine) AddVecRows(n int) { m.vecRows += int64(n) }
 
+// AddBatchRows records rows served by a batched kernel.
+func (m *Machine) AddBatchRows(n int) { m.batchRows += int64(n) }
+
+// AddRowRows records rows served one Apply at a time.
+func (m *Machine) AddRowRows(n int) { m.rowRows += int64(n) }
+
 // ResetProfile clears all execution counters, including steps.
 func (m *Machine) ResetProfile() {
-	m.steps, m.transfers, m.framesAlloc, m.framesReuse, m.vecRows = 0, 0, 0, 0, 0
+	m.steps, m.transfers, m.framesAlloc, m.framesReuse = 0, 0, 0, 0
+	m.vecRows, m.batchRows, m.rowRows = 0, 0, 0
 }
 
 // maxPooledFrames bounds the frame free-list; beyond it dead frames are

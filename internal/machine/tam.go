@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"tycoon/internal/prim"
 	"tycoon/internal/tml"
@@ -131,6 +132,9 @@ type CodeBlock struct {
 	// reuse one tuple buffer across calls. It applies to flat tuples of
 	// scalars, which is what the relational substrate passes.
 	rowSafe bool
+	// memo holds what a substrate package derived from this block's
+	// immutable code (see Program.BlockMemo).
+	memo atomic.Pointer[any]
 }
 
 // LabelInfo describes one join point of a block.
@@ -151,6 +155,22 @@ type Program struct {
 
 // EntryBlock returns the entry code block.
 func (p *Program) EntryBlock() *CodeBlock { return p.Blocks[p.Entry] }
+
+// BlockMemo returns the value build derives from block blk, computing it
+// on first use and keeping it — nil results included — for the life of
+// the program, so whatever holds the program (the pipeline cache, a
+// linked closure) holds the derived form with it. Concurrent first calls
+// may each run build; one result wins. relalg keeps a predicate block's
+// vectorized form here.
+func (p *Program) BlockMemo(blk int, build func() any) any {
+	slot := &p.Blocks[blk].memo
+	if v := slot.Load(); v != nil {
+		return *v
+	}
+	v := build()
+	slot.CompareAndSwap(nil, &v)
+	return *slot.Load()
+}
 
 // TAMClosure is a compiled procedure value.
 type TAMClosure struct {

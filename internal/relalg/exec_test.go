@@ -223,65 +223,89 @@ func parityQueries(oid store.OID) map[string]string {
 			` + o + ` ` + o + ` e k)`,
 		"exists": `(exists proc(x !ce !cc)
 			([] x 1 cont(a) (> a 100 cont()(cc true) cont()(cc false))) ` + o + ` e k)`,
-		"foreach": `(foreach proc(x !ce !cc) (cc unit) ` + o + ` e k)`,
+		"foreach": `(foreach proc(x !ce !cc) (cc ok) ` + o + ` e k)`,
 	}
 }
 
-// TestBatchStepParity proves that batched execution is a pure
-// representation change: for every operator the abstract step count and
-// the result are identical whether predicates run on the batched
-// compiled kernel or through one machine.Apply per row.
+// TestBatchStepParity proves that batched and vectorized execution are
+// pure representation changes: for every operator and both predicate
+// sources the abstract step count and the result are identical whether
+// predicates run on the fast kernels or through one machine.Apply per
+// row. A compiled predicate over 300 rows must be served by the vector
+// kernels — what tycd runs — and leave the row tiers to foreach.
 func TestBatchStepParity(t *testing.T) {
 	type outcome struct {
 		steps int64
 		show  string
 	}
-	measure := func(noBatch bool) map[string]outcome {
-		_, mg, m, oid := world(t, 300)
-		mg.NoBatch = noBatch
-		out := make(map[string]outcome)
-		for name, src := range parityQueries(oid) {
-			m.ResetSteps()
-			v, err := run(t, m, src)
-			if err != nil {
-				t.Fatalf("%s (noBatch=%v): %v", name, noBatch, err)
+	for _, source := range sources {
+		measure := func(noBatch bool) map[string]outcome {
+			_, mg, m, oid := world(t, 300)
+			mg.NoBatch = noBatch
+			out := make(map[string]outcome)
+			for name, src := range parityQueries(oid) {
+				m.ResetProfile()
+				v, err := source.run(t, m, src)
+				if err != nil {
+					t.Fatalf("%s %s (noBatch=%v): %v", source.name, name, noBatch, err)
+				}
+				out[name] = outcome{steps: m.Steps(), show: v.Show()}
+				p := m.Profile()
+				if vec := !noBatch && name != "foreach"; vec != (p.VecRows > 0) || vec == (p.BatchRows+p.RowRows > 0) {
+					t.Errorf("%s %s (noBatch=%v): tier split %+v", source.name, name, noBatch, p)
+				}
 			}
-			out[name] = outcome{steps: m.Steps(), show: v.Show()}
+			return out
 		}
-		return out
-	}
-	batched, rowAtATime := measure(false), measure(true)
-	for name, b := range batched {
-		r := rowAtATime[name]
-		if b.steps != r.steps {
-			t.Errorf("%s: batched %d steps, row-at-a-time %d steps", name, b.steps, r.steps)
-		}
-		if b.show != r.show {
-			t.Errorf("%s: results differ: %s vs %s", name, b.show, r.show)
+		batched, rowAtATime := measure(false), measure(true)
+		for name, b := range batched {
+			r := rowAtATime[name]
+			if b.steps != r.steps {
+				t.Errorf("%s %s: batched %d steps, row-at-a-time %d steps", source.name, name, b.steps, r.steps)
+			}
+			if b.show != r.show {
+				t.Errorf("%s %s: results differ: %s vs %s", source.name, name, b.show, r.show)
+			}
 		}
 	}
 }
 
 // TestBatchStepParityOnException checks the parity holds on the
-// exceptional path too: a predicate that raises mid-scan aborts both
-// execution modes at the same abstract step.
+// exceptional path too: a predicate that raises mid-scan aborts every
+// execution mode at the same abstract step with the same exception
+// value, whichever form the predicate arrives in.
 func TestBatchStepParityOnException(t *testing.T) {
-	src := func(oid store.OID) string {
-		return `(select proc(x !ce !cc)
+	srcs := map[string]func(store.OID) string{
+		"raise": func(oid store.OID) string {
+			return `(select proc(x !ce !cc)
 			([] x 0 cont(a) (== a 150 cont()(ce "boom") cont()(cc true)))
 			` + oidStr(oid) + ` e k)`
+		},
+		"arith-fault": func(oid store.OID) string {
+			return `(project proc(x !ce !cc)
+			([] x 0 cont(a) (- 150 a ce cont(d) (/ 1 d ce cont(q) (vector q cont(row) (cc row)))))
+			` + oidStr(oid) + ` e k)`
+		},
 	}
-	steps := func(noBatch bool) int64 {
-		_, mg, m, oid := world(t, 300)
-		mg.NoBatch = noBatch
-		m.ResetSteps()
-		if _, err := run(t, m, src(oid)); err == nil {
-			t.Fatalf("noBatch=%v: expected unhandled exception", noBatch)
+	for name, src := range srcs {
+		for _, source := range sources {
+			abort := func(noBatch bool) (int64, string) {
+				_, mg, m, oid := world(t, 300)
+				mg.NoBatch = noBatch
+				m.ResetSteps()
+				_, err := source.run(t, m, src(oid))
+				if err == nil {
+					t.Fatalf("%s %s noBatch=%v: expected unhandled exception", name, source.name, noBatch)
+				}
+				return m.Steps(), err.Error()
+			}
+			bSteps, bErr := abort(false)
+			rSteps, rErr := abort(true)
+			if bSteps != rSteps || bErr != rErr {
+				t.Errorf("%s %s: batched %d steps %q, row-at-a-time %d steps %q",
+					name, source.name, bSteps, bErr, rSteps, rErr)
+			}
 		}
-		return m.Steps()
-	}
-	if b, r := steps(false), steps(true); b != r {
-		t.Errorf("exception path: batched %d steps, row-at-a-time %d", b, r)
 	}
 }
 

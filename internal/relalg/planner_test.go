@@ -2,6 +2,7 @@ package relalg
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -215,67 +216,135 @@ func renderRows(v *Rel) (ordered string, canon string) {
 	return ordered, strings.Join(lines, "\n")
 }
 
-// TestJoinPlansMatchOracle is the property test over plan choices: for
-// relation shapes covering empty, sorted, unsorted, skewed and all-null
-// key columns, every plan the planner can choose (and every forced
-// algorithm) must produce exactly the oracle's rows, in the oracle's
-// order, for the oracle's step count.
-func TestJoinPlansMatchOracle(t *testing.T) {
-	shapes := map[string][]store.Val{
-		"empty":    nil,
-		"sorted":   intKeysOf(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
-		"unsorted": intKeysOf(5, 2, 9, 0, 11, 3, 1, 8, 10, 4, 7, 6),
-		"skewed":   intKeysOf(7, 7, 7, 7, 7, 7, 7, 7, 1, 7, 7, 2),
-		"allnull": {store.NilVal(), store.NilVal(), store.NilVal(),
-			store.NilVal(), store.NilVal(), store.NilVal()},
+// shape is one key column of the zoo the plan property tests run over.
+type shape struct {
+	keys []store.Val
+	// ragged, when positive, splices a zero-width row in after that many
+	// rows, behind the manager's back: the vector kernels must refuse the
+	// scan and `[]` on that row throws, on every path at the same step.
+	ragged int
+}
+
+// shapeZoo covers empty, sorted, unsorted, skewed and all-null columns
+// below compileThreshold (where a compiled predicate must stay on the
+// batched path) and, above it, seeded random ints, a random mix of kinds,
+// all nulls and a ragged relation.
+func shapeZoo() (map[string]shape, []string) {
+	rnd := rand.New(rand.NewSource(12))
+	random, mixed := make([]store.Val, 48), make([]store.Val, 40)
+	for i := range random {
+		random[i] = store.IntVal(rnd.Int63n(16))
 	}
-	names := make([]string, 0, len(shapes))
-	for name := range shapes {
+	for i := range mixed {
+		switch rnd.Intn(4) {
+		case 0:
+			mixed[i] = store.StrVal(fmt.Sprint("s", rnd.Intn(4)))
+		case 1:
+			mixed[i] = store.NilVal()
+		default:
+			mixed[i] = store.IntVal(rnd.Int63n(8))
+		}
+	}
+	mixed[0] = store.IntVal(3) // the type fault comes mid-scan, not at row 0
+	zoo := map[string]shape{
+		"empty":    {},
+		"sorted":   {keys: intKeysOf(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)},
+		"unsorted": {keys: intKeysOf(5, 2, 9, 0, 11, 3, 1, 8, 10, 4, 7, 6)},
+		"skewed":   {keys: intKeysOf(7, 7, 7, 7, 7, 7, 7, 7, 1, 7, 7, 2)},
+		"allnull":  {keys: make([]store.Val, 6)},
+		"random":   {keys: random},
+		"mixed":    {keys: mixed},
+		"nulls":    {keys: make([]store.Val, 40)},
+		"ragged":   {keys: random[:40], ragged: 20},
+	}
+	names := make([]string, 0, len(zoo))
+	for name := range zoo {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	return zoo, names
+}
 
+// fillShape is fillRel for a zoo shape.
+func fillShape(t *testing.T, st *store.Store, mg *Manager, name string, sh shape) store.OID {
+	t.Helper()
+	if sh.ragged == 0 {
+		return fillRel(t, mg, name, sh.keys)
+	}
+	oid := fillRel(t, mg, name, sh.keys[:sh.ragged])
+	rel := st.MustGet(oid).(*store.Relation)
+	rel.Rows = append(rel.Rows, []store.Val{})
+	for i, k := range sh.keys[sh.ragged:] {
+		if err := mg.InsertRow(oid, []store.Val{k, store.IntVal(int64(sh.ragged + i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return oid
+}
+
+// TestJoinPlansMatchOracle is the property test over plan choices: for
+// every pair of zoo shapes, every plan the planner can choose (and every
+// forced algorithm) must produce exactly the oracle's rows, in the
+// oracle's order, for the oracle's step count and with the oracle's
+// error — whether the predicate arrives interpreted or TAM-compiled — and
+// the planner must choose the same algorithm for both.
+func TestJoinPlansMatchOracle(t *testing.T) {
+	zoo, names := shapeZoo()
 	for _, ln := range names {
 		for _, rn := range names {
 			t.Run(ln+"/"+rn, func(t *testing.T) {
 				type outcome struct {
-					ordered, canon string
-					steps          int64
+					ordered, canon, errS string
+					steps                int64
 				}
-				results := make(map[string]outcome)
-				for _, mode := range joinModes {
-					st, err := store.Open("")
-					if err != nil {
-						t.Fatal(err)
+				chosen := make(map[string]string)
+				for _, source := range sources {
+					results := make(map[string]outcome)
+					for _, mode := range joinModes {
+						st, err := store.Open("")
+						if err != nil {
+							t.Fatal(err)
+						}
+						mg := NewManager(st)
+						mode.set(mg)
+						l := fillShape(t, st, mg, "l", zoo[ln])
+						r := fillShape(t, st, mg, "r", zoo[rn])
+						m := machine.New(st)
+						mg.Register(m)
+						m.ResetSteps()
+						mg.CaptureExplain(m)
+						v, err := source.run(t, m, joinSrc(l, r))
+						if jn := findNode(mg.TakeExplain(m), "join"); jn != nil && mode.name == "planner" {
+							chosen[source.name] = jn.Algo
+						}
+						st.Close()
+						o := outcome{steps: m.Steps()}
+						if err != nil {
+							o.errS = err.Error()
+						} else {
+							o.ordered, o.canon = renderRows(v.(*Rel))
+						}
+						results[mode.name] = o
 					}
-					mg := NewManager(st)
-					mode.set(mg)
-					l := fillRel(t, mg, "l", shapes[ln])
-					r := fillRel(t, mg, "r", shapes[rn])
-					m := machine.New(st)
-					mg.Register(m)
-					m.ResetSteps()
-					v, err := run(t, m, joinSrc(l, r))
-					st.Close()
-					if err != nil {
-						t.Fatalf("%s: %v", mode.name, err)
+					want := results["oracle"]
+					for _, mode := range joinModes {
+						got := results[mode.name]
+						if got.canon != want.canon {
+							t.Errorf("%s/%s: row multiset differs from oracle\ngot:\n%s\nwant:\n%s",
+								source.name, mode.name, got.canon, want.canon)
+						}
+						if got.ordered != want.ordered {
+							t.Errorf("%s/%s: row order differs from oracle", source.name, mode.name)
+						}
+						if got.steps != want.steps || got.errS != want.errS {
+							t.Errorf("%s/%s: %d steps, error %q; oracle %d steps, error %q",
+								source.name, mode.name, got.steps, got.errS, want.steps, want.errS)
+						}
 					}
-					ordered, canon := renderRows(v.(*Rel))
-					results[mode.name] = outcome{ordered, canon, m.Steps()}
 				}
-				want := results["oracle"]
-				for _, mode := range joinModes {
-					got := results[mode.name]
-					if got.canon != want.canon {
-						t.Errorf("%s: row multiset differs from oracle\ngot:\n%s\nwant:\n%s",
-							mode.name, got.canon, want.canon)
-					}
-					if got.ordered != want.ordered {
-						t.Errorf("%s: row order differs from oracle", mode.name)
-					}
-					if got.steps != want.steps {
-						t.Errorf("%s: %d steps, oracle %d", mode.name, got.steps, want.steps)
-					}
+				if chosen["interpreted"] != chosen["compiled"] {
+					t.Errorf("planner chose %q for the interpreted predicate, %q for the compiled one",
+						chosen["interpreted"], chosen["compiled"])
 				}
 			})
 		}
@@ -284,15 +353,11 @@ func TestJoinPlansMatchOracle(t *testing.T) {
 
 // TestSelectPlansMatchOracle extends the property to the select access
 // paths (fused column kernel, general vectorized, batched, row) over the
-// same shape zoo, including the type-error behaviour on all-null keys.
+// same shape zoo and both predicate sources, including the type-error
+// behaviour on null and mixed-kind keys. A compiled predicate must reach
+// the vector kernels exactly when the scan is compileThreshold rows long.
 func TestSelectPlansMatchOracle(t *testing.T) {
-	shapes := map[string][]store.Val{
-		"empty":    nil,
-		"sorted":   intKeysOf(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
-		"unsorted": intKeysOf(5, 2, 9, 0, 11, 3, 1, 8, 10, 4, 7, 6),
-		"skewed":   intKeysOf(7, 7, 7, 7, 7, 7, 7, 7, 1, 7, 7, 2),
-		"allnull":  {store.NilVal(), store.NilVal(), store.NilVal()},
-	}
+	zoo, names := shapeZoo()
 	modes := []struct {
 		name string
 		set  func(mg *Manager)
@@ -301,43 +366,52 @@ func TestSelectPlansMatchOracle(t *testing.T) {
 		{"batch", func(mg *Manager) { mg.NoVector = true }},
 		{"vector", func(mg *Manager) {}},
 	}
-	for name, keys := range shapes {
-		t.Run(name, func(t *testing.T) {
-			type outcome struct {
-				rows  string
-				errS  string
-				steps int64
-			}
-			results := make(map[string]outcome)
-			for _, mode := range modes {
-				st, err := store.Open("")
-				if err != nil {
-					t.Fatal(err)
+	for _, name := range names {
+		for _, source := range sources {
+			t.Run(name+"/"+source.name, func(t *testing.T) {
+				type outcome struct {
+					rows  string
+					errS  string
+					steps int64
 				}
-				mg := NewManager(st)
-				mode.set(mg)
-				oid := fillRel(t, mg, "t", keys)
-				m := machine.New(st)
-				mg.Register(m)
-				m.ResetSteps()
-				src := `(select proc(x !ce !cc)
-				  ([] x 0 cont(a) (< a 6 cont()(cc true) cont()(cc false))) ` + oidStr(oid) + ` e k)`
-				v, err := run(t, m, src)
-				st.Close()
-				o := outcome{steps: m.Steps()}
-				if err != nil {
-					o.errS = err.Error()
-				} else {
-					o.rows, _ = renderRows(v.(*Rel))
+				results := make(map[string]outcome)
+				for _, mode := range modes {
+					st, err := store.Open("")
+					if err != nil {
+						t.Fatal(err)
+					}
+					mg := NewManager(st)
+					mode.set(mg)
+					oid := fillShape(t, st, mg, "t", zoo[name])
+					m := machine.New(st)
+					mg.Register(m)
+					m.ResetProfile()
+					src := `(select proc(x !ce !cc)
+					  ([] x 0 cont(a) (< a 6 cont()(cc true) cont()(cc false))) ` + oidStr(oid) + ` e k)`
+					v, err := source.run(t, m, src)
+					st.Close()
+					o := outcome{steps: m.Steps()}
+					if err != nil {
+						o.errS = err.Error()
+					} else {
+						o.rows, _ = renderRows(v.(*Rel))
+					}
+					results[mode.name] = o
+					if mode.name == "vector" {
+						n := len(zoo[name].keys)
+						wantVec := zoo[name].ragged == 0 && (source.name == "interpreted" || n >= compileThreshold)
+						if p := m.Profile(); (p.VecRows > 0) != (wantVec && n > 0) {
+							t.Errorf("%d rows: profile %+v, want vector kernels: %v", n, p, wantVec)
+						}
+					}
 				}
-				results[mode.name] = o
-			}
-			want := results["oracle"]
-			for _, mode := range modes {
-				if got := results[mode.name]; got != want {
-					t.Errorf("%s: %+v, oracle %+v", mode.name, got, want)
+				want := results["oracle"]
+				for _, mode := range modes {
+					if got := results[mode.name]; got != want {
+						t.Errorf("%s: %+v, oracle %+v", mode.name, got, want)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -81,12 +81,9 @@ type Manager struct {
 	// property tests use it to run every algorithm over one input.
 	ForceJoin string
 
-	// mu guards indexes, stats, vprogs and explains (machines sharing one
-	// store share the manager).
+	// mu guards indexes, stats and explains (machines sharing one store
+	// share the manager).
 	mu sync.Mutex
-	// vprogs caches compiled vectorized predicates per closure identity
-	// and row width (nil entries record non-vectorizable predicates).
-	vprogs map[vcacheKey]*vprog
 	// explains holds per-machine EXPLAIN sinks; explainN mirrors its size
 	// for the lock-free fast path.
 	explains map[*machine.Machine]*qopt.PlanSink
@@ -429,6 +426,16 @@ func (mg *Manager) newKernel(m *machine.Machine, fn machine.Value, nrows int) *k
 	return k
 }
 
+// served books n scanned rows to the kernel tier newKernel selects, in
+// the machine's profile (the vectorized kernels book their own).
+func (mg *Manager) served(m *machine.Machine, n int) {
+	if mg.NoBatch {
+		m.AddRowRows(n)
+	} else {
+		m.AddBatchRows(n)
+	}
+}
+
 // call applies the kernel closure to one row.
 func (k *kernel) call(row []store.Val) (machine.Value, error) {
 	if k.batch == nil {
@@ -508,14 +515,12 @@ func (mg *Manager) execSelect(m *machine.Machine, vals, conts []machine.Value) (
 		return machine.Outcome{}, err
 	}
 	out := &Rel{Schema: schema}
-	if !mg.NoBatch && !mg.NoVector {
-		if w := relWidth(schema, rows); rowsRegular(rows, w) {
-			if vp := mg.vprogFor(pred, w); vp != nil {
-				return mg.vecSelect(m, vp, out, rows, rel)
-			}
-		}
-	}
 	nrows := len(rows)
+	w := relWidth(schema, rows)
+	if ev := mg.vevalFor(pred, w, nrows); ev != nil && rowsRegular(rows, w) {
+		return mg.vecSelect(m, ev, out, rows, rel)
+	}
+	mg.served(m, nrows)
 	k := mg.newKernel(m, pred, nrows)
 	for len(rows) > 0 {
 		n := min(batchSize, len(rows))
@@ -555,14 +560,12 @@ func (mg *Manager) execProject(m *machine.Machine, vals, conts []machine.Value) 
 		return machine.Outcome{}, err
 	}
 	out := &Rel{}
-	if !mg.NoBatch && !mg.NoVector {
-		if w := relWidth(schema, rows); rowsRegular(rows, w) {
-			if vp := mg.vprogFor(fn, w); vp != nil {
-				return mg.vecProject(m, vp, out, rows, rel)
-			}
-		}
-	}
 	nrows := len(rows)
+	w := relWidth(schema, rows)
+	if ev := mg.vevalFor(fn, w, nrows); ev != nil && rowsRegular(rows, w) {
+		return mg.vecProject(m, ev, out, rows, rel)
+	}
+	mg.served(m, nrows)
 	k := mg.newKernel(m, fn, nrows)
 	for len(rows) > 0 {
 		n := min(batchSize, len(rows))
@@ -637,15 +640,13 @@ func (mg *Manager) execJoin(m *machine.Machine, vals, conts []machine.Value) (ma
 		return machine.Outcome{}, err
 	}
 	out := &Rel{Schema: append(append([]store.Column(nil), s1...), s2...)}
-	if !mg.NoBatch && !mg.NoVector {
-		w1, w2 := relWidth(s1, rows1), relWidth(s2, rows2)
-		if rowsRegular(rows1, w1) && rowsRegular(rows2, w2) {
-			if vp := mg.vprogFor(pred, w1+w2); vp != nil {
-				return mg.vecJoin(m, vp, out, rows1, rows2, w1, rel1, rel2)
-			}
-		}
+	pairs := len(rows1) * len(rows2)
+	w1, w2 := relWidth(s1, rows1), relWidth(s2, rows2)
+	if ev := mg.vevalFor(pred, w1+w2, pairs); ev != nil && rowsRegular(rows1, w1) && rowsRegular(rows2, w2) {
+		return mg.vecJoin(m, ev, out, rows1, rows2, w1, rel1, rel2)
 	}
-	k := mg.newKernel(m, pred, len(rows1)*len(rows2))
+	mg.served(m, len(rows1)+len(rows2))
+	k := mg.newKernel(m, pred, pairs)
 	for _, r1 := range rows1 {
 		inner := rows2
 		for len(inner) > 0 {
@@ -688,15 +689,15 @@ func (mg *Manager) execExists(m *machine.Machine, vals, conts []machine.Value) (
 	if err != nil {
 		return machine.Outcome{}, err
 	}
-	if !mg.NoBatch && !mg.NoVector {
-		if w := relWidth(schema, rows); rowsRegular(rows, w) {
-			if vp := mg.vprogFor(pred, w); vp != nil {
-				return mg.vecExists(m, vp, rows, rel)
-			}
-		}
+	w := relWidth(schema, rows)
+	if ev := mg.vevalFor(pred, w, len(rows)); ev != nil && rowsRegular(rows, w) {
+		return mg.vecExists(m, ev, rows, rel)
 	}
 	k := mg.newKernel(m, pred, len(rows))
+	visited := 0
+	defer func() { mg.served(m, visited) }()
 	for i, row := range rows {
+		visited = i + 1
 		if err := m.Tick(); err != nil {
 			return machine.Outcome{}, err
 		}
@@ -755,6 +756,7 @@ func (mg *Manager) execForeach(m *machine.Machine, vals, conts []machine.Value) 
 	if err != nil {
 		return machine.Outcome{}, err
 	}
+	mg.served(m, len(rows))
 	k := mg.newKernel(m, body, len(rows))
 	for len(rows) > 0 {
 		n := min(batchSize, len(rows))

@@ -2,10 +2,12 @@ package relalg
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"tycoon/internal/machine"
+	"tycoon/internal/pipeline"
 	"tycoon/internal/prim"
 	"tycoon/internal/store"
 	"tycoon/internal/tml"
@@ -54,6 +56,59 @@ func run(t *testing.T, m *machine.Machine, src string) (machine.Value, error) {
 		}
 	}
 	return m.RunApp(app, (*machine.Env)(nil).Extend(free, vals))
+}
+
+// compileQuery compiles a query term the way tycd compiles a SUBMIT:
+// closed over its e/k continuations and run through the pipeline to TAM
+// code, so every predicate reaches the operators as a
+// *machine.TAMClosure. Free variables named in params become leading
+// value parameters of the compiled procedure.
+func compileQuery(t *testing.T, src string, params ...string) *machine.TAMClosure {
+	t.Helper()
+	app, err := tml.ParseApp(src, tml.ParseOpts{IsPrim: prim.IsPrim})
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	ps := make([]*tml.Var, len(params)+2)
+	for _, v := range tml.FreeVars(app) {
+		switch i := slices.Index(params, v.Name); {
+		case i >= 0:
+			ps[i] = v
+		case v.Name == "k":
+			v.Cont, ps[len(params)+1] = true, v
+		default:
+			v.Cont, ps[len(params)] = true, v
+		}
+	}
+	if slices.Contains(ps, nil) {
+		t.Fatalf("query term must mention e, k and %v: %s", params, src)
+	}
+	res, err := pipeline.New(nil, pipeline.Config{CheckWellformed: true}).Run(pipeline.Job{
+		Name:         t.Name(),
+		Source:       func(*tml.VarGen) (*tml.Abs, error) { return &tml.Abs{Params: ps, Body: app}, nil },
+		SkipOptimize: true, Codegen: true, RequireClosed: true,
+	})
+	if err != nil {
+		t.Fatalf("pipeline: %v", err)
+	}
+	return res.Closure
+}
+
+// runCompiled is run for the compiled form of the term. It costs one more
+// abstract step than run: entering the compiled procedure.
+func runCompiled(t *testing.T, m *machine.Machine, src string) (machine.Value, error) {
+	t.Helper()
+	return m.Apply(compileQuery(t, src), nil)
+}
+
+// sources are the two forms a predicate reaches the operators in; every
+// differential test runs both.
+var sources = []struct {
+	name string
+	run  func(*testing.T, *machine.Machine, string) (machine.Value, error)
+}{
+	{"interpreted", run},
+	{"compiled", runCompiled},
 }
 
 func oidStr(oid store.OID) string { return tml.NewOid(uint64(oid)).String() }

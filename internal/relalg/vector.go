@@ -2,9 +2,12 @@
 // whose body is built from the recognized CPS shapes — row loads, integer
 // comparisons, two-way case analysis, checked arithmetic routed to the
 // predicate's own exception continuation, boolean connectives, tuple
-// construction and continuation jumps — compiles once per scan into a
-// vprog: a tiny branch-structured register program over store.Val
-// registers. The fused evaluator then runs it over raw store rows (and,
+// construction and continuation jumps — compiles into a vprog: a tiny
+// branch-structured register program over store.Val registers. An
+// interpreted closure compiles from its own tree, once per scan; a
+// TAM-compiled closure — everything the servers run — compiles from the
+// tree its code block decompiles to (paper §6, machine.DecompileBlock),
+// once per block. The fused evaluator then runs it over raw store rows (and,
 // for the hot integer-comparison shape, over typed column vectors from
 // the columnar cache) without boxing a machine.Vector per row, without a
 // TAM frame per call, and without re-entering the interpreter.
@@ -99,11 +102,14 @@ type vblock struct {
 
 // vprog is a compiled predicate: a block DAG over a small register file,
 // evaluated against one row (select/project/exists) or a concatenated
-// pair (join).
+// pair (join). Registers below nfree hold the closure's captured values:
+// the evaluator loads them once per scan and no vop writes them, so one
+// vprog serves every closure over the same code.
 type vprog struct {
-	width  int
 	root   *vblock
 	nregs  int
+	nfree  int
+	ncols  int // one past the highest column loaded: the narrowest row it accepts
 	rowCap int // widest vMkRow tuple
 }
 
@@ -116,32 +122,37 @@ type vcompiler struct {
 	ceVar  *tml.Var
 	ccVar  *tml.Var
 	env    *machine.Env
-	width  int
 	binds  map[*tml.Var]varg
 	nregs  int
+	ncols  int
 	rowCap int
 	blocks int
 }
 
-// compileVProg compiles a predicate value for rows of the given width.
-// nil means the predicate is outside the vectorizable fragment and the
-// caller must use the batched row path.
-func compileVProg(fn machine.Value, width int) *vprog {
-	clo, ok := fn.(*machine.Closure)
-	if !ok || clo.Abs == nil || len(clo.Abs.Params) != 3 || clo.Abs.IsCont() {
+// compileVProg compiles a predicate abstraction proc(row !ce !cc). Its
+// free variables are either folded in as constants from env (an
+// interpreted closure, compiled afresh for each scan) or, when listed in
+// free, bound in order to the first registers, which the evaluator fills
+// from the closure at hand. nil means the predicate is outside the
+// vectorizable fragment and the caller must use the batched row path.
+func compileVProg(abs *tml.Abs, env *machine.Env, free []*tml.Var) *vprog {
+	if abs == nil || len(abs.Params) != 3 || abs.IsCont() || len(free) > maxVRegs {
 		return nil
 	}
-	ps := clo.Abs.Params
+	ps := abs.Params
 	c := &vcompiler{
 		rowVar: ps[0], ceVar: ps[1], ccVar: ps[2],
-		env: clo.Env, width: width,
-		binds: make(map[*tml.Var]varg),
+		env: env, nregs: len(free),
+		binds: make(map[*tml.Var]varg, len(free)),
 	}
-	root := c.block(clo.Abs.Body)
+	for i, v := range free {
+		c.binds[v] = varg{reg: i}
+	}
+	root := c.block(abs.Body)
 	if root == nil {
 		return nil
 	}
-	return &vprog{width: width, root: root, nregs: c.nregs, rowCap: c.rowCap}
+	return &vprog{root: root, nregs: c.nregs, nfree: len(free), ncols: c.ncols, rowCap: c.rowCap}
 }
 
 func (c *vcompiler) newReg() int {
@@ -155,8 +166,9 @@ func (c *vcompiler) newReg() int {
 
 // arg resolves a TML value argument to a varg: literals and OIDs embed as
 // constants, bound continuation parameters alias their defining register,
-// and free variables resolve through the closure environment when they
-// hold storable scalars. Anything else is outside the fragment.
+// and free variables are their capture register or resolve through the
+// closure environment when they hold storable scalars. Anything else is
+// outside the fragment.
 func (c *vcompiler) arg(v tml.Value) (varg, bool) {
 	switch v := v.(type) {
 	case *tml.Lit, *tml.Oid:
@@ -308,9 +320,10 @@ func (c *vcompiler) prim(blk *vblock, name string, args []tml.Value) *tml.App {
 			return nil
 		}
 		col := int(idx.c.Int)
-		if col < 0 || col >= c.width {
+		if col < 0 {
 			return nil // would throw via the dynamic handler stack
 		}
+		c.ncols = max(c.ncols, col+1) // and so would a row narrower than this
 		k, ok := cont1(args[2])
 		if !ok {
 			return nil
@@ -473,14 +486,16 @@ type vevaler struct {
 	p    *vprog
 	regs []store.Val
 	row  []store.Val
+	res  vres // eval's result, reused: a vres is too wide to return by value per row
 }
 
-func (p *vprog) evaler() *vevaler {
-	return &vevaler{
-		p:    p,
-		regs: make([]store.Val, p.nregs),
-		row:  make([]store.Val, 0, p.rowCap),
+// scanConst resolves an operand that holds one value for the whole scan:
+// an embedded constant or a captured value.
+func (e *vevaler) scanConst(a varg) (store.Val, bool) {
+	if a.reg == regConst || (a.reg >= 0 && a.reg < e.p.nfree) {
+		return e.val(a), true
 	}
+	return store.Val{}, false
 }
 
 func (e *vevaler) val(a varg) store.Val {
@@ -533,9 +548,10 @@ func intArith(op string, a, b int64) (int64, bool) {
 
 // eval runs the program against the concatenation of r1 and r2 (r2 nil
 // for single-relation kernels).
-func (e *vevaler) eval(r1, r2 []store.Val) vres {
+func (e *vevaler) eval(r1, r2 []store.Val) *vres {
 	blk := e.p.root
-	res := vres{steps: 1} // procedure entry
+	res := &e.res
+	*res = vres{steps: 1} // procedure entry
 	for {
 		branched := false
 		for i := range blk.ops {
@@ -663,7 +679,7 @@ func (e *vevaler) eval(r1, r2 []store.Val) vres {
 
 // showRes renders a non-boolean predicate result for the same error
 // message the row path produces.
-func (e *vevaler) showRes(r vres) string {
+func (e *vevaler) showRes(r *vres) string {
 	if r.retRow {
 		elems := make([]machine.Value, len(e.row))
 		for i, v := range e.row {
@@ -682,11 +698,11 @@ func (e *vevaler) showRes(r vres) string {
 // integer constant, return constant booleans. Over a typed null-free int
 // column vector this runs as a tight Go loop at 3 steps per row.
 type fastCmp struct {
-	col     int
-	op      string
-	k       int64
-	tv, fv  bool
-	flipped bool // constant on the left: k OP col
+	col    int
+	op     string // as written, for plan rendering
+	rel    byte   // the planner's encoding of col REL k (cmpOpByte)
+	k      int64
+	tv, fv bool
 }
 
 func constBoolTerm(b *vblock) (bool, bool) {
@@ -696,8 +712,9 @@ func constBoolTerm(b *vblock) (bool, bool) {
 	return b.term.v.c.Bool, true
 }
 
-func (p *vprog) fastSelCmp() (fastCmp, bool) {
+func (e *vevaler) fastSelCmp() (fastCmp, bool) {
 	var fc fastCmp
+	p := e.p
 	if len(p.root.ops) != 2 {
 		return fc, false
 	}
@@ -705,11 +722,13 @@ func (p *vprog) fastSelCmp() (fastCmp, bool) {
 	if ld.kind != vLoad || cmp.kind != vCmp {
 		return fc, false
 	}
+	kb, okB := e.scanConst(cmp.b)
+	ka, okA := e.scanConst(cmp.a)
 	switch {
-	case cmp.a.reg == ld.dst && cmp.b.reg == regConst && cmp.b.c.Kind == store.ValInt:
-		fc = fastCmp{col: ld.col, op: cmp.op, k: cmp.b.c.Int}
-	case cmp.b.reg == ld.dst && cmp.a.reg == regConst && cmp.a.c.Kind == store.ValInt:
-		fc = fastCmp{col: ld.col, op: cmp.op, k: cmp.a.c.Int, flipped: true}
+	case cmp.a.reg == ld.dst && okB && kb.Kind == store.ValInt:
+		fc = fastCmp{col: ld.col, op: cmp.op, rel: cmpOpByte(cmp.op, false), k: kb.Int}
+	case cmp.b.reg == ld.dst && okA && ka.Kind == store.ValInt:
+		fc = fastCmp{col: ld.col, op: cmp.op, rel: cmpOpByte(cmp.op, true), k: ka.Int}
 	default:
 		return fc, false
 	}
@@ -722,22 +741,42 @@ func (p *vprog) fastSelCmp() (fastCmp, bool) {
 	return fc, true
 }
 
-// holds evaluates the comparison for one column value.
-func (fc *fastCmp) holds(v int64) bool {
-	a, b := v, fc.k
-	if fc.flipped {
-		a, b = b, a
+// keep evaluates the predicate for one column value.
+func (fc *fastCmp) keep(v int64) bool {
+	var holds bool
+	switch fc.rel {
+	case '<':
+		holds = v < fc.k
+	case '>':
+		holds = v > fc.k
+	case 'l':
+		holds = v <= fc.k
+	default: // 'g'
+		holds = v >= fc.k
 	}
-	switch fc.op {
-	case "<":
-		return a < b
-	case ">":
-		return a > b
-	case "<=":
-		return a <= b
-	default: // ">="
-		return a >= b
+	if holds {
+		return fc.tv
 	}
+	return fc.fv
+}
+
+// fusedInts returns the comparison and the typed, null-free integer
+// column it reads when the scan can run as a tight loop over the
+// relation's columnar form (4 steps per row: traversal, entry, load,
+// compare); nil otherwise.
+func (e *vevaler) fusedInts(rel *store.Relation, rows [][]store.Val) (fastCmp, *store.ColVec) {
+	fc, ok := e.fastSelCmp()
+	if !ok || rel == nil {
+		return fc, nil
+	}
+	blk := rel.ColumnsRows(rows)
+	if blk == nil || fc.col >= len(blk.Cols) {
+		return fc, nil
+	}
+	if cv := &blk.Cols[fc.col]; cv.Ints != nil && cv.Nulls == nil && cv.Vals == nil {
+		return fc, cv
+	}
+	return fc, nil
 }
 
 // equiCols recognizes the pure equi-join shape over a concatenated pair:
@@ -774,39 +813,65 @@ func (p *vprog) equiCols(w1 int) (lcol, rcol, steps int, ok bool) {
 }
 
 // ---------------------------------------------------------------------
-// vprog cache
+// From predicate value to evaluator
 // ---------------------------------------------------------------------
 
-type vcacheKey struct {
-	clo   *machine.Closure
-	width int
-}
-
-// vprogFor compiles (with caching, including negative results) a
-// predicate for the given row width. Safe for concurrent use.
-func (mg *Manager) vprogFor(fn machine.Value, width int) *vprog {
-	clo, ok := fn.(*machine.Closure)
-	if !ok {
+// vevalFor returns a vectorized evaluator for fn over a scan of n rows
+// (n pairs, for a join) of the given width, or nil when the scan must
+// take the batched row path: the vector kernels are switched off, fn is
+// outside the fragment, it loads a column the rows do not have (a dynamic
+// throw only the row path reproduces), or it captured a non-scalar.
+//
+// A compiled closure's vprog is kept on its program (Program.BlockMemo),
+// failures included, so a pipeline-cache hit brings the vprog with it;
+// the captures are read from the closure at hand on every call. Scans
+// below compileThreshold never pay for a decompile.
+func (mg *Manager) vevalFor(fn machine.Value, width, n int) *vevaler {
+	if mg.NoBatch || mg.NoVector {
 		return nil
 	}
-	key := vcacheKey{clo: clo, width: width}
-	mg.mu.Lock()
-	if mg.vprogs == nil {
-		mg.vprogs = make(map[vcacheKey]*vprog)
+	var p *vprog
+	var free []machine.Value
+	switch f := fn.(type) {
+	case *machine.Closure:
+		p = compileVProg(f.Abs, f.Env, nil)
+	case *machine.TAMClosure:
+		if n < compileThreshold {
+			return nil
+		}
+		p, _ = f.Prog.BlockMemo(f.Blk, func() any {
+			// The fragment compiles to moves, primitives and continuation
+			// calls only. Anything else cannot vectorize, and screening it
+			// out keeps the decompiler — which duplicates shared join
+			// points, exponentially in the worst case — to linear work.
+			for _, in := range f.Prog.Blocks[f.Blk].Instrs {
+				if in.Op != machine.OpMove && in.Op != machine.OpPrim && in.Op != machine.OpCall {
+					return (*vprog)(nil)
+				}
+			}
+			abs, fv, err := machine.DecompileBlock(f.Prog, f.Blk, nil)
+			if err != nil {
+				return (*vprog)(nil)
+			}
+			return compileVProg(abs, nil, fv)
+		}).(*vprog)
+		free = f.Free
 	}
-	if p, hit := mg.vprogs[key]; hit {
-		mg.mu.Unlock()
-		return p
+	if p == nil || p.ncols > width || p.nfree != len(free) {
+		return nil
 	}
-	mg.mu.Unlock()
-	p := compileVProg(fn, width) // compile outside the lock; pure function
-	mg.mu.Lock()
-	if len(mg.vprogs) > 1024 {
-		mg.vprogs = make(map[vcacheKey]*vprog) // closures are session-scoped; just reset
+	e := &vevaler{p: p, regs: make([]store.Val, p.nregs), row: make([]store.Val, 0, p.rowCap)}
+	for i, v := range free {
+		if c, ok := v.(*machine.Cell); ok {
+			v = c.V // operand loads see through recursive-binding cells
+		}
+		sv, err := machine.ToStoreVal(v)
+		if err != nil {
+			return nil
+		}
+		e.regs[i] = sv
 	}
-	mg.vprogs[key] = p
-	mg.mu.Unlock()
-	return p
+	return e
 }
 
 // relWidth is the row width a scan of (schema, rows) presents to
@@ -1051,44 +1116,32 @@ func cmpOpByte(op string, flipped bool) byte {
 // integer comparison against a typed null-free column vector — is a
 // tight Go loop; everything else in the fragment runs the general vprog
 // evaluator, still without per-row boxing or machine re-entry.
-func (mg *Manager) vecSelect(m *machine.Machine, vp *vprog, out *Rel, rows [][]store.Val, rel *store.Relation) (machine.Outcome, error) {
+func (mg *Manager) vecSelect(m *machine.Machine, ev *vevaler, out *Rel, rows [][]store.Val, rel *store.Relation) (machine.Outcome, error) {
 	n := len(rows)
 	m.AddVecRows(n)
-	if fc, ok := vp.fastSelCmp(); ok && rel != nil {
-		if blk := rel.ColumnsRows(rows); blk != nil && fc.col < len(blk.Cols) {
-			cv := &blk.Cols[fc.col]
-			if cv.Ints != nil && cv.Nulls == nil && cv.Vals == nil {
-				// Per row: 1 traversal + entry + load + compare = 4 steps.
-				for base := 0; base < n; base += vecBatch {
-					c := min(vecBatch, n-base)
-					if err := m.TickN(c * 4); err != nil {
-						return machine.Outcome{}, err
-					}
-					for i := base; i < base+c; i++ {
-						keep := fc.fv
-						if fc.holds(cv.Ints[i]) {
-							keep = fc.tv
-						}
-						if keep {
-							out.Rows = append(out.Rows, rows[i])
-						}
-					}
+	if fc, cv := ev.fusedInts(rel, rows); cv != nil {
+		for base := 0; base < n; base += vecBatch {
+			c := min(vecBatch, n-base)
+			if err := m.TickN(c * 4); err != nil {
+				return machine.Outcome{}, err
+			}
+			for i := base; i < base+c; i++ {
+				if fc.keep(cv.Ints[i]) {
+					out.Rows = append(out.Rows, rows[i])
 				}
-				if mg.explaining() {
-					st := cv.Stats
-					mg.plan(m, &qopt.PlanNode{
-						Op: "select", Algo: "vector-fused", Table: tableName(rel),
-						InRows:  int64(n),
-						EstRows: qopt.EstCmpMatches(&st, n, cmpOpByte(fc.op, fc.flipped), fc.k),
-						ActRows: int64(len(out.Rows)),
-						Detail:  fmt.Sprintf("col=%d %s %d", fc.col, fc.op, fc.k),
-					})
-				}
-				return ok1(out), nil
 			}
 		}
+		if mg.explaining() {
+			mg.plan(m, &qopt.PlanNode{
+				Op: "select", Algo: "vector-fused", Table: tableName(rel),
+				InRows:  int64(n),
+				EstRows: qopt.EstCmpMatches(&cv.Stats, n, fc.rel, fc.k),
+				ActRows: int64(len(out.Rows)),
+				Detail:  fmt.Sprintf("col=%d %s %d", fc.col, fc.op, fc.k),
+			})
+		}
+		return ok1(out), nil
 	}
-	ev := vp.evaler()
 	// Traversal is charged in batchSize lumps — the same lump positions as
 	// the row path, so an exception aborts both modes at the same total.
 	for base := 0; base < n; base += batchSize {
@@ -1133,10 +1186,9 @@ func (mg *Manager) vecSelect(m *machine.Machine, vp *vprog, out *Rel, rows [][]s
 
 // vecProject runs a compiled target function over the scan, emitting the
 // constructed tuples.
-func (mg *Manager) vecProject(m *machine.Machine, vp *vprog, out *Rel, rows [][]store.Val, rel *store.Relation) (machine.Outcome, error) {
+func (mg *Manager) vecProject(m *machine.Machine, ev *vevaler, out *Rel, rows [][]store.Val, rel *store.Relation) (machine.Outcome, error) {
 	n := len(rows)
 	m.AddVecRows(n)
-	ev := vp.evaler()
 	for base := 0; base < n; base += batchSize {
 		c := min(batchSize, n-base)
 		if err := m.TickN(c); err != nil {
@@ -1179,9 +1231,8 @@ func (mg *Manager) vecProject(m *machine.Machine, vp *vprog, out *Rel, rows [][]
 // vecExists runs a compiled predicate with early exit, charging exactly
 // the rows it visits (one traversal step plus the predicate's steps per
 // row, like the row path).
-func (mg *Manager) vecExists(m *machine.Machine, vp *vprog, rows [][]store.Val, rel *store.Relation) (machine.Outcome, error) {
-	ev := vp.evaler()
-	acc := 0
+func (mg *Manager) vecExists(m *machine.Machine, ev *vevaler, rows [][]store.Val, rel *store.Relation) (machine.Outcome, error) {
+	n, found, visited, acc := len(rows), false, 0, 0
 	flush := func() error {
 		if acc == 0 {
 			return nil
@@ -1190,7 +1241,19 @@ func (mg *Manager) vecExists(m *machine.Machine, vp *vprog, rows [][]store.Val, 
 		acc = 0
 		return err
 	}
-	visited := 0
+	if fc, cv := ev.fusedInts(rel, rows); cv != nil {
+		for !found && visited < n {
+			start, end := visited, min(visited+vecBatch, n)
+			for !found && visited < end {
+				found = fc.keep(cv.Ints[visited])
+				visited++
+			}
+			if err := m.TickN(4 * (visited - start)); err != nil {
+				return machine.Outcome{}, err
+			}
+		}
+		rows = nil // nothing left for the general evaluator
+	}
 	for _, row := range rows {
 		r := ev.eval(row, nil)
 		acc += 1 + r.steps
@@ -1209,18 +1272,8 @@ func (mg *Manager) vecExists(m *machine.Machine, vp *vprog, rows [][]store.Val, 
 			flush()
 			return machine.Outcome{}, fmt.Errorf("relalg: exists predicate returned %s, want boolean", ev.showRes(r))
 		}
-		if r.ret.Bool {
-			if err := flush(); err != nil {
-				return machine.Outcome{}, err
-			}
-			m.AddVecRows(visited)
-			if mg.explaining() {
-				mg.plan(m, &qopt.PlanNode{
-					Op: "exists", Algo: "vector", Table: tableName(rel),
-					InRows: int64(len(rows)), EstRows: -1, ActRows: int64(visited),
-				})
-			}
-			return ok1(machine.Bool(true)), nil
+		if found = r.ret.Bool; found {
+			break
 		}
 		if acc >= 4*vecBatch {
 			if err := flush(); err != nil {
@@ -1235,10 +1288,10 @@ func (mg *Manager) vecExists(m *machine.Machine, vp *vprog, rows [][]store.Val, 
 	if mg.explaining() {
 		mg.plan(m, &qopt.PlanNode{
 			Op: "exists", Algo: "vector", Table: tableName(rel),
-			InRows: int64(len(rows)), EstRows: -1, ActRows: int64(visited),
+			InRows: int64(n), EstRows: -1, ActRows: int64(visited),
 		})
 	}
-	return ok1(machine.Bool(false)), nil
+	return ok1(machine.Bool(found)), nil
 }
 
 // vecJoin plans and runs a join whose predicate compiled to a vprog over
@@ -1247,10 +1300,10 @@ func (mg *Manager) vecExists(m *machine.Machine, vp *vprog, rows [][]store.Val, 
 // knob); every other predicate in the fragment runs a vectorized nested
 // loop. All algorithms charge the identical abstract cost of the full
 // cross-product scan, so plan choice is invisible to step accounting.
-func (mg *Manager) vecJoin(m *machine.Machine, vp *vprog, out *Rel, rows1, rows2 [][]store.Val, w1 int, rel1, rel2 *store.Relation) (machine.Outcome, error) {
+func (mg *Manager) vecJoin(m *machine.Machine, ev *vevaler, out *Rel, rows1, rows2 [][]store.Val, w1 int, rel1, rel2 *store.Relation) (machine.Outcome, error) {
 	n1, n2 := len(rows1), len(rows2)
 	m.AddVecRows(n1 + n2)
-	if lc, rc, psteps, isEqui := vp.equiCols(w1); isEqui {
+	if lc, rc, psteps, isEqui := ev.p.equiCols(w1); isEqui {
 		ls := colStatsFor(rel1, rows1, lc)
 		rs := colStatsFor(rel2, rows2, rc)
 		algo, buildLeft := qopt.ChooseJoinAlgo(ls, rs, n1, n2)
@@ -1301,7 +1354,6 @@ func (mg *Manager) vecJoin(m *machine.Machine, vp *vprog, out *Rel, rows1, rows2
 		}
 		// algo == nested: fall through to the vectorized nested loop.
 	}
-	ev := vp.evaler()
 	for _, r1 := range rows1 {
 		inner := rows2
 		for len(inner) > 0 {

@@ -727,3 +727,47 @@ func TestSubmitExplain(t *testing.T) {
 		t.Errorf("unrequested plan attached:\n%s", res.Explain)
 	}
 }
+
+// TestSubmitExplainServedAlgorithms pins the physical plans of the
+// serving path: a SUBMIT's predicates arrive TAM-compiled, and the plan
+// a session reports must name the vector kernels and the cost-based join
+// algorithms, not the row-at-a-time fallbacks — a fused column scan for a
+// bare comparison, the general vector evaluator for arithmetic, a hash
+// join for an unsorted key, a sort-merge join for two sorted ones.
+func TestSubmitExplainServedAlgorithms(t *testing.T) {
+	srv, addr, _ := world(t, "", server.Config{})
+	fill(t, srv, 200)
+	c := dial(t, addr)
+
+	binds := []ship.WBind{{Name: "r", Val: ship.WVal{Kind: ship.WRoot, Str: "rel:t"}}}
+	joinOn := func(l, r int) string {
+		return fmt.Sprintf(`(join proc(x !ce !cc)
+		  ([] x %d cont(a) ([] x %d cont(b) (== a b cont() (cc true) cont() (cc false))))
+		  r r e cont(t) (count t e k))`, l, r)
+	}
+	for _, q := range []struct {
+		name, src, want string
+	}{
+		{"fused", selectSrc, "select algo=vector-fused "},
+		{"general", `(select proc(x !ce !cc)
+		  ([] x 1 cont(a) (+ a 1 ce cont(b) (< b 51 cont() (cc true) cont() (cc false))))
+		  r e k)`, "select algo=vector "},
+		// val = id % 97 is unsorted on the left, id is sorted on the right.
+		{"hash", joinOn(1, 2), "join algo=hash "},
+		{"merge", joinOn(0, 2), "join algo=merge "},
+	} {
+		// Compiling request and cache hit must report the same plan.
+		for _, wantHit := range []bool{false, true} {
+			res, err := c.SubmitTMLPlan("q-"+q.name, q.src, binds, false, "", ship.MergeAuto, true)
+			if err != nil {
+				t.Fatalf("%s: %v", q.name, err)
+			}
+			if res.Info.CacheHit != wantHit {
+				t.Errorf("%s: cache hit %v, want %v", q.name, res.Info.CacheHit, wantHit)
+			}
+			if !strings.Contains(res.Explain, q.want) {
+				t.Errorf("%s (hit=%v): plan lacks %q:\n%s", q.name, wantHit, q.want, res.Explain)
+			}
+		}
+	}
+}

@@ -42,16 +42,40 @@ type version struct {
 	prev *version
 }
 
-// publishLocked pushes a new head version for oid at the current CSN and
-// reclaims chain tail versions no snapshot can reach. Caller holds s.mu
-// and has already advanced s.csn to the publishing event's CSN.
+// publishLocked makes obj the live state of oid and pushes it as the new
+// head version at the current CSN, then reclaims chain tail versions no
+// snapshot can reach. Caller holds s.mu and has already advanced s.csn to
+// the publishing event's CSN.
 func (s *Store) publishLocked(oid OID, obj Object) {
-	rows := -1
-	if r, ok := obj.(*Relation); ok {
-		rows = r.NumRows()
-	}
-	s.vers[oid] = &version{csn: s.csn, obj: obj, rows: rows, prev: s.vers[oid]}
+	s.seedBaseLocked(oid)
+	s.objects[oid] = obj
+	s.vers[oid] = &version{csn: s.csn, obj: obj, rows: rowHorizon(obj), prev: s.vers[oid]}
 	s.gcChainLocked(oid)
+}
+
+// seedBaseLocked starts the version chain of an object that has none but
+// exists — one replayed from the log and not republished since — with
+// that base state as a CSN-0 version, so a snapshot opened before the
+// object's first commit of this boot still resolves it (to the old state)
+// afterwards instead of finding only versions born after it. publishLocked
+// calls it; a writer that moves a relation's row horizon before
+// publishing (Txn.Commit's append merge) calls it first. Caller holds s.mu.
+func (s *Store) seedBaseLocked(oid OID) {
+	if s.vers[oid] != nil {
+		return
+	}
+	if base, ok := s.objects[oid]; ok {
+		s.vers[oid] = &version{obj: base, rows: rowHorizon(base)}
+	}
+}
+
+// rowHorizon is the row count a version of obj pins: a relation's current
+// length, -1 for every other kind.
+func rowHorizon(obj Object) int {
+	if r, ok := obj.(*Relation); ok {
+		return r.NumRows()
+	}
+	return -1
 }
 
 // gcChainLocked truncates oid's version chain below the oldest pinned
@@ -440,13 +464,13 @@ func (t *Txn) Commit() error {
 			// lose a concurrent committer's rows under last-writer-wins
 			// replay.
 			view := obj.(*Relation)
+			s.seedBaseLocked(oid)
 			for _, row := range view.RowsSnapshot()[t.baseRows[oid]:] {
 				live.AppendRow(row)
 			}
 			s.publishLocked(oid, live)
 			logObj = relView(live, s.vers[oid].rows)
 		} else {
-			s.objects[oid] = obj
 			s.publishLocked(oid, obj)
 		}
 		if t.class[oid] == classUpdate {

@@ -298,6 +298,104 @@ func TestVersionChainGC(t *testing.T) {
 	}
 }
 
+// TestSnapshotOutlivesFirstCommitAfterReopen is the regression test for
+// the version-chain seeding bug the end-to-end benchmark found: after a
+// boot, an object replayed from the log has no version chain, and the
+// first commit to it used to start one WITHOUT the replayed state — so a
+// transaction whose snapshot predated that commit and read the object
+// after it failed with "object not found … (born after snapshot)". The
+// chain now starts with the replayed object as a CSN-0 version: the old
+// snapshot keeps resolving it, to the old state, for every way a commit
+// can publish (row-append merge, replacement, raw update), and the base
+// version is reclaimed like any other once no snapshot can reach it.
+func TestSnapshotOutlivesFirstCommitAfterReopen(t *testing.T) {
+	path := t.TempDir() + "/db.tyst"
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := &Relation{Name: "events", Schema: []Column{{Name: "n", Type: ColInt}}}
+	rel.AppendRow([]Val{IntVal(1)})
+	rel.AppendRow([]Val{IntVal(2)})
+	relOID := s.Alloc(rel)
+	blobOID := s.Alloc(&Blob{Bytes: []byte("old")})
+	rawOID := s.Alloc(&Blob{Bytes: []byte("old")})
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, oid := range []OID{relOID, blobOID, rawOID} {
+		if n := s.chainLen(oid); n != 0 {
+			t.Fatalf("replayed oid 0x%x has a %d-version chain, want base state only", uint64(oid), n)
+		}
+	}
+
+	reader := s.Begin() // snapshot predates every commit of this boot
+	defer reader.Abort()
+
+	writer := s.Begin()
+	wrel, err := writer.Get(relOID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrel.(*Relation).AppendRow([]Val{IntVal(3)})
+	writer.MarkDirty(relOID)
+	if err := writer.Update(blobOID, &Blob{Bytes: []byte("new")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Update(rawOID, &Blob{Bytes: []byte("new")}); err != nil {
+		t.Fatal(err)
+	}
+
+	obj, err := reader.Get(relOID)
+	if err != nil {
+		t.Fatalf("old snapshot lost the replayed relation: %v", err)
+	}
+	if rows := obj.(*Relation).RowsSnapshot(); len(rows) != 2 || rows[1][0].Int != 2 {
+		t.Errorf("old snapshot sees rows %v, want the two replayed rows", rows)
+	}
+	for _, oid := range []OID{blobOID, rawOID} {
+		obj, err := reader.Get(oid)
+		if err != nil {
+			t.Fatalf("old snapshot lost replayed oid 0x%x: %v", uint64(oid), err)
+		}
+		if got := string(obj.(*Blob).Bytes); got != "old" {
+			t.Errorf("old snapshot reads oid 0x%x as %q, want old", uint64(oid), got)
+		}
+	}
+	fresh := s.Snapshot()
+	if n := mustSnapGet(t, fresh, relOID).(*Relation).NumRows(); n != 3 {
+		t.Errorf("fresh snapshot sees %d rows, want 3", n)
+	}
+	if got := string(mustSnapGet(t, fresh, blobOID).(*Blob).Bytes); got != "new" {
+		t.Errorf("fresh snapshot reads %q, want new", got)
+	}
+	fresh.Release()
+
+	// An object allocated in this boot still has no base version: nothing
+	// older than its allocation may resolve it through the chain.
+	if n := s.chainLen(s.Alloc(&Blob{})); n != 1 {
+		t.Errorf("fresh allocation has a %d-version chain, want 1", n)
+	}
+	// Once the old snapshot is gone the base versions are reclaimed.
+	reader.Abort()
+	if err := s.Update(rawOID, &Blob{Bytes: []byte("newer")}); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.chainLen(rawOID); n != 1 {
+		t.Errorf("chain length %d after release+publish, want 1", n)
+	}
+}
+
 func mustSnapGet(t *testing.T, sn *Snap, oid OID) Object {
 	t.Helper()
 	obj, err := sn.Get(oid)

@@ -601,7 +601,6 @@ func (s *Store) Alloc(obj Object) OID {
 	defer s.mu.Unlock()
 	oid := s.next
 	s.next++
-	s.objects[oid] = obj
 	s.dirty[oid] = true
 	s.muts++
 	s.csn++
@@ -638,7 +637,6 @@ func (s *Store) Update(oid OID, obj Object) error {
 	if _, ok := s.objects[oid]; !ok {
 		return fmt.Errorf("%w: oid 0x%x", ErrNotFound, uint64(oid))
 	}
-	s.objects[oid] = obj
 	s.dirty[oid] = true
 	s.epoch++
 	s.muts++
@@ -693,7 +691,6 @@ func (s *Store) SetClosureAttrs(oid OID, cost, savings int32) error {
 	next := clo.clone().(*Closure)
 	next.Cost = cost
 	next.Savings = savings
-	s.objects[oid] = next
 	s.dirty[oid] = true
 	s.csn++
 	s.publishLocked(oid, next)
