@@ -127,11 +127,11 @@ func gate(art *Artifact, path string, maxRegress float64) []string {
 	higherBetter := map[string]bool{"rps": true}
 	cur := make(map[string]Benchmark, len(art.Benchmarks))
 	for _, b := range art.Benchmarks {
-		cur[b.Name] = b
+		cur[benchKey(b.Name)] = b
 	}
 	var viols []string
 	for _, bb := range base.Benchmarks {
-		nb, ok := cur[bb.Name]
+		nb, ok := cur[benchKey(bb.Name)]
 		if !ok {
 			viols = append(viols, fmt.Sprintf("%s: in baseline but missing from this run", bb.Name))
 			continue
@@ -159,6 +159,23 @@ func gate(art *Artifact, path string, maxRegress float64) []string {
 		}
 	}
 	return viols
+}
+
+// benchKey is the name two runs of one benchmark share: go test appends
+// "-N" (GOMAXPROCS) to every name unless N is 1, so a baseline recorded
+// on one cpu count must still match a run on another. Like benchstat,
+// strip the trailing procs suffix on both sides.
+func benchKey(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 func isEnvKey(k string) bool {

@@ -111,6 +111,41 @@ func TestGateFlagsMissingBenchmarkAndLaneMismatch(t *testing.T) {
 	}
 }
 
+// TestGateMatchesAcrossProcsSuffix pins that a baseline recorded at one
+// GOMAXPROCS gates a run at another: go test's "-N" name suffix (absent
+// at N=1) is not part of a benchmark's identity.
+func TestGateMatchesAcrossProcsSuffix(t *testing.T) {
+	base := writeBaseline(t, Artifact{
+		Lane: "exec",
+		Env:  map[string]string{"cpu": "x"},
+		Benchmarks: []Benchmark{
+			bm("Exec_Select/n=1000", 1000, 35, 2),
+			bm("Soak/tycd/call-1", 1000, 35, 2),
+		},
+	})
+	art := Artifact{
+		Lane: "exec",
+		Env:  map[string]string{"cpu": "x"},
+		Benchmarks: []Benchmark{
+			bm("Exec_Select/n=1000-4", 1000, 35, 2),
+			bm("Soak/tycd/call-8", 1000, 90, 2),
+		},
+	}
+	viols := gate(&art, base, 0.2)
+	if len(viols) != 1 || !strings.Contains(viols[0], "Soak/tycd/call-1: allocs/op") {
+		t.Fatalf("want both rows matched and only call's allocs/op flagged, got %v", viols)
+	}
+	for name, want := range map[string]string{
+		"Exec_Select/n=1000": "Exec_Select/n=1000", "Exec_Select/n=1000-4": "Exec_Select/n=1000",
+		"Soak/tycd/call-1": "Soak/tycd/call", "Soak/tycd/call-8": "Soak/tycd/call",
+		"trailing-": "trailing-", "index-scan": "index-scan",
+	} {
+		if got := benchKey(name); got != want {
+			t.Errorf("benchKey(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
 func soakBM(name string, p50, p99, rps, errs, wrong float64) Benchmark {
 	return Benchmark{Name: name, Iterations: 1, Metrics: map[string]float64{
 		"p50-us": p50, "p99-us": p99, "rps": rps, "errors": errs, "wrong": wrong,

@@ -76,6 +76,7 @@ func main() {
 		AllowPartial:   *partial,
 		HandoffDir:     *handoffDir,
 		RepairInterval: *repairEvery,
+		IdleTimeout:    *idle,
 	}
 	if !*quiet {
 		cfg.Out = os.Stderr
@@ -84,11 +85,7 @@ func main() {
 	if err != nil {
 		fatal("start coordinator: %v", err)
 	}
-	scfg := cluster.ServerConfig{IdleTimeout: *idle}
-	if !*quiet {
-		scfg.Out = os.Stderr
-	}
-	srv := cluster.NewServer(co, scfg)
+	srv := cluster.NewServer(co)
 
 	ready := make(chan net.Listener, 1)
 	errCh := make(chan error, 1)

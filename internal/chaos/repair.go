@@ -214,7 +214,7 @@ func RunRepair(cfg RepairConfig) (*RepairReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	fe := cluster.NewServer(co, cluster.ServerConfig{})
+	fe := cluster.NewServer(co)
 	feLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		co.Close()

@@ -734,7 +734,7 @@ func TestCoordinatorBackpressure(t *testing.T) {
 
 func TestCoordinatorWireFrontEnd(t *testing.T) {
 	tc := bootCluster(t, 3, 1, nil)
-	fe := cluster.NewServer(tc.co, cluster.ServerConfig{})
+	fe := cluster.NewServer(tc.co)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -847,7 +847,7 @@ func TestCoordinatorWireFrontEnd(t *testing.T) {
 // or kill the listener.
 func TestFrontEndRejectsWatch(t *testing.T) {
 	tc := bootCluster(t, 1, 1, nil)
-	fe := cluster.NewServer(tc.co, cluster.ServerConfig{})
+	fe := cluster.NewServer(tc.co)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

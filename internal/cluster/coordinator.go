@@ -78,7 +78,14 @@ type Config struct {
 	// Seed makes client jitter and minted idempotency keys
 	// deterministic; 0 seeds from the clock.
 	Seed int64
-	// Out receives the coordinator log; nil discards it.
+	// MaxSessions and IdleTimeout tune the wire front end NewServer puts
+	// before the coordinator: the bound on concurrently open client
+	// sessions (0 means ship.DefaultMaxSessions) and how long a session may
+	// sit without sending a request (0 disables the idle check).
+	MaxSessions int
+	IdleTimeout time.Duration
+	// Out receives the coordinator's and its front end's log; nil
+	// discards it.
 	Out io.Writer
 }
 

@@ -1,455 +1,83 @@
 package cluster
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"net"
-	"runtime/debug"
-	"sync"
 	"time"
 
 	"tycoon/internal/ship"
 )
 
-// ServerConfig tunes the coordinator's wire front end.
-type ServerConfig struct {
-	// MaxSessions bounds concurrently open sessions; 0 means 256.
-	MaxSessions int
-	// MaxFrame bounds request frame bodies; 0 means ship.MaxFrameBody.
-	MaxFrame int
-	// IdleTimeout closes sessions that send no request for this long; 0
-	// disables the idle check.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds one response write; 0 disables it.
-	WriteTimeout time.Duration
-	// Out receives the log; nil discards it.
-	Out io.Writer
+// NewServer fronts a Coordinator with the same TYWR01 protocol tycd
+// speaks — the same serving core, in fact: tycsh and package client
+// drive a cluster exactly as they drive one shard, and the coordinator
+// re-ships each PTML frame to the shards that own the data.
+// Config.MaxSessions and Config.IdleTimeout tune the front end. WATCH,
+// SYNC and DIGEST have no entry in the verb table: they are single-store
+// verbs, and a coordinator answers them with a protocol error.
+func NewServer(co *Coordinator) *ship.FrontEnd {
+	verbs := map[ship.Verb]ship.Handler{
+		ship.VInstall: co.work(forward(ship.DecodeInstall, co.Install)),
+		ship.VSubmit:  co.work(forward(ship.DecodeSubmit, co.Submit)),
+		ship.VCall: co.work(forward(ship.DecodeCall, func(req *ship.Call) (*ship.Result, error) {
+			return co.Call(req.Module, req.Fn, req.Args)
+		})),
+		ship.VOptimize: co.work(forward(ship.DecodeOptimize, func(req *ship.Optimize) (*ship.Result, error) {
+			return co.Optimize(req.Module, req.Fn)
+		})),
+	}
+	return ship.NewFrontEnd(ship.Daemon{
+		Name:        "tycc",
+		MaxSessions: co.cfg.MaxSessions,
+		IdleTimeout: co.cfg.IdleTimeout,
+		Out:         co.cfg.Out,
+		// Sessions carry no state of their own: one table serves them all.
+		Session: func(*ship.Session) map[ship.Verb]ship.Handler { return verbs },
+		Stats: func(out *ship.ServerStats) {
+			out.Inflight = co.InflightCount()
+			out.Cluster = co.Stats()
+			out.Shed = out.Cluster.Shed
+		},
+		Health: func(h *ship.Health) {
+			ch := co.Health()
+			h.Degraded, h.Reason, h.Inflight = ch.Degraded, ch.Reason, ch.Inflight
+		},
+		AfterDrain: func() error {
+			if co.cfg.HandoffDir != "" {
+				// Best-effort final catch-up now that no new writes can land:
+				// ship what the reachable lagging replicas will take; whatever
+				// remains stays durable in the logs and the next boot resumes it.
+				co.RepairNow()
+			}
+			co.Close()
+			return nil
+		},
+	})
 }
 
-// Server fronts a Coordinator with the same TYWR01 protocol tycd
-// speaks: tycsh and package client drive a cluster exactly as they
-// drive one shard, and the coordinator re-ships each PTML frame to the
-// shards that own the data.
-type Server struct {
-	co  *Coordinator
-	cfg ServerConfig
-
-	mu       sync.Mutex
-	sessions map[*csession]struct{}
-	verbs    map[string]*ship.VerbStat
-	nextSess uint64
-	total    uint64
-	draining bool
-	ln       net.Listener
-
-	wg sync.WaitGroup
-}
-
-// NewServer wraps a coordinator in a wire front end.
-func NewServer(co *Coordinator, cfg ServerConfig) *Server {
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 256
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = ship.MaxFrameBody
-	}
-	return &Server{
-		co:       co,
-		cfg:      cfg,
-		sessions: make(map[*csession]struct{}),
-		verbs:    make(map[string]*ship.VerbStat),
-	}
-}
-
-// Coordinator exposes the wrapped planner.
-func (s *Server) Coordinator() *Coordinator { return s.co }
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Out != nil {
-		fmt.Fprintf(s.cfg.Out, "tycc: "+format+"\n", args...)
-	}
-}
-
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-func (s *Server) record(v ship.Verb, start time.Time, failed bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.verbs[v.String()]
-	if !ok {
-		st = &ship.VerbStat{}
-		s.verbs[v.String()] = st
-	}
-	st.Count++
-	if failed {
-		st.Errors++
-	}
-	st.Micros += time.Since(start).Microseconds()
-}
-
-// Stats snapshots the front end plus the coordinator's cluster block.
-func (s *Server) Stats() ship.ServerStats {
-	s.mu.Lock()
-	verbs := make(map[string]ship.VerbStat, len(s.verbs))
-	for k, v := range s.verbs {
-		verbs[k] = *v
-	}
-	out := ship.ServerStats{
-		Sessions:      len(s.sessions),
-		TotalSessions: s.total,
-		Draining:      s.draining,
-		Verbs:         verbs,
-	}
-	s.mu.Unlock()
-	out.Inflight = s.co.InflightCount()
-	out.Cluster = s.co.Stats()
-	out.Shed = out.Cluster.Shed
-	return out
-}
-
-// Health reports the aggregate cluster health.
-func (s *Server) Health() ship.Health {
-	h := s.co.Health()
-	s.mu.Lock()
-	h.Draining = s.draining
-	h.Sessions = len(s.sessions)
-	s.mu.Unlock()
-	if h.Draining {
-		h.Status = "draining"
-	}
-	return h
-}
-
-// ListenAndServe binds addr and serves until Shutdown, reporting the
-// listener through ready (if non-nil) once the port is bound.
-func (s *Server) ListenAndServe(addr string, ready chan<- net.Listener) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		if ready != nil {
-			close(ready)
+// work gates a forward behind the coordinator's inflight bound and
+// renders its Result.
+func (co *Coordinator) work(h func(body []byte) (*ship.Result, error)) ship.Handler {
+	return func(body []byte) (ship.Verb, []byte, *ship.WireError) {
+		start := time.Now()
+		release, werr := co.Acquire()
+		if werr != nil {
+			return 0, nil, werr
 		}
-		return err
-	}
-	if ready != nil {
-		ready <- ln
-	}
-	return s.Serve(ln)
-}
-
-// Serve accepts sessions on ln until the listener closes (Shutdown).
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("tycc: server is shut down")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
+		defer release()
+		res, err := h(body)
 		if err != nil {
-			if s.isDraining() {
-				return nil
-			}
-			return err
+			return 0, nil, ship.WireErr(ship.CodeInternal, err)
 		}
-		s.mu.Lock()
-		switch {
-		case s.draining:
-			s.mu.Unlock()
-			s.refuse(conn, ship.CodeShutdown, "coordinator is draining")
-			continue
-		case len(s.sessions) >= s.cfg.MaxSessions:
-			s.mu.Unlock()
-			s.refuse(conn, ship.CodeBadRequest,
-				fmt.Sprintf("session limit %d reached", s.cfg.MaxSessions))
-			continue
-		}
-		s.nextSess++
-		sess := &csession{srv: s, conn: conn, id: s.nextSess}
-		s.sessions[sess] = struct{}{}
-		s.total++
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			sess.run()
-			s.mu.Lock()
-			delete(s.sessions, sess)
-			s.mu.Unlock()
-		}()
+		return ship.Reply(res, start)
 	}
 }
 
-func (s *Server) refuse(conn net.Conn, code ship.ErrCode, msg string) {
-	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	_ = ship.WriteFrame(conn, ship.VError, (&ship.WireError{Code: code, Msg: msg}).Encode())
-	conn.Close()
-}
-
-// Shutdown drains the front end (mirroring tycd's: wake blocked
-// readers, finish in-flight requests, force-close on ctx expiry) and
-// closes the coordinator's shard sessions.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil
-	}
-	s.draining = true
-	ln := s.ln
-	for sess := range s.sessions {
-		sess.nudge()
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	var drainErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.mu.Lock()
-		for sess := range s.sessions {
-			sess.conn.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		drainErr = ctx.Err()
-	}
-	if s.co.cfg.HandoffDir != "" {
-		// Best-effort final catch-up now that no new writes can land:
-		// ship what the reachable lagging replicas will take; whatever
-		// remains stays durable in the logs and the next boot resumes it.
-		s.co.RepairNow()
-	}
-	s.co.Close()
-	return drainErr
-}
-
-// csession is one client connection to the coordinator.
-type csession struct {
-	srv  *Server
-	conn net.Conn
-	id   uint64
-}
-
-func (c *csession) nudge() { c.conn.SetReadDeadline(time.Now()) }
-
-func (c *csession) run() {
-	defer c.conn.Close()
-	if !c.handshake() {
-		return
-	}
-	for {
-		if idle := c.srv.cfg.IdleTimeout; idle > 0 && !c.srv.isDraining() {
-			c.conn.SetReadDeadline(time.Now().Add(idle))
-		}
-		verb, body, err := ship.ReadFrame(c.conn, c.srv.cfg.MaxFrame)
+// forward decodes a request body and hands it to the coordinator.
+func forward[T any](decode func([]byte) (*T, error), do func(*T) (*ship.Result, error)) func([]byte) (*ship.Result, error) {
+	return func(body []byte) (*ship.Result, error) {
+		req, err := decode(body)
 		if err != nil {
-			c.readFailed(err)
-			return
+			return nil, ship.WireErr(ship.CodeProto, err)
 		}
-		if verb == ship.VBye {
-			return
-		}
-		if !c.dispatch(verb, body) {
-			return
-		}
+		return do(req)
 	}
-}
-
-func (c *csession) handshake() bool {
-	if t := c.srv.cfg.IdleTimeout; t > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(t))
-	}
-	verb, body, err := ship.ReadFrame(c.conn, c.srv.cfg.MaxFrame)
-	if err != nil {
-		c.readFailed(err)
-		return false
-	}
-	if verb != ship.VHello {
-		c.sendErr(&ship.WireError{Code: ship.CodeProto, Msg: "expected hello, got " + verb.String()})
-		return false
-	}
-	hello, err := ship.DecodeHello(body)
-	if err != nil {
-		c.sendErr(wireErr(ship.CodeProto, err))
-		return false
-	}
-	if hello.Version > ship.ProtoVersion {
-		c.sendErr(&ship.WireError{Code: ship.CodeBadRequest,
-			Msg: fmt.Sprintf("client speaks protocol %d, server %d", hello.Version, ship.ProtoVersion)})
-		return false
-	}
-	c.srv.logf("session %d: hello from %q (%s)", c.id, hello.Client, c.conn.RemoteAddr())
-	return c.send(ship.VWelcome, (&ship.Welcome{
-		Version: ship.ProtoVersion, Server: "tycc", Session: c.id,
-	}).Encode())
-}
-
-func (c *csession) readFailed(err error) {
-	switch {
-	case errors.Is(err, io.EOF):
-	case errors.Is(err, ship.ErrFrame):
-		c.srv.logf("session %d: protocol error: %v", c.id, err)
-		c.sendErr(wireErr(ship.CodeProto, err))
-	default:
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			if c.srv.isDraining() {
-				c.sendErr(&ship.WireError{Code: ship.CodeShutdown, Msg: "coordinator is draining"})
-			} else {
-				c.sendErr(&ship.WireError{Code: ship.CodeShutdown, Msg: "idle timeout"})
-			}
-			return
-		}
-		c.srv.logf("session %d: read failed: %v", c.id, err)
-	}
-}
-
-// dispatch handles one request frame; false closes the session.
-func (c *csession) dispatch(verb ship.Verb, body []byte) (keep bool) {
-	start := time.Now()
-	failed := false
-	defer func() { c.srv.record(verb, start, failed) }()
-	defer func() {
-		if r := recover(); r != nil {
-			failed = true
-			keep = false
-			c.srv.logf("session %d: panic in %s: %v\n%s", c.id, verb, r, debug.Stack())
-			c.sendErr(&ship.WireError{Code: ship.CodeInternal, Msg: fmt.Sprintf("panic: %v", r)})
-		}
-	}()
-
-	var res *ship.Result
-	var err error
-	switch verb {
-	case ship.VPing:
-		return c.send(ship.VPong, nil)
-	case ship.VStats:
-		data, jerr := json.Marshal(c.srv.Stats())
-		if jerr != nil {
-			failed = true
-			return c.sendErr(wireErr(ship.CodeInternal, jerr))
-		}
-		return c.send(ship.VStatsOK, data)
-	case ship.VHealth:
-		data, jerr := json.Marshal(c.srv.Health())
-		if jerr != nil {
-			failed = true
-			return c.sendErr(wireErr(ship.CodeInternal, jerr))
-		}
-		return c.send(ship.VHealthOK, data)
-	case ship.VInstall, ship.VCall, ship.VSubmit, ship.VOptimize:
-		if c.srv.isDraining() {
-			failed = true
-			return c.sendErr(&ship.WireError{Code: ship.CodeShutdown, Msg: "coordinator is draining"})
-		}
-		release, ov := c.srv.co.Acquire()
-		if ov != nil {
-			failed = true
-			return c.sendErr(ov)
-		}
-		func() {
-			defer release()
-			switch verb {
-			case ship.VInstall:
-				res, err = c.handleInstall(body)
-			case ship.VCall:
-				res, err = c.handleCall(body)
-			case ship.VSubmit:
-				res, err = c.handleSubmit(body)
-			case ship.VOptimize:
-				res, err = c.handleOptimize(body)
-			}
-		}()
-	default:
-		err = &ship.WireError{Code: ship.CodeProto, Msg: "unexpected verb " + verb.String()}
-	}
-	if err != nil {
-		failed = true
-		return c.sendErr(wireErr(ship.CodeInternal, err))
-	}
-	res.Info.Micros = time.Since(start).Microseconds()
-	return c.sendResult(res)
-}
-
-func (c *csession) handleInstall(body []byte) (*ship.Result, error) {
-	req, err := ship.DecodeInstall(body)
-	if err != nil {
-		return nil, wireErr(ship.CodeProto, err)
-	}
-	return c.srv.co.Install(req)
-}
-
-func (c *csession) handleCall(body []byte) (*ship.Result, error) {
-	req, err := ship.DecodeCall(body)
-	if err != nil {
-		return nil, wireErr(ship.CodeProto, err)
-	}
-	return c.srv.co.Call(req.Module, req.Fn, req.Args)
-}
-
-func (c *csession) handleSubmit(body []byte) (*ship.Result, error) {
-	req, err := ship.DecodeSubmit(body)
-	if err != nil {
-		return nil, wireErr(ship.CodeProto, err)
-	}
-	return c.srv.co.Submit(req)
-}
-
-func (c *csession) handleOptimize(body []byte) (*ship.Result, error) {
-	req, err := ship.DecodeOptimize(body)
-	if err != nil {
-		return nil, wireErr(ship.CodeProto, err)
-	}
-	return c.srv.co.Optimize(req.Module, req.Fn)
-}
-
-func (c *csession) send(v ship.Verb, body []byte) bool {
-	if t := c.srv.cfg.WriteTimeout; t > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(t))
-	}
-	if err := ship.WriteFrame(c.conn, v, body); err != nil {
-		c.srv.logf("session %d: write failed: %v", c.id, err)
-		return false
-	}
-	return true
-}
-
-func (c *csession) sendErr(e *ship.WireError) bool {
-	return c.send(ship.VError, e.Encode())
-}
-
-func (c *csession) sendResult(r *ship.Result) bool {
-	body, err := r.Encode()
-	if err != nil {
-		return c.sendErr(wireErr(ship.CodeInternal, err))
-	}
-	return c.send(ship.VResult, body)
-}
-
-// wireErr maps a handler error onto the wire, preserving a typed
-// *ship.WireError — a shard's own error code (not-found, exec, budget,
-// overloaded …) passes through the coordinator unchanged.
-func wireErr(code ship.ErrCode, err error) *ship.WireError {
-	var we *ship.WireError
-	if errors.As(err, &we) {
-		return we
-	}
-	return &ship.WireError{Code: code, Msg: err.Error()}
 }

@@ -8,19 +8,17 @@
 // re-ships an already-applied prefix; the log therefore needs no cursor,
 // only a durable ordered suffix of not-yet-confirmed writes.
 //
-// The on-disk format reuses the store's v2 framing discipline:
+// The on-disk format is a package frame log — the framing the store log
+// uses — with one record kind of its own:
 //
 //	header:  8-byte magic "TYCOONHO", u32 version (1)
 //	tag 1 (write):  u8 tag, u64 seq, u8 verb, u32 klen, key,
-//	                u32 blen, body, u32 crc
-//	tag 3 (commit): u8 tag, u32 count, u32 size, u32 crc
+//	                u32 blen, body
 //
-// Every record's CRC32C (Castagnoli) covers the record bytes from the tag
-// up to (not including) the CRC. Each append goes out as one write —
-// record plus a trailer framing it — followed by one fsync, so a crash
-// mid-append leaves a torn tail that reopen silently rolls back, while
-// damage in the body of the log (a flipped bit under a valid length) is
-// detected and fails loud. All integers are little-endian.
+// Each append goes out as one write — the record plus a commit trailer
+// framing it — followed by one fsync, so a crash mid-append leaves a torn
+// tail that reopen silently rolls back, while damage in the body of the
+// log (a flipped bit under a valid length) is detected and fails loud.
 package handoff
 
 import (
@@ -28,30 +26,28 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"tycoon/internal/frame"
 	"tycoon/internal/iofault"
 )
-
-var magic = [8]byte{'T', 'Y', 'C', 'O', 'O', 'N', 'H', 'O'}
 
 const (
 	currentVersion = 1
 
-	recWrite  byte = 1
-	recCommit byte = 3
-
-	headerLen    = 12 // magic + version
-	recHeaderLen = 14 // tag + seq + verb + klen
-	crcLen       = 4
-	trailerLen   = 13 // tag + count + size + crc
+	recWrite     byte = 1
+	recHeaderLen      = 14 // tag + seq + verb + klen
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+var format = frame.Format{
+	Magic: [8]byte{'T', 'Y', 'C', 'O', 'O', 'N', 'H', 'O'},
+	Pkg:   "handoff", What: "a handoff log",
+	Current: currentVersion, Oldest: currentVersion, Framed: currentVersion,
+	RecLen: recLen,
+}
 
 // ErrCorrupt is the sentinel wrapped by every CorruptError.
 var ErrCorrupt = errors.New("handoff: corrupt log")
@@ -103,28 +99,25 @@ type Log struct {
 // mid-append — is rolled back and trimmed from the file; damage in the
 // log body fails with a *CorruptError.
 func Open(fsys iofault.FS, path string) (*Log, error) {
-	data, err := readAll(fsys, path)
+	sc, err := scan(fsys, path)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := scan(path, data)
-	if err != nil {
-		return nil, err
-	}
-	if sc.damage != nil {
-		return nil, sc.damage
+	if sc.Damage != nil {
+		return nil, corruptError(path, sc.Damage)
 	}
 	l := &Log{fsys: fsys, path: path, next: 1}
-	for _, rec := range sc.recs {
-		if !rec.committed {
+	for _, sp := range sc.Recs {
+		if !sp.Committed {
 			continue
 		}
-		l.recs = append(l.recs, rec.Record)
+		rec := decodeRecord(sp.Rec)
+		l.recs = append(l.recs, rec)
 		if rec.Seq >= l.next {
 			l.next = rec.Seq + 1
 		}
 	}
-	if sc.tornOff >= 0 || sc.uncommitted > 0 {
+	if sc.TornOff >= 0 || sc.Uncommitted > 0 {
 		// Trim the crash artifact so appends land after a clean prefix.
 		// iofault files have no Truncate, so rewrite through a rename.
 		if err := l.rewrite(l.recs); err != nil {
@@ -132,25 +125,32 @@ func Open(fsys iofault.FS, path string) (*Log, error) {
 		}
 		return l, nil
 	}
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("handoff: open %s: %w", path, err)
+	if err := l.openTail(os.O_CREATE); err != nil {
+		return nil, err
 	}
-	if len(data) == 0 {
+	if l.empty = sc.Size == 0; l.empty {
 		// Freshly created (or still empty): make the *name* durable before
 		// any append is acked, per the fsync-the-directory rule.
 		if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-			f.Close()
+			l.f.Close()
 			return nil, fmt.Errorf("handoff: sync dir: %w", err)
 		}
 	}
+	return l, nil
+}
+
+// openTail opens the log file positioned for append.
+func (l *Log) openTail(flag int) error {
+	f, err := l.fsys.OpenFile(l.path, os.O_RDWR|flag, 0o644)
+	if err != nil {
+		return fmt.Errorf("handoff: open %s: %w", l.path, err)
+	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("handoff: seek %s: %w", path, err)
+		return fmt.Errorf("handoff: seek %s: %w", l.path, err)
 	}
 	l.f = f
-	l.empty = len(data) == 0
-	return l, nil
+	return nil
 }
 
 // Append durably appends one deferred write and returns its sequence
@@ -170,11 +170,9 @@ func (l *Log) Append(verb byte, key string, body []byte) (uint64, error) {
 	rec := Record{Seq: l.next, Verb: verb, Key: key, Body: body}
 	var out bytes.Buffer
 	if l.empty {
-		writeHeader(&out)
+		format.AppendHeader(&out, currentVersion)
 	}
-	encoded := encodeRecord(rec)
-	out.Write(encoded)
-	appendTrailer(&out, 1, encoded)
+	appendWrite(&out, rec)
 	if _, err := l.f.Write(out.Bytes()); err != nil {
 		l.broken = fmt.Errorf("handoff: append %s: %w", l.path, err)
 		return 0, l.broken
@@ -244,32 +242,17 @@ func (l *Log) rewrite(recs []Record) error {
 	}
 	var out bytes.Buffer
 	if len(recs) > 0 {
-		writeHeader(&out)
+		format.AppendHeader(&out, currentVersion)
 		for _, rec := range recs {
-			encoded := encodeRecord(rec)
-			out.Write(encoded)
-			appendTrailer(&out, 1, encoded)
+			appendWrite(&out, rec)
 		}
 	}
-	tmp := l.path + ".tmp"
-	if err := writeFileSync(l.fsys, tmp, out.Bytes()); err != nil {
+	if err := frame.ReplaceFile(l.fsys, l.path, l.path+".tmp", out.Bytes()); err != nil {
 		return fmt.Errorf("handoff: rewrite %s: %w", l.path, err)
 	}
-	if err := l.fsys.Rename(tmp, l.path); err != nil {
-		return fmt.Errorf("handoff: rewrite rename %s: %w", l.path, err)
+	if err := l.openTail(0); err != nil {
+		return err
 	}
-	if err := l.fsys.SyncDir(filepath.Dir(l.path)); err != nil {
-		return fmt.Errorf("handoff: rewrite sync dir: %w", err)
-	}
-	f, err := l.fsys.OpenFile(l.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("handoff: reopen %s: %w", l.path, err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return fmt.Errorf("handoff: reopen seek %s: %w", l.path, err)
-	}
-	l.f = f
 	l.recs = recs
 	l.empty = len(recs) == 0
 	return nil
@@ -318,212 +301,87 @@ func (r *Report) Clean() bool {
 // Verify checks the structural integrity of the handoff log at path
 // without opening it for append. A missing file verifies as an empty log.
 func Verify(fsys iofault.FS, path string) (*Report, error) {
-	data, err := readAll(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := scan(path, data)
+	sc, err := scan(fsys, path)
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{
-		Version:        sc.version,
-		Size:           int64(len(data)),
-		Records:        len(sc.recs),
-		Uncommitted:    sc.uncommitted,
-		TornTailOffset: sc.tornOff,
-		Damage:         sc.damage,
+		Version:        sc.Version,
+		Size:           sc.Size,
+		Records:        len(sc.Recs),
+		Uncommitted:    sc.Uncommitted,
+		TornTailOffset: sc.TornOff,
+		Damage:         corruptError(path, sc.Damage),
 	}
-	for _, rec := range sc.recs {
-		if rec.committed {
+	for _, sp := range sc.Recs {
+		if sp.Committed {
 			rep.Pending++
 		}
 	}
 	return rep, nil
 }
 
-// --- encoding and scan -----------------------------------------------------
+// --- record vocabulary -----------------------------------------------------
 
-func writeHeader(out *bytes.Buffer) {
-	out.Write(magic[:])
-	var vb [4]byte
-	binary.LittleEndian.PutUint32(vb[:], currentVersion)
-	out.Write(vb[:])
+func corruptError(path string, d *frame.Damage) *CorruptError {
+	if d == nil {
+		return nil
+	}
+	return &CorruptError{Path: path, Offset: d.Off, Reason: d.Reason}
+}
+
+// scan reads and structurally parses the log; a missing file is an empty
+// log.
+func scan(fsys iofault.FS, path string) (*frame.Scanned, error) {
+	data, err := format.ReadFile(fsys, path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
+	return format.Scan(path, data)
+}
+
+// appendWrite appends one deferred write as a batch of its own: the
+// record and the trailer committing it.
+func appendWrite(out *bytes.Buffer, rec Record) {
+	start := out.Len()
+	format.AppendRecord(out, currentVersion, encodeRecord(rec))
+	format.AppendTrailer(out, currentVersion, 1, out.Bytes()[start:])
 }
 
 func encodeRecord(rec Record) []byte {
-	var out bytes.Buffer
-	var b [8]byte
-	out.WriteByte(recWrite)
-	binary.LittleEndian.PutUint64(b[:], rec.Seq)
-	out.Write(b[:])
-	out.WriteByte(rec.Verb)
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(rec.Key)))
-	out.Write(b[:4])
-	out.WriteString(rec.Key)
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(rec.Body)))
-	out.Write(b[:4])
-	out.Write(rec.Body)
-	binary.LittleEndian.PutUint32(b[:4], crc32.Checksum(out.Bytes(), crcTable))
-	out.Write(b[:4])
-	return out.Bytes()
+	out := make([]byte, 0, recHeaderLen+len(rec.Key)+4+len(rec.Body))
+	out = append(out, recWrite)
+	out = binary.LittleEndian.AppendUint64(out, rec.Seq)
+	out = append(out, rec.Verb)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(rec.Key)))
+	out = append(out, rec.Key...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(rec.Body)))
+	return append(out, rec.Body...)
 }
 
-func appendTrailer(out *bytes.Buffer, count int, batch []byte) {
-	var hdr [9]byte
-	hdr[0] = recCommit
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(count))
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(batch)))
-	crc := crc32.Checksum(hdr[:], crcTable)
-	crc = crc32.Update(crc, crcTable, batch)
-	out.Write(hdr[:])
-	var cb [4]byte
-	binary.LittleEndian.PutUint32(cb[:], crc)
-	out.Write(cb[:])
+// recLen is the handoff vocabulary's frame.Format.RecLen.
+func recLen(b []byte) int {
+	if b[0] != recWrite {
+		return -1
+	}
+	if len(b) < recHeaderLen {
+		return 0
+	}
+	body := recHeaderLen + int(binary.LittleEndian.Uint32(b[10:])) + 4
+	if len(b) < body {
+		return 0
+	}
+	return body + int(binary.LittleEndian.Uint32(b[body-4:]))
 }
 
-type scannedRec struct {
-	Record
-	committed bool
-}
-
-type scanResult struct {
-	version     uint32
-	recs        []scannedRec
-	uncommitted int
-	tornOff     int64
-	damage      *CorruptError
-}
-
-func scan(path string, data []byte) (*scanResult, error) {
-	sc := &scanResult{version: currentVersion, tornOff: -1}
-	if len(data) == 0 {
-		return sc, nil
+// decodeRecord decodes a scanned write record; Body is copied out of the
+// scanned image.
+func decodeRecord(b []byte) Record {
+	klen := int(binary.LittleEndian.Uint32(b[10:]))
+	return Record{
+		Seq:  binary.LittleEndian.Uint64(b[1:]),
+		Verb: b[9],
+		Key:  string(b[recHeaderLen : recHeaderLen+klen]),
+		Body: append([]byte{}, b[recHeaderLen+klen+4:]...),
 	}
-	if len(data) < headerLen {
-		n := len(data)
-		if n > 8 {
-			n = 8
-		}
-		if bytes.Equal(data[:n], magic[:n]) {
-			sc.tornOff = 0
-			return sc, nil
-		}
-		return nil, fmt.Errorf("handoff: %s is not a handoff log", path)
-	}
-	if !bytes.Equal(data[:8], magic[:]) {
-		return nil, fmt.Errorf("handoff: %s is not a handoff log", path)
-	}
-	sc.version = binary.LittleEndian.Uint32(data[8:12])
-	if sc.version != currentVersion {
-		return nil, fmt.Errorf("handoff: %s has unsupported format version %d", path, sc.version)
-	}
-	size := int64(len(data))
-	pos := int64(headerLen)
-	batchStart := pos
-	pendingFrom := 0
-	for pos < size {
-		switch tag := data[pos]; tag {
-		case recWrite:
-			if pos+recHeaderLen > size {
-				sc.tornOff = pos
-				return sc, nil
-			}
-			seq := binary.LittleEndian.Uint64(data[pos+1:])
-			verb := data[pos+9]
-			klen := int64(binary.LittleEndian.Uint32(data[pos+10:]))
-			if pos+recHeaderLen+klen+4 > size {
-				sc.tornOff = pos
-				return sc, nil
-			}
-			blen := int64(binary.LittleEndian.Uint32(data[pos+recHeaderLen+klen:]))
-			end := pos + recHeaderLen + klen + 4 + blen + crcLen
-			if end > size {
-				sc.tornOff = pos
-				return sc, nil
-			}
-			want := binary.LittleEndian.Uint32(data[end-crcLen:])
-			if crc32.Checksum(data[pos:end-crcLen], crcTable) != want {
-				sc.damage = &CorruptError{Path: path, Offset: pos, Reason: "record checksum mismatch"}
-				return sc, nil
-			}
-			body := make([]byte, blen)
-			copy(body, data[pos+recHeaderLen+klen+4:end-crcLen])
-			sc.recs = append(sc.recs, scannedRec{Record: Record{
-				Seq:  seq,
-				Verb: verb,
-				Key:  string(data[pos+recHeaderLen : pos+recHeaderLen+klen]),
-				Body: body,
-			}})
-			pos = end
-		case recCommit:
-			if pos+trailerLen > size {
-				sc.tornOff = pos
-				return sc, nil
-			}
-			count := int(binary.LittleEndian.Uint32(data[pos+1:]))
-			bsize := int64(binary.LittleEndian.Uint32(data[pos+5:]))
-			want := binary.LittleEndian.Uint32(data[pos+9:])
-			crc := crc32.Checksum(data[pos:pos+9], crcTable)
-			crc = crc32.Update(crc, crcTable, data[batchStart:pos])
-			switch {
-			case crc != want:
-				sc.damage = &CorruptError{Path: path, Offset: pos, Reason: "commit trailer checksum mismatch"}
-				return sc, nil
-			case count != len(sc.recs)-pendingFrom:
-				sc.damage = &CorruptError{Path: path, Offset: pos,
-					Reason: fmt.Sprintf("commit trailer frames %d records, found %d", count, len(sc.recs)-pendingFrom)}
-				return sc, nil
-			case bsize != pos-batchStart:
-				sc.damage = &CorruptError{Path: path, Offset: pos,
-					Reason: fmt.Sprintf("commit trailer frames %d bytes, found %d", bsize, pos-batchStart)}
-				return sc, nil
-			}
-			for i := pendingFrom; i < len(sc.recs); i++ {
-				sc.recs[i].committed = true
-			}
-			pos += trailerLen
-			batchStart = pos
-			pendingFrom = len(sc.recs)
-		default:
-			sc.damage = &CorruptError{Path: path, Offset: pos, Reason: fmt.Sprintf("unknown record tag %d", tag)}
-			return sc, nil
-		}
-	}
-	sc.uncommitted = len(sc.recs) - pendingFrom
-	return sc, nil
-}
-
-// readAll slurps the log; a missing file reads as empty.
-func readAll(fsys iofault.FS, path string) ([]byte, error) {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("handoff: open %s: %w", path, err)
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, fmt.Errorf("handoff: read %s: %w", path, err)
-	}
-	return data, nil
-}
-
-// writeFileSync writes data to a fresh file and syncs it.
-func writeFileSync(fsys iofault.FS, path string, data []byte) error {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"tycoon/internal/frame"
 	"tycoon/internal/iofault"
 )
 
@@ -175,7 +176,7 @@ func TestDamageFailsLoud(t *testing.T) {
 
 	// Flip one payload bit in the first record's body.
 	f, _ := fs.OpenFile(testPath, os.O_RDWR, 0o644)
-	off := int64(headerLen + recHeaderLen + len("victim") + 4)
+	off := int64(frame.HeaderLen + recHeaderLen + len("victim") + 4)
 	f.Seek(off, 0)
 	f.Write([]byte{'P'})
 	f.Sync()

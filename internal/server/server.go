@@ -18,11 +18,8 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"time"
 
@@ -38,8 +35,7 @@ import (
 
 // Defaults for Config zero values.
 const (
-	DefaultMaxSessions = 256
-	DefaultWallBudget  = 30 * time.Second
+	DefaultWallBudget = 30 * time.Second
 	// DefaultMaxInflight bounds requests executing concurrently across
 	// all sessions; work beyond the bound is shed with CodeOverloaded
 	// rather than queued unboundedly.
@@ -52,10 +48,8 @@ const (
 // Config tunes a Server.
 type Config struct {
 	// MaxSessions bounds concurrently open sessions; further connections
-	// are refused with a shutdown error. 0 means DefaultMaxSessions.
+	// are refused with a bad-request error. 0 means ship.DefaultMaxSessions.
 	MaxSessions int
-	// MaxFrame bounds request frame bodies; 0 means ship.MaxFrameBody.
-	MaxFrame int
 	// StepBudget bounds the abstract machine steps of one request; 0
 	// means machine.DefaultMaxSteps.
 	StepBudget int64
@@ -65,8 +59,6 @@ type Config struct {
 	// IdleTimeout closes sessions that send no request for this long;
 	// 0 disables the idle check.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds one response write; 0 disables it.
-	WriteTimeout time.Duration
 	// LocalOpt applies compile-time optimization when installing modules.
 	LocalOpt bool
 	// MaxInflight bounds requests executing concurrently across all
@@ -96,8 +88,11 @@ type Config struct {
 	Out io.Writer
 }
 
-// Server is a running tycd instance over one store.
+// Server is a running tycd instance over one store. The wire front end
+// — Serve, ListenAndServe, Shutdown, Stats, Health — is the embedded
+// serving core's; this package supplies the verbs.
 type Server struct {
+	*ship.FrontEnd
 	st   *store.Store
 	cfg  Config
 	comp *tl.Compiler
@@ -123,17 +118,9 @@ type Server struct {
 
 	mu        sync.Mutex
 	modules   map[string]store.OID
-	sessions  map[*session]struct{}
-	verbs     map[string]*ship.VerbStat
-	nextSess  uint64
-	total     uint64
-	draining  bool
 	degraded  bool
 	degReason string
 	shed      int64
-	ln        net.Listener
-
-	wg sync.WaitGroup
 }
 
 // New builds a server over the store: linker, TL compiler with the
@@ -141,12 +128,6 @@ type Server struct {
 // into the reflective optimizer so SUBMIT compilations and reflective
 // optimizations share one cache), and the relational substrate manager.
 func New(st *store.Store, cfg Config) (*Server, error) {
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = DefaultMaxSessions
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = ship.MaxFrameBody
-	}
 	if cfg.WallBudget == 0 {
 		cfg.WallBudget = DefaultWallBudget
 	}
@@ -170,17 +151,15 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 	}
 	pipe := pipeline.New(st, pipeline.Config{})
 	s := &Server{
-		st:       st,
-		cfg:      cfg,
-		comp:     comp,
-		lk:       lk,
-		pipe:     pipe,
-		ropt:     reflectopt.New(st, reflectopt.Options{Pipe: pipe}),
-		mg:       relalg.NewManager(st),
-		modules:  make(map[string]store.OID),
-		sessions: make(map[*session]struct{}),
-		verbs:    make(map[string]*ship.VerbStat),
-		dedup:    cfg.Dedup,
+		st:      st,
+		cfg:     cfg,
+		comp:    comp,
+		lk:      lk,
+		pipe:    pipe,
+		ropt:    reflectopt.New(st, reflectopt.Options{Pipe: pipe}),
+		mg:      relalg.NewManager(st),
+		modules: make(map[string]store.OID),
+		dedup:   cfg.Dedup,
 	}
 	if cfg.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInflight)
@@ -202,6 +181,25 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 	}
 	s.watch = newHub(cfg.WatchBacklog, cfg.WatchQueue, st.CSN())
 	st.SetRootHook(s.watch.publish)
+	s.FrontEnd = ship.NewFrontEnd(ship.Daemon{
+		Name:        "tycd",
+		MaxSessions: cfg.MaxSessions,
+		IdleTimeout: cfg.IdleTimeout,
+		Out:         cfg.Out,
+		Session:     func(c *ship.Session) map[ship.Verb]ship.Handler { return newSession(s, c).verbs() },
+		Stats:       s.fillStats,
+		Health: func(h *ship.Health) {
+			h.Degraded, h.Reason = s.Degraded()
+			h.Inflight = s.inflightCount()
+		},
+		// Watch sessions block on their subscriber queue, not a read: mark
+		// every subscription dead with a shutdown reason before idle
+		// sessions are nudged, so that when the nudge fires a stream's
+		// parked reader, its final flush already finds the terminal error.
+		BeforeDrain: s.watch.drain,
+		// The store itself stays open; the owner closes it.
+		AfterDrain: st.Commit,
+	})
 	return s, nil
 }
 
@@ -212,26 +210,12 @@ func (s *Server) Manager() *relalg.Manager { return s.mg }
 // Pipeline exposes the shared compilation pipeline.
 func (s *Server) Pipeline() *pipeline.Pipeline { return s.pipe }
 
-// logf writes one line to the server log.
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Out != nil {
-		fmt.Fprintf(s.cfg.Out, "tycd: "+format+"\n", args...)
-	}
-}
-
 // module resolves an installed module by name.
 func (s *Server) module(name string) (store.OID, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	oid, ok := s.modules[name]
 	return oid, ok
-}
-
-// isDraining reports whether Shutdown has begun.
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // acquire claims an execution slot for one work verb, shedding the
@@ -300,7 +284,7 @@ func (s *Server) enterDegraded(err error) {
 	s.degReason = err.Error()
 	s.mu.Unlock()
 	if first {
-		s.logf("degraded: store commits failing: %v", err)
+		s.Logf("degraded: store commits failing: %v", err)
 	}
 }
 
@@ -319,7 +303,7 @@ func (s *Server) noteCommit(err error) {
 	s.degReason = ""
 	s.mu.Unlock()
 	if cleared {
-		s.logf("leaving degraded mode: store commits again")
+		s.Logf("leaving degraded mode: store commits again")
 	}
 }
 
@@ -340,59 +324,10 @@ func (s *Server) ClearDegraded() error {
 	return err
 }
 
-// Health snapshots the server's mode for the HEALTH verb.
-func (s *Server) Health() ship.Health {
+// fillStats adds tycd's counters to the front end's snapshot.
+func (s *Server) fillStats(out *ship.ServerStats) {
 	s.mu.Lock()
-	h := ship.Health{
-		Status:   "ok",
-		Draining: s.draining,
-		Degraded: s.degraded,
-		Reason:   s.degReason,
-		Sessions: len(s.sessions),
-	}
-	s.mu.Unlock()
-	h.Inflight = s.inflightCount()
-	if h.Degraded {
-		h.Status = "degraded"
-	}
-	if h.Draining {
-		h.Status = "draining"
-	}
-	return h
-}
-
-// record updates one verb's latency counter.
-func (s *Server) record(v ship.Verb, start time.Time, failed bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.verbs[v.String()]
-	if !ok {
-		st = &ship.VerbStat{}
-		s.verbs[v.String()] = st
-	}
-	st.Count++
-	if failed {
-		st.Errors++
-	}
-	st.Micros += time.Since(start).Microseconds()
-}
-
-// Stats snapshots the server counters.
-func (s *Server) Stats() ship.ServerStats {
-	s.mu.Lock()
-	verbs := make(map[string]ship.VerbStat, len(s.verbs))
-	for k, v := range s.verbs {
-		verbs[k] = *v
-	}
-	out := ship.ServerStats{
-		Sessions:       len(s.sessions),
-		TotalSessions:  s.total,
-		Draining:       s.draining,
-		Degraded:       s.degraded,
-		DegradedReason: s.degReason,
-		Shed:           s.shed,
-		Verbs:          verbs,
-	}
+	out.Degraded, out.DegradedReason, out.Shed = s.degraded, s.degReason, s.shed
 	s.mu.Unlock()
 	out.Inflight = s.inflightCount()
 	out.IdemApplied, out.IdemDeduped = s.dedup.Counters()
@@ -401,143 +336,4 @@ func (s *Server) Stats() ship.ServerStats {
 	tx := s.st.TxStats()
 	out.Store = &tx
 	out.Watch = s.watch.stats()
-	return out
-}
-
-// ListenAndServe listens on addr (e.g. "127.0.0.1:7411") and serves
-// until Shutdown. It returns the listener through ready (if non-nil) as
-// soon as the port is bound, so callers can learn an ephemeral port.
-func (s *Server) ListenAndServe(addr string, ready chan<- net.Listener) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		if ready != nil {
-			close(ready)
-		}
-		return err
-	}
-	if ready != nil {
-		ready <- ln
-	}
-	return s.Serve(ln)
-}
-
-// Serve accepts sessions on ln until the listener closes (Shutdown).
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("tycd: server is shut down")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.isDraining() {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		switch {
-		case s.draining:
-			s.mu.Unlock()
-			s.refuse(conn, ship.CodeShutdown, "server is draining")
-			continue
-		case len(s.sessions) >= s.cfg.MaxSessions:
-			s.mu.Unlock()
-			s.refuse(conn, ship.CodeBadRequest,
-				fmt.Sprintf("session limit %d reached", s.cfg.MaxSessions))
-			continue
-		}
-		s.nextSess++
-		sess := newSession(s, conn, s.nextSess)
-		s.sessions[sess] = struct{}{}
-		s.total++
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			sess.run()
-			s.mu.Lock()
-			delete(s.sessions, sess)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// refuse answers a connection the server will not serve with one error
-// frame and closes it.
-func (s *Server) refuse(conn net.Conn, code ship.ErrCode, msg string) {
-	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	_ = ship.WriteFrame(conn, ship.VError, (&ship.WireError{Code: code, Msg: msg}).Encode())
-	conn.Close()
-}
-
-// Shutdown drains the server: the listener closes, sessions blocked
-// between requests are woken (their pending reads fail and they close
-// cleanly), in-flight requests run to completion, and once every
-// session has exited — or ctx expires, at which point remaining
-// connections are force-closed — the store is committed. The store
-// itself stays open; the owner closes it.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil
-	}
-	s.draining = true
-	ln := s.ln
-	sessions := make([]*session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	// Watch sessions block on their subscriber queue, not a read: mark
-	// every subscription dead with a shutdown reason first, so that when
-	// the nudge below fires their parked reader, the final flush already
-	// finds the terminal error to send.
-	s.watch.drain()
-	for _, sess := range sessions {
-		// Wake readers blocked between requests; sessions notice the
-		// drain flag and close. In-flight handlers finish first: they
-		// reset the deadline before writing their response.
-		sess.nudge()
-	}
-	if ln != nil {
-		ln.Close()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	var drainErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.mu.Lock()
-		for sess := range s.sessions {
-			sess.conn.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		drainErr = ctx.Err()
-	}
-	if err := s.st.Commit(); err != nil {
-		return err
-	}
-	return drainErr
-}
-
-// errWire maps any handler error to a wire error, preserving an
-// explicit *ship.WireError.
-func errWire(code ship.ErrCode, err error) *ship.WireError {
-	var we *ship.WireError
-	if errors.As(err, &we) {
-		return we
-	}
-	return &ship.WireError{Code: code, Msg: err.Error()}
 }

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -474,105 +473,11 @@ func TestWallBudget(t *testing.T) {
 	}
 }
 
-func TestSessionLimit(t *testing.T) {
-	_, addr, _ := world(t, "", server.Config{MaxSessions: 1})
-	dial(t, addr) // occupies the only slot
-	_, err := client.Dial(addr, client.Options{Timeout: 5 * time.Second})
-	we := wantCode(t, err, ship.CodeBadRequest)
-	if !strings.Contains(we.Msg, "session limit") {
-		t.Errorf("msg = %q", we.Msg)
-	}
-}
-
-// TestProtocolFaults drives malformed byte streams at a live server:
-// each fault is answered with a typed protocol error, the faulting
-// connection is dropped, its session is reaped, and an unrelated
-// session keeps working.
-func TestProtocolFaults(t *testing.T) {
-	srv, addr, _ := world(t, "", server.Config{})
-	healthy := dial(t, addr)
-
-	// handshake performs hello/welcome on a raw connection.
-	handshake := func(t *testing.T, conn net.Conn) {
-		t.Helper()
-		if err := ship.WriteFrame(conn, ship.VHello,
-			(&ship.Hello{Version: ship.ProtoVersion, Client: "fault"}).Encode()); err != nil {
-			t.Fatal(err)
-		}
-		v, _, err := ship.ReadFrame(conn, 0)
-		if err != nil || v != ship.VWelcome {
-			t.Fatalf("handshake: %s %v", v, err)
-		}
-	}
-
-	faults := map[string]func(t *testing.T, conn net.Conn){
-		"garbage magic": func(t *testing.T, conn net.Conn) {
-			handshake(t, conn)
-			conn.Write([]byte("XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"))
-		},
-		"bad crc": func(t *testing.T, conn net.Conn) {
-			handshake(t, conn)
-			var buf bytes.Buffer
-			ship.WriteFrame(&buf, ship.VPing, []byte("body"))
-			raw := buf.Bytes()
-			raw[len(raw)-1] ^= 0xff
-			conn.Write(raw)
-		},
-		"oversized length": func(t *testing.T, conn net.Conn) {
-			handshake(t, conn)
-			// Valid magic and verb, then a 2 GiB length claim.
-			conn.Write(append([]byte("TYWR01"), byte(ship.VSubmit), 0xff, 0xff, 0xff, 0x7f))
-		},
-		"hello required": func(t *testing.T, conn net.Conn) {
-			ship.WriteFrame(conn, ship.VPing, nil)
-		},
-	}
-	for name, fault := range faults {
-		t.Run(name, func(t *testing.T) {
-			conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			conn.SetDeadline(time.Now().Add(10 * time.Second))
-			fault(t, conn)
-			v, body, err := ship.ReadFrame(conn, 0)
-			if err != nil {
-				t.Fatalf("no error frame came back: %v", err)
-			}
-			if v != ship.VError {
-				t.Fatalf("got %s, want error frame", v)
-			}
-			we, err := ship.DecodeWireError(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if we.Code != ship.CodeProto {
-				t.Errorf("code = %s (%s), want proto", we.Code, we.Msg)
-			}
-		})
-	}
-
-	// The unrelated session never noticed, and the fault sessions are
-	// reaped (session teardown is asynchronous — poll briefly).
-	if err := healthy.Ping(); err != nil {
-		t.Fatalf("healthy session broken by faults: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := srv.Stats().Sessions; n == 1 {
-			break
-		} else if time.Now().After(deadline) {
-			t.Fatalf("fault sessions leaked: %d still open", n)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestGracefulDrain shuts the server down under load: sessions blocked
-// between requests are woken and told the server is draining, new
-// connections are refused, and the store ends fsck-clean.
-func TestGracefulDrain(t *testing.T) {
+// TestDrainCommitsStore is the tycd half of a graceful drain (the
+// front end's half — idle sessions woken, newcomers refused, no waiting
+// out the context — is ship's TestFrontEndConformance): sessions that
+// did durable work are drained and the store ends fsck-clean.
+func TestDrainCommitsStore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.tyst")
 	st, err := store.Open(path)
 	if err != nil {
@@ -588,12 +493,11 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
-	addr := ln.Addr().String()
 
 	// A few sessions do real work, then sit idle, blocked in a read.
 	clients := make([]*client.Client, 3)
 	for i := range clients {
-		c, err := client.Dial(addr, client.Options{Timeout: 30 * time.Second})
+		c, err := client.Dial(ln.Addr().String(), client.Options{Timeout: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -611,7 +515,6 @@ func TestGracefulDrain(t *testing.T) {
 	if err := <-serveDone; err != nil {
 		t.Fatalf("serve returned %v after drain", err)
 	}
-
 	// Idle sessions were woken: their next request fails.
 	for i, c := range clients {
 		if err := c.Ping(); err == nil {
@@ -619,15 +522,6 @@ func TestGracefulDrain(t *testing.T) {
 		}
 		c.Close()
 	}
-	// New connections are refused (refusal frame or connection error).
-	if _, err := client.Dial(addr, client.Options{Timeout: 2 * time.Second}); err == nil {
-		t.Error("dial succeeded after drain")
-	}
-	// Shutdown is idempotent.
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Errorf("second shutdown: %v", err)
-	}
-
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -637,37 +531,6 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Errorf("store not fsck-clean after drain: %v", rep.Findings)
-	}
-}
-
-// TestDrainRefusesMidSession verifies the refusal a client sees when it
-// connects during a drain window (listener still open is a race; either
-// a typed shutdown error or a transport error is acceptable, a hang is
-// not).
-func TestDrainRefusesMidSession(t *testing.T) {
-	srv, addr, _ := world(t, "", server.Config{})
-	c := dial(t, addr)
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	// Shutdown happens via the world cleanup; here just check a session
-	// error after drain starts is classified, not a panic. Covered more
-	// fully by TestGracefulDrain; this test pins the wall-clock shape of
-	// a drain with an open idle session (must not take the full ctx).
-	start := time.Now()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("drain of an idle session took %s", d)
-	}
-	var we *ship.WireError
-	if err := c.Ping(); err == nil {
-		t.Error("ping served after drain")
-	} else if errors.As(err, &we) && we.Code != ship.CodeShutdown {
-		t.Errorf("post-drain error code = %s, want shutdown", we.Code)
 	}
 }
 

@@ -1,12 +1,8 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"runtime/debug"
 	"sort"
 	"time"
 
@@ -20,14 +16,14 @@ import (
 	"tycoon/internal/tml"
 )
 
-// session is one client connection: its own execution machine (so
-// handler state, step counters and frame pools never cross sessions)
-// over the server's shared store, index cache and pipeline.
+// session is one client connection's execution state: its own machine
+// (so handler state, step counters and frame pools never cross sessions)
+// over the server's shared store, index cache and pipeline. The
+// connection itself belongs to the serving core (ship.Session).
 type session struct {
-	srv  *Server
-	conn net.Conn
-	id   uint64
-	m    *machine.Machine
+	srv *Server
+	c   *ship.Session
+	m   *machine.Machine
 
 	// deadline is the wall-clock budget of the request currently
 	// executing; the machine's budget hook polls it. Written and read on
@@ -35,11 +31,11 @@ type session struct {
 	deadline time.Time
 }
 
-func newSession(s *Server, conn net.Conn, id uint64) *session {
+func newSession(s *Server, c *ship.Session) *session {
 	m := machine.New(s.st)
 	m.MaxSteps = s.cfg.StepBudget
 	s.mg.Register(m)
-	sess := &session{srv: s, conn: conn, id: id, m: m}
+	sess := &session{srv: s, c: c, m: m}
 	m.SetBudgetHook(func() error {
 		if !sess.deadline.IsZero() && time.Now().After(sess.deadline) {
 			return machine.ErrWallBudget
@@ -49,190 +45,53 @@ func newSession(s *Server, conn net.Conn, id uint64) *session {
 	return sess
 }
 
-// nudge wakes a session blocked reading between requests so drain can
-// proceed; an in-flight handler is unaffected (its response write uses
-// the write deadline) and notices the drain on its next read.
-func (s *session) nudge() { s.conn.SetReadDeadline(time.Now()) }
-
-// run drives the session: handshake, then one request frame → one
-// response frame until the peer says bye, the connection drops, the
-// idle timer fires, or the server drains.
-func (s *session) run() {
-	defer s.conn.Close()
-	if !s.handshake() {
-		return
-	}
-	for {
-		if idle := s.srv.cfg.IdleTimeout; idle > 0 && !s.srv.isDraining() {
-			s.conn.SetReadDeadline(time.Now().Add(idle))
-		}
-		verb, body, err := ship.ReadFrame(s.conn, s.srv.cfg.MaxFrame)
-		if err != nil {
-			s.readFailed(err)
-			return
-		}
-		if verb == ship.VBye {
-			return
-		}
-		if verb == ship.VWatch {
-			// WATCH consumes the session: the protocol has no request ids,
-			// so after watch-ok the connection is a dedicated push stream.
-			s.handleWatch(body)
-			return
-		}
-		if !s.dispatch(verb, body) {
-			return
-		}
-	}
-}
-
-// handshake expects the hello frame and answers welcome.
-func (s *session) handshake() bool {
-	if t := s.srv.cfg.IdleTimeout; t > 0 {
-		s.conn.SetReadDeadline(time.Now().Add(t))
-	}
-	verb, body, err := ship.ReadFrame(s.conn, s.srv.cfg.MaxFrame)
-	if err != nil {
-		s.readFailed(err)
-		return false
-	}
-	if verb != ship.VHello {
-		s.sendErr(&ship.WireError{Code: ship.CodeProto, Msg: "expected hello, got " + verb.String()})
-		return false
-	}
-	hello, err := ship.DecodeHello(body)
-	if err != nil {
-		s.sendErr(errWire(ship.CodeProto, err))
-		return false
-	}
-	if hello.Version > ship.ProtoVersion {
-		s.sendErr(&ship.WireError{Code: ship.CodeBadRequest,
-			Msg: fmt.Sprintf("client speaks protocol %d, server %d", hello.Version, ship.ProtoVersion)})
-		return false
-	}
-	s.srv.logf("session %d: hello from %q (%s)", s.id, hello.Client, s.conn.RemoteAddr())
-	return s.send(ship.VWelcome, (&ship.Welcome{
-		Version: ship.ProtoVersion, Server: "tycd", Session: s.id,
-	}).Encode())
-}
-
-// readFailed classifies a frame read error: clean close and transport
-// failures just end the session; malformed frames and drain/idle
-// wake-ups are answered with one typed error frame first.
-func (s *session) readFailed(err error) {
-	switch {
-	case errors.Is(err, io.EOF):
-	case errors.Is(err, ship.ErrFrame):
-		s.srv.logf("session %d: protocol error: %v", s.id, err)
-		s.sendErr(errWire(ship.CodeProto, err))
-	default:
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			if s.srv.isDraining() {
-				s.sendErr(&ship.WireError{Code: ship.CodeShutdown, Msg: "server is draining"})
-			} else {
-				s.sendErr(&ship.WireError{Code: ship.CodeShutdown, Msg: "idle timeout"})
-			}
-			return
-		}
-		s.srv.logf("session %d: read failed: %v", s.id, err)
-	}
-}
-
-// dispatch handles one request frame; false closes the session.
-func (s *session) dispatch(verb ship.Verb, body []byte) (keep bool) {
-	start := time.Now()
-	failed := false
-	defer func() { s.srv.record(verb, start, failed) }()
-	defer func() {
-		// A handler panic is a server bug, not a session outcome: report
-		// it as an internal error and drop the session, never the server.
-		if r := recover(); r != nil {
-			failed = true
-			keep = false
-			s.srv.logf("session %d: panic in %s: %v\n%s", s.id, verb, r, debug.Stack())
-			s.sendErr(&ship.WireError{Code: ship.CodeInternal, Msg: fmt.Sprintf("panic: %v", r)})
-		}
-	}()
-
-	var res *ship.Result
-	var werr *ship.WireError
-	switch verb {
-	case ship.VPing:
-		return s.send(ship.VPong, nil)
-	case ship.VStats:
-		data, err := json.Marshal(s.srv.Stats())
-		if err != nil {
-			failed = true
-			return s.sendErr(errWire(ship.CodeInternal, err))
-		}
-		return s.send(ship.VStatsOK, data)
-	case ship.VHealth:
-		data, err := json.Marshal(s.srv.Health())
-		if err != nil {
-			failed = true
-			return s.sendErr(errWire(ship.CodeInternal, err))
-		}
-		return s.send(ship.VHealthOK, data)
-	case ship.VDigest:
+// verbs is the session's verb table: what tycd speaks beyond the core's
+// PING/STATS/HEALTH/BYE.
+func (s *session) verbs() map[ship.Verb]ship.Handler {
+	return map[ship.Verb]ship.Handler{
+		ship.VInstall:  s.gated(ship.VInstall, result(s.handleInstall)),
+		ship.VCall:     s.gated(ship.VCall, result(s.handleCall)),
+		ship.VSubmit:   s.gated(ship.VSubmit, result(s.handleSubmit)),
+		ship.VOptimize: s.gated(ship.VOptimize, result(s.handleOptimize)),
+		ship.VSync:     s.gated(ship.VSync, s.handleSync),
 		// The anti-entropy probe stays outside the overload gate, like
 		// STATS: the repair loop must be able to compare digests against a
 		// busy shard without queueing behind the work it is repairing.
-		req, err := ship.DecodeDigest(body)
-		if err != nil {
-			failed = true
-			return s.sendErr(errWire(ship.CodeProto, err))
-		}
-		return s.send(ship.VDigestOK, s.srv.Digests(req.Prefix).Encode())
-	case ship.VSync:
-		// Replica repair: replay a batch of keyed writes. Each item runs
-		// through the normal handler — and therefore through the dedup
-		// table, which is what absorbs re-shipped prefixes.
-		release, ov := s.srv.acquire(verb)
-		if ov != nil {
-			failed = true
-			return s.sendErr(ov)
-		}
-		var sok *ship.SyncOK
-		func() {
-			defer release()
-			sok, werr = s.handleSync(body)
-		}()
+		ship.VDigest: s.handleDigest,
+		ship.VWatch:  s.handleWatch,
+	}
+}
+
+// gated passes a work verb through the overload gate before it runs.
+func (s *session) gated(v ship.Verb, h ship.Handler) ship.Handler {
+	return func(body []byte) (ship.Verb, []byte, *ship.WireError) {
+		release, werr := s.srv.acquire(v)
 		if werr != nil {
-			failed = true
-			return s.sendErr(werr)
+			return 0, nil, werr
 		}
-		return s.send(ship.VSyncOK, sok.Encode())
-	case ship.VInstall, ship.VCall, ship.VSubmit, ship.VOptimize:
-		// Work verbs pass the overload gate; cheap probes (PING, STATS,
-		// HEALTH) never do, so a saturated server stays observable.
-		release, ov := s.srv.acquire(verb)
-		if ov != nil {
-			failed = true
-			return s.sendErr(ov)
+		defer release()
+		return h(body)
+	}
+}
+
+// result adapts a Result-valued handler to the verb table.
+func result(h func([]byte) (*ship.Result, *ship.WireError)) ship.Handler {
+	return func(body []byte) (ship.Verb, []byte, *ship.WireError) {
+		start := time.Now()
+		res, werr := h(body)
+		if werr != nil {
+			return 0, nil, werr
 		}
-		func() {
-			defer release()
-			switch verb {
-			case ship.VInstall:
-				res, werr = s.handleInstall(body)
-			case ship.VCall:
-				res, werr = s.handleCall(body)
-			case ship.VSubmit:
-				res, werr = s.handleSubmit(body)
-			case ship.VOptimize:
-				res, werr = s.handleOptimize(body)
-			}
-		}()
-	default:
-		werr = &ship.WireError{Code: ship.CodeProto, Msg: "unexpected verb " + verb.String()}
+		return ship.Reply(res, start)
 	}
-	if werr != nil {
-		failed = true
-		return s.sendErr(werr)
+}
+
+func (s *session) handleDigest(body []byte) (ship.Verb, []byte, *ship.WireError) {
+	req, err := ship.DecodeDigest(body)
+	if err != nil {
+		return 0, nil, ship.WireErr(ship.CodeProto, err)
 	}
-	res.Info.Micros = time.Since(start).Microseconds()
-	return s.sendResult(res)
+	return ship.VDigestOK, s.srv.Digests(req.Prefix).Encode(), nil
 }
 
 // begin arms the per-request budgets; end disarms them.
@@ -251,18 +110,18 @@ func (s *session) end() { s.deadline = time.Time{} }
 func (s *session) handleInstall(body []byte) (*ship.Result, *ship.WireError) {
 	req, err := ship.DecodeInstall(body)
 	if err != nil {
-		return nil, errWire(ship.CodeProto, err)
+		return nil, ship.WireErr(ship.CodeProto, err)
 	}
 	install := func() (*ship.Result, *ship.WireError, bool) {
 		s.srv.installMu.Lock()
 		defer s.srv.installMu.Unlock()
 		unit, err := s.srv.comp.Compile(req.Source)
 		if err != nil {
-			return nil, errWire(ship.CodeCompile, err), false
+			return nil, ship.WireErr(ship.CodeCompile, err), false
 		}
 		oid, err := s.srv.lk.InstallModule(unit)
 		if err != nil {
-			return nil, errWire(ship.CodeCompile, err), false
+			return nil, ship.WireErr(ship.CodeCompile, err), false
 		}
 		s.srv.mu.Lock()
 		s.srv.modules[unit.Name] = oid
@@ -272,7 +131,7 @@ func (s *session) handleInstall(body []byte) (*ship.Result, *ship.WireError) {
 			return nil, &ship.WireError{Code: ship.CodeDegraded, Msg: "install not durable: " + err.Error()}, false
 		}
 		s.srv.noteCommit(nil)
-		s.srv.logf("session %d: installed module %s", s.id, unit.Name)
+		s.srv.Logf("session %d: installed module %s", s.c.ID(), unit.Name)
 		// An install is always a durable write: record it.
 		return &ship.Result{Val: ship.WVal{Kind: ship.WStr, Str: unit.Name}}, nil, true
 	}
@@ -291,13 +150,13 @@ func (s *session) handleInstall(body []byte) (*ship.Result, *ship.WireError) {
 func (s *session) handleCall(body []byte) (*ship.Result, *ship.WireError) {
 	req, err := ship.DecodeCall(body)
 	if err != nil {
-		return nil, errWire(ship.CodeProto, err)
+		return nil, ship.WireErr(ship.CodeProto, err)
 	}
 	args := make([]machine.Value, len(req.Args))
 	for i, a := range req.Args {
 		v, err := s.wireToMachine(a)
 		if err != nil {
-			return nil, errWire(ship.CodeBadRequest, err)
+			return nil, ship.WireErr(ship.CodeBadRequest, err)
 		}
 		args[i] = v
 	}
@@ -377,10 +236,10 @@ func (s *session) commitTxn(txn *store.Txn, what string) *ship.WireError {
 // first failing item aborts the batch so order is never violated; the
 // coordinator retries the whole batch and the already-applied prefix
 // dedups away.
-func (s *session) handleSync(body []byte) (*ship.SyncOK, *ship.WireError) {
+func (s *session) handleSync(body []byte) (ship.Verb, []byte, *ship.WireError) {
 	req, err := ship.DecodeSync(body)
 	if err != nil {
-		return nil, errWire(ship.CodeProto, err)
+		return 0, nil, ship.WireErr(ship.CodeProto, err)
 	}
 	for i, it := range req.Items {
 		var werr *ship.WireError
@@ -395,10 +254,10 @@ func (s *session) handleSync(body []byte) (*ship.SyncOK, *ship.WireError) {
 		}
 		if werr != nil {
 			werr.Msg = fmt.Sprintf("sync item %d of %d: %s", i+1, len(req.Items), werr.Msg)
-			return nil, werr
+			return 0, nil, werr
 		}
 	}
-	return &ship.SyncOK{Applied: uint32(len(req.Items))}, nil
+	return ship.VSyncOK, (&ship.SyncOK{Applied: uint32(len(req.Items))}).Encode(), nil
 }
 
 // handleSubmit is the headline verb: decode the shipped PTML
@@ -411,11 +270,11 @@ func (s *session) handleSync(body []byte) (*ship.SyncOK, *ship.WireError) {
 func (s *session) handleSubmit(body []byte) (*ship.Result, *ship.WireError) {
 	req, err := ship.DecodeSubmit(body)
 	if err != nil {
-		return nil, errWire(ship.CodeProto, err)
+		return nil, ship.WireErr(ship.CodeProto, err)
 	}
 	srcHash, err := ptml.CanonicalHash(req.PTML)
 	if err != nil {
-		return nil, errWire(ship.CodeBadRequest, fmt.Errorf("undecodable PTML: %w", err))
+		return nil, ship.WireErr(ship.CodeBadRequest, fmt.Errorf("undecodable PTML: %w", err))
 	}
 	if req.IdemKey == "" {
 		res, werr, _ := s.runSubmit(req, srcHash)
@@ -446,7 +305,7 @@ func (s *session) runSubmit(req *ship.Submit, srcHash ptml.Hash) (*ship.Result, 
 	for _, b := range req.Binds {
 		sv, err := s.wireToStoreVal(b.Val)
 		if err != nil {
-			return nil, errWire(ship.CodeBadRequest, fmt.Errorf("binding %s: %w", b.Name, err)), false
+			return nil, ship.WireErr(ship.CodeBadRequest, fmt.Errorf("binding %s: %w", b.Name, err)), false
 		}
 		if _, dup := binds[b.Name]; dup {
 			return nil, &ship.WireError{Code: ship.CodeBadRequest, Msg: "duplicate binding " + b.Name}, false
@@ -485,7 +344,7 @@ func (s *session) runSubmit(req *ship.Submit, srcHash ptml.Hash) (*ship.Result, 
 	}
 	res, err := s.srv.pipe.Run(job)
 	if err != nil {
-		return nil, errWire(ship.CodeCompile, err), false
+		return nil, ship.WireErr(ship.CodeCompile, err), false
 	}
 
 	// The transaction opens after the pipeline ran: compiled code objects
@@ -542,7 +401,7 @@ func (s *session) save(st store.View, saveAs, name string, res *pipeline.Result)
 	// conservatively invalidates the pipeline cache — saving is a binding
 	// change, the same rule every other root update follows.
 	st.SetRoot(ship.SavedRoot+saveAs, cloOID)
-	s.srv.logf("session %d: saved %s as %s%s", s.id, name, ship.SavedRoot, saveAs)
+	s.srv.Logf("session %d: saved %s as %s%s", s.c.ID(), name, ship.SavedRoot, saveAs)
 	return nil
 }
 
@@ -608,7 +467,7 @@ func (s *session) rebind(data []byte, binds map[string]store.Val, gen *tml.VarGe
 func (s *session) handleOptimize(body []byte) (*ship.Result, *ship.WireError) {
 	req, err := ship.DecodeOptimize(body)
 	if err != nil {
-		return nil, errWire(ship.CodeProto, err)
+		return nil, ship.WireErr(ship.CodeProto, err)
 	}
 	modOID, ok := s.srv.module(req.Module)
 	if !ok {
@@ -616,7 +475,7 @@ func (s *session) handleOptimize(body []byte) (*ship.Result, *ship.WireError) {
 	}
 	obj, err := s.srv.st.Get(modOID)
 	if err != nil {
-		return nil, errWire(ship.CodeInternal, err)
+		return nil, ship.WireErr(ship.CodeInternal, err)
 	}
 	mod, ok := obj.(*store.Module)
 	if !ok {
@@ -631,7 +490,7 @@ func (s *session) handleOptimize(body []byte) (*ship.Result, *ship.WireError) {
 	defer s.end()
 	res, err := s.srv.ropt.OptimizeAndInstall(s.m, v.Ref)
 	if err != nil {
-		return nil, errWire(ship.CodeCompile, err)
+		return nil, ship.WireErr(ship.CodeCompile, err)
 	}
 	info := ship.ExecInfo{
 		CacheHit: res.CacheHit,
@@ -644,73 +503,30 @@ func (s *session) handleOptimize(body []byte) (*ship.Result, *ship.WireError) {
 	}, nil
 }
 
-// --- transport helpers -----------------------------------------------------
-
-func (s *session) send(v ship.Verb, body []byte) bool {
-	if t := s.srv.cfg.WriteTimeout; t > 0 {
-		s.conn.SetWriteDeadline(time.Now().Add(t))
-	}
-	if err := ship.WriteFrame(s.conn, v, body); err != nil {
-		s.srv.logf("session %d: write failed: %v", s.id, err)
-		return false
-	}
-	return true
-}
-
-func (s *session) sendErr(e *ship.WireError) bool { return s.send(ship.VError, e.Encode()) }
-
-func (s *session) sendResult(r *ship.Result) bool {
-	body, err := r.Encode()
-	if err != nil {
-		return s.sendErr(errWire(ship.CodeInternal, err))
-	}
-	return s.send(ship.VResult, body)
-}
-
 // execErr classifies an execution failure for the wire.
 func execErr(err error) *ship.WireError {
 	switch {
 	case errors.Is(err, machine.ErrStepBudget), errors.Is(err, machine.ErrWallBudget):
-		return errWire(ship.CodeBudget, err)
+		return ship.WireErr(ship.CodeBudget, err)
 	default:
-		return errWire(ship.CodeExec, err)
+		return ship.WireErr(ship.CodeExec, err)
 	}
 }
 
 // --- value conversions -----------------------------------------------------
 
-// wireToMachine lifts a wire argument into a runtime value.
+// wireToMachine lifts a wire argument into a runtime value: a shipped
+// table as a transient relation, anything else through its store slot
+// form.
 func (s *session) wireToMachine(v ship.WVal) (machine.Value, error) {
-	switch v.Kind {
-	case ship.WNil:
-		return machine.Unit{}, nil
-	case ship.WInt:
-		return machine.IntValue(v.Int), nil
-	case ship.WReal:
-		return machine.Real(v.Real), nil
-	case ship.WBool:
-		return machine.BoolValue(v.Bool), nil
-	case ship.WChar:
-		return machine.CharValue(v.Ch), nil
-	case ship.WStr:
-		return machine.Str(v.Str), nil
-	case ship.WRef:
-		return machine.Ref{OID: store.OID(v.Ref)}, nil
-	case ship.WRoot:
-		oid, ok := s.srv.st.Root(v.Str)
-		if !ok {
-			return nil, fmt.Errorf("no root named %q", v.Str)
-		}
-		return machine.Ref{OID: oid}, nil
-	case ship.WRel:
-		rel, err := s.wireToRel(v.Rel)
-		if err != nil {
-			return nil, err
-		}
-		return rel, nil
-	default:
-		return nil, fmt.Errorf("unsupported wire value kind %d", v.Kind)
+	if v.Kind == ship.WRel {
+		return s.wireToRel(v.Rel)
 	}
+	sv, err := s.wireToStoreVal(v)
+	if err != nil {
+		return nil, err
+	}
+	return machine.FromStoreVal(sv), nil
 }
 
 // wireToStoreVal lowers a wire binding into a store slot value (the
@@ -789,20 +605,6 @@ func colTypeOf(v store.Val) store.ColType {
 // representation — a REPL answer, not round-trippable data.
 func (s *session) machineToWire(v machine.Value) ship.WVal {
 	switch v := v.(type) {
-	case machine.Unit:
-		return ship.WVal{Kind: ship.WNil}
-	case machine.Int:
-		return ship.WVal{Kind: ship.WInt, Int: int64(v)}
-	case machine.Real:
-		return ship.WVal{Kind: ship.WReal, Real: float64(v)}
-	case machine.Bool:
-		return ship.WVal{Kind: ship.WBool, Bool: bool(v)}
-	case machine.Char:
-		return ship.WVal{Kind: ship.WChar, Ch: byte(v)}
-	case machine.Str:
-		return ship.WVal{Kind: ship.WStr, Str: string(v)}
-	case machine.Ref:
-		return ship.WVal{Kind: ship.WRef, Ref: uint64(v.OID)}
 	case *relalg.Rel:
 		t := &ship.WTable{}
 		for _, c := range v.Schema {
@@ -822,9 +624,11 @@ func (s *session) machineToWire(v machine.Value) ship.WVal {
 			row[i] = s.machineToWire(el)
 		}
 		return ship.WVal{Kind: ship.WRel, Rel: &ship.WTable{Rows: [][]ship.WVal{row}}}
-	default:
-		return ship.WVal{Kind: ship.WStr, Str: v.Show()}
 	}
+	if sv, err := machine.ToStoreVal(v); err == nil {
+		return storeValToWire(sv)
+	}
+	return ship.WVal{Kind: ship.WStr, Str: v.Show()}
 }
 
 func storeValToWire(v store.Val) ship.WVal {

@@ -37,6 +37,16 @@ func TestServedSelectRunsVectorized(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Re-front the server so the test can reach its one session's machine.
+	var sess *session
+	srv.FrontEnd = ship.NewFrontEnd(ship.Daemon{
+		Name: "tycd",
+		Session: func(c *ship.Session) map[ship.Verb]ship.Handler {
+			sess = newSession(srv, c)
+			return sess.verbs()
+		},
+		Stats: srv.fillStats,
+	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -71,27 +81,16 @@ func TestServedSelectRunsVectorized(t *testing.T) {
 	}
 
 	// Read the session's machine profile once its goroutine has exited
-	// (deregistration under srv.mu orders its writes before this read).
-	srv.mu.Lock()
-	var sess *session
-	for s := range srv.sessions {
-		sess = s
-	}
-	srv.mu.Unlock()
-	if sess == nil {
-		t.Fatal("no session registered")
-	}
+	// (deregistration under the front end's lock orders its writes before
+	// the Stats read that no longer counts it).
 	c.Close()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		srv.mu.Lock()
-		_, open := srv.sessions[sess]
-		srv.mu.Unlock()
-		if !open {
-			break
-		}
+	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Sessions != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("session did not end after its client closed")
 		}
+	}
+	if sess == nil {
+		t.Fatal("no session registered")
 	}
 	if p := sess.m.Profile(); p.VecRows != 2*rows || p.BatchRows != 0 || p.RowRows != 0 {
 		t.Errorf("tier split over miss + hit: %+v, want %d vector rows and none in the row tiers", p, 2*rows)

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"tycoon/internal/ship"
 	"tycoon/internal/store"
@@ -151,7 +150,7 @@ func (h *hub) subscribe(patterns []string, since, now uint64) (*subscriber, uint
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.draining {
-		return nil, 0, &ship.WireError{Code: ship.CodeShutdown, Msg: "server is draining"}
+		return nil, 0, &ship.WireError{Code: ship.CodeShutdown, Msg: "tycd is draining"}
 	}
 	pos := now
 	sub := &subscriber{patterns: patterns, wake: make(chan struct{}, 1)}
@@ -217,7 +216,7 @@ func (h *hub) drain() {
 	for sub := range h.subs {
 		if !sub.dead {
 			sub.dead = true
-			sub.reason = &ship.WireError{Code: ship.CodeShutdown, Msg: "server is draining"}
+			sub.reason = &ship.WireError{Code: ship.CodeShutdown, Msg: "tycd is draining"}
 		}
 		select {
 		case sub.wake <- struct{}{}:
@@ -226,28 +225,21 @@ func (h *hub) drain() {
 	}
 }
 
-// handleWatch serves one WATCH subscription: validate, register,
-// answer watch-ok, then stream notifications until the peer goes away,
-// the subscriber is dropped (overflow), or the server drains. The
-// session ends when this returns.
-func (s *session) handleWatch(body []byte) {
-	start := time.Now()
+// handleWatch opens one WATCH subscription: validate, register, answer
+// watch-ok — and take the connection over as a push stream that runs
+// until the peer goes away, the subscriber is dropped (overflow), or the
+// server drains.
+func (s *session) handleWatch(body []byte) (ship.Verb, []byte, *ship.WireError) {
 	req, err := ship.DecodeWatch(body)
 	if err != nil {
-		s.srv.record(ship.VWatch, start, true)
-		s.sendErr(errWire(ship.CodeProto, err))
-		return
+		return 0, nil, ship.WireErr(ship.CodeProto, err)
 	}
 	if len(req.Patterns) == 0 {
-		s.srv.record(ship.VWatch, start, true)
-		s.sendErr(&ship.WireError{Code: ship.CodeBadRequest, Msg: "watch without patterns (use \"*\" for everything)"})
-		return
+		return 0, nil, &ship.WireError{Code: ship.CodeBadRequest, Msg: "watch without patterns (use \"*\" for everything)"}
 	}
 	for _, p := range req.Patterns {
 		if p == "" {
-			s.srv.record(ship.VWatch, start, true)
-			s.sendErr(&ship.WireError{Code: ship.CodeBadRequest, Msg: "empty watch pattern"})
-			return
+			return 0, nil, &ship.WireError{Code: ship.CodeBadRequest, Msg: "empty watch pattern"}
 		}
 	}
 	// The store CSN is read before subscribing (lock order: the hub lock
@@ -256,44 +248,26 @@ func (s *session) handleWatch(body []byte) {
 	now := s.srv.st.CSN()
 	sub, pos, werr := s.srv.watch.subscribe(req.Patterns, req.SinceCSN, now)
 	if werr != nil {
-		s.srv.record(ship.VWatch, start, true)
-		s.sendErr(werr)
-		return
+		return 0, nil, werr
 	}
+	s.srv.Logf("session %d: watching %v from CSN %d", s.c.ID(), req.Patterns, pos)
+	s.c.Stream(func(gone <-chan struct{}) { s.streamWatch(sub, gone) })
+	return ship.VWatchOK, (&ship.WatchOK{CSN: pos}).Encode(), nil
+}
+
+// streamWatch pushes a subscriber's notifications until the stream ends.
+func (s *session) streamWatch(sub *subscriber, gone <-chan struct{}) {
 	defer s.srv.watch.remove(sub)
-	s.srv.record(ship.VWatch, start, false)
-	if !s.send(ship.VWatchOK, (&ship.WatchOK{CSN: pos}).Encode()) {
-		return
-	}
-	s.srv.logf("session %d: watching %v from CSN %d", s.id, req.Patterns, pos)
-
-	// A watching session sends nothing; its reads only detect the peer
-	// closing (or a drain nudge firing the read deadline). Park a reader
-	// so the stream loop notices either promptly.
-	s.conn.SetReadDeadline(time.Time{})
-	gone := make(chan struct{})
-	go func() {
-		defer close(gone)
-		for {
-			if _, _, err := ship.ReadFrame(s.conn, s.srv.cfg.MaxFrame); err != nil {
-				return // EOF, close, or the drain nudge
-			}
-			// Any frame from a watching peer is a protocol violation; VBye
-			// in particular means it is leaving. Either way the watch ends.
-			return
-		}
-	}()
-
 	flush := func() (stop bool) {
 		events, dead, reason := s.srv.watch.take(sub)
 		for i := range events {
-			if !s.send(ship.VNotify, events[i].Encode()) {
+			if !s.c.Send(ship.VNotify, events[i].Encode()) {
 				return true
 			}
 		}
 		if dead {
 			if reason != nil {
-				s.sendErr(reason)
+				s.c.SendErr(reason)
 			}
 			return true
 		}

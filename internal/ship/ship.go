@@ -222,15 +222,13 @@ func Import(st *store.Store, bundle []byte) (store.OID, error) {
 	if err != nil {
 		return store.Nil, err
 	}
-	r := &reader{b: body}
-	n := int(r.u32())
-	// Every entry takes at least two bytes; a larger declared count is
-	// corrupt and must not drive a huge allocation (v1 bundles have no
-	// checksum to catch this earlier).
-	if r.err == nil && (n < 0 || n > len(body)) {
-		return store.Nil, fmt.Errorf("%w: absurd entry count %d", ErrBadBundle, n)
-	}
+	r := bundleCursor(body)
+	// Every entry takes at least two bytes; count refuses a larger
+	// declared count before it can drive a huge allocation (v1 bundles
+	// have no checksum to catch this earlier).
+	n := r.count(2)
 	type pending struct {
+		byName  bool // resolved in the target; nothing to decode
 		kind    store.Kind
 		payload []byte
 	}
@@ -248,7 +246,7 @@ func Import(st *store.Store, bundle []byte) (store.OID, error) {
 				return store.Nil, fmt.Errorf("%w: relation %q not present in target store", ErrUnresolved, name)
 			}
 			oids[i] = oid
-			entries = append(entries, pending{})
+			entries = append(entries, pending{byName: true})
 		case entryModule:
 			name := r.str()
 			oid, ok := st.Root("module:" + name)
@@ -256,10 +254,10 @@ func Import(st *store.Store, bundle []byte) (store.OID, error) {
 				return store.Nil, fmt.Errorf("%w: module %q not installed in target store", ErrUnresolved, name)
 			}
 			oids[i] = oid
-			entries = append(entries, pending{})
+			entries = append(entries, pending{byName: true})
 		case entryObject:
 			kind := store.Kind(r.u8())
-			payload := r.bytes()
+			payload := r.bytesField()
 			oids[i] = st.Alloc(&store.Blob{}) // placeholder
 			entries = append(entries, pending{kind: kind, payload: payload})
 		default:
@@ -272,8 +270,8 @@ func Import(st *store.Store, bundle []byte) (store.OID, error) {
 
 	// Pass 2: decode payloads, remap refs, update placeholders.
 	for i, ent := range entries {
-		if ent.payload == nil {
-			continue // by-name entry
+		if ent.byName {
+			continue
 		}
 		obj, err := decodeShipped(ent.kind, ent.payload, oids)
 		if err != nil {
@@ -451,58 +449,4 @@ func putU32(b *bytes.Buffer, v uint32) {
 func putStr(b *bytes.Buffer, s string) {
 	putU32(b, uint32(len(s)))
 	b.WriteString(s)
-}
-
-type reader struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated at %d", ErrBadBundle, r.pos)
-	}
-}
-
-func (r *reader) u8() byte {
-	if r.err != nil || r.pos >= len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.pos+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.pos:])
-	r.pos += 4
-	return v
-}
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.pos+n > len(r.b) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.pos : r.pos+n])
-	r.pos += n
-	return s
-}
-
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.pos+n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	out := r.b[r.pos : r.pos+n]
-	r.pos += n
-	return out
 }

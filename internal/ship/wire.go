@@ -89,56 +89,37 @@ const (
 	VDigestOK Verb = 22 // response: Digests as a binary body
 )
 
-// String names a verb for logs and errors.
+var verbNames = [...]string{
+	VHello:    "hello",
+	VWelcome:  "welcome",
+	VPing:     "ping",
+	VPong:     "pong",
+	VStats:    "stats",
+	VStatsOK:  "stats-ok",
+	VInstall:  "install",
+	VCall:     "call",
+	VSubmit:   "submit",
+	VOptimize: "optimize",
+	VResult:   "result",
+	VError:    "error",
+	VBye:      "bye",
+	VHealth:   "health",
+	VHealthOK: "health-ok",
+	VWatch:    "watch",
+	VWatchOK:  "watch-ok",
+	VNotify:   "notify",
+	VSync:     "sync",
+	VSyncOK:   "sync-ok",
+	VDigest:   "digest",
+	VDigestOK: "digest-ok",
+}
+
+// String names a verb for logs, errors and the per-verb counters.
 func (v Verb) String() string {
-	switch v {
-	case VHello:
-		return "hello"
-	case VWelcome:
-		return "welcome"
-	case VPing:
-		return "ping"
-	case VPong:
-		return "pong"
-	case VStats:
-		return "stats"
-	case VStatsOK:
-		return "stats-ok"
-	case VInstall:
-		return "install"
-	case VCall:
-		return "call"
-	case VSubmit:
-		return "submit"
-	case VOptimize:
-		return "optimize"
-	case VResult:
-		return "result"
-	case VError:
-		return "error"
-	case VBye:
-		return "bye"
-	case VHealth:
-		return "health"
-	case VHealthOK:
-		return "health-ok"
-	case VWatch:
-		return "watch"
-	case VWatchOK:
-		return "watch-ok"
-	case VNotify:
-		return "notify"
-	case VSync:
-		return "sync"
-	case VSyncOK:
-		return "sync-ok"
-	case VDigest:
-		return "digest"
-	case VDigestOK:
-		return "digest-ok"
-	default:
-		return fmt.Sprintf("verb(%d)", byte(v))
+	if int(v) < len(verbNames) && verbNames[v] != "" {
+		return verbNames[v]
 	}
+	return fmt.Sprintf("verb(%d)", byte(v))
 }
 
 var frameCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -314,7 +295,7 @@ func putWVal(b *bytes.Buffer, v WVal) error {
 	return nil
 }
 
-func (r *wreader) wval() WVal {
+func (r *cursor) wval() WVal {
 	k := WKind(r.u8())
 	v := WVal{Kind: k}
 	switch k {
@@ -381,7 +362,7 @@ func (m *Hello) Encode() []byte {
 
 // DecodeHello deserialises a Hello body.
 func DecodeHello(body []byte) (*Hello, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &Hello{Version: r.u32(), Client: r.str()}
 	return m, r.done()
 }
@@ -404,7 +385,7 @@ func (m *Welcome) Encode() []byte {
 
 // DecodeWelcome deserialises a Welcome body.
 func DecodeWelcome(body []byte) (*Welcome, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &Welcome{Version: r.u32(), Server: r.str(), Session: r.u64()}
 	return m, r.done()
 }
@@ -431,7 +412,7 @@ func (m *Install) Encode() []byte {
 
 // DecodeInstall deserialises an Install body.
 func DecodeInstall(body []byte) (*Install, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &Install{Source: r.str()}
 	if r.rem() > 0 {
 		m.IdemKey = r.str()
@@ -463,7 +444,7 @@ func (m *Call) Encode() ([]byte, error) {
 
 // DecodeCall deserialises a Call body.
 func DecodeCall(body []byte) (*Call, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &Call{Module: r.str(), Fn: r.str()}
 	n := r.count(1) // smallest value (WNil) is one kind byte
 	for i := 0; i < n && r.err == nil; i++ {
@@ -592,7 +573,7 @@ func (m *Submit) Encode() ([]byte, error) {
 
 // DecodeSubmit deserialises a Submit body.
 func DecodeSubmit(body []byte) (*Submit, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &Submit{Name: r.str(), PTML: r.bytesField()}
 	n := r.count(5) // smallest bind: empty name (4-byte length) + kind byte
 	for i := 0; i < n && r.err == nil; i++ {
@@ -630,7 +611,7 @@ func (m *Optimize) Encode() []byte {
 
 // DecodeOptimize deserialises an Optimize body.
 func DecodeOptimize(body []byte) (*Optimize, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &Optimize{Module: r.str(), Fn: r.str()}
 	return m, r.done()
 }
@@ -667,7 +648,7 @@ func (m *Watch) Encode() []byte {
 
 // DecodeWatch deserialises a Watch body.
 func DecodeWatch(body []byte) (*Watch, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &Watch{}
 	n := r.count(4) // smallest pattern: a 4-byte length prefix
 	for i := 0; i < n && r.err == nil; i++ {
@@ -696,7 +677,7 @@ func (m *WatchOK) Encode() []byte {
 
 // DecodeWatchOK deserialises a WatchOK body.
 func DecodeWatchOK(body []byte) (*WatchOK, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &WatchOK{CSN: r.u64()}
 	return m, r.done()
 }
@@ -731,7 +712,7 @@ func (m *Notify) Encode() []byte {
 
 // DecodeNotify deserialises a Notify body.
 func DecodeNotify(body []byte) (*Notify, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &Notify{Root: r.str(), OID: r.u64(), CSN: r.u64()}
 	if r.rem() > 0 {
 		m.More = r.u8() != 0
@@ -802,7 +783,7 @@ func (m *Sync) Encode() []byte {
 
 // DecodeSync deserialises a Sync body.
 func DecodeSync(body []byte) (*Sync, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &Sync{}
 	n := r.count(5) // smallest item: verb byte + 4-byte body length
 	for i := 0; i < n && r.err == nil; i++ {
@@ -825,7 +806,7 @@ func (m *SyncOK) Encode() []byte {
 
 // DecodeSyncOK deserialises a SyncOK body.
 func DecodeSyncOK(body []byte) (*SyncOK, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &SyncOK{Applied: r.u32()}
 	return m, r.done()
 }
@@ -846,7 +827,7 @@ func (m *Digest) Encode() []byte {
 
 // DecodeDigest deserialises a Digest body.
 func DecodeDigest(body []byte) (*Digest, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &Digest{Prefix: r.str()}
 	return m, r.done()
 }
@@ -888,7 +869,7 @@ func (m *DigestOK) Encode() []byte {
 
 // DecodeDigestOK deserialises a DigestOK body.
 func DecodeDigestOK(body []byte) (*DigestOK, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &DigestOK{CSN: r.u64(), Epoch: r.u64()}
 	n := r.count(8) // smallest root digest: two 4-byte length prefixes
 	for i := 0; i < n && r.err == nil; i++ {
@@ -964,7 +945,7 @@ func (m *Result) Encode() ([]byte, error) {
 
 // DecodeResult deserialises a Result body.
 func DecodeResult(body []byte) (*Result, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	m := &Result{Val: r.wval()}
 	m.Info.Steps = int64(r.u64())
 	m.Info.Micros = int64(r.u64())
@@ -1019,36 +1000,27 @@ const (
 	CodeReplicaDown ErrCode = 12
 )
 
+var codeNames = [...]string{
+	CodeProto:       "proto",
+	CodeBadRequest:  "bad-request",
+	CodeNotFound:    "not-found",
+	CodeCompile:     "compile",
+	CodeExec:        "exec",
+	CodeBudget:      "budget",
+	CodeShutdown:    "shutdown",
+	CodeInternal:    "internal",
+	CodeOverloaded:  "overloaded",
+	CodeDegraded:    "degraded",
+	CodeConflict:    "conflict",
+	CodeReplicaDown: "replica-down",
+}
+
 // String names an error code.
 func (c ErrCode) String() string {
-	switch c {
-	case CodeProto:
-		return "proto"
-	case CodeBadRequest:
-		return "bad-request"
-	case CodeNotFound:
-		return "not-found"
-	case CodeCompile:
-		return "compile"
-	case CodeExec:
-		return "exec"
-	case CodeBudget:
-		return "budget"
-	case CodeShutdown:
-		return "shutdown"
-	case CodeInternal:
-		return "internal"
-	case CodeOverloaded:
-		return "overloaded"
-	case CodeDegraded:
-		return "degraded"
-	case CodeConflict:
-		return "conflict"
-	case CodeReplicaDown:
-		return "replica-down"
-	default:
-		return fmt.Sprintf("code(%d)", byte(c))
+	if int(c) < len(codeNames) && codeNames[c] != "" {
+		return codeNames[c]
 	}
+	return fmt.Sprintf("code(%d)", byte(c))
 }
 
 // WireError is a structured server-side failure; it implements error so
@@ -1078,7 +1050,7 @@ func (e *WireError) Encode() []byte {
 
 // DecodeWireError deserialises a WireError body.
 func DecodeWireError(body []byte) (*WireError, error) {
-	r := &wreader{b: body}
+	r := wireCursor(body)
 	e := &WireError{Code: ErrCode(r.u8()), Msg: r.str()}
 	if r.rem() > 0 {
 		e.RetryAfterMs = r.u32()
@@ -1239,23 +1211,36 @@ func putU64(b *bytes.Buffer, v uint64) {
 	b.Write(buf[:])
 }
 
-// wreader decodes message bodies with latched errors, like the bundle
-// reader, but classifies failures as FrameErrors: a body that fails to
-// parse after the envelope checksum verified is a protocol bug, not
-// transit damage.
-type wreader struct {
-	b   []byte
-	pos int
-	err error
+// cursor decodes little-endian fields with a latched error: after the
+// first failure every read returns zero values and done reports it. One
+// cursor serves both envelopes; they differ only in the error class a
+// failure is minted as.
+type cursor struct {
+	b    []byte
+	pos  int
+	err  error
+	mint func(reason string) error
 }
 
-func (r *wreader) failf(format string, args ...any) {
+// wireCursor reads a message body. A body that fails to parse after the
+// envelope checksum verified is a protocol bug, not transit damage: a
+// FrameError.
+func wireCursor(body []byte) *cursor {
+	return &cursor{b: body, mint: func(reason string) error { return &FrameError{Reason: reason} }}
+}
+
+// bundleCursor reads a bundle's entry stream; failures are ErrBadBundle.
+func bundleCursor(body []byte) *cursor {
+	return &cursor{b: body, mint: func(reason string) error { return fmt.Errorf("%w: %s", ErrBadBundle, reason) }}
+}
+
+func (r *cursor) failf(format string, args ...any) {
 	if r.err == nil {
-		r.err = &FrameError{Reason: fmt.Sprintf(format, args...) + fmt.Sprintf(" at offset %d", r.pos)}
+		r.err = r.mint(fmt.Sprintf(format, args...) + fmt.Sprintf(" at offset %d", r.pos))
 	}
 }
 
-func (r *wreader) done() error {
+func (r *cursor) done() error {
 	if r.err == nil && r.pos != len(r.b) {
 		r.failf("%d trailing bytes", len(r.b)-r.pos)
 	}
@@ -1264,69 +1249,57 @@ func (r *wreader) done() error {
 
 // rem reports how many undecoded bytes remain; optional trailing fields
 // are decoded only when present.
-func (r *wreader) rem() int {
+func (r *cursor) rem() int {
 	if r.err != nil {
 		return 0
 	}
 	return len(r.b) - r.pos
 }
 
-func (r *wreader) u8() byte {
-	if r.err != nil || r.pos >= len(r.b) {
-		r.failf("truncated u8")
-		return 0
-	}
-	v := r.b[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *wreader) u32() uint32 {
-	if r.err != nil || r.pos+4 > len(r.b) {
-		r.failf("truncated u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.pos:])
-	r.pos += 4
-	return v
-}
-
-func (r *wreader) u64() uint64 {
-	if r.err != nil || r.pos+8 > len(r.b) {
-		r.failf("truncated u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.pos:])
-	r.pos += 8
-	return v
-}
-
-func (r *wreader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.pos+n > len(r.b) {
-		r.failf("truncated string")
-		return ""
-	}
-	s := string(r.b[r.pos : r.pos+n])
-	r.pos += n
-	return s
-}
-
-func (r *wreader) bytesField() []byte {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.pos+n > len(r.b) {
-		r.failf("truncated bytes")
+// take consumes the next n bytes (aliasing the input), or latches a
+// truncation failure naming what was being read and returns nil.
+func (r *cursor) take(n int, what string) []byte {
+	if r.err != nil || n < 0 || n > len(r.b)-r.pos {
+		r.failf("truncated %s", what)
 		return nil
 	}
-	out := append([]byte(nil), r.b[r.pos:r.pos+n]...)
+	out := r.b[r.pos : r.pos+n]
 	r.pos += n
 	return out
+}
+
+func (r *cursor) u8() byte {
+	if b := r.take(1, "u8"); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *cursor) u32() uint32 {
+	if b := r.take(4, "u32"); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *cursor) u64() uint64 {
+	if b := r.take(8, "u64"); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (r *cursor) str() string { return string(r.take(int(r.u32()), "string")) }
+
+// bytesField copies: the result outlives the frame buffer.
+func (r *cursor) bytesField() []byte {
+	return append([]byte(nil), r.take(int(r.u32()), "bytes")...)
 }
 
 // count reads an element count and bounds it against the remaining
 // input (each element takes at least minSize bytes), so a corrupt count
 // can never drive a huge allocation.
-func (r *wreader) count(minSize int) int {
+func (r *cursor) count(minSize int) int {
 	n := int(r.u32())
 	if r.err != nil {
 		return 0

@@ -3,7 +3,8 @@ package store
 import (
 	"fmt"
 	"os"
-	"path/filepath"
+
+	"tycoon/internal/frame"
 )
 
 // Compact rewrites the log so that it contains exactly one record per
@@ -43,31 +44,8 @@ func (s *Store) Compact() error {
 	// the in-memory state the image below is encoded from.
 	s.cm.absorb()
 
-	tmpPath := s.path + ".compact"
-	tmp, err := s.fsys.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := frame.ReplaceFile(s.fsys, s.path, s.path+".compact", encodeFullLog(s.objects, s.roots)); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
-	}
-	defer s.fsys.Remove(tmpPath) // no-op after successful rename
-
-	if _, err := tmp.Write(encodeFullLog(s.objects, s.roots)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compact write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compact sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: compact close: %w", err)
-	}
-	if err := s.fsys.Rename(tmpPath, s.path); err != nil {
-		return fmt.Errorf("store: compact rename: %w", err)
-	}
-	// The rename is durable only once the directory entry is: without
-	// this fsync a power loss could resurrect the old (or no) log.
-	if err := s.fsys.SyncDir(filepath.Dir(s.path)); err != nil {
-		return fmt.Errorf("store: compact sync dir: %w", err)
 	}
 	// Reopen the handle on the new file.
 	old := s.file

@@ -5,53 +5,45 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 
+	"tycoon/internal/frame"
 	"tycoon/internal/iofault"
 )
 
-// This file implements the on-disk log format and its recovery paths.
+// This file holds the store's log vocabulary — which records exist and
+// what they carry — and its recovery policies. The framing they ride in
+// (header, per-record CRC32C, commit trailers, torn-tail vs. damage) is
+// package frame's.
 //
 //	header:  8-byte magic "TYCOONST", u32 version
-//
-// Format v1 records (legacy, still readable):
 //
 //	tag 1 (object): u8 tag, u64 oid, u8 kind, u32 len, payload
 //	tag 2 (root):   u8 tag, u32 len, name bytes, u64 oid
 //
-// Format v2 adds corruption detection and commit atomicity:
+// Format v1 (legacy, still readable) is the bare records; format v2
+// frames them: a CRC after every record and a commit trailer closing the
+// batch of each Commit, so a crash between the records of one Commit
+// rolls the whole batch back instead of replaying it half-applied.
 //
-//	tag 1 (object): u8 tag, u64 oid, u8 kind, u32 len, payload, u32 crc
-//	tag 2 (root):   u8 tag, u32 len, name bytes, u64 oid, u32 crc
-//	tag 3 (commit): u8 tag, u32 count, u32 size, u32 crc
+// Recovery distinguishes the two failure classes frame.Scan reports:
 //
-// Every record's CRC32C (Castagnoli) covers the record bytes from its tag
-// up to (not including) the CRC itself. A commit trailer closes the batch
-// of records written since the previous trailer (or the header): count is
-// the number of records in the batch, size their total byte length, and
-// the trailer CRC covers the trailer's first nine bytes followed by the
-// raw batch bytes. Replay applies a batch only when its trailer checks
-// out, so a crash between the records of one Commit rolls the whole batch
-// back instead of replaying it half-applied.
+//   - a *torn tail* is the normal artifact of a crash mid-append and is
+//     silently dropped (together with its uncommitted batch);
+//   - *damage* — or an undecodable payload — in the body of the log makes
+//     Open fail with a *CorruptError (errors.Is ErrCorrupt) carrying the
+//     offset and, where known, the OID. Salvage recovers every valid
+//     record preceding the damage and quarantines the damaged suffix.
 //
-// Recovery distinguishes two failure classes:
-//
-//   - a *torn tail* — a record or trailer that runs past end-of-file — is
-//     the normal artifact of a crash mid-append and is silently dropped
-//     (together with its uncommitted batch);
-//   - *damage* — a CRC mismatch, an unknown tag, an inconsistent trailer
-//     or an undecodable payload in the body of the log — makes Open fail
-//     with a *CorruptError (errors.Is ErrCorrupt) carrying the offset and,
-//     where known, the OID. Salvage recovers every valid record preceding
-//     the damage and quarantines the damaged suffix.
-//
-// All integers are little-endian. V1 logs are appended to in v1 format so
-// the file stays uniform; Compact migrates them to the current version.
+// V1 logs are appended to in v1 format so the file stays uniform; Compact
+// migrates them to the current version.
 
-var magic = [8]byte{'T', 'Y', 'C', 'O', 'O', 'N', 'S', 'T'}
+var logFormat = frame.Format{
+	Magic: [8]byte{'T', 'Y', 'C', 'O', 'O', 'N', 'S', 'T'},
+	Pkg:   "store", What: "a Tycoon store",
+	Current: currentVersion, Oldest: formatV1, Framed: formatV2,
+	RecLen: recLen,
+}
 
 const (
 	formatV1       = 1
@@ -62,18 +54,12 @@ const (
 const (
 	recObject byte = 1
 	recRoot   byte = 2
-	recCommit byte = 3
 )
 
 const (
 	objHeaderLen  = 14 // tag + oid + kind + len
 	rootHeaderLen = 5  // tag + len
-	crcLen        = 4
-	trailerLen    = 13 // tag + count + size + crc
-	headerLen     = 12 // magic + version
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt is the sentinel wrapped by every CorruptError.
 var ErrCorrupt = errors.New("store: corrupt log")
@@ -97,10 +83,45 @@ func (e *CorruptError) Error() string {
 // Unwrap makes errors.Is(err, ErrCorrupt) hold.
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
-// --- structural scan -------------------------------------------------------
+// corruptError names the damage a scan found in the store's terms: a
+// failed object record is attributed to its OID, a failed root record
+// says so.
+func corruptError(path string, d *frame.Damage) *CorruptError {
+	if d == nil {
+		return nil
+	}
+	ce := &CorruptError{Path: path, Offset: d.Off, Reason: d.Reason}
+	if d.Rec != nil {
+		if rec := parseRec(frame.Span{Rec: d.Rec}); rec.tag == recObject {
+			ce.OID = rec.oid
+		} else {
+			ce.Reason = "root " + d.Reason
+		}
+	}
+	return ce
+}
 
-// logRec is one structurally valid record found by scanLog. Payload
-// slices alias the scanned buffer.
+// --- record vocabulary -----------------------------------------------------
+
+// recLen is the store vocabulary's frame.Format.RecLen.
+func recLen(b []byte) int {
+	switch b[0] {
+	case recObject:
+		if len(b) < objHeaderLen {
+			return 0
+		}
+		return objHeaderLen + int(binary.LittleEndian.Uint32(b[10:]))
+	case recRoot:
+		if len(b) < rootHeaderLen {
+			return 0
+		}
+		return rootHeaderLen + int(binary.LittleEndian.Uint32(b[1:])) + 8
+	}
+	return -1
+}
+
+// logRec is one scanned record, its header fields decoded. payload
+// aliases the scanned buffer.
 type logRec struct {
 	off     int64
 	tag     byte
@@ -109,158 +130,31 @@ type logRec struct {
 	payload []byte // object records
 	name    string // root records
 	rootOID OID    // root records
-	// committed reports that the record's batch has a valid trailer
-	// (always true for v1 records, which are individually committed).
-	committed bool
 }
 
-// scanResult is the structural parse of a log file.
-type scanResult struct {
-	version     uint32
-	size        int64
-	recs        []logRec
-	batches     int           // completed v2 batches
-	uncommitted int           // trailing records with no commit trailer
-	damage      *CorruptError // first damage, nil if clean
-	tornOff     int64         // offset of a torn tail record; -1 if none
+func parseRec(sp frame.Span) logRec {
+	b := sp.Rec
+	rec := logRec{off: sp.Off, tag: b[0]}
+	if rec.tag == recObject {
+		rec.oid = OID(binary.LittleEndian.Uint64(b[1:]))
+		rec.kind = Kind(b[9])
+		rec.payload = b[objHeaderLen:]
+	} else {
+		rec.name = string(b[rootHeaderLen : len(b)-8])
+		rec.rootOID = OID(binary.LittleEndian.Uint64(b[len(b)-8:]))
+	}
+	return rec
 }
 
-// scanLog structurally parses a log image: framing and checksums, but no
-// payload decoding. It only fails for files that are not Tycoon stores at
-// all; damage within a well-headed log is reported in the result.
-func scanLog(path string, data []byte) (*scanResult, error) {
-	sc := &scanResult{size: int64(len(data)), tornOff: -1}
-	if len(data) == 0 {
-		sc.version = currentVersion
-		return sc, nil
+// decode decodes an object record's payload, reporting failure as damage
+// at the record.
+func (rec logRec) decode(path string) (Object, *CorruptError) {
+	obj, err := decodeObject(rec.kind, rec.payload)
+	if err != nil {
+		return nil, &CorruptError{Path: path, Offset: rec.off, OID: rec.oid,
+			Reason: fmt.Sprintf("undecodable payload: %v", err)}
 	}
-	if len(data) < headerLen {
-		// A prefix of the magic is the torn remnant of a crash during the
-		// very first append (header and first batch go out in one write):
-		// an empty store. Anything else is not ours.
-		n := len(data)
-		if n > 8 {
-			n = 8
-		}
-		if bytes.Equal(data[:n], magic[:n]) {
-			sc.version = currentVersion
-			sc.tornOff = 0
-			return sc, nil
-		}
-		return nil, fmt.Errorf("store: %s is not a Tycoon store", path)
-	}
-	if !bytes.Equal(data[:8], magic[:]) {
-		return nil, fmt.Errorf("store: %s is not a Tycoon store", path)
-	}
-	sc.version = binary.LittleEndian.Uint32(data[8:12])
-	if sc.version != formatV1 && sc.version != formatV2 {
-		return nil, fmt.Errorf("store: %s has unsupported format version %d", path, sc.version)
-	}
-	size := int64(len(data))
-	pos := int64(headerLen)
-	batchStart := pos
-	pendingFrom := 0 // index in sc.recs of the current batch's first record
-	v2 := sc.version >= formatV2
-	extra := int64(0)
-	if v2 {
-		extra = crcLen
-	}
-	for pos < size {
-		switch tag := data[pos]; tag {
-		case recObject:
-			if pos+objHeaderLen > size {
-				sc.tornOff = pos
-				return sc, nil
-			}
-			oid := OID(binary.LittleEndian.Uint64(data[pos+1:]))
-			kind := Kind(data[pos+9])
-			n := int64(binary.LittleEndian.Uint32(data[pos+10:]))
-			end := pos + objHeaderLen + n + extra
-			if end > size {
-				sc.tornOff = pos
-				return sc, nil
-			}
-			if v2 {
-				want := binary.LittleEndian.Uint32(data[end-crcLen:])
-				if crc32.Checksum(data[pos:end-crcLen], crcTable) != want {
-					sc.damage = &CorruptError{Path: path, Offset: pos, OID: oid, Reason: "record checksum mismatch"}
-					return sc, nil
-				}
-			}
-			sc.recs = append(sc.recs, logRec{
-				off: pos, tag: tag, oid: oid, kind: kind,
-				payload:   data[pos+objHeaderLen : pos+objHeaderLen+n],
-				committed: !v2,
-			})
-			pos = end
-		case recRoot:
-			if pos+rootHeaderLen > size {
-				sc.tornOff = pos
-				return sc, nil
-			}
-			n := int64(binary.LittleEndian.Uint32(data[pos+1:]))
-			end := pos + rootHeaderLen + n + 8 + extra
-			if end > size {
-				sc.tornOff = pos
-				return sc, nil
-			}
-			if v2 {
-				want := binary.LittleEndian.Uint32(data[end-crcLen:])
-				if crc32.Checksum(data[pos:end-crcLen], crcTable) != want {
-					sc.damage = &CorruptError{Path: path, Offset: pos, Reason: "root record checksum mismatch"}
-					return sc, nil
-				}
-			}
-			sc.recs = append(sc.recs, logRec{
-				off: pos, tag: tag,
-				name:      string(data[pos+rootHeaderLen : pos+rootHeaderLen+n]),
-				rootOID:   OID(binary.LittleEndian.Uint64(data[pos+rootHeaderLen+n:])),
-				committed: !v2,
-			})
-			pos = end
-		case recCommit:
-			if !v2 {
-				sc.damage = &CorruptError{Path: path, Offset: pos, Reason: "commit trailer in a v1 log"}
-				return sc, nil
-			}
-			if pos+trailerLen > size {
-				sc.tornOff = pos
-				return sc, nil
-			}
-			count := int(binary.LittleEndian.Uint32(data[pos+1:]))
-			bsize := int64(binary.LittleEndian.Uint32(data[pos+5:]))
-			want := binary.LittleEndian.Uint32(data[pos+9:])
-			crc := crc32.Checksum(data[pos:pos+9], crcTable)
-			crc = crc32.Update(crc, crcTable, data[batchStart:pos])
-			switch {
-			case crc != want:
-				sc.damage = &CorruptError{Path: path, Offset: pos, Reason: "commit trailer checksum mismatch"}
-				return sc, nil
-			case count != len(sc.recs)-pendingFrom:
-				sc.damage = &CorruptError{Path: path, Offset: pos,
-					Reason: fmt.Sprintf("commit trailer frames %d records, found %d", count, len(sc.recs)-pendingFrom)}
-				return sc, nil
-			case bsize != pos-batchStart:
-				sc.damage = &CorruptError{Path: path, Offset: pos,
-					Reason: fmt.Sprintf("commit trailer frames %d bytes, found %d", bsize, pos-batchStart)}
-				return sc, nil
-			}
-			for i := pendingFrom; i < len(sc.recs); i++ {
-				sc.recs[i].committed = true
-			}
-			sc.batches++
-			pos += trailerLen
-			batchStart = pos
-			pendingFrom = len(sc.recs)
-		default:
-			sc.damage = &CorruptError{Path: path, Offset: pos, Reason: fmt.Sprintf("unknown record tag %d", tag)}
-			return sc, nil
-		}
-	}
-	if v2 {
-		sc.uncommitted = len(sc.recs) - pendingFrom
-	}
-	return sc, nil
+	return obj, nil
 }
 
 // --- replay ----------------------------------------------------------------
@@ -276,52 +170,36 @@ func (s *Store) replay() error {
 	if len(data) == 0 {
 		return nil
 	}
-	sc, err := scanLog(s.path, data)
+	sc, err := logFormat.Scan(s.path, data)
 	if err != nil {
 		return err
 	}
-	if sc.damage != nil {
-		return sc.damage
+	if sc.Damage != nil {
+		return corruptError(s.path, sc.Damage)
 	}
-	s.version = sc.version
-	for _, rec := range sc.recs {
-		if !rec.committed {
+	s.version = sc.Version
+	for _, sp := range sc.Recs {
+		if !sp.Committed {
 			continue // incomplete batch: rolled back
 		}
-		if err := s.applyRec(rec); err != nil {
-			return err
+		rec := parseRec(sp)
+		if rec.tag == recRoot {
+			s.roots[rec.name] = rec.rootOID
+			continue
 		}
-	}
-	return nil
-}
-
-// applyRec applies one committed record to the in-memory state.
-func (s *Store) applyRec(rec logRec) error {
-	switch rec.tag {
-	case recObject:
-		obj, err := decodeObject(rec.kind, rec.payload)
-		if err != nil {
-			return &CorruptError{Path: s.path, Offset: rec.off, OID: rec.oid,
-				Reason: fmt.Sprintf("undecodable payload: %v", err)}
+		obj, cerr := rec.decode(s.path)
+		if cerr != nil {
+			return cerr
 		}
 		s.objects[rec.oid] = obj
 		if rec.oid >= s.next {
 			s.next = rec.oid + 1
 		}
-	case recRoot:
-		s.roots[rec.name] = rec.rootOID
 	}
 	return nil
 }
 
 // --- record encoding -------------------------------------------------------
-
-func writeHeader(out *bytes.Buffer, version uint32) {
-	out.Write(magic[:])
-	var vb [4]byte
-	binary.LittleEndian.PutUint32(vb[:], version)
-	out.Write(vb[:])
-}
 
 func objectRecord(oid OID, obj Object) []byte {
 	var e encoder
@@ -340,30 +218,6 @@ func rootRecord(name string, oid OID) []byte {
 	return e.buf.Bytes()
 }
 
-// appendRec writes a record, adding its CRC in v2 logs.
-func appendRec(out *bytes.Buffer, rec []byte, version uint32) {
-	out.Write(rec)
-	if version >= formatV2 {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], crc32.Checksum(rec, crcTable))
-		out.Write(b[:])
-	}
-}
-
-// appendTrailer closes a batch of count records spanning the batch bytes.
-func appendTrailer(out *bytes.Buffer, count int, batch []byte) {
-	var hdr [9]byte
-	hdr[0] = recCommit
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(count))
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(batch)))
-	crc := crc32.Checksum(hdr[:], crcTable)
-	crc = crc32.Update(crc, crcTable, batch)
-	out.Write(hdr[:])
-	var cb [4]byte
-	binary.LittleEndian.PutUint32(cb[:], crc)
-	out.Write(cb[:])
-}
-
 // dirtyRecords encodes the dirty objects (in deterministic OID order,
 // keeping logs reproducible) and changed roots as a record batch.
 // The caller must hold s.mu.
@@ -378,12 +232,12 @@ func (s *Store) dirtyRecords(version uint32) (batch bytes.Buffer, count int) {
 		if !ok {
 			continue
 		}
-		appendRec(&batch, objectRecord(oid, obj), version)
+		logFormat.AppendRecord(&batch, version, objectRecord(oid, obj))
 		count++
 	}
 	if s.rootsDirty {
 		for _, name := range rootNames(s.roots) {
-			appendRec(&batch, rootRecord(name, s.roots[name]), version)
+			logFormat.AppendRecord(&batch, version, rootRecord(name, s.roots[name]))
 			count++
 		}
 	}
@@ -426,7 +280,7 @@ func (s *Store) Commit() error {
 // and the root table. Compact and Salvage share it.
 func encodeFullLog(objects map[OID]Object, roots map[string]OID) []byte {
 	var out bytes.Buffer
-	writeHeader(&out, currentVersion)
+	logFormat.AppendHeader(&out, currentVersion)
 	var batch bytes.Buffer
 	count := 0
 	oids := make([]OID, 0, len(objects))
@@ -435,15 +289,15 @@ func encodeFullLog(objects map[OID]Object, roots map[string]OID) []byte {
 	}
 	sortOIDs(oids)
 	for _, oid := range oids {
-		appendRec(&batch, objectRecord(oid, objects[oid]), currentVersion)
+		logFormat.AppendRecord(&batch, currentVersion, objectRecord(oid, objects[oid]))
 		count++
 	}
 	for _, name := range rootNames(roots) {
-		appendRec(&batch, rootRecord(name, roots[name]), currentVersion)
+		logFormat.AppendRecord(&batch, currentVersion, rootRecord(name, roots[name]))
 		count++
 	}
 	out.Write(batch.Bytes())
-	appendTrailer(&out, count, batch.Bytes())
+	logFormat.AppendTrailer(&out, currentVersion, count, batch.Bytes())
 	return out.Bytes()
 }
 
@@ -475,36 +329,29 @@ func VerifyLog(path string) (*LogReport, error) { return VerifyLogFS(iofault.OS(
 
 // VerifyLogFS is VerifyLog over an explicit filesystem.
 func VerifyLogFS(fsys iofault.FS, path string) (*LogReport, error) {
-	data, err := readLog(fsys, path)
+	data, err := logFormat.ReadFile(fsys, path)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := scanLog(path, data)
+	sc, err := logFormat.Scan(path, data)
 	if err != nil {
 		return nil, err
 	}
 	rep := &LogReport{
-		Version:        sc.version,
-		Size:           sc.size,
-		Records:        len(sc.recs),
-		Batches:        sc.batches,
-		Uncommitted:    sc.uncommitted,
-		TornTailOffset: sc.tornOff,
-		Damage:         sc.damage,
+		Version:        sc.Version,
+		Size:           sc.Size,
+		Records:        len(sc.Recs),
+		Batches:        sc.Batches,
+		Uncommitted:    sc.Uncommitted,
+		TornTailOffset: sc.TornOff,
+		Damage:         corruptError(path, sc.Damage),
 	}
 	// Decode every record payload so that in-body damage that survives
 	// framing (impossible in v2 short of a CRC collision, possible in v1)
 	// is reported here rather than at open time.
-	if rep.Damage == nil {
-		for _, rec := range sc.recs {
-			if rec.tag != recObject {
-				continue
-			}
-			if _, err := decodeObject(rec.kind, rec.payload); err != nil {
-				rep.Damage = &CorruptError{Path: path, Offset: rec.off, OID: rec.oid,
-					Reason: fmt.Sprintf("undecodable payload: %v", err)}
-				break
-			}
+	for i := 0; rep.Damage == nil && i < len(sc.Recs); i++ {
+		if rec := parseRec(sc.Recs[i]); rec.tag == recObject {
+			_, rep.Damage = rec.decode(path)
 		}
 	}
 	return rep, nil
@@ -537,23 +384,24 @@ func Salvage(path string) (*SalvageReport, error) { return SalvageFS(iofault.OS(
 
 // SalvageFS is Salvage over an explicit filesystem.
 func SalvageFS(fsys iofault.FS, path string) (*SalvageReport, error) {
-	data, err := readLog(fsys, path)
+	data, err := logFormat.ReadFile(fsys, path)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := scanLog(path, data)
+	sc, err := logFormat.Scan(path, data)
 	if err != nil {
 		return nil, err
 	}
-	rep := &SalvageReport{Version: sc.version}
+	rep := &SalvageReport{Version: sc.Version}
 	damageOff := int64(-1)
-	if sc.damage != nil {
-		damageOff = sc.damage.Offset
-		rep.Reason = sc.damage.Reason
+	if sc.Damage != nil {
+		damageOff = sc.Damage.Off
+		rep.Reason = corruptError(path, sc.Damage).Reason
 	}
 	objects := make(map[OID]Object)
 	roots := make(map[string]OID)
-	for _, rec := range sc.recs {
+	for _, sp := range sc.Recs {
+		rec := parseRec(sp)
 		if rec.tag == recObject {
 			obj, err := decodeObject(rec.kind, rec.payload)
 			if err != nil {
@@ -571,58 +419,19 @@ func SalvageFS(fsys iofault.FS, path string) (*SalvageReport, error) {
 	}
 	if damageOff >= 0 {
 		qpath := path + ".quarantine"
-		if err := writeFileSync(fsys, qpath, data[damageOff:]); err != nil {
+		if err := frame.WriteFileSync(fsys, qpath, data[damageOff:]); err != nil {
 			return nil, fmt.Errorf("store: salvage quarantine: %w", err)
 		}
 		rep.QuarantinePath = qpath
-		rep.QuarantinedBytes = sc.size - damageOff
+		rep.QuarantinedBytes = sc.Size - damageOff
 	}
-	if damageOff < 0 && sc.tornOff < 0 && sc.uncommitted == 0 && sc.version == currentVersion {
+	if damageOff < 0 && sc.TornOff < 0 && sc.Uncommitted == 0 && sc.Version == currentVersion {
 		return rep, nil // clean log: nothing to do
 	}
-	// Rewrite the log from the recovered state through a temporary file,
-	// then atomically replace it, exactly like Compact.
-	tmpPath := path + ".salvage"
-	if err := writeFileSync(fsys, tmpPath, encodeFullLog(objects, roots)); err != nil {
+	// Rewrite the log from the recovered state, exactly like Compact.
+	if err := frame.ReplaceFile(fsys, path, path+".salvage", encodeFullLog(objects, roots)); err != nil {
 		return nil, fmt.Errorf("store: salvage rewrite: %w", err)
-	}
-	if err := fsys.Rename(tmpPath, path); err != nil {
-		return nil, fmt.Errorf("store: salvage rename: %w", err)
-	}
-	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-		return nil, fmt.Errorf("store: salvage sync dir: %w", err)
 	}
 	rep.Rewritten = true
 	return rep, nil
-}
-
-// readLog slurps a log file through the store's filesystem abstraction.
-func readLog(fsys iofault.FS, path string) ([]byte, error) {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", path, err)
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, fmt.Errorf("store: read %s: %w", path, err)
-	}
-	return data, nil
-}
-
-// writeFileSync writes data to a fresh file and syncs it.
-func writeFileSync(fsys iofault.FS, path string, data []byte) error {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

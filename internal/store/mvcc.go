@@ -477,7 +477,7 @@ func (t *Txn) Commit() error {
 			s.epoch++
 		}
 		s.muts++
-		appendRec(&recs, objectRecord(oid, logObj), s.version)
+		logFormat.AppendRecord(&recs, s.version, objectRecord(oid, logObj))
 		count++
 	}
 	if len(t.rootW) > 0 {
@@ -490,7 +490,7 @@ func (t *Txn) Commit() error {
 			next[name] = t.rootW[name]
 			s.epoch++
 			s.muts++
-			appendRec(&recs, rootRecord(name, t.rootW[name]), s.version)
+			logFormat.AppendRecord(&recs, s.version, rootRecord(name, t.rootW[name]))
 			count++
 			changes = append(changes, RootChange{Root: name, OID: t.rootW[name]})
 		}
@@ -611,8 +611,11 @@ func (s *Store) awaitCommit(req *commitReq) error {
 		}
 		c.cond.Wait()
 	}
+	// Read under the lock: after a failed flush the request stays queued,
+	// and the leader that retries it writes its outcome again.
+	err := req.err
 	c.mu.Unlock()
-	return req.err
+	return err
 }
 
 // removeReqs removes the given batch's requests from the queue by
@@ -683,12 +686,10 @@ func (s *Store) flushBatch(batch []*commitReq) error {
 	}
 	var out bytes.Buffer
 	if info.Size() == 0 {
-		writeHeader(&out, s.version)
+		logFormat.AppendHeader(&out, s.version)
 	}
 	out.Write(raw.Bytes())
-	if s.version >= formatV2 {
-		appendTrailer(&out, count, raw.Bytes())
-	}
+	logFormat.AppendTrailer(&out, s.version, count, raw.Bytes())
 	if _, err := s.file.Seek(0, io.SeekEnd); err != nil {
 		return fmt.Errorf("store: seek: %w", err)
 	}

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tycoon/internal/frame"
 )
 
 // Directed tests for the recovery paths of log format v2: torn tails
@@ -49,14 +51,14 @@ func readAll(t *testing.T, path string) []byte {
 }
 
 // scanOf parses the log structurally so tests can aim at exact offsets.
-func scanOf(t *testing.T, path string) *scanResult {
+func scanOf(t *testing.T, path string) *frame.Scanned {
 	t.Helper()
-	sc, err := scanLog(path, readAll(t, path))
+	sc, err := logFormat.Scan(path, readAll(t, path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.damage != nil {
-		t.Fatalf("pristine log scans with damage: %v", sc.damage)
+	if sc.Damage != nil {
+		t.Fatalf("pristine log scans with damage: %v", sc.Damage)
 	}
 	return sc
 }
@@ -69,7 +71,7 @@ func TestTornTailMidRecordRollsBackBatch(t *testing.T) {
 
 	// Truncate inside the first record of batch 2: the whole batch must
 	// vanish, batch 1 must survive, and Open must not error.
-	rec := sc.recs[4] // batch 2 starts at record index 4 (3 objects + 1 root per batch)
+	rec := parseRec(sc.Recs[4]) // batch 2 starts at record index 4 (3 objects + 1 root per batch)
 	if err := os.WriteFile(path, data[:rec.off+5], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestTornTailMidBatchRollsBackBatch(t *testing.T) {
 
 	// Cut cleanly *between* two records of batch 2 (no byte-level tearing,
 	// but the commit trailer is missing): atomic rollback of the batch.
-	cut := sc.recs[5].off
+	cut := sc.Recs[5].Off
 	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,7 @@ func TestBitFlipInPayloadDetected(t *testing.T) {
 	data := readAll(t, path)
 
 	// Flip one bit in the middle of the first record's payload.
-	rec := sc.recs[0]
+	rec := parseRec(sc.Recs[0])
 	off := rec.off + objHeaderLen + 4
 	data[off] ^= 0x10
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -158,7 +160,7 @@ func TestBitFlipInHeaderDetected(t *testing.T) {
 
 	// Flip a bit in the OID field of the second record's header: the
 	// record CRC covers the header too.
-	rec := sc.recs[1]
+	rec := parseRec(sc.Recs[1])
 	data[rec.off+2] ^= 0x01
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -177,7 +179,7 @@ func TestBitFlipInHeaderDetected(t *testing.T) {
 	buildLog(t, path2, 2)
 	sc2 := scanOf(t, path2)
 	img := readAll(t, path2)
-	trailerOff := sc2.recs[4].off - trailerLen // trailer of batch 1 sits right before batch 2
+	trailerOff := sc2.Recs[4].Off - frame.TrailerLen // trailer of batch 1 sits right before batch 2
 	img[trailerOff+2] ^= 0x40
 	if err := os.WriteFile(path2, img, 0o644); err != nil {
 		t.Fatal(err)
@@ -196,7 +198,7 @@ func TestSalvageRecoversPrefixAndQuarantines(t *testing.T) {
 	// Damage the second record of batch 2. Salvage must keep all of
 	// batch 1 *and* the record of batch 2 preceding the damage, and
 	// quarantine everything from the damaged record on.
-	rec := sc.recs[5] // batch 2: recs 4..7
+	rec := parseRec(sc.Recs[5]) // batch 2: recs 4..7
 	data[rec.off+objHeaderLen+1] ^= 0x02
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -269,17 +271,17 @@ func TestSalvageCleanLogIsNoop(t *testing.T) {
 func writeV1Log(t *testing.T, path string, objects map[OID]Object, roots map[string]OID) {
 	t.Helper()
 	var out bytes.Buffer
-	writeHeader(&out, formatV1)
+	logFormat.AppendHeader(&out, formatV1)
 	oids := make([]OID, 0, len(objects))
 	for oid := range objects {
 		oids = append(oids, oid)
 	}
 	sortOIDs(oids)
 	for _, oid := range oids {
-		appendRec(&out, objectRecord(oid, objects[oid]), formatV1)
+		logFormat.AppendRecord(&out, formatV1, objectRecord(oid, objects[oid]))
 	}
 	for _, name := range rootNames(roots) {
-		appendRec(&out, rootRecord(name, roots[name]), formatV1)
+		logFormat.AppendRecord(&out, formatV1, rootRecord(name, roots[name]))
 	}
 	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
@@ -382,7 +384,7 @@ func TestTruncationSweepNeverBreaksOpen(t *testing.T) {
 	batches := buildLog(t, path, 2)
 	data := readAll(t, path)
 	sc := scanOf(t, path)
-	batch2End := sc.recs[len(sc.recs)-1].off // conservative: last record start
+	batch2End := sc.Recs[len(sc.Recs)-1].Off // conservative: last record start
 
 	for cut := 0; cut <= len(data); cut++ {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
@@ -424,7 +426,7 @@ func TestVerifyLogReport(t *testing.T) {
 	// Chop between records: torn tail reported, not damage.
 	data := readAll(t, path)
 	sc := scanOf(t, path)
-	os.WriteFile(path, data[:sc.recs[9].off+3], 0o644)
+	os.WriteFile(path, data[:sc.Recs[9].Off+3], 0o644)
 	rep, err = VerifyLog(path)
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +436,7 @@ func TestVerifyLogReport(t *testing.T) {
 	}
 
 	// Flip a bit: damage reported.
-	data[sc.recs[2].off+objHeaderLen] ^= 0x08
+	data[sc.Recs[2].Off+objHeaderLen] ^= 0x08
 	os.WriteFile(path, data, 0o644)
 	rep, err = VerifyLog(path)
 	if err != nil {
