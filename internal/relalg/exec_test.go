@@ -1,10 +1,12 @@
 package relalg
 
 import (
+	"slices"
 	"testing"
 
 	"tycoon/internal/machine"
 	"tycoon/internal/prim"
+	"tycoon/internal/qopt"
 	"tycoon/internal/store"
 	"tycoon/internal/tml"
 )
@@ -347,5 +349,91 @@ func TestJoinAllocBudget(t *testing.T) {
 		`+o+` `+o+` e k)`)
 	if got := allocsPerQuery(t, m, env, app); got > 256 {
 		t.Errorf("join 64x64: %.0f allocs, budget 256", got)
+	}
+}
+
+// checkRowsCapped asserts the slab discipline on an operator's output:
+// every row is capacity-capped, so appending to row i reallocates it and
+// leaves row i+1 untouched.
+func checkRowsCapped(t *testing.T, what string, rows [][]store.Val) {
+	t.Helper()
+	if len(rows) < 2 {
+		t.Fatalf("%s: %d rows, too few to check aliasing", what, len(rows))
+	}
+	for i, row := range rows {
+		if cap(row) != len(row) {
+			t.Fatalf("%s: row %d has len %d cap %d", what, i, len(row), cap(row))
+		}
+		if i+1 < len(rows) {
+			next := append([]store.Val(nil), rows[i+1]...)
+			_ = append(row, store.StrVal("clobber"))
+			if !slices.Equal(rows[i+1], next) {
+				t.Fatalf("%s: appending to row %d changed row %d", what, i, i+1)
+			}
+		}
+	}
+}
+
+// TestResultRowsCapped runs every operator that builds rows — project on
+// the fused, general and batched paths, join through each algorithm on
+// the vector kernels and on the batched and row-at-a-time paths — and
+// checks the rows they carve out of one slab cannot alias.
+func TestResultRowsCapped(t *testing.T) {
+	project := func(target string) func(store.OID) string {
+		return func(oid store.OID) string {
+			return `(project proc(x !ce !cc) ` + target + ` ` + oidStr(oid) + ` e k)`
+		}
+	}
+	join := func(oid store.OID) string { return parityQueries(oid)["join"] }
+	pair := project(`([] x 0 cont(a) (vector a a cont(row) (cc row)))`)
+	type rowCase struct {
+		name  string
+		set   func(mg *Manager)
+		query func(store.OID) string
+	}
+	cases := []rowCase{
+		{"project/fused", func(*Manager) {}, project(`([] x 0 cont(a) (+ a 1 ce cont(b) (vector b a cont(row) (cc row))))`)},
+		{"project/general", func(*Manager) {}, project(`([] x 1 cont(a) (< a 4
+			cont() (vector a cont(row) (cc row)) cont() (vector 0 a cont(row) (cc row))))`)},
+		{"project/batch", func(mg *Manager) { mg.NoVector = true }, pair},
+		{"project/oracle", func(mg *Manager) { mg.NoBatch = true }, pair},
+		{"join/batch", func(mg *Manager) { mg.NoVector = true }, join},
+		{"join/oracle", func(mg *Manager) { mg.NoBatch = true }, join},
+	}
+	for _, algo := range []string{qopt.JoinHash, qopt.JoinMerge, qopt.JoinNested} {
+		cases = append(cases, rowCase{"join/" + algo, func(mg *Manager) { mg.ForceJoin = algo }, join})
+	}
+	for _, c := range cases {
+		for _, source := range sources {
+			_, mg, m, oid := world(t, 300)
+			c.set(mg)
+			v, err := source.run(t, m, c.query(oid))
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, source.name, err)
+			}
+			checkRowsCapped(t, c.name+" "+source.name, v.(*Rel).Rows)
+		}
+	}
+}
+
+// TestProjectAllocBudget pins the slab: a TAM-compiled projection over
+// 10k rows — what tycd serves — costs a constant number of allocations,
+// not one per row.
+func TestProjectAllocBudget(t *testing.T) {
+	_, _, m, oid := world(t, 10000)
+	clo := compileQuery(t, `(project proc(x !ce !cc)
+		([] x 1 cont(a) (+ a 1 ce cont(b) (vector b cont(row) (cc row)))) `+oidStr(oid)+` e k)`)
+	run := func() {
+		v, err := m.Apply(clo, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(v.(*Rel).Rows); n != 10000 {
+			t.Fatalf("%d rows", n)
+		}
+	}
+	run() // warm the columnar cache and the block's vprog
+	if got := testing.AllocsPerRun(10, run); got > 64 {
+		t.Errorf("project over 10k rows: %.0f allocs, budget 64", got)
 	}
 }

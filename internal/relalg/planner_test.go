@@ -415,3 +415,132 @@ func TestSelectPlansMatchOracle(t *testing.T) {
 		}
 	}
 }
+
+// projectZoo are the project targets the plan property test runs: two
+// that take the fused column path over typed integer columns (one mixing
+// a copied column and a constant into a wider tuple), one that needs the
+// general evaluator (branches build tuples of two widths), and two that
+// fault mid-batch — a division by zero at row 20 (over the always-typed
+// position column) and an overflow once the key reaches 8.
+var projectZoo = map[string]struct {
+	target string
+	fused  bool // straight-line: served column at a time when its columns are typed
+	keyed  bool // its arithmetic reads the key column, typed only for int shapes
+}{
+	"fused": {`([] x 0 cont(a) (+ a 1 ce cont(b) (vector b cont(row) (cc row))))`, true, true},
+	"fused-wide": {`([] x 0 cont(a) ([] x 1 cont(i) (* a 3 ce cont(b) (- b i ce cont(c)
+		(vector c i 7 cont(row) (cc row))))))`, true, true},
+	"general": {`([] x 0 cont(a) (< a 4
+		cont() (vector a cont(row) (cc row))
+		cont() (vector 0 a cont(row) (cc row))))`, false, true},
+	"div-fault": {`([] x 1 cont(i) (- 20 i ce cont(d) (/ 100 d ce cont(q) (vector q cont(row) (cc row)))))`, true, false},
+	"add-fault": {`([] x 0 cont(a) (+ a 9223372036854775800 ce cont(b) (vector b cont(row) (cc row))))`, true, true},
+}
+
+// TestProjectPlansMatchOracle is TestSelectPlansMatchOracle for project:
+// every target of the zoo over every shape, interpreted and compiled,
+// must produce the oracle's rows, step count and error (exception value
+// included) on the batched kernels, the general vector evaluator and the
+// fused column path — and the fused path must serve exactly the targets
+// and shapes it is meant to.
+func TestProjectPlansMatchOracle(t *testing.T) {
+	zoo, names := shapeZoo()
+	modes := []struct {
+		name string
+		set  func(mg *Manager)
+	}{
+		{"oracle", func(mg *Manager) { mg.NoBatch = true }},
+		{"batch", func(mg *Manager) { mg.NoVector = true }},
+		{"vector", func(mg *Manager) {}},
+	}
+	for tname, target := range projectZoo {
+		for _, name := range names {
+			for _, source := range sources {
+				t.Run(tname+"/"+name+"/"+source.name, func(t *testing.T) {
+					type outcome struct {
+						rows  string
+						errS  string
+						steps int64
+					}
+					results := make(map[string]outcome)
+					for _, mode := range modes {
+						st, err := store.Open("")
+						if err != nil {
+							t.Fatal(err)
+						}
+						mg := NewManager(st)
+						mode.set(mg)
+						oid := fillShape(t, st, mg, "t", zoo[name])
+						m := machine.New(st)
+						mg.Register(m)
+						m.ResetSteps()
+						mg.CaptureExplain(m)
+						v, err := source.run(t, m, `(project proc(x !ce !cc) `+target.target+` `+oidStr(oid)+` e k)`)
+						plan := findNode(mg.TakeExplain(m), "project")
+						st.Close()
+						o := outcome{steps: m.Steps()}
+						if err != nil {
+							o.errS = err.Error()
+						} else {
+							o.rows, _ = renderRows(v.(*Rel))
+						}
+						results[mode.name] = o
+						if mode.name == "vector" && err == nil {
+							sh := zoo[name]
+							typed := !target.keyed || (name != "mixed" && name != "nulls" && name != "allnull")
+							vec := sh.ragged == 0 && (source.name == "interpreted" || len(sh.keys) >= compileThreshold)
+							want := "batch"
+							if vec {
+								want = "vector"
+								if target.fused && typed && len(sh.keys) > 0 {
+									want = "vector-fused"
+								}
+							}
+							if plan == nil || plan.Algo != want {
+								t.Errorf("plan %+v, want algo %s", plan, want)
+							}
+						}
+					}
+					want := results["oracle"]
+					for _, mode := range modes {
+						if got := results[mode.name]; got != want {
+							t.Errorf("%s: %+v, oracle %+v", mode.name, got, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFusedProjectFaultInLaterBatch: a fault in the second fused batch
+// must leave the first batch's rows emitted and charged, then re-run the
+// faulting batch through the general evaluator — so every mode raises
+// the same exception value after the same number of steps.
+func TestFusedProjectFaultInLaterBatch(t *testing.T) {
+	src := func(oid store.OID) string {
+		return `(project proc(x !ce !cc)
+			([] x 0 cont(i) (- 1500 i ce cont(d) (/ 7 d ce cont(q) (vector q i cont(row) (cc row)))))
+			` + oidStr(oid) + ` e k)`
+	}
+	for _, source := range sources {
+		type outcome struct {
+			steps int64
+			errS  string
+		}
+		results := make(map[string]outcome)
+		for _, mode := range []string{"oracle", "batch", "vector"} {
+			_, mg, m, oid := world(t, 2600)
+			mg.NoBatch, mg.NoVector = mode == "oracle", mode == "batch"
+			m.ResetSteps()
+			_, err := source.run(t, m, src(oid))
+			if err == nil {
+				t.Fatalf("%s %s: expected the division fault", source.name, mode)
+			}
+			results[mode] = outcome{m.Steps(), err.Error()}
+		}
+		if results["batch"] != results["oracle"] || results["vector"] != results["oracle"] {
+			t.Errorf("%s: %+v", source.name, results)
+		}
+	}
+}

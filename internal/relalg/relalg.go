@@ -65,6 +65,41 @@ type Rel struct {
 // Show renders the relation briefly.
 func (r *Rel) Show() string { return fmt.Sprintf("rel(%d rows)", len(r.Rows)) }
 
+// rowSlab carves an operator's output rows out of one backing array, so
+// a result of n rows costs one allocation instead of n. Every row is
+// capacity-capped: an append to one row reallocates it instead of
+// overwriting the next.
+type rowSlab struct{ free []store.Val }
+
+// row returns a zeroed row of width k. left counts the rows still to
+// come, this one included: when the slab runs out it is refilled for all
+// of them at this width, so only a row wider than its predecessors costs
+// another allocation.
+func (s *rowSlab) row(k, left int) []store.Val {
+	if k > len(s.free) {
+		s.free = make([]store.Val, k*left)
+	}
+	r := s.free[:k:k]
+	s.free = s.free[k:]
+	return r
+}
+
+// pair names one output row of a join: a left and a right row index.
+type pair struct{ a, b int32 }
+
+// joinRows materialises a join's output in pair order: the row headers
+// in one exact slice, the concatenated cells in one slab.
+func joinRows(out *Rel, rows1, rows2 [][]store.Val, pairs []pair) {
+	var slab rowSlab
+	out.Rows = make([][]store.Val, len(pairs))
+	for i, p := range pairs {
+		r1, r2 := rows1[p.a], rows2[p.b]
+		row := slab.row(len(r1)+len(r2), len(pairs)-i)
+		copy(row[copy(row, r1):], r2)
+		out.Rows[i] = row
+	}
+}
+
 // Manager owns the runtime index structures for persistent relations and
 // provides the query executors. One Manager serves one store.
 type Manager struct {
@@ -559,7 +594,7 @@ func (mg *Manager) execProject(m *machine.Machine, vals, conts []machine.Value) 
 	if err != nil {
 		return machine.Outcome{}, err
 	}
-	out := &Rel{}
+	out := &Rel{Rows: make([][]store.Val, 0, len(rows))}
 	nrows := len(rows)
 	w := relWidth(schema, rows)
 	if ev := mg.vevalFor(fn, w, nrows); ev != nil && rowsRegular(rows, w) {
@@ -567,6 +602,7 @@ func (mg *Manager) execProject(m *machine.Machine, vals, conts []machine.Value) 
 	}
 	mg.served(m, nrows)
 	k := mg.newKernel(m, fn, nrows)
+	var slab rowSlab
 	for len(rows) > 0 {
 		n := min(batchSize, len(rows))
 		if err := m.TickN(n); err != nil {
@@ -581,7 +617,7 @@ func (mg *Manager) execProject(m *machine.Machine, vals, conts []machine.Value) 
 			if !ok {
 				return machine.Outcome{}, fmt.Errorf("relalg: project target returned %s, want tuple", v.Show())
 			}
-			newRow := make([]store.Val, len(vec.Elems))
+			newRow := slab.row(len(vec.Elems), nrows-len(out.Rows))
 			for i, el := range vec.Elems {
 				sv, err := machine.ToStoreVal(el)
 				if err != nil {
@@ -647,15 +683,15 @@ func (mg *Manager) execJoin(m *machine.Machine, vals, conts []machine.Value) (ma
 	}
 	mg.served(m, len(rows1)+len(rows2))
 	k := mg.newKernel(m, pred, pairs)
-	for _, r1 := range rows1 {
-		inner := rows2
-		for len(inner) > 0 {
-			n := min(batchSize, len(inner))
+	var kept []pair
+	for i1, r1 := range rows1 {
+		for base := 0; base < len(rows2); base += batchSize {
+			n := min(batchSize, len(rows2)-base)
 			if err := m.TickN(n); err != nil {
 				return machine.Outcome{}, err
 			}
-			for _, r2 := range inner[:n] {
-				v, err := k.callPair(r1, r2)
+			for i2 := base; i2 < base+n; i2++ {
+				v, err := k.callPair(r1, rows2[i2])
 				if err != nil {
 					return outEx(err)
 				}
@@ -664,12 +700,12 @@ func (mg *Manager) execJoin(m *machine.Machine, vals, conts []machine.Value) (ma
 					return machine.Outcome{}, err
 				}
 				if keep {
-					out.Rows = append(out.Rows, append(append([]store.Val(nil), r1...), r2...))
+					kept = append(kept, pair{int32(i1), int32(i2)})
 				}
 			}
-			inner = inner[n:]
 		}
 	}
+	joinRows(out, rows1, rows2, kept)
 	if mg.explaining() {
 		mg.plan(m, &qopt.PlanNode{
 			Op: "join", Algo: qopt.JoinNested,

@@ -916,13 +916,6 @@ func colStatsFor(rel *store.Relation, rows [][]store.Val, col int) *store.ColSta
 // Join algorithms (vectorized)
 // ---------------------------------------------------------------------
 
-// concatRow materialises one output row of a join.
-func concatRow(r1, r2 []store.Val) []store.Val {
-	out := make([]store.Val, 0, len(r1)+len(r2))
-	out = append(out, r1...)
-	return append(out, r2...)
-}
-
 // chargeJoin charges the abstract cost of a full equi-join scan — the
 // same total the nested-loop row path pays: per pair, one traversal step
 // plus the constant predicate cost. Charged in per-outer-row lumps so
@@ -942,7 +935,8 @@ func chargeJoin(m *machine.Machine, n1, n2, pairSteps int) error {
 // (postings ascend). The build side is always the probe target's
 // opposite; the planner's build-side choice only affects the plan
 // rendering, not correctness.
-func hashJoin(out *Rel, rows1, rows2 [][]store.Val, lc, rc int) {
+func hashJoin(rows1, rows2 [][]store.Val, lc, rc int) []pair {
+	var pairs []pair
 	// Typed fast path: int keys on both sides.
 	allInt := true
 	for _, r := range rows2 {
@@ -965,12 +959,12 @@ func hashJoin(out *Rel, rows1, rows2 [][]store.Val, lc, rc int) {
 			k := r[rc].Int
 			ht[k] = append(ht[k], int32(i))
 		}
-		for _, r1 := range rows1 {
-			for _, i := range ht[r1[lc].Int] {
-				out.Rows = append(out.Rows, concatRow(r1, rows2[i]))
+		for i1, r1 := range rows1 {
+			for _, i2 := range ht[r1[lc].Int] {
+				pairs = append(pairs, pair{int32(i1), i2})
 			}
 		}
-		return
+		return pairs
 	}
 	// store.Val is comparable and its == coincides with Val.Eq for values
 	// built by the constructors, so the generic map join is exact.
@@ -978,11 +972,12 @@ func hashJoin(out *Rel, rows1, rows2 [][]store.Val, lc, rc int) {
 	for i, r := range rows2 {
 		ht[r[rc]] = append(ht[r[rc]], int32(i))
 	}
-	for _, r1 := range rows1 {
-		for _, i := range ht[r1[lc]] {
-			out.Rows = append(out.Rows, concatRow(r1, rows2[i]))
+	for i1, r1 := range rows1 {
+		for _, i2 := range ht[r1[lc]] {
+			pairs = append(pairs, pair{int32(i1), i2})
 		}
 	}
+	return pairs
 }
 
 // intKeys extracts an int64 key column, reporting false on any non-int.
@@ -1000,7 +995,8 @@ func intKeys(rows [][]store.Val, col int) ([]int64, bool) {
 // mergeJoinSorted merges two key columns known to be sorted ascending,
 // emitting pairs in (left asc, right asc) order per equal run — exactly
 // the nested-loop output order for sorted inputs.
-func mergeJoinSorted(out *Rel, rows1, rows2 [][]store.Val, k1, k2 []int64) {
+func mergeJoinSorted(k1, k2 []int64) []pair {
+	var pairs []pair
 	i1, i2 := 0, 0
 	for i1 < len(k1) && i2 < len(k2) {
 		switch {
@@ -1019,12 +1015,13 @@ func mergeJoinSorted(out *Rel, rows1, rows2 [][]store.Val, k1, k2 []int64) {
 			}
 			for a := i1; a < e1; a++ {
 				for b := i2; b < e2; b++ {
-					out.Rows = append(out.Rows, concatRow(rows1[a], rows2[b]))
+					pairs = append(pairs, pair{int32(a), int32(b)})
 				}
 			}
 			i1, i2 = e1, e2
 		}
 	}
+	return pairs
 }
 
 // mergeJoinForced runs a merge join over unsorted int keys by sorting
@@ -1032,10 +1029,9 @@ func mergeJoinSorted(out *Rel, rows1, rows2 [][]store.Val, k1, k2 []int64) {
 // when the ForceJoin knob demands a merge on inputs the planner would
 // not have picked it for (the property tests exercising plan-choice
 // equivalence).
-func mergeJoinForced(out *Rel, rows1, rows2 [][]store.Val, k1, k2 []int64) {
+func mergeJoinForced(k1, k2 []int64) []pair {
 	p1 := sortedPerm(k1)
 	p2 := sortedPerm(k2)
-	type pair struct{ a, b int32 }
 	var pairs []pair
 	i1, i2 := 0, 0
 	for i1 < len(p1) && i2 < len(p2) {
@@ -1067,9 +1063,7 @@ func mergeJoinForced(out *Rel, rows1, rows2 [][]store.Val, k1, k2 []int64) {
 		}
 		return pairs[x].b < pairs[y].b
 	})
-	for _, p := range pairs {
-		out.Rows = append(out.Rows, concatRow(rows1[p.a], rows2[p.b]))
-	}
+	return pairs
 }
 
 func sortedPerm(keys []int64) []int {
@@ -1185,14 +1179,55 @@ func (mg *Manager) vecSelect(m *machine.Machine, ev *vevaler, out *Rel, rows [][
 }
 
 // vecProject runs a compiled target function over the scan, emitting the
-// constructed tuples.
+// constructed tuples into one slab. A straight-line target over typed
+// integer columns runs column at a time (fusedProject); everything else
+// in the fragment runs the general evaluator row by row.
 func (mg *Manager) vecProject(m *machine.Machine, ev *vevaler, out *Rel, rows [][]store.Val, rel *store.Relation) (machine.Outcome, error) {
 	n := len(rows)
 	m.AddVecRows(n)
-	for base := 0; base < n; base += batchSize {
-		c := min(batchSize, n-base)
+	fp := ev.fusedProject(rel, rows)
+	var slab rowSlab
+	for lo := 0; lo < n; lo += vecBatch {
+		hi := min(lo+vecBatch, n)
+		if fp != nil {
+			if ok, err := fp.run(m, out, &slab, rows, lo, hi); err != nil {
+				return machine.Outcome{}, err
+			} else if ok {
+				continue
+			}
+			// A row of this batch faults: the general evaluator reproduces
+			// the exception and its step count exactly.
+		}
+		if exc, err := projectRows(m, ev, out, &slab, rows, lo, hi); exc != nil || err != nil {
+			if err != nil {
+				return machine.Outcome{}, err
+			}
+			return machine.Outcome{Branch: 0, Results: []machine.Value{machine.FromStoreVal(*exc)}}, nil
+		}
+	}
+	synthSchema(out)
+	if mg.explaining() {
+		algo := "vector"
+		if fp != nil {
+			algo = "vector-fused"
+		}
+		mg.plan(m, &qopt.PlanNode{
+			Op: "project", Algo: algo, Table: tableName(rel),
+			InRows: int64(n), EstRows: float64(n), ActRows: int64(len(out.Rows)),
+		})
+	}
+	return ok1(out), nil
+}
+
+// projectRows runs the general evaluator over rows[lo:hi], charging
+// traversal in batchSize lumps at the row path's lump positions so an
+// exception aborts every mode at the same total. It returns the raised
+// value when the target raised.
+func projectRows(m *machine.Machine, ev *vevaler, out *Rel, slab *rowSlab, rows [][]store.Val, lo, hi int) (*store.Val, error) {
+	for base := lo; base < hi; base += batchSize {
+		c := min(batchSize, hi-base)
 		if err := m.TickN(c); err != nil {
-			return machine.Outcome{}, err
+			return nil, err
 		}
 		acc := 0
 		for i := base; i < base+c; i++ {
@@ -1200,32 +1235,195 @@ func (mg *Manager) vecProject(m *machine.Machine, ev *vevaler, out *Rel, rows []
 			acc += r.steps
 			if r.err != nil {
 				m.TickN(acc)
-				return machine.Outcome{}, r.err
+				return nil, r.err
 			}
 			if r.excOK {
-				if err := m.TickN(acc); err != nil {
-					return machine.Outcome{}, err
-				}
-				return machine.Outcome{Branch: 0, Results: []machine.Value{machine.FromStoreVal(r.exc)}}, nil
+				return &r.exc, m.TickN(acc)
 			}
 			if !r.retRow {
 				m.TickN(acc)
-				return machine.Outcome{}, fmt.Errorf("relalg: project target returned %s, want tuple", ev.showRes(r))
+				return nil, fmt.Errorf("relalg: project target returned %s, want tuple", ev.showRes(r))
 			}
-			out.Rows = append(out.Rows, append([]store.Val(nil), ev.row...))
+			row := slab.row(len(ev.row), len(rows)-i)
+			copy(row, ev.row)
+			out.Rows = append(out.Rows, row)
 		}
 		if err := m.TickN(acc); err != nil {
-			return machine.Outcome{}, err
+			return nil, err
 		}
 	}
-	synthSchema(out)
-	if mg.explaining() {
-		mg.plan(m, &qopt.PlanNode{
-			Op: "project", Algo: "vector", Table: tableName(rel),
-			InRows: int64(n), EstRows: float64(n), ActRows: int64(len(out.Rows)),
-		})
+	return nil, nil
+}
+
+// fusedProj is a project target in column-at-a-time form: the target's
+// integer arithmetic as whole-column loops, and its tuple as one source
+// per output column.
+type fusedProj struct {
+	steps int // evaluator steps per row: procedure entry plus one per vop
+	ops   []fusedArith
+	out   []fusedCell
+}
+
+// fusedInts is an integer operand: a typed column, indexed by absolute
+// row, or a batch buffer (an arithmetic result, or a constant repeated),
+// indexed from the batch's first row.
+type fusedInts struct {
+	v   []int64
+	abs bool
+}
+
+func (o fusedInts) batch(lo, hi int) []int64 {
+	if o.abs {
+		return o.v[lo:hi]
 	}
-	return ok1(out), nil
+	return o.v[:hi-lo]
+}
+
+type fusedArith struct {
+	op   string
+	a, b fusedInts
+	dst  []int64
+}
+
+// fusedCell is the source of one output column: an arithmetic result, a
+// loaded column copied from its row, or a constant.
+type fusedCell struct {
+	tmp []int64
+	col int // loaded column, when tmp is nil and col >= 0
+	c   store.Val
+}
+
+// fusedProject recognizes a straight-line target — column loads, integer
+// arithmetic over registers and constants, one tuple, (cc row) — whose
+// arithmetic reads only typed, null-free integer columns, and compiles it
+// for this scan; nil when the target or the relation does not qualify.
+func (e *vevaler) fusedProject(rel *store.Relation, rows [][]store.Val) *fusedProj {
+	root := e.p.root
+	if root.term.kind != tRetRow {
+		return nil
+	}
+	size := min(len(rows), vecBatch)
+	var cols *store.ColBlock
+	loaded := make([]int, e.p.nregs) // register → column loaded into it, or -1
+	for i := range loaded {
+		loaded[i] = -1
+	}
+	tmps := make([][]int64, e.p.nregs) // register → arithmetic result
+	ints := func(a varg) (fusedInts, bool) {
+		if k, ok := e.scanConst(a); ok {
+			if k.Kind != store.ValInt {
+				return fusedInts{}, false
+			}
+			v := make([]int64, size)
+			for i := range v {
+				v[i] = k.Int
+			}
+			return fusedInts{v: v}, true
+		}
+		if t := tmps[a.reg]; t != nil {
+			return fusedInts{v: t}, true
+		}
+		col := loaded[a.reg]
+		if col < 0 || rel == nil {
+			return fusedInts{}, false
+		}
+		if cols == nil {
+			if cols = rel.ColumnsRows(rows); cols == nil {
+				return fusedInts{}, false
+			}
+		}
+		if col >= len(cols.Cols) {
+			return fusedInts{}, false
+		}
+		cv := &cols.Cols[col]
+		if cv.Ints == nil || cv.Nulls != nil || cv.Vals != nil || len(cv.Ints) < len(rows) {
+			return fusedInts{}, false
+		}
+		return fusedInts{v: cv.Ints, abs: true}, true
+	}
+	fp := &fusedProj{steps: 1 + len(root.ops)}
+	var tuple []varg
+	for i := range root.ops {
+		op := &root.ops[i]
+		switch op.kind {
+		case vLoad:
+			loaded[op.dst] = op.col
+		case vArith:
+			a, okA := ints(op.a)
+			b, okB := ints(op.b)
+			if !okA || !okB {
+				return nil
+			}
+			tmps[op.dst] = make([]int64, size)
+			fp.ops = append(fp.ops, fusedArith{op: op.op, a: a, b: b, dst: tmps[op.dst]})
+		case vMkRow:
+			tuple = op.args
+		default:
+			return nil
+		}
+	}
+	for _, a := range tuple {
+		switch k, ok := e.scanConst(a); {
+		case ok:
+			fp.out = append(fp.out, fusedCell{col: -1, c: k})
+		case tmps[a.reg] != nil:
+			fp.out = append(fp.out, fusedCell{tmp: tmps[a.reg]})
+		case loaded[a.reg] >= 0:
+			fp.out = append(fp.out, fusedCell{col: loaded[a.reg]})
+		default:
+			return nil
+		}
+	}
+	return fp
+}
+
+// run projects rows[lo:hi]: the arithmetic a column at a time, then the
+// tuples into the slab a column at a time. It reports false, having
+// charged and emitted nothing, when any row of the batch faults. The
+// charge is the general evaluator's, lump for lump.
+func (fp *fusedProj) run(m *machine.Machine, out *Rel, slab *rowSlab, rows [][]store.Val, lo, hi int) (bool, error) {
+	for i := range fp.ops {
+		op := &fp.ops[i]
+		dst, a, b := op.dst[:hi-lo], op.a.batch(lo, hi), op.b.batch(lo, hi)
+		for j := range dst {
+			r, ok := intArith(op.op, a[j], b[j])
+			if !ok {
+				return false, nil
+			}
+			dst[j] = r
+		}
+	}
+	first := len(out.Rows)
+	for i := lo; i < hi; i++ {
+		out.Rows = append(out.Rows, slab.row(len(fp.out), len(rows)-i))
+	}
+	batch := out.Rows[first:]
+	for q := range fp.out {
+		switch cell := &fp.out[q]; {
+		case cell.tmp != nil:
+			for j, row := range batch {
+				row[q] = store.IntVal(cell.tmp[j])
+			}
+		case cell.col >= 0:
+			for j, row := range batch {
+				row[q] = rows[lo+j][cell.col]
+			}
+		default:
+			for _, row := range batch {
+				row[q] = cell.c
+			}
+		}
+	}
+	for base := lo; base < hi; base += batchSize {
+		c := min(batchSize, hi-base)
+		if err := m.TickN(c); err != nil {
+			return true, err
+		}
+		if err := m.TickN(c * fp.steps); err != nil {
+			return true, err
+		}
+	}
+	return true, nil
 }
 
 // vecExists runs a compiled predicate with early exit, charging exactly
@@ -1319,9 +1517,9 @@ func (mg *Manager) vecJoin(m *machine.Machine, ev *vevaler, out *Rel, rows1, row
 					return machine.Outcome{}, err
 				}
 				if ls != nil && ls.Sorted && rs != nil && rs.Sorted {
-					mergeJoinSorted(out, rows1, rows2, k1, k2)
+					joinRows(out, rows1, rows2, mergeJoinSorted(k1, k2))
 				} else {
-					mergeJoinForced(out, rows1, rows2, k1, k2)
+					joinRows(out, rows1, rows2, mergeJoinForced(k1, k2))
 				}
 				ran = true
 			} else {
@@ -1332,7 +1530,7 @@ func (mg *Manager) vecJoin(m *machine.Machine, ev *vevaler, out *Rel, rows1, row
 			if err := chargeJoin(m, n1, n2, psteps); err != nil {
 				return machine.Outcome{}, err
 			}
-			hashJoin(out, rows1, rows2, lc, rc)
+			joinRows(out, rows1, rows2, hashJoin(rows1, rows2, lc, rc))
 			ran = true
 		}
 		if ran {
@@ -1354,16 +1552,16 @@ func (mg *Manager) vecJoin(m *machine.Machine, ev *vevaler, out *Rel, rows1, row
 		}
 		// algo == nested: fall through to the vectorized nested loop.
 	}
-	for _, r1 := range rows1 {
-		inner := rows2
-		for len(inner) > 0 {
-			c := min(batchSize, len(inner))
+	var kept []pair
+	for i1, r1 := range rows1 {
+		for base := 0; base < n2; base += batchSize {
+			c := min(batchSize, n2-base)
 			if err := m.TickN(c); err != nil {
 				return machine.Outcome{}, err
 			}
 			acc := 0
-			for _, r2 := range inner[:c] {
-				r := ev.eval(r1, r2)
+			for i2 := base; i2 < base+c; i2++ {
+				r := ev.eval(r1, rows2[i2])
 				acc += r.steps
 				if r.err != nil {
 					m.TickN(acc)
@@ -1380,15 +1578,15 @@ func (mg *Manager) vecJoin(m *machine.Machine, ev *vevaler, out *Rel, rows1, row
 					return machine.Outcome{}, fmt.Errorf("relalg: join predicate returned %s, want boolean", ev.showRes(r))
 				}
 				if r.ret.Bool {
-					out.Rows = append(out.Rows, concatRow(r1, r2))
+					kept = append(kept, pair{int32(i1), int32(i2)})
 				}
 			}
 			if err := m.TickN(acc); err != nil {
 				return machine.Outcome{}, err
 			}
-			inner = inner[c:]
 		}
 	}
+	joinRows(out, rows1, rows2, kept)
 	if mg.explaining() {
 		mg.plan(m, &qopt.PlanNode{
 			Op: "join", Algo: qopt.JoinNested,

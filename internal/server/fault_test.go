@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -557,5 +558,40 @@ func TestShutdownRacesInflightSubmit(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Errorf("store not fsck-clean after the race: %v", rep.Findings)
+	}
+}
+
+// TestOversizedResultAnswered: a result whose encoded body would exceed
+// the frame limit is refused as a definitive bad-request on a session
+// that stays open. Written as is, the client's ReadFrame would reject the
+// frame, drop the connection and — the submit being keyed — re-execute
+// the whole query once per retry before failing as a protocol error.
+func TestOversizedResultAnswered(t *testing.T) {
+	_, addr, _ := world(t, "", server.Config{})
+	c, err := client.Dial(addr, client.Options{Timeout: 30 * time.Second, Client: t.Name(),
+		Retries: 2, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Four doublings of a 17/16 MiB string: a 17 MiB WStr result.
+	seed := strings.Repeat("x", 17<<20/16)
+	_, err = c.SubmitTML("big", `(s+ s s cont(a) (s+ a a cont(b) (s+ b b cont(d) (s+ d d cont(r) (k r)))))`,
+		[]ship.WBind{{Name: "s", Val: ship.WVal{Kind: ship.WStr, Str: seed}}}, false, "")
+	we := wantCode(t, err, ship.CodeBadRequest)
+	want := fmt.Sprintf("result of %d bytes exceeds the frame limit of %d", 1+4+17<<20+33, ship.MaxFrameBody)
+	if we.Msg != want {
+		t.Errorf("refusal %q, want %q", we.Msg, want)
+	}
+	if ctr := c.Counters(); ctr.Retries != 0 || ctr.Reconnects != 0 {
+		t.Errorf("oversized result was retried: %+v", ctr)
+	}
+	// The session survives the refusal.
+	res, err := c.SubmitTML("", "(+ 40 2 e cont(n) (k n))", nil, false, "")
+	if err != nil || res.Val.Int != 42 {
+		t.Fatalf("submit after the refusal: %v %v", res, err)
+	}
+	if ctr := c.Counters(); ctr.Reconnects != 0 {
+		t.Errorf("the refusal closed the session: %+v", ctr)
 	}
 }

@@ -606,18 +606,7 @@ func colTypeOf(v store.Val) store.ColType {
 func (s *session) machineToWire(v machine.Value) ship.WVal {
 	switch v := v.(type) {
 	case *relalg.Rel:
-		t := &ship.WTable{}
-		for _, c := range v.Schema {
-			t.Cols = append(t.Cols, c.Name)
-		}
-		for _, row := range v.Rows {
-			out := make([]ship.WVal, len(row))
-			for i, f := range row {
-				out[i] = storeValToWire(f)
-			}
-			t.Rows = append(t.Rows, out)
-		}
-		return ship.WVal{Kind: ship.WRel, Rel: t}
+		return ship.WVal{Kind: ship.WRel, Rel: relToWire(v)}
 	case *machine.Vector:
 		row := make([]ship.WVal, len(v.Elems))
 		for i, el := range v.Elems {
@@ -629,6 +618,33 @@ func (s *session) machineToWire(v machine.Value) ship.WVal {
 		return storeValToWire(sv)
 	}
 	return ship.WVal{Kind: ship.WStr, Str: v.Show()}
+}
+
+// relToWire lowers a relation in one pass: the row headers in one exact
+// slice, every cell in one slab, each row capacity-capped so an append to
+// one row can never reach its neighbour.
+func relToWire(rel *relalg.Rel) *ship.WTable {
+	t := &ship.WTable{Rows: make([][]ship.WVal, len(rel.Rows))}
+	if len(rel.Schema) > 0 {
+		t.Cols = make([]string, len(rel.Schema))
+		for i, c := range rel.Schema {
+			t.Cols[i] = c.Name
+		}
+	}
+	n := 0
+	for _, row := range rel.Rows {
+		n += len(row)
+	}
+	cells := make([]ship.WVal, n)
+	for i, row := range rel.Rows {
+		out := cells[:len(row):len(row)]
+		cells = cells[len(row):]
+		for j, f := range row {
+			out[j] = storeValToWire(f)
+		}
+		t.Rows[i] = out
+	}
+	return t
 }
 
 func storeValToWire(v store.Val) ship.WVal {

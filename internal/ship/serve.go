@@ -474,14 +474,21 @@ func jsonReply(resp Verb, v any) (Verb, []byte, *WireError) {
 }
 
 // Reply renders a work verb's Result as its response frame, stamping
-// the server-side latency measured from start.
+// the server-side latency measured from start. A result too large for
+// one frame is refused as a bad request before it is encoded: written
+// anyway, the peer's ReadFrame would reject it as a corrupt frame and a
+// retrying client would re-execute the request for nothing.
 func Reply(res *Result, start time.Time) (Verb, []byte, *WireError) {
 	res.Info.Micros = time.Since(start).Microseconds()
-	body, err := res.Encode()
+	n, err := res.size()
 	if err != nil {
 		return 0, nil, WireErr(CodeInternal, err)
 	}
-	return VResult, body, nil
+	if n > MaxFrameBody {
+		return 0, nil, &WireError{Code: CodeBadRequest,
+			Msg: fmt.Sprintf("result of %d bytes exceeds the frame limit of %d", n, MaxFrameBody)}
+	}
+	return VResult, res.appendTo(make([]byte, 0, n)), nil
 }
 
 // Send writes one frame to the peer; false means the connection is dead.

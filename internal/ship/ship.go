@@ -20,7 +20,6 @@
 package ship
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -76,27 +75,20 @@ func Export(st *store.Store, root store.OID) ([]byte, error) {
 	if err := e.visit(root); err != nil {
 		return nil, err
 	}
-	var body bytes.Buffer
-	putU32(&body, uint32(len(e.entries)))
+	body := appendU32(nil, uint32(len(e.entries)))
 	for _, ent := range e.entries {
-		body.WriteByte(ent.kind)
+		body = append(body, ent.kind)
 		if ent.kind == entryRelation || ent.kind == entryModule {
-			putStr(&body, ent.relName)
+			body = appendStr(body, ent.relName)
 			continue
 		}
-		body.WriteByte(byte(ent.obj.Kind()))
-		payload := encodeShipped(ent.obj, e.index)
-		putU32(&body, uint32(len(payload)))
-		body.Write(payload)
+		body = appendBytes(append(body, byte(ent.obj.Kind())), encodeShipped(ent.obj, e.index))
 	}
 	// The root is always entry 0 (visit order). Wrap the body in the v2
 	// integrity envelope: length up front, checksum at the end.
-	var out bytes.Buffer
-	out.WriteString(bundleMagic)
-	putU32(&out, uint32(body.Len()))
-	out.Write(body.Bytes())
-	putU32(&out, crc32.Checksum(body.Bytes(), bundleCRC))
-	return out.Bytes(), nil
+	out := append(make([]byte, 0, len(bundleMagic)+4+len(body)+4), bundleMagic...)
+	out = append(appendU32(out, uint32(len(body))), body...)
+	return appendU32(out, crc32.Checksum(body, bundleCRC)), nil
 }
 
 // bundleBody validates a bundle's envelope and returns its entry stream.
@@ -436,17 +428,4 @@ func remapBlob(data []byte, f func(store.OID) store.OID) []byte {
 		return data
 	}
 	return data
-}
-
-// --- little helpers --------------------------------------------------------
-
-func putU32(b *bytes.Buffer, v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	b.Write(buf[:])
-}
-
-func putStr(b *bytes.Buffer, s string) {
-	putU32(b, uint32(len(s)))
-	b.WriteString(s)
 }

@@ -1,7 +1,6 @@
 package ship
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -60,10 +59,7 @@ func TestWatchTrailingFields(t *testing.T) {
 		t.Fatalf("zero SinceCSN not omitted: %d vs %d bytes", len(short), len(long))
 	}
 	// ...and an old-style frame (patterns only) must decode with zero.
-	var b bytes.Buffer
-	putU32(&b, 1)
-	putStr(&b, "srv:*")
-	m, err := DecodeWatch(b.Bytes())
+	m, err := DecodeWatch(appendStr(appendU32(nil, 1), "srv:*"))
 	if err != nil {
 		t.Fatalf("old watch frame: %v", err)
 	}
@@ -79,11 +75,7 @@ func TestWatchTrailingFields(t *testing.T) {
 	if len(nShort) >= len(nLong) {
 		t.Fatalf("false More not omitted: %d vs %d bytes", len(nShort), len(nLong))
 	}
-	var nb bytes.Buffer
-	putStr(&nb, "srv:x")
-	putU64(&nb, 7)
-	putU64(&nb, 8)
-	n, err := DecodeNotify(nb.Bytes())
+	n, err := DecodeNotify(appendU64(appendU64(appendStr(nil, "srv:x"), 7), 8))
 	if err != nil {
 		t.Fatalf("old notify frame: %v", err)
 	}

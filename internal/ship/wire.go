@@ -16,13 +16,13 @@
 package ship
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"net"
 
 	"tycoon/internal/pipeline"
 	"tycoon/internal/relalg"
@@ -124,19 +124,36 @@ func (v Verb) String() string {
 
 var frameCRC = crc32.MakeTable(crc32.Castagnoli)
 
+// frameHeader is the length of a frame's magic, verb and body length;
+// the CRC trailer adds four more bytes.
+const frameHeader = len(frameMagic) + 1 + 4
+
+// writevMin is the body size from which WriteFrame stops copying the
+// body into a contiguous frame and hands header, body and trailer to the
+// connection as one vectored write instead.
+const writevMin = 16 << 10
+
 // WriteFrame writes one frame: magic, verb, length, body, CRC32C of
-// verb+body.
+// verb+body. A small frame is assembled in one buffer and written once;
+// a large body is written in place, between an envelope allocated
+// separately, with one writev on a network connection.
 func WriteFrame(w io.Writer, v Verb, body []byte) error {
-	var out bytes.Buffer
-	out.Grow(len(frameMagic) + 1 + 4 + len(body) + 4)
-	out.WriteString(frameMagic)
-	out.WriteByte(byte(v))
-	putU32(&out, uint32(len(body)))
-	out.Write(body)
-	crc := crc32.Update(0, frameCRC, []byte{byte(v)})
-	crc = crc32.Update(crc, frameCRC, body)
-	putU32(&out, crc)
-	_, err := w.Write(out.Bytes())
+	n := frameHeader + 4
+	if len(body) < writevMin {
+		n += len(body)
+	}
+	out := append(make([]byte, 0, n), frameMagic...)
+	out = append(out, byte(v))
+	out = appendU32(out, uint32(len(body)))
+	crc := crc32.Update(crc32.Update(0, frameCRC, out[len(frameMagic):frameHeader-4]), frameCRC, body)
+	if len(body) < writevMin {
+		out = appendU32(append(out, body...), crc)
+		_, err := w.Write(out)
+		return err
+	}
+	out = appendU32(out, crc)
+	bufs := net.Buffers{out[:frameHeader], body, out[frameHeader:]}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
@@ -149,7 +166,7 @@ func ReadFrame(r io.Reader, maxBody int) (Verb, []byte, error) {
 	if maxBody <= 0 {
 		maxBody = MaxFrameBody
 	}
-	var hdr [len(frameMagic) + 1 + 4]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return 0, nil, err // io.EOF: peer closed between frames
 	}
@@ -170,8 +187,7 @@ func ReadFrame(r io.Reader, maxBody int) (Verb, []byte, error) {
 	}
 	body := buf[:n]
 	want := binary.LittleEndian.Uint32(buf[n:])
-	crc := crc32.Update(0, frameCRC, []byte{byte(v)})
-	crc = crc32.Update(crc, frameCRC, body)
+	crc := crc32.Update(crc32.Update(0, frameCRC, hdr[len(frameMagic):frameHeader-4]), frameCRC, body)
 	if crc != want {
 		return 0, nil, &FrameError{
 			Reason: fmt.Sprintf("checksum mismatch (computed %08x, recorded %08x)", crc, want),
@@ -249,55 +265,105 @@ func (v WVal) Show() string {
 	}
 }
 
-func putWVal(b *bytes.Buffer, v WVal) error {
-	b.WriteByte(byte(v.Kind))
+// wvalSize is the encoded length of v, or the reason v has no wire
+// form. Encoders size their buffer with it once and then append without
+// further checks.
+func wvalSize(v *WVal) (int, error) {
+	if v.Kind != WRel {
+		return scalarSize(v)
+	}
+	if v.Rel == nil {
+		return 0, fmt.Errorf("ship: wire relation without table")
+	}
+	n := 1 + 4 + 4
+	for _, c := range v.Rel.Cols {
+		n += 4 + len(c)
+	}
+	for _, row := range v.Rel.Rows {
+		n += 4
+		for i := range row {
+			k, err := scalarSize(&row[i])
+			if err != nil {
+				return 0, err
+			}
+			n += k
+		}
+	}
+	return n, nil
+}
+
+// scalarSize is the encoded length of a value that is not a relation:
+// the kind byte plus its payload.
+func scalarSize(v *WVal) (int, error) {
 	switch v.Kind {
 	case WNil:
-	case WInt:
-		putU64(b, uint64(v.Int))
-	case WReal:
-		putU64(b, math.Float64bits(v.Real))
-	case WBool:
-		if v.Bool {
-			b.WriteByte(1)
-		} else {
-			b.WriteByte(0)
-		}
-	case WChar:
-		b.WriteByte(v.Ch)
+		return 1, nil
+	case WInt, WReal, WRef:
+		return 1 + 8, nil
+	case WBool, WChar:
+		return 1 + 1, nil
 	case WStr, WRoot:
-		putStr(b, v.Str)
-	case WRef:
-		putU64(b, v.Ref)
+		return 1 + 4 + len(v.Str), nil
 	case WRel:
-		if v.Rel == nil {
-			return fmt.Errorf("ship: wire relation without table")
-		}
-		putU32(b, uint32(len(v.Rel.Cols)))
-		for _, c := range v.Rel.Cols {
-			putStr(b, c)
-		}
-		putU32(b, uint32(len(v.Rel.Rows)))
-		for _, row := range v.Rel.Rows {
-			putU32(b, uint32(len(row)))
-			for _, f := range row {
-				if f.Kind == WRel {
-					return fmt.Errorf("ship: nested relation in wire row")
-				}
-				if err := putWVal(b, f); err != nil {
-					return err
-				}
-			}
-		}
+		return 0, fmt.Errorf("ship: nested relation in wire row")
 	default:
-		return fmt.Errorf("ship: cannot encode wire value kind %d", v.Kind)
+		return 0, fmt.Errorf("ship: cannot encode wire value kind %d", v.Kind)
 	}
-	return nil
+}
+
+// appendWVal appends a value wvalSize accepted.
+func appendWVal(b []byte, v *WVal) []byte {
+	if v.Kind != WRel {
+		return appendScalar(b, v)
+	}
+	b = append(b, byte(WRel))
+	b = appendU32(b, uint32(len(v.Rel.Cols)))
+	for _, c := range v.Rel.Cols {
+		b = appendStr(b, c)
+	}
+	b = appendU32(b, uint32(len(v.Rel.Rows)))
+	for _, row := range v.Rel.Rows {
+		b = appendU32(b, uint32(len(row)))
+		for i := range row {
+			b = appendScalar(b, &row[i])
+		}
+	}
+	return b
+}
+
+func appendScalar(b []byte, v *WVal) []byte {
+	b = append(b, byte(v.Kind))
+	switch v.Kind {
+	case WInt:
+		return appendU64(b, uint64(v.Int))
+	case WReal:
+		return appendU64(b, math.Float64bits(v.Real))
+	case WBool:
+		return appendBool(b, v.Bool)
+	case WChar:
+		return append(b, v.Ch)
+	case WStr, WRoot:
+		return appendStr(b, v.Str)
+	case WRef:
+		return appendU64(b, v.Ref)
+	}
+	return b
 }
 
 func (r *cursor) wval() WVal {
-	k := WKind(r.u8())
-	v := WVal{Kind: k}
+	var v WVal
+	if k := WKind(r.u8()); k != WRel {
+		r.scalar(k, &v)
+	} else {
+		v = WVal{Kind: WRel, Rel: r.table()}
+	}
+	return v
+}
+
+// scalar decodes the payload of a value of kind k into v; a relation is
+// only legal at the top of a value, never as a table cell.
+func (r *cursor) scalar(k WKind, v *WVal) {
+	v.Kind = k
 	switch k {
 	case WNil:
 	case WInt:
@@ -305,7 +371,7 @@ func (r *cursor) wval() WVal {
 	case WReal:
 		v.Real = math.Float64frombits(r.u64())
 	case WBool:
-		v.Bool = r.u8() != 0
+		v.Bool = r.flag()
 	case WChar:
 		v.Ch = r.u8()
 	case WStr, WRoot:
@@ -313,25 +379,47 @@ func (r *cursor) wval() WVal {
 	case WRef:
 		v.Ref = r.u64()
 	case WRel:
-		t := &WTable{}
-		nc := r.count(1)
-		for i := 0; i < nc && r.err == nil; i++ {
-			t.Cols = append(t.Cols, r.str())
-		}
-		nr := r.count(1)
-		for i := 0; i < nr && r.err == nil; i++ {
-			nf := r.count(1)
-			row := make([]WVal, 0, nf)
-			for j := 0; j < nf && r.err == nil; j++ {
-				row = append(row, r.wval())
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		v.Rel = t
+		r.failf("nested relation in wire row")
 	default:
 		r.failf("unknown wire value kind %d", k)
 	}
-	return v
+}
+
+// table decodes a relation: the row headers in one exact slice, the
+// cells carved out of one slab sized for the rest of the table at the
+// current row's width. A ragged row wider than what is left starts a
+// new slab. Every cell takes at least its kind byte, so no slab outgrows
+// the bytes that remain, whatever the declared counts say.
+func (r *cursor) table() *WTable {
+	t := &WTable{}
+	if nc := r.count(4); nc > 0 {
+		t.Cols = make([]string, nc)
+		for i := range t.Cols {
+			t.Cols[i] = r.str()
+		}
+	}
+	nr := r.count(4) // every row carries a 4-byte cell count
+	if nr == 0 {
+		return t
+	}
+	t.Rows = make([][]WVal, nr)
+	var slab []WVal
+	for i := range t.Rows {
+		nf := r.count(1)
+		if r.err != nil {
+			break
+		}
+		if slab == nil || nf > len(slab) {
+			slab = make([]WVal, min(nf*(nr-i), r.rem()))
+		}
+		row := slab[:nf:nf]
+		slab = slab[nf:]
+		for j := range row {
+			r.scalar(WKind(r.u8()), &row[j])
+		}
+		t.Rows[i] = row
+	}
+	return t
 }
 
 // WBind is one R-value binding of a submitted term's free variable.
@@ -354,10 +442,7 @@ type Hello struct {
 
 // Encode serialises the message body.
 func (m *Hello) Encode() []byte {
-	var b bytes.Buffer
-	putU32(&b, m.Version)
-	putStr(&b, m.Client)
-	return b.Bytes()
+	return appendStr(appendU32(make([]byte, 0, 8+len(m.Client)), m.Version), m.Client)
 }
 
 // DecodeHello deserialises a Hello body.
@@ -376,11 +461,7 @@ type Welcome struct {
 
 // Encode serialises the message body.
 func (m *Welcome) Encode() []byte {
-	var b bytes.Buffer
-	putU32(&b, m.Version)
-	putStr(&b, m.Server)
-	putU64(&b, m.Session)
-	return b.Bytes()
+	return appendU64(appendStr(appendU32(make([]byte, 0, 16+len(m.Server)), m.Version), m.Server), m.Session)
 }
 
 // DecodeWelcome deserialises a Welcome body.
@@ -402,12 +483,11 @@ type Install struct {
 
 // Encode serialises the message body.
 func (m *Install) Encode() []byte {
-	var b bytes.Buffer
-	putStr(&b, m.Source)
+	b := appendStr(make([]byte, 0, 8+len(m.Source)+len(m.IdemKey)), m.Source)
 	if m.IdemKey != "" {
-		putStr(&b, m.IdemKey)
+		b = appendStr(b, m.IdemKey)
 	}
-	return b.Bytes()
+	return b
 }
 
 // DecodeInstall deserialises an Install body.
@@ -430,16 +510,20 @@ type Call struct {
 
 // Encode serialises the message body.
 func (m *Call) Encode() ([]byte, error) {
-	var b bytes.Buffer
-	putStr(&b, m.Module)
-	putStr(&b, m.Fn)
-	putU32(&b, uint32(len(m.Args)))
-	for _, a := range m.Args {
-		if err := putWVal(&b, a); err != nil {
+	n := 4 + len(m.Module) + 4 + len(m.Fn) + 4
+	for i := range m.Args {
+		k, err := wvalSize(&m.Args[i])
+		if err != nil {
 			return nil, err
 		}
+		n += k
 	}
-	return b.Bytes(), nil
+	b := appendStr(appendStr(make([]byte, 0, n), m.Module), m.Fn)
+	b = appendU32(b, uint32(len(m.Args)))
+	for i := range m.Args {
+		b = appendWVal(b, &m.Args[i])
+	}
+	return b, nil
 }
 
 // DecodeCall deserialises a Call body.
@@ -537,58 +621,77 @@ type Submit struct {
 	Explain bool
 }
 
-// Encode serialises the message body.
-func (m *Submit) Encode() ([]byte, error) {
-	var b bytes.Buffer
-	putStr(&b, m.Name)
-	putU32(&b, uint32(len(m.PTML)))
-	b.Write(m.PTML)
-	putU32(&b, uint32(len(m.Binds)))
-	for _, bd := range m.Binds {
-		putStr(&b, bd.Name)
-		if err := putWVal(&b, bd.Val); err != nil {
-			return nil, err
-		}
+// trailing is how many of the optional trailing fields (IdemKey, Merge,
+// Explain) an encoding carries: an earlier field is written whenever a
+// later one is, so old frames stay decodable and new fields are only
+// paid for when used.
+func (m *Submit) trailing() int {
+	switch {
+	case m.Explain:
+		return 3
+	case m.Merge != MergeAuto:
+		return 2
+	case m.IdemKey != "":
+		return 1
 	}
-	if m.Optimize {
-		b.WriteByte(1)
-	} else {
-		b.WriteByte(0)
-	}
-	putStr(&b, m.Save)
-	// Trailing optionals: an earlier field must be written whenever a
-	// later one is, so old frames stay decodable and new fields are only
-	// paid for when used.
-	if m.IdemKey != "" || m.Merge != MergeAuto || m.Explain {
-		putStr(&b, m.IdemKey)
-	}
-	if m.Merge != MergeAuto || m.Explain {
-		b.WriteByte(byte(m.Merge))
-	}
-	if m.Explain {
-		b.WriteByte(1)
-	}
-	return b.Bytes(), nil
+	return 0
 }
 
-// DecodeSubmit deserialises a Submit body.
+// Encode serialises the message body.
+func (m *Submit) Encode() ([]byte, error) {
+	n := 4 + len(m.Name) + 4 + len(m.PTML) + 4 + 1 + 4 + len(m.Save) + 4 + len(m.IdemKey) + 2
+	for i := range m.Binds {
+		k, err := wvalSize(&m.Binds[i].Val)
+		if err != nil {
+			return nil, err
+		}
+		n += 4 + len(m.Binds[i].Name) + k
+	}
+	b := appendBytes(appendStr(make([]byte, 0, n), m.Name), m.PTML)
+	b = appendU32(b, uint32(len(m.Binds)))
+	for i := range m.Binds {
+		b = appendWVal(appendStr(b, m.Binds[i].Name), &m.Binds[i].Val)
+	}
+	b = appendStr(appendBool(b, m.Optimize), m.Save)
+	tail := m.trailing()
+	if tail >= 1 {
+		b = appendStr(b, m.IdemKey)
+	}
+	if tail >= 2 {
+		b = append(b, byte(m.Merge))
+	}
+	if tail >= 3 {
+		b = appendBool(b, m.Explain)
+	}
+	return b, nil
+}
+
+// DecodeSubmit deserialises a Submit body. It accepts exactly the
+// encodings Encode produces: a flag byte is 0 or 1, and a trailing field
+// is present only when Encode would have written it.
 func DecodeSubmit(body []byte) (*Submit, error) {
 	r := wireCursor(body)
 	m := &Submit{Name: r.str(), PTML: r.bytesField()}
-	n := r.count(5) // smallest bind: empty name (4-byte length) + kind byte
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Binds = append(m.Binds, WBind{Name: r.str(), Val: r.wval()})
+	if n := r.count(5); n > 0 { // smallest bind: empty name (4-byte length) + kind byte
+		m.Binds = make([]WBind, n)
+		for i := range m.Binds {
+			m.Binds[i] = WBind{Name: r.str(), Val: r.wval()}
+		}
 	}
-	m.Optimize = r.u8() != 0
+	m.Optimize = r.flag()
 	m.Save = r.str()
+	tail := 0
 	if r.rem() > 0 {
-		m.IdemKey = r.str()
+		m.IdemKey, tail = r.str(), 1
 	}
 	if r.rem() > 0 {
-		m.Merge = Merge(r.u8())
+		m.Merge, tail = Merge(r.u8()), 2
 	}
 	if r.rem() > 0 {
-		m.Explain = r.u8() != 0
+		m.Explain, tail = r.flag(), 3
+	}
+	if tail != m.trailing() {
+		r.failf("non-canonical trailing fields")
 	}
 	return m, r.done()
 }
@@ -603,10 +706,7 @@ type Optimize struct {
 
 // Encode serialises the message body.
 func (m *Optimize) Encode() []byte {
-	var b bytes.Buffer
-	putStr(&b, m.Module)
-	putStr(&b, m.Fn)
-	return b.Bytes()
+	return appendStr(appendStr(make([]byte, 0, 8+len(m.Module)+len(m.Fn)), m.Module), m.Fn)
 }
 
 // DecodeOptimize deserialises an Optimize body.
@@ -635,15 +735,14 @@ type Watch struct {
 
 // Encode serialises the message body.
 func (m *Watch) Encode() []byte {
-	var b bytes.Buffer
-	putU32(&b, uint32(len(m.Patterns)))
+	b := appendU32(nil, uint32(len(m.Patterns)))
 	for _, p := range m.Patterns {
-		putStr(&b, p)
+		b = appendStr(b, p)
 	}
 	if m.SinceCSN != 0 {
-		putU64(&b, m.SinceCSN)
+		b = appendU64(b, m.SinceCSN)
 	}
-	return b.Bytes()
+	return b
 }
 
 // DecodeWatch deserialises a Watch body.
@@ -670,9 +769,7 @@ type WatchOK struct {
 
 // Encode serialises the message body.
 func (m *WatchOK) Encode() []byte {
-	var b bytes.Buffer
-	putU64(&b, m.CSN)
-	return b.Bytes()
+	return appendU64(make([]byte, 0, 8), m.CSN)
 }
 
 // DecodeWatchOK deserialises a WatchOK body.
@@ -700,14 +797,11 @@ type Notify struct {
 
 // Encode serialises the message body.
 func (m *Notify) Encode() []byte {
-	var b bytes.Buffer
-	putStr(&b, m.Root)
-	putU64(&b, m.OID)
-	putU64(&b, m.CSN)
+	b := appendU64(appendU64(appendStr(make([]byte, 0, 4+len(m.Root)+17), m.Root), m.OID), m.CSN)
 	if m.More {
-		b.WriteByte(1)
+		b = append(b, 1)
 	}
-	return b.Bytes()
+	return b
 }
 
 // DecodeNotify deserialises a Notify body.
@@ -771,14 +865,15 @@ type Sync struct {
 
 // Encode serialises the message body.
 func (m *Sync) Encode() []byte {
-	var b bytes.Buffer
-	putU32(&b, uint32(len(m.Items)))
+	n := 4
 	for _, it := range m.Items {
-		b.WriteByte(byte(it.Verb))
-		putU32(&b, uint32(len(it.Body)))
-		b.Write(it.Body)
+		n += 1 + 4 + len(it.Body)
 	}
-	return b.Bytes()
+	b := appendU32(make([]byte, 0, n), uint32(len(m.Items)))
+	for _, it := range m.Items {
+		b = appendBytes(append(b, byte(it.Verb)), it.Body)
+	}
+	return b
 }
 
 // DecodeSync deserialises a Sync body.
@@ -799,9 +894,7 @@ type SyncOK struct {
 
 // Encode serialises the message body.
 func (m *SyncOK) Encode() []byte {
-	var b bytes.Buffer
-	putU32(&b, m.Applied)
-	return b.Bytes()
+	return appendU32(make([]byte, 0, 4), m.Applied)
 }
 
 // DecodeSyncOK deserialises a SyncOK body.
@@ -820,9 +913,7 @@ type Digest struct {
 
 // Encode serialises the message body.
 func (m *Digest) Encode() []byte {
-	var b bytes.Buffer
-	putStr(&b, m.Prefix)
-	return b.Bytes()
+	return appendStr(make([]byte, 0, 4+len(m.Prefix)), m.Prefix)
 }
 
 // DecodeDigest deserialises a Digest body.
@@ -856,15 +947,11 @@ type DigestOK struct {
 
 // Encode serialises the message body.
 func (m *DigestOK) Encode() []byte {
-	var b bytes.Buffer
-	putU64(&b, m.CSN)
-	putU64(&b, m.Epoch)
-	putU32(&b, uint32(len(m.Roots)))
+	b := appendU32(appendU64(appendU64(nil, m.CSN), m.Epoch), uint32(len(m.Roots)))
 	for _, rd := range m.Roots {
-		putStr(&b, rd.Name)
-		putStr(&b, rd.Digest)
+		b = appendStr(appendStr(b, rd.Name), rd.Digest)
 	}
-	return b.Bytes()
+	return b
 }
 
 // DecodeDigestOK deserialises a DigestOK body.
@@ -906,14 +993,52 @@ type Result struct {
 	Explain string
 }
 
-// Encode serialises the message body.
+// trailing is how many of the optional trailing blocks (the partial
+// block, Explain) an encoding carries; the partial block is the carrier
+// for everything behind it.
+func (m *Result) trailing() int {
+	switch {
+	case m.Explain != "":
+		return 2
+	case m.Partial:
+		return 1
+	}
+	return 0
+}
+
+// size is the encoded length of the body, or the reason the value has no
+// wire form.
+func (m *Result) size() (int, error) {
+	n, err := wvalSize(&m.Val)
+	if err != nil {
+		return 0, err
+	}
+	n += 8 + 8 + 1 + 8 + 8
+	if tail := m.trailing(); tail >= 1 {
+		n += 1 + 4
+		for _, rng := range m.Missing {
+			n += 4 + len(rng)
+		}
+		if tail >= 2 {
+			n += 4 + len(m.Explain)
+		}
+	}
+	return n, nil
+}
+
+// Encode serialises the message body into one buffer sized up front.
 func (m *Result) Encode() ([]byte, error) {
-	var b bytes.Buffer
-	if err := putWVal(&b, m.Val); err != nil {
+	n, err := m.size()
+	if err != nil {
 		return nil, err
 	}
-	putU64(&b, uint64(m.Info.Steps))
-	putU64(&b, uint64(m.Info.Micros))
+	return m.appendTo(make([]byte, 0, n)), nil
+}
+
+// appendTo appends the body of a result size accepted.
+func (m *Result) appendTo(b []byte) []byte {
+	b = appendWVal(b, &m.Val)
+	b = appendU64(appendU64(b, uint64(m.Info.Steps)), uint64(m.Info.Micros))
 	flags := byte(0)
 	if m.Info.CacheHit {
 		flags |= 1
@@ -921,48 +1046,49 @@ func (m *Result) Encode() ([]byte, error) {
 	if m.Info.Shared {
 		flags |= 2
 	}
-	b.WriteByte(flags)
-	putU64(&b, uint64(m.Info.Rewrites))
-	putU64(&b, uint64(m.Info.Inlined))
-	if m.Partial || m.Explain != "" {
-		// The partial block is the carrier for everything behind it: an
-		// earlier trailing field must be written whenever a later one is.
-		if m.Partial {
-			b.WriteByte(1)
-		} else {
-			b.WriteByte(0)
-		}
-		putU32(&b, uint32(len(m.Missing)))
+	b = appendU64(appendU64(append(b, flags), uint64(m.Info.Rewrites)), uint64(m.Info.Inlined))
+	if tail := m.trailing(); tail >= 1 {
+		b = appendU32(appendBool(b, m.Partial), uint32(len(m.Missing)))
 		for _, rng := range m.Missing {
-			putStr(&b, rng)
+			b = appendStr(b, rng)
+		}
+		if tail >= 2 {
+			b = appendStr(b, m.Explain)
 		}
 	}
-	if m.Explain != "" {
-		putStr(&b, m.Explain)
-	}
-	return b.Bytes(), nil
+	return b
 }
 
-// DecodeResult deserialises a Result body.
+// DecodeResult deserialises a Result body. Like DecodeSubmit it accepts
+// exactly the encodings Encode produces.
 func DecodeResult(body []byte) (*Result, error) {
 	r := wireCursor(body)
 	m := &Result{Val: r.wval()}
 	m.Info.Steps = int64(r.u64())
 	m.Info.Micros = int64(r.u64())
 	flags := r.u8()
+	if flags&^3 != 0 {
+		r.failf("unknown result flags %#x", flags)
+	}
 	m.Info.CacheHit = flags&1 != 0
 	m.Info.Shared = flags&2 != 0
 	m.Info.Rewrites = int64(r.u64())
 	m.Info.Inlined = int64(r.u64())
+	tail := 0
 	if r.rem() > 0 {
-		m.Partial = r.u8() != 0
-		n := r.count(4) // smallest missing range: a 4-byte length prefix
-		for i := 0; i < n && r.err == nil; i++ {
-			m.Missing = append(m.Missing, r.str())
+		m.Partial, tail = r.flag(), 1
+		if n := r.count(4); n > 0 { // smallest missing range: a 4-byte length prefix
+			m.Missing = make([]string, n)
+			for i := range m.Missing {
+				m.Missing[i] = r.str()
+			}
 		}
 	}
 	if r.rem() > 0 {
-		m.Explain = r.str()
+		m.Explain, tail = r.str(), 2
+	}
+	if tail != m.trailing() {
+		r.failf("non-canonical trailing fields")
 	}
 	return m, r.done()
 }
@@ -1039,13 +1165,11 @@ func (e *WireError) Error() string { return fmt.Sprintf("tycd: %s: %s", e.Code, 
 
 // Encode serialises the message body.
 func (e *WireError) Encode() []byte {
-	var b bytes.Buffer
-	b.WriteByte(byte(e.Code))
-	putStr(&b, e.Msg)
+	b := appendStr(append(make([]byte, 0, 1+4+len(e.Msg)+4), byte(e.Code)), e.Msg)
 	if e.RetryAfterMs != 0 {
-		putU32(&b, e.RetryAfterMs)
+		b = appendU32(b, e.RetryAfterMs)
 	}
-	return b.Bytes()
+	return b
 }
 
 // DecodeWireError deserialises a WireError body.
@@ -1205,10 +1329,19 @@ type Health struct {
 
 // --- little wire helpers ---------------------------------------------------
 
-func putU64(b *bytes.Buffer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	b.Write(buf[:])
+func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
+
+func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+
+func appendStr(b []byte, s string) []byte { return append(appendU32(b, uint32(len(s))), s...) }
+
+func appendBytes(b, p []byte) []byte { return append(appendU32(b, uint32(len(p))), p...) }
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 // cursor decodes little-endian fields with a latched error: after the
@@ -1287,6 +1420,15 @@ func (r *cursor) u64() uint64 {
 		return binary.LittleEndian.Uint64(b)
 	}
 	return 0
+}
+
+// flag reads a boolean byte, which must be 0 or 1.
+func (r *cursor) flag() bool {
+	b := r.u8()
+	if b > 1 {
+		r.failf("flag byte %d", b)
+	}
+	return b == 1
 }
 
 func (r *cursor) str() string { return string(r.take(int(r.u32()), "string")) }
