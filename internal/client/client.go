@@ -10,11 +10,9 @@
 // re-handshaken, and the failed request retried with exponential
 // backoff and jitter — but only when retrying is safe. The taxonomy:
 //
-//   - Refusals (CodeOverloaded, CodeShutdown) and protocol errors
-//     (CodeProto — the request frame was corrupted in transit and never
-//     decoded) mean the server did NOT execute the request; they are
-//     retryable for every verb. An overloaded server's RetryAfterMs
-//     hint overrides the backoff base.
+//   - A structured error retries for every verb unless its class in
+//     ship's per-code policy table is ClassAnswer: refusals and aborts
+//     applied nothing. A RetryAfterMs hint overrides the backoff base.
 //   - Dial and handshake failures mean the request was never sent, so
 //     they too retry for every verb — the case that carries clients
 //     across a server restart.
@@ -24,8 +22,6 @@
 //     HEALTH), naturally idempotent verbs (OPTIMIZE), and SUBMIT /
 //     INSTALL requests carrying an idempotency key, which the server
 //     deduplicates so a retried save= install is applied exactly once.
-//   - Every other structured error (compile, exec, budget, not-found,
-//     degraded, …) is a definitive answer and is never retried.
 //
 // SubmitTML is the high-level entry: it parses the s-expression TML
 // concrete syntax locally, encodes the tree as PTML and ships it — the
@@ -159,24 +155,8 @@ type Options struct {
 // Dial connects to a tycd server and performs the handshake, retrying
 // per Options.
 func Dial(addr string, opts ...Options) (*Client, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	if o.Client == "" {
-		o.Client = "tycoon/internal/client"
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = DefaultRetryBase
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = DefaultRetryMax
-	}
-	seed := o.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	c := &Client{addr: addr, opts: o, rng: rand.New(rand.NewSource(seed))}
+	o, rng := withDefaults(opts, "tycoon/internal/client")
+	c := &Client{addr: addr, opts: o, rng: rng}
 	c.keyBase = fmt.Sprintf("%s-%08x", o.Client, c.rng.Uint32())
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -280,26 +260,53 @@ func (c *Client) dropLocked() {
 	}
 }
 
-// backoffLocked computes the jittered exponential delay for a retry.
-// hint (from an overloaded server's RetryAfterMs) overrides the base.
-// The returned delay never exceeds RetryMax: the jitter draws within
-// [d/2, d] rather than adding on top of the capped value, so even the
-// first retry respects the configured cap.
-func (c *Client) backoffLocked(attempt int, hint time.Duration) time.Duration {
-	d := c.opts.RetryBase << uint(attempt)
-	if d <= 0 || d > c.opts.RetryMax {
-		d = c.opts.RetryMax // includes shift overflow on deep retries
+// withDefaults fills the zero values of the optional Options and seeds
+// the jitter source.
+func withDefaults(opts []Options, name string) (Options, *rand.Rand) {
+	var o Options
+	if len(opts) > 0 {
+		o = opts[0]
+	}
+	if o.Client == "" {
+		o.Client = name
+	}
+	if o.RetryBase <= 0 {
+		o.RetryBase = DefaultRetryBase
+	}
+	if o.RetryMax <= 0 {
+		o.RetryMax = DefaultRetryMax
+	}
+	seed := o.Seed
+	if seed == 0 {
+		seed = time.Now().UnixNano()
+	}
+	return o, rand.New(rand.NewSource(seed))
+}
+
+// backoff computes the jittered exponential delay for a retry; the
+// client and the watcher share it. hint (a server's RetryAfterMs)
+// overrides the base. The returned delay never exceeds RetryMax: the
+// jitter draws within [d/2, d] rather than adding on top of the capped
+// value, so even the first retry respects the configured cap.
+func (o *Options) backoff(rng *rand.Rand, attempt int, hint time.Duration) time.Duration {
+	d := o.RetryBase << uint(attempt)
+	if d <= 0 || d > o.RetryMax {
+		d = o.RetryMax // includes shift overflow on deep retries
 	}
 	if hint > 0 {
-		c.honored.Add(1)
-		d = hint
-		if d > c.opts.RetryMax {
-			d = c.opts.RetryMax
-		}
+		d = min(hint, o.RetryMax)
 	}
 	// Jitter to [d/2, d] so a fleet of retrying clients does not
 	// stampede, without ever overshooting the cap.
-	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
+	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
+}
+
+// backoffLocked is the client's backoff, counting honored hints.
+func (c *Client) backoffLocked(attempt int, hint time.Duration) time.Duration {
+	if hint > 0 {
+		c.honored.Add(1)
+	}
+	return c.opts.backoff(c.rng, attempt, hint)
 }
 
 // NextIdemKey mints a fresh idempotency key: unique per client and
@@ -312,11 +319,9 @@ func (c *Client) NextIdemKey() string {
 }
 
 // Retryable reports whether err may be retried for a request with the
-// given idempotency. Refusals (overloaded, shutdown) and server-side
-// protocol errors (the request frame arrived corrupt and was never
-// decoded, let alone executed) always retry; ambiguous failures
-// (transport errors, corrupt response frames) retry only when
-// re-execution is safe.
+// given idempotency. A structured error retries unless its class is
+// ClassAnswer; ambiguous failures (transport errors, corrupt response
+// frames) retry only when re-execution is safe.
 func Retryable(err error, idempotent bool) bool {
 	var ce *connectError
 	if errors.As(err, &ce) {
@@ -325,13 +330,7 @@ func Retryable(err error, idempotent bool) bool {
 	}
 	var we *ship.WireError
 	if errors.As(err, &we) {
-		// Conflict aborts applied nothing server-side: re-executing against
-		// a fresh snapshot is safe regardless of idempotency. A replica-down
-		// refusal likewise applied nothing anywhere — the coordinator
-		// refused the write before touching any shard.
-		return we.Code == ship.CodeOverloaded || we.Code == ship.CodeShutdown ||
-			we.Code == ship.CodeProto || we.Code == ship.CodeConflict ||
-			we.Code == ship.CodeReplicaDown
+		return we.Code.Policy().Class != ship.ClassAnswer
 	}
 	return idempotent
 }
@@ -401,11 +400,10 @@ func (c *Client) do(v ship.Verb, body []byte, idempotent bool) (ship.Verb, []byt
 		var we *ship.WireError
 		if errors.As(err, &we) {
 			hint = time.Duration(we.RetryAfterMs) * time.Millisecond
-			if we.Code == ship.CodeShutdown || we.Code == ship.CodeProto {
-				// Shutdown: this session is done for; reconnect (the
-				// listener may already be a fresh incarnation over the
-				// same store). Proto: the server drops a session after
-				// a corrupt frame, so this connection is dead too.
+			if we.Code.Policy().EndsSession {
+				// The server closed this session; reconnect (after a
+				// shutdown the listener may already be a fresh
+				// incarnation over the same store).
 				c.dropLocked()
 			}
 		}

@@ -231,32 +231,16 @@ func TestReconnectAfterDrop(t *testing.T) {
 	}
 }
 
-// TestTaxonomy pins the retryability and classification tables.
+// TestTaxonomy pins the retryability of errors that carry no wire code
+// (the per-code cases live in the gateway package's policy conformance
+// test) and the classification table.
 func TestTaxonomy(t *testing.T) {
-	over := &ship.WireError{Code: ship.CodeOverloaded}
-	down := &ship.WireError{Code: ship.CodeShutdown}
-	proto := &ship.WireError{Code: ship.CodeProto}
 	comp := &ship.WireError{Code: ship.CodeCompile}
-	deg := &ship.WireError{Code: ship.CodeDegraded}
 	transport := errors.New("connection reset by peer")
 
-	cases := []struct {
-		err        error
-		idempotent bool
-		want       bool
-	}{
-		{over, false, true},
-		{over, true, true},
-		{down, false, true},
-		{proto, false, true}, // server never decoded the request
-		{comp, true, false},
-		{deg, true, false},
-		{transport, false, false},
-		{transport, true, true},
-	}
-	for i, tc := range cases {
-		if got := client.Retryable(tc.err, tc.idempotent); got != tc.want {
-			t.Errorf("case %d: Retryable(%v, %t) = %t, want %t", i, tc.err, tc.idempotent, got, tc.want)
+	for _, idempotent := range []bool{false, true} {
+		if got := client.Retryable(transport, idempotent); got != idempotent {
+			t.Errorf("Retryable(transport, %t) = %t, want %t", idempotent, got, idempotent)
 		}
 	}
 	if client.Classify(comp) != client.ClassServer {

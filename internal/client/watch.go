@@ -53,24 +53,8 @@ type Watcher struct {
 // position (0 subscribes from now). Dial-time failures honour
 // opts.Retries like Dial does.
 func NewWatcher(addr string, patterns []string, since uint64, opts ...Options) (*Watcher, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	if o.Client == "" {
-		o.Client = "tycoon/internal/client:watch"
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = DefaultRetryBase
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = DefaultRetryMax
-	}
-	seed := o.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	w := &Watcher{addr: addr, opts: o, patterns: patterns, pos: since, rng: rand.New(rand.NewSource(seed))}
+	o, rng := withDefaults(opts, "tycoon/internal/client:watch")
+	w := &Watcher{addr: addr, opts: o, patterns: patterns, pos: since, rng: rng}
 	if err := w.reconnect(); err != nil {
 		return nil, err
 	}
@@ -165,9 +149,9 @@ func asWireError(verb ship.Verb, body []byte) error {
 }
 
 // reconnect (re-)establishes the subscription with retries and backoff,
-// the same schedule the request client uses. Refusals (overloaded,
-// draining server, dial failures across a restart) retry; a definitive
-// answer — bad patterns, a lost resume horizon — does not.
+// the same schedule the request client uses. Refusals and dial failures
+// across a restart retry; a definitive answer (ship.Definitive) — bad
+// patterns, a lost resume horizon — does not.
 func (w *Watcher) reconnect() error {
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -182,34 +166,16 @@ func (w *Watcher) reconnect() error {
 			}
 			return nil
 		}
-		var we *ship.WireError
-		definitive := errors.As(err, &we) &&
-			we.Code != ship.CodeOverloaded && we.Code != ship.CodeShutdown && we.Code != ship.CodeProto
-		if attempt >= w.opts.Retries || definitive {
+		if attempt >= w.opts.Retries || ship.Definitive(err) != nil {
 			return err
 		}
 		var hint time.Duration
-		if we != nil {
+		var we *ship.WireError
+		if errors.As(err, &we) {
 			hint = time.Duration(we.RetryAfterMs) * time.Millisecond
 		}
-		time.Sleep(w.backoff(attempt, hint))
+		time.Sleep(w.opts.backoff(w.rng, attempt, hint))
 	}
-}
-
-// backoff mirrors Client.backoffLocked: jittered exponential in
-// [d/2, d], capped at RetryMax, with a server hint overriding the base.
-func (w *Watcher) backoff(attempt int, hint time.Duration) time.Duration {
-	d := w.opts.RetryBase << uint(attempt)
-	if d <= 0 || d > w.opts.RetryMax {
-		d = w.opts.RetryMax
-	}
-	if hint > 0 {
-		d = hint
-		if d > w.opts.RetryMax {
-			d = w.opts.RetryMax
-		}
-	}
-	return d/2 + time.Duration(w.rng.Int63n(int64(d/2)+1))
 }
 
 // Next blocks for the next committed root change. It buffers whole
@@ -243,13 +209,8 @@ func (w *Watcher) Next() (ship.Notify, error) {
 			w.conn.Close()
 			w.setConn(nil)
 		}
-		if w.opts.Retries <= 0 {
+		if w.opts.Retries <= 0 || ship.Definitive(err) != nil {
 			return ship.Notify{}, err
-		}
-		var we *ship.WireError
-		if errors.As(err, &we) && we.Code != ship.CodeOverloaded &&
-			we.Code != ship.CodeShutdown && we.Code != ship.CodeProto {
-			return ship.Notify{}, err // definitive server answer
 		}
 		if rerr := w.reconnect(); rerr != nil {
 			return ship.Notify{}, rerr

@@ -705,13 +705,13 @@ func TestHedgedReadBeatsStraggler(t *testing.T) {
 func TestCoordinatorBackpressure(t *testing.T) {
 	tc := bootCluster(t, 1, 1, func(c *cluster.Config) { c.MaxInflight = 1 })
 
-	release, werr := tc.co.Acquire()
-	if werr != nil {
-		t.Fatalf("first acquire refused: %v", werr)
+	gate := tc.co.Gate()
+	if werr := gate.Enter(); werr != nil {
+		t.Fatalf("first enter refused: %v", werr)
 	}
-	_, werr = tc.co.Acquire()
+	werr := gate.Enter()
 	if werr == nil {
-		t.Fatal("second acquire passed a full gate")
+		t.Fatal("second enter passed a full gate")
 	}
 	if werr.Code != ship.CodeOverloaded {
 		t.Fatalf("refusal code %s, want %s", werr.Code, ship.CodeOverloaded)
@@ -719,12 +719,11 @@ func TestCoordinatorBackpressure(t *testing.T) {
 	if werr.RetryAfterMs == 0 {
 		t.Fatal("refusal carries no retry-after hint")
 	}
-	release()
-	release2, werr := tc.co.Acquire()
-	if werr != nil {
-		t.Fatalf("acquire after release refused: %v", werr)
+	gate.Leave()
+	if werr := gate.Enter(); werr != nil {
+		t.Fatalf("enter after leave refused: %v", werr)
 	}
-	release2()
+	gate.Leave()
 	if tc.co.Stats().Shed == 0 {
 		t.Fatal("shed counter did not move")
 	}

@@ -25,10 +25,12 @@ const (
 	DefaultRetryMax       = 250 * time.Millisecond
 	DefaultMaxInflight    = 128
 	DefaultRetryAfter     = 50 * time.Millisecond
-	DefaultPoolSize       = 4
 	DefaultProbeInterval  = 250 * time.Millisecond
 	DefaultRepairInterval = 250 * time.Millisecond
 )
+
+// poolSize bounds the idle-session pool kept per replica.
+const poolSize = 4
 
 // Config tunes a Coordinator.
 type Config struct {
@@ -56,8 +58,6 @@ type Config struct {
 	MaxInflight int
 	// RetryAfter is the hint attached to coordinator refusals.
 	RetryAfter time.Duration
-	// PoolSize bounds the idle-session pool kept per replica.
-	PoolSize int
 	// ProbeInterval paces the health probes that revive replicas marked
 	// down by request failures. 0 means the default; negative disables
 	// probing (tests drive MarkAllUp by hand).
@@ -152,7 +152,7 @@ type Coordinator struct {
 	cfg    Config
 	shards []*shard
 
-	inflight chan struct{}
+	gate *ship.Gate
 
 	keyMu   sync.Mutex
 	rng     *rand.Rand
@@ -165,7 +165,6 @@ type Coordinator struct {
 	hedges    atomic.Int64
 	hedgeWins atomic.Int64
 	partials  atomic.Int64
-	shed      atomic.Int64
 
 	handoffWrites  atomic.Int64
 	repairShipped  atomic.Int64
@@ -204,9 +203,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = DefaultRetryAfter
 	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = DefaultPoolSize
-	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
@@ -220,6 +216,7 @@ func New(cfg Config) (*Coordinator, error) {
 	co := &Coordinator{
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(seed)),
+		gate:       ship.NewGate(cfg.MaxInflight, cfg.RetryAfter, "coordinator"),
 		stopProbe:  make(chan struct{}),
 		stopRepair: make(chan struct{}),
 	}
@@ -246,9 +243,6 @@ func New(cfg Config) (*Coordinator, error) {
 			}
 			s.replicas = append(s.replicas, rep)
 		}
-	}
-	if cfg.MaxInflight > 0 {
-		co.inflight = make(chan struct{}, cfg.MaxInflight)
 	}
 	if cfg.ProbeInterval > 0 {
 		co.probeWG.Add(1)
@@ -324,33 +318,9 @@ func (co *Coordinator) clientSeed() int64 {
 	return co.rng.Int63() + 1
 }
 
-// Acquire claims a coordinator execution slot, refusing with a typed
-// overload error when the gate is full. The refusal happens before any
-// shard is contacted, so it is safely retryable for every verb.
-func (co *Coordinator) Acquire() (release func(), werr *ship.WireError) {
-	if co.inflight == nil {
-		return func() {}, nil
-	}
-	select {
-	case co.inflight <- struct{}{}:
-		return func() { <-co.inflight }, nil
-	default:
-		co.shed.Add(1)
-		return nil, &ship.WireError{
-			Code:         ship.CodeOverloaded,
-			Msg:          "coordinator at inflight capacity, retry later",
-			RetryAfterMs: uint32(co.cfg.RetryAfter / time.Millisecond),
-		}
-	}
-}
-
-// InflightCount reports how many requests hold a coordinator slot.
-func (co *Coordinator) InflightCount() int {
-	if co.inflight == nil {
-		return 0
-	}
-	return len(co.inflight)
-}
+// Gate is the coordinator's inflight bound. The refusal happens before
+// any shard is contacted, composing with each shard's own gate.
+func (co *Coordinator) Gate() *ship.Gate { return co.gate }
 
 // --- replica sessions -------------------------------------------------------
 
@@ -381,7 +351,7 @@ func (rep *replica) get(co *Coordinator) (*client.Client, error) {
 // put returns a session to the pool, or closes it when the pool is full.
 func (rep *replica) put(co *Coordinator, c *client.Client) {
 	rep.mu.Lock()
-	if len(rep.idle) < co.cfg.PoolSize && !co.closed.Load() {
+	if len(rep.idle) < poolSize && !co.closed.Load() {
 		rep.idle = append(rep.idle, c)
 		rep.mu.Unlock()
 		return
@@ -470,30 +440,6 @@ func (s *shard) liveFirst() []*replica {
 		}
 	}
 	return out
-}
-
-// --- error taxonomy ---------------------------------------------------------
-
-// definitive reports whether a shard error is a real answer (exec
-// failure, compile failure, not-found, degraded, budget, conflict …)
-// rather than an availability problem. Definitive answers propagate to
-// the client; availability problems drive failover, partial
-// degradation, or a retryable refusal. A transaction conflict is
-// deliberately definitive: the shard is healthy and its replicas hold
-// the same objects, so failing over would lose, not win, the race —
-// the client retries the whole request and re-executes against a
-// fresh snapshot.
-func definitive(err error) bool {
-	var we *ship.WireError
-	if !errors.As(err, &we) {
-		return false // transport, dial, framing: availability
-	}
-	switch we.Code {
-	case ship.CodeOverloaded, ship.CodeShutdown, ship.CodeProto:
-		return false
-	default:
-		return true
-	}
 }
 
 // errAllLagging marks a shard whose every replica is held out of reads
@@ -669,7 +615,7 @@ func (co *Coordinator) readShard(s *shard, op func(*client.Client) (*ship.Result
 				}
 				continue
 			}
-			if definitive(o.err) {
+			if ship.Definitive(o.err) != nil {
 				// The shard answered; that IS the result of the read.
 				cancelOthers(o.att)
 				drain(pending)
@@ -753,7 +699,7 @@ func (co *Coordinator) writeShard(s *shard, wr *shardWrite) (*ship.Result, error
 				continue
 			}
 			c.Close()
-			if definitive(err) {
+			if ship.Definitive(err) != nil {
 				return nil, err
 			}
 		}
@@ -821,8 +767,7 @@ func (co *Coordinator) deferWrite(s *shard, rep *replica, wr *shardWrite) *ship.
 				return nil
 			}
 			c.Close()
-			var we *ship.WireError
-			if definitive(err) && errors.As(err, &we) {
+			if we := ship.Definitive(err); we != nil {
 				return we
 			}
 		}
@@ -892,7 +837,7 @@ func (co *Coordinator) scatterSubmit(fwd *ship.Submit, policy ship.Merge) (*ship
 		if err == nil {
 			continue
 		}
-		if definitive(err) {
+		if ship.Definitive(err) != nil {
 			// One shard's real answer (an exec error, a compile error)
 			// is the query's answer, exactly as on a single node.
 			return nil, err
@@ -1031,7 +976,7 @@ func (co *Coordinator) Health() ship.Health {
 			h.Status = "degraded"
 		}
 	}
-	h.Inflight = co.InflightCount()
+	h.Inflight = co.gate.Inflight()
 	return h
 }
 
@@ -1045,7 +990,7 @@ func (co *Coordinator) Stats() *ship.ClusterStats {
 		Hedges:         co.hedges.Load(),
 		HedgeWins:      co.hedgeWins.Load(),
 		Partials:       co.partials.Load(),
-		Shed:           co.shed.Load(),
+		Shed:           co.gate.Shed(),
 		HandoffWrites:  co.handoffWrites.Load(),
 		RepairShipped:  co.repairShipped.Load(),
 		Repairs:        co.repairs.Load(),

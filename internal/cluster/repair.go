@@ -114,7 +114,7 @@ func (co *Coordinator) drainReplica(s *shard, rep *replica) bool {
 		sok, err := c.Sync(items)
 		if err != nil {
 			c.Close()
-			if definitive(err) {
+			if ship.Definitive(err) != nil {
 				// The replica refused an acked write: replay cannot
 				// converge this store. Latch it out of reads and say so.
 				co.repairMismatch.Add(1)

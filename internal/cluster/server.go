@@ -32,7 +32,7 @@ func NewServer(co *Coordinator) *ship.FrontEnd {
 		// Sessions carry no state of their own: one table serves them all.
 		Session: func(*ship.Session) map[ship.Verb]ship.Handler { return verbs },
 		Stats: func(out *ship.ServerStats) {
-			out.Inflight = co.InflightCount()
+			out.Inflight = co.gate.Inflight()
 			out.Cluster = co.Stats()
 			out.Shed = out.Cluster.Shed
 		},
@@ -58,11 +58,10 @@ func NewServer(co *Coordinator) *ship.FrontEnd {
 func (co *Coordinator) work(h func(body []byte) (*ship.Result, error)) ship.Handler {
 	return func(body []byte) (ship.Verb, []byte, *ship.WireError) {
 		start := time.Now()
-		release, werr := co.Acquire()
-		if werr != nil {
+		if werr := co.gate.Enter(); werr != nil {
 			return 0, nil, werr
 		}
-		defer release()
+		defer co.gate.Leave()
 		res, err := h(body)
 		if err != nil {
 			return 0, nil, ship.WireErr(ship.CodeInternal, err)

@@ -484,41 +484,30 @@ func errBody(err error) errJSON {
 }
 
 // httpStatus maps a failure onto the HTTP surface: status, stable code
-// string, whether a retry can succeed, and the backoff hint.
+// string, whether a retry can succeed, and the backoff hint. A wire
+// error's status is its row in ship's per-code policy table; the status
+// alone decides retryability.
 func httpStatus(err error) (status int, code string, retryable bool, retryAfterMs uint32) {
 	var br *badRequest
-	if errors.As(err, &br) {
-		return http.StatusBadRequest, "bad-request", false, 0
-	}
 	var we *ship.WireError
-	if errors.As(err, &we) {
-		switch we.Code {
-		case ship.CodeProto, ship.CodeBadRequest:
-			return http.StatusBadRequest, we.Code.String(), false, 0
-		case ship.CodeNotFound:
-			return http.StatusNotFound, we.Code.String(), false, 0
-		case ship.CodeCompile, ship.CodeExec:
-			return http.StatusUnprocessableEntity, we.Code.String(), false, 0
-		case ship.CodeBudget:
-			return http.StatusRequestTimeout, we.Code.String(), false, 0
-		case ship.CodeConflict:
-			// Nothing was applied; re-execution against a fresh snapshot is
-			// always safe, so 409 is explicitly retryable.
-			return http.StatusConflict, we.Code.String(), true, we.RetryAfterMs
-		case ship.CodeOverloaded:
-			return http.StatusTooManyRequests, we.Code.String(), true, we.RetryAfterMs
-		case ship.CodeShutdown, ship.CodeDegraded:
-			return http.StatusServiceUnavailable, we.Code.String(), true, we.RetryAfterMs
-		default:
-			return http.StatusInternalServerError, we.Code.String(), false, 0
-		}
+	switch {
+	case errors.As(err, &br):
+		status, code = http.StatusBadRequest, "bad-request"
+	case errors.As(err, &we):
+		p := we.Code.Policy()
+		status, code, retryAfterMs = p.HTTP, p.Name, we.RetryAfterMs
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		status, code = 499, "canceled" // nginx's client-closed-request
+	default:
+		// Transport-level: the backend is unreachable (dial failed, or the
+		// retries ran out). The gateway is up; the backend may come back.
+		status, code, retryAfterMs = http.StatusBadGateway, "unreachable", 1000
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return 499, "canceled", false, 0 // nginx's client-closed-request
+	switch status {
+	case http.StatusConflict, http.StatusTooManyRequests, http.StatusBadGateway, http.StatusServiceUnavailable:
+		return status, code, true, retryAfterMs
 	}
-	// Transport-level: the backend is unreachable (dial failed, or the
-	// retries ran out). The gateway is up; the backend may come back.
-	return http.StatusBadGateway, "unreachable", true, 1000
+	return status, code, false, 0
 }
 
 func (g *Gateway) writeError(w http.ResponseWriter, err error) {

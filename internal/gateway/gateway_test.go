@@ -197,6 +197,41 @@ func TestGatewayErrorMapping(t *testing.T) {
 	}
 }
 
+// answer renders err the way the gateway answers a failed request:
+// status, decoded error body and the Retry-After header.
+func answer(t *testing.T, err error) (int, errJSON, string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	New(Config{}).writeError(rec, err)
+	var e errJSON
+	if jerr := json.Unmarshal(rec.Body.Bytes(), &e); jerr != nil {
+		t.Fatalf("error body %s: %v", rec.Body.Bytes(), jerr)
+	}
+	return rec.Code, e, rec.Header().Get("Retry-After")
+}
+
+// TestGatewayReplicaDownRetryable: a coordinator's replica-down refusal
+// applied nothing anywhere, so HTTP clients are told to back off and
+// retry (503 + Retry-After), not that the request failed for good.
+func TestGatewayReplicaDownRetryable(t *testing.T) {
+	status, e, after := answer(t, &ship.WireError{Code: ship.CodeReplicaDown, Msg: "r1 down", RetryAfterMs: 50})
+	if status != http.StatusServiceUnavailable || !e.Err.Retryable || e.Err.RetryAfterMs != 50 || after == "" {
+		t.Fatalf("replica-down → %d retryable=%t retry_after_ms=%d Retry-After=%q, want 503 true 50 set",
+			status, e.Err.Retryable, e.Err.RetryAfterMs, after)
+	}
+}
+
+// TestGatewayDegradedNotRetryable: a degraded write was already
+// published in memory and stays queued for the next flush, so an
+// unkeyed resend would apply it twice. HTTP clients must not be told to
+// retry it.
+func TestGatewayDegradedNotRetryable(t *testing.T) {
+	status, e, after := answer(t, &ship.WireError{Code: ship.CodeDegraded, Msg: "fsync failed"})
+	if status != http.StatusInternalServerError || e.Err.Retryable || after != "" {
+		t.Fatalf("degraded → %d retryable=%t Retry-After=%q, want 500 false unset", status, e.Err.Retryable, after)
+	}
+}
+
 // TestGatewayBodyLimit pins the request-size bound: a body one byte
 // over MaxBody is 400 without touching the server, one at the limit is
 // processed normally.

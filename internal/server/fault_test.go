@@ -75,16 +75,16 @@ func TestHealthVerb(t *testing.T) {
 	}
 }
 
-// TestOverloadShedding saturates the per-verb SUBMIT bound with one
+// TestOverloadShedding saturates a one-slot inflight gate with one
 // long-running request: the next submit is refused with CodeOverloaded
 // and a retry-after hint before any of it executes, while the cheap
 // probes (PING, STATS, HEALTH) bypass the gate so the saturated server
 // stays observable. Once the slot frees, submits are served again.
 func TestOverloadShedding(t *testing.T) {
 	srv, addr, _ := world(t, "", server.Config{
-		StepBudget:   1 << 60,
-		WallBudget:   time.Second,
-		VerbInflight: map[ship.Verb]int{ship.VSubmit: 1},
+		StepBudget:  1 << 60,
+		WallBudget:  time.Second,
+		MaxInflight: 1,
 	})
 	c1 := dial(t, addr)
 	done := make(chan error, 1)

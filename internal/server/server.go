@@ -18,7 +18,6 @@
 package server
 
 import (
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -66,10 +65,6 @@ type Config struct {
 	// retry-after hint instead of queueing unboundedly. 0 means
 	// DefaultMaxInflight; negative disables the bound.
 	MaxInflight int
-	// VerbInflight optionally bounds individual verbs tighter than
-	// MaxInflight (e.g. limit concurrent INSTALLs to 1 while CALLs run
-	// wide). Verbs absent from the map share only the global bound.
-	VerbInflight map[ship.Verb]int
 	// RetryAfter is the backoff hint attached to CodeOverloaded
 	// refusals; 0 means DefaultRetryAfter.
 	RetryAfter time.Duration
@@ -111,16 +106,13 @@ type Server struct {
 	// watch fans committed root changes out to WATCH subscribers, fed by
 	// the store's root hook (see watch.go).
 	watch *hub
-	// inflight is the global work-verb semaphore; verbSem the optional
-	// per-verb ones. nil channels mean "unbounded".
-	inflight chan struct{}
-	verbSem  map[ship.Verb]chan struct{}
+	// gate is the overload bound in front of the work verbs.
+	gate *ship.Gate
 
 	mu        sync.Mutex
 	modules   map[string]store.OID
 	degraded  bool
 	degReason string
-	shed      int64
 }
 
 // New builds a server over the store: linker, TL compiler with the
@@ -160,17 +152,7 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		mg:      relalg.NewManager(st),
 		modules: make(map[string]store.OID),
 		dedup:   cfg.Dedup,
-	}
-	if cfg.MaxInflight > 0 {
-		s.inflight = make(chan struct{}, cfg.MaxInflight)
-	}
-	if len(cfg.VerbInflight) > 0 {
-		s.verbSem = make(map[ship.Verb]chan struct{}, len(cfg.VerbInflight))
-		for v, n := range cfg.VerbInflight {
-			if n > 0 {
-				s.verbSem[v] = make(chan struct{}, n)
-			}
-		}
+		gate:    ship.NewGate(cfg.MaxInflight, cfg.RetryAfter, "server"),
 	}
 	for _, root := range st.Roots() {
 		if len(root) > len(linker.ModuleRoot) && root[:len(linker.ModuleRoot)] == linker.ModuleRoot {
@@ -190,7 +172,7 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		Stats:       s.fillStats,
 		Health: func(h *ship.Health) {
 			h.Degraded, h.Reason = s.Degraded()
-			h.Inflight = s.inflightCount()
+			h.Inflight = s.gate.Inflight()
 		},
 		// Watch sessions block on their subscriber queue, not a read: mark
 		// every subscription dead with a shutdown reason before idle
@@ -216,57 +198,6 @@ func (s *Server) module(name string) (store.OID, bool) {
 	defer s.mu.Unlock()
 	oid, ok := s.modules[name]
 	return oid, ok
-}
-
-// acquire claims an execution slot for one work verb, shedding the
-// request with CodeOverloaded (and a retry-after hint) when either the
-// global or the per-verb bound is exhausted. The refusal happens before
-// any part of the request executes, which is what makes it safely
-// retryable for every verb.
-func (s *Server) acquire(v ship.Verb) (release func(), werr *ship.WireError) {
-	overloaded := func(scope string) *ship.WireError {
-		s.mu.Lock()
-		s.shed++
-		s.mu.Unlock()
-		return &ship.WireError{
-			Code:         ship.CodeOverloaded,
-			Msg:          fmt.Sprintf("server at %s capacity, retry later", scope),
-			RetryAfterMs: uint32(s.cfg.RetryAfter / time.Millisecond),
-		}
-	}
-	if s.inflight != nil {
-		select {
-		case s.inflight <- struct{}{}:
-		default:
-			return nil, overloaded("inflight")
-		}
-	}
-	if sem := s.verbSem[v]; sem != nil {
-		select {
-		case sem <- struct{}{}:
-		default:
-			if s.inflight != nil {
-				<-s.inflight
-			}
-			return nil, overloaded(v.String())
-		}
-	}
-	return func() {
-		if sem := s.verbSem[v]; sem != nil {
-			<-sem
-		}
-		if s.inflight != nil {
-			<-s.inflight
-		}
-	}, nil
-}
-
-// inflightCount reports how many work requests hold a slot right now.
-func (s *Server) inflightCount() int {
-	if s.inflight == nil {
-		return 0
-	}
-	return len(s.inflight)
 }
 
 // enterDegraded latches the advisory degraded flag: this writer's commit
@@ -327,9 +258,9 @@ func (s *Server) ClearDegraded() error {
 // fillStats adds tycd's counters to the front end's snapshot.
 func (s *Server) fillStats(out *ship.ServerStats) {
 	s.mu.Lock()
-	out.Degraded, out.DegradedReason, out.Shed = s.degraded, s.degReason, s.shed
+	out.Degraded, out.DegradedReason = s.degraded, s.degReason
 	s.mu.Unlock()
-	out.Inflight = s.inflightCount()
+	out.Inflight, out.Shed = s.gate.Inflight(), s.gate.Shed()
 	out.IdemApplied, out.IdemDeduped = s.dedup.Counters()
 	out.Pipeline = s.pipe.CacheStats()
 	out.Indexes = s.mg.IndexStats()

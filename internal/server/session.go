@@ -49,11 +49,11 @@ func newSession(s *Server, c *ship.Session) *session {
 // PING/STATS/HEALTH/BYE.
 func (s *session) verbs() map[ship.Verb]ship.Handler {
 	return map[ship.Verb]ship.Handler{
-		ship.VInstall:  s.gated(ship.VInstall, result(s.handleInstall)),
-		ship.VCall:     s.gated(ship.VCall, result(s.handleCall)),
-		ship.VSubmit:   s.gated(ship.VSubmit, result(s.handleSubmit)),
-		ship.VOptimize: s.gated(ship.VOptimize, result(s.handleOptimize)),
-		ship.VSync:     s.gated(ship.VSync, s.handleSync),
+		ship.VInstall:  s.gated(result(s.handleInstall)),
+		ship.VCall:     s.gated(result(s.handleCall)),
+		ship.VSubmit:   s.gated(result(s.handleSubmit)),
+		ship.VOptimize: s.gated(result(s.handleOptimize)),
+		ship.VSync:     s.gated(s.handleSync),
 		// The anti-entropy probe stays outside the overload gate, like
 		// STATS: the repair loop must be able to compare digests against a
 		// busy shard without queueing behind the work it is repairing.
@@ -63,13 +63,12 @@ func (s *session) verbs() map[ship.Verb]ship.Handler {
 }
 
 // gated passes a work verb through the overload gate before it runs.
-func (s *session) gated(v ship.Verb, h ship.Handler) ship.Handler {
+func (s *session) gated(h ship.Handler) ship.Handler {
 	return func(body []byte) (ship.Verb, []byte, *ship.WireError) {
-		release, werr := s.srv.acquire(v)
-		if werr != nil {
+		if werr := s.srv.gate.Enter(); werr != nil {
 			return 0, nil, werr
 		}
-		defer release()
+		defer s.srv.gate.Leave()
 		return h(body)
 	}
 }

@@ -1093,7 +1093,9 @@ func DecodeResult(body []byte) (*Result, error) {
 	return m, r.done()
 }
 
-// ErrCode classifies a WireError.
+// ErrCode classifies a WireError. Every code has one row in the policy
+// table below; that row is the only place a code's meaning for retries,
+// failover and HTTP is written down.
 type ErrCode byte
 
 // The wire error codes.
@@ -1107,46 +1109,93 @@ const (
 	CodeShutdown   ErrCode = 7 // server is draining; no new work
 	CodeInternal   ErrCode = 8 // server-side invariant violation
 	// CodeOverloaded refuses a request the server has no capacity for
-	// right now; the request was NOT executed, so a retry after the
-	// RetryAfterMs hint is always safe.
+	// right now (see Gate).
 	CodeOverloaded ErrCode = 9
-	// CodeDegraded refuses a write while the server is in degraded
-	// read-only mode (store commits are failing); reads keep working.
+	// CodeDegraded answers a write whose commit was published in memory
+	// but failed to reach the disk. Other sessions keep reading and
+	// writing; the store keeps the failed records queued and the next
+	// successful flush makes them durable. The write is therefore NOT
+	// undone, and resending it unkeyed would apply it twice.
 	CodeDegraded ErrCode = 10
 	// CodeConflict aborts a request whose transaction lost a
 	// first-committer-wins race: another session committed a conflicting
-	// write first. Nothing was applied, so a retry — which re-executes
-	// against a fresh snapshot — is always safe.
+	// write first. Nothing was applied; a resend re-executes against a
+	// fresh snapshot.
 	CodeConflict ErrCode = 11
 	// CodeReplicaDown refuses a write-all application because a replica
 	// of the owning shard is down and the coordinator has no handoff log
 	// to defer the write into (-handoff-dir unset). Nothing was applied
-	// anywhere, so a retry after the RetryAfterMs hint is always safe —
-	// and tells clients to back off for the repair instead of hammering.
+	// anywhere; the RetryAfterMs hint tells clients to back off for the
+	// repair instead of hammering.
 	CodeReplicaDown ErrCode = 12
 )
 
-var codeNames = [...]string{
-	CodeProto:       "proto",
-	CodeBadRequest:  "bad-request",
-	CodeNotFound:    "not-found",
-	CodeCompile:     "compile",
-	CodeExec:        "exec",
-	CodeBudget:      "budget",
-	CodeShutdown:    "shutdown",
-	CodeInternal:    "internal",
-	CodeOverloaded:  "overloaded",
-	CodeDegraded:    "degraded",
-	CodeConflict:    "conflict",
-	CodeReplicaDown: "replica-down",
+// ErrClass is what a wire error says about the request it answers:
+// whether anything was applied, and whether sending it again can help.
+type ErrClass byte
+
+const (
+	// ClassAnswer is definitive: this is the request's outcome. Never
+	// resent, never failed over.
+	ClassAnswer ErrClass = iota
+	// ClassRefused means not executed: the answering server or replica
+	// cannot serve right now. Any verb may be resent; a coordinator
+	// fails over to another replica.
+	ClassRefused
+	// ClassAborted means nothing was applied, but the answer came from a
+	// healthy server. Any verb may be resent whole; failing over to
+	// another replica would not help.
+	ClassAborted
+)
+
+// CodePolicy is one error code's row in the wire-error policy.
+type CodePolicy struct {
+	Name  string
+	Class ErrClass
+	// HTTP is the status the gateway answers with.
+	HTTP int
+	// EndsSession marks codes after which the server closes the session:
+	// a client must reconnect before resending.
+	EndsSession bool
+}
+
+var codePolicies = [...]CodePolicy{
+	CodeProto:       {"proto", ClassRefused, 400, true}, // the request frame never decoded
+	CodeBadRequest:  {"bad-request", ClassAnswer, 400, false},
+	CodeNotFound:    {"not-found", ClassAnswer, 404, false},
+	CodeCompile:     {"compile", ClassAnswer, 422, false},
+	CodeExec:        {"exec", ClassAnswer, 422, false},
+	CodeBudget:      {"budget", ClassAnswer, 408, false},
+	CodeShutdown:    {"shutdown", ClassRefused, 503, true},
+	CodeInternal:    {"internal", ClassAnswer, 500, false},
+	CodeOverloaded:  {"overloaded", ClassRefused, 429, false},
+	CodeDegraded:    {"degraded", ClassAnswer, 500, false},
+	CodeConflict:    {"conflict", ClassAborted, 409, false},
+	CodeReplicaDown: {"replica-down", ClassAborted, 503, false},
+}
+
+// Policy returns the code's row. A code without one (sent by a newer
+// peer) is a definitive internal failure named code(N).
+func (c ErrCode) Policy() CodePolicy {
+	if int(c) < len(codePolicies) && codePolicies[c].Name != "" {
+		return codePolicies[c]
+	}
+	return CodePolicy{Name: fmt.Sprintf("code(%d)", byte(c)), Class: ClassAnswer, HTTP: 500}
 }
 
 // String names an error code.
-func (c ErrCode) String() string {
-	if int(c) < len(codeNames) && codeNames[c] != "" {
-		return codeNames[c]
+func (c ErrCode) String() string { return c.Policy().Name }
+
+// Definitive returns the wire error in err when it is a peer's real
+// answer (any class but refused), and nil otherwise. A nil result — a
+// transport or framing failure, or a refusal — says nothing about the
+// request, so a coordinator fails over and a watcher reconnects.
+func Definitive(err error) *WireError {
+	var we *WireError
+	if errors.As(err, &we) && we.Code.Policy().Class != ClassRefused {
+		return we
 	}
-	return fmt.Sprintf("code(%d)", byte(c))
+	return nil
 }
 
 // WireError is a structured server-side failure; it implements error so
@@ -1155,8 +1204,8 @@ type WireError struct {
 	Code ErrCode
 	Msg  string
 	// RetryAfterMs, when nonzero, hints how long a client should back
-	// off before retrying (set with CodeOverloaded). It travels as an
-	// optional trailing field: encoders omit it when zero, so frames
+	// off before retrying (set on overloaded and replica-down). It travels
+	// as an optional trailing field: encoders omit it when zero, so frames
 	// without the hint decode under both old and new readers.
 	RetryAfterMs uint32
 }

@@ -77,11 +77,16 @@ curl -sS -o "$work/r4" "$gw/v1/call" -d '{"fn":"ans"}'
 [ "$(jget "$work/r4" value)" = 42 ] || { echo "gwsmoke: saved call answered $(cat "$work/r4")"; exit 1; }
 
 # Error mapping: bad JSON is the gateway's 400, a missing module the
-# server's 404 — and neither disturbs the session pool.
-[ "$(curl -sS -o /dev/null -w '%{http_code}' "$gw/v1/submit" -d '{')" = 400 ] || {
+# server's 404, both definitive (retryable: false) — and neither
+# disturbs the session pool.
+[ "$(curl -sS -o "$work/e400" -w '%{http_code}' "$gw/v1/submit" -d '{')" = 400 ] || {
 	echo "gwsmoke: malformed body was not a 400"; exit 1; }
-[ "$(curl -sS -o /dev/null -w '%{http_code}' "$gw/v1/call" -d '{"module":"nope","fn":"f"}')" = 404 ] || {
+[ "$(jget "$work/e400" code)" = '"bad-request"' ] && [ "$(jget "$work/e400" retryable)" = false ] || {
+	echo "gwsmoke: 400 body $(cat "$work/e400")"; exit 1; }
+[ "$(curl -sS -o "$work/e404" -w '%{http_code}' "$gw/v1/call" -d '{"module":"nope","fn":"f"}')" = 404 ] || {
 	echo "gwsmoke: unknown module was not a 404"; exit 1; }
+[ "$(jget "$work/e404" code)" = '"not-found"' ] && [ "$(jget "$work/e404" retryable)" = false ] || {
+	echo "gwsmoke: 404 body $(cat "$work/e404")"; exit 1; }
 
 # Open an SSE watch, then commit a matching root: the push must carry
 # the root name and a CSN. curl -N streams; we stop it once the event
