@@ -45,12 +45,6 @@ func (m *Machine) NewBatch(fn Value, nargs int, compile bool) *Batch {
 	return b
 }
 
-// Compiled reports whether the batch runs compiled TAM code.
-func (b *Batch) Compiled() bool {
-	_, ok := b.target.(*TAMClosure)
-	return ok
-}
-
 // RowSafe reports that the first argument of a call — the row tuple in
 // the query calling convention — provably does not survive the call, so
 // the caller may reuse one tuple buffer across the whole batch.

@@ -101,19 +101,6 @@ func (m *Machine) program(oid store.OID) (*Program, error) {
 	return decoded, nil
 }
 
-// Relink invalidates the link caches for one OID (after the reflective
-// optimizer replaced its code) or for everything when oid is Nil.
-func (m *Machine) Relink(oid store.OID) {
-	m.linkMu.Lock()
-	defer m.linkMu.Unlock()
-	if oid == store.Nil {
-		m.linked = nil
-		m.programs = nil
-		return
-	}
-	delete(m.linked, oid)
-}
-
 // OverrideLink binds an OID to a specific runtime value, overriding lazy
 // linking; the reflective optimizer uses this to install dynamically
 // optimized code without touching the persistent original.

@@ -480,7 +480,7 @@ func jsonReply(resp Verb, v any) (Verb, []byte, *WireError) {
 // retrying client would re-execute the request for nothing.
 func Reply(res *Result, start time.Time) (Verb, []byte, *WireError) {
 	res.Info.Micros = time.Since(start).Microseconds()
-	n, err := res.size()
+	n, tail, err := sizeOf(res)
 	if err != nil {
 		return 0, nil, WireErr(CodeInternal, err)
 	}
@@ -488,7 +488,7 @@ func Reply(res *Result, start time.Time) (Verb, []byte, *WireError) {
 		return 0, nil, &WireError{Code: CodeBadRequest,
 			Msg: fmt.Sprintf("result of %d bytes exceeds the frame limit of %d", n, MaxFrameBody)}
 	}
-	return VResult, res.appendTo(make([]byte, 0, n)), nil
+	return VResult, appendBody(make([]byte, 0, n), res, tail), nil
 }
 
 // Send writes one frame to the peer; false means the connection is dead.

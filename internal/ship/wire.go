@@ -89,35 +89,58 @@ const (
 	VDigestOK Verb = 22 // response: Digests as a binary body
 )
 
-var verbNames = [...]string{
-	VHello:    "hello",
-	VWelcome:  "welcome",
-	VPing:     "ping",
-	VPong:     "pong",
-	VStats:    "stats",
-	VStatsOK:  "stats-ok",
-	VInstall:  "install",
-	VCall:     "call",
-	VSubmit:   "submit",
-	VOptimize: "optimize",
-	VResult:   "result",
-	VError:    "error",
-	VBye:      "bye",
-	VHealth:   "health",
-	VHealthOK: "health-ok",
-	VWatch:    "watch",
-	VWatchOK:  "watch-ok",
-	VNotify:   "notify",
-	VSync:     "sync",
-	VSyncOK:   "sync-ok",
-	VDigest:   "digest",
-	VDigestOK: "digest-ok",
+// bodyKind is what the body of a verb's frame carries.
+type bodyKind byte
+
+const (
+	bodyEmpty bodyKind = iota // nothing
+	bodyJSON                  // a JSON document
+	bodyCodec                 // a binary message laid out by codec.layout
+)
+
+// verbRow is one verb's row in the verb table.
+type verbRow struct {
+	name string
+	body bodyKind
+	msg  func() any // bodyCodec: a fresh message of the verb's type
+}
+
+// codecRow is the row of a verb whose body is a binary T.
+func codecRow[T any](name string) verbRow {
+	return verbRow{name, bodyCodec, func() any { return new(T) }}
+}
+
+// verbs has one row per verb; it is the only place a verb's name and
+// body are written down.
+var verbs = [...]verbRow{
+	VHello:    codecRow[Hello]("hello"),
+	VWelcome:  codecRow[Welcome]("welcome"),
+	VPing:     {name: "ping"},
+	VPong:     {name: "pong"},
+	VStats:    {name: "stats"},
+	VStatsOK:  {name: "stats-ok", body: bodyJSON}, // ServerStats
+	VInstall:  codecRow[Install]("install"),
+	VCall:     codecRow[Call]("call"),
+	VSubmit:   codecRow[Submit]("submit"),
+	VOptimize: codecRow[Optimize]("optimize"),
+	VResult:   codecRow[Result]("result"),
+	VError:    codecRow[WireError]("error"),
+	VBye:      {name: "bye"},
+	VHealth:   {name: "health"},
+	VHealthOK: {name: "health-ok", body: bodyJSON}, // Health
+	VWatch:    codecRow[Watch]("watch"),
+	VWatchOK:  codecRow[WatchOK]("watch-ok"),
+	VNotify:   codecRow[Notify]("notify"),
+	VSync:     codecRow[Sync]("sync"),
+	VSyncOK:   codecRow[SyncOK]("sync-ok"),
+	VDigest:   codecRow[Digest]("digest"),
+	VDigestOK: codecRow[DigestOK]("digest-ok"),
 }
 
 // String names a verb for logs, errors and the per-verb counters.
 func (v Verb) String() string {
-	if int(v) < len(verbNames) && verbNames[v] != "" {
-		return verbNames[v]
+	if int(v) < len(verbs) && verbs[v].name != "" {
+		return verbs[v].name
 	}
 	return fmt.Sprintf("verb(%d)", byte(v))
 }
@@ -350,14 +373,13 @@ func appendScalar(b []byte, v *WVal) []byte {
 	return b
 }
 
-func (r *cursor) wval() WVal {
-	var v WVal
+// wval decodes a value into the zero value v.
+func (r *cursor) wval(v *WVal) {
 	if k := WKind(r.u8()); k != WRel {
-		r.scalar(k, &v)
+		r.scalar(k, v)
 	} else {
-		v = WVal{Kind: WRel, Rel: r.table()}
+		v.Kind, v.Rel = WRel, r.table()
 	}
-	return v
 }
 
 // scalar decodes the payload of a value of kind k into v; a relation is
@@ -440,35 +462,11 @@ type Hello struct {
 	Client  string // free-form client identification for the server log
 }
 
-// Encode serialises the message body.
-func (m *Hello) Encode() []byte {
-	return appendStr(appendU32(make([]byte, 0, 8+len(m.Client)), m.Version), m.Client)
-}
-
-// DecodeHello deserialises a Hello body.
-func DecodeHello(body []byte) (*Hello, error) {
-	r := wireCursor(body)
-	m := &Hello{Version: r.u32(), Client: r.str()}
-	return m, r.done()
-}
-
 // Welcome accepts a session.
 type Welcome struct {
 	Version uint32
 	Server  string
 	Session uint64 // server-assigned session id
-}
-
-// Encode serialises the message body.
-func (m *Welcome) Encode() []byte {
-	return appendU64(appendStr(appendU32(make([]byte, 0, 16+len(m.Server)), m.Version), m.Server), m.Session)
-}
-
-// DecodeWelcome deserialises a Welcome body.
-func DecodeWelcome(body []byte) (*Welcome, error) {
-	r := wireCursor(body)
-	m := &Welcome{Version: r.u32(), Server: r.str(), Session: r.u64()}
-	return m, r.done()
 }
 
 // Install compiles and installs a TL module from source text.
@@ -477,27 +475,8 @@ type Install struct {
 	// IdemKey, when non-empty, is a client-chosen idempotency key: the
 	// server records the response under key × source hash and answers a
 	// retried install from the record instead of installing twice.
-	// Optional trailing field — omitted when empty for compatibility.
+	// Optional trailing field.
 	IdemKey string
-}
-
-// Encode serialises the message body.
-func (m *Install) Encode() []byte {
-	b := appendStr(make([]byte, 0, 8+len(m.Source)+len(m.IdemKey)), m.Source)
-	if m.IdemKey != "" {
-		b = appendStr(b, m.IdemKey)
-	}
-	return b
-}
-
-// DecodeInstall deserialises an Install body.
-func DecodeInstall(body []byte) (*Install, error) {
-	r := wireCursor(body)
-	m := &Install{Source: r.str()}
-	if r.rem() > 0 {
-		m.IdemKey = r.str()
-	}
-	return m, r.done()
 }
 
 // Call applies an exported function of an installed module — or, with
@@ -506,35 +485,6 @@ type Call struct {
 	Module string
 	Fn     string
 	Args   []WVal
-}
-
-// Encode serialises the message body.
-func (m *Call) Encode() ([]byte, error) {
-	n := 4 + len(m.Module) + 4 + len(m.Fn) + 4
-	for i := range m.Args {
-		k, err := wvalSize(&m.Args[i])
-		if err != nil {
-			return nil, err
-		}
-		n += k
-	}
-	b := appendStr(appendStr(make([]byte, 0, n), m.Module), m.Fn)
-	b = appendU32(b, uint32(len(m.Args)))
-	for i := range m.Args {
-		b = appendWVal(b, &m.Args[i])
-	}
-	return b, nil
-}
-
-// DecodeCall deserialises a Call body.
-func DecodeCall(body []byte) (*Call, error) {
-	r := wireCursor(body)
-	m := &Call{Module: r.str(), Fn: r.str()}
-	n := r.count(1) // smallest value (WNil) is one kind byte
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Args = append(m.Args, r.wval())
-	}
-	return m, r.done()
 }
 
 // Merge selects how a cluster coordinator combines the per-shard
@@ -609,91 +559,15 @@ type Submit struct {
 	// IdemKey, when non-empty, is a client-chosen idempotency key: the
 	// server records the response under key × α-hash and answers a
 	// retried submit from the record, so a retried save= is applied
-	// exactly once. Optional trailing field — omitted when empty for
-	// compatibility.
+	// exactly once. Optional trailing field.
 	IdemKey string
 	// Merge is the coordinator's scatter merge policy (see Merge).
-	// Optional trailing field — omitted when MergeAuto.
+	// Optional trailing field.
 	Merge Merge
 	// Explain asks the server to attach the executed physical plan —
 	// chosen algorithms with estimated vs. actual cardinalities — to the
-	// Result. Optional trailing field — omitted when false.
+	// Result. Optional trailing field.
 	Explain bool
-}
-
-// trailing is how many of the optional trailing fields (IdemKey, Merge,
-// Explain) an encoding carries: an earlier field is written whenever a
-// later one is, so old frames stay decodable and new fields are only
-// paid for when used.
-func (m *Submit) trailing() int {
-	switch {
-	case m.Explain:
-		return 3
-	case m.Merge != MergeAuto:
-		return 2
-	case m.IdemKey != "":
-		return 1
-	}
-	return 0
-}
-
-// Encode serialises the message body.
-func (m *Submit) Encode() ([]byte, error) {
-	n := 4 + len(m.Name) + 4 + len(m.PTML) + 4 + 1 + 4 + len(m.Save) + 4 + len(m.IdemKey) + 2
-	for i := range m.Binds {
-		k, err := wvalSize(&m.Binds[i].Val)
-		if err != nil {
-			return nil, err
-		}
-		n += 4 + len(m.Binds[i].Name) + k
-	}
-	b := appendBytes(appendStr(make([]byte, 0, n), m.Name), m.PTML)
-	b = appendU32(b, uint32(len(m.Binds)))
-	for i := range m.Binds {
-		b = appendWVal(appendStr(b, m.Binds[i].Name), &m.Binds[i].Val)
-	}
-	b = appendStr(appendBool(b, m.Optimize), m.Save)
-	tail := m.trailing()
-	if tail >= 1 {
-		b = appendStr(b, m.IdemKey)
-	}
-	if tail >= 2 {
-		b = append(b, byte(m.Merge))
-	}
-	if tail >= 3 {
-		b = appendBool(b, m.Explain)
-	}
-	return b, nil
-}
-
-// DecodeSubmit deserialises a Submit body. It accepts exactly the
-// encodings Encode produces: a flag byte is 0 or 1, and a trailing field
-// is present only when Encode would have written it.
-func DecodeSubmit(body []byte) (*Submit, error) {
-	r := wireCursor(body)
-	m := &Submit{Name: r.str(), PTML: r.bytesField()}
-	if n := r.count(5); n > 0 { // smallest bind: empty name (4-byte length) + kind byte
-		m.Binds = make([]WBind, n)
-		for i := range m.Binds {
-			m.Binds[i] = WBind{Name: r.str(), Val: r.wval()}
-		}
-	}
-	m.Optimize = r.flag()
-	m.Save = r.str()
-	tail := 0
-	if r.rem() > 0 {
-		m.IdemKey, tail = r.str(), 1
-	}
-	if r.rem() > 0 {
-		m.Merge, tail = Merge(r.u8()), 2
-	}
-	if r.rem() > 0 {
-		m.Explain, tail = r.flag(), 3
-	}
-	if tail != m.trailing() {
-		r.failf("non-canonical trailing fields")
-	}
-	return m, r.done()
 }
 
 // Optimize reflectively optimizes an exported function server-side and
@@ -702,18 +576,6 @@ func DecodeSubmit(body []byte) (*Submit, error) {
 type Optimize struct {
 	Module string
 	Fn     string
-}
-
-// Encode serialises the message body.
-func (m *Optimize) Encode() []byte {
-	return appendStr(appendStr(make([]byte, 0, 8+len(m.Module)+len(m.Fn)), m.Module), m.Fn)
-}
-
-// DecodeOptimize deserialises an Optimize body.
-func DecodeOptimize(body []byte) (*Optimize, error) {
-	r := wireCursor(body)
-	m := &Optimize{Module: r.str(), Fn: r.str()}
-	return m, r.done()
 }
 
 // Watch subscribes the session to committed root changes. After the
@@ -728,35 +590,8 @@ type Watch struct {
 	// SinceCSN resumes a subscription: the server replays the committed
 	// changes with CSN strictly greater than it before going live, so a
 	// client reconnecting after connection loss misses nothing. Zero asks
-	// for changes from now on. Optional trailing field — omitted when
-	// zero for compatibility.
+	// for changes from now on. Optional trailing field.
 	SinceCSN uint64
-}
-
-// Encode serialises the message body.
-func (m *Watch) Encode() []byte {
-	b := appendU32(nil, uint32(len(m.Patterns)))
-	for _, p := range m.Patterns {
-		b = appendStr(b, p)
-	}
-	if m.SinceCSN != 0 {
-		b = appendU64(b, m.SinceCSN)
-	}
-	return b
-}
-
-// DecodeWatch deserialises a Watch body.
-func DecodeWatch(body []byte) (*Watch, error) {
-	r := wireCursor(body)
-	m := &Watch{}
-	n := r.count(4) // smallest pattern: a 4-byte length prefix
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Patterns = append(m.Patterns, r.str())
-	}
-	if r.rem() > 0 {
-		m.SinceCSN = r.u64()
-	}
-	return m, r.done()
 }
 
 // WatchOK accepts a subscription. CSN is the stream position: every
@@ -765,18 +600,6 @@ func DecodeWatch(body []byte) (*Watch, error) {
 // client's SinceCSN).
 type WatchOK struct {
 	CSN uint64
-}
-
-// Encode serialises the message body.
-func (m *WatchOK) Encode() []byte {
-	return appendU64(make([]byte, 0, 8), m.CSN)
-}
-
-// DecodeWatchOK deserialises a WatchOK body.
-func DecodeWatchOK(body []byte) (*WatchOK, error) {
-	r := wireCursor(body)
-	m := &WatchOK{CSN: r.u64()}
-	return m, r.done()
 }
 
 // Notify is one committed root change pushed to a WATCH subscriber:
@@ -789,29 +612,10 @@ type Notify struct {
 	CSN  uint64
 	// More marks that further notifications of the SAME commit follow,
 	// so a subscriber can apply a whole commit atomically (the last
-	// change of a batch has More false). Optional trailing field —
-	// omitted when false, so frames from servers predating it decode as
-	// single-change commits, which is what those servers send.
+	// change of a batch has More false). Optional trailing field, so
+	// frames from servers predating it decode as single-change commits,
+	// which is what those servers send.
 	More bool
-}
-
-// Encode serialises the message body.
-func (m *Notify) Encode() []byte {
-	b := appendU64(appendU64(appendStr(make([]byte, 0, 4+len(m.Root)+17), m.Root), m.OID), m.CSN)
-	if m.More {
-		b = append(b, 1)
-	}
-	return b
-}
-
-// DecodeNotify deserialises a Notify body.
-func DecodeNotify(body []byte) (*Notify, error) {
-	r := wireCursor(body)
-	m := &Notify{Root: r.str(), OID: r.u64(), CSN: r.u64()}
-	if r.rem() > 0 {
-		m.More = r.u8() != 0
-	}
-	return m, r.done()
 }
 
 // MatchRoot reports whether a root name matches a watch pattern: '*'
@@ -863,45 +667,9 @@ type Sync struct {
 	Items []ShipItem
 }
 
-// Encode serialises the message body.
-func (m *Sync) Encode() []byte {
-	n := 4
-	for _, it := range m.Items {
-		n += 1 + 4 + len(it.Body)
-	}
-	b := appendU32(make([]byte, 0, n), uint32(len(m.Items)))
-	for _, it := range m.Items {
-		b = appendBytes(append(b, byte(it.Verb)), it.Body)
-	}
-	return b
-}
-
-// DecodeSync deserialises a Sync body.
-func DecodeSync(body []byte) (*Sync, error) {
-	r := wireCursor(body)
-	m := &Sync{}
-	n := r.count(5) // smallest item: verb byte + 4-byte body length
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Items = append(m.Items, ShipItem{Verb: Verb(r.u8()), Body: r.bytesField()})
-	}
-	return m, r.done()
-}
-
 // SyncOK confirms a Sync batch: every item applied (or deduped).
 type SyncOK struct {
 	Applied uint32 // items processed, always len(Items) on success
-}
-
-// Encode serialises the message body.
-func (m *SyncOK) Encode() []byte {
-	return appendU32(make([]byte, 0, 4), m.Applied)
-}
-
-// DecodeSyncOK deserialises a SyncOK body.
-func DecodeSyncOK(body []byte) (*SyncOK, error) {
-	r := wireCursor(body)
-	m := &SyncOK{Applied: r.u32()}
-	return m, r.done()
 }
 
 // Digest asks a server for its per-root anti-entropy digests. Prefix
@@ -909,18 +677,6 @@ func DecodeSyncOK(body []byte) (*SyncOK, error) {
 // repair loop asks for everything, tests for narrower slices.
 type Digest struct {
 	Prefix string
-}
-
-// Encode serialises the message body.
-func (m *Digest) Encode() []byte {
-	return appendStr(make([]byte, 0, 4+len(m.Prefix)), m.Prefix)
-}
-
-// DecodeDigest deserialises a Digest body.
-func DecodeDigest(body []byte) (*Digest, error) {
-	r := wireCursor(body)
-	m := &Digest{Prefix: r.str()}
-	return m, r.done()
 }
 
 // RootDigest is one root's structural digest: a hex hash of the object
@@ -945,26 +701,6 @@ type DigestOK struct {
 	Roots []RootDigest
 }
 
-// Encode serialises the message body.
-func (m *DigestOK) Encode() []byte {
-	b := appendU32(appendU64(appendU64(nil, m.CSN), m.Epoch), uint32(len(m.Roots)))
-	for _, rd := range m.Roots {
-		b = appendStr(appendStr(b, rd.Name), rd.Digest)
-	}
-	return b
-}
-
-// DecodeDigestOK deserialises a DigestOK body.
-func DecodeDigestOK(body []byte) (*DigestOK, error) {
-	r := wireCursor(body)
-	m := &DigestOK{CSN: r.u64(), Epoch: r.u64()}
-	n := r.count(8) // smallest root digest: two 4-byte length prefixes
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Roots = append(m.Roots, RootDigest{Name: r.str(), Digest: r.str()})
-	}
-	return m, r.done()
-}
-
 // ExecInfo is the per-request execution record attached to a Result.
 type ExecInfo struct {
 	Steps    int64 // abstract machine steps charged to the request
@@ -982,115 +718,15 @@ type Result struct {
 	// Partial marks a degraded cluster answer: one or more shards were
 	// unreachable, the value covers only the reachable ones, and Missing
 	// names the hash ranges whose rows are absent ("shardN:[lo,hi)").
-	// The pair travels as an optional trailing extension — a plain tycd
-	// answer never carries it, and old frames decode without it.
+	// The pair is one optional trailing group — a plain tycd answer
+	// never carries it, and old frames decode without it.
 	Partial bool
 	Missing []string
 	// Explain is the rendered physical plan when the request asked for
 	// one (Submit.Explain): one operator per line, chosen algorithm with
-	// estimated vs. actual cardinalities. Optional trailing extension
-	// behind the partial block — omitted when empty.
+	// estimated vs. actual cardinalities. Optional trailing field behind
+	// the partial group.
 	Explain string
-}
-
-// trailing is how many of the optional trailing blocks (the partial
-// block, Explain) an encoding carries; the partial block is the carrier
-// for everything behind it.
-func (m *Result) trailing() int {
-	switch {
-	case m.Explain != "":
-		return 2
-	case m.Partial:
-		return 1
-	}
-	return 0
-}
-
-// size is the encoded length of the body, or the reason the value has no
-// wire form.
-func (m *Result) size() (int, error) {
-	n, err := wvalSize(&m.Val)
-	if err != nil {
-		return 0, err
-	}
-	n += 8 + 8 + 1 + 8 + 8
-	if tail := m.trailing(); tail >= 1 {
-		n += 1 + 4
-		for _, rng := range m.Missing {
-			n += 4 + len(rng)
-		}
-		if tail >= 2 {
-			n += 4 + len(m.Explain)
-		}
-	}
-	return n, nil
-}
-
-// Encode serialises the message body into one buffer sized up front.
-func (m *Result) Encode() ([]byte, error) {
-	n, err := m.size()
-	if err != nil {
-		return nil, err
-	}
-	return m.appendTo(make([]byte, 0, n)), nil
-}
-
-// appendTo appends the body of a result size accepted.
-func (m *Result) appendTo(b []byte) []byte {
-	b = appendWVal(b, &m.Val)
-	b = appendU64(appendU64(b, uint64(m.Info.Steps)), uint64(m.Info.Micros))
-	flags := byte(0)
-	if m.Info.CacheHit {
-		flags |= 1
-	}
-	if m.Info.Shared {
-		flags |= 2
-	}
-	b = appendU64(appendU64(append(b, flags), uint64(m.Info.Rewrites)), uint64(m.Info.Inlined))
-	if tail := m.trailing(); tail >= 1 {
-		b = appendU32(appendBool(b, m.Partial), uint32(len(m.Missing)))
-		for _, rng := range m.Missing {
-			b = appendStr(b, rng)
-		}
-		if tail >= 2 {
-			b = appendStr(b, m.Explain)
-		}
-	}
-	return b
-}
-
-// DecodeResult deserialises a Result body. Like DecodeSubmit it accepts
-// exactly the encodings Encode produces.
-func DecodeResult(body []byte) (*Result, error) {
-	r := wireCursor(body)
-	m := &Result{Val: r.wval()}
-	m.Info.Steps = int64(r.u64())
-	m.Info.Micros = int64(r.u64())
-	flags := r.u8()
-	if flags&^3 != 0 {
-		r.failf("unknown result flags %#x", flags)
-	}
-	m.Info.CacheHit = flags&1 != 0
-	m.Info.Shared = flags&2 != 0
-	m.Info.Rewrites = int64(r.u64())
-	m.Info.Inlined = int64(r.u64())
-	tail := 0
-	if r.rem() > 0 {
-		m.Partial, tail = r.flag(), 1
-		if n := r.count(4); n > 0 { // smallest missing range: a 4-byte length prefix
-			m.Missing = make([]string, n)
-			for i := range m.Missing {
-				m.Missing[i] = r.str()
-			}
-		}
-	}
-	if r.rem() > 0 {
-		m.Explain, tail = r.str(), 2
-	}
-	if tail != m.trailing() {
-		r.failf("non-canonical trailing fields")
-	}
-	return m, r.done()
 }
 
 // ErrCode classifies a WireError. Every code has one row in the policy
@@ -1205,31 +841,12 @@ type WireError struct {
 	Msg  string
 	// RetryAfterMs, when nonzero, hints how long a client should back
 	// off before retrying (set on overloaded and replica-down). It travels
-	// as an optional trailing field: encoders omit it when zero, so frames
-	// without the hint decode under both old and new readers.
+	// as an optional trailing field, so frames without the hint decode
+	// under both old and new readers.
 	RetryAfterMs uint32
 }
 
 func (e *WireError) Error() string { return fmt.Sprintf("tycd: %s: %s", e.Code, e.Msg) }
-
-// Encode serialises the message body.
-func (e *WireError) Encode() []byte {
-	b := appendStr(append(make([]byte, 0, 1+4+len(e.Msg)+4), byte(e.Code)), e.Msg)
-	if e.RetryAfterMs != 0 {
-		b = appendU32(b, e.RetryAfterMs)
-	}
-	return b
-}
-
-// DecodeWireError deserialises a WireError body.
-func DecodeWireError(body []byte) (*WireError, error) {
-	r := wireCursor(body)
-	e := &WireError{Code: ErrCode(r.u8()), Msg: r.str()}
-	if r.rem() > 0 {
-		e.RetryAfterMs = r.u32()
-	}
-	return e, r.done()
-}
 
 // --- server statistics -----------------------------------------------------
 
@@ -1359,7 +976,7 @@ type ClusterStats struct {
 	Replicas       []ReplicaStat `json:"replicas,omitempty"`
 }
 
-// / Health is the HEALTH response payload (JSON, like ServerStats): a
+// Health is the HEALTH response payload (JSON, like ServerStats): a
 // cheap probe a load balancer or retrying client can poll without
 // touching the execution path.
 type Health struct {
@@ -1404,12 +1021,10 @@ type cursor struct {
 	mint func(reason string) error
 }
 
-// wireCursor reads a message body. A body that fails to parse after the
-// envelope checksum verified is a protocol bug, not transit damage: a
-// FrameError.
-func wireCursor(body []byte) *cursor {
-	return &cursor{b: body, mint: func(reason string) error { return &FrameError{Reason: reason} }}
-}
+// frameErr mints a message body's decode failures. A body that fails to
+// parse after the envelope checksum verified is a protocol bug, not
+// transit damage: a FrameError.
+func frameErr(reason string) error { return &FrameError{Reason: reason} }
 
 // bundleCursor reads a bundle's entry stream; failures are ErrBadBundle.
 func bundleCursor(body []byte) *cursor {

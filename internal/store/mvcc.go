@@ -476,7 +476,6 @@ func (t *Txn) Commit() error {
 		if t.class[oid] == classUpdate {
 			s.epoch++
 		}
-		s.muts++
 		logFormat.AppendRecord(&recs, s.version, objectRecord(oid, logObj))
 		count++
 	}
@@ -489,7 +488,6 @@ func (t *Txn) Commit() error {
 		for _, name := range rootNames(t.rootW) {
 			next[name] = t.rootW[name]
 			s.epoch++
-			s.muts++
 			logFormat.AppendRecord(&recs, s.version, rootRecord(name, t.rootW[name]))
 			count++
 			changes = append(changes, RootChange{Root: name, OID: t.rootW[name]})

@@ -490,12 +490,6 @@ type Store struct {
 	// advanced, so optimized code can never survive a change to the
 	// R-value bindings it folded in.
 	epoch uint64
-	// muts counts every durable mutation (Alloc, Update, MarkDirty,
-	// SetRoot) — a superset of epoch that also sees in-place object
-	// mutation. The server compares it across a request execution to
-	// decide whether re-executing that request could double-apply an
-	// effect; see Mutations.
-	muts uint64
 	// rootHook, when set, observes committed root rebindings (see
 	// SetRootHook). Called under mu, so invocations arrive in CSN order
 	// and one transactional commit is one call.
@@ -602,7 +596,6 @@ func (s *Store) Alloc(obj Object) OID {
 	oid := s.next
 	s.next++
 	s.dirty[oid] = true
-	s.muts++
 	s.csn++
 	s.publishLocked(oid, obj)
 	return oid
@@ -639,7 +632,6 @@ func (s *Store) Update(oid OID, obj Object) error {
 	}
 	s.dirty[oid] = true
 	s.epoch++
-	s.muts++
 	s.csn++
 	s.publishLocked(oid, obj)
 	return nil
@@ -656,19 +648,6 @@ func (s *Store) BindingEpoch() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.epoch
-}
-
-// Mutations reports the store's durable-mutation counter: advanced by
-// Alloc, Update, MarkDirty and SetRoot. Unlike BindingEpoch it counts
-// in-place object mutation too, so an unchanged value across a request
-// execution proves the request had no durable effect and is safe to
-// re-execute. SetClosureAttrs does not advance it — the optimizer's
-// attribute writeback is idempotent cached metadata, and counting it
-// would make every optimizing read look like a write.
-func (s *Store) Mutations() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.muts
 }
 
 // SetClosureAttrs records the optimizer's derived attributes on a
@@ -707,7 +686,6 @@ func (s *Store) MarkDirty(oid OID) {
 	defer s.mu.Unlock()
 	if obj, ok := s.objects[oid]; ok {
 		s.dirty[oid] = true
-		s.muts++
 		s.csn++
 		s.publishLocked(oid, obj)
 	}
@@ -727,7 +705,6 @@ func (s *Store) SetRoot(name string, oid OID) {
 	s.roots = next
 	s.rootsDirty = true
 	s.epoch++
-	s.muts++
 	s.csn++
 	if s.rootHook != nil {
 		s.rootHook(s.csn, []RootChange{{Root: name, OID: oid}})

@@ -59,11 +59,6 @@ func SubstApp(app *App, v *Var, val Value) *App {
 	return &App{Fn: fn, Args: args}
 }
 
-// SubstVal is Subst specialised to value nodes.
-func SubstVal(value Value, v *Var, val Value) Value {
-	return Subst(value, v, val).(Value)
-}
-
 // SubstMany applies a parallel substitution: every use of a key variable is
 // replaced by its mapped value in a single traversal. Parallel (rather than
 // sequential) substitution is what the case-subst rule and the reflective
