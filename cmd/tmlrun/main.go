@@ -72,7 +72,7 @@ func main() {
 			log.Fatalf("%s.%s is not an exported function", modName, fnName)
 		}
 		ro := reflectopt.New(st, reflectopt.Options{})
-		res, err := ro.OptimizeAndInstall(m, v.Ref)
+		res, err := ro.OptimizeAndInstall(m.Code, v.Ref)
 		if err != nil {
 			log.Fatalf("optimize: %v", err)
 		}

@@ -83,7 +83,7 @@ end`); err != nil {
 	// Reflective optimization on node B uses node B's runtime bindings —
 	// its index on emp.id — which node A never knew about.
 	ro := reflectopt.New(nodeB.Store, reflectopt.Options{})
-	res, err := ro.OptimizeAndInstall(nodeB.Machine, oid)
+	res, err := ro.OptimizeAndInstall(nodeB.Machine.Code, oid)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,9 +41,6 @@ type Config struct {
 	// the paper's §6 code-size comparison (E3) measures exactly this
 	// difference. Stripped closures cannot be dynamically re-optimized.
 	StripPTML bool
-	// Machine evaluates module-level constants at installation time; nil
-	// builds a plain machine over the target store.
-	Machine *machine.Machine
 }
 
 // Linker installs modules into one store.
@@ -98,10 +95,7 @@ func (l *Linker) InstallModule(unit *tl.ModuleUnit) (store.OID, error) {
 	// Evaluate module-level constants first: functions may reference
 	// them, while the checker forbids constants from calling functions.
 	if len(unit.Consts) > 0 {
-		m := l.cfg.Machine
-		if m == nil {
-			m = machine.New(l.st)
-		}
+		m := machine.New(l.st)
 		for _, cu := range unit.Consts {
 			v, err := l.evalConst(m, cu, declVals)
 			if err != nil {

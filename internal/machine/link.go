@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"sync"
 
 	"tycoon/internal/store"
 )
@@ -10,10 +11,37 @@ import (
 // persistent closure record swizzles it into an executable TAM closure,
 // resolving the R-value bindings of its free variables from the closure
 // record (paper §4.1, Fig. 3). Linking is cached per machine; decoded
-// code blobs are additionally shared across closures.
+// code blobs are additionally shared across closures. Code installed in
+// the machine's CodeTable is consulted first and overrides both.
+
+// CodeTable holds installed code: OIDs bound to closures of the caller's
+// choosing (the reflective optimizer's output), which every machine using
+// the table runs in place of the lazily linked original. tycd keeps one
+// per server, so an optimization installed by one session serves all of
+// them. The zero value is an empty table, safe for concurrent use.
+type CodeTable struct {
+	installs sync.Map // store.OID → Value
+}
+
+// Install binds oid to v for every machine using the table, without
+// touching the persistent original. A later Install of the same OID
+// replaces it.
+func (t *CodeTable) Install(oid store.OID, v Value) { t.installs.Store(oid, v) }
+
+// lookup returns the code installed for oid, if any.
+func (t *CodeTable) lookup(oid store.OID) (Value, bool) {
+	v, ok := t.installs.Load(oid)
+	if !ok {
+		return nil, false
+	}
+	return v.(Value), true
+}
 
 // linkClosure resolves a persistent closure record into a runtime value.
 func (m *Machine) linkClosure(oid store.OID) (Value, error) {
+	if v, ok := m.Code.lookup(oid); ok {
+		return v, nil
+	}
 	m.linkMu.Lock()
 	v, ok := m.linked[oid]
 	m.linkMu.Unlock()
@@ -38,7 +66,7 @@ func (m *Machine) linkClosure(oid store.OID) (Value, error) {
 	entry := prog.EntryBlock()
 	free := make([]Value, len(entry.FreeNames))
 	for i, name := range entry.FreeNames {
-		val, ok := bindingByName(clo.Bindings, name)
+		val, ok := clo.Binding(name)
 		if !ok {
 			return nil, rtErr("link", "%s: no binding for free variable %s", clo.Name, name)
 		}
@@ -47,9 +75,8 @@ func (m *Machine) linkClosure(oid store.OID) (Value, error) {
 	built := Value(&TAMClosure{Prog: prog, Blk: prog.Entry, Free: free, Name: clo.Name})
 	m.linkMu.Lock()
 	defer m.linkMu.Unlock()
-	// A concurrent linker (or OverrideLink from the reflective optimizer)
-	// may have installed a value meanwhile; first writer wins so an
-	// installed override is never clobbered by a stale lazy link.
+	// A concurrent linker may have linked the closure meanwhile; the first
+	// one stays.
 	if v, ok := m.linked[oid]; ok {
 		return v, nil
 	}
@@ -58,15 +85,6 @@ func (m *Machine) linkClosure(oid store.OID) (Value, error) {
 	}
 	m.linked[oid] = built
 	return built, nil
-}
-
-func bindingByName(bs []store.Binding, name string) (store.Val, bool) {
-	for _, b := range bs {
-		if b.Name == name {
-			return b.Val, true
-		}
-	}
-	return store.Val{}, false
 }
 
 // program decodes (with caching) a TAM code blob.
@@ -99,18 +117,6 @@ func (m *Machine) program(oid store.OID) (*Program, error) {
 	}
 	m.programs[oid] = decoded
 	return decoded, nil
-}
-
-// OverrideLink binds an OID to a specific runtime value, overriding lazy
-// linking; the reflective optimizer uses this to install dynamically
-// optimized code without touching the persistent original.
-func (m *Machine) OverrideLink(oid store.OID, v Value) {
-	m.linkMu.Lock()
-	defer m.linkMu.Unlock()
-	if m.linked == nil {
-		m.linked = make(map[store.OID]Value)
-	}
-	m.linked[oid] = v
 }
 
 // CallExport looks up an exported member of a stored module and applies

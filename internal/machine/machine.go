@@ -26,6 +26,10 @@ type Machine struct {
 	MaxSteps int64
 	// Reg resolves primitive descriptors; nil means prim.Default.
 	Reg *prim.Registry
+	// Code is the installed code this machine runs in place of lazily
+	// linked closures (see link.go). New gives each machine a table of its
+	// own; machines over one store may share one, as tycd's sessions do.
+	Code *CodeTable
 
 	handlers []Value // dynamic exception handler stack
 	steps    int64
@@ -58,10 +62,8 @@ type Machine struct {
 	// vals slice beyond the call (elements may be retained freely); all
 	// executors in this repository obey that contract.
 	valArena []Value
-	// linkMu guards linked and programs: the reflective optimizer may
-	// install new code (OverrideLink) from another goroutine while the
-	// machine is lazily linking, and concurrent optimizations may race
-	// on the shared caches. Execution state (handlers, steps) remains
+	// linkMu guards linked and programs: concurrent optimizations may
+	// race on these caches. Execution state (handlers, steps) remains
 	// single-goroutine per machine.
 	linkMu sync.Mutex
 	// linked caches swizzled closures per OID; programs caches decoded
@@ -114,8 +116,7 @@ func New(st store.View) *Machine {
 	if s, ok := st.(*store.Store); ok && s == nil {
 		st = nil
 	}
-	m := &Machine{Store: st}
-	return m
+	return &Machine{Store: st, Code: new(CodeTable)}
 }
 
 // reg returns the effective primitive registry.
@@ -423,27 +424,25 @@ func LitValue(v tml.Value) (Value, bool) {
 	return nil, false
 }
 
-// ValueToTML converts a runtime value back to a TML value node; heap
-// values become OIDs only if they already live in the store, otherwise
-// ok=false. The reflective optimizer uses this to re-establish R-value
-// bindings (paper §4.1).
-func ValueToTML(v Value) (tml.Value, bool) {
-	switch v := v.(type) {
-	case Int:
-		return tml.Int(int64(v)), true
-	case Real:
-		return tml.Real(float64(v)), true
-	case Bool:
-		return tml.Bool(bool(v)), true
-	case Char:
-		return tml.Char(byte(v)), true
-	case Str:
-		return tml.Str(string(v)), true
-	case Unit:
-		return tml.Unit(), true
-	case Ref:
-		return tml.NewOid(uint64(v.OID)), true
+// StoreValToTML lifts a stored R-value into a TML value node: scalars
+// become literals, references OID nodes. The reflective optimizer and
+// tycd's SUBMIT rebinding use it to re-establish R-value bindings in TML
+// (paper §4.1).
+func StoreValToTML(v store.Val) tml.Value {
+	switch v.Kind {
+	case store.ValInt:
+		return tml.Int(v.Int)
+	case store.ValReal:
+		return tml.Real(v.Real)
+	case store.ValBool:
+		return tml.Bool(v.Bool)
+	case store.ValChar:
+		return tml.Char(v.Ch)
+	case store.ValStr:
+		return tml.Str(v.Str)
+	case store.ValRef:
+		return tml.NewOid(uint64(v.Ref))
 	default:
-		return nil, false
+		return tml.Unit()
 	}
 }

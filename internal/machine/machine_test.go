@@ -33,18 +33,14 @@ func TestValueStoreConversions(t *testing.T) {
 func TestValueToTMLRoundTrip(t *testing.T) {
 	cases := []Value{Int(3), Real(2.5), Bool(false), Char('x'), Str("s"), Ref{OID: 7}, Unit{}}
 	for _, v := range cases {
-		node, ok := ValueToTML(v)
-		if !ok {
-			t.Errorf("ValueToTML(%s) failed", v.Show())
-			continue
+		sv, err := ToStoreVal(v)
+		if err != nil {
+			t.Fatalf("ToStoreVal(%s): %v", v.Show(), err)
 		}
-		back, ok := LitValue(node)
+		back, ok := LitValue(StoreValToTML(sv))
 		if !ok || !Eq(v, back) {
 			t.Errorf("round trip %s → %v", v.Show(), back)
 		}
-	}
-	if _, ok := ValueToTML(&Vector{}); ok {
-		t.Error("transient vector lifted to TML")
 	}
 }
 
@@ -55,7 +51,7 @@ func TestOverrideLink(t *testing.T) {
 	// A fake OID overridden with a real closure value runs that closure.
 	abs := compileAbsSrc(t, "proc(a !e !k) (+ a 1 e k)")
 	clo := &Closure{Abs: abs}
-	m.OverrideLink(42, clo)
+	m.Code.Install(42, clo)
 	v, err := m.Apply(Ref{OID: 42}, []Value{Int(1)})
 	if err != nil || v != Value(Int(2)) {
 		t.Fatalf("override apply = %v, %v", v, err)

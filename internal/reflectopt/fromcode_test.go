@@ -120,7 +120,7 @@ end`)
 
 	ro := reflectopt.New(st, reflectopt.Options{FromCode: true, CheckInvariants: true})
 	m := machine.New(st)
-	res, err := ro.OptimizeAndInstall(m, v.Ref)
+	res, err := ro.OptimizeAndInstall(m.Code, v.Ref)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -368,14 +368,15 @@ func accessPlan(st *store.Store, abs *tml.Abs) []*qopt.PlanNode {
 	return nodes
 }
 
-// OptimizeAndInstall optimizes and then overrides the machine's link
-// cache so every subsequent application of the OID runs the new code.
-func (o *Optimizer) OptimizeAndInstall(m *machine.Machine, oid store.OID) (*Result, error) {
+// OptimizeAndInstall optimizes and then installs the new code in the code
+// table, so every subsequent application of the OID through a machine
+// using the table runs it.
+func (o *Optimizer) OptimizeAndInstall(code *machine.CodeTable, oid store.OID) (*Result, error) {
 	res, err := o.Optimize(oid)
 	if err != nil {
 		return nil, err
 	}
-	m.OverrideLink(oid, res.Closure)
+	code.Install(oid, res.Closure)
 	return res, nil
 }
 
@@ -436,11 +437,11 @@ func (o *Optimizer) reconstruct(oid store.OID, gen *tml.VarGen) (*tml.Abs, error
 	// Bind every free variable to its recorded runtime value.
 	vals := make([]tml.Value, len(free))
 	for i, v := range free {
-		bv, ok := bindingByName(clo.Bindings, v.String())
+		bv, ok := clo.Binding(v.String())
 		if !ok {
 			return nil, fmt.Errorf("reflectopt: %s: no binding for %s", clo.Name, v)
 		}
-		vals[i] = storeValToTML(bv)
+		vals[i] = machine.StoreValToTML(bv)
 	}
 	inner := &tml.Abs{Params: free, Body: abs.Body}
 	wrapped := tml.NewApp(inner, vals...)
@@ -468,36 +469,6 @@ func (o *Optimizer) decompile(clo *store.Closure, gen *tml.VarGen) (*tml.Abs, []
 		return nil, nil, fmt.Errorf("reflectopt: %s: %w", clo.Name, err)
 	}
 	return abs, free, nil
-}
-
-func bindingByName(bs []store.Binding, name string) (store.Val, bool) {
-	for _, b := range bs {
-		if b.Name == name {
-			return b.Val, true
-		}
-	}
-	return store.Val{}, false
-}
-
-// storeValToTML lifts a stored binding value into a TML value node:
-// scalars become literals, references become OID nodes.
-func storeValToTML(v store.Val) tml.Value {
-	switch v.Kind {
-	case store.ValInt:
-		return tml.Int(v.Int)
-	case store.ValReal:
-		return tml.Real(v.Real)
-	case store.ValBool:
-		return tml.Bool(v.Bool)
-	case store.ValChar:
-		return tml.Char(v.Ch)
-	case store.ValStr:
-		return tml.Str(v.Str)
-	case store.ValRef:
-		return tml.NewOid(uint64(v.Ref))
-	default:
-		return tml.Unit()
-	}
 }
 
 // foldField folds ([] <oid> K cont) on immutable store objects: module
@@ -535,7 +506,7 @@ func (o *Optimizer) foldField(ctx *opt.Ctx, app *tml.App) (*tml.App, bool) {
 	default:
 		return nil, false
 	}
-	return tml.NewApp(app.Args[2], storeValToTML(val)), true
+	return tml.NewApp(app.Args[2], machine.StoreValToTML(val)), true
 }
 
 // inlineState tracks cross-barrier inlining budgets within one run.

@@ -159,7 +159,7 @@ end`)
 	}
 	stepsBefore := w.m.Steps()
 
-	if _, err := w.ro.OptimizeAndInstall(w.m, gaussOID); err != nil {
+	if _, err := w.ro.OptimizeAndInstall(w.m.Code, gaussOID); err != nil {
 		t.Fatal(err)
 	}
 	// The same CallExport path now runs the optimized code.
@@ -257,7 +257,7 @@ end`)
 	stepsScan := w.m.Steps()
 
 	byKeyOID := w.exportOID(t, qmod, "byKey")
-	res, err := w.ro.OptimizeAndInstall(w.m, byKeyOID)
+	res, err := w.ro.OptimizeAndInstall(w.m.Code, byKeyOID)
 	if err != nil {
 		t.Fatal(err)
 	}

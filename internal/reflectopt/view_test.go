@@ -52,7 +52,7 @@ end`)
 	}
 
 	oid := w.exportOID(t, qmod, "inDept")
-	res, err := w.ro.OptimizeAndInstall(w.m, oid)
+	res, err := w.ro.OptimizeAndInstall(w.m.Code, oid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,15 @@
 // Package server implements tycd, the multi-session Tycoon database
 // server: N concurrent client sessions, each with its own execution
-// machine, sharing one persistent store, one relational index cache and
-// — the point of the exercise — one compilation pipeline. A PTML tree
-// submitted by any session is compiled (and optionally reflectively
-// optimized) exactly once; every other session submitting the α-same
-// term against the same bindings gets the cached code, and concurrent
-// first submissions are deduplicated through the pipeline's
-// singleflight group. The persistent intermediate representation the
-// paper keeps in the store for years is here also the unit that crosses
-// the wire between processes (paper §6: code shipping).
+// machine, sharing one persistent store, one relational index cache, one
+// code table of reflectively optimized closures and — the point of the
+// exercise — one compilation pipeline. A PTML tree submitted by any
+// session is compiled (and optionally reflectively optimized) exactly
+// once; every other session submitting the α-same term against the
+// same bindings gets the cached code, and concurrent first submissions
+// are deduplicated through the pipeline's singleflight group. The
+// persistent intermediate representation the paper keeps in the store
+// for years is here also the unit that crosses the wire between
+// processes (paper §6: code shipping).
 //
 // Transport is the TYWR01 frame protocol of package ship: every request
 // and response is one CRC-guarded frame, so a corrupt byte stream is
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"tycoon/internal/linker"
+	"tycoon/internal/machine"
 	"tycoon/internal/pipeline"
 	"tycoon/internal/reflectopt"
 	"tycoon/internal/relalg"
@@ -95,6 +97,10 @@ type Server struct {
 	pipe *pipeline.Pipeline
 	ropt *reflectopt.Optimizer
 	mg   *relalg.Manager
+	// code is the server's one code table: OPTIMIZE installs into it and
+	// every session's machine consults it before its own lazy links, so
+	// optimized code serves every session, not only the one that asked.
+	code *machine.CodeTable
 
 	// installMu serialises module compilation and installation: the TL
 	// compiler accumulates module signatures and is not safe for
@@ -150,6 +156,7 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		pipe:    pipe,
 		ropt:    reflectopt.New(st, reflectopt.Options{Pipe: pipe}),
 		mg:      relalg.NewManager(st),
+		code:    new(machine.CodeTable),
 		modules: make(map[string]store.OID),
 		dedup:   cfg.Dedup,
 		gate:    ship.NewGate(cfg.MaxInflight, cfg.RetryAfter, "server"),

@@ -437,6 +437,37 @@ func TestInstallCallOptimize(t *testing.T) {
 	wantCode(t, err, ship.CodeNotFound)
 }
 
+// TestOptimizeServesEverySession: OPTIMIZE installs into the server's
+// one code table, so a session that never optimized runs the optimized
+// code, and a session opened afterwards does too.
+func TestOptimizeServesEverySession(t *testing.T) {
+	_, addr, _ := world(t, "", server.Config{})
+	a, b := dial(t, addr), dial(t, addr)
+	if _, err := a.Install(`module h export gauss
+let gauss(n : Int) : Int =
+  begin var s := 0; for i = 1 upto n do s := s + i end; s end
+end`); err != nil {
+		t.Fatal(err)
+	}
+	steps := func(c *client.Client) int64 {
+		t.Helper()
+		res, err := c.Call("h", "gauss", ship.WVal{Kind: ship.WInt, Int: 1000})
+		if err != nil || res.Val.Int != 500500 {
+			t.Fatalf("h.gauss(1000) = %v, %v", res, err)
+		}
+		return res.Info.Steps
+	}
+	raw := steps(b)
+	if _, err := a.Optimize("h", "gauss"); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*client.Client{"other session": b, "new session": dial(t, addr)} {
+		if got := steps(c); got*2 > raw {
+			t.Errorf("%s: %d steps after optimize, installed code takes %d", name, got, raw)
+		}
+	}
+}
+
 func TestStepBudget(t *testing.T) {
 	_, addr, _ := world(t, "", server.Config{StepBudget: 10_000})
 	c := dial(t, addr)

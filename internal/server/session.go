@@ -18,7 +18,7 @@ import (
 
 // session is one client connection's execution state: its own machine
 // (so handler state, step counters and frame pools never cross sessions)
-// over the server's shared store, index cache and pipeline. The
+// over the server's shared store, index cache, code table and pipeline. The
 // connection itself belongs to the serving core (ship.Session).
 type session struct {
 	srv *Server
@@ -33,6 +33,7 @@ type session struct {
 
 func newSession(s *Server, c *ship.Session) *session {
 	m := machine.New(s.st)
+	m.Code = s.code
 	m.MaxSteps = s.cfg.StepBudget
 	s.mg.Register(m)
 	sess := &session{srv: s, c: c, m: m}
@@ -441,7 +442,7 @@ func (s *session) rebind(data []byte, binds map[string]store.Val, gen *tml.VarGe
 		if !ok {
 			return nil, fmt.Errorf("submit: no binding for free variable %s", v.Name)
 		}
-		subst[v] = storeValToTML(sv)
+		subst[v] = machine.StoreValToTML(sv)
 	}
 	if len(subst) > 0 {
 		app = tml.SubstMany(app, subst).(*tml.App)
@@ -460,9 +461,9 @@ func (s *session) rebind(data []byte, binds map[string]store.Val, gen *tml.VarGe
 }
 
 // handleOptimize reflectively optimizes an installed function and
-// installs the code in this session's machine; the compilation itself
-// lands in the shared pipeline cache, so every other session's optimize
-// of the same function is a hit.
+// installs the code in the server's code table, so every session's next
+// call runs it; the compilation lands in the shared pipeline cache, so a
+// repeated optimize of the same function is a hit.
 func (s *session) handleOptimize(body []byte) (*ship.Result, *ship.WireError) {
 	req, err := ship.DecodeOptimize(body)
 	if err != nil {
@@ -487,7 +488,7 @@ func (s *session) handleOptimize(body []byte) (*ship.Result, *ship.WireError) {
 	}
 	s.begin()
 	defer s.end()
-	res, err := s.srv.ropt.OptimizeAndInstall(s.m, v.Ref)
+	res, err := s.srv.ropt.OptimizeAndInstall(s.srv.code, v.Ref)
 	if err != nil {
 		return nil, ship.WireErr(ship.CodeCompile, err)
 	}
@@ -662,26 +663,5 @@ func storeValToWire(v store.Val) ship.WVal {
 		return ship.WVal{Kind: ship.WRef, Ref: uint64(v.Ref)}
 	default:
 		return ship.WVal{Kind: ship.WNil}
-	}
-}
-
-// storeValToTML lifts a binding value into a TML value node for
-// substitution: scalars become literals, references become OID nodes.
-func storeValToTML(v store.Val) tml.Value {
-	switch v.Kind {
-	case store.ValInt:
-		return tml.Int(v.Int)
-	case store.ValReal:
-		return tml.Real(v.Real)
-	case store.ValBool:
-		return tml.Bool(v.Bool)
-	case store.ValChar:
-		return tml.Char(v.Ch)
-	case store.ValStr:
-		return tml.Str(v.Str)
-	case store.ValRef:
-		return tml.NewOid(uint64(v.Ref))
-	default:
-		return tml.Unit()
 	}
 }

@@ -203,7 +203,7 @@ end`)
 		t.Fatal(err)
 	}
 	ro := reflectopt.New(dst.st, reflectopt.Options{CheckInvariants: true})
-	res, err := ro.OptimizeAndInstall(dst.m, oid)
+	res, err := ro.OptimizeAndInstall(dst.m.Code, oid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func NewSuite(regime Regime) (*Suite, error) {
 				st.Close()
 				return nil, fmt.Errorf("stanford: %s exports no run closure", p.Name)
 			}
-			if _, err := ro.OptimizeAndInstall(s.Machine, entry.Ref); err != nil {
+			if _, err := ro.OptimizeAndInstall(s.Machine.Code, entry.Ref); err != nil {
 				st.Close()
 				return nil, fmt.Errorf("stanford: optimizing %s: %w", p.Name, err)
 			}

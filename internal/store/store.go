@@ -270,6 +270,16 @@ type Closure struct {
 // Kind reports KindClosure.
 func (*Closure) Kind() Kind { return KindClosure }
 
+// Binding finds the R-value bound to a free variable by name.
+func (c *Closure) Binding(name string) (Val, bool) {
+	for _, b := range c.Bindings {
+		if b.Name == name {
+			return b.Val, true
+		}
+	}
+	return Val{}, false
+}
+
 func (c *Closure) clone() Object {
 	d := *c
 	d.Bindings = append([]Binding(nil), c.Bindings...)

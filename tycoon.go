@@ -227,7 +227,7 @@ func (s *System) OptimizeFunction(module, fn string) (*reflectopt.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return s.Reflect.OptimizeAndInstall(s.Machine, oid)
+	return s.Reflect.OptimizeAndInstall(s.Machine.Code, oid)
 }
 
 // OptCacheStats is the optimized-code cache counters of the reflective
