@@ -922,9 +922,13 @@ func (co *Coordinator) Install(req *ship.Install) (*ship.Result, error) {
 	return first, nil
 }
 
-// Optimize fans a reflective optimization to every shard (first
-// replica each): optimizing converges, so partial application is
-// harmless and a retry finishes the job.
+// Optimize fans a reflective optimization to every shard through
+// readShard, so on each shard it reaches the replica a read would, not
+// every replica. The install lives in that replica's code table only:
+// the shard's other replicas, a restarted replica and a failover target
+// keep running unoptimized code, and a retry does not change that.
+// Partial application is harmless, since optimized and unoptimized code
+// answer alike.
 func (co *Coordinator) Optimize(module, fn string) (*ship.Result, error) {
 	co.routed.Add(1)
 	var first *ship.Result

@@ -18,11 +18,9 @@ import (
 
 	"tycoon/internal/iofault"
 	"tycoon/internal/machine"
-	"tycoon/internal/prim"
 	"tycoon/internal/ptml"
 	"tycoon/internal/ship"
 	"tycoon/internal/store"
-	"tycoon/internal/tml"
 )
 
 // Severity classifies a finding. Errors make the store unsound (dangling
@@ -249,14 +247,14 @@ func checkClosure(st *store.Store, rep *Report, oid store.OID, clo *store.Closur
 	if !ok {
 		return
 	}
-	node, free, err := ptml.Decode(data, nil)
-	if err != nil {
-		rep.errf(oid, "closure %s: PTML undecodable: %v", clo.Name, err)
+	node, free, err := ship.CheckPTML(data)
+	if node == nil {
+		rep.errf(oid, "closure %s: %v", clo.Name, err)
 		return
 	}
 	rep.Hashes = append(rep.Hashes, ClosureHash{OID: oid, Name: clo.Name, Hash: ptml.HashNode(node)})
-	if err := tml.Check(node, tml.CheckOpts{Signatures: prim.Signatures, AllowFree: free}); err != nil {
-		rep.errf(oid, "closure %s: PTML tree ill-formed: %v", clo.Name, err)
+	if err != nil {
+		rep.errf(oid, "closure %s: %v", clo.Name, err)
 	}
 	for _, v := range free {
 		if !bindings[v.String()] && !bindings[v.Name] {

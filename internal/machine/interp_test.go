@@ -420,7 +420,7 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 		app := gen(seed, depth)
 		m := New(nil)
 		v1, err1 := runApp(m, app, nil)
-		optApp, _, err := opt.Optimize(app, opt.Options{CheckInvariants: true})
+		optApp, _, err := opt.Optimize(app, opt.Options{})
 		if err != nil {
 			t.Logf("optimize error: %v", err)
 			return false

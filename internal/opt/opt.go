@@ -18,6 +18,7 @@
 package opt
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -26,6 +27,12 @@ import (
 	"tycoon/internal/prim"
 	"tycoon/internal/tml"
 )
+
+// ErrMiscompile marks an optimizer pass whose output violates a §2.2
+// well-formedness constraint its input satisfied. It deliberately does
+// not wrap tml.ErrIllFormed: the fault is the compiler's, not the
+// input's.
+var ErrMiscompile = errors.New("opt: miscompile")
 
 // Rule is an extra rewrite rule applied during the reduction pass at every
 // application node, after the core rules. Returning ok=false means the
@@ -72,10 +79,6 @@ type Options struct {
 	// Extra rules run during the reduction pass (e.g. the query rewrite
 	// rules of package qopt).
 	Extra []Rule
-	// CheckInvariants re-verifies well-formedness after every pass; for
-	// tests and debugging. A violation is reported against the pass that
-	// introduced it (e.g. "reduce#3"), not at codegen.
-	CheckInvariants bool
 	// OnPass, when non-nil, receives one record per optimizer pass —
 	// each reduction fixpoint and each expansion sweep — as the pass
 	// completes. The compilation pipeline (package pipeline) uses it for
@@ -161,6 +164,8 @@ type optimizer struct {
 	stats   *Stats
 	changed bool
 	penalty int
+	// free are the input's free variables, allowed free in every pass.
+	free []*tml.Var
 	// perBinder limits how often one binder is inlined per expansion pass
 	// (recursion through Y would otherwise unroll without bound inside a
 	// single pass).
@@ -193,6 +198,9 @@ func newOptimizer(opts Options, root *tml.App) *optimizer {
 }
 
 func (o *optimizer) run(app *tml.App) (*tml.App, error) {
+	// No rule may introduce a free variable, so the input's free
+	// variables are the only ones any pass's output may have.
+	o.free = tml.FreeVars(app)
 	o.stats.SizeBefore = tml.Size(app)
 	o.stats.CostBefore = Cost(app, o.reg)
 	for round := 0; ; round++ {
@@ -222,14 +230,14 @@ func (o *optimizer) run(app *tml.App) (*tml.App, error) {
 	return app, nil
 }
 
+// check re-verifies well-formedness after every pass. Every rewrite rule
+// must preserve the §2.2 constraints (paper fn. 3), so on well-formed
+// input (the pipeline checks its source) a violation is a miscompile,
+// reported against the pass that introduced it (e.g. "reduce#3") instead
+// of surfacing at codegen or as a wrong value.
 func (o *optimizer) check(app *tml.App, pass string) error {
-	if !o.opts.CheckInvariants {
-		return nil
-	}
-	free := tml.FreeVars(app)
-	err := tml.Check(app, tml.CheckOpts{Signatures: o.reg.Signatures, AllowFree: free})
-	if err != nil {
-		return fmt.Errorf("opt: invariant broken after pass %s: %w", pass, err)
+	if err := tml.Check(app, tml.CheckOpts{Signatures: o.reg.Signatures, AllowFree: o.free}); err != nil {
+		return fmt.Errorf("%w after pass %s: %v", ErrMiscompile, pass, err)
 	}
 	return nil
 }

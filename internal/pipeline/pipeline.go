@@ -206,11 +206,6 @@ type Result struct {
 type Config struct {
 	// Reg is the primitive registry; nil means prim.Default.
 	Reg *prim.Registry
-	// CheckWellformed verifies tml.Check after the source pass and after
-	// every optimizer pass (via opt.Options.CheckInvariants), so a rule
-	// that breaks well-formedness fails at the pass that introduced it,
-	// not at codegen. Tests enable it; production paths may.
-	CheckWellformed bool
 	// CacheEntries bounds the optimized-code cache; 0 means
 	// DefaultCacheEntries, negative disables caching.
 	CacheEntries int
@@ -349,7 +344,7 @@ func (p *Pipeline) execute(job Job) (*Result, error) {
 	res.Stats.Passes = append(res.Stats.Passes, PassStat{
 		Name: "source", NodesAfter: tml.Size(abs), Duration: time.Since(t0),
 	})
-	if err := p.checkPass(job.Name, "source", abs); err != nil {
+	if err := p.checkSource(job.Name, abs); err != nil {
 		return nil, err
 	}
 
@@ -367,7 +362,6 @@ func (p *Pipeline) execute(job Job) (*Result, error) {
 			extra = append(extra, pack.Rules...)
 		}
 		o.Extra = append(extra, o.Extra...)
-		o.CheckInvariants = o.CheckInvariants || p.cfg.CheckWellformed
 		o.OnPass = func(pi opt.PassInfo) {
 			res.Stats.Passes = append(res.Stats.Passes, PassStat{
 				Name:        fmt.Sprintf("%s#%d", pi.Name, pi.Round),
@@ -438,14 +432,16 @@ func (p *Pipeline) execute(job Job) (*Result, error) {
 	return res, nil
 }
 
-// checkPass is the optional well-formedness guard between passes.
-func (p *Pipeline) checkPass(name, pass string, abs *tml.Abs) error {
-	if !p.cfg.CheckWellformed {
-		return nil
-	}
+// checkSource is the well-formedness guard on the source pass: a term
+// that violates a §2.2 constraint is refused before any rewrite rule or
+// the code generator sees it. The error wraps tml.ErrIllFormed, which
+// marks the input, not the compiler, as at fault; the optimizer checks
+// each of its own passes and reports a violation there as
+// opt.ErrMiscompile.
+func (p *Pipeline) checkSource(name string, abs *tml.Abs) error {
 	free := tml.FreeVars(abs)
 	if err := tml.Check(abs, tml.CheckOpts{Signatures: p.cfg.Reg.Signatures, AllowFree: free}); err != nil {
-		return fmt.Errorf("pipeline: %s: ill-formed after pass %s: %w", name, pass, err)
+		return fmt.Errorf("pipeline: %s: source: %w", name, err)
 	}
 	return nil
 }

@@ -1,10 +1,12 @@
 package pipeline
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tycoon/internal/opt"
 	"tycoon/internal/prim"
@@ -30,7 +32,7 @@ func srcJob(t *testing.T, name string) (Job, *tml.App) {
 }
 
 func TestRunInstrumentsPasses(t *testing.T) {
-	p := New(nil, Config{CheckWellformed: true})
+	p := New(nil, Config{})
 	job, _ := srcJob(t, "t")
 	res, err := p.Run(job)
 	if err != nil {
@@ -205,7 +207,7 @@ func TestCacheEviction(t *testing.T) {
 }
 
 func TestWellformedGuardNamesPass(t *testing.T) {
-	p := New(nil, Config{CheckWellformed: true})
+	p := New(nil, Config{})
 	// A rule that breaks a §2.2 invariant in a way no core rule can
 	// repair: it violates the + primitive's calling convention by
 	// inserting a third value argument.
@@ -233,7 +235,66 @@ func TestWellformedGuardNamesPass(t *testing.T) {
 	if err == nil {
 		t.Fatal("pipeline accepted a rule that breaks well-formedness")
 	}
-	if !strings.Contains(err.Error(), "after pass") {
+	if !strings.Contains(err.Error(), "after pass reduce#1") {
 		t.Errorf("error does not name the pass: %v", err)
+	}
+	// A rule's violation is the compiler's fault, not the input's.
+	if !errors.Is(err, opt.ErrMiscompile) || errors.Is(err, tml.ErrIllFormed) {
+		t.Errorf("error class: %v, want opt.ErrMiscompile and not tml.ErrIllFormed", err)
+	}
+}
+
+// TestFlightReleasedOnPanic: a leader whose run panics must not wedge
+// its key. A caller waiting on the same key returns, and a retry after
+// the panic becomes the leader and runs.
+func TestFlightReleasedOnPanic(t *testing.T) {
+	var g flightGroup
+	k := Key{Options: 1}
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		g.do(k, func() (*entry, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+
+	type outcome struct {
+		ran, shared bool
+		err         error
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		var o outcome
+		_, o.shared, o.err = g.do(k, func() (*entry, error) {
+			o.ran = true
+			return &entry{}, nil
+		})
+		waiter <- o
+	}()
+	// Only makes the in-flight case likely; both orders are checked below.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	if p := <-leader; p != "boom" {
+		t.Fatalf("leader recovered %v, want the panic to reach its caller", p)
+	}
+	select {
+	case o := <-waiter:
+		// Joined in flight: shares the leader's failure. Joined after the
+		// panic: leads its own run.
+		if o.shared && o.err != errLeaderPanicked || !o.shared && !o.ran {
+			t.Errorf("waiter: %+v", o)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a caller of the panicked key is still blocked")
+	}
+
+	ran := false
+	_, shared, err := g.do(k, func() (*entry, error) { ran = true; return &entry{}, nil })
+	if !ran || shared || err != nil {
+		t.Errorf("retry after the panic: ran=%t shared=%t err=%v, want a fresh run", ran, shared, err)
 	}
 }

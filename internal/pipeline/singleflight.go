@@ -1,6 +1,9 @@
 package pipeline
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // flightGroup deduplicates concurrent pipeline runs of the same key: the
 // first caller executes, later callers block on the same call and share
@@ -17,8 +20,15 @@ type flightCall struct {
 	err  error
 }
 
+// errLeaderPanicked is what callers sharing a run see when its leader
+// panicked; the panic itself unwinds the leader's goroutine.
+var errLeaderPanicked = errors.New("pipeline: shared run panicked")
+
 // do runs fn once per concurrently-identical key. shared reports that
-// this caller received another caller's result.
+// this caller received another caller's result. The call is finished on
+// every exit: if fn panics, waiters are released with errLeaderPanicked,
+// the key is freed for a retry, and the panic continues to unwind into
+// the caller's recover.
 func (g *flightGroup) do(k Key, fn func() (*entry, error)) (res *entry, shared bool, err error) {
 	g.mu.Lock()
 	if g.calls == nil {
@@ -29,15 +39,16 @@ func (g *flightGroup) do(k Key, fn func() (*entry, error)) (res *entry, shared b
 		<-c.done
 		return c.res, true, c.err
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall{done: make(chan struct{}), err: errLeaderPanicked}
 	g.calls[k] = c
 	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		delete(g.calls, k)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 
 	c.res, c.err = fn()
-	close(c.done)
-
-	g.mu.Lock()
-	delete(g.calls, k)
-	g.mu.Unlock()
 	return c.res, false, c.err
 }

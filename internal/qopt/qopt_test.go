@@ -26,11 +26,7 @@ func parse(t *testing.T, src string) *tml.App {
 
 func optimizeWith(t *testing.T, app *tml.App, rules []opt.Rule) (*tml.App, *opt.Stats) {
 	t.Helper()
-	out, stats, err := opt.Optimize(app, opt.Options{
-		Extra:           rules,
-		CheckInvariants: true,
-		NoExpansion:     true,
-	})
+	out, stats, err := opt.Optimize(app, opt.Options{Extra: rules, NoExpansion: true})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}

@@ -59,7 +59,7 @@ end`)
 
 	// Reference: PTML-based reflective optimization.
 	stP, mP, oidP := build(false)
-	roP := reflectopt.New(stP, reflectopt.Options{CheckInvariants: true})
+	roP := reflectopt.New(stP, reflectopt.Options{})
 	resP, err := roP.Optimize(oidP)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ end`)
 
 	// Experiment: code-based reconstruction on a stripped store.
 	stC, mC, oidC := build(true)
-	roC := reflectopt.New(stC, reflectopt.Options{FromCode: true, CheckInvariants: true})
+	roC := reflectopt.New(stC, reflectopt.Options{FromCode: true})
 	resC, err := roC.Optimize(oidC)
 	if err != nil {
 		t.Fatalf("FromCode optimization failed: %v", err)
@@ -118,7 +118,7 @@ end`)
 	mod := st.MustGet(modOID).(*store.Module)
 	v, _ := mod.Lookup("fact")
 
-	ro := reflectopt.New(st, reflectopt.Options{FromCode: true, CheckInvariants: true})
+	ro := reflectopt.New(st, reflectopt.Options{FromCode: true})
 	m := machine.New(st)
 	res, err := ro.OptimizeAndInstall(m.Code, v.Ref)
 	if err != nil {

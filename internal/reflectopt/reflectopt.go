@@ -66,9 +66,6 @@ type Options struct {
 	// Closures installed with StripPTML become optimizable again, at the
 	// cost of a non-isomorphic (occasionally duplicated) tree.
 	FromCode bool
-	// CheckInvariants verifies well-formedness after every optimizer
-	// pass, reported against the pass that introduced the violation.
-	CheckInvariants bool
 	// CacheEntries bounds the pipeline's optimized-code cache; 0 means
 	// pipeline.DefaultCacheEntries, negative disables caching.
 	CacheEntries int
@@ -77,8 +74,8 @@ type Options struct {
 	// so reflective optimizations and remote SUBMIT compilations share one
 	// cache and one singleflight group across all sessions. The optionsFP
 	// component of every key keeps distinct Options configurations from
-	// colliding in the shared cache; Reg, CheckInvariants and CacheEntries
-	// are ignored in favour of the shared pipeline's own configuration.
+	// colliding in the shared cache; Reg and CacheEntries are ignored in
+	// favour of the shared pipeline's own configuration.
 	Pipe *pipeline.Pipeline
 }
 
@@ -118,15 +115,11 @@ func New(st *store.Store, opts Options) *Optimizer {
 	}
 	pipe := opts.Pipe
 	if pipe == nil {
-		pipe = pipeline.New(st, pipeline.Config{
-			Reg:             opts.Reg,
-			CheckWellformed: opts.CheckInvariants,
-			CacheEntries:    opts.CacheEntries,
-		})
+		pipe = pipeline.New(st, pipeline.Config{Reg: opts.Reg, CacheEntries: opts.CacheEntries})
 	}
 	fp := pipeline.FingerprintOptions(
 		opts.InlinePerOID, opts.InlineRecursive, opts.MaxInlineSize,
-		opts.NoQueryRules, opts.FromCode, opts.CheckInvariants,
+		opts.NoQueryRules, opts.FromCode,
 		opts.Opt.MaxRounds, opts.Opt.InlineBudget, opts.Opt.PenaltyLimit,
 		opts.Opt.NoExpansion, opts.Opt.NoFold, opts.Opt.SubstUnrestricted,
 		len(opts.Opt.Extra))
@@ -240,15 +233,12 @@ func (o *Optimizer) Optimize(oid store.OID) (*Result, error) {
 		packs = append(packs, qopt.RuntimePack(o.st))
 	}
 
-	optOpts := o.opts.Opt
-	optOpts.CheckInvariants = o.opts.CheckInvariants
-
 	job := pipeline.Job{
 		Name: optName(o.st, oid),
 		Source: func(gen *tml.VarGen) (*tml.Abs, error) {
 			return o.reconstruct(oid, gen)
 		},
-		Opt:           optOpts,
+		Opt:           o.opts.Opt,
 		Packs:         packs,
 		Codegen:       true,
 		RequireClosed: true,

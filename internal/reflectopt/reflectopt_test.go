@@ -39,7 +39,7 @@ func setup(t *testing.T) *world {
 	m := machine.New(st)
 	mg := relalg.NewManager(st)
 	mg.Register(m)
-	ro := reflectopt.New(st, reflectopt.Options{CheckInvariants: true})
+	ro := reflectopt.New(st, reflectopt.Options{})
 	return &world{st: st, lk: lk, comp: comp, m: m, mg: mg, ro: ro}
 }
 

@@ -83,7 +83,7 @@ func compileQuery(t *testing.T, src string, params ...string) *machine.TAMClosur
 	if slices.Contains(ps, nil) {
 		t.Fatalf("query term must mention e, k and %v: %s", params, src)
 	}
-	res, err := pipeline.New(nil, pipeline.Config{CheckWellformed: true}).Run(pipeline.Job{
+	res, err := pipeline.New(nil, pipeline.Config{}).Run(pipeline.Job{
 		Name:         t.Name(),
 		Source:       func(*tml.VarGen) (*tml.Abs, error) { return &tml.Abs{Params: ps, Body: app}, nil },
 		SkipOptimize: true, Codegen: true, RequireClosed: true,

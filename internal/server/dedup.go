@@ -96,11 +96,20 @@ func (d *Dedup) Do(key string, fn func() (*ship.Result, *ship.WireError, bool)) 
 		ch := make(chan struct{})
 		d.inflight[key] = ch
 		d.mu.Unlock()
+		// Release the slot on every exit, a panic in fn included: the
+		// key stays unrecorded, waiters wake to re-check it (the first
+		// leads a retry), and the panic unwinds into the session's
+		// recover.
+		defer func() {
+			d.mu.Lock()
+			delete(d.inflight, key)
+			d.mu.Unlock()
+			close(ch)
+		}()
 
 		res, werr, record := fn()
-		d.mu.Lock()
-		delete(d.inflight, key)
 		if record && werr == nil && res != nil {
+			d.mu.Lock()
 			d.entries[key] = d.lru.PushFront(&dedupEntry{key: key, res: *res})
 			d.applied++
 			for d.lru.Len() > d.cap {
@@ -108,9 +117,8 @@ func (d *Dedup) Do(key string, fn func() (*ship.Result, *ship.WireError, bool)) 
 				d.lru.Remove(last)
 				delete(d.entries, last.Value.(*dedupEntry).key)
 			}
+			d.mu.Unlock()
 		}
-		d.mu.Unlock()
-		close(ch)
 		return res, werr
 	}
 }

@@ -293,3 +293,54 @@ func TestDedupEvictionSurvivesRestart(t *testing.T) {
 	}
 	w.stop()
 }
+
+// TestDedupReleasedOnPanic: a keyed execution that panics must not
+// wedge its key. A duplicate waiting on it returns (it re-checks the
+// unrecorded key and runs as the next leader), and a later retry runs
+// and is recorded.
+func TestDedupReleasedOnPanic(t *testing.T) {
+	d := server.NewDedup(0)
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		d.Do("k", func() (*ship.Result, *ship.WireError, bool) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+
+	var waiterExecs int
+	waiter := make(chan *ship.Result, 1)
+	go func() {
+		res, _ := d.Do("k", countingFn(&waiterExecs, 1, false))
+		waiter <- res
+	}()
+	// Only makes the in-flight case likely; either order must return.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	if p := <-leader; p != "boom" {
+		t.Fatalf("leader recovered %v, want the panic to reach its caller", p)
+	}
+	select {
+	case res := <-waiter:
+		if res == nil || res.Val.Int != 1 || waiterExecs != 1 {
+			t.Errorf("duplicate: res %v, execs %d; want it to run once as the next leader", res, waiterExecs)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a duplicate of the panicked key is still blocked")
+	}
+
+	var execs int
+	for i := 0; i < 2; i++ {
+		res, werr := d.Do("k", countingFn(&execs, 2, true))
+		if werr != nil || res.Val.Int != 2 {
+			t.Fatalf("retry %d: %v %v", i, res, werr)
+		}
+	}
+	if execs != 1 {
+		t.Errorf("retry after the panic executed %d times, want once then recorded", execs)
+	}
+}

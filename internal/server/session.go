@@ -343,7 +343,11 @@ func (s *session) runSubmit(req *ship.Submit, srcHash ptml.Hash) (*ship.Result, 
 		},
 	}
 	res, err := s.srv.pipe.Run(job)
-	if err != nil {
+	switch {
+	case errors.Is(err, tml.ErrIllFormed):
+		// The shipped term violates a §2.2 constraint: the client's fault.
+		return nil, ship.WireErr(ship.CodeBadRequest, err), false
+	case err != nil:
 		return nil, ship.WireErr(ship.CodeCompile, err), false
 	}
 

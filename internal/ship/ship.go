@@ -26,6 +26,7 @@ import (
 	"hash/crc32"
 
 	"tycoon/internal/machine"
+	"tycoon/internal/prim"
 	"tycoon/internal/ptml"
 	"tycoon/internal/store"
 	"tycoon/internal/tml"
@@ -260,7 +261,12 @@ func Import(st *store.Store, bundle []byte) (store.OID, error) {
 		return store.Nil, r.err
 	}
 
-	// Pass 2: decode payloads, remap refs, update placeholders.
+	if n == 0 {
+		return store.Nil, fmt.Errorf("%w: empty bundle", ErrBadBundle)
+	}
+
+	// Pass 2: decode payloads and remap refs.
+	objs := make(map[store.OID]store.Object, n)
 	for i, ent := range entries {
 		if ent.byName {
 			continue
@@ -269,14 +275,50 @@ func Import(st *store.Store, bundle []byte) (store.OID, error) {
 		if err != nil {
 			return store.Nil, err
 		}
-		if err := st.Update(oids[i], obj); err != nil {
+		objs[oids[i]] = obj
+	}
+	// Shipped code is code from outside: every closure's PTML tree must
+	// satisfy the §2.2 constraints before any of it is stored.
+	for i := range entries {
+		clo, ok := objs[oids[i]].(*store.Closure)
+		if !ok || clo.PTML == store.Nil {
+			continue
+		}
+		blob, ok := objs[clo.PTML].(*store.Blob)
+		if !ok {
+			return store.Nil, fmt.Errorf("%w: closure %s: PTML is not a shipped blob", ErrBadBundle, clo.Name)
+		}
+		if _, _, err := CheckPTML(blob.Bytes); err != nil {
+			return store.Nil, fmt.Errorf("%w: closure %s: %w", ErrBadBundle, clo.Name, err)
+		}
+	}
+	// Pass 3: update placeholders.
+	for i, ent := range entries {
+		if ent.byName {
+			continue
+		}
+		if err := st.Update(oids[i], objs[oids[i]]); err != nil {
 			return store.Nil, err
 		}
 	}
-	if n == 0 {
-		return store.Nil, fmt.Errorf("%w: empty bundle", ErrBadBundle)
-	}
 	return oids[0], nil
+}
+
+// CheckPTML decodes a closure's stored PTML tree and checks it against
+// the §2.2 well-formedness constraints under the default primitive
+// signatures: the rule for a tree that arrives from outside the compiler
+// (an imported bundle) or is audited at rest (tycfsck). The tree and its
+// free variables are returned whenever it decodes, so a caller can still
+// hash an ill-formed tree; a check failure wraps tml.ErrIllFormed.
+func CheckPTML(data []byte) (tml.Node, []*tml.Var, error) {
+	node, free, err := ptml.Decode(data, nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("PTML undecodable: %w", err)
+	}
+	if err := tml.Check(node, tml.CheckOpts{Signatures: prim.Signatures, AllowFree: free}); err != nil {
+		return node, free, fmt.Errorf("PTML tree ill-formed: %w", err)
+	}
+	return node, free, nil
 }
 
 // ExportFunction is a convenience: resolve module.function in src and

@@ -6,11 +6,14 @@ import (
 
 	"tycoon/internal/linker"
 	"tycoon/internal/machine"
+	"tycoon/internal/prim"
+	"tycoon/internal/ptml"
 	"tycoon/internal/reflectopt"
 	"tycoon/internal/relalg"
 	"tycoon/internal/ship"
 	"tycoon/internal/store"
 	"tycoon/internal/tl"
+	"tycoon/internal/tml"
 	"tycoon/internal/tyclib"
 )
 
@@ -202,7 +205,7 @@ end`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro := reflectopt.New(dst.st, reflectopt.Options{CheckInvariants: true})
+	ro := reflectopt.New(dst.st, reflectopt.Options{})
 	res, err := ro.OptimizeAndInstall(dst.m.Code, oid)
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +242,47 @@ end`)
 		t.Fatal(err)
 	}
 	return bundle
+}
+
+// TestImportRefusesIllFormedPTML: a bundle whose closure carries a PTML
+// tree that violates a §2.2 constraint is refused, although its bytes
+// are intact.
+func TestImportRefusesIllFormedPTML(t *testing.T) {
+	src := newNode(t)
+	src.install(t, `
+module app export triple
+let triple(n : Int) : Int = n * 3
+end`)
+	obj, err := src.st.Get(mustRoot(t, src.st, "module:app"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, _ := obj.(*store.Module).Lookup("triple")
+	obj, err = src.st.Get(fn.Ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clo := obj.(*store.Closure)
+	// + applied to one value: a primitive arity violation.
+	bad, err := tml.Parse("proc(n !ce !cc) (+ n ce cc)", tml.ParseOpts{IsPrim: prim.IsPrim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := ptml.Encode(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.st.Update(clo.PTML, &store.Blob{Bytes: data}); err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := ship.Export(src.st, fn.Ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ship.Import(newNode(t).st, bundle)
+	if !errors.Is(err, ship.ErrBadBundle) || !errors.Is(err, tml.ErrIllFormed) {
+		t.Fatalf("import of an ill-formed closure: %v, want ErrBadBundle naming the violation", err)
+	}
 }
 
 func TestImportDetectsTruncation(t *testing.T) {

@@ -7,8 +7,13 @@ import (
 
 // This file implements the well-formedness checker for the constraints of
 // paper §2.2. The compiler front end establishes these constraints and
-// every rewrite rule preserves them (paper fn. 3); the checker is used in
-// tests, after PTML decoding, and behind a debug flag in the optimizer.
+// every rewrite rule preserves them (paper fn. 3). The compilation
+// pipeline enforces both halves of that claim on every term it compiles:
+// the source pass is checked, so ill-formed input (a shipped term, a
+// stored tree) is refused before any rule or the code generator sees it,
+// and every optimizer pass is checked, so a rule that breaks a constraint
+// fails as a miscompile at that pass. tycfsck and bundle import check
+// stored PTML trees with the same rules.
 
 // Signature describes the calling convention of a primitive: the number of
 // value arguments and continuation arguments it expects. Variadic
@@ -46,20 +51,18 @@ var ErrIllFormed = errors.New("ill-formed TML")
 //  2. a primitive application matches the primitive's signature;
 //  3. continuations do not escape: a continuation variable or continuation
 //     abstraction may appear only in functional position or in a
-//     continuation argument position;
+//     continuation argument position, and a proc abstraction's body uses
+//     no continuation bound outside it (a continuation is a consumer; it
+//     cannot be captured as part of a value that outlives it);
 //  4. unique binding: every variable is bound by at most one parameter
 //     list, and every use is in the scope of its binder (or explicitly
 //     allowed free);
 //  5. a proc abstraction takes exactly two trailing continuation
 //     parameters, a cont abstraction takes none.
 func Check(n Node, opts CheckOpts) error {
-	c := &checker{
-		opts:    opts,
-		bound:   make(map[*Var]bool),
-		inScope: make(map[*Var]bool),
-	}
+	c := &checker{opts: opts, scope: make(map[*Var]int), knots: make(map[*Var]bool)}
 	for _, v := range opts.AllowFree {
-		c.inScope[v] = true
+		c.scope[v] = 0
 	}
 	if err := c.node(n); err != nil {
 		return fmt.Errorf("%w: %v", ErrIllFormed, err)
@@ -68,10 +71,30 @@ func Check(n Node, opts CheckOpts) error {
 }
 
 type checker struct {
-	opts    CheckOpts
-	bound   map[*Var]bool // ever bound anywhere (unique-binding rule)
-	inScope map[*Var]bool // currently in scope
+	opts CheckOpts
+	// scope maps every variable bound so far, or allowed free, to the
+	// proc depth of its binder while it is in scope, and to outOfScope
+	// after; depth is the number of proc abstractions enclosing the node
+	// being checked.
+	scope map[*Var]int
+	depth int
+	// knots are the final parameters of Y arguments: the only
+	// continuation variables whose call may pass continuations (§2.3).
+	knots map[*Var]bool
 }
+
+// outOfScope marks a variable whose binder has been left.
+const outOfScope = -1
+
+// absKind says where an abstraction occurs, which decides the shape
+// rule and whether its body is a proc body.
+type absKind int
+
+const (
+	absValue absKind = iota // an argument value: proc, cont or Y shape
+	absRedex                // functional position: any parameter mix
+	absKnot                 // the argument of Y
+)
 
 func (c *checker) node(n Node) error {
 	switch n := n.(type) {
@@ -89,20 +112,27 @@ func (c *checker) node(n Node) error {
 }
 
 func (c *checker) use(v *Var) error {
-	if !c.inScope[v] {
+	d, ok := c.scope[v]
+	if !ok || d == outOfScope {
 		return fmt.Errorf("variable %s used out of scope", v)
+	}
+	if v.Cont && d != c.depth {
+		return fmt.Errorf("continuation %s is used inside a proc abstraction but bound outside it", v)
 	}
 	return nil
 }
 
-func (c *checker) abs(a *Abs) error { return c.absShape(a, false) }
+func (c *checker) abs(a *Abs) error { return c.absShape(a, absValue) }
 
-// absShape checks an abstraction; relaxed skips the proc/cont parameter
-// shape constraint, which only applies to abstractions used as values —
-// an abstraction in functional position (a β-redex, e.g. the
-// administrative bindings of join continuations or of a rebound exception
-// continuation) may bind any mix of values and continuations.
-func (c *checker) absShape(a *Abs, relaxed bool) error {
+// absShape checks an abstraction. The proc/cont parameter shape
+// constraint only applies to abstractions used as values (absValue,
+// absKnot): an abstraction in functional position (a β-redex, e.g. the
+// administrative bindings of join continuations or of a rebound
+// exception continuation) may bind any mix of values and continuations.
+// A proc used as a value is a barrier for continuations: its body runs
+// whenever the proc is called, so it may use only the continuations it
+// binds itself.
+func (c *checker) absShape(a *Abs, kind absKind) error {
 	// Constraint 5: parameter shape. A proc has exactly two trailing
 	// continuation parameters (ce then cc); a cont has none. Abstractions
 	// whose parameters are *all* continuations arise as arguments of the
@@ -114,29 +144,38 @@ func (c *checker) absShape(a *Abs, relaxed bool) error {
 		}
 	}
 	n := len(a.Params)
+	isProc := false
 	switch {
-	case relaxed:
+	case kind == absRedex:
 	case nconts == 0: // continuation abstraction
 	case nconts == 2 && a.Params[n-1].Cont && a.Params[n-2].Cont:
 		// proc(v₁ … vₙ ce cc)
+		isProc = kind == absValue
 	case n >= 2 && a.Params[0].Cont && a.Params[n-1].Cont:
 		// Y-argument shape λ(c₀ v₁ … vₙ c): the recursive bindings v₁…vₙ
 		// may be procedures and/or continuations (paper §2.3).
 	default:
 		return fmt.Errorf("abstraction %s has %d continuation parameters in a non-proc, non-cont shape", absHead(a), nconts)
 	}
+	if isProc {
+		c.depth++ // an error ends the check, so only success restores it
+	}
 	for _, p := range a.Params {
-		if c.bound[p] {
-			return fmt.Errorf("variable %s bound more than once (unique binding rule)", p)
+		if _, seen := c.scope[p]; seen {
+			return fmt.Errorf("variable %s bound more than once, or bound and used free (unique binding rule)", p)
 		}
-		c.bound[p] = true
-		c.inScope[p] = true
+		c.scope[p] = c.depth
 	}
-	err := c.app(a.Body)
+	if err := c.app(a.Body); err != nil {
+		return err
+	}
 	for _, p := range a.Params {
-		delete(c.inScope, p)
+		c.scope[p] = outOfScope
 	}
-	return err
+	if isProc {
+		c.depth--
+	}
+	return nil
 }
 
 func (c *checker) app(app *App) error {
@@ -156,16 +195,19 @@ func (c *checker) app(app *App) error {
 			return fmt.Errorf("abstraction of %d parameters applied to %d arguments", len(fn.Params), len(app.Args))
 		}
 	case *Prim:
+		// Without signatures, the trailing continuation values mark the
+		// continuation positions.
+		sig := Signature{NVals: -1, NConts: -1}
 		if c.opts.Signatures != nil {
-			sig, ok := c.opts.Signatures(fn.Name)
-			if !ok {
+			var ok bool
+			if sig, ok = c.opts.Signatures(fn.Name); !ok {
 				return fmt.Errorf("unknown primitive %q", fn.Name)
 			}
 			if err := checkPrimArity(fn.Name, sig, app.Args); err != nil {
 				return err
 			}
-			return c.primArgs(fn.Name, sig, app.Args)
 		}
+		return c.primArgs(fn.Name, sig, app.Args)
 	}
 
 	// Non-primitive application: continuations may appear anywhere in the
@@ -173,7 +215,7 @@ func (c *checker) app(app *App) error {
 	// corresponding parameter is a continuation; for unknown callees
 	// (variables) the front end's type checker is responsible, and we
 	// verify the weaker property that continuation values only flow into
-	// trailing argument positions or Y-shaped calls.
+	// trailing argument positions or the knot-tying call of a Y body.
 	if abs, ok := app.Fn.(*Abs); ok {
 		for i, arg := range app.Args {
 			if err := c.argValue(arg, abs.Params[i].Cont); err != nil {
@@ -183,19 +225,24 @@ func (c *checker) app(app *App) error {
 		// Functional position: the administrative β-redex may bind any
 		// parameter mix (join continuations, rebound exception
 		// continuations), so the proc/cont shape rule is relaxed.
-		return c.absShape(abs, true)
+		return c.absShape(abs, absRedex)
 	}
-	// A call whose callee is a continuation variable may receive
-	// continuations in any position: the knot-tying call of a Y body,
-	// (c cont()app abs₁ … absₙ), hands the recursive abstractions to the
-	// fixed point operator through such a call (paper §2.3).
-	calleeIsCont := false
-	if v, ok := app.Fn.(*Var); ok && v.Cont {
-		calleeIsCont = true
-	}
+	callee, _ := app.Fn.(*Var)
 	for i, arg := range app.Args {
-		isContPos := calleeIsCont || i >= len(app.Args)-2 // ce / cc positions of a proc call
-		if err := c.argValue(arg, isContPos); err != nil {
+		var contPos bool
+		switch {
+		case callee != nil && c.knots[callee]:
+			// The knot-tying call of a Y body, (c cont()app abs₁ … absₙ),
+			// hands the recursive abstractions, procs and continuations
+			// alike, to the fixed point operator (paper §2.3).
+			contPos = true
+		case callee != nil && callee.Cont:
+			// A continuation consumes values only.
+			contPos = false
+		default:
+			contPos = i >= len(app.Args)-2 // ce / cc positions of a proc call
+		}
+		if err := c.argValue(arg, contPos); err != nil {
 			return err
 		}
 	}
@@ -212,7 +259,14 @@ func (c *checker) primArgs(name string, sig Signature, args []Value) error {
 	}
 	split := len(args) - nconts
 	for i, arg := range args {
-		if err := c.argValue(arg, i >= split); err != nil {
+		var err error
+		if abs, ok := arg.(*Abs); ok && name == "Y" && len(abs.Params) > 0 {
+			c.knots[abs.Params[len(abs.Params)-1]] = true
+			err = c.absShape(abs, absKnot)
+		} else {
+			err = c.argValue(arg, i >= split)
+		}
+		if err != nil {
 			return fmt.Errorf("primitive %s argument %d: %w", name, i, err)
 		}
 	}

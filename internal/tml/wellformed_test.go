@@ -43,6 +43,10 @@ func TestCheckAcceptsWellFormed(t *testing.T) {
 		`(Y proc(!c0 !for !c)
 		   (c cont() (for 1)
 		      cont(i) (> i 10 cont()(k ok) cont()(for i))))`,
+		// Twins of the escapes rejected below ('!' marks the free e and k
+		// as continuations, as a server's rebinding does).
+		"(+ 40 2 !e cont(n) (!k n))",
+		"(cont(f) (f 1 !e !k) proc(x !ce !cc) (cc x))",
 	}
 	for _, src := range good {
 		if err := checkSrc(t, src); err != nil {
@@ -59,6 +63,12 @@ func TestCheckRejectsIllFormed(t *testing.T) {
 		{"beta arity mismatch", "(cont(a b) (k a b) 1)"},
 		{"prim value arity", "(+ 1 ce cc)"},
 		{"prim cont arity", "([] a 1 cont(t)(k t) cont(u)(k u))"},
+		// Only the knot-tying call of a Y body may pass a continuation
+		// to a continuation (§2.3); any other continuation takes values.
+		{"continuation passed to a continuation", "(+ 40 2 !e cont(n) (!k k))"},
+		// A proc value may be called after the continuation it would
+		// capture is gone: its body uses only its own ce/cc.
+		{"proc uses an outer continuation", "(cont(f) (f 1 !e !k) proc(x !ce !cc) (k x))"},
 	}
 	for _, tt := range bad {
 		if err := checkSrc(t, tt.src); err == nil {
