@@ -273,8 +273,9 @@ func (sh *shell) exec(line string, r *bufio.Reader) error {
 		fmt.Printf("\npipeline: hits %d misses %d shared %d errors %d entries %d\n",
 			st.Pipeline.Hits, st.Pipeline.Misses, st.Pipeline.Shared,
 			st.Pipeline.Errors, st.Pipeline.Entries)
-		fmt.Printf("indexes: builds %d extends %d hits %d copies %d\n",
-			st.Indexes.Builds, st.Indexes.Extends, st.Indexes.Hits, st.Indexes.Copies)
+		fmt.Printf("indexes: builds %d extends %d hits %d horizon-hits %d invalidations %d\n",
+			st.Indexes.Builds, st.Indexes.Extends, st.Indexes.Hits,
+			st.Indexes.HorizonHits, st.Indexes.Invalidations)
 		if sb := st.Store; sb != nil {
 			fmt.Printf("store: snapshots %d txns %d/%d conflicts %d batches %d (mean %.1f txns)\n",
 				sb.OpenSnapshots, sb.Committed, sb.Aborted, sb.Conflicts,

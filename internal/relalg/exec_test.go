@@ -60,9 +60,8 @@ func TestIndexCacheReuse(t *testing.T) {
 		t.Errorf("second scan missed the cache: %+v", s)
 	}
 
-	// Insert through the manager: the index is maintained, and the next
-	// scan still hits (neither build nor extension — InsertRow already
-	// appended the new posting).
+	// Insert through the manager: the next scan extends the index over
+	// the new row instead of rebuilding it.
 	if err := mg.InsertRow(oid, []store.Val{store.IntVal(123), store.IntVal(7)}); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestIndexCacheReuse(t *testing.T) {
 	}
 	s = mg.IndexStats()
 	if s.Builds != 1 {
-		t.Errorf("scan after maintained insert rebuilt: %+v", s)
+		t.Errorf("scan after manager insert rebuilt: %+v", s)
 	}
 
 	// Rows appended behind the manager's back extend the index tail
@@ -90,7 +89,7 @@ func TestIndexCacheReuse(t *testing.T) {
 		t.Fatalf("scan after raw append matched %d rows, want 3", got)
 	}
 	s = mg.IndexStats()
-	if s.Builds != 1 || s.Extends != 1 {
+	if s.Builds != 1 || s.Extends != 2 {
 		t.Errorf("raw append should extend, not rebuild: %+v", s)
 	}
 

@@ -22,6 +22,7 @@ package relalg
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"tycoon/internal/machine"
 	"tycoon/internal/prim"
@@ -100,8 +101,10 @@ func joinRows(out *Rel, rows1, rows2 [][]store.Val, pairs []pair) {
 	}
 }
 
-// Manager owns the runtime index structures for persistent relations and
-// provides the query executors. One Manager serves one store.
+// Manager provides the query executors over one store. It holds no
+// per-relation state: the runtime index structures live in each
+// relation's derived cache (store.Relation.IndexLookup), next to its
+// columns, and die with the relation.
 type Manager struct {
 	st *store.Store
 	// NoBatch disables the batched kernels: every predicate call goes
@@ -116,77 +119,15 @@ type Manager struct {
 	// property tests use it to run every algorithm over one input.
 	ForceJoin string
 
-	// mu guards indexes, stats and explains (machines sharing one store
-	// share the manager).
+	// mu guards explains (machines sharing one store share the manager).
 	mu sync.Mutex
 	// explains holds per-machine EXPLAIN sinks; explainN mirrors its size
 	// for the lock-free fast path.
 	explains map[*machine.Machine]*qopt.PlanSink
 	explainN int32
-	// indexes caches hash indexes per relation OID and column: the
-	// runtime binding knowledge the query optimizer consults. Each entry
-	// remembers the relation object and row count it was built against,
-	// so a reloaded relation or rows inserted behind the manager's back
-	// invalidate (or extend) the cache instead of serving stale matches.
-	indexes map[store.OID]map[int]*cachedIndex
-	stats   IndexStats
-}
-
-type hashIndex map[store.Val][]int
-
-// cachedIndex is one hash index together with the validity horizon it
-// was built against. Once an index map has been handed to a kernel
-// (shared), it is immutable: maintenance and tail extension go through a
-// copy-on-write clone so concurrent scans on other sessions never
-// observe a map mutation. Untouched buckets are shared between the old
-// and new map; only appended buckets are copied. The clone is swapped in
-// under mg.mu, after which in-place maintenance is legal again until the
-// next scan marks the index shared.
-type cachedIndex struct {
-	rel  *store.Relation // object identity the index was built on
-	rows int             // rows covered
-	// builtPtrs snapshots, per covered row, the address of the row's
-	// first element at build time. Row slices are immutable after
-	// publication, so pointer identity of a prefix's last row certifies
-	// that the cached postings still describe exactly that prefix — the
-	// validity horizon the columnar MVCC views key off. The pointers are
-	// copied out (never an alias of the caller's rows slice), so a
-	// truncate-and-regrow that stomps a shared backing array changes the
-	// observed addresses and is caught; holding the old pointers also
-	// pins the old rows, so the allocator cannot recycle their storage
-	// into a false match.
-	builtPtrs []*store.Val
-	ix        hashIndex
-	shared    bool // ix escaped to a reader; mutate via COW only
-}
-
-// rowPtr is a row's identity for prefix validation.
-func rowPtr(r []store.Val) *store.Val {
-	if len(r) == 0 {
-		return nil
-	}
-	return &r[0]
-}
-
-func rowPtrs(rows [][]store.Val) []*store.Val {
-	ps := make([]*store.Val, len(rows))
-	for i, r := range rows {
-		ps[i] = rowPtr(r)
-	}
-	return ps
-}
-
-// prefixIntact reports that the first n rows of the caller's snapshot
-// are the very rows the index was built from.
-func (c *cachedIndex) prefixIntact(rows [][]store.Val, n int) bool {
-	if n == 0 {
-		return true
-	}
-	if n > len(rows) || n > len(c.builtPtrs) {
-		return false
-	}
-	p := c.builtPtrs[n-1]
-	return p != nil && len(rows[n-1]) > 0 && &rows[n-1][0] == p
+	// ixEvents counts how the derived caches served this manager's index
+	// lookups, one counter per store.CacheEvent.
+	ixEvents [store.CacheRebuild + 1]atomic.Int64
 }
 
 // IndexStats counts index cache activity; the regression tests assert
@@ -194,22 +135,30 @@ func (c *cachedIndex) prefixIntact(rows [][]store.Val, n int) bool {
 type IndexStats struct {
 	Builds        int64 // full builds
 	Extends       int64 // incremental tail extensions after appends
-	Invalidations int64 // rebuilds forced by object identity or row loss
+	Invalidations int64 // rebuilds forced by a broken row prefix
 	Hits          int64 // served unchanged
 	HorizonHits   int64 // served filtered to a shorter snapshot horizon
-	Copies        int64 // copy-on-write clones protecting concurrent readers
+	// Copies is always 0: indexes are extended in place and lookups hand
+	// out capped posting prefixes, so no reader ever needs a copy. The
+	// field stays for readers of the wire stats.
+	Copies int64
 }
 
 // NewManager returns a manager over st.
 func NewManager(st *store.Store) *Manager {
-	return &Manager{st: st, indexes: make(map[store.OID]map[int]*cachedIndex)}
+	return &Manager{st: st}
 }
 
 // IndexStats returns a snapshot of the index cache counters.
 func (mg *Manager) IndexStats() IndexStats {
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	return mg.stats
+	n := func(ev store.CacheEvent) int64 { return mg.ixEvents[ev].Load() }
+	return IndexStats{
+		Builds:        n(store.CacheBuild) + n(store.CacheRebuild),
+		Extends:       n(store.CacheExtend),
+		Invalidations: n(store.CacheRebuild),
+		Hits:          n(store.CacheHit),
+		HorizonHits:   n(store.CacheHorizonHit),
+	}
 }
 
 // Register attaches the query executors to a machine.
@@ -251,17 +200,16 @@ func (mg *Manager) view(m *machine.Machine) store.View {
 	return mg.st
 }
 
-// InsertRow appends a row to a persistent relation, maintaining indexes.
-// It writes through the raw store; rows inserted by programs running
-// under a transaction go through the machine's view instead (execInsert).
+// InsertRow appends a row to a persistent relation. It writes through
+// the raw store; rows inserted by programs running under a transaction
+// go through the machine's view instead (execInsert). The relation's
+// derived cache picks the row up on its next use.
 func (mg *Manager) InsertRow(oid store.OID, row []store.Val) error {
 	return mg.insertRow(mg.st, oid, row)
 }
 
-// insertRow appends a row through the given store view, maintaining any
-// cached index built on the same relation identity. A transaction's
-// localised relation view has its own identity, so indexes cached for
-// the committed relation are never extended with uncommitted rows.
+// insertRow appends a row through the given store view. A transaction's
+// localised relation view carries the row privately until commit.
 func (mg *Manager) insertRow(st store.View, oid store.OID, row []store.Val) error {
 	obj, err := st.Get(oid)
 	if err != nil {
@@ -274,154 +222,35 @@ func (mg *Manager) insertRow(st store.View, oid store.OID, row []store.Val) erro
 	if len(row) != len(rel.Schema) {
 		return fmt.Errorf("relalg: row width %d, schema width %d", len(row), len(rel.Schema))
 	}
-	idx := rel.AppendRow(row)
+	rel.AppendRow(row)
 	st.MarkDirty(oid)
-	snap := rel.RowsSnapshot()
-	mg.mu.Lock()
-	if cols, ok := mg.indexes[oid]; ok {
-		for col, c := range cols {
-			// Maintain only indexes that are current for this relation
-			// object AND still describe its row prefix (a truncate-and-
-			// regrow to the same length must not be extended in place);
-			// anything else is caught by validation on next use.
-			if c.rel == rel && c.rows == idx && len(snap) > idx && c.prefixIntact(snap, idx) {
-				mg.cow(c)
-				c.ix[row[col]] = appendPosting(c.shared, c.ix[row[col]], idx)
-				c.rows = idx + 1
-				c.builtPtrs = append(c.builtPtrs, rowPtr(snap[idx]))
-				c.shared = false
-			}
-		}
-	}
-	mg.mu.Unlock()
 	return nil
-}
-
-// cow prepares a cached index for mutation: if its map escaped to a
-// reader, replace it with a clone that shares the (immutable) buckets.
-// Buckets touched afterwards must be copied, not appended in place —
-// appendPosting does that while c came out of a COW clone. Must be
-// called with mg.mu held.
-func (mg *Manager) cow(c *cachedIndex) {
-	if !c.shared {
-		return
-	}
-	next := make(hashIndex, len(c.ix))
-	for k, v := range c.ix {
-		next[k] = v
-	}
-	c.ix = next
-	mg.stats.Copies++
-}
-
-// appendPosting appends a row index to a bucket, copying the bucket
-// first when it may still be shared with a published map.
-func appendPosting(shared bool, bucket []int, idx int) []int {
-	if shared {
-		out := make([]int, len(bucket), len(bucket)+1)
-		copy(out, bucket)
-		bucket = out
-	}
-	return append(bucket, idx)
-}
-
-// index returns (building lazily, caching with validation) the hash
-// index on the given column of a persistent relation, or nil when none
-// is declared. rows is the caller's row snapshot; postings at or past
-// the returned limit must be ignored, so the served index can never
-// reach past the data the caller scans.
-//
-// Cache validity keys off the row-prefix identity behind
-// Relation.IndexIdentity: a cached index is served unchanged when the
-// caller's snapshot is exactly the prefix it was built from, served
-// filtered (limit < built rows) when the caller is a snapshot view at an
-// older horizon of the same prefix, extended via copy-on-write when rows
-// were appended behind the manager's back, and rebuilt when the prefix
-// identity broke — a reloaded relation object, or a truncate-and-regrow
-// that replaced the rows (even at the same length).
-func (mg *Manager) index(oid store.OID, rel *store.Relation, rows [][]store.Val, col int) (hashIndex, int) {
-	if !rel.HasIndexOn(col) {
-		return nil, 0
-	}
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	cols, ok := mg.indexes[oid]
-	if !ok {
-		cols = make(map[int]*cachedIndex)
-		mg.indexes[oid] = cols
-	}
-	if c, ok := cols[col]; ok && c.rel == rel {
-		switch {
-		case len(rows) == c.rows && c.prefixIntact(rows, c.rows):
-			mg.stats.Hits++
-			c.shared = true
-			return c.ix, c.rows
-		case len(rows) < c.rows && c.prefixIntact(rows, len(rows)):
-			// Snapshot view at an older horizon of the same prefix: serve
-			// the cached postings filtered to the view's rows. The cache
-			// itself stays at the longer (live) horizon.
-			mg.stats.HorizonHits++
-			c.shared = true
-			return c.ix, len(rows)
-		case len(rows) > c.rows && c.prefixIntact(rows, c.rows):
-			wasShared := c.shared
-			mg.cow(c)
-			var copied map[store.Val]bool
-			if wasShared {
-				copied = make(map[store.Val]bool)
-			}
-			for i := c.rows; i < len(rows); i++ {
-				key := rows[i][col]
-				c.ix[key] = appendPosting(wasShared && !copied[key], c.ix[key], i)
-				c.builtPtrs = append(c.builtPtrs, rowPtr(rows[i]))
-				if wasShared {
-					copied[key] = true
-				}
-			}
-			c.rows = len(rows)
-			c.shared = true
-			mg.stats.Extends++
-			return c.ix, c.rows
-		}
-	}
-	if _, stale := cols[col]; stale {
-		mg.stats.Invalidations++
-	}
-	ix := make(hashIndex, len(rows))
-	for i, row := range rows {
-		ix[row[col]] = append(ix[row[col]], i)
-	}
-	cols[col] = &cachedIndex{rel: rel, rows: len(rows), builtPtrs: rowPtrs(rows), ix: ix, shared: true}
-	mg.stats.Builds++
-	return ix, len(rows)
 }
 
 // relOf resolves a relation argument: a transient Rel or a Ref to a
 // persistent relation. Persistent refs resolve through the machine's
 // store view, so a program running under a transaction scans exactly its
 // snapshot (plus its own appends) regardless of concurrent committers.
-// The returned rel is the identity the index cache keys on: a clean
-// transaction view shares the live relation's identity (and therefore
-// its cached indexes); a view carrying uncommitted rows keeps its own.
-func (mg *Manager) relOf(m *machine.Machine, op string, v machine.Value) (schema []store.Column, rows [][]store.Val, oid store.OID, rel *store.Relation, err error) {
+// rel is the relation object it resolved (nil for a transient Rel); its
+// derived cache is shared with every clean view of the same relation.
+func (mg *Manager) relOf(m *machine.Machine, op string, v machine.Value) (schema []store.Column, rows [][]store.Val, rel *store.Relation, err error) {
 	switch v := v.(type) {
 	case *Rel:
-		return v.Schema, v.Rows, store.Nil, nil, nil
+		return v.Schema, v.Rows, nil, nil
 	case machine.Ref:
 		obj, gerr := mg.view(m).Get(v.OID)
 		if gerr != nil {
-			return nil, nil, store.Nil, nil, fmt.Errorf("relalg: %s: %w", op, gerr)
+			return nil, nil, nil, fmt.Errorf("relalg: %s: %w", op, gerr)
 		}
 		r, ok := obj.(*store.Relation)
 		if !ok {
-			return nil, nil, store.Nil, nil, fmt.Errorf("relalg: %s: oid 0x%x is a %s", op, uint64(v.OID), obj.Kind())
+			return nil, nil, nil, fmt.Errorf("relalg: %s: oid 0x%x is a %s", op, uint64(v.OID), obj.Kind())
 		}
 		// Snapshot the row header: appends on other sessions may grow
 		// the relation mid-scan, never mutate the snapshotted rows.
-		rows := r.RowsSnapshot()
-		return r.Schema, rows, v.OID, r.IndexIdentity(len(rows)), nil
+		return r.Schema, r.RowsSnapshot(), r, nil
 	default:
-		return nil, nil, store.Nil, nil, fmt.Errorf("relalg: %s: expected relation, got %s", op, v.Show())
+		return nil, nil, nil, fmt.Errorf("relalg: %s: expected relation, got %s", op, v.Show())
 	}
 }
 
@@ -545,7 +374,7 @@ func ok1(results ...machine.Value) machine.Outcome {
 // execSelect implements (select pred rel ce cc): σ_pred(rel).
 func (mg *Manager) execSelect(m *machine.Machine, vals, conts []machine.Value) (machine.Outcome, error) {
 	pred := vals[0]
-	schema, rows, _, rel, err := mg.relOf(m, "select", vals[1])
+	schema, rows, rel, err := mg.relOf(m, "select", vals[1])
 	if err != nil {
 		return machine.Outcome{}, err
 	}
@@ -590,7 +419,7 @@ func (mg *Manager) execSelect(m *machine.Machine, vals, conts []machine.Value) (
 // function returns the new row as a vector of scalars.
 func (mg *Manager) execProject(m *machine.Machine, vals, conts []machine.Value) (machine.Outcome, error) {
 	fn := vals[0]
-	schema, rows, _, rel, err := mg.relOf(m, "project", vals[1])
+	schema, rows, rel, err := mg.relOf(m, "project", vals[1])
 	if err != nil {
 		return machine.Outcome{}, err
 	}
@@ -667,11 +496,11 @@ func colTypeOf(v store.Val) store.ColType {
 // predicate receives the concatenated row.
 func (mg *Manager) execJoin(m *machine.Machine, vals, conts []machine.Value) (machine.Outcome, error) {
 	pred := vals[0]
-	s1, rows1, _, rel1, err := mg.relOf(m, "join", vals[1])
+	s1, rows1, rel1, err := mg.relOf(m, "join", vals[1])
 	if err != nil {
 		return machine.Outcome{}, err
 	}
-	s2, rows2, _, rel2, err := mg.relOf(m, "join", vals[2])
+	s2, rows2, rel2, err := mg.relOf(m, "join", vals[2])
 	if err != nil {
 		return machine.Outcome{}, err
 	}
@@ -721,7 +550,7 @@ func (mg *Manager) execJoin(m *machine.Machine, vals, conts []machine.Value) (ma
 // they visit.
 func (mg *Manager) execExists(m *machine.Machine, vals, conts []machine.Value) (machine.Outcome, error) {
 	pred := vals[0]
-	schema, rows, _, rel, err := mg.relOf(m, "exists", vals[1])
+	schema, rows, rel, err := mg.relOf(m, "exists", vals[1])
 	if err != nil {
 		return machine.Outcome{}, err
 	}
@@ -766,7 +595,7 @@ func (mg *Manager) execExists(m *machine.Machine, vals, conts []machine.Value) (
 
 // execEmpty implements (empty rel ce cc): R = ∅.
 func (mg *Manager) execEmpty(m *machine.Machine, vals, conts []machine.Value) (machine.Outcome, error) {
-	_, rows, _, _, err := mg.relOf(m, "empty", vals[0])
+	_, rows, _, err := mg.relOf(m, "empty", vals[0])
 	if err != nil {
 		return machine.Outcome{}, err
 	}
@@ -775,7 +604,7 @@ func (mg *Manager) execEmpty(m *machine.Machine, vals, conts []machine.Value) (m
 
 // execCount implements (count rel ce cc).
 func (mg *Manager) execCount(m *machine.Machine, vals, conts []machine.Value) (machine.Outcome, error) {
-	_, rows, _, _, err := mg.relOf(m, "count", vals[0])
+	_, rows, _, err := mg.relOf(m, "count", vals[0])
 	if err != nil {
 		return machine.Outcome{}, err
 	}
@@ -788,7 +617,7 @@ func (mg *Manager) execCount(m *machine.Machine, vals, conts []machine.Value) (m
 // newKernel still shares the batch continuations and compiled code.
 func (mg *Manager) execForeach(m *machine.Machine, vals, conts []machine.Value) (machine.Outcome, error) {
 	body := vals[0]
-	_, rows, _, _, err := mg.relOf(m, "foreach", vals[1])
+	_, rows, _, err := mg.relOf(m, "foreach", vals[1])
 	if err != nil {
 		return machine.Outcome{}, err
 	}
@@ -843,7 +672,7 @@ func (mg *Manager) execInsert(m *machine.Machine, vals, conts []machine.Value) (
 // Without an index the scan degrades to a sequential filter, so the
 // rewrite is always safe.
 func (mg *Manager) execIndexScan(m *machine.Machine, vals, conts []machine.Value) (machine.Outcome, error) {
-	schema, rows, oid, rel, err := mg.relOf(m, "indexscan", vals[0])
+	schema, rows, rel, err := mg.relOf(m, "indexscan", vals[0])
 	if err != nil {
 		return machine.Outcome{}, err
 	}
@@ -857,13 +686,9 @@ func (mg *Manager) execIndexScan(m *machine.Machine, vals, conts []machine.Value
 	}
 	out := &Rel{Schema: schema}
 	if rel != nil {
-		if ix, limit := mg.index(oid, rel, rows, int(col)); ix != nil {
-			// Postings ascend, so a snapshot view served from a longer
-			// live index stops at its own horizon.
-			for _, i := range ix[key] {
-				if i >= limit {
-					break
-				}
+		if hits, ev, ok := rel.IndexLookup(rows, int(col), key); ok {
+			mg.ixEvents[ev].Add(1)
+			for _, i := range hits {
 				if err := m.Tick(); err != nil {
 					return machine.Outcome{}, err
 				}

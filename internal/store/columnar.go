@@ -2,13 +2,15 @@ package store
 
 import (
 	"hash/maphash"
+	"sort"
 )
 
 // This file gives relations a columnar physical layout behind the existing
 // row API. Rows stay the durable representation (the log format, replay,
 // fsck and the MVCC horizon views are untouched); the columnar form is a
 // cache derived from the immutable row prefix, built lazily on first
-// columnar scan and extended incrementally as rows are appended. Each
+// use and extended incrementally as rows are appended. The declared hash
+// indexes live in the same cache and cover the same prefix. Each
 // column becomes one typed Go slice (plus a null bitmap), so vectorized
 // kernels read machine integers out of contiguous memory instead of
 // chasing boxed Val tuples — the payoff named by the CockroachDB IR RFC:
@@ -380,33 +382,112 @@ func (a *colAcc) vec(n int) ColVec {
 	}
 	st := a.stats
 	st.Rows = n
-	st.Distinct = a.distinct()
+	// A shorter horizon reads the longer prefix's counts as upper bounds.
+	st.Nulls = min(st.Nulls, n)
+	st.Distinct = min(a.distinct(), n)
 	v.Stats = st
 	return v
 }
 
-// colCache is a relation's growable columnar cache: one accumulator per
-// column plus the identity of the row prefix it was built from. It hangs
-// off unexported Relation fields (colMu, cols) that clone, decode and
-// relView all leave at their zero value: a fresh object starts cold and
-// builds its own cache on first columnar scan, while clean MVCC views
-// delegate to the live relation's cache via canon.
+// colCache is a relation's derived cache: one accumulator per column and
+// one hash index per declared index, all covering the same row prefix.
+// It hangs off unexported Relation fields (colMu, cols) that clone,
+// decode and relView all leave at their zero value: a fresh object
+// starts cold and builds its own cache on first use, while clean MVCC
+// views delegate to the live relation's cache via canon.
+//
+// ptrs copies the address of the first slot of every covered row. Row
+// slices are immutable after publication, so pointer identity of a
+// prefix's last row certifies that the cache still describes exactly
+// that prefix. The pointers are copied, never aliased from a caller's
+// rows, so a truncate-and-regrow that stomps a shared backing array is
+// caught; holding them also pins the old rows, so the allocator cannot
+// recycle their storage into a false match.
 type colCache struct {
-	built   int  // rows covered
-	lastRow *Val // first slot of rows[built-1], for truncation detection
-	accs    []*colAcc
+	ptrs []*Val
+	accs []*colAcc
+	// ixs maps an indexed column to its postings: for every value, the
+	// ascending positions of the covered rows holding it. A lookup hands
+	// out a capped prefix of a posting slice, so appending past it in
+	// place is invisible to the holder.
+	ixs map[int]map[Val][]int
+}
+
+// CacheEvent says how a relation's derived cache served a request;
+// relalg's index statistics count them.
+type CacheEvent uint8
+
+// The derived-cache events.
+const (
+	CacheHit        CacheEvent = iota // served unchanged
+	CacheHorizonHit                   // served a prefix to a shorter horizon
+	CacheExtend                       // extended over appended rows
+	CacheBuild                        // built cold
+	CacheRebuild                      // prefix identity broke: thrown away and built again
+)
+
+// coverLocked brings r's cache to cover the caller's snapshot rows. The
+// snapshot is checked once, at the last row both it and the cache cover:
+// a shorter horizon is served a prefix, a longer one extends the cache,
+// and a broken prefix rebuilds it. It reports false when a ragged row
+// (length ≠ schema width) stops the cache short of len(rows); the cache
+// then ends just before that row. Must be called with colMu held on a
+// relation with a schema.
+func (r *Relation) coverLocked(rows [][]Val) (*colCache, CacheEvent, bool) {
+	c, ev := r.cols, CacheHit
+	if c == nil {
+		ev = CacheBuild
+	} else if m := min(len(rows), len(c.ptrs)); m > 0 && (len(rows[m-1]) == 0 || &rows[m-1][0] != c.ptrs[m-1]) {
+		ev = CacheRebuild
+	}
+	switch {
+	case ev != CacheHit:
+		c = &colCache{accs: make([]*colAcc, len(r.Schema)), ixs: make(map[int]map[Val][]int)}
+		for i, col := range r.Schema {
+			c.accs[i] = newColAcc(col.Type)
+		}
+		for _, ix := range r.Indexes {
+			if ix.Column >= 0 && ix.Column < len(r.Schema) { // a decoded spec is unchecked
+				c.ixs[ix.Column] = make(map[Val][]int)
+			}
+		}
+		r.cols = c
+	case len(rows) < len(c.ptrs):
+		ev = CacheHorizonHit
+	case len(rows) > len(c.ptrs):
+		ev = CacheExtend
+	}
+	for i := len(c.ptrs); i < len(rows); i++ {
+		row := rows[i]
+		if len(row) != len(r.Schema) {
+			return c, ev, false // ragged row: columnar form would misrepresent it
+		}
+		// Null bitmaps are shared with previously cut prefixes; appending
+		// bits into an existing word would race with their readers, so
+		// copy-on-write the bitmap once per extension that needs it.
+		for ci, acc := range c.accs {
+			if row[ci].Kind == ValNil && acc.nulls != nil && i < len(acc.nulls)<<6 {
+				acc.nulls = append([]uint64(nil), acc.nulls...)
+			}
+			acc.add(i, row[ci])
+		}
+		for col, ix := range c.ixs {
+			ix[row[col]] = append(ix[row[col]], i)
+		}
+		c.ptrs = append(c.ptrs, &row[0])
+	}
+	return c, ev, true
 }
 
 // Columns returns a columnar snapshot of the first nrows rows, building
-// or extending the relation's columnar cache as needed. It returns nil
+// or extending the relation's derived cache as needed. It returns nil
 // when the columnar form cannot serve the request exactly: a view
 // carrying transaction-private rows (nrows past the committed horizon),
 // a ragged row (length ≠ schema width), or nrows beyond the stored rows.
 // Callers must fall back to the row path on nil.
 //
 // Clean MVCC views delegate to their canonical live relation, so every
-// snapshot of the same relation shares one columnar cache, mirroring
-// IndexIdentity for the hash-index cache.
+// snapshot of the same relation shares one derived cache.
 func (r *Relation) Columns(nrows int) *ColBlock {
 	if r.canon != nil {
 		if nrows <= r.canonRows {
@@ -436,51 +517,46 @@ func (r *Relation) ColumnsRows(rows [][]Val) *ColBlock {
 	if len(r.Schema) == 0 {
 		return nil
 	}
-	nrows := len(rows)
 	r.colMu.Lock()
 	defer r.colMu.Unlock()
-	c := r.cols
-	// Truncation / rewrite detection: the cache is valid only if the row
-	// prefix it was built from is still in place. Row slices are immutable
-	// after publication, so pointer identity of the last covered row
-	// certifies the whole prefix (a truncate-and-reappend moves it).
-	if c != nil && c.built > 0 {
-		if len(rows) < c.built || &rows[c.built-1][0] != c.lastRow {
-			c = nil
-		}
+	c, _, ok := r.coverLocked(rows)
+	if !ok {
+		return nil
 	}
-	if c == nil {
-		c = &colCache{accs: make([]*colAcc, len(r.Schema))}
-		for i, col := range r.Schema {
-			c.accs[i] = newColAcc(col.Type)
-		}
-		r.cols = c
-	}
-	// Extend the accumulators through nrows.
-	for i := c.built; i < nrows; i++ {
-		row := rows[i]
-		if len(row) != len(r.Schema) {
-			return nil // ragged row: columnar form would misrepresent it
-		}
-		// Null bitmaps are shared with previously cut prefixes; appending
-		// bits into an existing word would race with their readers, so
-		// copy-on-write the bitmap once per extension that needs it.
-		for ci, acc := range c.accs {
-			if row[ci].Kind == ValNil && acc.nulls != nil && i < len(acc.nulls)<<6 {
-				acc.nulls = append([]uint64(nil), acc.nulls...)
-			}
-			acc.add(i, row[ci])
-		}
-	}
-	if nrows > c.built {
-		c.built = nrows
-		c.lastRow = &rows[nrows-1][0]
-	}
-	blk := &ColBlock{NRows: nrows, Cols: make([]ColVec, len(c.accs))}
+	blk := &ColBlock{NRows: len(rows), Cols: make([]ColVec, len(c.accs))}
 	for i, acc := range c.accs {
-		blk.Cols[i] = acc.vec(nrows)
+		blk.Cols[i] = acc.vec(len(rows))
 	}
 	return blk
+}
+
+// IndexLookup returns the ascending positions of the rows in the
+// caller's snapshot whose column col equals key, served from the
+// declared hash index on col in the relation's derived cache, and says
+// how the cache served it. ok is false when no index is declared on col
+// or a ragged row keeps the cache from covering rows; the caller then
+// filters sequentially. The returned slice is capped: the caller must
+// not append to it.
+//
+// A clean MVCC view delegates to its live relation's cache, as Columns
+// does; a view carrying transaction-private rows uses its own cache, so
+// its uncommitted rows never reach another session's lookups.
+func (r *Relation) IndexLookup(rows [][]Val, col int, key Val) (hits []int, ev CacheEvent, ok bool) {
+	if r.canon != nil && len(rows) <= r.canonRows {
+		return r.canon.IndexLookup(rows, col, key)
+	}
+	if col < 0 || col >= len(r.Schema) || !r.HasIndexOn(col) {
+		return nil, CacheHit, false
+	}
+	r.colMu.Lock()
+	defer r.colMu.Unlock()
+	c, ev, ok := r.coverLocked(rows)
+	if !ok {
+		return nil, ev, false
+	}
+	hits = c.ixs[col][key]
+	n := sort.SearchInts(hits, len(rows))
+	return hits[:n:n], ev, true
 }
 
 // ColumnStats returns the per-column live statistics for the first nrows

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -56,6 +58,7 @@ func TestColumnsExtendIncrementally(t *testing.T) {
 	if b1 == nil || b1.Cols[0].Stats.Distinct != 10 {
 		t.Fatalf("first cut: %+v", b1)
 	}
+	cache := r.cols
 	for i := 10; i < 20; i++ {
 		r.AppendRow([]Val{IntVal(int64(i)), IntVal(int64(i % 7))})
 	}
@@ -74,6 +77,61 @@ func TestColumnsExtendIncrementally(t *testing.T) {
 	b3 := r.Columns(5)
 	if b3 == nil || len(b3.Cols[0].Ints) != 5 {
 		t.Fatalf("short cut: %+v", b3)
+	}
+	if r.cols != cache || len(r.cols.ptrs) != 20 {
+		t.Fatal("extension and the short cut were not served from the first cut's cache")
+	}
+}
+
+// TestColumnsOlderHorizonReusesCache: after a cut at horizon N, cuts at
+// N-1 and at N again are served from the same cache and the same
+// accumulators; an older MVCC horizon never forces a rebuild.
+func TestColumnsOlderHorizonReusesCache(t *testing.T) {
+	const n = 100
+	r := intRel(n)
+	if r.Columns(n) == nil {
+		t.Fatal("initial build failed")
+	}
+	cache, acc := r.cols, r.cols.accs[0]
+	for round := 0; round < 3; round++ {
+		for _, h := range []int{n - 1, n} {
+			blk := r.Columns(h)
+			if blk == nil || blk.NRows != h || len(blk.Cols[0].Ints) != h || blk.Cols[0].Ints[h-1] != int64(h-1) {
+				t.Fatalf("cut at %d: %+v", h, blk)
+			}
+			if r.cols != cache || r.cols.accs[0] != acc {
+				t.Fatalf("cut at %d rebuilt the cache", h)
+			}
+		}
+	}
+}
+
+// TestColumnsRaggedRefusalKeepsCache: a request past a ragged row is
+// refused without appending the rows before it to the accumulators, so
+// a later truncate-and-regrow reads exactly its rows.
+func TestColumnsRaggedRefusalKeepsCache(t *testing.T) {
+	r := intRel(10)
+	if r.Columns(10) == nil {
+		t.Fatal("initial build failed")
+	}
+	r.Rows = append(r.Rows, []Val{IntVal(10), IntVal(3)}, []Val{IntVal(99)})
+	for i := 0; i < 2; i++ {
+		if blk := r.Columns(12); blk != nil {
+			t.Fatal("ragged row must refuse the columnar form")
+		}
+	}
+	r.Rows = r.Rows[:11]
+	for i := 11; i < 15; i++ {
+		r.Rows = append(r.Rows, []Val{IntVal(int64(i)), IntVal(0)})
+	}
+	blk := r.Columns(15)
+	if blk == nil {
+		t.Fatal("regrown relation should build")
+	}
+	for i, id := range blk.Cols[0].Ints {
+		if id != int64(i) {
+			t.Fatalf("ids after regrow = %v, want 0…14", blk.Cols[0].Ints)
+		}
 	}
 }
 
@@ -251,4 +309,103 @@ func TestRelationStatsThroughView(t *testing.T) {
 	if tsts == nil || tsts[0].Rows != 40 {
 		t.Fatalf("txn stats: %+v", tsts)
 	}
+}
+
+// TestDerivedCacheConcurrentSnapshots runs index lookups and ColumnsRows
+// from snapshots and transactions cut at random horizons while another
+// goroutine appends. Every answer must equal a sequential filter over
+// the very rows the reader holds, and a transaction's private rows must
+// never reach another reader.
+func TestDerivedCacheConcurrentSnapshots(t *testing.T) {
+	s, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := intRel(200)
+	r.Indexes = []IndexSpec{{Column: 1}}
+	oid := s.Alloc(r)
+
+	check := func(view *Relation, rows [][]Val, key Val) bool {
+		var want []int
+		for i, row := range rows {
+			if row[1].Eq(key) {
+				want = append(want, i)
+			}
+		}
+		hits, _, ok := view.IndexLookup(rows, 1, key)
+		if !ok || !slices.Equal(hits, want) {
+			t.Errorf("lookup %v over %d rows: %v (ok %v), want %v", key, len(rows), hits, ok, want)
+			return false
+		}
+		if view.canon != nil && len(rows) > view.canonRows {
+			return true // private rows: row path only for columns
+		}
+		blk := view.ColumnsRows(rows)
+		if blk == nil || blk.NRows != len(rows) {
+			t.Errorf("ColumnsRows over %d rows: %+v", len(rows), blk)
+			return false
+		}
+		for i, row := range rows {
+			for c := range row {
+				if !blk.Cols[c].Val(i).Eq(row[c]) {
+					t.Errorf("row %d col %d: %v, want %v", i, c, blk.Cols[c].Val(i), row[c])
+					return false
+				}
+			}
+		}
+		return true
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 150; i++ {
+				key := IntVal(int64(rng.Intn(8) - 1)) // -1 only ever private
+				if rng.Intn(4) == 0 {
+					tx := s.Begin()
+					obj, err := tx.Get(oid)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					trel := obj.(*Relation)
+					trel.AppendRow([]Val{IntVal(-1), IntVal(-1)})
+					tx.MarkDirty(oid)
+					ok := check(trel, trel.RowsSnapshot(), key)
+					tx.Abort()
+					if !ok {
+						return
+					}
+					continue
+				}
+				sn := s.Snapshot()
+				obj, err := sn.Get(oid)
+				if err != nil {
+					t.Error(err)
+					sn.Release()
+					return
+				}
+				view := obj.(*Relation)
+				rows := view.RowsSnapshot()
+				h := rng.Intn(len(rows) + 1)
+				ok := check(view, rows[:h:h], key)
+				sn.Release()
+				if !ok {
+					return
+				}
+			}
+		}(int64(g + 1))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 200; i < 1000; i++ {
+			r.AppendRow([]Val{IntVal(int64(i)), IntVal(int64(i % 7))})
+			s.MarkDirty(oid)
+		}
+	}()
+	wg.Wait()
 }

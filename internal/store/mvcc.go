@@ -141,8 +141,9 @@ func (s *Store) resolveAt(oid OID, csn uint64, nextAt OID) (Object, int, error) 
 // schema and rows share the live object's storage (rows are append-only,
 // so the covered prefix is immutable), and the three-index slice forces
 // any append through the view to reallocate instead of scribbling the
-// shared backing array. canon links the view back to the live relation
-// so the index cache can share entries across clean views (IndexIdentity).
+// shared backing array. canon links the view back to the live relation,
+// so a clean view (no private appends past its horizon) is served from
+// the live relation's derived cache: columns and index lookups alike.
 func relView(live *Relation, horizon int) *Relation {
 	rows := live.RowsSnapshot()
 	if horizon < 0 || horizon > len(rows) {

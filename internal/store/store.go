@@ -303,10 +303,10 @@ type Column struct {
 	Type ColType
 }
 
-// IndexSpec declares a hash index on one column. The index structure
-// itself is rebuilt at load time by package relalg; only the declaration
+// IndexSpec declares a hash index on one column. Only the declaration
 // persists, which is exactly the runtime binding knowledge the query
-// optimizer consults (paper §4.2).
+// optimizer consults (paper §4.2); the index itself is built lazily in
+// the relation's derived cache (see IndexLookup).
 type IndexSpec struct {
 	Column int
 }
@@ -331,28 +331,17 @@ type Relation struct {
 
 	// canon links a snapshot/transaction view back to the live relation
 	// it was derived from, and canonRows is the committed row horizon the
-	// view was cut at. Both are nil/0 on live relations. See relView.
+	// view was cut at. Both are nil/0 on live relations. A view reading no
+	// further than canonRows uses canon's derived cache. See relView.
 	canon     *Relation
 	canonRows int
 
-	// colMu guards cols, the lazily built columnar cache over the
-	// relation's immutable row prefix. Clones and views start cold; clean
-	// views delegate to canon's cache. See columnar.go.
+	// colMu guards cols, the lazily built derived cache over the
+	// relation's immutable row prefix: column accumulators and declared
+	// hash indexes. Clones and views start cold; clean views delegate to
+	// canon's cache. See columnar.go.
 	colMu sync.Mutex
 	cols  *colCache
-}
-
-// IndexIdentity returns the relation object the index cache should key
-// on for a scan over nrows rows: a clean view (no private appends past
-// its committed horizon) shares its live relation's identity, so every
-// session's snapshot of the same relation hits one cached index; a view
-// carrying transaction-private rows keeps its own identity, so its index
-// can never serve uncommitted rows to another session.
-func (r *Relation) IndexIdentity(nrows int) *Relation {
-	if r.canon != nil && nrows == r.canonRows {
-		return r.canon
-	}
-	return r
 }
 
 // Kind reports KindRelation.
