@@ -70,6 +70,7 @@ func benchSuite(b *testing.B, regime stanford.Regime) {
 	for _, p := range stanford.Programs() {
 		p := p
 		b.Run(p.Name, func(b *testing.B) {
+			b.ReportAllocs()
 			var steps int64
 			for i := 0; i < b.N; i++ {
 				_, st, err := s.Run(p.Name)

@@ -3,11 +3,11 @@ package machine
 import "tycoon/internal/prim"
 
 // prepareProgram computes the derived execution metadata of a compiled
-// program: per-instruction fast executors and inert-continuation marks,
-// and per-block frame and row escape analyses. It runs once, when a
-// program is produced by the code generator or decoded from the store;
-// programs are immutable afterwards, so the metadata may be read without
-// synchronisation.
+// program: per-instruction standard and fused executors and
+// inert-continuation marks, and per-block frame and row escape analyses.
+// It runs once, when a program is produced by the code generator or
+// decoded from the store; programs are immutable afterwards, so the
+// metadata may be read without synchronisation.
 func prepareProgram(p *Program, reg *prim.Registry) {
 	if p == nil || p.prepared {
 		return
@@ -21,9 +21,10 @@ func prepareProgram(p *Program, reg *prim.Registry) {
 	}
 }
 
-// analyzeBlock decides, per instruction, whether the fused fast path and
-// the shared inert continuation placeholders apply, and, per block,
-// whether frames and row tuples can be reused across activations.
+// analyzeBlock resolves, per instruction, the standard executor and
+// whether the fused fast path and the shared inert continuation
+// placeholders apply, and, per block, whether frames and row tuples can
+// be reused across activations.
 func analyzeBlock(blk *CodeBlock, reg *prim.Registry) {
 	frameSafe := true
 	for i := range blk.Instrs {
@@ -33,6 +34,7 @@ func analyzeBlock(blk *CodeBlock, reg *prim.Registry) {
 			// Reifying a join point hands out a reference to the frame.
 			frameSafe = false
 		case OpPrim:
+			in.std = stdExecs[in.Prim]
 			d, ok := reg.Lookup(in.Prim)
 			capturing := !ok || d.CapturesConts
 			if capturing {
@@ -44,22 +46,11 @@ func analyzeBlock(blk *CodeBlock, reg *prim.Registry) {
 			if len(in.Conts) <= maxInertConts {
 				in.contsInert = true
 			}
-			if f, fok := fastExecs[in.Prim]; fok && allLabels(in.Conts) && len(in.Conts) <= maxInertConts {
-				in.fast = f
-			}
+			in.fast = fastExecs[in.Prim]
 		}
 	}
 	blk.frameSafe = frameSafe
 	blk.rowSafe = frameSafe && rowSafe(blk, reg)
-}
-
-func allLabels(conts []ContRef) bool {
-	for _, c := range conts {
-		if !c.IsLabel {
-			return false
-		}
-	}
-	return true
 }
 
 // rowSafe runs a taint analysis on slot 0 — the row tuple in the batched

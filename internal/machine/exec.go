@@ -59,12 +59,6 @@ func wantStr(op string, v Value) (string, error) {
 	return string(s), nil
 }
 
-// cc returns the standard success outcome: invoke continuation branch with
-// results.
-func cc(branch int, results ...Value) Outcome {
-	return Outcome{Branch: branch, Results: results}
-}
-
 func init() {
 	registerIntExecs()
 	registerBitExecs()
@@ -115,9 +109,9 @@ func registerIntExecs() {
 			}
 			r, ok := op.eval(a, b)
 			if !ok {
-				return cc(0, Str(fmt.Sprintf("%s: arithmetic fault on %d, %d", op.name, a, b))), nil
+				return m.one(0, Str(fmt.Sprintf("%s: arithmetic fault on %d, %d", op.name, a, b))), nil
 			}
-			return cc(1, IntValue(r)), nil
+			return m.one(1, IntValue(r)), nil
 		}
 	}
 	stdExecs["neg"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
@@ -126,9 +120,9 @@ func registerIntExecs() {
 			return Outcome{}, err
 		}
 		if a == math.MinInt64 {
-			return cc(0, Str("neg: overflow")), nil
+			return m.one(0, Str("neg: overflow")), nil
 		}
-		return cc(1, IntValue(-a)), nil
+		return m.one(1, IntValue(-a)), nil
 	}
 
 	cmps := map[string]func(a, b int64) bool{
@@ -149,9 +143,9 @@ func registerIntExecs() {
 				return Outcome{}, err
 			}
 			if eval(a, b) {
-				return cc(0), nil
+				return Outcome{Branch: 0}, nil
 			}
-			return cc(1), nil
+			return Outcome{Branch: 1}, nil
 		}
 	}
 }
@@ -175,7 +169,7 @@ func registerBitExecs() {
 			if err != nil {
 				return Outcome{}, err
 			}
-			return cc(0, IntValue(eval(a, b))), nil
+			return m.one(0, IntValue(eval(a, b))), nil
 		}
 	}
 }
@@ -186,21 +180,21 @@ func registerConvExecs() {
 		if !ok {
 			return Outcome{}, rtErr("char2int", "expected char, got %s", vals[0].Show())
 		}
-		return cc(0, IntValue(int64(c))), nil
+		return m.one(0, IntValue(int64(c))), nil
 	}
 	stdExecs["int2char"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		i, err := wantInt("int2char", vals[0])
 		if err != nil {
 			return Outcome{}, err
 		}
-		return cc(0, CharValue(byte(i))), nil
+		return m.one(0, CharValue(byte(i))), nil
 	}
 	stdExecs["int2real"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		i, err := wantInt("int2real", vals[0])
 		if err != nil {
 			return Outcome{}, err
 		}
-		return cc(0, Real(float64(i))), nil
+		return m.one(0, Real(float64(i))), nil
 	}
 	stdExecs["real2int"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		r, err := wantReal("real2int", vals[0])
@@ -208,18 +202,18 @@ func registerConvExecs() {
 			return Outcome{}, err
 		}
 		if math.IsNaN(r) || r > math.MaxInt64 || r < math.MinInt64 {
-			return cc(0, Str("real2int: out of range")), nil
+			return m.one(0, Str("real2int: out of range")), nil
 		}
-		return cc(1, IntValue(int64(r))), nil
+		return m.one(1, IntValue(int64(r))), nil
 	}
 }
 
 func registerArrayExecs() {
 	stdExecs["array"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
-		return cc(0, &Array{Elems: append([]Value(nil), vals...)}), nil
+		return m.one(0, &Array{Elems: append([]Value(nil), vals...)}), nil
 	}
 	stdExecs["vector"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
-		return cc(0, &Vector{Elems: append([]Value(nil), vals...)}), nil
+		return m.one(0, &Vector{Elems: append([]Value(nil), vals...)}), nil
 	}
 	// (anew n init c): object array of n slots, all init. Negative sizes
 	// clamp to zero so that allocation can never fail, which keeps the
@@ -236,7 +230,7 @@ func registerArrayExecs() {
 		for i := range elems {
 			elems[i] = vals[1]
 		}
-		return cc(0, &Array{Elems: elems}), nil
+		return m.one(0, &Array{Elems: elems}), nil
 	}
 	// (new n b c): byte array of n bytes initialized with b.
 	stdExecs["new"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
@@ -255,7 +249,7 @@ func registerArrayExecs() {
 		for i := range bytes {
 			bytes[i] = byte(b)
 		}
-		return cc(0, &Bytes{B: bytes}), nil
+		return m.one(0, &Bytes{B: bytes}), nil
 	}
 	stdExecs["[]"] = execIndexLoad
 	stdExecs["[:=]"] = execIndexStore
@@ -269,7 +263,7 @@ func registerArrayExecs() {
 			if i < 0 || i >= int64(len(a.B)) {
 				return m.throw("b[]", Str(fmt.Sprintf("index %d out of range [0,%d)", i, len(a.B))))
 			}
-			return cc(0, CharValue(a.B[i])), nil
+			return m.one(0, CharValue(a.B[i])), nil
 		case Ref:
 			obj, err := m.fetch("b[]", a)
 			if err != nil {
@@ -282,7 +276,7 @@ func registerArrayExecs() {
 			if i < 0 || i >= int64(len(ba.Bytes)) {
 				return m.throw("b[]", Str("index out of range"))
 			}
-			return cc(0, CharValue(ba.Bytes[i])), nil
+			return m.one(0, CharValue(ba.Bytes[i])), nil
 		default:
 			return Outcome{}, rtErr("b[]", "expected byte array, got %s", vals[0].Show())
 		}
@@ -302,7 +296,7 @@ func registerArrayExecs() {
 				return m.throw("b[:=]", Str("index out of range"))
 			}
 			a.B[i] = byte(ch)
-			return cc(0, unitVal), nil
+			return m.one(0, unitVal), nil
 		case Ref:
 			obj, err := m.fetch("b[:=]", a)
 			if err != nil {
@@ -317,7 +311,7 @@ func registerArrayExecs() {
 			}
 			ba.Bytes[i] = byte(ch)
 			m.Store.MarkDirty(a.OID)
-			return cc(0, unitVal), nil
+			return m.one(0, unitVal), nil
 		default:
 			return Outcome{}, rtErr("b[:=]", "expected byte array, got %s", vals[0].Show())
 		}
@@ -325,13 +319,13 @@ func registerArrayExecs() {
 	stdExecs["size"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		switch a := vals[0].(type) {
 		case *Array:
-			return cc(0, IntValue(int64(len(a.Elems)))), nil
+			return m.one(0, IntValue(int64(len(a.Elems)))), nil
 		case *Vector:
-			return cc(0, IntValue(int64(len(a.Elems)))), nil
+			return m.one(0, IntValue(int64(len(a.Elems)))), nil
 		case *Bytes:
-			return cc(0, IntValue(int64(len(a.B)))), nil
+			return m.one(0, IntValue(int64(len(a.B)))), nil
 		case Str:
-			return cc(0, IntValue(int64(len(a)))), nil
+			return m.one(0, IntValue(int64(len(a)))), nil
 		case Ref:
 			obj, err := m.fetch("size", a)
 			if err != nil {
@@ -339,13 +333,13 @@ func registerArrayExecs() {
 			}
 			switch o := obj.(type) {
 			case *store.Array:
-				return cc(0, IntValue(int64(len(o.Elems)))), nil
+				return m.one(0, IntValue(int64(len(o.Elems)))), nil
 			case *store.Tuple:
-				return cc(0, IntValue(int64(len(o.Fields)))), nil
+				return m.one(0, IntValue(int64(len(o.Fields)))), nil
 			case *store.ByteArray:
-				return cc(0, IntValue(int64(len(o.Bytes)))), nil
+				return m.one(0, IntValue(int64(len(o.Bytes)))), nil
 			case *store.Relation:
-				return cc(0, IntValue(int64(o.NumRows()))), nil
+				return m.one(0, IntValue(int64(o.NumRows()))), nil
 			default:
 				return Outcome{}, rtErr("size", "object is %s", obj.Kind())
 			}
@@ -379,7 +373,7 @@ func registerArrayExecs() {
 			return m.throw("move", Str("range out of bounds"))
 		}
 		copy(dst.Elems[doff:doff+n], src.Elems[soff:soff+n])
-		return cc(0, unitVal), nil
+		return m.one(0, unitVal), nil
 	}
 	stdExecs["bmove"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		src, ok := vals[0].(*Bytes)
@@ -407,7 +401,7 @@ func registerArrayExecs() {
 			return m.throw("bmove", Str("range out of bounds"))
 		}
 		copy(dst.B[doff:doff+n], src.B[soff:soff+n])
-		return cc(0, unitVal), nil
+		return m.one(0, unitVal), nil
 	}
 }
 
@@ -421,12 +415,12 @@ func execIndexLoad(m *Machine, vals, conts []Value) (Outcome, error) {
 		if i < 0 || i >= int64(len(a.Elems)) {
 			return m.throw("[]", Str(fmt.Sprintf("index %d out of range [0,%d)", i, len(a.Elems))))
 		}
-		return cc(0, a.Elems[i]), nil
+		return m.one(0, a.Elems[i]), nil
 	case *Vector:
 		if i < 0 || i >= int64(len(a.Elems)) {
 			return m.throw("[]", Str(fmt.Sprintf("index %d out of range [0,%d)", i, len(a.Elems))))
 		}
-		return cc(0, a.Elems[i]), nil
+		return m.one(0, a.Elems[i]), nil
 	case Ref:
 		obj, err := m.fetch("[]", a)
 		if err != nil {
@@ -437,19 +431,19 @@ func execIndexLoad(m *Machine, vals, conts []Value) (Outcome, error) {
 			if i < 0 || i >= int64(len(o.Elems)) {
 				return m.throw("[]", Str("index out of range"))
 			}
-			return cc(0, FromStoreVal(o.Elems[i])), nil
+			return m.one(0, FromStoreVal(o.Elems[i])), nil
 		case *store.Tuple:
 			if i < 0 || i >= int64(len(o.Fields)) {
 				return m.throw("[]", Str("index out of range"))
 			}
-			return cc(0, FromStoreVal(o.Fields[i])), nil
+			return m.one(0, FromStoreVal(o.Fields[i])), nil
 		case *store.Module:
 			// Module member fetch by export index: the abstraction-barrier
 			// access the reflective optimizer folds away (paper §4.1).
 			if i < 0 || i >= int64(len(o.Exports)) {
 				return m.throw("[]", Str("module export index out of range"))
 			}
-			return cc(0, FromStoreVal(o.Exports[i].Val)), nil
+			return m.one(0, FromStoreVal(o.Exports[i].Val)), nil
 		default:
 			return Outcome{}, rtErr("[]", "object is %s, want array, tuple or module", obj.Kind())
 		}
@@ -469,7 +463,7 @@ func execIndexStore(m *Machine, vals, conts []Value) (Outcome, error) {
 			return m.throw("[:=]", Str(fmt.Sprintf("index %d out of range [0,%d)", i, len(a.Elems))))
 		}
 		a.Elems[i] = vals[2]
-		return cc(0, unitVal), nil
+		return m.one(0, unitVal), nil
 	case Ref:
 		obj, err := m.fetch("[:=]", a)
 		if err != nil {
@@ -488,7 +482,7 @@ func execIndexStore(m *Machine, vals, conts []Value) (Outcome, error) {
 		}
 		arr.Elems[i] = sv
 		m.Store.MarkDirty(a.OID)
-		return cc(0, unitVal), nil
+		return m.one(0, unitVal), nil
 	default:
 		return Outcome{}, rtErr("[:=]", "expected mutable array, got %s", vals[0].Show())
 	}
@@ -508,11 +502,11 @@ func registerCaseExecs() {
 		}
 		for i, tag := range tags {
 			if Eq(v, tag) {
-				return cc(i), nil
+				return Outcome{Branch: i}, nil
 			}
 		}
 		if hasElse {
-			return cc(len(conts) - 1), nil
+			return Outcome{Branch: len(conts) - 1}, nil
 		}
 		return m.throw("==", Str("case fell through without else branch"))
 	}
@@ -524,13 +518,13 @@ func registerControlExecs() {
 			return Outcome{}, rtErr("pushHandler", "expected handler and continuation")
 		}
 		m.PushHandler(conts[0])
-		return cc(1), nil
+		return Outcome{Branch: 1}, nil
 	}
 	stdExecs["popHandler"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		if _, ok := m.PopHandler(); !ok {
 			return Outcome{}, rtErr("popHandler", "handler stack is empty")
 		}
-		return cc(0), nil
+		return Outcome{Branch: 0}, nil
 	}
 	stdExecs["raise"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		return m.throw("raise", vals[0])
@@ -574,9 +568,9 @@ func execCCall(m *Machine, vals, conts []Value) (Outcome, error) {
 	}
 	r, ok := fn(args)
 	if !ok {
-		return cc(0, Str(fmt.Sprintf("ccall %s: domain fault", name))), nil
+		return m.one(0, Str(fmt.Sprintf("ccall %s: domain fault", name))), nil
 	}
-	return cc(1, Real(r)), nil
+	return m.one(1, Real(r)), nil
 }
 
 func registerRealExecs() {
@@ -603,9 +597,9 @@ func registerRealExecs() {
 			}
 			r := op.eval(a, b)
 			if math.IsNaN(r) || math.IsInf(r, 0) {
-				return cc(0, Str(op.name+": arithmetic fault")), nil
+				return m.one(0, Str(op.name+": arithmetic fault")), nil
 			}
-			return cc(1, Real(r)), nil
+			return m.one(1, Real(r)), nil
 		}
 	}
 	cmps := map[string]func(a, b float64) bool{
@@ -626,9 +620,9 @@ func registerRealExecs() {
 				return Outcome{}, err
 			}
 			if eval(a, b) {
-				return cc(0), nil
+				return Outcome{Branch: 0}, nil
 			}
-			return cc(1), nil
+			return Outcome{Branch: 1}, nil
 		}
 	}
 	stdExecs["rneg"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
@@ -636,7 +630,7 @@ func registerRealExecs() {
 		if err != nil {
 			return Outcome{}, err
 		}
-		return cc(0, Real(-a)), nil
+		return m.one(0, Real(-a)), nil
 	}
 }
 
@@ -650,7 +644,7 @@ func registerBoolExecs() {
 		if err != nil {
 			return Outcome{}, err
 		}
-		return cc(0, BoolValue(a && b)), nil
+		return m.one(0, BoolValue(a && b)), nil
 	}
 	stdExecs["or"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		a, err := wantBool("or", vals[0])
@@ -661,14 +655,14 @@ func registerBoolExecs() {
 		if err != nil {
 			return Outcome{}, err
 		}
-		return cc(0, BoolValue(a || b)), nil
+		return m.one(0, BoolValue(a || b)), nil
 	}
 	stdExecs["not"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		a, err := wantBool("not", vals[0])
 		if err != nil {
 			return Outcome{}, err
 		}
-		return cc(0, BoolValue(!a)), nil
+		return m.one(0, BoolValue(!a)), nil
 	}
 	stdExecs["if"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		a, err := wantBool("if", vals[0])
@@ -676,9 +670,9 @@ func registerBoolExecs() {
 			return Outcome{}, err
 		}
 		if a {
-			return cc(0), nil
+			return Outcome{Branch: 0}, nil
 		}
-		return cc(1), nil
+		return Outcome{Branch: 1}, nil
 	}
 }
 
@@ -692,7 +686,7 @@ func registerStringExecs() {
 		if err != nil {
 			return Outcome{}, err
 		}
-		return cc(0, Str(a+b)), nil
+		return m.one(0, Str(a+b)), nil
 	}
 	stdExecs["s="] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		a, err := wantStr("s=", vals[0])
@@ -704,9 +698,9 @@ func registerStringExecs() {
 			return Outcome{}, err
 		}
 		if a == b {
-			return cc(0), nil
+			return Outcome{Branch: 0}, nil
 		}
-		return cc(1), nil
+		return Outcome{Branch: 1}, nil
 	}
 	stdExecs["s<"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		a, err := wantStr("s<", vals[0])
@@ -718,16 +712,16 @@ func registerStringExecs() {
 			return Outcome{}, err
 		}
 		if a < b {
-			return cc(0), nil
+			return Outcome{Branch: 0}, nil
 		}
-		return cc(1), nil
+		return Outcome{Branch: 1}, nil
 	}
 	stdExecs["slen"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		a, err := wantStr("slen", vals[0])
 		if err != nil {
 			return Outcome{}, err
 		}
-		return cc(0, IntValue(int64(len(a)))), nil
+		return m.one(0, IntValue(int64(len(a)))), nil
 	}
 	stdExecs["s[]"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		a, err := wantStr("s[]", vals[0])
@@ -739,23 +733,23 @@ func registerStringExecs() {
 			return Outcome{}, err
 		}
 		if i < 0 || i >= int64(len(a)) {
-			return cc(0, Str("s[]: index out of range")), nil
+			return m.one(0, Str("s[]: index out of range")), nil
 		}
-		return cc(1, CharValue(a[i])), nil
+		return m.one(1, CharValue(a[i])), nil
 	}
 	stdExecs["int2str"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		i, err := wantInt("int2str", vals[0])
 		if err != nil {
 			return Outcome{}, err
 		}
-		return cc(0, Str(fmt.Sprintf("%d", i))), nil
+		return m.one(0, Str(fmt.Sprintf("%d", i))), nil
 	}
 	stdExecs["real2str"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		r, err := wantReal("real2str", vals[0])
 		if err != nil {
 			return Outcome{}, err
 		}
-		return cc(0, Str(Real(r).Show())), nil
+		return m.one(0, Str(Real(r).Show())), nil
 	}
 }
 
@@ -764,6 +758,6 @@ func registerIOExecs() {
 		if m.Out != nil {
 			fmt.Fprintln(m.Out, vals[0].Show())
 		}
-		return cc(0, unitVal), nil
+		return m.one(0, unitVal), nil
 	}
 }

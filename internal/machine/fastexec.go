@@ -6,21 +6,24 @@ import (
 	"tycoon/internal/prim"
 )
 
-// This file implements the fused "load-slot / apply-primitive / jump"
-// fast path of the TAM: for the primitive shapes the optimizer emits in
-// predicate bodies (indexing, comparisons, arithmetic, boolean
-// connectives, case analysis), the dispatch through Outcome — with its
-// per-call Results slice and reified continuations — collapses into a
-// direct function returning a branch index and at most one interned
-// result. prepareProgram attaches a fast executor to an OpPrim only
-// when every continuation argument is a local join point, so taking a
-// branch is a frame-local jump and the whole primitive executes without
-// allocating.
+// This file implements the fused "load-slot / apply-primitive / branch"
+// fast path of the TAM: for the common primitive shapes — indexing,
+// comparisons, arithmetic, boolean connectives, case analysis — the
+// dispatch through Outcome, with its reified continuations, collapses
+// into a direct function returning a branch index and at most one
+// interned result. prepareProgram attaches a fast executor to every
+// OpPrim of a fused, non-capturing primitive, whatever its continuations
+// are. A label branch is a frame write and a jump; a value branch — the
+// caller's k in (+ a b ce k), the body of every library-factored operator
+// — leaves the block and transfers the result straight to the loaded
+// continuation. Either way the primitive executes without allocating.
 //
 // A fast executor returns branch < 0 to decline — wrong dynamic types,
 // faults, store access — and the VM falls back to the generic executor,
 // which produces the canonical outcome (including throws). Fast
 // executors are pure reads of their arguments, so re-execution is safe.
+// A machine whose RegisterExec shadows a standard primitive skips them
+// (Machine.shadowsStd), so the override is always honoured.
 
 // fastFn is a fused primitive executor: branch selects the continuation
 // (branch < 0 declines), nres is 0 or 1 results.

@@ -40,10 +40,12 @@ type Machine struct {
 	// per-session wall-clock budgets without touching the hot path when
 	// no hook is installed.
 	budgetHook func() error
-	// noFast disables the fused primitive fast path: set when a
-	// machine-local executor shadows a primitive the code generator fused,
-	// so the override is always honoured.
-	noFast bool
+	// shadowsStd is set when a machine-local executor shadows a standard
+	// primitive. Compiled code then resolves every primitive by name and
+	// skips the fused executors, so the override is always honoured.
+	shadowsStd bool
+	// result is the scratch slot behind one-result outcomes (see one).
+	result [1]Value
 	// Execution profile counters (single-goroutine, like steps).
 	transfers   int64
 	framesAlloc int64
@@ -293,7 +295,9 @@ func (m *Machine) PopHandler() (Value, bool) {
 
 // Outcome is what a primitive execution requests next: invoke the
 // Branch-th continuation argument with Results, or perform a direct tail
-// call (raise transferring to a handler).
+// call (raise transferring to a handler). Results may alias the machine's
+// scratch slot (see one): it is valid until the next primitive runs, and
+// every consumer copies it out before then.
 type Outcome struct {
 	Branch  int
 	Results []Value
@@ -312,7 +316,8 @@ type TailCall struct {
 // conts the continuation arguments (as runtime values). Most primitives
 // only return a Branch index into conts; the handler primitives inspect
 // conts directly (pushHandler installs conts[0]) and raise returns a Tail
-// transfer.
+// transfer. The returned Results may alias machine scratch, as on
+// Outcome.
 type ExecFunc func(m *Machine, vals, conts []Value) (Outcome, error)
 
 // RegisterExec adds a primitive executor; the relational substrate
@@ -326,14 +331,23 @@ func (m *Machine) RegisterExec(name string, f ExecFunc) {
 	if m.execs == nil {
 		m.execs = make(map[string]ExecFunc)
 	}
-	if _, fused := fastExecs[name]; fused {
-		m.noFast = true
+	if _, std := stdExecs[name]; std {
+		m.shadowsStd = true
 	}
 	m.execs[name] = f
 }
 
+// one returns the outcome invoking continuation branch with the single
+// result v. The result lives in the machine's scratch slot, so a
+// one-result primitive allocates no Results slice.
+func (m *Machine) one(branch int, v Value) Outcome {
+	m.result[0] = v
+	return Outcome{Branch: branch, Results: m.result[:]}
+}
+
 // exec resolves the executor for a primitive name: machine-local
-// registrations first, then the standard table.
+// registrations first, then the standard table. Compiled code resolves
+// standard primitives once, in prepareProgram (Instr.std).
 func (m *Machine) exec(name string) (ExecFunc, bool) {
 	if f, ok := m.execs[name]; ok {
 		return f, true

@@ -89,14 +89,20 @@ type Instr struct {
 	// Execution metadata computed by prepareProgram (derived, never
 	// serialised; the zero values select the safe generic path).
 	//
-	// fast, when non-nil, is the fused load-slot/apply-primitive/jump
-	// executor for this OpPrim: the superinstruction the codegen emits
-	// for the predicate-body shapes the optimizer produces.
+	// std is the standard executor of this OpPrim, resolved once so the
+	// VM never looks a standard primitive up by name; nil for a
+	// machine-local primitive (the query operators), which the VM
+	// resolves through the machine.
+	std ExecFunc
+	// fast, when non-nil, is the fused load-slot/apply-primitive/branch
+	// executor for this OpPrim, whatever its continuations are: a label
+	// branch is a frame write and a jump, a value branch a transfer
+	// straight from the result.
 	fast fastFn
-	// contsInert marks an OpPrim whose continuation arguments are all
-	// local join points and whose executor never retains a continuation:
-	// the executor receives a shared placeholder slice instead of freshly
-	// reified TAMConts.
+	// contsInert marks an OpPrim whose executor never retains or inspects
+	// a continuation: the executor receives a shared placeholder slice
+	// instead of freshly reified TAMConts, and the VM itself loads the
+	// continuation the outcome selects.
 	contsInert bool
 }
 

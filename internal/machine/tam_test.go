@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -221,6 +222,59 @@ func TestTAMExceptions(t *testing.T) {
 	wantIntResult(t, v, err, 99)
 	v, err = m.Apply(clo2, []Value{Int(5)})
 	wantIntResult(t, v, err, 5)
+}
+
+// TestHandlersDoNotLeakAcrossApply: a program that finishes inside a try,
+// or is aborted there, must not leave its handler to catch the next
+// program's exception on the same machine (tycd keeps one machine per
+// session); a nested Apply must not drop its caller's handlers.
+func TestHandlersDoNotLeakAcrossApply(t *testing.T) {
+	guard := compileClosure(t, `proc(x !ce !cc)
+	  (pushHandler cont(ex) (cc 99) cont() (+ x 1 ce cc))`, "guard", nil)
+	raise := compileClosure(t, "proc(x !ce !cc) (raise x)", "raise", nil)
+	spin := compileClosure(t, `proc(x !ce !cc)
+	  (pushHandler cont(ex) (cc 99)
+	     cont() (Y proc(!c0 !loop !c) (c cont() (loop) cont() (+ x 1 ce cont(y) (loop)))))`, "spin", nil)
+	wantUnhandled := func(m *Machine, after string) {
+		t.Helper()
+		v, err := m.Apply(raise, []Value{Int(7)})
+		var ex *Exception
+		if !errors.As(err, &ex) || ex.Value != Value(Int(7)) {
+			t.Errorf("raise after %s = %v, %v; want unhandled exception 7", after, v, err)
+		}
+	}
+
+	m := New(nil)
+	v, err := m.Apply(guard, []Value{Int(4)})
+	wantIntResult(t, v, err, 5)
+	wantUnhandled(m, "a program that finished inside a try")
+
+	if _, err := m.Apply(guard, []Value{Str("four")}); err == nil {
+		t.Fatal("guard on a string: want a runtime error")
+	}
+	wantUnhandled(m, "a runtime error inside a try")
+
+	m.MaxSteps = 1000
+	if _, err := m.Apply(spin, []Value{Int(1)}); !errors.Is(err, ErrStepBudget) {
+		t.Fatalf("spin: %v, want the step budget", err)
+	}
+	m.MaxSteps = 0
+	wantUnhandled(m, "a step-budget abort inside a try")
+
+	// A nested Apply (as a query predicate runs) that leaves a handler
+	// behind returns with its caller's handlers intact.
+	inner := compileClosure(t, "proc(!ce !cc) (pushHandler cont(ex) (cc 1) cont() (cc 2))", "inner", nil)
+	outer := compileClosure(t, `proc(x !ce !cc)
+	  (pushHandler cont(ex) (cc 99) cont() (print x cont(u) (raise x)))`, "outer", nil)
+	m = New(nil)
+	m.RegisterExec("print", func(m *Machine, vals, conts []Value) (Outcome, error) {
+		if _, err := m.Apply(inner, nil); err != nil {
+			return Outcome{}, err
+		}
+		return Outcome{Branch: 0, Results: []Value{Unit{}}}, nil
+	})
+	v, err = m.Apply(outer, []Value{Int(3)})
+	wantIntResult(t, v, err, 99)
 }
 
 func TestTAMParallelMovesOnBackEdge(t *testing.T) {

@@ -26,7 +26,14 @@ type execState struct {
 }
 
 // drive runs states to completion, switching engines at call boundaries.
+// Every machine entry (Apply, RunApp, Batch.Call) runs through it, and it
+// returns with the handler stack no deeper than it found it: a handler
+// the program installed and never removed — it finished inside a try, or
+// was aborted there by a runtime error or a budget — cannot catch a later
+// program's exception on the same machine, and a nested entry (a query
+// predicate) never drops its caller's handlers.
 func (m *Machine) drive(st execState) (Value, error) {
+	depth := len(m.handlers)
 	for {
 		var done bool
 		var result Value
@@ -37,6 +44,10 @@ func (m *Machine) drive(st execState) (Value, error) {
 			st, done, result, err = m.runTAM(st.tam)
 		}
 		if err != nil || done {
+			if len(m.handlers) > depth {
+				clear(m.handlers[depth:])
+				m.handlers = m.handlers[:depth]
+			}
 			return result, err
 		}
 	}
@@ -136,9 +147,10 @@ func (ts *tamState) load(s Src, deref bool) Value {
 	return v
 }
 
-// runTAM executes compiled code until control leaves the engine: a call
-// or continuation invocation that is not a local join point, or program
-// completion through a Halt value.
+// runTAM executes compiled code until control leaves the engine: a
+// transfer into interpreted code, or program completion through a Halt
+// value. Calls and continuation invocations between compiled blocks stay
+// inside this loop.
 func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 	for {
 		blk := ts.prog.Blocks[ts.blk]
@@ -146,10 +158,16 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 			return execState{}, true, nil, rtErr("tam", "pc %d out of range in %s", ts.pc, blk.Name)
 		}
 		in := &blk.Instrs[ts.pc]
+		// An instruction either continues in this block or sets fn and
+		// args and breaks out of the switch to leave it (see below).
+		var fn Value
+		var args []Value
+		var base int
 		switch in.Op {
 		case OpMove:
 			ts.frame[in.Dst] = ts.load(in.Srcs[0], true)
 			ts.pc++
+			continue
 		case OpClos:
 			free := make([]Value, len(in.Srcs))
 			for i, s := range in.Srcs {
@@ -160,15 +178,18 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 				Name: ts.prog.Blocks[in.Block].Name,
 			}
 			ts.pc++
+			continue
 		case OpCont:
 			ts.frame[in.Dst] = &TAMCont{
 				Prog: ts.prog, Blk: ts.blk, PC: in.Target,
 				Frame: ts.frame, Free: ts.free, ParamSlots: in.ParamSlots,
 			}
 			ts.pc++
+			continue
 		case OpCell:
 			ts.frame[in.Dst] = &Cell{}
 			ts.pc++
+			continue
 		case OpSetCell:
 			cell, ok := ts.frame[in.Dst].(*Cell)
 			if !ok {
@@ -176,27 +197,35 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 			}
 			cell.V = ts.load(in.Srcs[0], true)
 			ts.pc++
+			continue
 		case OpJump:
 			ts.pc = in.Target
+			continue
 		case OpPrim:
 			if err := m.tick(); err != nil {
 				return execState{}, true, nil, err
 			}
-			base, vals := m.arenaPush(len(in.Srcs))
+			var vals []Value
+			base, vals = m.arenaPush(len(in.Srcs))
 			for i, s := range in.Srcs {
 				vals[i] = ts.load(s, true)
 			}
-			if f := in.fast; f != nil && !m.noFast {
-				// Fused load-slot/apply-primitive/jump superinstruction:
-				// every continuation is a local join point, so a branch is
-				// a frame write and a jump. The fast executor declines
-				// (branch < 0) on anything but the common case, and the
-				// generic executor below re-executes the call — sound
+			if f := in.fast; f != nil && !m.shadowsStd {
+				// Fused load-slot/apply-primitive/branch superinstruction: a
+				// label branch is a frame write and a jump, a value branch
+				// leaves the block with the result. The fast executor
+				// declines (branch < 0) on anything but the common case, and
+				// the generic executor below re-executes the call — sound
 				// because fast executors are pure and the step was charged
 				// once, above.
 				branch, result, nres := f(m, vals, len(in.Conts))
 				if branch >= 0 {
 					ref := &in.Conts[branch]
+					if !ref.IsLabel {
+						m.result[0] = result
+						fn, args = ts.load(ref.Src, true), m.result[:nres]
+						break
+					}
 					if nres == len(ref.ParamSlots) {
 						m.arenaPop(base)
 						if nres == 1 {
@@ -224,10 +253,13 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 					}
 				}
 			}
-			exec, ok := m.exec(in.Prim)
-			if !ok {
-				m.arenaPop(base)
-				return execState{}, true, nil, rtErr(in.Prim, "no executor registered")
+			exec := in.std
+			if exec == nil || m.shadowsStd {
+				var ok bool
+				if exec, ok = m.exec(in.Prim); !ok {
+					m.arenaPop(base)
+					return execState{}, true, nil, rtErr(in.Prim, "no executor registered")
+				}
 			}
 			out, err := exec(m, vals, conts)
 			m.arenaPop(base)
@@ -235,11 +267,8 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 				return execState{}, true, nil, err
 			}
 			if out.Tail != nil {
-				if blk.frameSafe {
-					m.putFrame(ts.frame)
-					ts.frame = nil
-				}
-				return m.transfer(out.Tail.Fn, out.Tail.Args)
+				fn, args = out.Tail.Fn, out.Tail.Args
+				break
 			}
 			if out.Branch < 0 || out.Branch >= len(in.Conts) {
 				return execState{}, true, nil, rtErr(in.Prim, "selected continuation %d of %d", out.Branch, len(in.Conts))
@@ -256,38 +285,32 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 				ts.pc = ref.PC
 				continue
 			}
-			k := ts.load(ref.Src, true)
-			if blk.frameSafe {
-				m.putFrame(ts.frame)
-				ts.frame = nil
-			}
-			return m.transfer(k, out.Results)
+			fn, args = ts.load(ref.Src, true), out.Results
 		case OpCall:
-			fn := ts.load(in.Fn, true)
-			base, args := m.arenaPush(len(in.Srcs))
+			fn = ts.load(in.Fn, true)
+			base, args = m.arenaPush(len(in.Srcs))
 			for i, s := range in.Srcs {
 				args[i] = ts.load(s, true)
 			}
-			// The arguments are loaded out of the frame, so a frame-safe
-			// block's frame can be recycled before the transfer — a
-			// self-recursive tail call reuses the very frame it leaves.
-			if blk.frameSafe {
-				m.putFrame(ts.frame)
-				ts.frame = nil
-			}
-			next, done, result, err := m.transfer(fn, args)
-			m.arenaPop(base)
-			if err != nil || done {
-				return execState{}, done, result, err
-			}
-			if next.app == nil && next.tam.prog != nil {
-				// Stay inside the engine for TAM-to-TAM calls.
-				ts = next.tam
-				continue
-			}
-			return next, false, nil, nil
 		default:
 			return execState{}, true, nil, rtErr("tam", "unknown opcode %d", in.Op)
 		}
+		// Control leaves the block: a call, a primitive's value
+		// continuation, or a throw to a handler. The arguments are already
+		// loaded out of the frame, so a frame-safe block's frame is
+		// recycled before the transfer — a self-recursive tail call reuses
+		// the very frame it leaves. The arena reservation is released only
+		// after the transfer has copied the arguments.
+		if blk.frameSafe {
+			m.putFrame(ts.frame)
+			ts.frame = nil
+		}
+		next, done, result, err := m.transfer(fn, args)
+		m.arenaPop(base)
+		if err != nil || done || next.tam.prog == nil {
+			return next, done, result, err
+		}
+		// Stay inside the engine for TAM-to-TAM transfers.
+		ts = next.tam
 	}
 }

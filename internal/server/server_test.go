@@ -209,6 +209,32 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
+// TestHandlerDoesNotLeakAcrossRequests: a session runs every request on
+// one machine, so a request that finishes inside a try must not leave its
+// handler to catch the next request's exception (which would answer that
+// request with the earlier one's handler value).
+func TestHandlerDoesNotLeakAcrossRequests(t *testing.T) {
+	_, addr, _ := world(t, "", server.Config{})
+	c := dial(t, addr)
+	for _, optimize := range []bool{false, true} {
+		res, err := c.SubmitTML("", "(pushHandler cont(x) (k 99) cont() (k 5))", nil, optimize, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Val.Show(); got != "5" {
+			t.Fatalf("try (optimize=%t) = %s, want 5", optimize, got)
+		}
+		res, err = c.SubmitTML("", "(raise 7)", nil, optimize, "")
+		if err == nil {
+			t.Fatalf("raise (optimize=%t) answered %s; want an unhandled exception", optimize, res.Val.Show())
+		}
+		we := wantCode(t, err, ship.CodeExec)
+		if !strings.Contains(we.Msg, "unhandled exception: 7") {
+			t.Errorf("raise (optimize=%t): %q, want the unhandled exception 7", optimize, we.Msg)
+		}
+	}
+}
+
 // TestSharedCacheAcrossSessions is the acceptance test of the PR: 64
 // concurrent sessions submit the α-same optimized selection against the
 // same binding; the shared pipeline compiles it exactly once (counted
