@@ -459,7 +459,7 @@ func BenchmarkAblation_JoinPoints(b *testing.B) {
 	}
 	abs := n.(*tml.Abs)
 	m := machine.New(nil)
-	prog, err := machine.CompileProc(abs, "sum", nil)
+	prog, err := machine.CompileProc(abs, "sum")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func buildStore(t *testing.T, path string) store.OID {
 		t.Fatal(err)
 	}
 	abs := n.(*tml.Abs)
-	prog, err := machine.CompileProc(abs, "f", nil)
+	prog, err := machine.CompileProc(abs, "f")
 	if err != nil {
 		t.Fatal(err)
 	}

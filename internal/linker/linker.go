@@ -13,7 +13,6 @@ import (
 
 	"tycoon/internal/machine"
 	"tycoon/internal/pipeline"
-	"tycoon/internal/prim"
 	"tycoon/internal/store"
 	"tycoon/internal/tl"
 	"tycoon/internal/tml"
@@ -33,8 +32,6 @@ const (
 
 // Config configures a Linker.
 type Config struct {
-	// Reg is the primitive registry; nil means prim.Default.
-	Reg *prim.Registry
 	// Level selects static optimization (E1's regimes).
 	Level OptLevel
 	// StripPTML omits the persistent TML tree from installed closures;
@@ -52,13 +49,10 @@ type Linker struct {
 
 // New returns a linker over st.
 func New(st *store.Store, cfg Config) *Linker {
-	if cfg.Reg == nil {
-		cfg.Reg = prim.Default
-	}
 	// Installation jobs carry no cache key (every install persists fresh
 	// blobs), so the pipeline is used purely as the instrumented pass
 	// sequencer here; caching serves the reflective path.
-	pipe := pipeline.New(st, pipeline.Config{Reg: cfg.Reg, CacheEntries: -1})
+	pipe := pipeline.New(st, pipeline.Config{CacheEntries: -1})
 	return &Linker{st: st, cfg: cfg, pipe: pipe}
 }
 

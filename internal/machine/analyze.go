@@ -7,17 +7,16 @@ import "tycoon/internal/prim"
 // inert-continuation marks, and per-block frame and row escape analyses.
 // It runs once, when a program is produced by the code generator or
 // decoded from the store; programs are immutable afterwards, so the
-// metadata may be read without synchronisation.
-func prepareProgram(p *Program, reg *prim.Registry) {
+// metadata may be read without synchronisation. Descriptors come from
+// prim.Default, the one primitive table, so a program means the same on
+// every machine.
+func prepareProgram(p *Program) {
 	if p == nil || p.prepared {
 		return
 	}
 	p.prepared = true
-	if reg == nil {
-		reg = prim.Default
-	}
 	for _, blk := range p.Blocks {
-		analyzeBlock(blk, reg)
+		analyzeBlock(blk)
 	}
 }
 
@@ -25,7 +24,7 @@ func prepareProgram(p *Program, reg *prim.Registry) {
 // whether the fused fast path and the shared inert continuation
 // placeholders apply, and, per block, whether frames and row tuples can
 // be reused across activations.
-func analyzeBlock(blk *CodeBlock, reg *prim.Registry) {
+func analyzeBlock(blk *CodeBlock) {
 	frameSafe := true
 	for i := range blk.Instrs {
 		in := &blk.Instrs[i]
@@ -35,7 +34,7 @@ func analyzeBlock(blk *CodeBlock, reg *prim.Registry) {
 			frameSafe = false
 		case OpPrim:
 			in.std = stdExecs[in.Prim]
-			d, ok := reg.Lookup(in.Prim)
+			d, ok := prim.Lookup(in.Prim)
 			capturing := !ok || d.CapturesConts
 			if capturing {
 				// The executor may retain a continuation reified over this
@@ -50,7 +49,7 @@ func analyzeBlock(blk *CodeBlock, reg *prim.Registry) {
 		}
 	}
 	blk.frameSafe = frameSafe
-	blk.rowSafe = frameSafe && rowSafe(blk, reg)
+	blk.rowSafe = frameSafe && rowSafe(blk)
 }
 
 // rowSafe runs a taint analysis on slot 0 — the row tuple in the batched
@@ -58,7 +57,7 @@ func analyzeBlock(blk *CodeBlock, reg *prim.Registry) {
 // the activation. Taint is monotone (a slot once tainted stays tainted;
 // kills are ignored), so a fixpoint over the flat instruction list covers
 // every path through the block's join points.
-func rowSafe(blk *CodeBlock, reg *prim.Registry) bool {
+func rowSafe(blk *CodeBlock) bool {
 	if blk.NParams == 0 {
 		return false
 	}
@@ -109,7 +108,7 @@ func rowSafe(blk *CodeBlock, reg *prim.Registry) bool {
 				if !anyTainted {
 					continue
 				}
-				d, ok := reg.Lookup(in.Prim)
+				d, ok := prim.Lookup(in.Prim)
 				if !ok || d.RetainsVals {
 					return false
 				}

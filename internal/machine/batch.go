@@ -35,7 +35,7 @@ func (m *Machine) NewBatch(fn Value, nargs int, compile bool) *Batch {
 	b.args[nargs+1] = &Halt{Err: false}
 	if clo, ok := fn.(*Closure); ok && compile &&
 		len(clo.Abs.Params) == nargs+2 && StepNeutral(clo.Abs) {
-		if tc, err := CompileClosure(clo, m.reg()); err == nil {
+		if tc, err := CompileClosure(clo); err == nil {
 			b.target = tc
 		}
 	}

@@ -12,7 +12,7 @@ import (
 func recompile(t *testing.T, src string) (*tml.Abs, *tml.Abs) {
 	t.Helper()
 	abs := compileAbsSrc(t, src)
-	prog, err := CompileProc(abs, "f", nil)
+	prog, err := CompileProc(abs, "f")
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestDecompileEscapingContinuation(t *testing.T) {
 
 func TestDecompileFreeVariableNames(t *testing.T) {
 	abs := compileAbsSrc(t, "proc(x !ce !cc) (+ x delta ce cc)")
-	prog, err := CompileProc(abs, "f", nil)
+	prog, err := CompileProc(abs, "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestDecompileAgreesOnRandomPrograms(t *testing.T) {
 	}
 	f := func(seed int64, depthRaw uint8, arg int16) bool {
 		abs := gen(seed, int(depthRaw%6))
-		prog, err := CompileProc(abs, "p", nil)
+		prog, err := CompileProc(abs, "p")
 		if err != nil {
 			t.Logf("compile: %v", err)
 			return false
@@ -304,7 +304,7 @@ func TestDecompileNestedBlocks(t *testing.T) {
 	for name, pred := range preds {
 		t.Run(name, func(t *testing.T) {
 			outer := compileAbsSrc(t, `proc(n m !e !k) (k `+pred+`)`)
-			prog, err := CompileProc(outer, "outer", nil)
+			prog, err := CompileProc(outer, "outer")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +333,7 @@ func TestDecompileNestedBlocks(t *testing.T) {
 					caps[i] = Int(1 << 40) // overflows the multiplication on the wide row
 				}
 			}
-			again, err := CompileProc(rec, "again", nil)
+			again, err := CompileProc(rec, "again")
 			if err != nil {
 				t.Fatalf("recompile: %v", err)
 			}

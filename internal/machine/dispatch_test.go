@@ -26,7 +26,7 @@ func compileProc(t *testing.T, src string) *machine.Program {
 	if !ok {
 		t.Fatalf("source is %T, want abstraction", n)
 	}
-	prog, err := machine.CompileProc(abs, "f", nil)
+	prog, err := machine.CompileProc(abs, "f")
 	if err != nil {
 		t.Fatalf("CompileProc(%q): %v", src, err)
 	}

@@ -72,44 +72,63 @@ func init() {
 	registerIOExecs()
 }
 
-func registerIntExecs() {
-	// (p a b ce cc): conts[0] is the exception continuation, conts[1] the
-	// normal continuation.
-	type intOp struct {
-		name string
-		eval func(a, b int64) (int64, bool)
-	}
-	ops := []intOp{
-		{"+", func(a, b int64) (int64, bool) { return a + b, !prim.AddOverflows(a, b) }},
-		{"-", func(a, b int64) (int64, bool) { return a - b, !prim.SubOverflows(a, b) }},
-		{"*", func(a, b int64) (int64, bool) { return a * b, !prim.MulOverflows(a, b) }},
-		{"/", func(a, b int64) (int64, bool) {
+// The integer operators, integer comparisons and boolean connectives
+// are defined once, here: the generic executors below and the fused
+// executors of fastexec.go are both built from these definitions, so
+// the two paths cannot disagree on an overflow or division-by-zero rule.
+// An arithmetic definition reports false on a fault.
+var (
+	intArith = map[string]func(a, b int64) (int64, bool){
+		"+": func(a, b int64) (int64, bool) { return a + b, !prim.AddOverflows(a, b) },
+		"-": func(a, b int64) (int64, bool) { return a - b, !prim.SubOverflows(a, b) },
+		"*": func(a, b int64) (int64, bool) { return a * b, !prim.MulOverflows(a, b) },
+		"/": func(a, b int64) (int64, bool) {
 			if b == 0 || (a == math.MinInt64 && b == -1) {
 				return 0, false
 			}
 			return a / b, true
-		}},
-		{"%", func(a, b int64) (int64, bool) {
+		},
+		"%": func(a, b int64) (int64, bool) {
 			if b == 0 {
 				return 0, false
 			}
 			return a % b, true
-		}},
+		},
 	}
-	for _, op := range ops {
-		op := op
-		stdExecs[op.name] = func(m *Machine, vals, conts []Value) (Outcome, error) {
-			a, err := wantInt(op.name, vals[0])
+	intCmps = map[string]func(a, b int64) bool{
+		"<":  func(a, b int64) bool { return a < b },
+		">":  func(a, b int64) bool { return a > b },
+		"<=": func(a, b int64) bool { return a <= b },
+		">=": func(a, b int64) bool { return a >= b },
+	}
+	boolOps = map[string]func(a, b bool) bool{
+		"and": func(a, b bool) bool { return a && b },
+		"or":  func(a, b bool) bool { return a || b },
+	}
+)
+
+// intNeg negates a, reporting false on overflow.
+func intNeg(a int64) (int64, bool) { return -a, a != math.MinInt64 }
+
+// boolNot is the not connective.
+func boolNot(a bool) bool { return !a }
+
+func registerIntExecs() {
+	// (p a b ce cc): conts[0] is the exception continuation, conts[1] the
+	// normal continuation.
+	for name, eval := range intArith {
+		stdExecs[name] = func(m *Machine, vals, conts []Value) (Outcome, error) {
+			a, err := wantInt(name, vals[0])
 			if err != nil {
 				return Outcome{}, err
 			}
-			b, err := wantInt(op.name, vals[1])
+			b, err := wantInt(name, vals[1])
 			if err != nil {
 				return Outcome{}, err
 			}
-			r, ok := op.eval(a, b)
+			r, ok := eval(a, b)
 			if !ok {
-				return m.one(0, Str(fmt.Sprintf("%s: arithmetic fault on %d, %d", op.name, a, b))), nil
+				return m.one(0, Str(fmt.Sprintf("%s: arithmetic fault on %d, %d", name, a, b))), nil
 			}
 			return m.one(1, IntValue(r)), nil
 		}
@@ -119,20 +138,13 @@ func registerIntExecs() {
 		if err != nil {
 			return Outcome{}, err
 		}
-		if a == math.MinInt64 {
+		r, ok := intNeg(a)
+		if !ok {
 			return m.one(0, Str("neg: overflow")), nil
 		}
-		return m.one(1, IntValue(-a)), nil
+		return m.one(1, IntValue(r)), nil
 	}
-
-	cmps := map[string]func(a, b int64) bool{
-		"<":  func(a, b int64) bool { return a < b },
-		">":  func(a, b int64) bool { return a > b },
-		"<=": func(a, b int64) bool { return a <= b },
-		">=": func(a, b int64) bool { return a >= b },
-	}
-	for name, eval := range cmps {
-		name, eval := name, eval
+	for name, eval := range intCmps {
 		stdExecs[name] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 			a, err := wantInt(name, vals[0])
 			if err != nil {
@@ -159,7 +171,6 @@ func registerBitExecs() {
 		"^":  func(a, b int64) int64 { return a ^ b },
 	}
 	for name, eval := range ops {
-		name, eval := name, eval
 		stdExecs[name] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 			a, err := wantInt(name, vals[0])
 			if err != nil {
@@ -585,7 +596,6 @@ func registerRealExecs() {
 		{"r/", func(a, b float64) float64 { return a / b }},
 	}
 	for _, op := range ops {
-		op := op
 		stdExecs[op.name] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 			a, err := wantReal(op.name, vals[0])
 			if err != nil {
@@ -609,7 +619,6 @@ func registerRealExecs() {
 		"r>=": func(a, b float64) bool { return a >= b },
 	}
 	for name, eval := range cmps {
-		name, eval := name, eval
 		stdExecs[name] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 			a, err := wantReal(name, vals[0])
 			if err != nil {
@@ -635,34 +644,25 @@ func registerRealExecs() {
 }
 
 func registerBoolExecs() {
-	stdExecs["and"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
-		a, err := wantBool("and", vals[0])
-		if err != nil {
-			return Outcome{}, err
+	for name, eval := range boolOps {
+		stdExecs[name] = func(m *Machine, vals, conts []Value) (Outcome, error) {
+			a, err := wantBool(name, vals[0])
+			if err != nil {
+				return Outcome{}, err
+			}
+			b, err := wantBool(name, vals[1])
+			if err != nil {
+				return Outcome{}, err
+			}
+			return m.one(0, BoolValue(eval(a, b))), nil
 		}
-		b, err := wantBool("and", vals[1])
-		if err != nil {
-			return Outcome{}, err
-		}
-		return m.one(0, BoolValue(a && b)), nil
-	}
-	stdExecs["or"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
-		a, err := wantBool("or", vals[0])
-		if err != nil {
-			return Outcome{}, err
-		}
-		b, err := wantBool("or", vals[1])
-		if err != nil {
-			return Outcome{}, err
-		}
-		return m.one(0, BoolValue(a || b)), nil
 	}
 	stdExecs["not"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		a, err := wantBool("not", vals[0])
 		if err != nil {
 			return Outcome{}, err
 		}
-		return m.one(0, BoolValue(!a)), nil
+		return m.one(0, BoolValue(boolNot(a))), nil
 	}
 	stdExecs["if"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
 		a, err := wantBool("if", vals[0])

@@ -1,5 +1,7 @@
 package machine
 
+import "tycoon/internal/store"
+
 // ForceGenericPath makes m resolve every primitive by name and skip the
 // fused executors, exactly as a RegisterExec that shadows a standard
 // primitive does: the reference path the dispatch tests compare the
@@ -25,5 +27,22 @@ func FusedValueBranches(p *Program) int {
 			}
 		}
 	}
+	return n
+}
+
+// TableClosure returns what t binds to a closure OID: an install or a
+// lazy link.
+func TableClosure(t *CodeTable, oid store.OID) (Value, bool) {
+	v, ok := t.closures.Load(oid)
+	if !ok {
+		return nil, false
+	}
+	return v.(Value), true
+}
+
+// TablePrograms counts the decoded code blobs t holds.
+func TablePrograms(t *CodeTable) int {
+	n := 0
+	t.programs.Range(func(_, _ any) bool { n++; return true })
 	return n
 }

@@ -1,11 +1,5 @@
 package machine
 
-import (
-	"math"
-
-	"tycoon/internal/prim"
-)
-
 // This file implements the fused "load-slot / apply-primitive / branch"
 // fast path of the TAM: for the common primitive shapes — indexing,
 // comparisons, arithmetic, boolean connectives, case analysis — the
@@ -96,33 +90,27 @@ func fastIntCmp(eval func(a, b int64) bool) fastFn {
 	}
 }
 
+// registerFastExecs fuses the primitives whose definitions exec.go
+// shares (intArith, intCmps, intNeg, boolOps, boolNot) plus indexing
+// and case analysis.
 func registerFastExecs() {
-	fastExecs["+"] = fastIntOp(func(a, b int64) (int64, bool) { return a + b, !prim.AddOverflows(a, b) })
-	fastExecs["-"] = fastIntOp(func(a, b int64) (int64, bool) { return a - b, !prim.SubOverflows(a, b) })
-	fastExecs["*"] = fastIntOp(func(a, b int64) (int64, bool) { return a * b, !prim.MulOverflows(a, b) })
-	fastExecs["/"] = fastIntOp(func(a, b int64) (int64, bool) {
-		if b == 0 || (a == math.MinInt64 && b == -1) {
-			return 0, false
-		}
-		return a / b, true
-	})
-	fastExecs["%"] = fastIntOp(func(a, b int64) (int64, bool) {
-		if b == 0 {
-			return 0, false
-		}
-		return a % b, true
-	})
+	for name, eval := range intArith {
+		fastExecs[name] = fastIntOp(eval)
+	}
 	fastExecs["neg"] = func(m *Machine, vals []Value, nconts int) (int, Value, int) {
 		a, ok := vals[0].(Int)
-		if !ok || int64(a) == math.MinInt64 {
+		if !ok {
 			return -1, nil, 0
 		}
-		return 1, IntValue(-int64(a)), 1
+		r, ok := intNeg(int64(a))
+		if !ok {
+			return -1, nil, 0
+		}
+		return 1, IntValue(r), 1
 	}
-	fastExecs["<"] = fastIntCmp(func(a, b int64) bool { return a < b })
-	fastExecs[">"] = fastIntCmp(func(a, b int64) bool { return a > b })
-	fastExecs["<="] = fastIntCmp(func(a, b int64) bool { return a <= b })
-	fastExecs[">="] = fastIntCmp(func(a, b int64) bool { return a >= b })
+	for name, eval := range intCmps {
+		fastExecs[name] = fastIntCmp(eval)
+	}
 
 	// ([] a i c): transient aggregate indexing; store references decline
 	// to the generic executor, out-of-range declines so the generic path
@@ -185,10 +173,11 @@ func registerFastExecs() {
 		if !ok {
 			return -1, nil, 0
 		}
-		return 0, BoolValue(!bool(b)), 1
+		return 0, BoolValue(boolNot(bool(b))), 1
 	}
-	fastExecs["and"] = fastBoolOp(func(a, b bool) bool { return a && b })
-	fastExecs["or"] = fastBoolOp(func(a, b bool) bool { return a || b })
+	for name, eval := range boolOps {
+		fastExecs[name] = fastBoolOp(eval)
+	}
 }
 
 func fastBoolOp(eval func(a, b bool) bool) fastFn {

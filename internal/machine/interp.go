@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"tycoon/internal/prim"
 	"tycoon/internal/tml"
 )
 
@@ -122,7 +123,7 @@ func (m *Machine) stepInterp(app *tml.App, env *Env) (execState, bool, Value, er
 // signature (variadic primitives fall back to the syntactic trailing-cont
 // criterion).
 func (m *Machine) splitPrimArgs(name string, args []tml.Value) (vals, conts []tml.Value) {
-	if d, ok := m.reg().Lookup(name); ok && d.NConts >= 0 {
+	if d, ok := prim.Lookup(name); ok && d.NConts >= 0 {
 		split := len(args) - d.NConts
 		if split < 0 {
 			split = 0

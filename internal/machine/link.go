@@ -10,43 +10,40 @@ import (
 // This file implements lazy linking: applying an OID reference to a
 // persistent closure record swizzles it into an executable TAM closure,
 // resolving the R-value bindings of its free variables from the closure
-// record (paper §4.1, Fig. 3). Linking is cached per machine; decoded
-// code blobs are additionally shared across closures. Code installed in
-// the machine's CodeTable is consulted first and overrides both.
+// record (paper §4.1, Fig. 3). A link depends only on the store and the
+// standard primitive table, so links and decoded code blobs live in the
+// machine's CodeTable, shared by every machine using the table.
 
-// CodeTable holds installed code: OIDs bound to closures of the caller's
-// choosing (the reflective optimizer's output), which every machine using
-// the table runs in place of the lazily linked original. tycd keeps one
-// per server, so an optimization installed by one session serves all of
+// CodeTable is a code image over one store: closure OIDs bound to
+// executable values — code installed by the caller (the reflective
+// optimizer's output) or the lazy link of the persistent original — and
+// code-blob OIDs bound to their decoded programs. tycd keeps one per
+// server, so each closure is linked and each code blob decoded once per
+// server, and an optimization installed by one session serves all of
 // them. The zero value is an empty table, safe for concurrent use.
+//
+// The table holds at most one value per closure record and one program
+// per code blob, all of which the store already holds, so it has no
+// bound of its own. Sharing links is sound because the code and bindings
+// of a complete closure record, and a code blob, are never rewritten
+// (SetClosureAttrs replaces only derived attributes). Only placeholders
+// are: the linker's closure records without code and ship.Import's empty
+// objects. A placeholder fails to link or decode, and failures are never
+// cached.
 type CodeTable struct {
-	installs sync.Map // store.OID → Value
+	closures sync.Map // store.OID → Value: installs and links
+	programs sync.Map // store.OID → *Program: decoded code blobs
 }
 
 // Install binds oid to v for every machine using the table, without
-// touching the persistent original. A later Install of the same OID
-// replaces it.
-func (t *CodeTable) Install(oid store.OID, v Value) { t.installs.Store(oid, v) }
-
-// lookup returns the code installed for oid, if any.
-func (t *CodeTable) lookup(oid store.OID) (Value, bool) {
-	v, ok := t.installs.Load(oid)
-	if !ok {
-		return nil, false
-	}
-	return v.(Value), true
-}
+// touching the persistent original. It replaces an earlier install or
+// link of the same OID.
+func (t *CodeTable) Install(oid store.OID, v Value) { t.closures.Store(oid, v) }
 
 // linkClosure resolves a persistent closure record into a runtime value.
 func (m *Machine) linkClosure(oid store.OID) (Value, error) {
-	if v, ok := m.Code.lookup(oid); ok {
-		return v, nil
-	}
-	m.linkMu.Lock()
-	v, ok := m.linked[oid]
-	m.linkMu.Unlock()
-	if ok {
-		return v, nil
+	if v, ok := m.Code.closures.Load(oid); ok {
+		return v.(Value), nil
 	}
 	if m.Store == nil {
 		return nil, rtErr("link", "no store attached")
@@ -72,28 +69,16 @@ func (m *Machine) linkClosure(oid store.OID) (Value, error) {
 		}
 		free[i] = FromStoreVal(val)
 	}
-	built := Value(&TAMClosure{Prog: prog, Blk: prog.Entry, Free: free, Name: clo.Name})
-	m.linkMu.Lock()
-	defer m.linkMu.Unlock()
-	// A concurrent linker may have linked the closure meanwhile; the first
-	// one stays.
-	if v, ok := m.linked[oid]; ok {
-		return v, nil
-	}
-	if m.linked == nil {
-		m.linked = make(map[store.OID]Value)
-	}
-	m.linked[oid] = built
-	return built, nil
+	// Whatever was published first — an install or a concurrent link —
+	// stays, so a link never shadows an install.
+	v, _ := m.Code.closures.LoadOrStore(oid, Value(&TAMClosure{Prog: prog, Blk: prog.Entry, Free: free, Name: clo.Name}))
+	return v.(Value), nil
 }
 
-// program decodes (with caching) a TAM code blob.
+// program decodes a TAM code blob once per table.
 func (m *Machine) program(oid store.OID) (*Program, error) {
-	m.linkMu.Lock()
-	p, ok := m.programs[oid]
-	m.linkMu.Unlock()
-	if ok {
-		return p, nil
+	if p, ok := m.Code.programs.Load(oid); ok {
+		return p.(*Program), nil
 	}
 	obj, err := m.Store.Get(oid)
 	if err != nil {
@@ -107,16 +92,8 @@ func (m *Machine) program(oid store.OID) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.linkMu.Lock()
-	defer m.linkMu.Unlock()
-	if p, ok := m.programs[oid]; ok {
-		return p, nil
-	}
-	if m.programs == nil {
-		m.programs = make(map[store.OID]*Program)
-	}
-	m.programs[oid] = decoded
-	return decoded, nil
+	p, _ := m.Code.programs.LoadOrStore(oid, decoded)
+	return p.(*Program), nil
 }
 
 // CallExport looks up an exported member of a stored module and applies

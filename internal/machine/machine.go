@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
-	"tycoon/internal/prim"
 	"tycoon/internal/store"
 	"tycoon/internal/tml"
 )
@@ -15,6 +13,8 @@ import (
 // TAM virtual machine: the persistent store, the output stream of the
 // print primitive, the dynamic exception-handler stack (pushHandler /
 // popHandler / raise) and a step budget that bounds runaway programs.
+// The code it runs lives in its CodeTable; the machine itself holds
+// execution state only and is used by one goroutine at a time.
 type Machine struct {
 	// Store resolves OID references; nil machines can still run programs
 	// that never touch persistent objects.
@@ -24,11 +24,9 @@ type Machine struct {
 	// MaxSteps bounds the number of applications executed; 0 means
 	// DefaultMaxSteps. Exceeding the budget aborts with ErrStepBudget.
 	MaxSteps int64
-	// Reg resolves primitive descriptors; nil means prim.Default.
-	Reg *prim.Registry
-	// Code is the installed code this machine runs in place of lazily
-	// linked closures (see link.go). New gives each machine a table of its
-	// own; machines over one store may share one, as tycd's sessions do.
+	// Code is the code image this machine links into and runs from (see
+	// link.go). New gives each machine a table of its own; machines over
+	// one store may share one, as tycd's sessions do.
 	Code *CodeTable
 
 	handlers []Value // dynamic exception handler stack
@@ -64,14 +62,6 @@ type Machine struct {
 	// vals slice beyond the call (elements may be retained freely); all
 	// executors in this repository obey that contract.
 	valArena []Value
-	// linkMu guards linked and programs: concurrent optimizations may
-	// race on these caches. Execution state (handlers, steps) remains
-	// single-goroutine per machine.
-	linkMu sync.Mutex
-	// linked caches swizzled closures per OID; programs caches decoded
-	// TAM code blobs (see link.go).
-	linked   map[store.OID]Value
-	programs map[store.OID]*Program
 }
 
 // DefaultMaxSteps bounds execution (applications performed) when
@@ -119,14 +109,6 @@ func New(st store.View) *Machine {
 		st = nil
 	}
 	return &Machine{Store: st, Code: new(CodeTable)}
-}
-
-// reg returns the effective primitive registry.
-func (m *Machine) reg() *prim.Registry {
-	if m.Reg != nil {
-		return m.Reg
-	}
-	return prim.Default
 }
 
 // Steps reports the number of applications executed so far; benchmarks

@@ -74,7 +74,7 @@ func TestLinkErrors(t *testing.T) {
 	}
 	// A closure with an unbound free variable.
 	abs := compileAbsSrc(t, "proc(a !e !k) (+ a delta e k)")
-	prog, err := CompileProc(abs, "f", nil)
+	prog, err := CompileProc(abs, "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDisasmCoversAllOpcodes(t *testing.T) {
 	             cont() (- k 1 ce2 cont(k1)
 	                      (fact k1 ce2 cont(r) (* k r ce2 cc2))))))`
 	abs := compileAbsSrc(t, src)
-	prog, err := CompileProc(abs, "fact", nil)
+	prog, err := CompileProc(abs, "fact")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestProgramCacheSharedAcrossClosures(t *testing.T) {
 	st, _ := store.Open("")
 	defer st.Close()
 	abs := compileAbsSrc(t, "proc(a !e !k) (+ a 1 e k)")
-	prog, err := CompileProc(abs, "inc", nil)
+	prog, err := CompileProc(abs, "inc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +166,10 @@ func TestProgramCacheSharedAcrossClosures(t *testing.T) {
 	if _, err := m.Apply(Ref{OID: c2}, []Value{Int(2)}); err != nil {
 		t.Fatal(err)
 	}
-	v1, _ := m.linked[c1].(*TAMClosure)
-	v2, _ := m.linked[c2].(*TAMClosure)
+	l1, _ := TableClosure(m.Code, c1)
+	l2, _ := TableClosure(m.Code, c2)
+	v1, _ := l1.(*TAMClosure)
+	v2, _ := l2.(*TAMClosure)
 	if v1 == nil || v2 == nil || v1.Prog != v2.Prog {
 		t.Error("decoded program not shared between closures")
 	}

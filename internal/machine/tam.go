@@ -230,24 +230,21 @@ func (c *Cell) Show() string {
 // block expects the abstraction's parameters plus its two continuations.
 // Free variables of the abstraction become the entry closure's captures,
 // in the order reported by the entry block's FreeNames.
-func CompileProc(abs *tml.Abs, name string, reg *prim.Registry) (*Program, error) {
-	prog, _, err := compileProcFree(abs, name, reg)
+func CompileProc(abs *tml.Abs, name string) (*Program, error) {
+	prog, _, err := compileProcFree(abs, name)
 	return prog, err
 }
 
 // compileProcFree is CompileProc keeping the captured free variables of
 // the entry block (in capture order, aligned with FreeNames).
-func compileProcFree(abs *tml.Abs, name string, reg *prim.Registry) (*Program, []*tml.Var, error) {
-	if reg == nil {
-		reg = prim.Default
-	}
-	c := &compiler{prog: &Program{}, reg: reg}
+func compileProcFree(abs *tml.Abs, name string) (*Program, []*tml.Var, error) {
+	c := &compiler{prog: &Program{}}
 	entry, free, err := c.compileAbs(abs, name, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	c.prog.Entry = entry
-	prepareProgram(c.prog, reg)
+	prepareProgram(c.prog)
 	return c.prog, free, nil
 }
 
@@ -257,8 +254,8 @@ func compileProcFree(abs *tml.Abs, name string, reg *prim.Registry) (*Program, [
 // closures on the fly once a scan is large enough to amortise the
 // compilation; the caller is responsible for checking that compilation
 // preserves the abstract step count (see StepNeutral in batch.go).
-func CompileClosure(clo *Closure, reg *prim.Registry) (*TAMClosure, error) {
-	prog, freeVars, err := compileProcFree(clo.Abs, clo.Name, reg)
+func CompileClosure(clo *Closure) (*TAMClosure, error) {
+	prog, freeVars, err := compileProcFree(clo.Abs, clo.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +273,6 @@ func CompileClosure(clo *Closure, reg *prim.Registry) (*TAMClosure, error) {
 
 type compiler struct {
 	prog *Program
-	reg  *prim.Registry
 }
 
 type bindKind uint8
@@ -667,7 +663,7 @@ func (ctx *blockCtx) emitParallelMoves(args []tml.Value, dsts []int) error {
 // emitPrim compiles a primitive application.
 func (ctx *blockCtx) emitPrim(name string, args []tml.Value) error {
 	var nodeVals, nodeConts []tml.Value
-	if d, ok := ctx.c.reg.Lookup(name); ok && d.NConts >= 0 {
+	if d, ok := prim.Lookup(name); ok && d.NConts >= 0 {
 		split := len(args) - d.NConts
 		if split < 0 {
 			return fmt.Errorf("tam: primitive %s with too few arguments", name)

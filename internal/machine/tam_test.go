@@ -26,7 +26,7 @@ func compileAbsSrc(t *testing.T, src string) *tml.Abs {
 func compileClosure(t *testing.T, src, name string, free []Value) *TAMClosure {
 	t.Helper()
 	abs := compileAbsSrc(t, src)
-	prog, err := CompileProc(abs, name, nil)
+	prog, err := CompileProc(abs, name)
 	if err != nil {
 		t.Fatalf("CompileProc: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestTAMCallsInterpretedClosure(t *testing.T) {
 func TestTAMFreeVariables(t *testing.T) {
 	// The abstraction captures free variables bound at closure creation.
 	abs := compileAbsSrc(t, "proc(x !ce !cc) (+ x delta ce cc)")
-	prog, err := CompileProc(abs, "addDelta", nil)
+	prog, err := CompileProc(abs, "addDelta")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestTAMNestedClosureCapture(t *testing.T) {
 	src := `proc(a !ce !cc)
 	  (cc proc(b !e2 !k2) (+ a b e2 cont(t) (+ t g e2 k2)))`
 	abs := compileAbsSrc(t, src)
-	prog, err := CompileProc(abs, "makeAdder", nil)
+	prog, err := CompileProc(abs, "makeAdder")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestTAMCodecRoundTrip(t *testing.T) {
 	                      (fact k1 ce2 cont(r)
 	                        (* k r ce2 cc2))))))`
 	abs := compileAbsSrc(t, src)
-	prog, err := CompileProc(abs, "fact", nil)
+	prog, err := CompileProc(abs, "fact")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestTAMAgreesWithInterpreter(t *testing.T) {
 		m := New(nil)
 		interp := &Closure{Abs: abs}
 		v1, err1 := m.Apply(interp, []Value{Int(int64(arg))})
-		prog, err := CompileProc(abs, "p", nil)
+		prog, err := CompileProc(abs, "p")
 		if err != nil {
 			t.Logf("compile: %v", err)
 			return false

@@ -96,7 +96,7 @@ func DecodeProgram(data []byte) (*Program, error) {
 	if p.Entry < 0 || p.Entry >= len(p.Blocks) {
 		return nil, fmt.Errorf("%w: entry %d of %d blocks", ErrBadCode, p.Entry, len(p.Blocks))
 	}
-	prepareProgram(p, nil)
+	prepareProgram(p)
 	return p, nil
 }
 

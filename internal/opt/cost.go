@@ -16,20 +16,17 @@ import (
 // inlining heuristic (paper: "estimate the possible savings resulting from
 // the inlining of a TML procedure") weighs against thresholds, not a
 // execution-time prediction.
-func Cost(n tml.Node, reg *prim.Registry) int {
-	if reg == nil {
-		reg = prim.Default
-	}
+func Cost(n tml.Node) int {
 	switch n := n.(type) {
 	case *tml.Lit, *tml.Oid, *tml.Var, *tml.Prim:
 		return 0
 	case *tml.Abs:
-		return Cost(n.Body, reg)
+		return Cost(n.Body)
 	case *tml.App:
 		c := len(n.Args)
 		switch fn := n.Fn.(type) {
 		case *tml.Prim:
-			if d, ok := reg.Lookup(fn.Name); ok {
+			if d, ok := prim.Lookup(fn.Name); ok {
 				c += d.Cost
 			} else {
 				c += callOverhead
@@ -37,10 +34,10 @@ func Cost(n tml.Node, reg *prim.Registry) int {
 		case *tml.Var:
 			c += callOverhead
 		case *tml.Abs:
-			c += Cost(fn, reg) // β-redex: the body runs inline
+			c += Cost(fn) // β-redex: the body runs inline
 		}
 		for _, a := range n.Args {
-			c += Cost(a, reg)
+			c += Cost(a)
 		}
 		return c
 	default:

@@ -112,7 +112,7 @@ func (o *optimizer) shouldInline(v *tml.Var, abs *tml.Abs, args []tml.Value, rou
 	if o.perBinder[v] >= 1 {
 		return false
 	}
-	bodyCost := Cost(abs.Body, o.reg)
+	bodyCost := Cost(abs.Body)
 	savings := callOverhead
 	for _, a := range args {
 		switch a.(type) {
@@ -123,6 +123,6 @@ func (o *optimizer) shouldInline(v *tml.Var, abs *tml.Abs, args []tml.Value, rou
 	// The effective threshold shrinks as penalty accumulates, so early
 	// rounds inline aggressively and later rounds only accept very small
 	// bodies — the accumulated-penalty regime of paper §3.
-	threshold := o.opts.InlineBudget * (o.opts.PenaltyLimit - o.penalty) / o.opts.PenaltyLimit
+	threshold := DefaultInlineBudget * (o.opts.PenaltyLimit - o.penalty) / o.opts.PenaltyLimit
 	return bodyCost-savings <= threshold
 }

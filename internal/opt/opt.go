@@ -45,26 +45,19 @@ type Rule struct {
 }
 
 // Ctx gives rewrite rules access to the variable generator (for fresh
-// binders) and the primitive registry.
+// binders).
 type Ctx struct {
 	Gen *tml.VarGen
-	Reg *prim.Registry
 }
 
 // Options configures an optimization run.
 type Options struct {
-	// Reg is the primitive registry; nil means prim.Default.
-	Reg *prim.Registry
 	// Gen supplies fresh variables for α-conversion during expansion.
 	// nil allocates a generator seeded past the tree's maximum ID.
 	Gen *tml.VarGen
 	// MaxRounds bounds the number of reduction/expansion rounds; it is
 	// the penalty limit of paper §3. Zero means DefaultMaxRounds.
 	MaxRounds int
-	// InlineBudget is the base cost threshold of the expansion pass in
-	// abstract machine instructions; the effective threshold shrinks as
-	// penalty accumulates. Zero means DefaultInlineBudget.
-	InlineBudget int
 	// PenaltyLimit stops the driver once this many expansions have been
 	// performed in total. Zero means DefaultPenaltyLimit.
 	PenaltyLimit int
@@ -103,7 +96,9 @@ type PassInfo struct {
 	Duration time.Duration
 }
 
-// Defaults for Options.
+// Defaults for Options, and the base cost threshold of the expansion
+// pass in abstract machine instructions (the effective threshold shrinks
+// as penalty accumulates).
 const (
 	DefaultMaxRounds    = 8
 	DefaultInlineBudget = 40
@@ -158,7 +153,6 @@ func Optimize(app *tml.App, opts Options) (*tml.App, *Stats, error) {
 
 type optimizer struct {
 	opts    Options
-	reg     *prim.Registry
 	gen     *tml.VarGen
 	ctx     *Ctx
 	stats   *Stats
@@ -173,26 +167,19 @@ type optimizer struct {
 }
 
 func newOptimizer(opts Options, root *tml.App) *optimizer {
-	if opts.Reg == nil {
-		opts.Reg = prim.Default
-	}
 	if opts.Gen == nil {
 		opts.Gen = tml.NewVarGenAt(tml.MaxVarID(root) + 1)
 	}
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
-	if opts.InlineBudget == 0 {
-		opts.InlineBudget = DefaultInlineBudget
-	}
 	if opts.PenaltyLimit == 0 {
 		opts.PenaltyLimit = DefaultPenaltyLimit
 	}
 	return &optimizer{
 		opts:  opts,
-		reg:   opts.Reg,
 		gen:   opts.Gen,
-		ctx:   &Ctx{Gen: opts.Gen, Reg: opts.Reg},
+		ctx:   &Ctx{Gen: opts.Gen},
 		stats: &Stats{},
 	}
 }
@@ -202,7 +189,7 @@ func (o *optimizer) run(app *tml.App) (*tml.App, error) {
 	// variables are the only ones any pass's output may have.
 	o.free = tml.FreeVars(app)
 	o.stats.SizeBefore = tml.Size(app)
-	o.stats.CostBefore = Cost(app, o.reg)
+	o.stats.CostBefore = Cost(app)
 	for round := 0; ; round++ {
 		o.stats.Rounds = round + 1
 		app = o.pass("reduce", round+1, app, o.reduceFixpoint)
@@ -226,7 +213,7 @@ func (o *optimizer) run(app *tml.App) (*tml.App, error) {
 	}
 	o.stats.Penalty = o.penalty
 	o.stats.SizeAfter = tml.Size(app)
-	o.stats.CostAfter = Cost(app, o.reg)
+	o.stats.CostAfter = Cost(app)
 	return app, nil
 }
 
@@ -236,7 +223,7 @@ func (o *optimizer) run(app *tml.App) (*tml.App, error) {
 // reported against the pass that introduced it (e.g. "reduce#3") instead
 // of surfacing at codegen or as a wrong value.
 func (o *optimizer) check(app *tml.App, pass string) error {
-	if err := tml.Check(app, tml.CheckOpts{Signatures: o.reg.Signatures, AllowFree: o.free}); err != nil {
+	if err := tml.Check(app, tml.CheckOpts{Signatures: prim.Signatures, AllowFree: o.free}); err != nil {
 		return fmt.Errorf("%w after pass %s: %v", ErrMiscompile, pass, err)
 	}
 	return nil

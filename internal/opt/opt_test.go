@@ -284,19 +284,19 @@ func TestStatsString(t *testing.T) {
 
 func TestCost(t *testing.T) {
 	plus := parse(t, "(+ 1 2 e k)")
-	if c := Cost(plus, nil); c != 1+4 { // prim cost 1 + 4 args
+	if c := Cost(plus); c != 1+4 { // prim cost 1 + 4 args
 		t.Errorf("Cost(+ app) = %d, want 5", c)
 	}
 	call := parse(t, "(f 1 e k)")
-	if c := Cost(call, nil); c != callOverhead+3 {
+	if c := Cost(call); c != callOverhead+3 {
 		t.Errorf("Cost(call) = %d, want %d", c, callOverhead+3)
 	}
-	if c := Cost(tml.Int(1), nil); c != 0 {
+	if c := Cost(tml.Int(1)); c != 0 {
 		t.Errorf("Cost(lit) = %d, want 0", c)
 	}
 	// Abstraction arguments contribute their body cost.
 	nested := parse(t, "(f 1 e cont(t) (+ t 1 e2 k))")
-	if c := Cost(nested, nil); c <= callOverhead+3 {
+	if c := Cost(nested); c <= callOverhead+3 {
 		t.Errorf("Cost(nested) = %d, should include continuation body", c)
 	}
 }

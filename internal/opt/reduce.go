@@ -179,7 +179,7 @@ func substitutable(val tml.Value, uses int, unrestricted bool) bool {
 // primRules applies fold, the dead-call rule, case-subst and the two Y
 // rules to an application of a primitive.
 func (o *optimizer) primRules(app *tml.App, fn *tml.Prim) (*tml.App, bool) {
-	desc, ok := o.reg.Lookup(fn.Name)
+	desc, ok := prim.Lookup(fn.Name)
 	if !ok {
 		return nil, false
 	}

@@ -204,8 +204,6 @@ type Result struct {
 
 // Config configures a Pipeline.
 type Config struct {
-	// Reg is the primitive registry; nil means prim.Default.
-	Reg *prim.Registry
 	// CacheEntries bounds the optimized-code cache; 0 means
 	// DefaultCacheEntries, negative disables caching.
 	CacheEntries int
@@ -247,9 +245,6 @@ type Pipeline struct {
 // New returns a pipeline over st (nil for store-free jobs such as
 // tmlopt's term optimization; store-free pipelines never cache).
 func New(st *store.Store, cfg Config) *Pipeline {
-	if cfg.Reg == nil {
-		cfg.Reg = prim.Default
-	}
 	p := &Pipeline{st: st, cfg: cfg}
 	if cfg.CacheEntries >= 0 && st != nil {
 		n := cfg.CacheEntries
@@ -353,9 +348,6 @@ func (p *Pipeline) execute(job Job) (*Result, error) {
 	optAbs := abs
 	if !job.SkipOptimize {
 		o := job.Opt
-		if o.Reg == nil {
-			o.Reg = p.cfg.Reg
-		}
 		o.Gen = gen
 		var extra []opt.Rule
 		for _, pack := range job.Packs {
@@ -383,7 +375,7 @@ func (p *Pipeline) execute(job Job) (*Result, error) {
 
 	if job.Codegen {
 		t0 = time.Now()
-		prog, err := machine.CompileProc(optAbs, job.Name, p.cfg.Reg)
+		prog, err := machine.CompileProc(optAbs, job.Name)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: %s: codegen: %w", job.Name, err)
 		}
@@ -440,7 +432,7 @@ func (p *Pipeline) execute(job Job) (*Result, error) {
 // opt.ErrMiscompile.
 func (p *Pipeline) checkSource(name string, abs *tml.Abs) error {
 	free := tml.FreeVars(abs)
-	if err := tml.Check(abs, tml.CheckOpts{Signatures: p.cfg.Reg.Signatures, AllowFree: free}); err != nil {
+	if err := tml.Check(abs, tml.CheckOpts{Signatures: prim.Signatures, AllowFree: free}); err != nil {
 		return fmt.Errorf("pipeline: %s: source: %w", name, err)
 	}
 	return nil

@@ -162,7 +162,6 @@ func registerIntPrims() {
 			}},
 	}
 	for _, op := range ops {
-		op := op
 		Default.Register(&Desc{
 			Name: op.name, NVals: 2, NConts: 2, Cost: 1,
 			Effect: Pure, Commutative: op.comm,
@@ -198,7 +197,6 @@ func registerIntPrims() {
 		{">=", func(a, b int64) bool { return a >= b }, true},
 	}
 	for _, op := range cmps {
-		op := op
 		Default.Register(&Desc{
 			Name: op.name, NVals: 2, NConts: 2, Cost: 1, Effect: Pure,
 			Fold: func(args []tml.Value) (*tml.App, bool) {
@@ -253,7 +251,6 @@ func registerBitPrims() {
 		{"^", func(a, b int64) int64 { return a ^ b }, keep},
 	}
 	for _, op := range ops {
-		op := op
 		Default.Register(&Desc{
 			Name: op.name, NVals: 2, NConts: 1, Cost: 1, Effect: Pure,
 			Commutative: op.name == "&" || op.name == "|" || op.name == "^",
@@ -417,7 +414,6 @@ func registerRealPrims() {
 		{"r/", false, func(a, b float64) float64 { return a / b }},
 	}
 	for _, op := range ops {
-		op := op
 		Default.Register(&Desc{
 			Name: op.name, NVals: 2, NConts: 2, Cost: 1, Effect: Pure, Commutative: op.comm,
 			Fold: func(args []tml.Value) (*tml.App, bool) {
@@ -444,7 +440,6 @@ func registerRealPrims() {
 		{"r>=", func(a, b float64) bool { return a >= b }},
 	}
 	for _, op := range cmps {
-		op := op
 		Default.Register(&Desc{
 			Name: op.name, NVals: 2, NConts: 2, Cost: 1, Effect: Pure,
 			Fold: func(args []tml.Value) (*tml.App, bool) {

@@ -29,7 +29,6 @@ import (
 	"tycoon/internal/machine"
 	"tycoon/internal/opt"
 	"tycoon/internal/pipeline"
-	"tycoon/internal/prim"
 	"tycoon/internal/ptml"
 	"tycoon/internal/qopt"
 	"tycoon/internal/store"
@@ -41,49 +40,35 @@ var ErrNoPTML = errors.New("reflectopt: closure carries no PTML (installed with 
 
 // Options tunes the dynamic optimizer.
 type Options struct {
-	// Reg is the primitive registry; nil means prim.Default.
-	Reg *prim.Registry
-	// InlinePerOID bounds how often one non-recursive persistent closure
-	// is inlined into a single optimization; 0 means DefaultInlinePerOID.
-	// Library wrappers are tiny and non-recursive, so this is generous.
-	InlinePerOID int
-	// InlineRecursive bounds inlining of self-recursive closures (their
-	// bodies mention their own OID): each inline is one unrolling.
-	// 0 means DefaultInlineRecursive.
-	InlineRecursive int
-	// MaxInlineSize stops cross-barrier inlining once the accumulated
-	// size of inlined bodies exceeds this many TML nodes (mutual
-	// recursion through the store would otherwise grow without bound).
-	// 0 means DefaultMaxInlineSize.
-	MaxInlineSize int
-	// Opt are the base optimizer options (rounds, budgets).
-	Opt opt.Options
-	// NoQueryRules disables the §4.2 query rewrite rules (ablation).
-	NoQueryRules bool
 	// FromCode reconstructs TML by decompiling the executable TAM code
 	// instead of decoding the stored PTML tree — the paper's §6 future
 	// work ("inverting the target machine code generation process").
 	// Closures installed with StripPTML become optimizable again, at the
 	// cost of a non-isomorphic (occasionally duplicated) tree.
 	FromCode bool
-	// CacheEntries bounds the pipeline's optimized-code cache; 0 means
-	// pipeline.DefaultCacheEntries, negative disables caching.
-	CacheEntries int
 	// Pipe, when non-nil, is the compilation pipeline to run jobs through
 	// instead of a private one. tycd injects its server-wide pipeline here
 	// so reflective optimizations and remote SUBMIT compilations share one
 	// cache and one singleflight group across all sessions. The optionsFP
-	// component of every key keeps distinct Options configurations from
-	// colliding in the shared cache; Reg and CacheEntries are ignored in
-	// favour of the shared pipeline's own configuration.
+	// component of every key keeps the FromCode and PTML configurations
+	// apart from each other and from other users of the shared cache.
 	Pipe *pipeline.Pipeline
 }
 
-// Default inlining bounds.
+// Cross-barrier inlining bounds.
 const (
-	DefaultInlinePerOID    = 64
+	// DefaultInlinePerOID bounds how often one non-recursive persistent
+	// closure is inlined into a single optimization. Library wrappers are
+	// tiny and non-recursive, so this is generous.
+	DefaultInlinePerOID = 64
+	// DefaultInlineRecursive bounds inlining of self-recursive closures
+	// (their bodies mention their own OID): each inline is one unrolling.
 	DefaultInlineRecursive = 2
-	DefaultMaxInlineSize   = 60_000
+	// DefaultMaxInlineSize stops cross-barrier inlining once the
+	// accumulated size of inlined bodies exceeds this many TML nodes
+	// (mutual recursion through the store would otherwise grow without
+	// bound).
+	DefaultMaxInlineSize = 60_000
 )
 
 // Optimizer performs reflective optimization against one store. It is
@@ -95,34 +80,18 @@ type Optimizer struct {
 	pipe *pipeline.Pipeline
 	// optionsFP folds every Options field that changes the output into
 	// the cache key, so two optimizers with different settings over the
-	// same store never share entries.
+	// same store never share entries; its "reflectopt" tag keeps the keys
+	// apart from tycd's SUBMIT keys in a shared pipeline.
 	optionsFP uint64
 }
 
 // New returns a dynamic optimizer over st.
 func New(st *store.Store, opts Options) *Optimizer {
-	if opts.Reg == nil {
-		opts.Reg = prim.Default
-	}
-	if opts.InlinePerOID == 0 {
-		opts.InlinePerOID = DefaultInlinePerOID
-	}
-	if opts.InlineRecursive == 0 {
-		opts.InlineRecursive = DefaultInlineRecursive
-	}
-	if opts.MaxInlineSize == 0 {
-		opts.MaxInlineSize = DefaultMaxInlineSize
-	}
 	pipe := opts.Pipe
 	if pipe == nil {
-		pipe = pipeline.New(st, pipeline.Config{Reg: opts.Reg, CacheEntries: opts.CacheEntries})
+		pipe = pipeline.New(st, pipeline.Config{})
 	}
-	fp := pipeline.FingerprintOptions(
-		opts.InlinePerOID, opts.InlineRecursive, opts.MaxInlineSize,
-		opts.NoQueryRules, opts.FromCode,
-		opts.Opt.MaxRounds, opts.Opt.InlineBudget, opts.Opt.PenaltyLimit,
-		opts.Opt.NoExpansion, opts.Opt.NoFold, opts.Opt.SubstUnrestricted,
-		len(opts.Opt.Extra))
+	fp := pipeline.FingerprintOptions("reflectopt", opts.FromCode)
 	return &Optimizer{st: st, opts: opts, pipe: pipe, optionsFP: fp}
 }
 
@@ -228,17 +197,13 @@ func (o *Optimizer) Optimize(oid store.OID) (*Result, error) {
 			return o.linkInline(ctx, app, state)
 		}},
 	}}
-	packs := []pipeline.RulePack{reflectPack}
-	if !o.opts.NoQueryRules {
-		packs = append(packs, qopt.RuntimePack(o.st))
-	}
+	packs := []pipeline.RulePack{reflectPack, qopt.RuntimePack(o.st)}
 
 	job := pipeline.Job{
 		Name: optName(o.st, oid),
 		Source: func(gen *tml.VarGen) (*tml.Abs, error) {
 			return o.reconstruct(oid, gen)
 		},
-		Opt:           o.opts.Opt,
 		Packs:         packs,
 		Codegen:       true,
 		RequireClosed: true,
@@ -511,15 +476,15 @@ type inlineState struct {
 // inlined body's own free variables are bound the same way, so the
 // optimizer effectively collects all contributing declarations through
 // transitive reachability (paper §4.1). Self-recursive closures unroll
-// at most InlineRecursive times; the accumulated size bound stops mutual
-// recursion through the store.
+// at most DefaultInlineRecursive times; the accumulated size bound stops
+// mutual recursion through the store.
 func (o *Optimizer) linkInline(ctx *opt.Ctx, app *tml.App, state *inlineState) (*tml.App, bool) {
 	oidNode, ok := app.Fn.(*tml.Oid)
 	if !ok {
 		return nil, false
 	}
 	oid := store.OID(oidNode.Ref)
-	if state.size >= o.opts.MaxInlineSize {
+	if state.size >= DefaultMaxInlineSize {
 		return nil, false
 	}
 	abs, err := o.reconstruct(oid, ctx.Gen)
@@ -529,9 +494,9 @@ func (o *Optimizer) linkInline(ctx *opt.Ctx, app *tml.App, state *inlineState) (
 	if len(abs.Params) != len(app.Args) {
 		return nil, false
 	}
-	limit := o.opts.InlinePerOID
+	limit := DefaultInlinePerOID
 	if selfRecursive(abs, oid) {
-		limit = o.opts.InlineRecursive
+		limit = DefaultInlineRecursive
 	}
 	if state.counts[oid] >= limit {
 		return nil, false

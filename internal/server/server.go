@@ -97,9 +97,10 @@ type Server struct {
 	pipe *pipeline.Pipeline
 	ropt *reflectopt.Optimizer
 	mg   *relalg.Manager
-	// code is the server's one code table: OPTIMIZE installs into it and
-	// every session's machine consults it before its own lazy links, so
-	// optimized code serves every session, not only the one that asked.
+	// code is the server's one code image: every session's machine links
+	// persistent closures and decodes code blobs into it, once per server,
+	// and OPTIMIZE installs into it, so optimized code serves every
+	// session, not only the one that asked.
 	code *machine.CodeTable
 
 	// installMu serialises module compilation and installation: the TL

@@ -18,8 +18,9 @@ import (
 
 // session is one client connection's execution state: its own machine
 // (so handler state, step counters and frame pools never cross sessions)
-// over the server's shared store, index cache, code table and pipeline. The
-// connection itself belongs to the serving core (ship.Session).
+// over the server's shared store, derived caches, code image and
+// pipeline. The connection itself belongs to the serving core
+// (ship.Session).
 type session struct {
 	srv *Server
 	c   *ship.Session
@@ -360,6 +361,9 @@ func (s *session) runSubmit(req *ship.Submit, srcHash ptml.Hash) (*ship.Result, 
 	defer s.closeTxn(txn)
 	if req.Explain {
 		s.srv.mg.CaptureExplain(s.m)
+		// Release the capture even if execution panics; after the take
+		// below this is a no-op.
+		defer s.srv.mg.TakeExplain(s.m)
 	}
 	v, err := s.m.Apply(res.Closure, nil)
 	s.end()
