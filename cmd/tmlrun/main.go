@@ -28,7 +28,7 @@ func main() {
 	storePath := flag.String("store", "tycoon.tyst", "store file")
 	dynOpt := flag.Bool("opt", false, "reflectively optimize before running")
 	showSteps := flag.Bool("steps", false, "report abstract machine steps")
-	profile := flag.Bool("profile", false, "report steps, engine transfers, frame allocations, vectorized rows and wall time")
+	profile := flag.Bool("profile", false, "report steps, engine transfers, frame allocations, the continuation stack, vectorized rows and wall time")
 	explain := flag.Bool("explain", false, "print the executed physical plan (chosen algorithms, est vs actual cardinalities)")
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -102,7 +102,8 @@ func main() {
 	}
 	if *profile {
 		p := m.Profile()
-		fmt.Fprintf(os.Stderr, "profile: %d steps, %d engine transfers, %d frames allocated, %d frames reused, %d vector / %d batched / %d row-at-a-time rows, %s wall time\n",
-			p.Steps, p.Transfers, p.FramesAlloc, p.FramesReuse, p.VecRows, p.BatchRows, p.RowRows, elapsed)
+		fmt.Fprintf(os.Stderr, "profile: %d steps, %d engine transfers, %d frames allocated, %d frames reused, %d continuations pushed / %d on the heap / stack depth %d, %d vector / %d batched / %d row-at-a-time rows, %s wall time\n",
+			p.Steps, p.Transfers, p.FramesAlloc, p.FramesReuse, p.ContsPushed, p.ContsHeap, p.MaxContDepth,
+			p.VecRows, p.BatchRows, p.RowRows, elapsed)
 	}
 }

@@ -478,16 +478,23 @@ func TestGatewayChaos(t *testing.T) {
 // TestGatewayOverloadRetryAfter forces a 429 through a one-inflight
 // server and checks the Retry-After header surfaces.
 func TestGatewayOverloadRetryAfter(t *testing.T) {
-	g, hs, _, _ := world(t, server.Config{MaxInflight: 1})
-	_ = g
+	g, hs, _, st := world(t, server.Config{MaxInflight: 1})
 
-	// Occupy the single inflight slot with a slow submit.
+	// Occupy the single inflight slot with a slow submit: a countdown of
+	// two million self-applications keeps the slot held for a while.
 	slow := make(chan struct{})
 	go func() {
 		defer close(slow)
-		// ~50ms of busy work via the sieve keeps the slot held.
-		post(t, hs.URL+"/v1/submit", `{"tml":"(+ 40 2 e cont(n) (k n))","optimize":true}`)
+		post(t, hs.URL+"/v1/submit", `{"tml":"(proc(f n !ce !cc) (< n 1 cont() (cc n) cont() (- n 1 ce cont(m) (f f m ce cc))) proc(f n !ce !cc) (< n 1 cont() (cc n) cont() (- n 1 ce cont(m) (f f m ce cc))) 2000000 e k)"}`)
 	}()
+	// Hammer only once it runs: its transaction's snapshot is open.
+	deadline := time.Now().Add(10 * time.Second)
+	for st.TxStats().OpenSnapshots < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the slow submit opened no snapshot")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// Hammer until a 429 shows (the gateway's wire client does not
 	// retry here: Retries must be 0 for the refusal to surface — use a

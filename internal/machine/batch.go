@@ -54,11 +54,8 @@ func (b *Batch) RowSafe() bool { return b.rowSafe }
 // arity) and runs it to completion. The args slice is not retained.
 func (b *Batch) Call(args []Value) (Value, error) {
 	copy(b.args[:b.nargs], args)
-	st, done, result, err := b.m.transfer(b.target, b.args)
-	if err != nil || done {
-		return result, err
-	}
-	return b.m.drive(st)
+	var st execState
+	return b.m.drive(&st, b.target, b.args)
 }
 
 // StepNeutral reports that compiling abs to TAM code preserves the

@@ -174,9 +174,11 @@ func TestShadowedPrimitiveHonoured(t *testing.T) {
 // TestLibraryCallAllocs bounds the allocations of a library-factored
 // operator: a compiled loop calls a helper proc(a b !ce !k) (+ a b ce k),
 // whose + returns straight through the caller's continuation k. The
-// helper's frame is recycled and its result rides the machine's scratch
-// slot, so an iteration allocates only the return continuation the call
-// reifies. The generic path also allocates a Results slice per +.
+// helper's frame is recycled, its result rides the machine's scratch
+// slot, and the return continuation the call reifies is a record on the
+// continuation stack, so an iteration allocates nothing — except, with
+// the use-after-pop check on, the record's own chunk. The generic path
+// also allocates a Results slice per +.
 func TestLibraryCallAllocs(t *testing.T) {
 	const n = 200
 	loop := compileProc(t, `proc(n !ce !cc)
@@ -188,13 +190,20 @@ func TestLibraryCallAllocs(t *testing.T) {
 	             cont() (add i 1 ce cont(j) (loop j)))))`)
 	add := closureOf(compileProc(t, "proc(a b !ce !k) (+ a b ce k)"))
 	fn := closureOf(loop, add)
-	m := machine.New(nil)
 	args := []machine.Value{machine.Int(n)}
-	if v, err := m.Apply(fn, args); err != nil || v != machine.Value(machine.Int(n)) {
-		t.Fatalf("loop = %v, %v; want %d", v, err, n)
-	}
-	perIter := testing.AllocsPerRun(20, func() { m.Apply(fn, args) }) / n
-	if perIter > 1.05 {
-		t.Errorf("%.2f allocations per library call, want at most 1 (the reified return continuation)", perIter)
+	for _, check := range []bool{true, false} {
+		prev := machine.SetContCheck(check)
+		m := machine.New(nil)
+		machine.SetContCheck(prev)
+		if v, err := m.Apply(fn, args); err != nil || v != machine.Value(machine.Int(n)) {
+			t.Fatalf("loop = %v, %v; want %d", v, err, n)
+		}
+		want := 0.05
+		if check {
+			want = 1.05
+		}
+		if perIter := testing.AllocsPerRun(20, func() { m.Apply(fn, args) }) / n; perIter > want {
+			t.Errorf("check=%v: %.2f allocations per library call, want at most %.0f", check, perIter, want)
+		}
 	}
 }

@@ -61,7 +61,6 @@ func wantStr(op string, v Value) (string, error) {
 
 func init() {
 	registerIntExecs()
-	registerBitExecs()
 	registerConvExecs()
 	registerArrayExecs()
 	registerCaseExecs()
@@ -72,116 +71,95 @@ func init() {
 	registerIOExecs()
 }
 
-// The integer operators, integer comparisons and boolean connectives
-// are defined once, here: the generic executors below and the fused
-// executors of fastexec.go are both built from these definitions, so
-// the two paths cannot disagree on an overflow or division-by-zero rule.
-// An arithmetic definition reports false on a fault.
-var (
-	intArith = map[string]func(a, b int64) (int64, bool){
-		"+": func(a, b int64) (int64, bool) { return a + b, !prim.AddOverflows(a, b) },
-		"-": func(a, b int64) (int64, bool) { return a - b, !prim.SubOverflows(a, b) },
-		"*": func(a, b int64) (int64, bool) { return a * b, !prim.MulOverflows(a, b) },
-		"/": func(a, b int64) (int64, bool) {
-			if b == 0 || (a == math.MinInt64 && b == -1) {
-				return 0, false
-			}
-			return a / b, true
-		},
-		"%": func(a, b int64) (int64, bool) {
-			if b == 0 {
-				return 0, false
-			}
-			return a % b, true
-		},
-	}
-	intCmps = map[string]func(a, b int64) bool{
-		"<":  func(a, b int64) bool { return a < b },
-		">":  func(a, b int64) bool { return a > b },
-		"<=": func(a, b int64) bool { return a <= b },
-		">=": func(a, b int64) bool { return a >= b },
-	}
-	boolOps = map[string]func(a, b bool) bool{
-		"and": func(a, b bool) bool { return a && b },
-		"or":  func(a, b bool) bool { return a || b },
-	}
-)
-
-// intNeg negates a, reporting false on overflow.
-func intNeg(a int64) (int64, bool) { return -a, a != math.MinInt64 }
+// The boolean connectives are defined once, here: the generic executors
+// below and the fused executors of fastexec.go are both built from these
+// definitions. The integer primitives are defined once for the whole
+// system, in prim.IntOps, which the optimizer's constant folding shares.
+var boolOps = map[string]func(a, b bool) bool{
+	"and": func(a, b bool) bool { return a && b },
+	"or":  func(a, b bool) bool { return a || b },
+}
 
 // boolNot is the not connective.
 func boolNot(a bool) bool { return !a }
 
 func registerIntExecs() {
-	// (p a b ce cc): conts[0] is the exception continuation, conts[1] the
-	// normal continuation.
-	for name, eval := range intArith {
-		stdExecs[name] = func(m *Machine, vals, conts []Value) (Outcome, error) {
-			a, err := wantInt(name, vals[0])
-			if err != nil {
-				return Outcome{}, err
-			}
-			b, err := wantInt(name, vals[1])
-			if err != nil {
-				return Outcome{}, err
-			}
-			r, ok := eval(a, b)
-			if !ok {
-				return m.one(0, Str(fmt.Sprintf("%s: arithmetic fault on %d, %d", name, a, b))), nil
-			}
-			return m.one(1, IntValue(r)), nil
+	for name, op := range prim.IntOps {
+		switch {
+		case op.Arith != nil:
+			stdExecs[name] = intArithExec(name, op.Arith)
+		case op.Neg != nil:
+			stdExecs[name] = intNegExec(op.Neg)
+		case op.Cmp != nil:
+			stdExecs[name] = intCmpExec(name, op.Cmp)
+		case op.Bits != nil:
+			stdExecs[name] = intBitsExec(name, op.Bits)
 		}
 	}
-	stdExecs["neg"] = func(m *Machine, vals, conts []Value) (Outcome, error) {
+}
+
+// intArithExec executes (p a b ce cc): conts[0] is the exception
+// continuation, conts[1] the normal continuation.
+func intArithExec(name string, eval func(a, b int64) (int64, bool)) ExecFunc {
+	return func(m *Machine, vals, conts []Value) (Outcome, error) {
+		a, err := wantInt(name, vals[0])
+		if err != nil {
+			return Outcome{}, err
+		}
+		b, err := wantInt(name, vals[1])
+		if err != nil {
+			return Outcome{}, err
+		}
+		r, ok := eval(a, b)
+		if !ok {
+			return m.one(0, Str(fmt.Sprintf("%s: arithmetic fault on %d, %d", name, a, b))), nil
+		}
+		return m.one(1, IntValue(r)), nil
+	}
+}
+
+func intNegExec(eval func(a int64) (int64, bool)) ExecFunc {
+	return func(m *Machine, vals, conts []Value) (Outcome, error) {
 		a, err := wantInt("neg", vals[0])
 		if err != nil {
 			return Outcome{}, err
 		}
-		r, ok := intNeg(a)
+		r, ok := eval(a)
 		if !ok {
 			return m.one(0, Str("neg: overflow")), nil
 		}
 		return m.one(1, IntValue(r)), nil
 	}
-	for name, eval := range intCmps {
-		stdExecs[name] = func(m *Machine, vals, conts []Value) (Outcome, error) {
-			a, err := wantInt(name, vals[0])
-			if err != nil {
-				return Outcome{}, err
-			}
-			b, err := wantInt(name, vals[1])
-			if err != nil {
-				return Outcome{}, err
-			}
-			if eval(a, b) {
-				return Outcome{Branch: 0}, nil
-			}
-			return Outcome{Branch: 1}, nil
+}
+
+func intCmpExec(name string, eval func(a, b int64) bool) ExecFunc {
+	return func(m *Machine, vals, conts []Value) (Outcome, error) {
+		a, err := wantInt(name, vals[0])
+		if err != nil {
+			return Outcome{}, err
 		}
+		b, err := wantInt(name, vals[1])
+		if err != nil {
+			return Outcome{}, err
+		}
+		if eval(a, b) {
+			return Outcome{Branch: 0}, nil
+		}
+		return Outcome{Branch: 1}, nil
 	}
 }
 
-func registerBitExecs() {
-	ops := map[string]func(a, b int64) int64{
-		"<<": func(a, b int64) int64 { return a << uint64(b&63) },
-		">>": func(a, b int64) int64 { return a >> uint64(b&63) },
-		"&":  func(a, b int64) int64 { return a & b },
-		"|":  func(a, b int64) int64 { return a | b },
-		"^":  func(a, b int64) int64 { return a ^ b },
-	}
-	for name, eval := range ops {
-		stdExecs[name] = func(m *Machine, vals, conts []Value) (Outcome, error) {
-			a, err := wantInt(name, vals[0])
-			if err != nil {
-				return Outcome{}, err
-			}
-			b, err := wantInt(name, vals[1])
-			if err != nil {
-				return Outcome{}, err
-			}
-			return m.one(0, IntValue(eval(a, b))), nil
+func intBitsExec(name string, eval func(a, b int64) int64) ExecFunc {
+	return func(m *Machine, vals, conts []Value) (Outcome, error) {
+		a, err := wantInt(name, vals[0])
+		if err != nil {
+			return Outcome{}, err
 		}
+		b, err := wantInt(name, vals[1])
+		if err != nil {
+			return Outcome{}, err
+		}
+		return m.one(0, IntValue(eval(a, b))), nil
 	}
 }
 

@@ -46,3 +46,40 @@ func TablePrograms(t *CodeTable) int {
 	t.programs.Range(func(_, _ any) bool { n++; return true })
 	return n
 }
+
+// The use-after-pop check of the continuation stack is on for every test
+// of this package: popped records are never reused, so a stale pointer
+// to one fails loudly instead of resuming someone else's frame.
+func init() { SetContCheck(true) }
+
+// SetContCheck turns the use-after-pop check on or off for machines
+// created afterwards and returns the previous setting.
+func SetContCheck(on bool) bool {
+	prev := checkConts
+	checkConts = on
+	return prev
+}
+
+// ContDepth reports the depth of m's continuation stack.
+func ContDepth(m *Machine) int { return m.conts.depth }
+
+// ContChunks reports how many chunks m's continuation stack holds.
+func ContChunks(m *Machine) int { return len(m.conts.chunks) }
+
+// LookupExec returns the executor m runs for a primitive name.
+func LookupExec(m *Machine, name string) (ExecFunc, bool) { return m.exec(name) }
+
+// InvokePopped reifies the entry label of p as a continuation record,
+// pops it, pushes another record in its place, and then invokes the
+// first: a use after pop.
+func InvokePopped(m *Machine, p *Program) error {
+	ts := tamState{prog: p, blk: p.Entry, frame: make([]Value, p.EntryBlock().NSlots)}
+	in := &Instr{Op: OpCont}
+	stale := m.pushCont(&ts, in)
+	m.conts.popTo(0)
+	m.pushCont(&ts, in)
+	defer m.conts.popTo(0)
+	var st execState
+	_, err := m.drive(&st, stale, nil)
+	return err
+}

@@ -1,5 +1,7 @@
 package machine
 
+import "tycoon/internal/prim"
+
 // This file implements the fused "load-slot / apply-primitive / branch"
 // fast path of the TAM: for the common primitive shapes — indexing,
 // comparisons, arithmetic, boolean connectives, case analysis — the
@@ -73,6 +75,20 @@ func fastIntOp(eval func(a, b int64) (int64, bool)) fastFn {
 	}
 }
 
+func fastIntNeg(eval func(a int64) (int64, bool)) fastFn {
+	return func(m *Machine, vals []Value, nconts int) (int, Value, int) {
+		a, ok := vals[0].(Int)
+		if !ok {
+			return -1, nil, 0
+		}
+		r, ok := eval(int64(a))
+		if !ok {
+			return -1, nil, 0
+		}
+		return 1, IntValue(r), 1
+	}
+}
+
 func fastIntCmp(eval func(a, b int64) bool) fastFn {
 	return func(m *Machine, vals []Value, nconts int) (int, Value, int) {
 		a, ok := vals[0].(Int)
@@ -90,26 +106,20 @@ func fastIntCmp(eval func(a, b int64) bool) fastFn {
 	}
 }
 
-// registerFastExecs fuses the primitives whose definitions exec.go
-// shares (intArith, intCmps, intNeg, boolOps, boolNot) plus indexing
+// registerFastExecs fuses the checked integer operators and comparisons
+// of prim.IntOps and the connectives of exec.go (boolOps, boolNot) —
+// the definitions the generic executors are built from — plus indexing
 // and case analysis.
 func registerFastExecs() {
-	for name, eval := range intArith {
-		fastExecs[name] = fastIntOp(eval)
-	}
-	fastExecs["neg"] = func(m *Machine, vals []Value, nconts int) (int, Value, int) {
-		a, ok := vals[0].(Int)
-		if !ok {
-			return -1, nil, 0
+	for name, op := range prim.IntOps {
+		switch {
+		case op.Arith != nil:
+			fastExecs[name] = fastIntOp(op.Arith)
+		case op.Neg != nil:
+			fastExecs[name] = fastIntNeg(op.Neg)
+		case op.Cmp != nil:
+			fastExecs[name] = fastIntCmp(op.Cmp)
 		}
-		r, ok := intNeg(int64(a))
-		if !ok {
-			return -1, nil, 0
-		}
-		return 1, IntValue(r), 1
-	}
-	for name, eval := range intCmps {
-		fastExecs[name] = fastIntCmp(eval)
 	}
 
 	// ([] a i c): transient aggregate indexing; store references decline

@@ -50,72 +50,71 @@ func (m *Machine) Apply(fn Value, args []Value) (Value, error) {
 	all := make([]Value, 0, len(args)+2)
 	all = append(all, args...)
 	all = append(all, &Halt{Err: true}, &Halt{Err: false})
-	st, done, result, err := m.transfer(fn, all)
-	if err != nil || done {
-		return result, err
-	}
-	return m.drive(st)
+	var st execState
+	return m.drive(&st, fn, all)
 }
 
 // RunApp evaluates an application whose free variables are bound by env.
 // The continuation variables among the free variables should be bound to
 // Halt values (or closures) by the caller.
 func (m *Machine) RunApp(app *tml.App, env *Env) (Value, error) {
-	return m.drive(execState{app: app, env: env})
+	return m.drive(&execState{app: app, env: env}, nil, nil)
 }
 
 // stepInterp executes one interpreted application. Steps are charged for
 // primitive executions (here) and procedure entries (in transfer), never
 // for administrative β-redexes or continuation invocations — the same
 // cost model compiled code exhibits, where join points are plain jumps.
-func (m *Machine) stepInterp(app *tml.App, env *Env) (execState, bool, Value, error) {
+func (m *Machine) stepInterp(st *execState) (bool, Value, error) {
+	app, env := st.app, st.env
 	// Primitive application: execute and continue with the selected
 	// continuation.
 	if p, ok := app.Fn.(*tml.Prim); ok {
 		if err := m.tick(); err != nil {
-			return execState{}, true, nil, err
+			return true, nil, err
 		}
 		if p.Name == "Y" {
 			next, nextEnv, err := m.tieKnot(app, env)
 			if err != nil {
-				return execState{}, true, nil, err
+				return true, nil, err
 			}
-			return execState{app: next, env: nextEnv}, false, nil, nil
+			st.app, st.env = next, nextEnv
+			return false, nil, nil
 		}
 		nodeVals, nodeConts := m.splitPrimArgs(p.Name, app.Args)
 		vals, err := m.evalValues(nodeVals, env)
 		if err != nil {
-			return execState{}, true, nil, err
+			return true, nil, err
 		}
 		conts, err := m.evalValues(nodeConts, env)
 		if err != nil {
-			return execState{}, true, nil, err
+			return true, nil, err
 		}
 		exec, ok := m.exec(p.Name)
 		if !ok {
-			return execState{}, true, nil, rtErr(p.Name, "no executor registered")
+			return true, nil, rtErr(p.Name, "no executor registered")
 		}
 		out, err := exec(m, vals, conts)
 		if err != nil {
-			return execState{}, true, nil, err
+			return true, nil, err
 		}
 		fn, args, err := m.resolveOutcome(p.Name, out, conts)
 		if err != nil {
-			return execState{}, true, nil, err
+			return true, nil, err
 		}
-		return m.transfer(fn, args)
+		return m.transfer(st, fn, args)
 	}
 
 	// Ordinary application.
 	fnVal, err := m.evalValue(app.Fn, env)
 	if err != nil {
-		return execState{}, true, nil, err
+		return true, nil, err
 	}
 	args, err := m.evalValues(app.Args, env)
 	if err != nil {
-		return execState{}, true, nil, err
+		return true, nil, err
 	}
-	return m.transfer(fnVal, args)
+	return m.transfer(st, fnVal, args)
 }
 
 // splitPrimArgs divides the syntactic argument list of a primitive

@@ -62,6 +62,9 @@ type Machine struct {
 	// vals slice beyond the call (elements may be retained freely); all
 	// executors in this repository obey that contract.
 	valArena []Value
+	// conts is the continuation stack compiled code reifies its return
+	// points on (see contstack.go).
+	conts contStack
 }
 
 // DefaultMaxSteps bounds execution (applications performed) when
@@ -108,7 +111,7 @@ func New(st store.View) *Machine {
 	if s, ok := st.(*store.Store); ok && s == nil {
 		st = nil
 	}
-	return &Machine{Store: st, Code: new(CodeTable)}
+	return &Machine{Store: st, Code: new(CodeTable), conts: newContStack()}
 }
 
 // Steps reports the number of applications executed so far; benchmarks
@@ -185,13 +188,22 @@ type Profile struct {
 	// re-entry), batched (one recycled frame per call) and row-at-a-time
 	// (one Apply per row).
 	VecRows, BatchRows, RowRows int64
+	// ContsPushed counts the continuation records compiled code pushed on
+	// the continuation stack, ContsHeap the continuations that stack
+	// discipline could not cover and were allocated on the heap (promoted
+	// records, continuations a capturing primitive such as pushHandler
+	// receives), and MaxContDepth is the deepest the stack has been.
+	ContsPushed, ContsHeap int64
+	MaxContDepth           int
 }
 
 // Profile reports the machine's execution counters.
 func (m *Machine) Profile() Profile {
 	return Profile{Steps: m.steps, Transfers: m.transfers,
 		FramesAlloc: m.framesAlloc, FramesReuse: m.framesReuse,
-		VecRows: m.vecRows, BatchRows: m.batchRows, RowRows: m.rowRows}
+		VecRows: m.vecRows, BatchRows: m.batchRows, RowRows: m.rowRows,
+		ContsPushed: m.conts.pushed, ContsHeap: m.conts.heap,
+		MaxContDepth: max(m.conts.maxDepth, m.conts.hwm)}
 }
 
 // AddVecRows records rows served by a vectorized kernel.
@@ -207,6 +219,7 @@ func (m *Machine) AddRowRows(n int) { m.rowRows += int64(n) }
 func (m *Machine) ResetProfile() {
 	m.steps, m.transfers, m.framesAlloc, m.framesReuse = 0, 0, 0, 0
 	m.vecRows, m.batchRows, m.rowRows = 0, 0, 0
+	m.conts.pushed, m.conts.heap, m.conts.maxDepth = 0, 0, 0
 }
 
 // maxPooledFrames bounds the frame free-list; beyond it dead frames are
@@ -262,8 +275,10 @@ func (m *Machine) arenaPop(base int) {
 	m.valArena = m.valArena[:base]
 }
 
-// PushHandler installs a new exception handler continuation.
-func (m *Machine) PushHandler(h Value) { m.handlers = append(m.handlers, h) }
+// PushHandler installs a new exception handler continuation. The handler
+// stack outlives the continuation stack's discipline, so a stack record
+// installed here is promoted to the heap first.
+func (m *Machine) PushHandler(h Value) { m.handlers = append(m.handlers, m.durable(h)) }
 
 // PopHandler removes the topmost exception handler.
 func (m *Machine) PopHandler() (Value, bool) {

@@ -18,7 +18,8 @@ import (
 //     common case (straight-line CPS chains, conditionals, Y loops) runs
 //     without closure allocation;
 //   - continuations that escape (passed to an unknown procedure) are
-//     reified as lightweight continuation closures capturing the frame;
+//     reified as records on the machine's continuation stack, pointing
+//     at the frame (see contstack.go);
 //   - the Y primitive disappears at compile time: continuation bindings
 //     become labels (loops become jumps), procedure bindings become
 //     closures tied through mutable cells.
@@ -104,6 +105,14 @@ type Instr struct {
 	// instead of freshly reified TAMConts, and the VM itself loads the
 	// continuation the outcome selects.
 	contsInert bool
+	// ret classifies an OpCont (see analyzeConts): a return point feeding
+	// only the next call holds 1 + its position among that call's return
+	// points, an activation record 0.
+	ret int
+	// leaves marks an OpCall, or an OpPrim's value continuations, that
+	// pass on no continuation this activation reified: taking it, the
+	// activation is done, and its stack records are popped.
+	leaves bool
 }
 
 // CodeBlock is the compiled form of one proc abstraction plus all the
@@ -131,6 +140,12 @@ type CodeBlock struct {
 	// and calls no continuation-capturing primitive. The VM recycles
 	// frames of frameSafe blocks on its free-list when control leaves.
 	frameSafe bool
+	// contSafe relaxes frameSafe to blocks whose only references to the
+	// frame are the records OpCont pushes: the VM recycles the frame when
+	// control leaves with the continuation stack back at the activation's
+	// entry depth (no record left to point at it) and no frame pinned
+	// since the activation started (see contstack.go).
+	contSafe bool
 	// rowSafe reports that the first parameter — the row tuple in the
 	// batched query calling convention — is never retained beyond the
 	// activation (not captured, not stored by a retaining primitive, not
@@ -197,7 +212,9 @@ func (c *TAMClosure) Show() string {
 }
 
 // TAMCont is a reified continuation: a code label plus the frame (and
-// captured free variables) it continues in.
+// captured free variables) it continues in. Compiled code pushes most of
+// them on the machine's continuation stack (see contstack.go); a TAMCont
+// on the heap is one that stack discipline cannot cover.
 type TAMCont struct {
 	Prog       *Program
 	Blk        int
@@ -205,6 +222,12 @@ type TAMCont struct {
 	Frame      []Value
 	Free       []Value
 	ParamSlots []int
+
+	// low is the continuation-stack depth invoking the continuation pops
+	// to; base and epoch are those of the activation it resumes (see
+	// contstack.go).
+	low, base int
+	epoch     int64
 }
 
 func (*TAMCont) value() {}

@@ -15,115 +15,159 @@ type tamState struct {
 	pc    int
 	frame []Value
 	free  []Value
+	// base is the continuation-stack depth at the activation's entry,
+	// epoch the stack's pin epoch then (see contstack.go).
+	base  int
+	epoch int64
 }
 
 // execState is either an interpreted state (app != nil) or a compiled
-// state (tam.prog != nil).
+// state (tam.prog != nil). The engines update one state in place through
+// a pointer: a transfer rewrites it, nothing copies it.
 type execState struct {
 	app *tml.App
 	env *Env
 	tam tamState
 }
 
-// drive runs states to completion, switching engines at call boundaries.
-// Every machine entry (Apply, RunApp, Batch.Call) runs through it, and it
+// drive applies fn to args (unless fn is nil) and runs the resulting
+// states to completion, switching engines at call boundaries. Every
+// machine entry (Apply, RunApp, Batch.Call) runs through it, and it
 // returns with the handler stack no deeper than it found it: a handler
 // the program installed and never removed — it finished inside a try, or
 // was aborted there by a runtime error or a budget — cannot catch a later
 // program's exception on the same machine, and a nested entry (a query
-// predicate) never drops its caller's handlers.
-func (m *Machine) drive(st execState) (Value, error) {
+// predicate) never drops its caller's handlers. The continuation stack is
+// restored to its entry depth the same way, and is never popped below it
+// while the entry runs.
+func (m *Machine) drive(st *execState, fn Value, args []Value) (Value, error) {
 	depth := len(m.handlers)
-	for {
-		var done bool
-		var result Value
-		var err error
+	entry, floor := m.conts.enter()
+	var done bool
+	var result Value
+	var err error
+	if fn != nil {
+		done, result, err = m.transfer(st, fn, args)
+	}
+	for !done && err == nil {
 		if st.app != nil {
-			st, done, result, err = m.stepInterp(st.app, st.env)
+			done, result, err = m.stepInterp(st)
 		} else {
-			st, done, result, err = m.runTAM(st.tam)
-		}
-		if err != nil || done {
-			if len(m.handlers) > depth {
-				clear(m.handlers[depth:])
-				m.handlers = m.handlers[:depth]
-			}
-			return result, err
+			done, result, err = m.runTAM(st)
 		}
 	}
+	if len(m.handlers) > depth {
+		clear(m.handlers[depth:])
+		m.handlers = m.handlers[:depth]
+	}
+	m.conts.leave(entry, floor)
+	return result, err
 }
 
-// transfer dispatches an application of fn to args, yielding the next
-// execution state (or completion via a Halt continuation).
-func (m *Machine) transfer(fn Value, args []Value) (execState, bool, Value, error) {
+// transfer dispatches an application of fn to args, writing the next
+// execution state into st or reporting completion (a Halt continuation)
+// or failure.
+func (m *Machine) transfer(st *execState, fn Value, args []Value) (bool, Value, error) {
 	switch f := fn.(type) {
 	case *Closure:
 		if len(f.Abs.Params) != len(args) {
-			return execState{}, true, nil, rtErr("apply", "%s expects %d arguments, got %d",
+			return true, nil, rtErr("apply", "%s expects %d arguments, got %d",
 				f.Show(), len(f.Abs.Params), len(args))
 		}
 		// Procedure entry costs a step; continuation invocation is a jump
 		// (compiled code runs join points without any transfer at all).
 		if !f.Abs.IsCont() {
 			if err := m.tick(); err != nil {
-				return execState{}, true, nil, err
+				return true, nil, err
 			}
 		}
 		m.transfers++
 		// The environment frame retains the argument slice, but callers
 		// (the TAM call instruction, the batched kernels) pass reused
-		// scratch buffers — bind a private copy.
+		// scratch buffers — bind a private copy. The tree interpreter
+		// keeps no continuation stack: what it binds must be durable.
 		bound := make([]Value, len(args))
-		copy(bound, args)
-		return execState{app: f.Abs.Body, env: f.Env.Extend(f.Abs.Params, bound)}, false, nil, nil
+		for i, v := range args {
+			bound[i] = m.durable(v)
+		}
+		st.app, st.env = f.Abs.Body, f.Env.Extend(f.Abs.Params, bound)
+		st.tam = tamState{}
+		return false, nil, nil
 	case *TAMClosure:
 		if err := m.tick(); err != nil {
-			return execState{}, true, nil, err
+			return true, nil, err
 		}
 		blk := f.Prog.Blocks[f.Blk]
 		if blk.NParams != len(args) {
-			return execState{}, true, nil, rtErr("apply", "%s expects %d arguments, got %d",
+			return true, nil, rtErr("apply", "%s expects %d arguments, got %d",
 				f.Show(), blk.NParams, len(args))
 		}
 		m.transfers++
 		frame := m.getFrame(blk.NSlots)
 		copy(frame, args)
-		return execState{tam: tamState{prog: f.Prog, blk: f.Blk, frame: frame, free: f.Free}}, false, nil, nil
+		st.app = nil
+		ts := &st.tam
+		ts.prog, ts.blk, ts.pc, ts.frame, ts.free = f.Prog, f.Blk, 0, frame, f.Free
+		ts.base, ts.epoch = m.conts.depth, m.conts.epoch
+		return false, nil, nil
+	case *contRec:
+		if !m.conts.live(f) {
+			return true, nil, rtErr("apply", "continuation used after its stack record was popped")
+		}
+		return m.resume(st, &f.TAMCont, args)
 	case *TAMCont:
-		if len(f.ParamSlots) != len(args) {
-			return execState{}, true, nil, rtErr("apply", "continuation expects %d results, got %d",
-				len(f.ParamSlots), len(args))
-		}
-		m.transfers++
-		for i, s := range f.ParamSlots {
-			f.Frame[s] = args[i]
-		}
-		return execState{tam: tamState{prog: f.Prog, blk: f.Blk, pc: f.PC, frame: f.Frame, free: f.Free}}, false, nil, nil
+		return m.resume(st, f, args)
 	case *Cell:
 		if f.V == nil {
-			return execState{}, true, nil, rtErr("apply", "unset recursive binding")
+			return true, nil, rtErr("apply", "unset recursive binding")
 		}
-		return m.transfer(f.V, args)
+		return m.transfer(st, f.V, args)
 	case Ref:
 		// Applying an object identifier links the persistent closure it
 		// denotes (paper Fig. 3) and applies the result.
 		linked, err := m.linkClosure(f.OID)
 		if err != nil {
-			return execState{}, true, nil, err
+			return true, nil, err
 		}
-		return m.transfer(linked, args)
+		return m.transfer(st, linked, args)
 	case *Halt:
 		var v Value = Unit{}
 		if len(args) > 0 {
-			v = args[0]
+			v = m.durable(args[0])
 		}
 		if f.Err {
-			return execState{}, true, nil, &Exception{Value: v}
+			return true, nil, &Exception{Value: v}
 		}
-		return execState{}, true, v, nil
+		return true, v, nil
 	default:
-		return execState{}, true, nil, rtErr("apply", "cannot apply %T", fn)
+		return true, nil, rtErr("apply", "cannot apply %T", fn)
 	}
+}
+
+// resume invokes compiled continuation c with args: the results go to
+// its parameter slots, the continuation stack pops to c's depth, and
+// execution continues at c's label in its frame.
+func (m *Machine) resume(st *execState, c *TAMCont, args []Value) (bool, Value, error) {
+	if len(c.ParamSlots) != len(args) {
+		return true, nil, rtErr("apply", "continuation expects %d results, got %d",
+			len(c.ParamSlots), len(args))
+	}
+	m.transfers++
+	for i, s := range c.ParamSlots {
+		v := args[i]
+		if r, ok := v.(*contRec); ok {
+			// A continuation passed as a value (ill-formed) lands in a
+			// frame slot the stack discipline does not follow.
+			v = m.promote(r)
+		}
+		c.Frame[s] = v
+	}
+	m.conts.unwind(c.low)
+	st.app = nil
+	ts := &st.tam
+	ts.prog, ts.blk, ts.pc, ts.frame, ts.free = c.Prog, c.Blk, c.PC, c.Frame, c.Free
+	ts.base, ts.epoch = min(c.base, m.conts.depth), c.epoch
+	return false, nil, nil
 }
 
 // load resolves an operand. Cells are dereferenced except when capturing
@@ -150,12 +194,13 @@ func (ts *tamState) load(s Src, deref bool) Value {
 // runTAM executes compiled code until control leaves the engine: a
 // transfer into interpreted code, or program completion through a Halt
 // value. Calls and continuation invocations between compiled blocks stay
-// inside this loop.
-func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
+// inside this loop, which updates st in place.
+func (m *Machine) runTAM(st *execState) (bool, Value, error) {
+	ts := &st.tam
 	for {
 		blk := ts.prog.Blocks[ts.blk]
 		if ts.pc < 0 || ts.pc >= len(blk.Instrs) {
-			return execState{}, true, nil, rtErr("tam", "pc %d out of range in %s", ts.pc, blk.Name)
+			return true, nil, rtErr("tam", "pc %d out of range in %s", ts.pc, blk.Name)
 		}
 		in := &blk.Instrs[ts.pc]
 		// An instruction either continues in this block or sets fn and
@@ -163,6 +208,7 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 		var fn Value
 		var args []Value
 		var base int
+		leaves := false
 		switch in.Op {
 		case OpMove:
 			ts.frame[in.Dst] = ts.load(in.Srcs[0], true)
@@ -171,7 +217,7 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 		case OpClos:
 			free := make([]Value, len(in.Srcs))
 			for i, s := range in.Srcs {
-				free[i] = ts.load(s, false)
+				free[i] = m.durable(ts.load(s, false))
 			}
 			ts.frame[in.Dst] = &TAMClosure{
 				Prog: ts.prog, Blk: in.Block, Free: free,
@@ -180,10 +226,7 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 			ts.pc++
 			continue
 		case OpCont:
-			ts.frame[in.Dst] = &TAMCont{
-				Prog: ts.prog, Blk: ts.blk, PC: in.Target,
-				Frame: ts.frame, Free: ts.free, ParamSlots: in.ParamSlots,
-			}
+			ts.frame[in.Dst] = m.pushCont(ts, in)
 			ts.pc++
 			continue
 		case OpCell:
@@ -193,9 +236,9 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 		case OpSetCell:
 			cell, ok := ts.frame[in.Dst].(*Cell)
 			if !ok {
-				return execState{}, true, nil, rtErr("tam", "OpSetCell on non-cell")
+				return true, nil, rtErr("tam", "OpSetCell on non-cell")
 			}
-			cell.V = ts.load(in.Srcs[0], true)
+			cell.V = m.durable(ts.load(in.Srcs[0], true))
 			ts.pc++
 			continue
 		case OpJump:
@@ -203,7 +246,7 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 			continue
 		case OpPrim:
 			if err := m.tick(); err != nil {
-				return execState{}, true, nil, err
+				return true, nil, err
 			}
 			var vals []Value
 			base, vals = m.arenaPush(len(in.Srcs))
@@ -223,7 +266,7 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 					ref := &in.Conts[branch]
 					if !ref.IsLabel {
 						m.result[0] = result
-						fn, args = ts.load(ref.Src, true), m.result[:nres]
+						fn, args, leaves = ts.load(ref.Src, true), m.result[:nres], in.leaves
 						break
 					}
 					if nres == len(ref.ParamSlots) {
@@ -246,11 +289,13 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 				conts = make([]Value, len(in.Conts))
 				for i, ref := range in.Conts {
 					if ref.IsLabel {
-						conts[i] = &TAMCont{Prog: ts.prog, Blk: ts.blk, PC: ref.PC,
-							Frame: ts.frame, Free: ts.free, ParamSlots: ref.ParamSlots}
+						conts[i] = m.heapCont(ts, ref.PC, ref.ParamSlots)
 					} else {
 						conts[i] = ts.load(ref.Src, true)
 					}
+					// The executor may keep it (pushHandler is the one that
+					// does): it must outlive the continuation stack.
+					conts[i] = m.durable(conts[i])
 				}
 			}
 			exec := in.std
@@ -258,25 +303,25 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 				var ok bool
 				if exec, ok = m.exec(in.Prim); !ok {
 					m.arenaPop(base)
-					return execState{}, true, nil, rtErr(in.Prim, "no executor registered")
+					return true, nil, rtErr(in.Prim, "no executor registered")
 				}
 			}
 			out, err := exec(m, vals, conts)
 			m.arenaPop(base)
 			if err != nil {
-				return execState{}, true, nil, err
+				return true, nil, err
 			}
 			if out.Tail != nil {
 				fn, args = out.Tail.Fn, out.Tail.Args
 				break
 			}
 			if out.Branch < 0 || out.Branch >= len(in.Conts) {
-				return execState{}, true, nil, rtErr(in.Prim, "selected continuation %d of %d", out.Branch, len(in.Conts))
+				return true, nil, rtErr(in.Prim, "selected continuation %d of %d", out.Branch, len(in.Conts))
 			}
 			ref := &in.Conts[out.Branch]
 			if ref.IsLabel {
 				if len(ref.ParamSlots) != len(out.Results) {
-					return execState{}, true, nil, rtErr(in.Prim, "label expects %d results, got %d",
+					return true, nil, rtErr(in.Prim, "label expects %d results, got %d",
 						len(ref.ParamSlots), len(out.Results))
 				}
 				for i, s := range ref.ParamSlots {
@@ -285,32 +330,36 @@ func (m *Machine) runTAM(ts tamState) (execState, bool, Value, error) {
 				ts.pc = ref.PC
 				continue
 			}
-			fn, args = ts.load(ref.Src, true), out.Results
+			fn, args, leaves = ts.load(ref.Src, true), out.Results, in.leaves
 		case OpCall:
 			fn = ts.load(in.Fn, true)
 			base, args = m.arenaPush(len(in.Srcs))
 			for i, s := range in.Srcs {
 				args[i] = ts.load(s, true)
 			}
+			leaves = in.leaves
 		default:
-			return execState{}, true, nil, rtErr("tam", "unknown opcode %d", in.Op)
+			return true, nil, rtErr("tam", "unknown opcode %d", in.Op)
 		}
 		// Control leaves the block: a call, a primitive's value
-		// continuation, or a throw to a handler. The arguments are already
-		// loaded out of the frame, so a frame-safe block's frame is
-		// recycled before the transfer — a self-recursive tail call reuses
-		// the very frame it leaves. The arena reservation is released only
-		// after the transfer has copied the arguments.
-		if blk.frameSafe {
+		// continuation, or a throw to a handler. A transfer that passes
+		// on none of the activation's continuations ends it, so its
+		// records pop. The arguments are already loaded out of the frame,
+		// so a frame no reference can outlive is recycled before the
+		// transfer — a self-recursive tail call reuses the very frame it
+		// leaves. The arena reservation is released only after the
+		// transfer has copied the arguments.
+		if leaves {
+			m.conts.unwind(ts.base)
+		}
+		if blk.frameSafe || blk.contSafe && m.conts.depth == ts.base && m.conts.epoch == ts.epoch {
 			m.putFrame(ts.frame)
 			ts.frame = nil
 		}
-		next, done, result, err := m.transfer(fn, args)
+		done, result, err := m.transfer(st, fn, args)
 		m.arenaPop(base)
-		if err != nil || done || next.tam.prog == nil {
-			return next, done, result, err
+		if err != nil || done || st.app != nil {
+			return done, result, err
 		}
-		// Stay inside the engine for TAM-to-TAM transfers.
-		ts = next.tam
 	}
 }

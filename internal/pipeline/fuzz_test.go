@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"tycoon/internal/prim"
@@ -14,39 +16,20 @@ import (
 // generate code. Whatever the bytes, the pipeline must not panic, and
 // it either fails with an error or produces a program: the source
 // check refuses an ill-formed term before any rewrite rule or the code
-// generator sees it.
+// generator sees it. The seeds are testdata/seeds/*.tml, one TML
+// application per file with free e and k; the machine's continuation
+// stack tests run the ones that compile.
 func FuzzPipelinePTML(f *testing.F) {
-	seeds := []string{
-		// Well-formed: the E-suite and server test terms.
-		"(+ 40 2 e cont(n) (k n))",
-		"(/ 1 0 e cont(n) (k n))",
-		`(select proc(x !ce !cc)
-		   ([] x 1 cont(a) (< a 50 cont() (cc true) cont() (cc false)))
-		   r e k)`,
-		`(select proc(x1 !ce1 !cc1) (q x1 ce1 cc1) R e
-		   cont(t) (select proc(x2 !ce2 !cc2) (p x2 ce2 cc2) t e k))`,
-		"(exists proc(x !ce !cc) (p ok ce cc) R e k)",
-		`(cont(f) (f 1 e cont(a) (f a e cont(b) (f b e k)))
-		   cont(x !e2 !k2) (+ x 1 e2 k2))`,
-		`(Y proc(!c0 !loop !c)
-		   (c cont() (loop 1 0)
-		      cont(i acc)
-		        (> i 6
-		           cont() (k acc)
-		           cont() (+ acc i e cont(a2) (+ i 1 e cont(i2) (loop i2 a2))))))`,
-		"(== 2 1 2 cont() (k 1) cont() (k 2) cont() (k 0))",
-		"(proc(f !ce !cc) (f f ce cc) proc(g !ge !gc) (g g ge gc) e k)",
-		"(cont(x x) (k x) 1 2)",
-		// Ill-formed: one term per §2.2 constraint the wire can carry.
-		"(+ 1 e cont(n) (k n))",
-		"(cont(x) (k x) 1 2)",
-		"(+ 40 2 e cont(n) (k k))",
-		"(array 1 k cont(a) (k a))",
-		"(cont(f) (f 1 e k) proc(x !ce !cc) (k x))",
-		"(cont(f) (f 1 e k) proc(a !c b) (c a))",
+	seeds, err := filepath.Glob("testdata/seeds/*.tml")
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no seeds: %v", err)
 	}
-	for _, src := range seeds {
-		app, err := tml.ParseApp(src, tml.ParseOpts{IsPrim: prim.IsPrim})
+	for _, name := range seeds {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		app, err := tml.ParseApp(string(src), tml.ParseOpts{IsPrim: prim.IsPrim})
 		if err != nil {
 			f.Fatalf("ParseApp(%q): %v", src, err)
 		}

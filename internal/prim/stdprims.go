@@ -65,41 +65,15 @@ func boolLit(v tml.Value) (bool, bool) {
 	return l.Bool, true
 }
 
-// AddOverflows reports whether a+b overflows int64.
-func AddOverflows(a, b int64) bool {
-	s := a + b
-	return (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0)
-}
-
-// SubOverflows reports whether a-b overflows int64.
-func SubOverflows(a, b int64) bool {
-	d := a - b
-	return (a >= 0 && b < 0 && d < 0) || (a < 0 && b > 0 && d >= 0)
-}
-
-// MulOverflows reports whether a*b overflows int64.
-func MulOverflows(a, b int64) bool {
-	if a == 0 || b == 0 {
-		return false
-	}
-	p := a * b
-	return p/b != a || (a == -1 && b == math.MinInt64) || (b == -1 && a == math.MinInt64)
-}
-
 func registerIntPrims() {
 	type intOp struct {
 		name string
 		comm bool
-		// eval computes the result; ok=false means the fold must not fire
-		// (overflow, division by zero) and the call is left for the
-		// runtime, which will invoke ce.
-		eval func(a, b int64) (int64, bool)
 		// ident simplifies calls with one literal operand, e.g. (+ x 0).
 		ident func(a, b tml.Value) (tml.Value, bool)
 	}
 	ops := []intOp{
 		{name: "+", comm: true,
-			eval: func(a, b int64) (int64, bool) { return a + b, !AddOverflows(a, b) },
 			ident: func(a, b tml.Value) (tml.Value, bool) {
 				if i, ok := intLit(b); ok && i == 0 {
 					return a, true
@@ -110,7 +84,6 @@ func registerIntPrims() {
 				return nil, false
 			}},
 		{name: "-",
-			eval: func(a, b int64) (int64, bool) { return a - b, !SubOverflows(a, b) },
 			ident: func(a, b tml.Value) (tml.Value, bool) {
 				if i, ok := intLit(b); ok && i == 0 {
 					return a, true
@@ -118,7 +91,6 @@ func registerIntPrims() {
 				return nil, false
 			}},
 		{name: "*", comm: true,
-			eval: func(a, b int64) (int64, bool) { return a * b, !MulOverflows(a, b) },
 			ident: func(a, b tml.Value) (tml.Value, bool) {
 				if i, ok := intLit(b); ok && i == 1 {
 					return a, true
@@ -135,12 +107,6 @@ func registerIntPrims() {
 				return nil, false
 			}},
 		{name: "/",
-			eval: func(a, b int64) (int64, bool) {
-				if b == 0 || (a == math.MinInt64 && b == -1) {
-					return 0, false
-				}
-				return a / b, true
-			},
 			ident: func(a, b tml.Value) (tml.Value, bool) {
 				if i, ok := intLit(b); ok && i == 1 {
 					return a, true
@@ -148,12 +114,6 @@ func registerIntPrims() {
 				return nil, false
 			}},
 		{name: "%",
-			eval: func(a, b int64) (int64, bool) {
-				if b == 0 {
-					return 0, false
-				}
-				return a % b, true
-			},
 			ident: func(a, b tml.Value) (tml.Value, bool) {
 				if i, ok := intLit(b); ok && (i == 1 || i == -1) {
 					return tml.Int(0), true
@@ -162,6 +122,7 @@ func registerIntPrims() {
 			}},
 	}
 	for _, op := range ops {
+		eval := IntOps[op.name].Arith
 		Default.Register(&Desc{
 			Name: op.name, NVals: 2, NConts: 2, Cost: 1,
 			Effect: Pure, Commutative: op.comm,
@@ -169,7 +130,8 @@ func registerIntPrims() {
 				a, b, cc := args[0], args[1], args[3]
 				if x, ok := intLit(a); ok {
 					if y, ok := intLit(b); ok {
-						if r, ok := op.eval(x, y); ok {
+						// A fault folds to nothing: the runtime takes ce.
+						if r, ok := eval(x, y); ok {
 							return ccOf(cc, tml.Int(r)), true
 						}
 						return nil, false
@@ -187,23 +149,18 @@ func registerIntPrims() {
 
 	type cmpOp struct {
 		name string
-		eval func(a, b int64) bool
 		self bool // result of (p x x)
 	}
-	cmps := []cmpOp{
-		{"<", func(a, b int64) bool { return a < b }, false},
-		{">", func(a, b int64) bool { return a > b }, false},
-		{"<=", func(a, b int64) bool { return a <= b }, true},
-		{">=", func(a, b int64) bool { return a >= b }, true},
-	}
+	cmps := []cmpOp{{"<", false}, {">", false}, {"<=", true}, {">=", true}}
 	for _, op := range cmps {
+		eval := IntOps[op.name].Cmp
 		Default.Register(&Desc{
 			Name: op.name, NVals: 2, NConts: 2, Cost: 1, Effect: Pure,
 			Fold: func(args []tml.Value) (*tml.App, bool) {
 				a, b, ct, cf := args[0], args[1], args[2], args[3]
 				if x, ok := intLit(a); ok {
 					if y, ok := intLit(b); ok {
-						if op.eval(x, y) {
+						if eval(x, y) {
 							return ccOf(ct), true
 						}
 						return ccOf(cf), true
@@ -224,11 +181,14 @@ func registerIntPrims() {
 
 	// neg is a convenience primitive the front end uses for unary minus;
 	// it fails (ce) on MinInt64.
+	neg := IntOps["neg"].Neg
 	Default.Register(&Desc{
 		Name: "neg", NVals: 1, NConts: 2, Cost: 1, Effect: Pure,
 		Fold: func(args []tml.Value) (*tml.App, bool) {
-			if x, ok := intLit(args[0]); ok && x != math.MinInt64 {
-				return ccOf(args[2], tml.Int(-x)), true
+			if x, ok := intLit(args[0]); ok {
+				if r, ok := neg(x); ok {
+					return ccOf(args[2], tml.Int(r)), true
+				}
 			}
 			return nil, false
 		},
@@ -238,19 +198,13 @@ func registerIntPrims() {
 func registerBitPrims() {
 	type bitOp struct {
 		name  string
-		eval  func(a, b int64) int64
 		rzero func(a tml.Value) (tml.Value, bool) // simplification for b == 0
 	}
 	keep := func(a tml.Value) (tml.Value, bool) { return a, true }
 	zero := func(tml.Value) (tml.Value, bool) { return tml.Int(0), true }
-	ops := []bitOp{
-		{"<<", func(a, b int64) int64 { return a << uint64(b&63) }, keep},
-		{">>", func(a, b int64) int64 { return a >> uint64(b&63) }, keep},
-		{"&", func(a, b int64) int64 { return a & b }, zero},
-		{"|", func(a, b int64) int64 { return a | b }, keep},
-		{"^", func(a, b int64) int64 { return a ^ b }, keep},
-	}
+	ops := []bitOp{{"<<", keep}, {">>", keep}, {"&", zero}, {"|", keep}, {"^", keep}}
 	for _, op := range ops {
+		eval := IntOps[op.name].Bits
 		Default.Register(&Desc{
 			Name: op.name, NVals: 2, NConts: 1, Cost: 1, Effect: Pure,
 			Commutative: op.name == "&" || op.name == "|" || op.name == "^",
@@ -258,7 +212,7 @@ func registerBitPrims() {
 				a, b, c := args[0], args[1], args[2]
 				if x, ok := intLit(a); ok {
 					if y, ok := intLit(b); ok {
-						return ccOf(c, tml.Int(op.eval(x, y))), true
+						return ccOf(c, tml.Int(eval(x, y))), true
 					}
 				}
 				if y, ok := intLit(b); ok && y == 0 {

@@ -282,7 +282,15 @@ func TestConflictAbortsRetryable(t *testing.T) {
 		_, err := slow.SubmitTML("slow-write", slowSrc, binds, false, "")
 		done <- err
 	}()
-	waitInflight(t, srv, 1)
+	// In flight is not enough: the slow SUBMIT may still be compiling.
+	// Its snapshot must exist before the fast writer commits.
+	deadline := time.Now().Add(10 * time.Second)
+	for st.TxStats().OpenSnapshots < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the slow writer opened no snapshot")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// The fast writer commits 2 while the slow one is still counting.
 	fast := dial(t, addr)
