@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"testing"
 
-	"tycoon/internal/pipeline"
 	"tycoon/internal/store"
 	"tycoon/internal/tml"
 )
@@ -60,20 +59,22 @@ func execIndexScanSrc(oid store.OID) string {
 	return `(indexscan ` + tml.NewOid(uint64(oid)).String() + ` 0 123 e k)`
 }
 
+// benchExecQuery runs a query term compiled as tycd serves it
+// (compileQuery), so steps/call counts one step for entering the term.
 func benchExecQuery(b *testing.B, n int, src func(store.OID) string) {
 	w := getQueryWorld(b, n)
-	app := parseQuery(b, src(w.oid))
-	runQueryTerm(b, w, app) // warm caches outside the timed region
+	clo := compileQuery(b, parseQuery(b, src(w.oid)))
+	runQueryTerm(b, w, clo) // warm caches outside the timed region
 	w.sys.ResetSteps()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runQueryTerm(b, w, app)
+		runQueryTerm(b, w, clo)
 	}
 	b.ReportMetric(float64(w.sys.Steps())/float64(b.N), "steps/call")
 }
 
-// BenchmarkExec_Select measures σ_{val<50}(t): one interpreted predicate
+// BenchmarkExec_Select measures σ_{val<50}(t): one compiled predicate
 // closure applied to every row.
 func BenchmarkExec_Select(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
@@ -113,61 +114,4 @@ func BenchmarkExec_Exists(b *testing.B) {
 // warm manager; the index must not be rebuilt between iterations.
 func BenchmarkExec_IndexScan(b *testing.B) {
 	benchExecQuery(b, 10000, execIndexScanSrc)
-}
-
-// BenchmarkExec_TAM measures the plans above as tycd serves them: the
-// whole query term closed over its two continuations and compiled to TAM
-// code through the pipeline, so every predicate reaches the operators as
-// a *machine.TAMClosure. (Go cannot hang a sub-benchmark off a measured
-// leaf, so these are Exec_TAM/<plan>, not <plan>/tam.) steps/call is
-// the interpreted row of the same plan plus one: entering the compiled
-// term.
-func BenchmarkExec_TAM(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		n    int
-		src  func(store.OID) string
-	}{
-		{"Select", 10000, execSelectSrc},
-		{"JoinHash", 200, execJoinHashSrc},
-		{"Project", 10000, execProjectSrc},
-		{"Exists", 10000, execExistsSrc},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			w := getQueryWorld(b, c.n)
-			app := parseQuery(b, c.src(w.oid))
-			res, err := pipeline.New(nil, pipeline.Config{}).Run(pipeline.Job{
-				Name: c.name,
-				Source: func(*tml.VarGen) (*tml.Abs, error) {
-					var e, k *tml.Var
-					for _, v := range tml.FreeVars(app) {
-						v.Cont = true
-						if v.Name == "k" {
-							k = v
-						} else {
-							e = v
-						}
-					}
-					return &tml.Abs{Params: []*tml.Var{e, k}, Body: app}, nil
-				},
-				SkipOptimize: true, Codegen: true, RequireClosed: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			run := func() {
-				if _, err := w.sys.Machine.Apply(res.Closure, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			run() // warm caches outside the timed region
-			w.sys.ResetSteps()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-			b.ReportMetric(float64(w.sys.Steps())/float64(b.N), "steps/call")
-		})
-	}
 }

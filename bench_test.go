@@ -26,6 +26,7 @@ import (
 	"tycoon/internal/linker"
 	"tycoon/internal/machine"
 	"tycoon/internal/opt"
+	"tycoon/internal/pipeline"
 	"tycoon/internal/prim"
 	"tycoon/internal/ptml"
 	"tycoon/internal/qopt"
@@ -245,19 +246,37 @@ func parseQuery(b *testing.B, src string) *tml.App {
 	return app
 }
 
-func runQueryTerm(b *testing.B, w *queryWorld, app *tml.App) Value {
+// compileQuery compiles a query term the way tycd compiles a SUBMIT: the
+// term closed over its two continuations and compiled to TAM code through
+// the pipeline (unoptimized), so every predicate reaches the operators as
+// a *machine.TAMClosure. Entering the compiled term costs one step.
+func compileQuery(b *testing.B, app *tml.App) *machine.TAMClosure {
 	b.Helper()
-	free := tml.FreeVars(app)
-	vals := make([]Value, len(free))
-	for i, v := range free {
-		if v.Name == "k" {
-			vals[i] = &machine.Halt{}
-		} else {
-			vals[i] = &machine.Halt{Err: true}
-		}
+	res, err := pipeline.New(nil, pipeline.Config{}).Run(pipeline.Job{
+		Name: b.Name(),
+		Source: func(*tml.VarGen) (*tml.Abs, error) {
+			var e, k *tml.Var
+			for _, v := range tml.FreeVars(app) {
+				v.Cont = true
+				if v.Name == "k" {
+					k = v
+				} else {
+					e = v
+				}
+			}
+			return &tml.Abs{Params: []*tml.Var{e, k}, Body: app}, nil
+		},
+		SkipOptimize: true, Codegen: true, RequireClosed: true,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	env := (*machine.Env)(nil).Extend(free, vals)
-	res, err := w.sys.Machine.RunApp(app, env)
+	return res.Closure
+}
+
+func runQueryTerm(b *testing.B, w *queryWorld, clo *machine.TAMClosure) Value {
+	b.Helper()
+	res, err := w.sys.Machine.Apply(clo, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -284,10 +303,11 @@ func benchQuery(b *testing.B, n int, src func(store.OID) string, rules func(*sto
 		}
 		app = optApp
 	}
+	clo := compileQuery(b, app)
 	w.sys.ResetSteps()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runQueryTerm(b, w, app)
+		runQueryTerm(b, w, clo)
 	}
 	b.ReportMetric(float64(w.sys.Steps())/float64(b.N), "steps/call")
 }
@@ -434,49 +454,6 @@ func BenchmarkE8_Reconstruction(b *testing.B) {
 	b.Run("via-decompile", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := fromCode.Optimize(oid); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_JoinPoints compares compiled execution (non-escaping
-// continuations become frame-local join points) with direct TML
-// interpretation (every continuation is a heap closure) on the same
-// optimized procedure — DESIGN.md ablation 1.
-func BenchmarkAblation_JoinPoints(b *testing.B) {
-	src := `proc(n !ce !cc)
-	  (Y proc(!c0 !loop !c)
-	     (c cont() (loop 1 0)
-	        cont(i acc)
-	          (> i n
-	             cont() (cc acc)
-	             cont() (+ acc i ce cont(a2)
-	                      (+ i 1 ce cont(i2) (loop i2 a2))))))`
-	n, err := tml.Parse(src, tml.ParseOpts{IsPrim: prim.IsPrim})
-	if err != nil {
-		b.Fatal(err)
-	}
-	abs := n.(*tml.Abs)
-	m := machine.New(nil)
-	prog, err := machine.CompileProc(abs, "sum")
-	if err != nil {
-		b.Fatal(err)
-	}
-	compiled := &machine.TAMClosure{Prog: prog, Blk: prog.Entry}
-	interp := &machine.Closure{Abs: abs}
-	arg := []Value{Int(1000)}
-
-	b.Run("tam-join-points", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Apply(compiled, arg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("interp-heap-conts", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Apply(interp, arg); err != nil {
 				b.Fatal(err)
 			}
 		}

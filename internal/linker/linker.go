@@ -64,8 +64,18 @@ const RelRoot = "rel:"
 
 // InstallModule installs one compiled module and returns the module
 // object's OID. Imported modules and declared relations must already be
-// present in the store.
+// present in the store. The module's constants run on a fresh machine
+// over the linker's store, under the default step budget.
 func (l *Linker) InstallModule(unit *tl.ModuleUnit) (store.OID, error) {
+	return l.InstallModuleOn(machine.New(l.st), unit)
+}
+
+// InstallModuleOn is InstallModule running the module's constants on m,
+// under m's step budget and budget hook: a server installs on the
+// requesting session's machine, so an INSTALL is bounded like any other
+// request. Every constant runs before the linker allocates anything, so
+// a constant that fails leaves no record of the module behind.
+func (l *Linker) InstallModuleOn(m *machine.Machine, unit *tl.ModuleUnit) (store.OID, error) {
 	// Declared relations must resolve (their bindings are baked into the
 	// closure records).
 	for _, rd := range unit.Rels {
@@ -74,29 +84,23 @@ func (l *Linker) InstallModule(unit *tl.ModuleUnit) (store.OID, error) {
 		}
 	}
 
+	// Evaluate module-level constants first: functions may reference
+	// them, while the checker forbids constants from calling functions.
+	declVals := make(map[string]store.Val, len(unit.Funcs)+len(unit.Consts))
+	for _, cu := range unit.Consts {
+		v, err := l.evalConst(m, cu, declVals)
+		if err != nil {
+			return store.Nil, fmt.Errorf("linker: constant %s.%s: %w", unit.Name, cu.Name, err)
+		}
+		declVals[cu.Name] = v
+	}
+
 	// Pre-allocate closure OIDs so sibling bindings can be resolved
 	// regardless of declaration order (mutual recursion).
 	declOIDs := make(map[string]store.OID, len(unit.Funcs))
 	for _, fu := range unit.Funcs {
 		declOIDs[fu.Name] = l.st.Alloc(&store.Closure{Name: unit.Name + "." + fu.Name})
-	}
-
-	declVals := make(map[string]store.Val, len(unit.Funcs)+len(unit.Consts))
-	for name, oid := range declOIDs {
-		declVals[name] = store.RefVal(oid)
-	}
-
-	// Evaluate module-level constants first: functions may reference
-	// them, while the checker forbids constants from calling functions.
-	if len(unit.Consts) > 0 {
-		m := machine.New(l.st)
-		for _, cu := range unit.Consts {
-			v, err := l.evalConst(m, cu, declVals)
-			if err != nil {
-				return store.Nil, fmt.Errorf("linker: constant %s.%s: %w", unit.Name, cu.Name, err)
-			}
-			declVals[cu.Name] = v
-		}
+		declVals[fu.Name] = store.RefVal(declOIDs[fu.Name])
 	}
 
 	// Install function bodies.
@@ -216,23 +220,21 @@ func (l *Linker) bindingValue(fr *tl.FreeRef, declVals map[string]store.Val) (st
 	}
 }
 
-// evalConst runs a constant initialiser under the installation machine.
+// evalConst compiles a constant initialiser and runs it on m.
 func (l *Linker) evalConst(m *machine.Machine, cu *tl.ConstUnit, declVals map[string]store.Val) (store.Val, error) {
-	env := (*machine.Env)(nil)
-	if len(cu.Free) > 0 {
-		vars := make([]*tml.Var, len(cu.Free))
-		vals := make([]machine.Value, len(cu.Free))
-		for i, fr := range cu.Free {
-			sv, err := l.bindingValue(fr, declVals)
-			if err != nil {
-				return store.Val{}, err
-			}
-			vars[i] = fr.Var
-			vals[i] = machine.FromStoreVal(sv)
+	vars := make([]*tml.Var, len(cu.Free))
+	vals := make([]machine.Value, len(cu.Free))
+	for i, fr := range cu.Free {
+		sv, err := l.bindingValue(fr, declVals)
+		if err != nil {
+			return store.Val{}, err
 		}
-		env = env.Extend(vars, vals)
+		vars[i], vals[i] = fr.Var, machine.FromStoreVal(sv)
 	}
-	clo := &machine.Closure{Abs: cu.Abs, Env: env, Name: cu.Name}
+	clo, err := machine.CompileClosure(cu.Abs, cu.Name, vars, vals)
+	if err != nil {
+		return store.Val{}, err
+	}
 	v, err := m.Apply(clo, nil)
 	if err != nil {
 		return store.Val{}, err

@@ -302,3 +302,30 @@ end`)
 		t.Error("install with missing relation succeeded")
 	}
 }
+
+// TestFailedConstantLeavesNoObjects installs a module whose constant
+// raises: the install fails with the exception, and the store holds
+// exactly the objects it held before, so a later commit cannot make any
+// part of the failed module durable.
+func TestFailedConstantLeavesNoObjects(t *testing.T) {
+	st, lk, comp, _, _ := setup(t, linker.OptNone)
+	unit, err := comp.Compile(`
+module bad export f, g, c
+let c = 1 / 0
+let f(n : Int) : Int = n + c
+let g(n : Int) : Int = f(n) * 2
+end`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := st.Len()
+	if _, err := lk.InstallModule(unit); !errors.Is(err, machine.ErrUnhandled) {
+		t.Fatalf("install = %v, want the constant's unhandled exception", err)
+	}
+	if after := st.Len(); after != before {
+		t.Errorf("failed install moved the store from %d to %d objects", before, after)
+	}
+	if _, ok := st.Root(linker.ModuleRoot + "bad"); ok {
+		t.Error("failed install registered its module root")
+	}
+}

@@ -37,7 +37,7 @@ package machine
 //
 // What cannot be proved last-in-first-out keeps a heap TAMCont. A record
 // that reaches something outliving the stack discipline — the handler
-// stack, a closure or cell, the tree interpreter — is promoted: it gets a
+// stack, a closure or cell, a program's result — is promoted: it gets a
 // heap twin, and so does every live record its frame holds (that frame's
 // activation may be re-entered through the twin, and would read them).
 // The frame is pinned: activation records it reifies later are born on

@@ -31,6 +31,21 @@ func interpreted(t *testing.T, src string) *machine.Closure {
 	return &machine.Closure{Abs: n.(*tml.Abs)}
 }
 
+// refApply is apply on the reference evaluator.
+func refApply(m *machine.Machine, fn *machine.Closure, args ...machine.Value) run {
+	m.ResetProfile()
+	v, err := machine.RefApply(m, fn, args)
+	p := m.Profile()
+	r := run{steps: p.Steps, transfers: p.Transfers}
+	if err != nil {
+		r.err = err.Error()
+		r.unhandled = errors.Is(err, machine.ErrUnhandled)
+	} else {
+		r.val = v.Show()
+	}
+	return r
+}
+
 // forBothLayouts runs body on machines with the use-after-pop check on
 // (one record per chunk, never reused) and off (records reused in place,
 // as in production).
@@ -98,7 +113,7 @@ func TestContHandlerFromParameter(t *testing.T) {
 				t.Errorf("%s: the handler's continuation was not promoted to the heap", src)
 			}
 			tree := machine.New(nil)
-			ref := apply(tree, interpreted(t, src), machine.Int(7), interpreted(t, inst), interpreted(t, deep))
+			ref := refApply(tree, interpreted(t, src), machine.Int(7), interpreted(t, inst), interpreted(t, deep))
 			if got.val != ref.val || got.err != ref.err || got.steps != ref.steps {
 				t.Errorf("%s:\n compiled    %+v\n interpreted %+v", src, got, ref)
 			}
@@ -125,7 +140,7 @@ func TestContPinnedFrameActivationRecords(t *testing.T) {
 			fast, generic := machine.New(nil), machine.New(nil)
 			machine.ForceGenericPath(generic)
 			got, want := apply(fast, fn, machine.Int(x)), apply(generic, fn, machine.Int(x))
-			ref := apply(machine.New(nil), interpreted(t, src), machine.Int(x))
+			ref := refApply(machine.New(nil), interpreted(t, src), machine.Int(x))
 			if got != want || got.val != ref.val || got.err != "" {
 				t.Errorf("x=%d:\n resolved    %+v\n generic     %+v\n interpreted %+v", x, got, want, ref)
 			}
@@ -220,7 +235,7 @@ func TestContLoopActivationRecordsKeepStackBounded(t *testing.T) {
 			}
 			tree := machine.New(nil)
 			const m = 200
-			ref := apply(tree, interpreted(t, src), machine.Int(m), interpreted(t, f), interpreted(t, g))
+			ref := refApply(tree, interpreted(t, src), machine.Int(m), interpreted(t, f), interpreted(t, g))
 			if small := apply(machine.New(nil), closureOf(prog), machine.Int(m), args[1], args[2]); small.val != ref.val {
 				t.Errorf("loop of %d:\n compiled    %+v\n interpreted %+v", m, small, ref)
 			}
@@ -328,7 +343,7 @@ func wantInt(t *testing.T, v machine.Value, err error, want int64) {
 
 // TestContPipelineSeeds runs every closed term of the pipeline's
 // fuzz seed corpus that compiles, as written and optimized, on the
-// compiled path, the generic path and the tree interpreter.
+// compiled path, the generic path and the reference evaluator.
 func TestContPipelineSeeds(t *testing.T) {
 	seeds, err := filepath.Glob("../pipeline/testdata/seeds/*.tml")
 	if err != nil || len(seeds) == 0 {
@@ -352,14 +367,15 @@ func TestContPipelineSeeds(t *testing.T) {
 				for i := range runs {
 					m := machine.New(nil)
 					m.MaxSteps = 10_000
-					var fn machine.Value = res.Closure
 					switch i {
+					case 0:
+						runs[i] = apply(m, res.Closure)
 					case 1:
 						machine.ForceGenericPath(m)
+						runs[i] = apply(m, res.Closure)
 					case 2:
-						fn = &machine.Closure{Abs: res.Abs}
+						runs[i] = refApply(m, &machine.Closure{Abs: res.Abs})
 					}
-					runs[i] = apply(m, fn)
 					if strings.Contains(runs[i].err, "popped") {
 						t.Errorf("%s (optimize=%v): %s", src, optimize, runs[i].err)
 					}

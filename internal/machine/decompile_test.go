@@ -41,8 +41,8 @@ func agree(t *testing.T, orig, rec *tml.Abs, argSets ...[]Value) {
 	t.Helper()
 	m := New(nil)
 	for _, args := range argSets {
-		v1, err1 := m.Apply(&Closure{Abs: orig}, args)
-		v2, err2 := m.Apply(&Closure{Abs: rec}, args)
+		v1, err1 := m.refApply(&Closure{Abs: orig}, args)
+		v2, err2 := m.refApply(&Closure{Abs: rec}, args)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("error mismatch on %v: %v vs %v", args, err1, err2)
 		}
@@ -133,19 +133,19 @@ func TestDecompileHigherOrder(t *testing.T) {
 	orig, rec := recompile(t, `proc(x !ce !cc)
 	  (cc proc(b !e2 !k2) (+ x b e2 k2))`)
 	m := New(nil)
-	adder1, err := m.Apply(&Closure{Abs: orig}, ints(100))
+	adder1, err := m.refApply(&Closure{Abs: orig}, ints(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	adder2, err := m.Apply(&Closure{Abs: rec}, ints(100))
+	adder2, err := m.refApply(&Closure{Abs: rec}, ints(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := m.Apply(adder1, ints(11))
+	v1, err := m.refApply(adder1, ints(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := m.Apply(adder2, ints(11))
+	v2, err := m.refApply(adder2, ints(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestDecompileEscapingContinuation(t *testing.T) {
 	  (f x ce cont(y) (f y ce cc))`)
 	inc := compileAbsSrc(t, "proc(a !e !k) (+ a 1 e k)")
 	m := New(nil)
-	v1, err := m.Apply(&Closure{Abs: orig}, []Value{&Closure{Abs: inc}, Int(40)})
+	v1, err := m.refApply(&Closure{Abs: orig}, []Value{&Closure{Abs: inc}, Int(40)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := m.Apply(&Closure{Abs: rec}, []Value{&Closure{Abs: inc}, Int(40)})
+	v2, err := m.refApply(&Closure{Abs: rec}, []Value{&Closure{Abs: inc}, Int(40)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestDecompileFreeVariableNames(t *testing.T) {
 	// Behaviour with the free variable bound.
 	m := New(nil)
 	clo := &Closure{Abs: rec, Env: (*Env)(nil).Extend(free, []Value{Int(7)})}
-	v, err := m.Apply(clo, ints(1))
+	v, err := m.refApply(clo, ints(1))
 	if err != nil || v != Value(Int(8)) {
 		t.Errorf("f(1) with delta=7 = %v, %v", v, err)
 	}
@@ -256,8 +256,8 @@ func TestDecompileAgreesOnRandomPrograms(t *testing.T) {
 			return false
 		}
 		m := New(nil)
-		v1, err1 := m.Apply(&Closure{Abs: abs}, ints(int64(arg)))
-		v2, err2 := m.Apply(&Closure{Abs: rec}, ints(int64(arg)))
+		v1, err1 := m.refApply(&Closure{Abs: abs}, ints(int64(arg)))
+		v2, err2 := m.refApply(&Closure{Abs: rec}, ints(int64(arg)))
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
@@ -277,7 +277,7 @@ func TestDecompileIsReoptimizable(t *testing.T) {
 	// The constant subexpression folds in the reconstruction just as in
 	// the original.
 	m := New(nil)
-	v, err := m.Apply(&Closure{Abs: rec}, ints(10))
+	v, err := m.refApply(&Closure{Abs: rec}, ints(10))
 	if err != nil || v != Value(Int(13)) {
 		t.Fatalf("rec(10) = %v, %v", v, err)
 	}
@@ -346,7 +346,7 @@ func TestDecompileNestedBlocks(t *testing.T) {
 				arg := []Value{&Vector{Elems: row}}
 				m1, m2 := New(nil), New(nil)
 				v1, err1 := m1.Apply(compiled, arg)
-				v2, err2 := m2.Apply(interp, arg)
+				v2, err2 := m2.refApply(interp, arg)
 				if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {
 					t.Fatalf("row %v: compiled error %v, reconstruction %v", row, err1, err2)
 				}

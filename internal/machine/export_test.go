@@ -79,7 +79,10 @@ func InvokePopped(m *Machine, p *Program) error {
 	m.conts.popTo(0)
 	m.pushCont(&ts, in)
 	defer m.conts.popTo(0)
-	var st execState
-	_, err := m.drive(&st, stale, nil)
+	_, err := m.drive(stale, nil)
 	return err
 }
+
+// RefApply applies an interpreted procedure on the reference evaluator
+// (refeval_test.go), as Apply applies compiled code.
+func RefApply(m *Machine, fn Value, args []Value) (Value, error) { return m.refApply(fn, args) }

@@ -43,7 +43,7 @@ func runApp(m *Machine, app *tml.App, binds map[string]Value) (Value, error) {
 		}
 	}
 	env := (*Env)(nil).Extend(free, vals)
-	return m.RunApp(app, env)
+	return m.refRun(app, env)
 }
 
 func wantIntResult(t *testing.T, v Value, err error, want int64) {
@@ -287,10 +287,10 @@ func TestApplyClosure(t *testing.T) {
 	// Extract the abstraction and apply it directly.
 	abs := app.Args[0].(*tml.Abs)
 	clo := &Closure{Abs: abs, Env: nil, Name: "inc"}
-	v, err := m.Apply(clo, []Value{Int(41)})
+	v, err := m.refApply(clo, []Value{Int(41)})
 	wantIntResult(t, v, err, 42)
 	// Arity mismatch.
-	if _, err := m.Apply(clo, []Value{Int(1), Int(2)}); err == nil {
+	if _, err := m.refApply(clo, []Value{Int(1), Int(2)}); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 	// Applying a non-closure.
@@ -306,7 +306,7 @@ func TestUnboundVariable(t *testing.T) {
 	app := tml.NewApp(k, x)
 	m := New(nil)
 	env := (*Env)(nil).Extend([]*tml.Var{k}, []Value{&Halt{}})
-	if _, err := m.RunApp(app, env); err == nil {
+	if _, err := m.refRun(app, env); err == nil {
 		t.Error("unbound variable tolerated")
 	}
 }

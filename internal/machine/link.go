@@ -35,10 +35,10 @@ type CodeTable struct {
 	programs sync.Map // store.OID → *Program: decoded code blobs
 }
 
-// Install binds oid to v for every machine using the table, without
-// touching the persistent original. It replaces an earlier install or
-// link of the same OID.
-func (t *CodeTable) Install(oid store.OID, v Value) { t.closures.Store(oid, v) }
+// Install binds oid to compiled closure c for every machine using the
+// table, without touching the persistent original. It replaces an
+// earlier install or link of the same OID.
+func (t *CodeTable) Install(oid store.OID, c *TAMClosure) { t.closures.Store(oid, Value(c)) }
 
 // linkClosure resolves a persistent closure record into a runtime value.
 func (m *Machine) linkClosure(oid store.OID) (Value, error) {

@@ -36,7 +36,7 @@ func TestCodeTableSharedAcrossMachines(t *testing.T) {
 		}
 	}
 	// Code installed through the table overrides both machines' links.
-	dec := &Closure{Abs: compileAbsSrc(t, "proc(a !e !k) (- a 1 e k)")}
+	dec := compileClosure(t, "proc(a !e !k) (- a 1 e k)", "dec", nil)
 	m1.Code.Install(oid, dec)
 	for i, m := range []*Machine{m1, m2} {
 		if v, err := m.Apply(Ref{OID: oid}, []Value{Int(1)}); err != nil || v != Value(Int(0)) {
@@ -56,7 +56,7 @@ func TestCodeTableConcurrent(t *testing.T) {
 	defer st.Close()
 	oids := storeInc(t, st, 500)
 	shared := new(CodeTable)
-	dec := &Closure{Abs: compileAbsSrc(t, "proc(a !e !k) (- a 1 e k)")}
+	dec := compileClosure(t, "proc(a !e !k) (- a 1 e k)", "dec", nil)
 	installed := func(i int) bool { return i%7 == 0 }
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -157,7 +157,7 @@ func TestCodeTableInstallBeatsLinks(t *testing.T) {
 	defer st.Close()
 	oids := storeInc(t, st, 200)
 	shared := new(CodeTable)
-	dec := &Closure{Abs: compileAbsSrc(t, "proc(a !e !k) (- a 1 e k)")}
+	dec := compileClosure(t, "proc(a !e !k) (- a 1 e k)", "dec", nil)
 	machines := make([]*Machine, 4)
 	for i := range machines {
 		machines[i] = New(st)

@@ -9,10 +9,10 @@ import (
 	"tycoon/internal/tml"
 )
 
-// Machine is the execution context shared by the TML interpreter and the
-// TAM virtual machine: the persistent store, the output stream of the
-// print primitive, the dynamic exception-handler stack (pushHandler /
-// popHandler / raise) and a step budget that bounds runaway programs.
+// Machine is the execution context of the TAM virtual machine: the
+// persistent store, the output stream of the print primitive, the
+// dynamic exception-handler stack (pushHandler / popHandler / raise) and
+// a step budget that bounds runaway programs.
 // The code it runs lives in its CodeTable; the machine itself holds
 // execution state only and is used by one goroutine at a time.
 type Machine struct {
@@ -73,8 +73,8 @@ const DefaultMaxSteps = 2_000_000_000
 
 // budgetPollMask spaces out budget-hook polls: the hook runs when
 // steps&budgetPollMask == 0, i.e. every 16384 abstract steps. Coarse
-// enough to stay off the interpreter hot path, fine enough that a
-// wall-clock budget fires within microseconds of expiring.
+// enough to stay off the hot path, fine enough that a wall-clock budget
+// fires within microseconds of expiring.
 const budgetPollMask = 1<<14 - 1
 
 // Errors reported by execution.

@@ -49,8 +49,7 @@ func TestOverrideLink(t *testing.T) {
 	defer st.Close()
 	m := New(st)
 	// A fake OID overridden with a real closure value runs that closure.
-	abs := compileAbsSrc(t, "proc(a !e !k) (+ a 1 e k)")
-	clo := &Closure{Abs: abs}
+	clo := compileClosure(t, "proc(a !e !k) (+ a 1 e k)", "inc", nil)
 	m.Code.Install(42, clo)
 	v, err := m.Apply(Ref{OID: 42}, []Value{Int(1)})
 	if err != nil || v != Value(Int(2)) {

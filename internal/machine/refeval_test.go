@@ -1,71 +1,169 @@
 package machine
 
 import (
-	"fmt"
+	"slices"
 
 	"tycoon/internal/prim"
 	"tycoon/internal/tml"
 )
 
-// This file implements the direct TML interpreter: one step of the
-// unified driver executes one application. CPS has no implicit returns —
-// every transfer of control is an application, a generalized goto with
-// parameter passing — so execution is a flat loop and never grows the Go
-// stack, no matter how deep the source recursion.
+// This file is the reference evaluator: a direct interpreter of TML
+// trees, kept as a test oracle for the TAM code generator and virtual
+// machine. One step executes one application. CPS has no implicit
+// returns — every transfer of control is an application, a generalized
+// goto with parameter passing — so evaluation is a flat loop and never
+// grows the Go stack, no matter how deep the source recursion.
+//
+// It runs pure TML only. It applies its own closures and the top-level
+// halts, and nothing else: no compiled closure, continuation record or
+// object reference, so a guard that compares it with TAM code compares
+// two independent engines. It shares the machine's primitive executors,
+// handler stack and step and transfer counters with compiled code, and
+// charges steps by the same rule (see stepInterp).
 
-// Halt is the sentinel continuation value terminating execution: the
-// top-level normal continuation (Err=false) yields the program result, the
-// top-level exception continuation (Err=true) reports an unhandled
-// exception.
-type Halt struct{ Err bool }
+// Closure is an interpreted procedure or continuation: a TML abstraction
+// together with its defining environment.
+type Closure struct {
+	Abs *tml.Abs
+	Env *Env
+	// Name is the source-level name, if known (diagnostics only).
+	Name string
+}
 
-func (*Halt) value() {}
+func (*Closure) value() {}
 
-// Show renders the halt continuation.
-func (h *Halt) Show() string {
-	if h.Err {
-		return "<halt-error>"
+// Show renders the closure.
+func (v *Closure) Show() string {
+	if v.Name != "" {
+		return "proc " + v.Name
 	}
-	return "<halt>"
+	return "proc"
 }
 
-// Exception reports a TML exception that reached the top-level exception
-// continuation.
-type Exception struct {
-	Value Value
+// Env is a chain of binding frames. Frames are small (procedure parameter
+// lists), so lookup is a linear scan by binder pointer.
+type Env struct {
+	prev *Env
+	vars []*tml.Var
+	vals []Value
 }
 
-// Error formats the exception.
-func (e *Exception) Error() string {
-	return fmt.Sprintf("%v: %s", ErrUnhandled, e.Value.Show())
+// Extend pushes a frame binding vars to vals.
+func (e *Env) Extend(vars []*tml.Var, vals []Value) *Env {
+	return &Env{prev: e, vars: vars, vals: vals}
 }
 
-// Unwrap lets errors.Is match ErrUnhandled.
-func (e *Exception) Unwrap() error { return ErrUnhandled }
+// Lookup resolves a variable to its value.
+func (e *Env) Lookup(v *tml.Var) (Value, bool) {
+	for f := e; f != nil; f = f.prev {
+		for i, w := range f.vars {
+			if w == v {
+				return f.vals[i], true
+			}
+		}
+	}
+	return nil, false
+}
 
-// Apply invokes a procedure value (interpreted or compiled) with the
-// given value arguments, supplying fresh top-level exception and normal
-// continuations, and runs it to completion.
-func (m *Machine) Apply(fn Value, args []Value) (Value, error) {
+// set assigns a bound variable in place.
+func (e *Env) set(v *tml.Var, val Value) bool {
+	for f := e; f != nil; f = f.prev {
+		for i, w := range f.vars {
+			if w == v {
+				f.vals[i] = val
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// refState is the reference evaluator's state: the application to
+// evaluate next and the environment binding its free variables.
+type refState struct {
+	app *tml.App
+	env *Env
+}
+
+// refApply is Apply on the reference evaluator: it applies an
+// interpreted procedure to args and fresh top-level continuations.
+func (m *Machine) refApply(fn Value, args []Value) (Value, error) {
 	all := make([]Value, 0, len(args)+2)
 	all = append(all, args...)
 	all = append(all, &Halt{Err: true}, &Halt{Err: false})
-	var st execState
-	return m.drive(&st, fn, all)
+	var st refState
+	return m.refDrive(&st, fn, all)
 }
 
-// RunApp evaluates an application whose free variables are bound by env.
+// refRun evaluates an application whose free variables are bound by env.
 // The continuation variables among the free variables should be bound to
 // Halt values (or closures) by the caller.
-func (m *Machine) RunApp(app *tml.App, env *Env) (Value, error) {
-	return m.drive(&execState{app: app, env: env}, nil, nil)
+func (m *Machine) refRun(app *tml.App, env *Env) (Value, error) {
+	return m.refDrive(&refState{app: app, env: env}, nil, nil)
+}
+
+// refDrive applies fn to args (unless fn is nil) and evaluates to
+// completion, leaving the handler stack no deeper than it found it, as
+// drive does for compiled code.
+func (m *Machine) refDrive(st *refState, fn Value, args []Value) (Value, error) {
+	depth := len(m.handlers)
+	var done bool
+	var result Value
+	var err error
+	if fn != nil {
+		done, result, err = m.refTransfer(st, fn, args)
+	}
+	for !done && err == nil {
+		done, result, err = m.stepInterp(st)
+	}
+	if len(m.handlers) > depth {
+		clear(m.handlers[depth:])
+		m.handlers = m.handlers[:depth]
+	}
+	return result, err
+}
+
+// refTransfer dispatches an application of fn to args, writing the next
+// state into st or reporting completion (a Halt continuation) or failure.
+func (m *Machine) refTransfer(st *refState, fn Value, args []Value) (bool, Value, error) {
+	switch f := fn.(type) {
+	case *Closure:
+		if len(f.Abs.Params) != len(args) {
+			return true, nil, rtErr("apply", "%s expects %d arguments, got %d",
+				f.Show(), len(f.Abs.Params), len(args))
+		}
+		// Procedure entry costs a step; continuation invocation is a jump
+		// (compiled code runs join points without any transfer at all).
+		if !f.Abs.IsCont() {
+			if err := m.tick(); err != nil {
+				return true, nil, err
+			}
+		}
+		m.transfers++
+		// The environment frame retains the argument slice, but an
+		// executor's one-result outcome lives in a machine scratch slot:
+		// bind a private copy.
+		st.app, st.env = f.Abs.Body, f.Env.Extend(f.Abs.Params, slices.Clone(args))
+		return false, nil, nil
+	case *Halt:
+		var v Value = Unit{}
+		if len(args) > 0 {
+			v = args[0]
+		}
+		if f.Err {
+			return true, nil, &Exception{Value: v}
+		}
+		return true, v, nil
+	default:
+		return true, nil, rtErr("apply", "the reference evaluator cannot apply %T", fn)
+	}
 }
 
 // stepInterp executes one interpreted application. Steps are charged for
-// primitive executions (here) and procedure entries (in transfer), never
+// primitive executions (here) and procedure entries (in refTransfer), never
 // for administrative β-redexes or continuation invocations — the same
 // cost model compiled code exhibits, where join points are plain jumps.
-func (m *Machine) stepInterp(st *execState) (bool, Value, error) {
+func (m *Machine) stepInterp(st *refState) (bool, Value, error) {
 	app, env := st.app, st.env
 	// Primitive application: execute and continue with the selected
 	// continuation.
@@ -102,7 +200,7 @@ func (m *Machine) stepInterp(st *execState) (bool, Value, error) {
 		if err != nil {
 			return true, nil, err
 		}
-		return m.transfer(st, fn, args)
+		return m.refTransfer(st, fn, args)
 	}
 
 	// Ordinary application.
@@ -114,7 +212,7 @@ func (m *Machine) stepInterp(st *execState) (bool, Value, error) {
 	if err != nil {
 		return true, nil, err
 	}
-	return m.transfer(st, fnVal, args)
+	return m.refTransfer(st, fnVal, args)
 }
 
 // splitPrimArgs divides the syntactic argument list of a primitive

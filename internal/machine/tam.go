@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"tycoon/internal/prim"
@@ -271,27 +272,24 @@ func compileProcFree(abs *tml.Abs, name string) (*Program, []*tml.Var, error) {
 	return c.prog, free, nil
 }
 
-// CompileClosure compiles an interpreted closure into an equivalent TAM
-// closure, resolving its captured free variables from the closure's
-// environment. The batched query kernels use it to compile predicate
-// closures on the fly once a scan is large enough to amortise the
-// compilation; the caller is responsible for checking that compilation
-// preserves the abstract step count (see StepNeutral in batch.go).
-func CompileClosure(clo *Closure) (*TAMClosure, error) {
-	prog, freeVars, err := compileProcFree(clo.Abs, clo.Name)
+// CompileClosure compiles abs into a TAM closure, taking the values of
+// its free variables from vals (aligned with vars). The linker uses it
+// to run a module constant's initialiser on the machine that installs
+// the module.
+func CompileClosure(abs *tml.Abs, name string, vars []*tml.Var, vals []Value) (*TAMClosure, error) {
+	prog, freeVars, err := compileProcFree(abs, name)
 	if err != nil {
 		return nil, err
 	}
-	entry := prog.EntryBlock()
 	free := make([]Value, len(freeVars))
 	for i, v := range freeVars {
-		val, ok := clo.Env.Lookup(v)
-		if !ok {
-			return nil, rtErr("compile", "%s: unbound free variable %s", entry.Name, v)
+		j := slices.Index(vars, v)
+		if j < 0 {
+			return nil, rtErr("compile", "%s: unbound free variable %s", name, v)
 		}
-		free[i] = val
+		free[i] = vals[j]
 	}
-	return &TAMClosure{Prog: prog, Blk: prog.Entry, Free: free, Name: clo.Name}, nil
+	return &TAMClosure{Prog: prog, Blk: prog.Entry, Free: free, Name: name}, nil
 }
 
 type compiler struct {

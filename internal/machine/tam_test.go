@@ -132,23 +132,6 @@ func TestTAMHigherOrder(t *testing.T) {
 	wantIntResult(t, v, err, 42)
 }
 
-func TestTAMCallsInterpretedClosure(t *testing.T) {
-	// A compiled procedure calling an interpreted closure and vice versa.
-	twice := compileClosure(t, "proc(f x !ce !cc) (f x ce cont(y) (f y ce cc))", "twice", nil)
-	incAbs := compileAbsSrc(t, "proc(a !e !k) (+ a 1 e k)")
-	interpInc := &Closure{Abs: incAbs, Name: "inc"}
-	m := New(nil)
-	v, err := m.Apply(twice, []Value{interpInc, Int(1)})
-	wantIntResult(t, v, err, 3)
-
-	// Interpreted caller, compiled callee.
-	twiceAbs := compileAbsSrc(t, "proc(f x !ce !cc) (f x ce cont(y) (f y ce cc))")
-	interpTwice := &Closure{Abs: twiceAbs, Name: "twice"}
-	compiledInc := compileClosure(t, "proc(a !e !k) (+ a 1 e k)", "inc", nil)
-	v, err = m.Apply(interpTwice, []Value{compiledInc, Int(5)})
-	wantIntResult(t, v, err, 7)
-}
-
 func TestTAMFreeVariables(t *testing.T) {
 	// The abstraction captures free variables bound at closure creation.
 	abs := compileAbsSrc(t, "proc(x !ce !cc) (+ x delta ce cc)")
@@ -388,7 +371,7 @@ func TestTAMAgreesWithInterpreter(t *testing.T) {
 		abs := gen(seed, int(depthRaw%7))
 		m := New(nil)
 		interp := &Closure{Abs: abs}
-		v1, err1 := m.Apply(interp, []Value{Int(int64(arg))})
+		v1, err1 := m.refApply(interp, []Value{Int(int64(arg))})
 		prog, err := CompileProc(abs, "p")
 		if err != nil {
 			t.Logf("compile: %v", err)

@@ -1,14 +1,47 @@
 package machine
 
-import "tycoon/internal/tml"
+import "fmt"
 
-// This file implements the TAM virtual machine and the unified driver
-// that lets compiled and interpreted code call each other freely: the
-// query primitives, for example, invoke predicate closures that may be
-// either TML closures (interpreted) or TAM closures (compiled), and the
-// reflective optimizer swaps one for the other at runtime (paper §4.1).
+// This file implements the TAM virtual machine, the one engine every
+// machine entry runs on: Apply, Batch.Call (the query kernels' predicate
+// calls) and the reflective optimizer's swapped-in code all execute
+// compiled TAM closures, and a module constant is compiled before the
+// linker applies it. A direct TML interpreter exists only as the test
+// oracle this package's tests compare TAM against (refeval_test.go).
 
-// tamState is the register state of compiled execution.
+// Halt is the sentinel continuation value terminating execution: the
+// top-level normal continuation (Err=false) yields the program result, the
+// top-level exception continuation (Err=true) reports an unhandled
+// exception.
+type Halt struct{ Err bool }
+
+func (*Halt) value() {}
+
+// Show renders the halt continuation.
+func (h *Halt) Show() string {
+	if h.Err {
+		return "<halt-error>"
+	}
+	return "<halt>"
+}
+
+// Exception reports a TML exception that reached the top-level exception
+// continuation.
+type Exception struct {
+	Value Value
+}
+
+// Error formats the exception.
+func (e *Exception) Error() string {
+	return fmt.Sprintf("%v: %s", ErrUnhandled, e.Value.Show())
+}
+
+// Unwrap lets errors.Is match ErrUnhandled.
+func (e *Exception) Unwrap() error { return ErrUnhandled }
+
+// tamState is the register state of compiled execution. The engine
+// updates one state in place through a pointer: a transfer rewrites it,
+// nothing copies it.
 type tamState struct {
 	prog  *Program
 	blk   int
@@ -21,40 +54,32 @@ type tamState struct {
 	epoch int64
 }
 
-// execState is either an interpreted state (app != nil) or a compiled
-// state (tam.prog != nil). The engines update one state in place through
-// a pointer: a transfer rewrites it, nothing copies it.
-type execState struct {
-	app *tml.App
-	env *Env
-	tam tamState
+// Apply invokes a procedure value with the given value arguments,
+// supplying fresh top-level exception and normal continuations, and runs
+// it to completion.
+func (m *Machine) Apply(fn Value, args []Value) (Value, error) {
+	all := make([]Value, 0, len(args)+2)
+	all = append(all, args...)
+	all = append(all, &Halt{Err: true}, &Halt{Err: false})
+	return m.drive(fn, all)
 }
 
-// drive applies fn to args (unless fn is nil) and runs the resulting
-// states to completion, switching engines at call boundaries. Every
-// machine entry (Apply, RunApp, Batch.Call) runs through it, and it
-// returns with the handler stack no deeper than it found it: a handler
-// the program installed and never removed — it finished inside a try, or
-// was aborted there by a runtime error or a budget — cannot catch a later
-// program's exception on the same machine, and a nested entry (a query
-// predicate) never drops its caller's handlers. The continuation stack is
-// restored to its entry depth the same way, and is never popped below it
-// while the entry runs.
-func (m *Machine) drive(st *execState, fn Value, args []Value) (Value, error) {
+// drive applies fn to args and runs the resulting compiled code to
+// completion. Every machine entry (Apply, Batch.Call) runs through it,
+// and it returns with the handler stack no deeper than it found it: a
+// handler the program installed and never removed — it finished inside a
+// try, or was aborted there by a runtime error or a budget — cannot catch
+// a later program's exception on the same machine, and a nested entry (a
+// query predicate) never drops its caller's handlers. The continuation
+// stack is restored to its entry depth the same way, and is never popped
+// below it while the entry runs.
+func (m *Machine) drive(fn Value, args []Value) (Value, error) {
 	depth := len(m.handlers)
 	entry, floor := m.conts.enter()
-	var done bool
-	var result Value
-	var err error
-	if fn != nil {
-		done, result, err = m.transfer(st, fn, args)
-	}
-	for !done && err == nil {
-		if st.app != nil {
-			done, result, err = m.stepInterp(st)
-		} else {
-			done, result, err = m.runTAM(st)
-		}
+	var ts tamState
+	done, result, err := m.transfer(&ts, fn, args)
+	if !done && err == nil {
+		result, err = m.runTAM(&ts)
 	}
 	if len(m.handlers) > depth {
 		clear(m.handlers[depth:])
@@ -65,34 +90,10 @@ func (m *Machine) drive(st *execState, fn Value, args []Value) (Value, error) {
 }
 
 // transfer dispatches an application of fn to args, writing the next
-// execution state into st or reporting completion (a Halt continuation)
+// execution state into ts or reporting completion (a Halt continuation)
 // or failure.
-func (m *Machine) transfer(st *execState, fn Value, args []Value) (bool, Value, error) {
+func (m *Machine) transfer(ts *tamState, fn Value, args []Value) (bool, Value, error) {
 	switch f := fn.(type) {
-	case *Closure:
-		if len(f.Abs.Params) != len(args) {
-			return true, nil, rtErr("apply", "%s expects %d arguments, got %d",
-				f.Show(), len(f.Abs.Params), len(args))
-		}
-		// Procedure entry costs a step; continuation invocation is a jump
-		// (compiled code runs join points without any transfer at all).
-		if !f.Abs.IsCont() {
-			if err := m.tick(); err != nil {
-				return true, nil, err
-			}
-		}
-		m.transfers++
-		// The environment frame retains the argument slice, but callers
-		// (the TAM call instruction, the batched kernels) pass reused
-		// scratch buffers — bind a private copy. The tree interpreter
-		// keeps no continuation stack: what it binds must be durable.
-		bound := make([]Value, len(args))
-		for i, v := range args {
-			bound[i] = m.durable(v)
-		}
-		st.app, st.env = f.Abs.Body, f.Env.Extend(f.Abs.Params, bound)
-		st.tam = tamState{}
-		return false, nil, nil
 	case *TAMClosure:
 		if err := m.tick(); err != nil {
 			return true, nil, err
@@ -105,8 +106,6 @@ func (m *Machine) transfer(st *execState, fn Value, args []Value) (bool, Value, 
 		m.transfers++
 		frame := m.getFrame(blk.NSlots)
 		copy(frame, args)
-		st.app = nil
-		ts := &st.tam
 		ts.prog, ts.blk, ts.pc, ts.frame, ts.free = f.Prog, f.Blk, 0, frame, f.Free
 		ts.base, ts.epoch = m.conts.depth, m.conts.epoch
 		return false, nil, nil
@@ -114,14 +113,14 @@ func (m *Machine) transfer(st *execState, fn Value, args []Value) (bool, Value, 
 		if !m.conts.live(f) {
 			return true, nil, rtErr("apply", "continuation used after its stack record was popped")
 		}
-		return m.resume(st, &f.TAMCont, args)
+		return m.resume(ts, &f.TAMCont, args)
 	case *TAMCont:
-		return m.resume(st, f, args)
+		return m.resume(ts, f, args)
 	case *Cell:
 		if f.V == nil {
 			return true, nil, rtErr("apply", "unset recursive binding")
 		}
-		return m.transfer(st, f.V, args)
+		return m.transfer(ts, f.V, args)
 	case Ref:
 		// Applying an object identifier links the persistent closure it
 		// denotes (paper Fig. 3) and applies the result.
@@ -129,7 +128,7 @@ func (m *Machine) transfer(st *execState, fn Value, args []Value) (bool, Value, 
 		if err != nil {
 			return true, nil, err
 		}
-		return m.transfer(st, linked, args)
+		return m.transfer(ts, linked, args)
 	case *Halt:
 		var v Value = Unit{}
 		if len(args) > 0 {
@@ -147,7 +146,7 @@ func (m *Machine) transfer(st *execState, fn Value, args []Value) (bool, Value, 
 // resume invokes compiled continuation c with args: the results go to
 // its parameter slots, the continuation stack pops to c's depth, and
 // execution continues at c's label in its frame.
-func (m *Machine) resume(st *execState, c *TAMCont, args []Value) (bool, Value, error) {
+func (m *Machine) resume(ts *tamState, c *TAMCont, args []Value) (bool, Value, error) {
 	if len(c.ParamSlots) != len(args) {
 		return true, nil, rtErr("apply", "continuation expects %d results, got %d",
 			len(c.ParamSlots), len(args))
@@ -163,8 +162,6 @@ func (m *Machine) resume(st *execState, c *TAMCont, args []Value) (bool, Value, 
 		c.Frame[s] = v
 	}
 	m.conts.unwind(c.low)
-	st.app = nil
-	ts := &st.tam
 	ts.prog, ts.blk, ts.pc, ts.frame, ts.free = c.Prog, c.Blk, c.PC, c.Frame, c.Free
 	ts.base, ts.epoch = min(c.base, m.conts.depth), c.epoch
 	return false, nil, nil
@@ -191,16 +188,14 @@ func (ts *tamState) load(s Src, deref bool) Value {
 	return v
 }
 
-// runTAM executes compiled code until control leaves the engine: a
-// transfer into interpreted code, or program completion through a Halt
-// value. Calls and continuation invocations between compiled blocks stay
-// inside this loop, which updates st in place.
-func (m *Machine) runTAM(st *execState) (bool, Value, error) {
-	ts := &st.tam
+// runTAM executes compiled code until the program completes through a
+// Halt value or fails. Calls and continuation invocations between
+// compiled blocks stay inside this loop, which updates ts in place.
+func (m *Machine) runTAM(ts *tamState) (Value, error) {
 	for {
 		blk := ts.prog.Blocks[ts.blk]
 		if ts.pc < 0 || ts.pc >= len(blk.Instrs) {
-			return true, nil, rtErr("tam", "pc %d out of range in %s", ts.pc, blk.Name)
+			return nil, rtErr("tam", "pc %d out of range in %s", ts.pc, blk.Name)
 		}
 		in := &blk.Instrs[ts.pc]
 		// An instruction either continues in this block or sets fn and
@@ -236,7 +231,7 @@ func (m *Machine) runTAM(st *execState) (bool, Value, error) {
 		case OpSetCell:
 			cell, ok := ts.frame[in.Dst].(*Cell)
 			if !ok {
-				return true, nil, rtErr("tam", "OpSetCell on non-cell")
+				return nil, rtErr("tam", "OpSetCell on non-cell")
 			}
 			cell.V = m.durable(ts.load(in.Srcs[0], true))
 			ts.pc++
@@ -246,7 +241,7 @@ func (m *Machine) runTAM(st *execState) (bool, Value, error) {
 			continue
 		case OpPrim:
 			if err := m.tick(); err != nil {
-				return true, nil, err
+				return nil, err
 			}
 			var vals []Value
 			base, vals = m.arenaPush(len(in.Srcs))
@@ -303,25 +298,25 @@ func (m *Machine) runTAM(st *execState) (bool, Value, error) {
 				var ok bool
 				if exec, ok = m.exec(in.Prim); !ok {
 					m.arenaPop(base)
-					return true, nil, rtErr(in.Prim, "no executor registered")
+					return nil, rtErr(in.Prim, "no executor registered")
 				}
 			}
 			out, err := exec(m, vals, conts)
 			m.arenaPop(base)
 			if err != nil {
-				return true, nil, err
+				return nil, err
 			}
 			if out.Tail != nil {
 				fn, args = out.Tail.Fn, out.Tail.Args
 				break
 			}
 			if out.Branch < 0 || out.Branch >= len(in.Conts) {
-				return true, nil, rtErr(in.Prim, "selected continuation %d of %d", out.Branch, len(in.Conts))
+				return nil, rtErr(in.Prim, "selected continuation %d of %d", out.Branch, len(in.Conts))
 			}
 			ref := &in.Conts[out.Branch]
 			if ref.IsLabel {
 				if len(ref.ParamSlots) != len(out.Results) {
-					return true, nil, rtErr(in.Prim, "label expects %d results, got %d",
+					return nil, rtErr(in.Prim, "label expects %d results, got %d",
 						len(ref.ParamSlots), len(out.Results))
 				}
 				for i, s := range ref.ParamSlots {
@@ -339,7 +334,7 @@ func (m *Machine) runTAM(st *execState) (bool, Value, error) {
 			}
 			leaves = in.leaves
 		default:
-			return true, nil, rtErr("tam", "unknown opcode %d", in.Op)
+			return nil, rtErr("tam", "unknown opcode %d", in.Op)
 		}
 		// Control leaves the block: a call, a primitive's value
 		// continuation, or a throw to a handler. A transfer that passes
@@ -356,10 +351,10 @@ func (m *Machine) runTAM(st *execState) (bool, Value, error) {
 			m.putFrame(ts.frame)
 			ts.frame = nil
 		}
-		done, result, err := m.transfer(st, fn, args)
+		done, result, err := m.transfer(ts, fn, args)
 		m.arenaPop(base)
-		if err != nil || done || st.app != nil {
-			return done, result, err
+		if err != nil || done {
+			return result, err
 		}
 	}
 }

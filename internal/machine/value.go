@@ -1,8 +1,8 @@
 // Package machine implements the Tycoon execution substrate: runtime
-// values, a trampolined interpreter that executes TML trees directly, the
-// primitive execution table shared by interpreter and compiled code, and
-// the TAM (Tycoon Abstract Machine) compiler and virtual machine that
-// plays the rôle of the paper's target code generator (Fig. 3).
+// values, the primitive execution table, and the TAM (Tycoon Abstract
+// Machine) compiler and virtual machine that plays the rôle of the
+// paper's target code generator (Fig. 3). TAM is the one engine: every
+// program the machine runs is compiled code.
 package machine
 
 import (
@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"tycoon/internal/store"
-	"tycoon/internal/tml"
 )
 
 // Value is a runtime value.
@@ -58,26 +57,16 @@ type Bytes struct{ B []byte }
 // Ref is a reference to a persistent object in the store.
 type Ref struct{ OID store.OID }
 
-// Closure is an interpreted procedure or continuation: a TML abstraction
-// together with its defining environment.
-type Closure struct {
-	Abs *tml.Abs
-	Env *Env
-	// Name is the source-level name, if known (diagnostics only).
-	Name string
-}
-
-func (Int) value()      {}
-func (Real) value()     {}
-func (Bool) value()     {}
-func (Char) value()     {}
-func (Str) value()      {}
-func (Unit) value()     {}
-func (*Array) value()   {}
-func (*Vector) value()  {}
-func (*Bytes) value()   {}
-func (Ref) value()      {}
-func (*Closure) value() {}
+func (Int) value()     {}
+func (Real) value()    {}
+func (Bool) value()    {}
+func (Char) value()    {}
+func (Str) value()     {}
+func (Unit) value()    {}
+func (*Array) value()  {}
+func (*Vector) value() {}
+func (*Bytes) value()  {}
+func (Ref) value()     {}
 
 // Show implementations.
 
@@ -121,14 +110,6 @@ func (v *Bytes) Show() string { return fmt.Sprintf("bytes(%d)", len(v.B)) }
 
 // Show renders the reference.
 func (v Ref) Show() string { return fmt.Sprintf("<oid 0x%08x>", uint64(v.OID)) }
-
-// Show renders the closure.
-func (v *Closure) Show() string {
-	if v.Name != "" {
-		return "proc " + v.Name
-	}
-	return "proc"
-}
 
 func showSeq(kind string, elems []Value) string {
 	var b strings.Builder
@@ -193,44 +174,6 @@ func CharValue(c byte) Value { return charVals[c] }
 
 // UnitValue returns the shared unit box.
 func UnitValue() Value { return unitVal }
-
-// Env is a chain of binding frames. Frames are small (procedure parameter
-// lists), so lookup is a linear scan by binder pointer.
-type Env struct {
-	prev *Env
-	vars []*tml.Var
-	vals []Value
-}
-
-// Extend pushes a frame binding vars to vals.
-func (e *Env) Extend(vars []*tml.Var, vals []Value) *Env {
-	return &Env{prev: e, vars: vars, vals: vals}
-}
-
-// Lookup resolves a variable to its value.
-func (e *Env) Lookup(v *tml.Var) (Value, bool) {
-	for f := e; f != nil; f = f.prev {
-		for i, w := range f.vars {
-			if w == v {
-				return f.vals[i], true
-			}
-		}
-	}
-	return nil, false
-}
-
-// set assigns a bound variable in place; used by the Y knot-tying.
-func (e *Env) set(v *tml.Var, val Value) bool {
-	for f := e; f != nil; f = f.prev {
-		for i, w := range f.vars {
-			if w == v {
-				f.vals[i] = val
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // Eq reports shallow value equality in the sense of the == primitive:
 // object identity for heap objects, value identity for scalars.

@@ -365,8 +365,8 @@ func (p *Proxy) acceptLoop() {
 		fup := &Conn{Conn: up, in: p.in, rng: rand.New(rand.NewSource(rng.Int63()))}
 		fdown := &Conn{Conn: conn, in: p.in, rng: rand.New(rand.NewSource(rng.Int63()))}
 		p.wg.Add(2)
-		go p.pipe(fup, conn)  // client → backend, faults on upstream writes
-		go p.pipe(fdown, up)  // backend → client, faults on downstream writes
+		go p.pipe(fup, conn) // client → backend, faults on upstream writes
+		go p.pipe(fdown, up) // backend → client, faults on downstream writes
 	}
 }
 

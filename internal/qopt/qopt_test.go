@@ -191,8 +191,9 @@ func TestIndexRuleCostGate(t *testing.T) {
 	}
 }
 
-// runQuery executes a query term whose free variables are e (exception)
-// and k (result) against a machine with the query executors.
+// runQuery compiles a query term whose free variables are e (exception)
+// and k (result), binding them to the top-level halt continuations, and
+// runs it on a machine with the query executors.
 func runQuery(t *testing.T, st *store.Store, mg *relalg.Manager, app *tml.App) machine.Value {
 	t.Helper()
 	m := machine.New(st)
@@ -209,8 +210,14 @@ func runQuery(t *testing.T, st *store.Store, mg *relalg.Manager, app *tml.App) m
 			t.Fatalf("unexpected free variable %s", v)
 		}
 	}
-	env := (*machine.Env)(nil).Extend(free, vals)
-	res, err := m.RunApp(app, env)
+	gen := tml.NewVarGen()
+	gen.Skip(tml.MaxVarID(app))
+	abs := &tml.Abs{Params: []*tml.Var{gen.FreshCont("e"), gen.FreshCont("k")}, Body: app}
+	clo, err := machine.CompileClosure(abs, "query", free, vals)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	res, err := m.Apply(clo, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

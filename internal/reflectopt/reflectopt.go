@@ -111,9 +111,9 @@ type Result struct {
 	// CacheHit reports that the optimized code was served from the
 	// pipeline cache without re-running the optimizer.
 	CacheHit bool
-	// Batchable marks the optimized procedure as a query predicate that
-	// the relational substrate will run on its batched, compiled kernel
-	// (qopt.Batchable: step-neutral proc(x ce cc)).
+	// Batchable marks the optimized procedure as a query predicate in
+	// the optimizer's normal form (qopt.Batchable: a proc(x ce cc) with no
+	// Y and no β-redex left in its body).
 	Batchable bool
 	// Plan is the optimize-time access-path plan: one node per relational
 	// primitive in the optimized code whose relation operand is a

@@ -5,32 +5,9 @@ import (
 	"testing"
 
 	"tycoon/internal/machine"
-	"tycoon/internal/prim"
 	"tycoon/internal/qopt"
 	"tycoon/internal/store"
-	"tycoon/internal/tml"
 )
-
-// parseOnce parses a query term and binds its free variables to halt
-// continuations, so tests can re-run the same term without paying (or
-// measuring) the parser.
-func parseOnce(t *testing.T, src string) (*tml.App, *machine.Env) {
-	t.Helper()
-	app, err := tml.ParseApp(src, tml.ParseOpts{IsPrim: prim.IsPrim})
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	free := tml.FreeVars(app)
-	vals := make([]machine.Value, len(free))
-	for i, v := range free {
-		if v.Name == "k" {
-			vals[i] = &machine.Halt{}
-		} else {
-			vals[i] = &machine.Halt{Err: true}
-		}
-	}
-	return app, (*machine.Env)(nil).Extend(free, vals)
-}
 
 // TestIndexCacheReuse is the regression test for the index rebuild bug:
 // a second index scan over an unchanged relation must serve the cached
@@ -310,15 +287,15 @@ func TestBatchStepParityOnException(t *testing.T) {
 	}
 }
 
-// allocsPerQuery reports heap allocations per full execution of src on a
-// warm machine (indexes built, kernel compilation exercised once).
-func allocsPerQuery(t *testing.T, m *machine.Machine, env *machine.Env, app *tml.App) float64 {
+// allocsPerQuery reports heap allocations per full execution of clo on a
+// warm machine (indexes built, kernel preparation exercised once).
+func allocsPerQuery(t *testing.T, m *machine.Machine, clo *machine.TAMClosure) float64 {
 	t.Helper()
-	if _, err := m.RunApp(app, env); err != nil { // warm caches
+	if _, err := m.Apply(clo, nil); err != nil { // warm caches
 		t.Fatal(err)
 	}
 	return testing.AllocsPerRun(20, func() {
-		if _, err := m.RunApp(app, env); err != nil {
+		if _, err := m.Apply(clo, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -329,10 +306,10 @@ func allocsPerQuery(t *testing.T, m *machine.Machine, env *machine.Env, app *tml
 // allocation per row (the pre-batching executor cost ~18 per row).
 func TestSelectAllocBudget(t *testing.T) {
 	_, _, m, oid := world(t, 256)
-	app, env := parseOnce(t, `(select proc(x !ce !cc)
+	clo := compileTerm(t, `(select proc(x !ce !cc)
 		([] x 1 cont(a) (< a 5 cont()(cc true) cont()(cc false)))
 		`+oidStr(oid)+` e k)`)
-	if got := allocsPerQuery(t, m, env, app); got > 100 {
+	if got := allocsPerQuery(t, m, clo); got > 100 {
 		t.Errorf("select over 256 rows: %.0f allocs, budget 100", got)
 	}
 }
@@ -343,10 +320,10 @@ func TestSelectAllocBudget(t *testing.T) {
 func TestJoinAllocBudget(t *testing.T) {
 	_, _, m, oid := world(t, 64)
 	o := oidStr(oid)
-	app, env := parseOnce(t, `(join proc(x !ce !cc)
+	clo := compileTerm(t, `(join proc(x !ce !cc)
 		([] x 0 cont(a) ([] x 2 cont(b) (== a b cont()(cc true) cont()(cc false))))
 		`+o+` `+o+` e k)`)
-	if got := allocsPerQuery(t, m, env, app); got > 256 {
+	if got := allocsPerQuery(t, m, clo); got > 256 {
 		t.Errorf("join 64x64: %.0f allocs, budget 256", got)
 	}
 }

@@ -286,8 +286,8 @@ func fillShape(t *testing.T, st *store.Store, mg *Manager, name string, sh shape
 // every pair of zoo shapes, every plan the planner can choose (and every
 // forced algorithm) must produce exactly the oracle's rows, in the
 // oracle's order, for the oracle's step count and with the oracle's
-// error — whether the predicate arrives interpreted or TAM-compiled — and
-// the planner must choose the same algorithm for both.
+// error — whichever of the two compilations (sources) the term went
+// through — and the planner must choose the same algorithm for both.
 func TestJoinPlansMatchOracle(t *testing.T) {
 	zoo, names := shapeZoo()
 	for _, ln := range names {
@@ -399,7 +399,7 @@ func TestSelectPlansMatchOracle(t *testing.T) {
 					results[mode.name] = o
 					if mode.name == "vector" {
 						n := len(zoo[name].keys)
-						wantVec := zoo[name].ragged == 0 && (source.name == "interpreted" || n >= compileThreshold)
+						wantVec := zoo[name].ragged == 0 && n >= compileThreshold
 						if p := m.Profile(); (p.VecRows > 0) != (wantVec && n > 0) {
 							t.Errorf("%d rows: profile %+v, want vector kernels: %v", n, p, wantVec)
 						}
@@ -438,7 +438,7 @@ var projectZoo = map[string]struct {
 }
 
 // TestProjectPlansMatchOracle is TestSelectPlansMatchOracle for project:
-// every target of the zoo over every shape, interpreted and compiled,
+// every target of the zoo over every shape, from both sources,
 // must produce the oracle's rows, step count and error (exception value
 // included) on the batched kernels, the general vector evaluator and the
 // fused column path — and the fused path must serve exactly the targets
@@ -488,7 +488,7 @@ func TestProjectPlansMatchOracle(t *testing.T) {
 						if mode.name == "vector" && err == nil {
 							sh := zoo[name]
 							typed := !target.keyed || (name != "mixed" && name != "nulls" && name != "allnull")
-							vec := sh.ragged == 0 && (source.name == "interpreted" || len(sh.keys) >= compileThreshold)
+							vec := sh.ragged == 0 && len(sh.keys) >= compileThreshold
 							want := "batch"
 							if vec {
 								want = "vector"

@@ -34,8 +34,9 @@ import (
 // TickN and processed per batch.
 const batchSize = 256
 
-// compileThreshold is the scan size above which compiling a predicate
-// closure to TAM code amortises; smaller scans run interpreted.
+// compileThreshold is the scan size above which decompiling a predicate's
+// TAM code into the vector fragment amortises; smaller scans run on the
+// batched kernel.
 const compileThreshold = 32
 
 func init() {
@@ -277,15 +278,15 @@ type kernel struct {
 	args  [1]machine.Value
 }
 
-// newKernel prepares fn for a scan of nrows rows. With NoBatch set the
-// kernel degrades to one machine.Apply per row on a fresh tuple — the
-// row-at-a-time semantics the parity tests compare against.
-func (mg *Manager) newKernel(m *machine.Machine, fn machine.Value, nrows int) *kernel {
+// newKernel prepares fn for a scan. With NoBatch set the kernel degrades
+// to one machine.Apply per row on a fresh tuple — the row-at-a-time
+// semantics the parity tests compare against.
+func (mg *Manager) newKernel(m *machine.Machine, fn machine.Value) *kernel {
 	k := &kernel{m: m, fn: fn}
 	if mg.NoBatch {
 		return k
 	}
-	k.batch = m.NewBatch(fn, 1, nrows >= compileThreshold)
+	k.batch = m.NewBatch(fn, 1)
 	k.reuse = k.batch.RowSafe()
 	return k
 }
@@ -385,7 +386,7 @@ func (mg *Manager) execSelect(m *machine.Machine, vals, conts []machine.Value) (
 		return mg.vecSelect(m, ev, out, rows, rel)
 	}
 	mg.served(m, nrows)
-	k := mg.newKernel(m, pred, nrows)
+	k := mg.newKernel(m, pred)
 	for len(rows) > 0 {
 		n := min(batchSize, len(rows))
 		if err := m.TickN(n); err != nil {
@@ -430,7 +431,7 @@ func (mg *Manager) execProject(m *machine.Machine, vals, conts []machine.Value) 
 		return mg.vecProject(m, ev, out, rows, rel)
 	}
 	mg.served(m, nrows)
-	k := mg.newKernel(m, fn, nrows)
+	k := mg.newKernel(m, fn)
 	var slab rowSlab
 	for len(rows) > 0 {
 		n := min(batchSize, len(rows))
@@ -511,7 +512,7 @@ func (mg *Manager) execJoin(m *machine.Machine, vals, conts []machine.Value) (ma
 		return mg.vecJoin(m, ev, out, rows1, rows2, w1, rel1, rel2)
 	}
 	mg.served(m, len(rows1)+len(rows2))
-	k := mg.newKernel(m, pred, pairs)
+	k := mg.newKernel(m, pred)
 	var kept []pair
 	for i1, r1 := range rows1 {
 		for base := 0; base < len(rows2); base += batchSize {
@@ -558,7 +559,7 @@ func (mg *Manager) execExists(m *machine.Machine, vals, conts []machine.Value) (
 	if ev := mg.vevalFor(pred, w, len(rows)); ev != nil && rowsRegular(rows, w) {
 		return mg.vecExists(m, ev, rows, rel)
 	}
-	k := mg.newKernel(m, pred, len(rows))
+	k := mg.newKernel(m, pred)
 	visited := 0
 	defer func() { mg.served(m, visited) }()
 	for i, row := range rows {
@@ -622,7 +623,7 @@ func (mg *Manager) execForeach(m *machine.Machine, vals, conts []machine.Value) 
 		return machine.Outcome{}, err
 	}
 	mg.served(m, len(rows))
-	k := mg.newKernel(m, body, len(rows))
+	k := mg.newKernel(m, body)
 	for len(rows) > 0 {
 		n := min(batchSize, len(rows))
 		if err := m.TickN(n); err != nil {

@@ -39,8 +39,13 @@ func world(t *testing.T, n int) (*store.Store, *Manager, *machine.Machine, store
 	return st, mg, m, oid
 }
 
-// run evaluates a TML query term with e/k bound to halt continuations.
-func run(t *testing.T, m *machine.Machine, src string) (machine.Value, error) {
+// compileTerm compiles a query term with machine.CompileClosure, the
+// compiler the linker runs module constants through, without the
+// pipeline: the term's free variables are captured values, k bound to
+// the normal halt continuation and any other to the exceptional one, and
+// the two continuation parameters Apply supplies go unused. Entering it
+// costs one abstract step.
+func compileTerm(t *testing.T, src string) *machine.TAMClosure {
 	t.Helper()
 	app, err := tml.ParseApp(src, tml.ParseOpts{IsPrim: prim.IsPrim})
 	if err != nil {
@@ -55,7 +60,20 @@ func run(t *testing.T, m *machine.Machine, src string) (machine.Value, error) {
 			vals[i] = &machine.Halt{Err: true}
 		}
 	}
-	return m.RunApp(app, (*machine.Env)(nil).Extend(free, vals))
+	gen := tml.NewVarGen()
+	gen.Skip(tml.MaxVarID(app))
+	abs := &tml.Abs{Params: []*tml.Var{gen.FreshCont("e"), gen.FreshCont("k")}, Body: app}
+	clo, err := machine.CompileClosure(abs, "query", free, vals)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return clo
+}
+
+// run evaluates a query term compiled by compileTerm.
+func run(t *testing.T, m *machine.Machine, src string) (machine.Value, error) {
+	t.Helper()
+	return m.Apply(compileTerm(t, src), nil)
 }
 
 // compileQuery compiles a query term the way tycd compiles a SUBMIT:
@@ -94,15 +112,16 @@ func compileQuery(t *testing.T, src string, params ...string) *machine.TAMClosur
 	return res.Closure
 }
 
-// runCompiled is run for the compiled form of the term. It costs one more
-// abstract step than run: entering the compiled procedure.
+// runCompiled is run for the term as tycd compiles a SUBMIT.
 func runCompiled(t *testing.T, m *machine.Machine, src string) (machine.Value, error) {
 	t.Helper()
 	return m.Apply(compileQuery(t, src), nil)
 }
 
-// sources are the two forms a predicate reaches the operators in; every
-// differential test runs both.
+// sources are the two compilations a query term reaches the operators
+// through; every differential test runs both. "interpreted" names the
+// term that once ran on the tree interpreter and now compiles at the
+// door (compileTerm).
 var sources = []struct {
 	name string
 	run  func(*testing.T, *machine.Machine, string) (machine.Value, error)

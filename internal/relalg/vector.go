@@ -3,18 +3,17 @@
 // comparisons, two-way case analysis, checked arithmetic routed to the
 // predicate's own exception continuation, boolean connectives, tuple
 // construction and continuation jumps — compiles into a vprog: a tiny
-// branch-structured register program over store.Val registers. An
-// interpreted closure compiles from its own tree, once per scan; a
-// TAM-compiled closure — everything the servers run — compiles from the
-// tree its code block decompiles to (paper §6, machine.DecompileBlock),
-// once per block. The fused evaluator then runs it over raw store rows (and,
-// for the hot integer-comparison shape, over typed column vectors from
-// the columnar cache) without boxing a machine.Vector per row, without a
-// TAM frame per call, and without re-entering the interpreter.
+// branch-structured register program over store.Val registers. A
+// predicate is a TAM closure, and its vprog compiles from the tree its
+// code block decompiles to (paper §6, machine.DecompileBlock), once per
+// block. The fused evaluator then runs it over raw store rows (and, for
+// the hot integer-comparison shape, over typed column vectors from the
+// columnar cache) without boxing a machine.Vector per row and without a
+// TAM frame per call.
 //
-// Semantics are pinned to the interpreter step-for-step: every executed
-// vop charges one abstract step (the interpreter ticks before each
-// primitive), procedure entry charges one, continuation jumps are free,
+// Semantics are pinned to the TAM step-for-step: every executed vop
+// charges one abstract step (the machine ticks before each primitive),
+// procedure entry charges one, continuation jumps are free,
 // and error values — type-confusion RuntimeErrors, arithmetic-fault
 // exception strings — are reproduced byte-identically. The NoBatch /
 // steps-parity guard machinery therefore covers the vectorized kernels
@@ -121,7 +120,6 @@ type vcompiler struct {
 	rowVar *tml.Var
 	ceVar  *tml.Var
 	ccVar  *tml.Var
-	env    *machine.Env
 	binds  map[*tml.Var]varg
 	nregs  int
 	ncols  int
@@ -130,19 +128,18 @@ type vcompiler struct {
 }
 
 // compileVProg compiles a predicate abstraction proc(row !ce !cc). Its
-// free variables are either folded in as constants from env (an
-// interpreted closure, compiled afresh for each scan) or, when listed in
-// free, bound in order to the first registers, which the evaluator fills
-// from the closure at hand. nil means the predicate is outside the
-// vectorizable fragment and the caller must use the batched row path.
-func compileVProg(abs *tml.Abs, env *machine.Env, free []*tml.Var) *vprog {
+// free variables, listed in free, are bound in order to the first
+// registers, which the evaluator fills from the closure at hand. nil
+// means the predicate is outside the vectorizable fragment and the
+// caller must use the batched row path.
+func compileVProg(abs *tml.Abs, free []*tml.Var) *vprog {
 	if abs == nil || len(abs.Params) != 3 || abs.IsCont() || len(free) > maxVRegs {
 		return nil
 	}
 	ps := abs.Params
 	c := &vcompiler{
 		rowVar: ps[0], ceVar: ps[1], ccVar: ps[2],
-		env: env, nregs: len(free),
+		nregs: len(free),
 		binds: make(map[*tml.Var]varg, len(free)),
 	}
 	for i, v := range free {
@@ -166,8 +163,7 @@ func (c *vcompiler) newReg() int {
 
 // arg resolves a TML value argument to a varg: literals and OIDs embed as
 // constants, bound continuation parameters alias their defining register,
-// and free variables are their capture register or resolve through the
-// closure environment when they hold storable scalars. Anything else is
+// and free variables are their capture register. Anything else is
 // outside the fragment.
 func (c *vcompiler) arg(v tml.Value) (varg, bool) {
 	switch v := v.(type) {
@@ -190,13 +186,6 @@ func (c *vcompiler) arg(v tml.Value) (varg, bool) {
 		}
 		if a, ok := c.binds[v]; ok {
 			return a, true
-		}
-		if c.env != nil {
-			if mv, ok := c.env.Lookup(v); ok {
-				if sv, err := machine.ToStoreVal(mv); err == nil {
-					return varg{reg: regConst, c: sv}, true
-				}
-			}
 		}
 		return varg{}, false
 	default:
@@ -818,45 +807,39 @@ func (p *vprog) equiCols(w1 int) (lcol, rcol, steps int, ok bool) {
 
 // vevalFor returns a vectorized evaluator for fn over a scan of n rows
 // (n pairs, for a join) of the given width, or nil when the scan must
-// take the batched row path: the vector kernels are switched off, fn is
-// outside the fragment, it loads a column the rows do not have (a dynamic
-// throw only the row path reproduces), or it captured a non-scalar.
+// take the batched row path: the vector kernels are switched off, the
+// scan is below compileThreshold, fn is outside the fragment, it loads a
+// column the rows do not have (a dynamic throw only the row path
+// reproduces), or it captured a non-scalar.
 //
 // A compiled closure's vprog is kept on its program (Program.BlockMemo),
 // failures included, so a pipeline-cache hit brings the vprog with it;
-// the captures are read from the closure at hand on every call. Scans
-// below compileThreshold never pay for a decompile.
+// the captures are read from the closure at hand on every call.
 func (mg *Manager) vevalFor(fn machine.Value, width, n int) *vevaler {
 	if mg.NoBatch || mg.NoVector {
 		return nil
 	}
-	var p *vprog
-	var free []machine.Value
-	switch f := fn.(type) {
-	case *machine.Closure:
-		p = compileVProg(f.Abs, f.Env, nil)
-	case *machine.TAMClosure:
-		if n < compileThreshold {
-			return nil
-		}
-		p, _ = f.Prog.BlockMemo(f.Blk, func() any {
-			// The fragment compiles to moves, primitives and continuation
-			// calls only. Anything else cannot vectorize, and screening it
-			// out keeps the decompiler — which duplicates shared join
-			// points, exponentially in the worst case — to linear work.
-			for _, in := range f.Prog.Blocks[f.Blk].Instrs {
-				if in.Op != machine.OpMove && in.Op != machine.OpPrim && in.Op != machine.OpCall {
-					return (*vprog)(nil)
-				}
-			}
-			abs, fv, err := machine.DecompileBlock(f.Prog, f.Blk, nil)
-			if err != nil {
+	f, ok := fn.(*machine.TAMClosure)
+	if !ok || n < compileThreshold {
+		return nil
+	}
+	p, _ := f.Prog.BlockMemo(f.Blk, func() any {
+		// The fragment compiles to moves, primitives and continuation
+		// calls only. Anything else cannot vectorize, and screening it
+		// out keeps the decompiler — which duplicates shared join
+		// points, exponentially in the worst case — to linear work.
+		for _, in := range f.Prog.Blocks[f.Blk].Instrs {
+			if in.Op != machine.OpMove && in.Op != machine.OpPrim && in.Op != machine.OpCall {
 				return (*vprog)(nil)
 			}
-			return compileVProg(abs, nil, fv)
-		}).(*vprog)
-		free = f.Free
-	}
+		}
+		abs, fv, err := machine.DecompileBlock(f.Prog, f.Blk, nil)
+		if err != nil {
+			return (*vprog)(nil)
+		}
+		return compileVProg(abs, fv)
+	}).(*vprog)
+	free := f.Free
 	if p == nil || p.ncols > width || p.nfree != len(free) {
 		return nil
 	}

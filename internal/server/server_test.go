@@ -530,6 +530,34 @@ func TestWallBudget(t *testing.T) {
 	}
 }
 
+// TestInstallRunsUnderRequestBudgets: a module constant runs on the
+// session's machine under the request's step and wall budgets, so a
+// runaway constant answers CodeBudget instead of running to completion
+// while it holds the install lock. The session survives, and the lock is
+// released: another connection installs right after.
+func TestInstallRunsUnderRequestBudgets(t *testing.T) {
+	_, addr, _ := world(t, "", server.Config{
+		StepBudget: 1000,
+		WallBudget: 50 * time.Millisecond,
+	})
+	c := dial(t, addr)
+	start := time.Now()
+	_, err := c.Install(`module spin export c
+let c = begin var s := 0; for i = 1 upto 1000000 do s := s + i end; s end
+end`)
+	wantCode(t, err, ship.CodeBudget)
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("the budget took %s to fire", elapsed)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("session did not survive the budget: %v", err)
+	}
+	res, err := dial(t, addr).Install("module small export c let c = 6 * 7 end")
+	if err != nil || res.Val.Str != "small" {
+		t.Fatalf("install on a second connection: %v, %v", res, err)
+	}
+}
+
 // TestDrainCommitsStore is the tycd half of a graceful drain (the
 // front end's half — idle sessions woken, newcomers refused, no waiting
 // out the context — is ship's TestFrontEndConformance): sessions that

@@ -105,9 +105,11 @@ func (s *session) begin() {
 
 func (s *session) end() { s.deadline = time.Time{} }
 
-// handleInstall compiles and installs a TL module. A keyed request runs
-// through the idempotency table: a client retrying a lost response gets
-// the recorded result instead of reinstalling.
+// handleInstall compiles and installs a TL module. The module's
+// constants run on the session's machine under the request's step and
+// wall budgets. A keyed request runs through the idempotency table: a
+// client retrying a lost response gets the recorded result instead of
+// reinstalling.
 func (s *session) handleInstall(body []byte) (*ship.Result, *ship.WireError) {
 	req, err := ship.DecodeInstall(body)
 	if err != nil {
@@ -116,12 +118,17 @@ func (s *session) handleInstall(body []byte) (*ship.Result, *ship.WireError) {
 	install := func() (*ship.Result, *ship.WireError, bool) {
 		s.srv.installMu.Lock()
 		defer s.srv.installMu.Unlock()
+		s.begin()
+		defer s.end()
 		unit, err := s.srv.comp.Compile(req.Source)
 		if err != nil {
 			return nil, ship.WireErr(ship.CodeCompile, err), false
 		}
-		oid, err := s.srv.lk.InstallModule(unit)
+		oid, err := s.srv.lk.InstallModuleOn(s.m, unit)
 		if err != nil {
+			if werr := execErr(err); werr.Code == ship.CodeBudget {
+				return nil, werr, false
+			}
 			return nil, ship.WireErr(ship.CodeCompile, err), false
 		}
 		s.srv.mu.Lock()

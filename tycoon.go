@@ -99,7 +99,7 @@ type Config struct {
 type System struct {
 	// Store is the persistent object store.
 	Store *store.Store
-	// Machine executes compiled and interpreted code.
+	// Machine executes compiled (TAM) code, the only kind it runs.
 	Machine *machine.Machine
 	// Compiler compiles TL modules (the standard library is preloaded).
 	Compiler *tl.Compiler
