@@ -177,9 +177,17 @@ func overwritten(instrs []Instr, slot int) bool {
 	return false
 }
 
-// rowSafe runs a taint analysis on slot 0 — the row tuple in the batched
-// query calling convention — and reports that no alias of it can survive
-// the activation. Taint is monotone (a slot once tainted stays tainted;
+// RowSafe reports that fn is compiled code whose first parameter — the
+// row tuple in the query calling convention — provably does not survive
+// a call, so a caller applying fn to many rows may reuse one tuple.
+func RowSafe(fn Value) bool {
+	tc, ok := fn.(*TAMClosure)
+	return ok && tc.Prog.Blocks[tc.Blk].rowSafe
+}
+
+// rowSafe runs a taint analysis on slot 0 — the row tuple in the query
+// calling convention — and reports that no alias of it can survive the
+// activation. Taint is monotone (a slot once tainted stays tainted;
 // kills are ignored), so a fixpoint over the flat instruction list covers
 // every path through the block's join points.
 func rowSafe(blk *CodeBlock) bool {

@@ -112,7 +112,9 @@ func (s *contStack) enter() (entry, floor int) {
 
 // leave ends a drive started at entry, restoring the caller's floor. It
 // pops back to entry and clears the records above it, so no dead record
-// keeps a frame alive; with nothing pushed it costs O(1).
+// keeps a frame alive; with nothing pushed it costs O(1). The outermost
+// drive keeps one chunk and drops the rest, so a deep recursion does not
+// pin its stack for as long as the machine lives.
 func (s *contStack) leave(entry, floor int) {
 	if s.depth > entry {
 		s.popTo(entry)
@@ -130,8 +132,14 @@ func (s *contStack) leave(entry, floor int) {
 	}
 	s.floor = floor
 	s.drives--
-	if s.drives == 0 && len(s.pinned) > 0 {
-		clear(s.pinned)
+	if s.drives == 0 {
+		if len(s.pinned) > 0 {
+			clear(s.pinned)
+		}
+		if len(s.chunks) > 1 {
+			clear(s.chunks[1:])
+			s.chunks = s.chunks[:1]
+		}
 	}
 }
 

@@ -466,3 +466,26 @@ func TestContStackWithoutCheck(t *testing.T) {
 		t.Errorf("a program without OpCont allocated %d stack chunks", c)
 	}
 }
+
+// TestContStackReleasesChunks: once a deep non-tail recursion has
+// returned, the machine keeps one stack chunk, not the dozens the
+// recursion filled, so a long-lived session's machine does not hold on
+// to them until it is dropped.
+func TestContStackReleasesChunks(t *testing.T) {
+	defer machine.SetContCheck(machine.SetContCheck(false))
+	const n = 10_000
+	count := closureOf(compileProc(t, `proc(n self !ce !cc)
+	  (== n 0 cont() (cc 0)
+	     cont() (- n 1 ce cont(m) (self m self ce cont(r) (+ r 1 ce cc))))`))
+	m := machine.New(nil)
+	v, err := m.Apply(count, []machine.Value{machine.Int(n), count})
+	wantInt(t, v, err, n)
+	if p := m.Profile(); p.MaxContDepth < n {
+		t.Fatalf("recursion of depth %d reached stack depth %d", n, p.MaxContDepth)
+	}
+	if c := machine.ContChunks(m); c != 1 {
+		t.Errorf("%d stack chunks kept after the recursion returned, want 1", c)
+	}
+	v, err = m.Apply(count, []machine.Value{machine.Int(100), count})
+	wantInt(t, v, err, 100)
+}

@@ -207,3 +207,17 @@ func TestLibraryCallAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyAllocs: entering the machine allocates nothing of its own —
+// the argument vector lives on the value arena and the top-level
+// continuations are shared — so a query kernel can call Apply per row.
+func TestApplyAllocs(t *testing.T) {
+	fn := closureOf(compileProc(t, "proc(x !ce !cc) (+ x 1 ce cc)"))
+	args := []machine.Value{machine.Int(1)}
+	m := machine.New(nil)
+	v, err := m.Apply(fn, args)
+	wantInt(t, v, err, 2)
+	if n := testing.AllocsPerRun(100, func() { m.Apply(fn, args) }); n != 0 {
+		t.Errorf("%.1f allocations per Apply, want 0", n)
+	}
+}

@@ -30,6 +30,7 @@ type Machine struct {
 	Code *CodeTable
 
 	handlers []Value // dynamic exception handler stack
+	hfloor   int     // handler depth at the innermost drive's entry (see drive)
 	steps    int64
 	execs    map[string]ExecFunc
 	// budgetHook, when set, is polled roughly every budgetPollSteps
@@ -280,9 +281,10 @@ func (m *Machine) arenaPop(base int) {
 // installed here is promoted to the heap first.
 func (m *Machine) PushHandler(h Value) { m.handlers = append(m.handlers, m.durable(h)) }
 
-// PopHandler removes the topmost exception handler.
+// PopHandler removes the topmost exception handler the current entry
+// installed; it reports false when there is none above the floor.
 func (m *Machine) PopHandler() (Value, bool) {
-	if len(m.handlers) == 0 {
+	if len(m.handlers) <= m.hfloor {
 		return nil, false
 	}
 	h := m.handlers[len(m.handlers)-1]

@@ -148,7 +148,7 @@ type CodeBlock struct {
 	// since the activation started (see contstack.go).
 	contSafe bool
 	// rowSafe reports that the first parameter — the row tuple in the
-	// batched query calling convention — is never retained beyond the
+	// query calling convention — is never retained beyond the
 	// activation (not captured, not stored by a retaining primitive, not
 	// passed to an unknown procedure or continuation), so the caller may
 	// reuse one tuple buffer across calls. It applies to flat tuples of

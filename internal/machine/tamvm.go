@@ -3,8 +3,8 @@ package machine
 import "fmt"
 
 // This file implements the TAM virtual machine, the one engine every
-// machine entry runs on: Apply, Batch.Call (the query kernels' predicate
-// calls) and the reflective optimizer's swapped-in code all execute
+// machine entry runs on: Apply (which the query kernels' predicate calls
+// use too) and the reflective optimizer's swapped-in code all execute
 // compiled TAM closures, and a module constant is compiled before the
 // linker applies it. A direct TML interpreter exists only as the test
 // oracle this package's tests compare TAM against (refeval_test.go).
@@ -54,27 +54,39 @@ type tamState struct {
 	epoch int64
 }
 
+// The top-level exception and normal continuations every entry passes.
+// A Halt is immutable, so all entries share one pair.
+var haltErr, haltOK Value = &Halt{Err: true}, &Halt{Err: false}
+
 // Apply invokes a procedure value with the given value arguments,
-// supplying fresh top-level exception and normal continuations, and runs
-// it to completion.
+// supplying the top-level exception and normal continuations, and runs
+// it to completion. It allocates nothing itself: the argument vector is
+// reserved on the value arena for the length of the call, and transfer
+// copies it into the callee's frame or the continuation's slots and
+// keeps none of it. args is not retained.
 func (m *Machine) Apply(fn Value, args []Value) (Value, error) {
-	all := make([]Value, 0, len(args)+2)
-	all = append(all, args...)
-	all = append(all, &Halt{Err: true}, &Halt{Err: false})
-	return m.drive(fn, all)
+	base, all := m.arenaPush(len(args) + 2)
+	copy(all, args)
+	all[len(args)], all[len(args)+1] = haltErr, haltOK
+	v, err := m.drive(fn, all)
+	m.arenaPop(base)
+	return v, err
 }
 
 // drive applies fn to args and runs the resulting compiled code to
-// completion. Every machine entry (Apply, Batch.Call) runs through it,
-// and it returns with the handler stack no deeper than it found it: a
-// handler the program installed and never removed — it finished inside a
-// try, or was aborted there by a runtime error or a budget — cannot catch
-// a later program's exception on the same machine, and a nested entry (a
-// query predicate) never drops its caller's handlers. The continuation
-// stack is restored to its entry depth the same way, and is never popped
-// below it while the entry runs.
+// completion. Every machine entry runs through it, and it returns with
+// the handler stack no deeper than it found it: a handler the program
+// installed and never removed — it finished inside a try, or was aborted
+// there by a runtime error or a budget — cannot catch a later program's
+// exception on the same machine. The entry depth is also the handler
+// floor while the entry runs: a throw or popHandler never reaches a
+// handler below it, so a fault inside a nested entry (a query predicate)
+// leaves the entry as an Exception instead of running its caller's
+// handler inside it. The continuation stack is restored to its entry
+// depth the same way, and is never popped below it while the entry runs.
 func (m *Machine) drive(fn Value, args []Value) (Value, error) {
-	depth := len(m.handlers)
+	depth, hfloor := len(m.handlers), m.hfloor
+	m.hfloor = depth
 	entry, floor := m.conts.enter()
 	var ts tamState
 	done, result, err := m.transfer(&ts, fn, args)
@@ -85,6 +97,7 @@ func (m *Machine) drive(fn Value, args []Value) (Value, error) {
 		clear(m.handlers[depth:])
 		m.handlers = m.handlers[:depth]
 	}
+	m.hfloor = hfloor
 	m.conts.leave(entry, floor)
 	return result, err
 }

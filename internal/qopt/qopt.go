@@ -23,49 +23,6 @@ import (
 	"tycoon/internal/tml"
 )
 
-// Batchable reports whether a query predicate procedure — proc(x ce cc)
-// in the calling convention of the relational primitives — is in the
-// normal form the optimizer's expansion passes produce: no Y application
-// and no non-continuation abstraction in function position (a β-redex)
-// anywhere in its body. Those are the two shapes the code generator
-// compiles away (Y into labels and cells, β-redexes into moves), so a
-// batchable predicate's compiled code charges exactly the abstract steps
-// a direct evaluation of its tree would: it is step-neutral. The
-// reflective optimizer reports the mark per optimized closure
-// (reflectopt.Result.Batchable).
-func Batchable(pred *tml.Abs) bool {
-	return pred != nil && len(pred.Params) == 3 && stepNeutralApp(pred.Body)
-}
-
-func stepNeutralApp(app *tml.App) bool {
-	switch fn := app.Fn.(type) {
-	case *tml.Prim:
-		if fn.Name == "Y" {
-			return false
-		}
-	case *tml.Abs:
-		if !fn.IsCont() {
-			return false
-		}
-	}
-	if !stepNeutralVal(app.Fn) {
-		return false
-	}
-	for _, a := range app.Args {
-		if !stepNeutralVal(a) {
-			return false
-		}
-	}
-	return true
-}
-
-func stepNeutralVal(v tml.Value) bool {
-	if abs, ok := v.(*tml.Abs); ok {
-		return stepNeutralApp(abs.Body)
-	}
-	return true
-}
-
 // StaticRules returns the rules that need no runtime bindings.
 func StaticRules() []opt.Rule {
 	return []opt.Rule{

@@ -111,10 +111,6 @@ type Result struct {
 	// CacheHit reports that the optimized code was served from the
 	// pipeline cache without re-running the optimizer.
 	CacheHit bool
-	// Batchable marks the optimized procedure as a query predicate in
-	// the optimizer's normal form (qopt.Batchable: a proc(x ce cc) with no
-	// Y and no β-redex left in its body).
-	Batchable bool
 	// Plan is the optimize-time access-path plan: one node per relational
 	// primitive in the optimized code whose relation operand is a
 	// runtime-bound store relation — index probes with their equality
@@ -232,14 +228,13 @@ func (o *Optimizer) Optimize(oid store.OID) (*Result, error) {
 			int32(res.Opt.CostBefore-res.Opt.CostAfter))
 	}
 	return &Result{
-		Abs:       res.Abs,
-		Closure:   res.Closure,
-		Stats:     res.Opt,
-		Inlined:   inlined,
-		Pipeline:  res.Stats,
-		CacheHit:  res.CacheHit,
-		Batchable: qopt.Batchable(res.Abs),
-		Plan:      accessPlan(o.st, res.Abs),
+		Abs:      res.Abs,
+		Closure:  res.Closure,
+		Stats:    res.Opt,
+		Inlined:  inlined,
+		Pipeline: res.Stats,
+		CacheHit: res.CacheHit,
+		Plan:     accessPlan(o.st, res.Abs),
 	}, nil
 }
 

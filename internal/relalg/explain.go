@@ -65,8 +65,8 @@ func (mg *Manager) plan(m *machine.Machine, n *qopt.PlanNode) {
 }
 
 // fallbackAlgo names the non-vectorized execution path in plan nodes:
-// the batched compiled-kernel path, or the pure row-at-a-time path when
-// batching is disabled.
+// the scalar kernel, which reuses one row tuple when it may ("batch"),
+// or the pure row-at-a-time path when batching is disabled.
 func (mg *Manager) fallbackAlgo() string {
 	if mg.NoBatch {
 		return "row"

@@ -2,12 +2,15 @@ package relalg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"tycoon/internal/machine"
+	"tycoon/internal/prim"
 	"tycoon/internal/qopt"
 	"tycoon/internal/store"
 )
@@ -541,6 +544,95 @@ func TestFusedProjectFaultInLaterBatch(t *testing.T) {
 		}
 		if results["batch"] != results["oracle"] || results["vector"] != results["oracle"] {
 			t.Errorf("%s: %+v", source.name, results)
+		}
+	}
+}
+
+// TestVectorIntOpsAgreeWithOracle runs every integer arithmetic and
+// comparison operator of prim.IntOps through the vector kernels over
+// every pair of the operands TestIntOpsFoldAgreesWithExecution uses: a
+// select per comparison, and per arithmetic operator a project over the
+// pairs that do not fault (the fused column path) and one more with each
+// faulting pair appended (the general evaluator's fault). Rows, error and
+// steps must be the NoBatch oracle's.
+func TestVectorIntOpsAgreeWithOracle(t *testing.T) {
+	grid := []int64{math.MinInt64, -1, 0, 1, 7, -7, math.MaxInt64, 64}
+	var pairs [][2]int64
+	for _, a := range grid {
+		for _, b := range grid {
+			pairs = append(pairs, [2]int64{a, b})
+		}
+	}
+	type outcome struct {
+		rows, errS string
+		steps      int64
+	}
+	check := func(t *testing.T, query string, rows [][2]int64) {
+		t.Helper()
+		results := make(map[bool]outcome)
+		for _, oracle := range []bool{true, false} {
+			st, err := store.Open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mg := NewManager(st)
+			mg.NoBatch = oracle
+			oid, err := mg.CreateRelation("t", []store.Column{
+				{Name: "a", Type: store.ColInt}, {Name: "b", Type: store.ColInt},
+			}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range rows {
+				if err := mg.InsertRow(oid, []store.Val{store.IntVal(p[0]), store.IntVal(p[1])}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m := machine.New(st)
+			mg.Register(m)
+			v, err := runCompiled(t, m, strings.ReplaceAll(query, "REL", oidStr(oid)))
+			o := outcome{steps: m.Steps()}
+			if err != nil {
+				o.errS = err.Error()
+			} else {
+				o.rows, _ = renderRows(v.(*Rel))
+			}
+			if vec := m.Profile().VecRows; !oracle && vec == 0 {
+				t.Errorf("%d rows: the vector kernels served none", len(rows))
+			}
+			st.Close()
+			results[oracle] = o
+		}
+		if results[false] != results[true] {
+			t.Errorf("%d rows: vector %+v, oracle %+v", len(rows), results[false], results[true])
+		}
+	}
+	for name, op := range prim.IntOps {
+		switch {
+		case op.Cmp != nil:
+			t.Run(name, func(t *testing.T) {
+				check(t, `(select proc(x !ce !cc)
+				  ([] x 0 cont(a) ([] x 1 cont(b) (`+name+` a b cont() (cc true) cont() (cc false))))
+				  REL e k)`, pairs)
+			})
+		case op.Arith != nil:
+			t.Run(name, func(t *testing.T) {
+				var fine, faults [][2]int64
+				for _, p := range pairs {
+					if _, ok := op.Arith(p[0], p[1]); ok {
+						fine = append(fine, p)
+					} else {
+						faults = append(faults, p)
+					}
+				}
+				query := `(project proc(x !ce !cc)
+				  ([] x 0 cont(a) ([] x 1 cont(b) (` + name + ` a b ce cont(r) (vector a b r cont(row) (cc row)))))
+				  REL e k)`
+				check(t, query, fine)
+				for _, f := range faults {
+					check(t, query, append(slices.Clone(fine), f))
+				}
+			})
 		}
 	}
 }

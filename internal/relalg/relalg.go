@@ -13,10 +13,8 @@
 //
 // The operators process rows in fixed-size batches (DESIGN.md §9): the
 // traversal cost of a batch is charged up front with one TickN, and the
-// predicate is driven through a machine.Batch, which reuses one argument
-// buffer and — when the predicate compiles step-neutrally to TAM code —
-// one recycled frame per call instead of re-entering the tree
-// interpreter per row.
+// compiled predicate is applied per row through machine.Apply, which
+// allocates nothing and reuses one recycled frame per call.
 package relalg
 
 import (
@@ -36,7 +34,7 @@ const batchSize = 256
 
 // compileThreshold is the scan size above which decompiling a predicate's
 // TAM code into the vector fragment amortises; smaller scans run on the
-// batched kernel.
+// scalar kernel.
 const compileThreshold = 32
 
 func init() {
@@ -108,9 +106,10 @@ func joinRows(out *Rel, rows1, rows2 [][]store.Val, pairs []pair) {
 // columns, and die with the relation.
 type Manager struct {
 	st *store.Store
-	// NoBatch disables the batched kernels: every predicate call goes
-	// through machine.Apply on a fresh tuple. The step-parity tests use
-	// it to prove that batching is a pure representation change.
+	// NoBatch disables the batched kernels: no vectorization and no
+	// tuple reuse, so every predicate call gets a fresh tuple. The
+	// step-parity tests use it to prove that batching is a pure
+	// representation change.
 	NoBatch bool
 	// NoVector disables the vectorized kernels only, leaving batching in
 	// place; the parity tests use it to isolate the two layers.
@@ -265,30 +264,24 @@ func rowValue(row []store.Val) machine.Value {
 	return &machine.Vector{Elems: elems}
 }
 
-// kernel drives one predicate or target closure over many rows. It wraps
-// a machine.Batch (shared continuations, recycled TAM frames) and, when
-// the compiled predicate provably does not retain its row tuple, reuses
-// one tuple buffer for every row of the scan.
+// kernel drives one predicate or target closure over many rows through
+// machine.Apply, which allocates nothing and recycles the predicate's TAM
+// frame. When the compiled predicate provably does not retain its row
+// tuple (machine.RowSafe), it reuses one tuple buffer for every row of
+// the scan.
 type kernel struct {
 	m     *machine.Machine
 	fn    machine.Value
-	batch *machine.Batch
 	buf   machine.Vector // reused row tuple (reuse only)
 	reuse bool
 	args  [1]machine.Value
 }
 
-// newKernel prepares fn for a scan. With NoBatch set the kernel degrades
-// to one machine.Apply per row on a fresh tuple — the row-at-a-time
-// semantics the parity tests compare against.
+// newKernel prepares fn for a scan. With NoBatch set the kernel builds a
+// fresh tuple per row — the row-at-a-time semantics the parity tests
+// compare against.
 func (mg *Manager) newKernel(m *machine.Machine, fn machine.Value) *kernel {
-	k := &kernel{m: m, fn: fn}
-	if mg.NoBatch {
-		return k
-	}
-	k.batch = m.NewBatch(fn, 1)
-	k.reuse = k.batch.RowSafe()
-	return k
+	return &kernel{m: m, fn: fn, reuse: !mg.NoBatch && machine.RowSafe(fn)}
 }
 
 // served books n scanned rows to the kernel tier newKernel selects, in
@@ -303,9 +296,6 @@ func (mg *Manager) served(m *machine.Machine, n int) {
 
 // call applies the kernel closure to one row.
 func (k *kernel) call(row []store.Val) (machine.Value, error) {
-	if k.batch == nil {
-		return k.m.Apply(k.fn, []machine.Value{rowValue(row)})
-	}
 	if k.reuse {
 		elems := k.buf.Elems[:0]
 		for _, v := range row {
@@ -316,17 +306,13 @@ func (k *kernel) call(row []store.Val) (machine.Value, error) {
 	} else {
 		k.args[0] = rowValue(row)
 	}
-	return k.batch.Call(k.args[:])
+	return k.m.Apply(k.fn, k.args[:])
 }
 
 // callPair applies the kernel closure to the concatenation of two rows
 // without materialising the concatenated store row (the join only
 // materialises pairs the predicate keeps).
 func (k *kernel) callPair(r1, r2 []store.Val) (machine.Value, error) {
-	if k.batch == nil {
-		row := append(append([]store.Val(nil), r1...), r2...)
-		return k.m.Apply(k.fn, []machine.Value{rowValue(row)})
-	}
 	var elems []machine.Value
 	if k.reuse {
 		elems = k.buf.Elems[:0]
@@ -345,7 +331,7 @@ func (k *kernel) callPair(r1, r2 []store.Val) (machine.Value, error) {
 	} else {
 		k.args[0] = &machine.Vector{Elems: elems}
 	}
-	return k.batch.Call(k.args[:])
+	return k.m.Apply(k.fn, k.args[:])
 }
 
 // boolResult coerces a predicate result.
@@ -614,8 +600,8 @@ func (mg *Manager) execCount(m *machine.Machine, vals, conts []machine.Value) (m
 
 // execForeach implements (foreach body rel ce cc): element-at-a-time
 // iteration with side effects. The body may retain its row (it can
-// insert it elsewhere), so the kernel's buffer reuse does not apply —
-// newKernel still shares the batch continuations and compiled code.
+// insert it elsewhere), in which case machine.RowSafe rules out the
+// kernel's buffer reuse.
 func (mg *Manager) execForeach(m *machine.Machine, vals, conts []machine.Value) (machine.Outcome, error) {
 	body := vals[0]
 	_, rows, _, err := mg.relOf(m, "foreach", vals[1])

@@ -314,6 +314,28 @@ func TestPredicateExceptionPropagates(t *testing.T) {
 	}
 }
 
+// TestPredicateFaultStaysInsideEntry: a dynamic fault inside a predicate
+// ([] past the end of the row) leaves the predicate's machine entry as an
+// exception and reaches the query's own exception continuation (paper
+// §4.2). The handler the query's caller installed lies below the entry's
+// floor, so it never runs inside the predicate. Both kernel tiers, below
+// and above the vector threshold.
+func TestPredicateFaultStaysInsideEntry(t *testing.T) {
+	for _, n := range []int{3, 100} {
+		for _, noBatch := range []bool{false, true} {
+			_, mg, m, oid := world(t, n)
+			mg.NoBatch = noBatch
+			v, err := run(t, m, `(pushHandler cont(x) (k 99)
+			  cont() (select proc(r !ce !cc) ([] r 5 cont(a) (cc true)) `+oidStr(oid)+`
+			           cont(ex) (k 7)
+			           cont(res) (popHandler cont() (k 1))))`)
+			if err != nil || v != machine.Value(machine.Int(7)) {
+				t.Errorf("%d rows, noBatch=%v: %v, %v; want 7 from the query's exception continuation", n, noBatch, v, err)
+			}
+		}
+	}
+}
+
 func TestTypeErrors(t *testing.T) {
 	_, _, m, oid := world(t, 3)
 	cases := []string{

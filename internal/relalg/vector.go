@@ -78,6 +78,10 @@ type vop struct {
 	a, b varg
 	t, f *vblock
 	args []varg
+	// arith (vArith) and cmp (vCmp) are op's definition in prim.IntOps,
+	// resolved when the vprog is compiled.
+	arith func(a, b int64) (int64, bool)
+	cmp   func(a, b int64) bool
 }
 
 // Block terminal kinds.
@@ -340,7 +344,7 @@ func (c *vcompiler) prim(blk *vblock, name string, args []tml.Value) *tml.App {
 		if t == nil || f == nil {
 			return nil
 		}
-		blk.ops = append(blk.ops, vop{kind: vCmp, op: name, a: a, b: b, t: t, f: f})
+		blk.ops = append(blk.ops, vop{kind: vCmp, op: name, a: a, b: b, t: t, f: f, cmp: prim.IntOps[name].Cmp})
 		return appDone
 	case "==":
 		// Only the one-tag two-branch form (match / else); wider case
@@ -386,7 +390,7 @@ func (c *vcompiler) prim(blk *vblock, name string, args []tml.Value) *tml.App {
 			return nil
 		}
 		c.binds[k.Params[0]] = varg{reg: dst}
-		blk.ops = append(blk.ops, vop{kind: vArith, op: name, a: a, b: b, dst: dst})
+		blk.ops = append(blk.ops, vop{kind: vArith, op: name, a: a, b: b, dst: dst, arith: prim.IntOps[name].Arith})
 		return k.Body
 	case "and", "or":
 		if len(args) != 3 {
@@ -514,27 +518,6 @@ func vTypeErr(op, want string, v store.Val) error {
 	}
 }
 
-func intArith(op string, a, b int64) (int64, bool) {
-	switch op {
-	case "+":
-		return a + b, !prim.AddOverflows(a, b)
-	case "-":
-		return a - b, !prim.SubOverflows(a, b)
-	case "*":
-		return a * b, !prim.MulOverflows(a, b)
-	case "/":
-		if b == 0 || (a == -1<<63 && b == -1) {
-			return 0, false
-		}
-		return a / b, true
-	default: // "%"
-		if b == 0 {
-			return 0, false
-		}
-		return a % b, true
-	}
-}
-
 // eval runs the program against the concatenation of r1 and r2 (r2 nil
 // for single-relation kernels).
 func (e *vevaler) eval(r1, r2 []store.Val) *vres {
@@ -564,18 +547,7 @@ func (e *vevaler) eval(r1, r2 []store.Val) *vres {
 					res.err = vTypeErr(op.op, "integer", bv)
 					return res
 				}
-				var hold bool
-				switch op.op {
-				case "<":
-					hold = av.Int < bv.Int
-				case ">":
-					hold = av.Int > bv.Int
-				case "<=":
-					hold = av.Int <= bv.Int
-				default: // ">="
-					hold = av.Int >= bv.Int
-				}
-				if hold {
+				if op.cmp(av.Int, bv.Int) {
 					blk = op.t
 				} else {
 					blk = op.f
@@ -599,7 +571,7 @@ func (e *vevaler) eval(r1, r2 []store.Val) *vres {
 					res.err = vTypeErr(op.op, "integer", bv)
 					return res
 				}
-				r, ok := intArith(op.op, av.Int, bv.Int)
+				r, ok := op.arith(av.Int, bv.Int)
 				if !ok {
 					res.exc = store.StrVal(fmt.Sprintf("%s: arithmetic fault on %d, %d", op.op, av.Int, bv.Int))
 					res.excOK = true
@@ -1263,9 +1235,9 @@ func (o fusedInts) batch(lo, hi int) []int64 {
 }
 
 type fusedArith struct {
-	op   string
-	a, b fusedInts
-	dst  []int64
+	arith func(a, b int64) (int64, bool)
+	a, b  fusedInts
+	dst   []int64
 }
 
 // fusedCell is the source of one output column: an arithmetic result, a
@@ -1338,7 +1310,7 @@ func (e *vevaler) fusedProject(rel *store.Relation, rows [][]store.Val) *fusedPr
 				return nil
 			}
 			tmps[op.dst] = make([]int64, size)
-			fp.ops = append(fp.ops, fusedArith{op: op.op, a: a, b: b, dst: tmps[op.dst]})
+			fp.ops = append(fp.ops, fusedArith{arith: op.arith, a: a, b: b, dst: tmps[op.dst]})
 		case vMkRow:
 			tuple = op.args
 		default:
@@ -1369,7 +1341,7 @@ func (fp *fusedProj) run(m *machine.Machine, out *Rel, slab *rowSlab, rows [][]s
 		op := &fp.ops[i]
 		dst, a, b := op.dst[:hi-lo], op.a.batch(lo, hi), op.b.batch(lo, hi)
 		for j := range dst {
-			r, ok := intArith(op.op, a[j], b[j])
+			r, ok := op.arith(a[j], b[j])
 			if !ok {
 				return false, nil
 			}
