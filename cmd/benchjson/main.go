@@ -25,6 +25,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -105,7 +106,10 @@ func main() {
 // latency percentiles (p50-us…max-us) plus rps are gated only when the
 // baseline was recorded on the same cpu model, since wall-clock
 // comparisons across hosts measure the host, not the code. rps is
-// higher-is-better: the violation is a drop below the margin.
+// higher-is-better: the violation is a drop below the margin. A row that
+// repeats (go test -count N) is gated on each unit's median across its
+// lines, on both sides, so one noisy iteration neither fails nor passes
+// the gate alone.
 func gate(art *Artifact, path string, maxRegress float64) []string {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -125,12 +129,12 @@ func gate(art *Artifact, path string, maxRegress float64) []string {
 		}
 	}
 	higherBetter := map[string]bool{"rps": true}
-	cur := make(map[string]Benchmark, len(art.Benchmarks))
-	for _, b := range art.Benchmarks {
+	cur := make(map[string]Benchmark)
+	for _, b := range medianRows(art.Benchmarks) {
 		cur[benchKey(b.Name)] = b
 	}
 	var viols []string
-	for _, bb := range base.Benchmarks {
+	for _, bb := range medianRows(base.Benchmarks) {
 		nb, ok := cur[benchKey(bb.Name)]
 		if !ok {
 			viols = append(viols, fmt.Sprintf("%s: in baseline but missing from this run", bb.Name))
@@ -159,6 +163,45 @@ func gate(art *Artifact, path string, maxRegress float64) []string {
 		}
 	}
 	return viols
+}
+
+// medianRows folds the lines of each benchmark (by benchKey) into one
+// row, in order of first appearance, whose every unit is the median of
+// that unit across the lines.
+func medianRows(bs []Benchmark) []Benchmark {
+	idx := make(map[string]int)
+	var rows []Benchmark
+	var samples []map[string][]float64
+	for _, b := range bs {
+		k := benchKey(b.Name)
+		i, ok := idx[k]
+		if !ok {
+			i = len(rows)
+			idx[k] = i
+			rows = append(rows, Benchmark{Name: b.Name, Iterations: b.Iterations, Metrics: map[string]float64{}})
+			samples = append(samples, map[string][]float64{})
+		}
+		for unit, v := range b.Metrics {
+			samples[i][unit] = append(samples[i][unit], v)
+		}
+	}
+	for i, units := range samples {
+		for unit, vs := range units {
+			rows[i].Metrics[unit] = median(vs)
+		}
+	}
+	return rows
+}
+
+// median returns the middle of vs (the mean of the middle two for an
+// even count); it reorders vs.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // benchKey is the name two runs of one benchmark share: go test appends

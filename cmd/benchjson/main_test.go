@@ -146,6 +146,36 @@ func TestGateMatchesAcrossProcsSuffix(t *testing.T) {
 	}
 }
 
+// TestGateReadsMedianOfRepeatedLines: with -count 3 a row has three
+// lines. The gate reads each unit's median, so a slow last line alone
+// does not fail it, and a regression in the median does.
+func TestGateReadsMedianOfRepeatedLines(t *testing.T) {
+	env := map[string]string{"cpu": "Xeon 2.70GHz"}
+	base := writeBaseline(t, Artifact{Lane: "pipeline", Env: env, Benchmarks: []Benchmark{
+		bm("E1_StanfordNone/perm-2", 1000, 475, 93627),
+		bm("E1_StanfordNone/perm-2", 1300, 475, 93627),
+		bm("E1_StanfordNone/perm-2", 900, 475, 93627),
+	}})
+	// Medians 1100 ns/op and 476 allocs/op; the last line alone is +50%
+	// on ns/op and +21% on allocs/op.
+	art := Artifact{Lane: "pipeline", Env: env, Benchmarks: []Benchmark{
+		bm("E1_StanfordNone/perm-2", 1100, 476, 93627),
+		bm("E1_StanfordNone/perm-2", 1050, 470, 93627),
+		bm("E1_StanfordNone/perm-2", 1500, 575, 93627),
+	}}
+	if viols := gate(&art, base, 0.2); len(viols) != 0 {
+		t.Fatalf("medians are inside the margin, got %v", viols)
+	}
+	if viols := gate(&Artifact{Lane: "pipeline", Env: env, Benchmarks: art.Benchmarks[2:]}, base, 0.2); len(viols) != 2 {
+		t.Fatalf("the last line alone should fail ns/op and allocs/op, got %v", viols)
+	}
+	art.Benchmarks[0].Metrics["ns/op"] = 1400
+	viols := gate(&art, base, 0.2)
+	if len(viols) != 1 || !strings.Contains(viols[0], "ns/op regressed 1000 -> 1400") {
+		t.Fatalf("expected the median's ns/op regression, got %v", viols)
+	}
+}
+
 func soakBM(name string, p50, p99, rps, errs, wrong float64) Benchmark {
 	return Benchmark{Name: name, Iterations: 1, Metrics: map[string]float64{
 		"p50-us": p50, "p99-us": p99, "rps": rps, "errors": errs, "wrong": wrong,

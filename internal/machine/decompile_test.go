@@ -199,52 +199,57 @@ func TestDecompileFreeVariableNames(t *testing.T) {
 	}
 }
 
+// randomProgram builds a random straight-line and branching integer
+// program proc(x !ce !cc) of the given depth: checked arithmetic to
+// fresh variables and comparisons to two sub-programs, operands drawn
+// from the variables in scope and small literals.
+func randomProgram(seed int64, depth int) *tml.Abs {
+	g := tml.NewVarGen()
+	x := g.Fresh("x")
+	ce := g.FreshCont("ce")
+	cc := g.FreshCont("cc")
+	rnd := seed
+	next := func(n int64) int64 {
+		rnd = rnd*6364136223846793005 + 1442695040888963407
+		r := rnd >> 33
+		if r < 0 {
+			r = -r
+		}
+		return r % n
+	}
+	var build func(d int, avail []*tml.Var) *tml.App
+	build = func(d int, avail []*tml.Var) *tml.App {
+		operand := func() tml.Value {
+			if next(2) == 0 {
+				return avail[next(int64(len(avail)))]
+			}
+			return tml.Int(next(100) - 50)
+		}
+		if d == 0 {
+			return tml.NewApp(cc, operand())
+		}
+		switch next(4) {
+		case 0:
+			left := build(d-1, avail)
+			right := build(d-1, avail)
+			return tml.NewApp(tml.NewPrim("<"), operand(), operand(),
+				&tml.Abs{Body: left}, &tml.Abs{Body: right})
+		default:
+			ops := []string{"+", "-", "*"}
+			tv := g.Fresh("t")
+			rest := build(d-1, append(avail, tv))
+			return tml.NewApp(tml.NewPrim(ops[next(3)]), operand(), operand(), ce,
+				&tml.Abs{Params: []*tml.Var{tv}, Body: rest})
+		}
+	}
+	return &tml.Abs{Params: []*tml.Var{x, ce, cc}, Body: build(depth, []*tml.Var{x})}
+}
+
 // TestDecompileAgreesOnRandomPrograms is the decompiler's central
 // property: reconstruction preserves behaviour on random programs.
 func TestDecompileAgreesOnRandomPrograms(t *testing.T) {
-	gen := func(seed int64, depth int) *tml.Abs {
-		g := tml.NewVarGen()
-		x := g.Fresh("x")
-		ce := g.FreshCont("ce")
-		cc := g.FreshCont("cc")
-		rnd := seed
-		next := func(n int64) int64 {
-			rnd = rnd*6364136223846793005 + 1442695040888963407
-			r := rnd >> 33
-			if r < 0 {
-				r = -r
-			}
-			return r % n
-		}
-		var build func(d int, avail []*tml.Var) *tml.App
-		build = func(d int, avail []*tml.Var) *tml.App {
-			operand := func() tml.Value {
-				if next(2) == 0 {
-					return avail[next(int64(len(avail)))]
-				}
-				return tml.Int(next(100) - 50)
-			}
-			if d == 0 {
-				return tml.NewApp(cc, operand())
-			}
-			switch next(4) {
-			case 0:
-				left := build(d-1, avail)
-				right := build(d-1, avail)
-				return tml.NewApp(tml.NewPrim("<"), operand(), operand(),
-					&tml.Abs{Body: left}, &tml.Abs{Body: right})
-			default:
-				ops := []string{"+", "-", "*"}
-				tv := g.Fresh("t")
-				rest := build(d-1, append(avail, tv))
-				return tml.NewApp(tml.NewPrim(ops[next(3)]), operand(), operand(), ce,
-					&tml.Abs{Params: []*tml.Var{tv}, Body: rest})
-			}
-		}
-		return &tml.Abs{Params: []*tml.Var{x, ce, cc}, Body: build(depth, []*tml.Var{x})}
-	}
 	f := func(seed int64, depthRaw uint8, arg int16) bool {
-		abs := gen(seed, int(depthRaw%6))
+		abs := randomProgram(seed, int(depthRaw%6))
 		prog, err := CompileProc(abs, "p")
 		if err != nil {
 			t.Logf("compile: %v", err)

@@ -432,7 +432,9 @@ func execIndexLoad(m *Machine, vals, conts []Value) (Outcome, error) {
 			if i < 0 || i >= int64(len(o.Exports)) {
 				return m.throw("[]", Str("module export index out of range"))
 			}
-			return m.one(0, FromStoreVal(o.Exports[i].Val)), nil
+			v := FromStoreVal(o.Exports[i].Val)
+			m.memoMember(a.OID, i, v)
+			return m.one(0, v), nil
 		default:
 			return Outcome{}, rtErr("[]", "object is %s, want array, tuple or module", obj.Kind())
 		}

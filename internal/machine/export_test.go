@@ -86,3 +86,7 @@ func InvokePopped(m *Machine, p *Program) error {
 // RefApply applies an interpreted procedure on the reference evaluator
 // (refeval_test.go), as Apply applies compiled code.
 func RefApply(m *Machine, fn Value, args []Value) (Value, error) { return m.refApply(fn, args) }
+
+// MemoSizes reports how many module members and closure links m's
+// per-request memos hold.
+func MemoSizes(m *Machine) (members, links int) { return len(m.members), len(m.links) }

@@ -15,9 +15,11 @@ import "tycoon/internal/prim"
 // continuation. Either way the primitive executes without allocating.
 //
 // A fast executor returns branch < 0 to decline — wrong dynamic types,
-// faults, store access — and the VM falls back to the generic executor,
-// which produces the canonical outcome (including throws). Fast
-// executors are pure reads of their arguments, so re-execution is safe.
+// faults, store access other than a memoized module member — and the VM
+// falls back to the generic executor, which produces the canonical
+// outcome (including throws). Fast executors are pure reads of their
+// arguments and never re-enter the machine, so re-execution is safe and
+// their operands can sit in the machine's register file (Machine.opnd).
 // A machine whose RegisterExec shadows a standard primitive skips them
 // (Machine.shadowsStd), so the override is always honoured.
 
@@ -122,9 +124,11 @@ func registerFastExecs() {
 		}
 	}
 
-	// ([] a i c): transient aggregate indexing; store references decline
-	// to the generic executor, out-of-range declines so the generic path
-	// raises the proper exception.
+	// ([] a i c): transient aggregate indexing, and a module member this
+	// request has already fetched (the memo, link.go). Other store
+	// references decline to the generic executor, which fills the memo;
+	// out-of-range declines so the generic path raises the proper
+	// exception.
 	fastExecs["[]"] = func(m *Machine, vals []Value, nconts int) (int, Value, int) {
 		i, ok := vals[1].(Int)
 		if !ok {
@@ -136,6 +140,14 @@ func registerFastExecs() {
 			elems = a.Elems
 		case *Array:
 			elems = a.Elems
+		case Ref:
+			key, ok := memberKey(a.OID, int64(i))
+			v, hit := m.members[key]
+			if !ok || !hit {
+				return -1, nil, 0
+			}
+			m.resolved++
+			return 0, v, 1
 		default:
 			return -1, nil, 0
 		}

@@ -40,8 +40,86 @@ type CodeTable struct {
 // earlier install or link of the same OID.
 func (t *CodeTable) Install(oid store.OID, c *TAMClosure) { t.closures.Store(oid, Value(c)) }
 
-// linkClosure resolves a persistent closure record into a runtime value.
+// Within one request a library reference resolves once. A machine keeps
+// two memos in front of the store and the CodeTable: (module OID, export
+// index) → member value, filled by the generic [] on a module and read by
+// the fused one, and closure OID → linked value, filled and read by
+// linkClosure. Only module exports are memoized: a complete module is
+// never rewritten, and an empty placeholder has no in-range export to
+// memoize, while arrays and tuples are mutable and go to the store on
+// every access. The memos live for the outermost drive — one request —
+// and empty when it leaves (endRequest), so an install or a rebinding is
+// visible at the next request, never in the middle of one, as the
+// request's snapshot already promises for data.
+
+// maxMemo bounds what the memos keep between requests: a map that grew
+// past it is dropped, not cleared, so one request cannot pin a large
+// table on a long-lived machine.
+const maxMemo = 1024
+
+// memberKey names export idx of module mod in one word — the OID in the
+// high 48 bits, the index in the low 16 — so the member memo hashes one
+// word per library call. A reference outside that range, or a negative
+// index, has no key (ok false) and is never memoized.
+func memberKey(mod store.OID, idx int64) (key uint64, ok bool) {
+	if uint64(mod) >= 1<<48 || uint64(idx) >= 1<<16 {
+		return 0, false
+	}
+	return uint64(mod)<<16 | uint64(idx), true
+}
+
+// memoMember records the value of module mod's export idx.
+func (m *Machine) memoMember(mod store.OID, idx int64, v Value) {
+	key, ok := memberKey(mod, idx)
+	if !ok {
+		return
+	}
+	if m.members == nil {
+		m.members = make(map[uint64]Value)
+	}
+	m.members[key] = v
+}
+
+// endRequest runs when the outermost drive leaves: it empties the memos
+// and clears the operand registers and the one-result scratch slot, so
+// none of them keeps a value alive between requests.
+func (m *Machine) endRequest() {
+	clear(m.opnd)
+	m.result[0] = nil
+	m.members = emptyMemo(m.members)
+	m.links = emptyMemo(m.links)
+}
+
+func emptyMemo[K comparable](t map[K]Value) map[K]Value {
+	if len(t) > maxMemo {
+		return nil
+	}
+	if len(t) > 0 {
+		clear(t)
+	}
+	return t
+}
+
+// linkClosure resolves a persistent closure record into a runtime value,
+// once per request (see above).
 func (m *Machine) linkClosure(oid store.OID) (Value, error) {
+	if v, ok := m.links[oid]; ok {
+		m.resolved++
+		return v, nil
+	}
+	v, err := m.link(oid)
+	if err != nil {
+		return nil, err
+	}
+	if m.links == nil {
+		m.links = make(map[store.OID]Value)
+	}
+	m.links[oid] = v
+	return v, nil
+}
+
+// link resolves a closure record through the machine's CodeTable.
+func (m *Machine) link(oid store.OID) (Value, error) {
 	if v, ok := m.Code.closures.Load(oid); ok {
 		return v.(Value), nil
 	}

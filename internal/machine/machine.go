@@ -45,6 +45,15 @@ type Machine struct {
 	shadowsStd bool
 	// result is the scratch slot behind one-result outcomes (see one).
 	result [1]Value
+	// opnd is the register file the fused executors read their operands
+	// from. A fast executor never re-enters the machine, so it needs no
+	// stack discipline; runTAM grows it to the widest fused instruction
+	// it meets, and the outermost drive clears it on exit.
+	opnd []Value
+	// members and links are the per-request memos in front of the store
+	// and the CodeTable (see link.go).
+	members map[uint64]Value
+	links   map[store.OID]Value
 	// Execution profile counters (single-goroutine, like steps).
 	transfers   int64
 	framesAlloc int64
@@ -52,6 +61,7 @@ type Machine struct {
 	vecRows     int64
 	batchRows   int64
 	rowRows     int64
+	resolved    int64
 	// freeFrames is the TAM frame free-list: a block whose frame provably
 	// does not escape (CodeBlock.frameSafe) returns it here when control
 	// leaves the block, and transfer reuses it for the next activation —
@@ -59,7 +69,8 @@ type Machine struct {
 	// without frame allocation.
 	freeFrames [][]Value
 	// valArena is a stack-disciplined scratch buffer for the value
-	// arguments of primitive executions. Executors must not retain the
+	// arguments of generic primitive executions, calls and Apply (fused
+	// primitives read opnd instead). Executors must not retain the
 	// vals slice beyond the call (elements may be retained freely); all
 	// executors in this repository obey that contract.
 	valArena []Value
@@ -196,6 +207,9 @@ type Profile struct {
 	// receives), and MaxContDepth is the deepest the stack has been.
 	ContsPushed, ContsHeap int64
 	MaxContDepth           int
+	// Resolved counts the library references — module member fetches
+	// and applied closure OIDs — served from the per-request memo.
+	Resolved int64
 }
 
 // Profile reports the machine's execution counters.
@@ -204,7 +218,8 @@ func (m *Machine) Profile() Profile {
 		FramesAlloc: m.framesAlloc, FramesReuse: m.framesReuse,
 		VecRows: m.vecRows, BatchRows: m.batchRows, RowRows: m.rowRows,
 		ContsPushed: m.conts.pushed, ContsHeap: m.conts.heap,
-		MaxContDepth: max(m.conts.maxDepth, m.conts.hwm)}
+		MaxContDepth: max(m.conts.maxDepth, m.conts.hwm),
+		Resolved:     m.resolved}
 }
 
 // AddVecRows records rows served by a vectorized kernel.
@@ -219,7 +234,7 @@ func (m *Machine) AddRowRows(n int) { m.rowRows += int64(n) }
 // ResetProfile clears all execution counters, including steps.
 func (m *Machine) ResetProfile() {
 	m.steps, m.transfers, m.framesAlloc, m.framesReuse = 0, 0, 0, 0
-	m.vecRows, m.batchRows, m.rowRows = 0, 0, 0
+	m.vecRows, m.batchRows, m.rowRows, m.resolved = 0, 0, 0, 0
 	m.conts.pushed, m.conts.heap, m.conts.maxDepth = 0, 0, 0
 }
 

@@ -43,8 +43,10 @@ func (e *Exception) Unwrap() error { return ErrUnhandled }
 // updates one state in place through a pointer: a transfer rewrites it,
 // nothing copies it.
 type tamState struct {
-	prog  *Program
-	blk   int
+	prog *Program
+	blk  int
+	// code is prog.Blocks[blk], the block executing.
+	code  *CodeBlock
 	pc    int
 	frame []Value
 	free  []Value
@@ -99,6 +101,9 @@ func (m *Machine) drive(fn Value, args []Value) (Value, error) {
 	}
 	m.hfloor = hfloor
 	m.conts.leave(entry, floor)
+	if m.conts.drives == 0 {
+		m.endRequest()
+	}
 	return result, err
 }
 
@@ -119,7 +124,7 @@ func (m *Machine) transfer(ts *tamState, fn Value, args []Value) (bool, Value, e
 		m.transfers++
 		frame := m.getFrame(blk.NSlots)
 		copy(frame, args)
-		ts.prog, ts.blk, ts.pc, ts.frame, ts.free = f.Prog, f.Blk, 0, frame, f.Free
+		ts.prog, ts.blk, ts.code, ts.pc, ts.frame, ts.free = f.Prog, f.Blk, blk, 0, frame, f.Free
 		ts.base, ts.epoch = m.conts.depth, m.conts.epoch
 		return false, nil, nil
 	case *contRec:
@@ -136,7 +141,8 @@ func (m *Machine) transfer(ts *tamState, fn Value, args []Value) (bool, Value, e
 		return m.transfer(ts, f.V, args)
 	case Ref:
 		// Applying an object identifier links the persistent closure it
-		// denotes (paper Fig. 3) and applies the result.
+		// denotes (paper Fig. 3) and applies the result; the link memo
+		// answers a repeated reference within the request.
 		linked, err := m.linkClosure(f.OID)
 		if err != nil {
 			return true, nil, err
@@ -175,7 +181,8 @@ func (m *Machine) resume(ts *tamState, c *TAMCont, args []Value) (bool, Value, e
 		c.Frame[s] = v
 	}
 	m.conts.unwind(c.low)
-	ts.prog, ts.blk, ts.pc, ts.frame, ts.free = c.Prog, c.Blk, c.PC, c.Frame, c.Free
+	ts.prog, ts.blk, ts.code, ts.pc = c.Prog, c.Blk, c.Prog.Blocks[c.Blk], c.PC
+	ts.frame, ts.free = c.Frame, c.Free
 	ts.base, ts.epoch = min(c.base, m.conts.depth), c.epoch
 	return false, nil, nil
 }
@@ -189,7 +196,7 @@ func (ts *tamState) load(s Src, deref bool) Value {
 	case SrcSlot:
 		v = ts.frame[s.Idx]
 	case SrcLit:
-		v = ts.prog.Blocks[ts.blk].Lits[s.Idx]
+		v = ts.code.Lits[s.Idx]
 	case SrcFree:
 		v = ts.free[s.Idx]
 	}
@@ -206,7 +213,7 @@ func (ts *tamState) load(s Src, deref bool) Value {
 // compiled blocks stay inside this loop, which updates ts in place.
 func (m *Machine) runTAM(ts *tamState) (Value, error) {
 	for {
-		blk := ts.prog.Blocks[ts.blk]
+		blk := ts.code
 		if ts.pc < 0 || ts.pc >= len(blk.Instrs) {
 			return nil, rtErr("tam", "pc %d out of range in %s", ts.pc, blk.Name)
 		}
@@ -256,29 +263,31 @@ func (m *Machine) runTAM(ts *tamState) (Value, error) {
 			if err := m.tick(); err != nil {
 				return nil, err
 			}
-			var vals []Value
-			base, vals = m.arenaPush(len(in.Srcs))
-			for i, s := range in.Srcs {
-				vals[i] = ts.load(s, true)
-			}
 			if f := in.fast; f != nil && !m.shadowsStd {
-				// Fused load-slot/apply-primitive/branch superinstruction: a
-				// label branch is a frame write and a jump, a value branch
-				// leaves the block with the result. The fast executor
-				// declines (branch < 0) on anything but the common case, and
-				// the generic executor below re-executes the call — sound
-				// because fast executors are pure and the step was charged
-				// once, above.
+				// Fused load-slot/apply-primitive/branch superinstruction:
+				// the operands go to the register file, a label branch is a
+				// frame write and a jump, a value branch leaves the block
+				// with the result. The fast executor declines (branch < 0)
+				// on anything but the common case, and the generic executor
+				// below re-executes the call — sound because fast executors
+				// are pure and the step was charged once, above.
+				if len(in.Srcs) > len(m.opnd) {
+					m.opnd = make([]Value, len(in.Srcs))
+				}
+				vals := m.opnd[:len(in.Srcs)]
+				for i, s := range in.Srcs {
+					vals[i] = ts.load(s, true)
+				}
 				branch, result, nres := f(m, vals, len(in.Conts))
 				if branch >= 0 {
 					ref := &in.Conts[branch]
 					if !ref.IsLabel {
 						m.result[0] = result
 						fn, args, leaves = ts.load(ref.Src, true), m.result[:nres], in.leaves
+						base = len(m.valArena) // nothing reserved to release
 						break
 					}
 					if nres == len(ref.ParamSlots) {
-						m.arenaPop(base)
 						if nres == 1 {
 							ts.frame[ref.ParamSlots[0]] = result
 						}
@@ -286,6 +295,11 @@ func (m *Machine) runTAM(ts *tamState) (Value, error) {
 						continue
 					}
 				}
+			}
+			var vals []Value
+			base, vals = m.arenaPush(len(in.Srcs))
+			for i, s := range in.Srcs {
+				vals[i] = ts.load(s, true)
 			}
 			var conts []Value
 			if in.contsInert {

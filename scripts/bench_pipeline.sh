@@ -32,7 +32,8 @@
 #   BENCH_TIME   -benchtime value (default 1x: one measured iteration —
 #                the suite reports deterministic steps/call, so a single
 #                iteration is meaningful; raise for stable ns/op)
-#   BENCH_COUNT  -count value (default 1; raise for benchstat variance)
+#   BENCH_COUNT  -count value (default 1; raise for benchstat variance —
+#                with a baseline, each row is gated on its median)
 #   BENCH_BASELINE  committed artifact to gate against: the run fails if
 #                a machine-independent metric (allocs/op, steps/call —
 #                plus ns/op and B/op when the cpu matches) regresses by
