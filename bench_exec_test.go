@@ -3,7 +3,7 @@
 // indexscan). These are the benchmarks behind bench/BENCH_exec.json —
 // unlike E5–E7, which compare optimizer plans, this lane measures the
 // physical execution cost of one fixed plan, so engine-level changes
-// (batched kernels, frame reuse, value interning) show up here while
+// (vector kernels, frame reuse, value interning) show up here while
 // steps/call stays constant.
 package tycoon
 

@@ -102,8 +102,8 @@ func main() {
 	}
 	if *profile {
 		p := m.Profile()
-		fmt.Fprintf(os.Stderr, "profile: %d steps, %d engine transfers, %d frames allocated, %d frames reused, %d continuations pushed / %d on the heap / stack depth %d, %d library references resolved from the memo, %d vector / %d batched / %d row-at-a-time rows, %s wall time\n",
+		fmt.Fprintf(os.Stderr, "profile: %d steps, %d engine transfers, %d frames allocated, %d frames reused, %d continuations pushed / %d on the heap / stack depth %d, %d library references resolved from the memo, %d vector / %d row-at-a-time rows, %s wall time\n",
 			p.Steps, p.Transfers, p.FramesAlloc, p.FramesReuse, p.ContsPushed, p.ContsHeap, p.MaxContDepth,
-			p.Resolved, p.VecRows, p.BatchRows, p.RowRows, elapsed)
+			p.Resolved, p.VecRows, p.RowRows, elapsed)
 	}
 }

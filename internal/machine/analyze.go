@@ -8,7 +8,7 @@ import (
 
 // prepareProgram computes the derived execution metadata of a compiled
 // program: per-instruction standard and fused executors and
-// inert-continuation marks, and per-block frame and row escape analyses.
+// inert-continuation marks, and the per-block frame escape analysis.
 // It runs once, when a program is produced by the code generator or
 // decoded from the store; programs are immutable afterwards, so the
 // metadata may be read without synchronisation. Descriptors come from
@@ -26,8 +26,8 @@ func prepareProgram(p *Program) {
 
 // analyzeBlock resolves, per instruction, the standard executor and
 // whether the fused fast path and the shared inert continuation
-// placeholders apply, and, per block, whether frames and row tuples can
-// be reused across activations.
+// placeholders apply, and, per block, whether frames can be reused
+// across activations.
 func analyzeBlock(blk *CodeBlock) {
 	frameSafe, contSafe, conts := true, true, false
 	for i := range blk.Instrs {
@@ -55,7 +55,6 @@ func analyzeBlock(blk *CodeBlock) {
 		}
 	}
 	blk.frameSafe, blk.contSafe = frameSafe, contSafe
-	blk.rowSafe = frameSafe && rowSafe(blk)
 	if conts {
 		analyzeConts(blk)
 	}
@@ -175,92 +174,4 @@ func overwritten(instrs []Instr, slot int) bool {
 		}
 	}
 	return false
-}
-
-// RowSafe reports that fn is compiled code whose first parameter — the
-// row tuple in the query calling convention — provably does not survive
-// a call, so a caller applying fn to many rows may reuse one tuple.
-func RowSafe(fn Value) bool {
-	tc, ok := fn.(*TAMClosure)
-	return ok && tc.Prog.Blocks[tc.Blk].rowSafe
-}
-
-// rowSafe runs a taint analysis on slot 0 — the row tuple in the query
-// calling convention — and reports that no alias of it can survive the
-// activation. Taint is monotone (a slot once tainted stays tainted;
-// kills are ignored), so a fixpoint over the flat instruction list covers
-// every path through the block's join points.
-func rowSafe(blk *CodeBlock) bool {
-	if blk.NParams == 0 {
-		return false
-	}
-	tainted := make([]bool, blk.NSlots)
-	tainted[0] = true
-	src := func(s Src) bool { return s.Kind == SrcSlot && tainted[s.Idx] }
-	for changed := true; changed; {
-		changed = false
-		for i := range blk.Instrs {
-			in := &blk.Instrs[i]
-			switch in.Op {
-			case OpMove:
-				if src(in.Srcs[0]) && !tainted[in.Dst] {
-					tainted[in.Dst] = true
-					changed = true
-				}
-			case OpClos:
-				// Captured into a closure that outlives the activation.
-				for _, s := range in.Srcs {
-					if src(s) {
-						return false
-					}
-				}
-			case OpSetCell:
-				for _, s := range in.Srcs {
-					if src(s) {
-						return false
-					}
-				}
-			case OpCall:
-				// Passed to an unknown procedure or continuation.
-				if src(in.Fn) {
-					return false
-				}
-				for _, s := range in.Srcs {
-					if src(s) {
-						return false
-					}
-				}
-			case OpPrim:
-				anyTainted := false
-				for _, s := range in.Srcs {
-					if src(s) {
-						anyTainted = true
-						break
-					}
-				}
-				if !anyTainted {
-					continue
-				}
-				d, ok := prim.Lookup(in.Prim)
-				if !ok || d.RetainsVals {
-					return false
-				}
-				// A non-retaining primitive may still return (part of) the
-				// row: taint its results. Results flowing to a non-label
-				// continuation leave the block with them.
-				for _, c := range in.Conts {
-					if !c.IsLabel {
-						return false
-					}
-					for _, ps := range c.ParamSlots {
-						if !tainted[ps] {
-							tainted[ps] = true
-							changed = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return true
 }

@@ -261,53 +261,51 @@ func TestContTailCallPopsActivationRecords(t *testing.T) {
 
 // TestContPredicateRaiseRestoresStack: a query predicate calls a compiled
 // procedure that raises. The predicate's nested machine entry returns
-// with the stack at the depth it entered at, on the batched and the
-// row-at-a-time kernel alike, and the caller's records below survive.
+// with the stack at the depth it entered at, and the caller's records
+// below survive.
 func TestContPredicateRaiseRestoresStack(t *testing.T) {
-	for _, noBatch := range []bool{false, true} {
-		st, err := store.Open("")
-		if err != nil {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mg := relalg.NewManager(st)
+	mg.NoVector = true
+	rel, err := mg.CreateRelation("r", []store.Column{{Name: "id", Type: store.ColInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if err := mg.InsertRow(rel, []store.Val{store.IntVal(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
-		mg := relalg.NewManager(st)
-		mg.NoBatch, mg.NoVector = noBatch, true
-		rel, err := mg.CreateRelation("r", []store.Column{{Name: "id", Type: store.ColInt}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 300; i++ {
-			if err := mg.InsertRow(rel, []store.Val{store.IntVal(int64(i))}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		m := machine.New(st)
-		mg.Register(m)
-		sel, ok := machine.LookupExec(m, "select")
-		if !ok {
-			t.Fatal("no select executor")
-		}
-		var entered, left []int
-		m.RegisterExec("select", func(m *machine.Machine, vals, conts []machine.Value) (machine.Outcome, error) {
-			entered = append(entered, machine.ContDepth(m))
-			out, err := sel(m, vals, conts)
-			left = append(left, machine.ContDepth(m))
-			return out, err
-		})
-		h := closureOf(compileProc(t, "proc(x !e !k) ([] x 0 cont(a) (== a 150 cont() (raise a) cont() (k true)))"))
-		query := closureOf(compileProc(t, "proc(r h !e !k) (select proc(x !pe !pk) (h x pe cont(b) (pk b)) r e k)"))
-		outer := closureOf(compileProc(t, "proc(r h q !ce !cc) (q r h ce cont(v) (size v ce cont(n) (cc n)))"))
-		_, err = m.Apply(outer, []machine.Value{machine.Ref{OID: rel}, h, query})
-		var ex *machine.Exception
-		if !errors.As(err, &ex) || ex.Value != machine.Value(machine.Int(150)) {
-			t.Fatalf("noBatch=%v: %v, want the predicate's exception 150", noBatch, err)
-		}
-		if len(entered) != 1 || entered[0] < 1 || left[0] != entered[0] {
-			t.Errorf("noBatch=%v: select entered at depth %v and left at %v, want one equal nonzero pair", noBatch, entered, left)
-		}
-		if d := machine.ContDepth(m); d != 0 {
-			t.Errorf("noBatch=%v: stack depth %d after Apply, want 0", noBatch, d)
-		}
-		st.Close()
+	}
+	m := machine.New(st)
+	mg.Register(m)
+	sel, ok := machine.LookupExec(m, "select")
+	if !ok {
+		t.Fatal("no select executor")
+	}
+	var entered, left []int
+	m.RegisterExec("select", func(m *machine.Machine, vals, conts []machine.Value) (machine.Outcome, error) {
+		entered = append(entered, machine.ContDepth(m))
+		out, err := sel(m, vals, conts)
+		left = append(left, machine.ContDepth(m))
+		return out, err
+	})
+	h := closureOf(compileProc(t, "proc(x !e !k) ([] x 0 cont(a) (== a 150 cont() (raise a) cont() (k true)))"))
+	query := closureOf(compileProc(t, "proc(r h !e !k) (select proc(x !pe !pk) (h x pe cont(b) (pk b)) r e k)"))
+	outer := closureOf(compileProc(t, "proc(r h q !ce !cc) (q r h ce cont(v) (size v ce cont(n) (cc n)))"))
+	_, err = m.Apply(outer, []machine.Value{machine.Ref{OID: rel}, h, query})
+	var ex *machine.Exception
+	if !errors.As(err, &ex) || ex.Value != machine.Value(machine.Int(150)) {
+		t.Fatalf("%v, want the predicate's exception 150", err)
+	}
+	if len(entered) != 1 || entered[0] < 1 || left[0] != entered[0] {
+		t.Errorf("select entered at depth %v and left at %v, want one equal nonzero pair", entered, left)
+	}
+	if d := machine.ContDepth(m); d != 0 {
+		t.Errorf("stack depth %d after Apply, want 0", d)
 	}
 }
 

@@ -59,13 +59,12 @@ type Machine struct {
 	framesAlloc int64
 	framesReuse int64
 	vecRows     int64
-	batchRows   int64
 	rowRows     int64
 	resolved    int64
 	// freeFrames is the TAM frame free-list: a block whose frame provably
 	// does not escape (CodeBlock.frameSafe) returns it here when control
 	// leaves the block, and transfer reuses it for the next activation —
-	// self-recursive tail calls and batched predicate evaluation run
+	// self-recursive tail calls and per-row predicate calls run
 	// without frame allocation.
 	freeFrames [][]Value
 	// valArena is a stack-disciplined scratch buffer for the value
@@ -195,11 +194,10 @@ type Profile struct {
 	Transfers   int64
 	FramesAlloc int64
 	FramesReuse int64
-	// VecRows, BatchRows and RowRows split the rows the query operators
-	// scanned by the kernel tier that served them: vectorized (no machine
-	// re-entry), batched (one recycled frame per call) and row-at-a-time
-	// (one Apply per row).
-	VecRows, BatchRows, RowRows int64
+	// VecRows and RowRows split the rows the query operators scanned by
+	// the kernel tier that served them: vectorized (no machine re-entry)
+	// and row-at-a-time (one Apply per row).
+	VecRows, RowRows int64
 	// ContsPushed counts the continuation records compiled code pushed on
 	// the continuation stack, ContsHeap the continuations that stack
 	// discipline could not cover and were allocated on the heap (promoted
@@ -216,7 +214,7 @@ type Profile struct {
 func (m *Machine) Profile() Profile {
 	return Profile{Steps: m.steps, Transfers: m.transfers,
 		FramesAlloc: m.framesAlloc, FramesReuse: m.framesReuse,
-		VecRows: m.vecRows, BatchRows: m.batchRows, RowRows: m.rowRows,
+		VecRows: m.vecRows, RowRows: m.rowRows,
 		ContsPushed: m.conts.pushed, ContsHeap: m.conts.heap,
 		MaxContDepth: max(m.conts.maxDepth, m.conts.hwm),
 		Resolved:     m.resolved}
@@ -225,16 +223,13 @@ func (m *Machine) Profile() Profile {
 // AddVecRows records rows served by a vectorized kernel.
 func (m *Machine) AddVecRows(n int) { m.vecRows += int64(n) }
 
-// AddBatchRows records rows served by a batched kernel.
-func (m *Machine) AddBatchRows(n int) { m.batchRows += int64(n) }
-
 // AddRowRows records rows served one Apply at a time.
 func (m *Machine) AddRowRows(n int) { m.rowRows += int64(n) }
 
 // ResetProfile clears all execution counters, including steps.
 func (m *Machine) ResetProfile() {
 	m.steps, m.transfers, m.framesAlloc, m.framesReuse = 0, 0, 0, 0
-	m.vecRows, m.batchRows, m.rowRows, m.resolved = 0, 0, 0, 0
+	m.vecRows, m.rowRows, m.resolved = 0, 0, 0
 	m.conts.pushed, m.conts.heap, m.conts.maxDepth = 0, 0, 0
 }
 
@@ -338,9 +333,8 @@ type ExecFunc func(m *Machine, vals, conts []Value) (Outcome, error)
 // registers the query primitives this way, mirroring how new primitives
 // extend the compile-time registry (paper §2.3). Executors must follow
 // the descriptor flags of their primitive: retaining a continuation
-// argument requires CapturesConts, retaining a value argument requires
-// RetainsVals — the TAM's frame reuse and inert-continuation passing
-// rely on them.
+// argument requires CapturesConts — the TAM's frame reuse and
+// inert-continuation passing rely on it.
 func (m *Machine) RegisterExec(name string, f ExecFunc) {
 	if m.execs == nil {
 		m.execs = make(map[string]ExecFunc)

@@ -140,7 +140,7 @@ func TestMemoPlaceholderModule(t *testing.T) {
 func TestMemoLivesForOutermostApply(t *testing.T) {
 	st := openStore(t)
 	mg := relalg.NewManager(st)
-	mg.NoBatch, mg.NoVector = true, true
+	mg.NoVector = true
 	rel, err := mg.CreateRelation("r", []store.Column{{Name: "id", Type: store.ColInt}})
 	if err != nil {
 		t.Fatal(err)

@@ -147,13 +147,6 @@ type CodeBlock struct {
 	// entry depth (no record left to point at it) and no frame pinned
 	// since the activation started (see contstack.go).
 	contSafe bool
-	// rowSafe reports that the first parameter — the row tuple in the
-	// query calling convention — is never retained beyond the
-	// activation (not captured, not stored by a retaining primitive, not
-	// passed to an unknown procedure or continuation), so the caller may
-	// reuse one tuple buffer across calls. It applies to flat tuples of
-	// scalars, which is what the relational substrate passes.
-	rowSafe bool
 	// memo holds what a substrate package derived from this block's
 	// immutable code (see Program.BlockMemo).
 	memo atomic.Pointer[any]

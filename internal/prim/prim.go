@@ -94,11 +94,6 @@ type Desc struct {
 	// to decide when join-point continuations must be reified as heap
 	// values and when a frame may be recycled after its block exits.
 	CapturesConts bool
-	// RetainsVals reports that the executor may retain one of its value
-	// arguments beyond the call (aggregate constructors and stores). The
-	// batched query kernels use it to decide whether a row tuple passed
-	// to a predicate may be reused for the next row.
-	RetainsVals bool
 }
 
 // Signature returns the calling convention in the form the well-formedness

@@ -272,16 +272,16 @@ func registerArrayPrims() {
 	// Array and byte array primitives. Allocation is classified Pure:
 	// creating an object that is never referenced is unobservable, so the
 	// dead-call rule may remove it; access is Reader, update Writer.
-	Default.Register(&Desc{Name: "array", NVals: -1, NConts: 1, Cost: 4, Effect: Pure, RetainsVals: true})
-	Default.Register(&Desc{Name: "vector", NVals: -1, NConts: 1, Cost: 4, Effect: Pure, RetainsVals: true})
+	Default.Register(&Desc{Name: "array", NVals: -1, NConts: 1, Cost: 4, Effect: Pure})
+	Default.Register(&Desc{Name: "vector", NVals: -1, NConts: 1, Cost: 4, Effect: Pure})
 	Default.Register(&Desc{Name: "new", NVals: 2, NConts: 1, Cost: 4, Effect: Pure})
-	Default.Register(&Desc{Name: "anew", NVals: 2, NConts: 1, Cost: 4, Effect: Pure, RetainsVals: true})
+	Default.Register(&Desc{Name: "anew", NVals: 2, NConts: 1, Cost: 4, Effect: Pure})
 	Default.Register(&Desc{Name: "[]", NVals: 2, NConts: 1, Cost: 2, Effect: Reader})
-	Default.Register(&Desc{Name: "[:=]", NVals: 3, NConts: 1, Cost: 2, Effect: Writer, RetainsVals: true})
+	Default.Register(&Desc{Name: "[:=]", NVals: 3, NConts: 1, Cost: 2, Effect: Writer})
 	Default.Register(&Desc{Name: "b[]", NVals: 2, NConts: 1, Cost: 2, Effect: Reader})
 	Default.Register(&Desc{Name: "b[:=]", NVals: 3, NConts: 1, Cost: 2, Effect: Writer})
 	Default.Register(&Desc{Name: "size", NVals: 1, NConts: 1, Cost: 2, Effect: Reader})
-	Default.Register(&Desc{Name: "move", NVals: 5, NConts: 1, Cost: 8, Effect: Writer, RetainsVals: true})
+	Default.Register(&Desc{Name: "move", NVals: 5, NConts: 1, Cost: 8, Effect: Writer})
 	Default.Register(&Desc{Name: "bmove", NVals: 5, NConts: 1, Cost: 8, Effect: Writer})
 }
 

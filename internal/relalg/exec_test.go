@@ -187,7 +187,7 @@ func TestIndexSnapshotHorizon(t *testing.T) {
 }
 
 // parityQueries are the operator shapes the step-parity guard runs both
-// batched and row-at-a-time.
+// on the vector kernels and row-at-a-time.
 func parityQueries(oid store.OID) map[string]string {
 	o := oidStr(oid)
 	return map[string]string{
@@ -205,44 +205,44 @@ func parityQueries(oid store.OID) map[string]string {
 	}
 }
 
-// TestBatchStepParity proves that batched and vectorized execution are
-// pure representation changes: for every operator and both predicate
+// TestBatchStepParity proves that vectorized execution is a pure
+// representation change: for every operator and both predicate
 // sources the abstract step count and the result are identical whether
 // predicates run on the fast kernels or through one machine.Apply per
 // row. A compiled predicate over 300 rows must be served by the vector
-// kernels — what tycd runs — and leave the row tiers to foreach.
+// kernels — what tycd runs — and leave the row-at-a-time path to foreach.
 func TestBatchStepParity(t *testing.T) {
 	type outcome struct {
 		steps int64
 		show  string
 	}
 	for _, source := range sources {
-		measure := func(noBatch bool) map[string]outcome {
+		measure := func(noVector bool) map[string]outcome {
 			_, mg, m, oid := world(t, 300)
-			mg.NoBatch = noBatch
+			mg.NoVector = noVector
 			out := make(map[string]outcome)
 			for name, src := range parityQueries(oid) {
 				m.ResetProfile()
 				v, err := source.run(t, m, src)
 				if err != nil {
-					t.Fatalf("%s %s (noBatch=%v): %v", source.name, name, noBatch, err)
+					t.Fatalf("%s %s (noVector=%v): %v", source.name, name, noVector, err)
 				}
 				out[name] = outcome{steps: m.Steps(), show: v.Show()}
 				p := m.Profile()
-				if vec := !noBatch && name != "foreach"; vec != (p.VecRows > 0) || vec == (p.BatchRows+p.RowRows > 0) {
-					t.Errorf("%s %s (noBatch=%v): tier split %+v", source.name, name, noBatch, p)
+				if vec := !noVector && name != "foreach"; vec != (p.VecRows > 0) || vec == (p.RowRows > 0) {
+					t.Errorf("%s %s (noVector=%v): tier split %+v", source.name, name, noVector, p)
 				}
 			}
 			return out
 		}
-		batched, rowAtATime := measure(false), measure(true)
-		for name, b := range batched {
+		vectorized, rowAtATime := measure(false), measure(true)
+		for name, v := range vectorized {
 			r := rowAtATime[name]
-			if b.steps != r.steps {
-				t.Errorf("%s %s: batched %d steps, row-at-a-time %d steps", source.name, name, b.steps, r.steps)
+			if v.steps != r.steps {
+				t.Errorf("%s %s: vectorized %d steps, row-at-a-time %d steps", source.name, name, v.steps, r.steps)
 			}
-			if b.show != r.show {
-				t.Errorf("%s %s: results differ: %s vs %s", source.name, name, b.show, r.show)
+			if v.show != r.show {
+				t.Errorf("%s %s: results differ: %s vs %s", source.name, name, v.show, r.show)
 			}
 		}
 	}
@@ -267,21 +267,21 @@ func TestBatchStepParityOnException(t *testing.T) {
 	}
 	for name, src := range srcs {
 		for _, source := range sources {
-			abort := func(noBatch bool) (int64, string) {
+			abort := func(noVector bool) (int64, string) {
 				_, mg, m, oid := world(t, 300)
-				mg.NoBatch = noBatch
+				mg.NoVector = noVector
 				m.ResetSteps()
 				_, err := source.run(t, m, src(oid))
 				if err == nil {
-					t.Fatalf("%s %s noBatch=%v: expected unhandled exception", name, source.name, noBatch)
+					t.Fatalf("%s %s noVector=%v: expected unhandled exception", name, source.name, noVector)
 				}
 				return m.Steps(), err.Error()
 			}
-			bSteps, bErr := abort(false)
+			vSteps, vErr := abort(false)
 			rSteps, rErr := abort(true)
-			if bSteps != rSteps || bErr != rErr {
-				t.Errorf("%s %s: batched %d steps %q, row-at-a-time %d steps %q",
-					name, source.name, bSteps, bErr, rSteps, rErr)
+			if vSteps != rSteps || vErr != rErr {
+				t.Errorf("%s %s: vectorized %d steps %q, row-at-a-time %d steps %q",
+					name, source.name, vSteps, vErr, rSteps, rErr)
 			}
 		}
 	}
@@ -315,8 +315,9 @@ func TestSelectAllocBudget(t *testing.T) {
 }
 
 // TestJoinAllocBudget pins the join hot path: a 64×64 nested-loop join
-// (4096 predicate calls) must stay under a small constant budget — the
-// concatenated probe tuple is reused, and only kept pairs materialise.
+// (4096 predicate evaluations) must stay under a small constant budget —
+// the vector kernel builds no tuple per pair, and only kept pairs
+// materialise.
 func TestJoinAllocBudget(t *testing.T) {
 	_, _, m, oid := world(t, 64)
 	o := oidStr(oid)
@@ -351,9 +352,9 @@ func checkRowsCapped(t *testing.T, what string, rows [][]store.Val) {
 }
 
 // TestResultRowsCapped runs every operator that builds rows — project on
-// the fused, general and batched paths, join through each algorithm on
-// the vector kernels and on the batched and row-at-a-time paths — and
-// checks the rows they carve out of one slab cannot alias.
+// the fused, general and row-at-a-time paths, join through each algorithm
+// on the vector kernels and on the row-at-a-time path — and checks the
+// rows they carve out of one slab cannot alias.
 func TestResultRowsCapped(t *testing.T) {
 	project := func(target string) func(store.OID) string {
 		return func(oid store.OID) string {
@@ -371,10 +372,8 @@ func TestResultRowsCapped(t *testing.T) {
 		{"project/fused", func(*Manager) {}, project(`([] x 0 cont(a) (+ a 1 ce cont(b) (vector b a cont(row) (cc row))))`)},
 		{"project/general", func(*Manager) {}, project(`([] x 1 cont(a) (< a 4
 			cont() (vector a cont(row) (cc row)) cont() (vector 0 a cont(row) (cc row))))`)},
-		{"project/batch", func(mg *Manager) { mg.NoVector = true }, pair},
-		{"project/oracle", func(mg *Manager) { mg.NoBatch = true }, pair},
-		{"join/batch", func(mg *Manager) { mg.NoVector = true }, join},
-		{"join/oracle", func(mg *Manager) { mg.NoBatch = true }, join},
+		{"project/oracle", func(mg *Manager) { mg.NoVector = true }, pair},
+		{"join/oracle", func(mg *Manager) { mg.NoVector = true }, join},
 	}
 	for _, algo := range []string{qopt.JoinHash, qopt.JoinMerge, qopt.JoinNested} {
 		cases = append(cases, rowCase{"join/" + algo, func(mg *Manager) { mg.ForceJoin = algo }, join})

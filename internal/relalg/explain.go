@@ -64,16 +64,6 @@ func (mg *Manager) plan(m *machine.Machine, n *qopt.PlanNode) {
 	sink.Add(n)
 }
 
-// fallbackAlgo names the non-vectorized execution path in plan nodes:
-// the scalar kernel, which reuses one row tuple when it may ("batch"),
-// or the pure row-at-a-time path when batching is disabled.
-func (mg *Manager) fallbackAlgo() string {
-	if mg.NoBatch {
-		return "row"
-	}
-	return "batch"
-}
-
 // tableName renders a relation's name for plan nodes; transients have
 // none.
 func tableName(rel *store.Relation) string {

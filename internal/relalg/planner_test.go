@@ -198,8 +198,7 @@ var joinModes = []struct {
 	name string
 	set  func(mg *Manager)
 }{
-	{"oracle", func(mg *Manager) { mg.NoBatch = true }},
-	{"batch", func(mg *Manager) { mg.NoVector = true }},
+	{"oracle", func(mg *Manager) { mg.NoVector = true }},
 	{"planner", func(mg *Manager) {}},
 	{"force-hash", func(mg *Manager) { mg.ForceJoin = qopt.JoinHash }},
 	{"force-merge", func(mg *Manager) { mg.ForceJoin = qopt.JoinMerge }},
@@ -229,8 +228,8 @@ type shape struct {
 }
 
 // shapeZoo covers empty, sorted, unsorted, skewed and all-null columns
-// below compileThreshold (where a compiled predicate must stay on the
-// batched path) and, above it, seeded random ints, a random mix of kinds,
+// below compileThreshold (where a compiled predicate must run row at a
+// time) and, above it, seeded random ints, a random mix of kinds,
 // all nulls and a ragged relation.
 func shapeZoo() (map[string]shape, []string) {
 	rnd := rand.New(rand.NewSource(12))
@@ -355,7 +354,7 @@ func TestJoinPlansMatchOracle(t *testing.T) {
 }
 
 // TestSelectPlansMatchOracle extends the property to the select access
-// paths (fused column kernel, general vectorized, batched, row) over the
+// paths (fused column kernel, general vectorized, row) over the
 // same shape zoo and both predicate sources, including the type-error
 // behaviour on null and mixed-kind keys. A compiled predicate must reach
 // the vector kernels exactly when the scan is compileThreshold rows long.
@@ -365,8 +364,7 @@ func TestSelectPlansMatchOracle(t *testing.T) {
 		name string
 		set  func(mg *Manager)
 	}{
-		{"oracle", func(mg *Manager) { mg.NoBatch = true }},
-		{"batch", func(mg *Manager) { mg.NoVector = true }},
+		{"oracle", func(mg *Manager) { mg.NoVector = true }},
 		{"vector", func(mg *Manager) {}},
 	}
 	for _, name := range names {
@@ -441,19 +439,18 @@ var projectZoo = map[string]struct {
 }
 
 // TestProjectPlansMatchOracle is TestSelectPlansMatchOracle for project:
-// every target of the zoo over every shape, from both sources,
-// must produce the oracle's rows, step count and error (exception value
-// included) on the batched kernels, the general vector evaluator and the
-// fused column path — and the fused path must serve exactly the targets
-// and shapes it is meant to.
+// every target of the zoo over every shape, from both sources, must
+// produce the oracle's rows, step count and error (exception value
+// included) on the general vector evaluator and the fused column path —
+// and the fused path must serve exactly the targets and shapes it is
+// meant to.
 func TestProjectPlansMatchOracle(t *testing.T) {
 	zoo, names := shapeZoo()
 	modes := []struct {
 		name string
 		set  func(mg *Manager)
 	}{
-		{"oracle", func(mg *Manager) { mg.NoBatch = true }},
-		{"batch", func(mg *Manager) { mg.NoVector = true }},
+		{"oracle", func(mg *Manager) { mg.NoVector = true }},
 		{"vector", func(mg *Manager) {}},
 	}
 	for tname, target := range projectZoo {
@@ -492,7 +489,7 @@ func TestProjectPlansMatchOracle(t *testing.T) {
 							sh := zoo[name]
 							typed := !target.keyed || (name != "mixed" && name != "nulls" && name != "allnull")
 							vec := sh.ragged == 0 && len(sh.keys) >= compileThreshold
-							want := "batch"
+							want := "row"
 							if vec {
 								want = "vector"
 								if target.fused && typed && len(sh.keys) > 0 {
@@ -532,9 +529,9 @@ func TestFusedProjectFaultInLaterBatch(t *testing.T) {
 			errS  string
 		}
 		results := make(map[string]outcome)
-		for _, mode := range []string{"oracle", "batch", "vector"} {
+		for _, mode := range []string{"oracle", "vector"} {
 			_, mg, m, oid := world(t, 2600)
-			mg.NoBatch, mg.NoVector = mode == "oracle", mode == "batch"
+			mg.NoVector = mode == "oracle"
 			m.ResetSteps()
 			_, err := source.run(t, m, src(oid))
 			if err == nil {
@@ -542,7 +539,7 @@ func TestFusedProjectFaultInLaterBatch(t *testing.T) {
 			}
 			results[mode] = outcome{m.Steps(), err.Error()}
 		}
-		if results["batch"] != results["oracle"] || results["vector"] != results["oracle"] {
+		if results["vector"] != results["oracle"] {
 			t.Errorf("%s: %+v", source.name, results)
 		}
 	}
@@ -554,7 +551,7 @@ func TestFusedProjectFaultInLaterBatch(t *testing.T) {
 // select per comparison, and per arithmetic operator a project over the
 // pairs that do not fault (the fused column path) and one more with each
 // faulting pair appended (the general evaluator's fault). Rows, error and
-// steps must be the NoBatch oracle's.
+// steps must be the NoVector oracle's.
 func TestVectorIntOpsAgreeWithOracle(t *testing.T) {
 	grid := []int64{math.MinInt64, -1, 0, 1, 7, -7, math.MaxInt64, 64}
 	var pairs [][2]int64
@@ -576,7 +573,7 @@ func TestVectorIntOpsAgreeWithOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			mg := NewManager(st)
-			mg.NoBatch = oracle
+			mg.NoVector = oracle
 			oid, err := mg.CreateRelation("t", []store.Column{
 				{Name: "a", Type: store.ColInt}, {Name: "b", Type: store.ColInt},
 			}, 0)

@@ -11,10 +11,11 @@
 // query execution — and therefore program and query *optimization* —
 // mutually recursive (Fig. 4).
 //
-// The operators process rows in fixed-size batches (DESIGN.md §9): the
-// traversal cost of a batch is charged up front with one TickN, and the
-// compiled predicate is applied per row through machine.Apply, which
-// allocates nothing and reuses one recycled frame per call.
+// Each operator either vectorizes its predicate (vector.go, DESIGN.md
+// §14) or applies it one row at a time through machine.Apply, on a fresh
+// tuple per row (DESIGN.md §9). The row-at-a-time path is the one
+// fallback and the oracle the vector kernels are checked against; it
+// charges traversal in fixed-size batches, one TickN per batch.
 package relalg
 
 import (
@@ -33,8 +34,8 @@ import (
 const batchSize = 256
 
 // compileThreshold is the scan size above which decompiling a predicate's
-// TAM code into the vector fragment amortises; smaller scans run on the
-// scalar kernel.
+// TAM code into the vector fragment amortises; smaller scans run row at
+// a time.
 const compileThreshold = 32
 
 func init() {
@@ -49,7 +50,7 @@ func init() {
 	prim.Default.Register(&prim.Desc{Name: "empty", NVals: 1, NConts: 2, Cost: 4, Effect: prim.Reader})
 	prim.Default.Register(&prim.Desc{Name: "count", NVals: 1, NConts: 2, Cost: 4, Effect: prim.Reader})
 	prim.Default.Register(&prim.Desc{Name: "foreach", NVals: 2, NConts: 2, Cost: 64, Effect: prim.Writer})
-	prim.Default.Register(&prim.Desc{Name: "rinsert", NVals: 2, NConts: 2, Cost: 16, Effect: prim.Writer, RetainsVals: true})
+	prim.Default.Register(&prim.Desc{Name: "rinsert", NVals: 2, NConts: 2, Cost: 16, Effect: prim.Writer})
 	// (indexscan rel col key ce cc): introduced only by the query
 	// optimizer when the runtime binding shows an index (paper §4.2).
 	prim.Default.Register(&prim.Desc{Name: "indexscan", NVals: 3, NConts: 2, Cost: 8, Effect: prim.Reader})
@@ -106,13 +107,9 @@ func joinRows(out *Rel, rows1, rows2 [][]store.Val, pairs []pair) {
 // columns, and die with the relation.
 type Manager struct {
 	st *store.Store
-	// NoBatch disables the batched kernels: no vectorization and no
-	// tuple reuse, so every predicate call gets a fresh tuple. The
-	// step-parity tests use it to prove that batching is a pure
-	// representation change.
-	NoBatch bool
-	// NoVector disables the vectorized kernels only, leaving batching in
-	// place; the parity tests use it to isolate the two layers.
+	// NoVector disables the vectorized kernels: every predicate runs row
+	// at a time on a fresh tuple. It is the oracle the step-parity and
+	// plan-equivalence tests compare the vector kernels against.
 	NoVector bool
 	// ForceJoin overrides the cost-based join-algorithm choice for
 	// equi-joins ("hash", "merge", "nested"); the plan-equivalence
@@ -254,84 +251,23 @@ func (mg *Manager) relOf(m *machine.Machine, op string, v machine.Value) (schema
 	}
 }
 
-// rowValue converts a stored row to the runtime tuple the predicate
-// closures receive.
-func rowValue(row []store.Val) machine.Value {
-	elems := make([]machine.Value, len(row))
-	for i, v := range row {
-		elems[i] = machine.FromStoreVal(v)
+// applyRow applies fn to one row on a fresh tuple: the row-at-a-time
+// path every operator takes when its predicate does not vectorize. A join
+// passes its two rows, which the tuple concatenates without materialising
+// the concatenated store row (the join materialises only the pairs its
+// predicate keeps).
+func applyRow(m *machine.Machine, fn machine.Value, rows ...[]store.Val) (machine.Value, error) {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
 	}
-	return &machine.Vector{Elems: elems}
-}
-
-// kernel drives one predicate or target closure over many rows through
-// machine.Apply, which allocates nothing and recycles the predicate's TAM
-// frame. When the compiled predicate provably does not retain its row
-// tuple (machine.RowSafe), it reuses one tuple buffer for every row of
-// the scan.
-type kernel struct {
-	m     *machine.Machine
-	fn    machine.Value
-	buf   machine.Vector // reused row tuple (reuse only)
-	reuse bool
-	args  [1]machine.Value
-}
-
-// newKernel prepares fn for a scan. With NoBatch set the kernel builds a
-// fresh tuple per row — the row-at-a-time semantics the parity tests
-// compare against.
-func (mg *Manager) newKernel(m *machine.Machine, fn machine.Value) *kernel {
-	return &kernel{m: m, fn: fn, reuse: !mg.NoBatch && machine.RowSafe(fn)}
-}
-
-// served books n scanned rows to the kernel tier newKernel selects, in
-// the machine's profile (the vectorized kernels book their own).
-func (mg *Manager) served(m *machine.Machine, n int) {
-	if mg.NoBatch {
-		m.AddRowRows(n)
-	} else {
-		m.AddBatchRows(n)
-	}
-}
-
-// call applies the kernel closure to one row.
-func (k *kernel) call(row []store.Val) (machine.Value, error) {
-	if k.reuse {
-		elems := k.buf.Elems[:0]
-		for _, v := range row {
+	elems := make([]machine.Value, 0, n)
+	for _, r := range rows {
+		for _, v := range r {
 			elems = append(elems, machine.FromStoreVal(v))
 		}
-		k.buf.Elems = elems
-		k.args[0] = &k.buf
-	} else {
-		k.args[0] = rowValue(row)
 	}
-	return k.m.Apply(k.fn, k.args[:])
-}
-
-// callPair applies the kernel closure to the concatenation of two rows
-// without materialising the concatenated store row (the join only
-// materialises pairs the predicate keeps).
-func (k *kernel) callPair(r1, r2 []store.Val) (machine.Value, error) {
-	var elems []machine.Value
-	if k.reuse {
-		elems = k.buf.Elems[:0]
-	} else {
-		elems = make([]machine.Value, 0, len(r1)+len(r2))
-	}
-	for _, v := range r1 {
-		elems = append(elems, machine.FromStoreVal(v))
-	}
-	for _, v := range r2 {
-		elems = append(elems, machine.FromStoreVal(v))
-	}
-	if k.reuse {
-		k.buf.Elems = elems
-		k.args[0] = &k.buf
-	} else {
-		k.args[0] = &machine.Vector{Elems: elems}
-	}
-	return k.m.Apply(k.fn, k.args[:])
+	return m.Apply(fn, []machine.Value{&machine.Vector{Elems: elems}})
 }
 
 // boolResult coerces a predicate result.
@@ -371,15 +307,14 @@ func (mg *Manager) execSelect(m *machine.Machine, vals, conts []machine.Value) (
 	if ev := mg.vevalFor(pred, w, nrows); ev != nil && rowsRegular(rows, w) {
 		return mg.vecSelect(m, ev, out, rows, rel)
 	}
-	mg.served(m, nrows)
-	k := mg.newKernel(m, pred)
+	m.AddRowRows(nrows)
 	for len(rows) > 0 {
 		n := min(batchSize, len(rows))
 		if err := m.TickN(n); err != nil {
 			return machine.Outcome{}, err
 		}
 		for _, row := range rows[:n] {
-			v, err := k.call(row)
+			v, err := applyRow(m, pred, row)
 			if err != nil {
 				return outEx(err)
 			}
@@ -395,7 +330,7 @@ func (mg *Manager) execSelect(m *machine.Machine, vals, conts []machine.Value) (
 	}
 	if mg.explaining() {
 		mg.plan(m, &qopt.PlanNode{
-			Op: "select", Algo: mg.fallbackAlgo(), Table: tableName(rel),
+			Op: "select", Algo: "row", Table: tableName(rel),
 			InRows: int64(nrows), EstRows: -1, ActRows: int64(len(out.Rows)),
 		})
 	}
@@ -416,8 +351,7 @@ func (mg *Manager) execProject(m *machine.Machine, vals, conts []machine.Value) 
 	if ev := mg.vevalFor(fn, w, nrows); ev != nil && rowsRegular(rows, w) {
 		return mg.vecProject(m, ev, out, rows, rel)
 	}
-	mg.served(m, nrows)
-	k := mg.newKernel(m, fn)
+	m.AddRowRows(nrows)
 	var slab rowSlab
 	for len(rows) > 0 {
 		n := min(batchSize, len(rows))
@@ -425,7 +359,7 @@ func (mg *Manager) execProject(m *machine.Machine, vals, conts []machine.Value) 
 			return machine.Outcome{}, err
 		}
 		for _, row := range rows[:n] {
-			v, err := k.call(row)
+			v, err := applyRow(m, fn, row)
 			if err != nil {
 				return outEx(err)
 			}
@@ -448,7 +382,7 @@ func (mg *Manager) execProject(m *machine.Machine, vals, conts []machine.Value) 
 	synthSchema(out)
 	if mg.explaining() {
 		mg.plan(m, &qopt.PlanNode{
-			Op: "project", Algo: mg.fallbackAlgo(), Table: tableName(rel),
+			Op: "project", Algo: "row", Table: tableName(rel),
 			InRows: int64(nrows), EstRows: -1, ActRows: int64(len(out.Rows)),
 		})
 	}
@@ -497,8 +431,7 @@ func (mg *Manager) execJoin(m *machine.Machine, vals, conts []machine.Value) (ma
 	if ev := mg.vevalFor(pred, w1+w2, pairs); ev != nil && rowsRegular(rows1, w1) && rowsRegular(rows2, w2) {
 		return mg.vecJoin(m, ev, out, rows1, rows2, w1, rel1, rel2)
 	}
-	mg.served(m, len(rows1)+len(rows2))
-	k := mg.newKernel(m, pred)
+	m.AddRowRows(len(rows1) + len(rows2))
 	var kept []pair
 	for i1, r1 := range rows1 {
 		for base := 0; base < len(rows2); base += batchSize {
@@ -507,7 +440,7 @@ func (mg *Manager) execJoin(m *machine.Machine, vals, conts []machine.Value) (ma
 				return machine.Outcome{}, err
 			}
 			for i2 := base; i2 < base+n; i2++ {
-				v, err := k.callPair(r1, rows2[i2])
+				v, err := applyRow(m, pred, r1, rows2[i2])
 				if err != nil {
 					return outEx(err)
 				}
@@ -545,15 +478,14 @@ func (mg *Manager) execExists(m *machine.Machine, vals, conts []machine.Value) (
 	if ev := mg.vevalFor(pred, w, len(rows)); ev != nil && rowsRegular(rows, w) {
 		return mg.vecExists(m, ev, rows, rel)
 	}
-	k := mg.newKernel(m, pred)
 	visited := 0
-	defer func() { mg.served(m, visited) }()
+	defer func() { m.AddRowRows(visited) }()
 	for i, row := range rows {
 		visited = i + 1
 		if err := m.Tick(); err != nil {
 			return machine.Outcome{}, err
 		}
-		v, err := k.call(row)
+		v, err := applyRow(m, pred, row)
 		if err != nil {
 			return outEx(err)
 		}
@@ -564,7 +496,7 @@ func (mg *Manager) execExists(m *machine.Machine, vals, conts []machine.Value) (
 		if found {
 			if mg.explaining() {
 				mg.plan(m, &qopt.PlanNode{
-					Op: "exists", Algo: mg.fallbackAlgo(), Table: tableName(rel),
+					Op: "exists", Algo: "row", Table: tableName(rel),
 					InRows: int64(len(rows)), EstRows: -1, ActRows: int64(i + 1),
 				})
 			}
@@ -573,7 +505,7 @@ func (mg *Manager) execExists(m *machine.Machine, vals, conts []machine.Value) (
 	}
 	if mg.explaining() {
 		mg.plan(m, &qopt.PlanNode{
-			Op: "exists", Algo: mg.fallbackAlgo(), Table: tableName(rel),
+			Op: "exists", Algo: "row", Table: tableName(rel),
 			InRows: int64(len(rows)), EstRows: -1, ActRows: int64(len(rows)),
 		})
 	}
@@ -599,24 +531,22 @@ func (mg *Manager) execCount(m *machine.Machine, vals, conts []machine.Value) (m
 }
 
 // execForeach implements (foreach body rel ce cc): element-at-a-time
-// iteration with side effects. The body may retain its row (it can
-// insert it elsewhere), in which case machine.RowSafe rules out the
-// kernel's buffer reuse.
+// iteration with side effects, always row at a time (the body may retain
+// its row: it can insert it elsewhere).
 func (mg *Manager) execForeach(m *machine.Machine, vals, conts []machine.Value) (machine.Outcome, error) {
 	body := vals[0]
 	_, rows, _, err := mg.relOf(m, "foreach", vals[1])
 	if err != nil {
 		return machine.Outcome{}, err
 	}
-	mg.served(m, len(rows))
-	k := mg.newKernel(m, body)
+	m.AddRowRows(len(rows))
 	for len(rows) > 0 {
 		n := min(batchSize, len(rows))
 		if err := m.TickN(n); err != nil {
 			return machine.Outcome{}, err
 		}
 		for _, row := range rows[:n] {
-			if _, err := k.call(row); err != nil {
+			if _, err := applyRow(m, body, row); err != nil {
 				return outEx(err)
 			}
 		}
@@ -695,9 +625,14 @@ func (mg *Manager) execIndexScan(m *machine.Machine, vals, conts []machine.Value
 			return ok1(out), nil
 		}
 	}
-	for _, row := range rows {
+	for i, row := range rows {
 		if err := m.Tick(); err != nil {
 			return machine.Outcome{}, err
+		}
+		if int(col) >= len(row) {
+			// A transient relation's rows need not fit its schema.
+			return machine.Outcome{}, &machine.RuntimeError{Op: "indexscan",
+				Msg: fmt.Sprintf("row %d has %d columns, no column %d", i, len(row), int(col))}
 		}
 		if row[col].Eq(key) {
 			out.Rows = append(out.Rows, row)

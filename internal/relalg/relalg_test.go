@@ -322,15 +322,15 @@ func TestPredicateExceptionPropagates(t *testing.T) {
 // and above the vector threshold.
 func TestPredicateFaultStaysInsideEntry(t *testing.T) {
 	for _, n := range []int{3, 100} {
-		for _, noBatch := range []bool{false, true} {
+		for _, noVector := range []bool{false, true} {
 			_, mg, m, oid := world(t, n)
-			mg.NoBatch = noBatch
+			mg.NoVector = noVector
 			v, err := run(t, m, `(pushHandler cont(x) (k 99)
 			  cont() (select proc(r !ce !cc) ([] r 5 cont(a) (cc true)) `+oidStr(oid)+`
 			           cont(ex) (k 7)
 			           cont(res) (popHandler cont() (k 1))))`)
 			if err != nil || v != machine.Value(machine.Int(7)) {
-				t.Errorf("%d rows, noBatch=%v: %v, %v; want 7 from the query's exception continuation", n, noBatch, v, err)
+				t.Errorf("%d rows, noVector=%v: %v, %v; want 7 from the query's exception continuation", n, noVector, v, err)
 			}
 		}
 	}
@@ -348,6 +348,26 @@ func TestTypeErrors(t *testing.T) {
 	for _, src := range cases {
 		if _, err := run(t, m, src); err == nil {
 			t.Errorf("no error for %s", src)
+		}
+	}
+}
+
+// TestIndexScanRaggedRelation: a transient relation's rows need not fit
+// its schema. A projection whose first row is a pair and the rest single
+// columns makes one; an indexscan on its second column must fail on the
+// first short row with a runtime error, not panic. Both below and above
+// the vector threshold, so the projection runs on either path.
+func TestIndexScanRaggedRelation(t *testing.T) {
+	for _, n := range []int{3, 100} {
+		_, _, m, oid := world(t, n)
+		_, err := run(t, m, `(project proc(x !ce !cc)
+		  ([] x 0 cont(a) (== a 0
+		    cont() (vector a 7 cont(row) (cc row))
+		    cont() (vector a cont(row) (cc row))))
+		  `+oidStr(oid)+` e cont(p) (indexscan p 1 7 e k))`)
+		var rt *machine.RuntimeError
+		if !errors.As(err, &rt) || rt.Op != "indexscan" {
+			t.Errorf("%d rows: %v, want an indexscan runtime error", n, err)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func TestCompiledCapturesAreOperands(t *testing.T) {
 			var first *vprog
 			for _, n := range []int64{3, 7} {
 				arg := []machine.Value{machine.Int(n)}
-				mg.NoBatch = true
+				mg.NoVector = true
 				m.ResetProfile()
 				want, err := m.Apply(clo, arg)
 				if err != nil {
@@ -62,7 +62,7 @@ func TestCompiledCapturesAreOperands(t *testing.T) {
 				}
 				wantSteps := m.Steps()
 
-				mg.NoBatch = false
+				mg.NoVector = false
 				m.ResetProfile()
 				mg.CaptureExplain(m)
 				got, err := m.Apply(clo, arg)
@@ -76,7 +76,7 @@ func TestCompiledCapturesAreOperands(t *testing.T) {
 					t.Errorf("n=%d: %d rows in %d steps, oracle %d rows in %d steps",
 						n, len(got.(*Rel).Rows), m.Steps(), len(want.(*Rel).Rows), wantSteps)
 				}
-				if p := m.Profile(); p.VecRows != 300 || p.BatchRows+p.RowRows != 0 {
+				if p := m.Profile(); p.VecRows != 300 || p.RowRows != 0 {
 					t.Errorf("n=%d: tier split %+v, want 300 vector rows", n, p)
 				}
 				if wantAlgo := map[string]string{"fused": "vector-fused", "general": "vector"}[name]; sel == nil || sel.Algo != wantAlgo {
@@ -89,21 +89,21 @@ func TestCompiledCapturesAreOperands(t *testing.T) {
 				first = vp
 			}
 
-			// A capture that is no scalar cannot be an operand: the scan takes
-			// the batched path and fails exactly as the oracle does.
+			// A capture that is no scalar cannot be an operand: the scan runs
+			// row at a time and fails exactly as the oracle does.
 			arg := []machine.Value{&machine.Vector{}}
-			mg.NoBatch = true
+			mg.NoVector = true
 			m.ResetProfile()
 			_, wantErr := m.Apply(clo, arg)
 			wantSteps := m.Steps()
-			mg.NoBatch = false
+			mg.NoVector = false
 			m.ResetProfile()
 			_, gotErr := m.Apply(clo, arg)
 			if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() || m.Steps() != wantSteps {
 				t.Errorf("vector capture: %v in %d steps, oracle %v in %d steps", gotErr, m.Steps(), wantErr, wantSteps)
 			}
-			if p := m.Profile(); p.VecRows != 0 || p.BatchRows != 300 {
-				t.Errorf("vector capture: tier split %+v, want 300 batched rows", p)
+			if p := m.Profile(); p.VecRows != 0 || p.RowRows != 300 {
+				t.Errorf("vector capture: tier split %+v, want 300 row-at-a-time rows", p)
 			}
 		})
 	}
@@ -113,8 +113,8 @@ func TestCompiledCapturesAreOperands(t *testing.T) {
 // outside the vectorizable fragment — the row forwarded whole, a call
 // into another closure, a loop, a cascade of shared join points the
 // decompiler must never be let loose on: the failure is remembered on the
-// program (no decompile per scan), the scan takes the batched path, and
-// rows and steps equal the oracle's.
+// program (no decompile per scan), the scan runs row at a time, and rows
+// and steps equal the oracle's.
 func TestCompiledOutOfFragment(t *testing.T) {
 	queries := map[string]func(o string) string{
 		"row-forwarded": func(o string) string {
@@ -144,14 +144,14 @@ func TestCompiledOutOfFragment(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			_, mg, m, oid := world(t, 300)
 			clo := compileQuery(t, q(oidStr(oid)))
-			mg.NoBatch = true
+			mg.NoVector = true
 			m.ResetProfile()
 			want, err := m.Apply(clo, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantSteps := m.Steps()
-			mg.NoBatch = false
+			mg.NoVector = false
 			for round := 0; round < 2; round++ {
 				m.ResetProfile()
 				mg.CaptureExplain(m)
@@ -166,10 +166,10 @@ func TestCompiledOutOfFragment(t *testing.T) {
 					t.Errorf("%d rows in %d steps, oracle %d rows in %d steps",
 						len(got.(*Rel).Rows), m.Steps(), len(want.(*Rel).Rows), wantSteps)
 				}
-				if p := m.Profile(); p.VecRows != 0 || p.BatchRows != 300 {
-					t.Errorf("tier split %+v, want 300 batched rows", p)
+				if p := m.Profile(); p.VecRows != 0 || p.RowRows != 300 {
+					t.Errorf("tier split %+v, want 300 row-at-a-time rows", p)
 				}
-				if len(plan) != 1 || plan[0].Algo != "batch" {
+				if len(plan) != 1 || plan[0].Algo != "row" {
 					t.Errorf("plan %s", qopt.RenderPlan(plan))
 				}
 				if vp := memoised(t, clo.Prog); vp != nil {
@@ -182,7 +182,8 @@ func TestCompiledOutOfFragment(t *testing.T) {
 
 // TestCompiledSizeGate pins the gate that keeps never-seen small plans
 // off the decompiler: below compileThreshold rows (pairs, for a join) a
-// compiled predicate runs batched and nothing is derived from its code.
+// compiled predicate runs row at a time and nothing is derived from its
+// code.
 func TestCompiledSizeGate(t *testing.T) {
 	for _, n := range []int{compileThreshold - 1, compileThreshold} {
 		_, _, m, oid := world(t, n)
@@ -195,7 +196,7 @@ func TestCompiledSizeGate(t *testing.T) {
 		derived := true
 		clo.Prog.BlockMemo(predBlock(t, clo.Prog), func() any { derived = false; return (*vprog)(nil) })
 		p := m.Profile()
-		if above := n >= compileThreshold; derived != above || (p.VecRows > 0) != above || (p.BatchRows > 0) == above {
+		if above := n >= compileThreshold; derived != above || (p.VecRows > 0) != above || (p.RowRows > 0) == above {
 			t.Errorf("%d rows: decompiled %v, tier split %+v", n, derived, p)
 		}
 	}
@@ -231,7 +232,7 @@ func TestCompiledSharedAcrossMachines(t *testing.T) {
 					t.Errorf("worker %d: %d rows, want %d", w, got, want)
 				}
 			}
-			if p := m.Profile(); p.VecRows != 20*300 || p.BatchRows != 0 {
+			if p := m.Profile(); p.VecRows != 20*300 || p.RowRows != 0 {
 				t.Errorf("worker %d: tier split %+v", w, p)
 			}
 			vps[w] = memoised(t, clo.Prog)

@@ -15,9 +15,9 @@
 // charges one abstract step (the machine ticks before each primitive),
 // procedure entry charges one, continuation jumps are free,
 // and error values — type-confusion RuntimeErrors, arithmetic-fault
-// exception strings — are reproduced byte-identically. The NoBatch /
-// steps-parity guard machinery therefore covers the vectorized kernels
-// exactly as it covers the batched ones.
+// exception strings — are reproduced byte-identically, so the NoVector
+// oracle (one Apply per row) and the steps-parity guards check the
+// vectorized kernels row for row and step for step.
 package relalg
 
 import (
@@ -36,7 +36,7 @@ import (
 const vecBatch = 1024
 
 // maxVRegs bounds a vprog's register file; predicates larger than this
-// fall back to the batched kernels.
+// run row at a time.
 const maxVRegs = 24
 
 // maxVBlocks bounds compiled control flow (branch bodies are compiled as
@@ -135,7 +135,7 @@ type vcompiler struct {
 // free variables, listed in free, are bound in order to the first
 // registers, which the evaluator fills from the closure at hand. nil
 // means the predicate is outside the vectorizable fragment and the
-// caller must use the batched row path.
+// caller must run it row at a time.
 func compileVProg(abs *tml.Abs, free []*tml.Var) *vprog {
 	if abs == nil || len(abs.Params) != 3 || abs.IsCont() || len(free) > maxVRegs {
 		return nil
@@ -184,8 +184,8 @@ func (c *vcompiler) arg(v tml.Value) (varg, bool) {
 	case *tml.Var:
 		if v == c.rowVar || v == c.ceVar || v == c.ccVar {
 			// The row tuple and the continuations are not first-class in
-			// the fragment (a predicate forwarding its whole row falls
-			// back to the batched path).
+			// the fragment (a predicate forwarding its whole row runs
+			// row at a time).
 			return varg{}, false
 		}
 		if a, ok := c.binds[v]; ok {
@@ -779,7 +779,7 @@ func (p *vprog) equiCols(w1 int) (lcol, rcol, steps int, ok bool) {
 
 // vevalFor returns a vectorized evaluator for fn over a scan of n rows
 // (n pairs, for a join) of the given width, or nil when the scan must
-// take the batched row path: the vector kernels are switched off, the
+// run row at a time: the vector kernels are switched off, the
 // scan is below compileThreshold, fn is outside the fragment, it loads a
 // column the rows do not have (a dynamic throw only the row path
 // reproduces), or it captured a non-scalar.
@@ -788,7 +788,7 @@ func (p *vprog) equiCols(w1 int) (lcol, rcol, steps int, ok bool) {
 // failures included, so a pipeline-cache hit brings the vprog with it;
 // the captures are read from the closure at hand on every call.
 func (mg *Manager) vevalFor(fn machine.Value, width, n int) *vevaler {
-	if mg.NoBatch || mg.NoVector {
+	if mg.NoVector {
 		return nil
 	}
 	f, ok := fn.(*machine.TAMClosure)

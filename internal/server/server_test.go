@@ -209,6 +209,26 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
+// TestSubmitIndexScanRaggedRelation: an indexscan over a transient
+// relation whose rows do not all fit its schema — a projection that
+// answers a pair for its first row and single columns after — answers an
+// execution error, and the connection stays up to answer the next verb.
+func TestSubmitIndexScanRaggedRelation(t *testing.T) {
+	srv, addr, _ := world(t, "", server.Config{})
+	fill(t, srv, 100)
+	c := dial(t, addr)
+	_, err := c.SubmitTML("", `(project proc(x !ce !cc)
+	  ([] x 0 cont(a) (== a 0
+	    cont() (vector a 7 cont(row) (cc row))
+	    cont() (vector a cont(row) (cc row))))
+	  r e cont(p) (indexscan p 1 7 e k))`,
+		[]ship.WBind{{Name: "r", Val: ship.WVal{Kind: ship.WRoot, Str: "rel:t"}}}, false, "")
+	wantCode(t, err, ship.CodeExec)
+	if err := c.Ping(); err != nil {
+		t.Fatalf("session did not survive the ragged indexscan: %v", err)
+	}
+}
+
 // TestHandlerDoesNotLeakAcrossRequests: a session runs every request on
 // one machine, so a request that finishes inside a try must not leave its
 // handler to catch the next request's exception (which would answer that

@@ -39,6 +39,14 @@
 #                plus ns/op and B/op when the cpu matches) regresses by
 #                more than BENCH_MAXREGRESS (default 0.2) vs the
 #                baseline.
+#
+# The committed exec and pipeline baselines hold three multi-iteration
+# runs per row (the gate reads their median); they were made, and CI
+# runs the lanes, with:
+#   BENCH_LANE=exec BENCH_TIME=100x BENCH_COUNT=3 \
+#     scripts/bench_pipeline.sh bench/BENCH_exec.json
+#   BENCH_TIME=10x BENCH_COUNT=3 \
+#     scripts/bench_pipeline.sh bench/BENCH_pipeline.json
 set -eu
 cd "$(dirname "$0")/.."
 
