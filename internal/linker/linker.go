@@ -71,9 +71,8 @@ func (l *Linker) InstallModule(unit *tl.ModuleUnit) (store.OID, error) {
 }
 
 // InstallModuleOn is InstallModule running the module's constants on m,
-// under m's step budget and budget hook: a server installs on the
-// requesting session's machine, so an INSTALL is bounded like any other
-// request. Every constant runs before the linker allocates anything, so
+// under m's step budget and deadline: a server installs on the machine
+// it lent the request, so an INSTALL is bounded like any other request. Every constant runs before the linker allocates anything, so
 // a constant that fails leaves no record of the module behind.
 func (l *Linker) InstallModuleOn(m *machine.Machine, unit *tl.ModuleUnit) (store.OID, error) {
 	// Declared relations must resolve (their bindings are baked into the

@@ -467,7 +467,7 @@ func TestContStackWithoutCheck(t *testing.T) {
 
 // TestContStackReleasesChunks: once a deep non-tail recursion has
 // returned, the machine keeps one stack chunk, not the dozens the
-// recursion filled, so a long-lived session's machine does not hold on
+// recursion filled, so a long-lived machine does not hold on
 // to them until it is dropped.
 func TestContStackReleasesChunks(t *testing.T) {
 	defer machine.SetContCheck(machine.SetContCheck(false))

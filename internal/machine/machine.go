@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"tycoon/internal/store"
 	"tycoon/internal/tml"
@@ -11,8 +12,9 @@ import (
 
 // Machine is the execution context of the TAM virtual machine: the
 // persistent store, the output stream of the print primitive, the
-// dynamic exception-handler stack (pushHandler / popHandler / raise) and
-// a step budget that bounds runaway programs.
+// dynamic exception-handler stack (pushHandler / popHandler / raise), a
+// step budget that bounds runaway programs and an optional wall-clock
+// deadline.
 // The code it runs lives in its CodeTable; the machine itself holds
 // execution state only and is used by one goroutine at a time.
 type Machine struct {
@@ -26,19 +28,17 @@ type Machine struct {
 	MaxSteps int64
 	// Code is the code image this machine links into and runs from (see
 	// link.go). New gives each machine a table of its own; machines over
-	// one store may share one, as tycd's sessions do.
+	// one store may share one, as tycd's machines do.
 	Code *CodeTable
+	// Deadline, when set, bounds the wall-clock time of execution: it is
+	// polled every 16384 abstract steps and once per bulk TickN, and a
+	// run past it aborts with ErrWallBudget.
+	Deadline time.Time
 
 	handlers []Value // dynamic exception handler stack
 	hfloor   int     // handler depth at the innermost drive's entry (see drive)
 	steps    int64
 	execs    map[string]ExecFunc
-	// budgetHook, when set, is polled roughly every budgetPollSteps
-	// abstract steps (and once per bulk TickN). A non-nil error aborts
-	// execution with that error — the server uses it to enforce
-	// per-session wall-clock budgets without touching the hot path when
-	// no hook is installed.
-	budgetHook func() error
 	// shadowsStd is set when a machine-local executor shadows a standard
 	// primitive. Compiled code then resolves every primitive by name and
 	// skips the fused executors, so the override is always honoured.
@@ -82,7 +82,7 @@ type Machine struct {
 // Machine.MaxSteps is zero.
 const DefaultMaxSteps = 2_000_000_000
 
-// budgetPollMask spaces out budget-hook polls: the hook runs when
+// budgetPollMask spaces out deadline polls: the clock is read when
 // steps&budgetPollMask == 0, i.e. every 16384 abstract steps. Coarse
 // enough to stay off the hot path, fine enough that a wall-clock budget
 // fires within microseconds of expiring.
@@ -92,8 +92,8 @@ const budgetPollMask = 1<<14 - 1
 var (
 	// ErrStepBudget aborts programs that exceed MaxSteps.
 	ErrStepBudget = errors.New("machine: step budget exceeded")
-	// ErrWallBudget aborts programs whose budget hook reports an
-	// exhausted wall-clock allowance (tycd's per-session budgets).
+	// ErrWallBudget aborts programs that run past Deadline (tycd's
+	// per-request wall-clock budget).
 	ErrWallBudget = errors.New("machine: wall-clock budget exceeded")
 	// ErrUnhandled reports an exception that reached the top of the
 	// handler stack.
@@ -149,14 +149,9 @@ func (m *Machine) TickN(n int) error {
 	if m.steps > max {
 		return ErrStepBudget
 	}
-	if m.budgetHook != nil {
-		// Bulk charges represent whole row batches; poll once per batch
-		// rather than waiting for the mask to line up.
-		if err := m.budgetHook(); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Bulk charges represent whole row batches; poll once per batch
+	// rather than waiting for the mask to line up.
+	return m.pollDeadline()
 }
 
 func (m *Machine) tick() error {
@@ -168,22 +163,20 @@ func (m *Machine) tick() error {
 	if m.steps > max {
 		return ErrStepBudget
 	}
-	if m.budgetHook != nil && m.steps&budgetPollMask == 0 {
-		if err := m.budgetHook(); err != nil {
-			return err
-		}
+	if m.steps&budgetPollMask == 0 {
+		return m.pollDeadline()
 	}
 	return nil
 }
 
-// SetBudgetHook installs (or, with nil, removes) a callback polled
-// periodically during execution; a non-nil return aborts the running
-// program with that error. tycd uses it to enforce per-session
-// wall-clock budgets and to cancel work during server drain. The hook
-// runs on the machine's execution goroutine but may read state written
-// by other goroutines (deadlines, shutdown flags) if that state is
-// accessed atomically.
-func (m *Machine) SetBudgetHook(f func() error) { m.budgetHook = f }
+// pollDeadline reports ErrWallBudget once the machine has run past its
+// Deadline.
+func (m *Machine) pollDeadline() error {
+	if !m.Deadline.IsZero() && time.Now().After(m.Deadline) {
+		return ErrWallBudget
+	}
+	return nil
+}
 
 // Profile is a snapshot of the machine's execution counters: abstract
 // steps, engine transfers (control transfers dispatched between closure

@@ -113,7 +113,9 @@ type Manager struct {
 	NoVector bool
 	// ForceJoin overrides the cost-based join-algorithm choice for
 	// equi-joins ("hash", "merge", "nested"); the plan-equivalence
-	// property tests use it to run every algorithm over one input.
+	// property tests use it to run every algorithm over one input. Merge
+	// runs only on sorted integer keys; a forced merge on any other input
+	// runs hash.
 	ForceJoin string
 
 	// mu guards explains (machines sharing one store share the manager).

@@ -22,7 +22,6 @@ package relalg
 
 import (
 	"fmt"
-	"sort"
 
 	"tycoon/internal/machine"
 	"tycoon/internal/prim"
@@ -979,57 +978,6 @@ func mergeJoinSorted(k1, k2 []int64) []pair {
 	return pairs
 }
 
-// mergeJoinForced runs a merge join over unsorted int keys by sorting
-// index permutations, then restores nested-loop output order. Used only
-// when the ForceJoin knob demands a merge on inputs the planner would
-// not have picked it for (the property tests exercising plan-choice
-// equivalence).
-func mergeJoinForced(k1, k2 []int64) []pair {
-	p1 := sortedPerm(k1)
-	p2 := sortedPerm(k2)
-	var pairs []pair
-	i1, i2 := 0, 0
-	for i1 < len(p1) && i2 < len(p2) {
-		switch {
-		case k1[p1[i1]] < k2[p2[i2]]:
-			i1++
-		case k1[p1[i1]] > k2[p2[i2]]:
-			i2++
-		default:
-			e1 := i1
-			for e1 < len(p1) && k1[p1[e1]] == k1[p1[i1]] {
-				e1++
-			}
-			e2 := i2
-			for e2 < len(p2) && k2[p2[e2]] == k2[p2[i2]] {
-				e2++
-			}
-			for a := i1; a < e1; a++ {
-				for b := i2; b < e2; b++ {
-					pairs = append(pairs, pair{int32(p1[a]), int32(p2[b])})
-				}
-			}
-			i1, i2 = e1, e2
-		}
-	}
-	sort.Slice(pairs, func(x, y int) bool {
-		if pairs[x].a != pairs[y].a {
-			return pairs[x].a < pairs[y].a
-		}
-		return pairs[x].b < pairs[y].b
-	})
-	return pairs
-}
-
-func sortedPerm(keys []int64) []int {
-	p := make([]int, len(keys))
-	for i := range p {
-		p[i] = i
-	}
-	sort.SliceStable(p, func(a, b int) bool { return keys[p[a]] < keys[p[b]] })
-	return p
-}
-
 // ---------------------------------------------------------------------
 // Vectorized kernel drivers
 // ---------------------------------------------------------------------
@@ -1467,18 +1415,14 @@ func (mg *Manager) vecJoin(m *machine.Machine, ev *vevaler, out *Rel, rows1, row
 		if algo == qopt.JoinMerge {
 			k1, okL := intKeys(rows1, lc)
 			k2, okR := intKeys(rows2, rc)
-			if okL && okR {
+			if okL && okR && ls != nil && ls.Sorted && rs != nil && rs.Sorted {
 				if err := chargeJoin(m, n1, n2, psteps); err != nil {
 					return machine.Outcome{}, err
 				}
-				if ls != nil && ls.Sorted && rs != nil && rs.Sorted {
-					joinRows(out, rows1, rows2, mergeJoinSorted(k1, k2))
-				} else {
-					joinRows(out, rows1, rows2, mergeJoinForced(k1, k2))
-				}
+				joinRows(out, rows1, rows2, mergeJoinSorted(k1, k2))
 				ran = true
 			} else {
-				algo = qopt.JoinHash // merge needs integer keys
+				algo = qopt.JoinHash // merge runs only on sorted integer keys
 			}
 		}
 		if !ran && algo == qopt.JoinHash {

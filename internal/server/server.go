@@ -1,8 +1,8 @@
 // Package server implements tycd, the multi-session Tycoon database
-// server: N concurrent client sessions, each with its own execution
-// machine, sharing one persistent store, one relational index cache, one
-// code table of reflectively optimized closures and — the point of the
-// exercise — one compilation pipeline. A PTML tree submitted by any
+// server: N concurrent client sessions sharing one persistent store, one
+// relational index cache, one code table of reflectively optimized
+// closures, the execution machines their requests borrow and — the point
+// of the exercise — one compilation pipeline. A PTML tree submitted by any
 // session is compiled (and optionally reflectively optimized) exactly
 // once; every other session submitting the α-same term against the
 // same bindings gets the cached code, and concurrent first submissions
@@ -97,11 +97,18 @@ type Server struct {
 	pipe *pipeline.Pipeline
 	ropt *reflectopt.Optimizer
 	mg   *relalg.Manager
-	// code is the server's one code image: every session's machine links
-	// persistent closures and decodes code blobs into it, once per server,
-	// and OPTIMIZE installs into it, so optimized code serves every
-	// session, not only the one that asked.
+	// code is the server's one code image: every machine links persistent
+	// closures and decodes code blobs into it, once per server, and
+	// OPTIMIZE installs into it, so optimized code serves every session,
+	// not only the one that asked.
 	code *machine.CodeTable
+
+	// idle holds the machines no request is running on (see run). It
+	// never holds more than ran at once, which the overload gate and the
+	// session limit bound; a sync.Pool would drop them at GC and the next
+	// request would rebuild their stacks, frames and memos.
+	idleMu sync.Mutex
+	idle   []*machine.Machine
 
 	// installMu serialises module compilation and installation: the TL
 	// compiler accumulates module signatures and is not safe for
@@ -206,6 +213,40 @@ func (s *Server) module(name string) (store.OID, bool) {
 	defer s.mu.Unlock()
 	oid, ok := s.modules[name]
 	return oid, ok
+}
+
+// run lends f a machine for one request: an idle one, or a new one over
+// the server's code image with the step budget and the query executors.
+// The machine runs against view, from a zero step count and under the
+// request's wall deadline; afterwards it forgets both and goes back to
+// the idle list. A machine whose run panicked is not put back: whatever
+// state the panic left behind is never lent again.
+func (s *Server) run(view store.View, f func(*machine.Machine) error) error {
+	var m *machine.Machine
+	s.idleMu.Lock()
+	if n := len(s.idle); n > 0 {
+		m = s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+	}
+	s.idleMu.Unlock()
+	if m == nil {
+		m = machine.New(nil)
+		m.Code = s.code
+		m.MaxSteps = s.cfg.StepBudget
+		s.mg.Register(m)
+	}
+	m.Store = view
+	m.ResetSteps()
+	if w := s.cfg.WallBudget; w > 0 {
+		m.Deadline = time.Now().Add(w)
+	}
+	err := f(m)
+	m.Store, m.Deadline = nil, time.Time{}
+	s.idleMu.Lock()
+	s.idle = append(s.idle, m)
+	s.idleMu.Unlock()
+	return err
 }
 
 // enterDegraded latches the advisory degraded flag: this writer's commit

@@ -229,28 +229,35 @@ func TestSubmitIndexScanRaggedRelation(t *testing.T) {
 	}
 }
 
-// TestHandlerDoesNotLeakAcrossRequests: a session runs every request on
-// one machine, so a request that finishes inside a try must not leave its
-// handler to catch the next request's exception (which would answer that
-// request with the earlier one's handler value).
+// TestHandlerDoesNotLeakAcrossRequests: requests run one after another on
+// the machines the server lends, whichever connection sent them, so a
+// request that finishes inside a try must not leave its handler to catch
+// the next request's exception (which would answer that request with the
+// earlier one's handler value) — on its own connection or on another.
 func TestHandlerDoesNotLeakAcrossRequests(t *testing.T) {
 	_, addr, _ := world(t, "", server.Config{})
-	c := dial(t, addr)
-	for _, optimize := range []bool{false, true} {
-		res, err := c.SubmitTML("", "(pushHandler cont(x) (k 99) cont() (k 5))", nil, optimize, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Val.Show(); got != "5" {
-			t.Fatalf("try (optimize=%t) = %s, want 5", optimize, got)
-		}
-		res, err = c.SubmitTML("", "(raise 7)", nil, optimize, "")
-		if err == nil {
-			t.Fatalf("raise (optimize=%t) answered %s; want an unhandled exception", optimize, res.Val.Show())
-		}
-		we := wantCode(t, err, ship.CodeExec)
-		if !strings.Contains(we.Msg, "unhandled exception: 7") {
-			t.Errorf("raise (optimize=%t): %q, want the unhandled exception 7", optimize, we.Msg)
+	a := dial(t, addr)
+	for _, next := range []struct {
+		name string
+		c    *client.Client
+	}{{"same connection", a}, {"second connection", dial(t, addr)}} {
+		for _, optimize := range []bool{false, true} {
+			res, err := a.SubmitTML("", "(pushHandler cont(x) (k 99) cont() (k 5))", nil, optimize, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Val.Show(); got != "5" {
+				t.Fatalf("try (optimize=%t) = %s, want 5", optimize, got)
+			}
+			res, err = next.c.SubmitTML("", "(raise 7)", nil, optimize, "")
+			if err == nil {
+				t.Fatalf("raise on the %s (optimize=%t) answered %s; want an unhandled exception",
+					next.name, optimize, res.Val.Show())
+			}
+			we := wantCode(t, err, ship.CodeExec)
+			if !strings.Contains(we.Msg, "unhandled exception: 7") {
+				t.Errorf("raise on the %s (optimize=%t): %q, want the unhandled exception 7", next.name, optimize, we.Msg)
+			}
 		}
 	}
 }
@@ -531,10 +538,11 @@ func TestStepBudget(t *testing.T) {
 
 func TestWallBudget(t *testing.T) {
 	// Steps effectively unbounded so the wall clock trips first.
-	_, addr, _ := world(t, "", server.Config{
+	srv, addr, _ := world(t, "", server.Config{
 		StepBudget: 1 << 60,
 		WallBudget: 50 * time.Millisecond,
 	})
+	fill(t, srv, 1000)
 	c := dial(t, addr)
 	start := time.Now()
 	_, err := c.SubmitTML("loop", loopSrc, nil, false, "")
@@ -545,13 +553,21 @@ func TestWallBudget(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("wall budget took %s to fire", elapsed)
 	}
-	if err := c.Ping(); err != nil {
-		t.Fatalf("session did not survive the wall budget: %v", err)
+	// The deadline dies with its request: the next ones run in full, the
+	// selection too, whose bulk row charges read the clock at once.
+	res, err := c.SubmitTML("", "(+ 1 2 e cont(n) (k n))", nil, false, "")
+	if err != nil || res.Val.Int != 3 {
+		t.Fatalf("after the wall budget: %v %v", res, err)
+	}
+	res, err = c.SubmitTML("sel", selectSrc,
+		[]ship.WBind{{Name: "r", Val: ship.WVal{Kind: ship.WRoot, Str: "rel:t"}}}, false, "")
+	if err != nil || res.Val.Rel == nil || len(res.Val.Rel.Rows) != 530 {
+		t.Fatalf("selection after the wall budget: %v %v", res, err)
 	}
 }
 
 // TestInstallRunsUnderRequestBudgets: a module constant runs on the
-// session's machine under the request's step and wall budgets, so a
+// request's machine under the request's step and wall budgets, so a
 // runaway constant answers CodeBudget instead of running to completion
 // while it holds the install lock. The session survives, and the lock is
 // released: another connection installs right after.
@@ -639,26 +655,38 @@ func TestDrainCommitsStore(t *testing.T) {
 	}
 }
 
-// TestBudgetHookSteps pins the budget-hook contract the wall budget
-// rides on: the hook fires during TAM execution, not just interpreted
-// terms (regression guard for the polling mask).
-func TestBudgetHookSteps(t *testing.T) {
-	st, err := store.Open("")
-	if err != nil {
-		t.Fatal(err)
+// TestDeadlineSteps pins the deadline contract the wall budget rides on:
+// a bulk TickN past the deadline answers ErrWallBudget at once, single
+// steps answer it within one poll interval (16384 steps), and a machine
+// with no deadline runs on.
+func TestDeadlineSteps(t *testing.T) {
+	const pollSteps = 1 << 14
+	m := machine.New(nil)
+	m.Deadline = time.Now().Add(-time.Millisecond)
+	if err := m.TickN(500); !errors.Is(err, machine.ErrWallBudget) {
+		t.Fatalf("TickN past the deadline: %v, want ErrWallBudget", err)
 	}
-	defer st.Close()
-	m := machine.New(st)
-	var polls int
-	m.SetBudgetHook(func() error {
-		polls++
-		return nil
-	})
+	m.ResetSteps()
+	for i := 1; ; i++ {
+		err := m.Tick()
+		if errors.Is(err, machine.ErrWallBudget) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == pollSteps {
+			t.Fatalf("%d single steps past the deadline ran on", i)
+		}
+	}
+	m.Deadline = time.Time{}
 	if err := m.TickN(500); err != nil {
-		t.Fatal(err)
+		t.Fatalf("TickN without a deadline: %v", err)
 	}
-	if polls != 1 {
-		t.Errorf("TickN polled %d times, want once per bulk charge", polls)
+	for i := 0; i < 2*pollSteps; i++ {
+		if err := m.Tick(); err != nil {
+			t.Fatalf("step %d without a deadline: %v", i, err)
+		}
 	}
 }
 

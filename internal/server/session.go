@@ -16,35 +16,18 @@ import (
 	"tycoon/internal/tml"
 )
 
-// session is one client connection's execution state: its own machine
-// (so handler state, step counters and frame pools never cross sessions)
-// over the server's shared store, derived caches, code image and
-// pipeline. The connection itself belongs to the serving core
-// (ship.Session).
+// session is one client connection's view of the server: the verb
+// handlers over the shared store, derived caches, code image and
+// pipeline. It owns no execution state; each request that runs code
+// borrows a machine for its duration (Server.run). The connection itself
+// belongs to the serving core (ship.Session).
 type session struct {
 	srv *Server
 	c   *ship.Session
-	m   *machine.Machine
-
-	// deadline is the wall-clock budget of the request currently
-	// executing; the machine's budget hook polls it. Written and read on
-	// the session goroutine only.
-	deadline time.Time
 }
 
 func newSession(s *Server, c *ship.Session) *session {
-	m := machine.New(s.st)
-	m.Code = s.code
-	m.MaxSteps = s.cfg.StepBudget
-	s.mg.Register(m)
-	sess := &session{srv: s, c: c, m: m}
-	m.SetBudgetHook(func() error {
-		if !sess.deadline.IsZero() && time.Now().After(sess.deadline) {
-			return machine.ErrWallBudget
-		}
-		return nil
-	})
-	return sess
+	return &session{srv: s, c: c}
 }
 
 // verbs is the session's verb table: what tycd speaks beyond the core's
@@ -95,19 +78,9 @@ func (s *session) handleDigest(body []byte) (ship.Verb, []byte, *ship.WireError)
 	return ship.VDigestOK, s.srv.Digests(req.Prefix).Encode(), nil
 }
 
-// begin arms the per-request budgets; end disarms them.
-func (s *session) begin() {
-	s.m.ResetSteps()
-	if w := s.srv.cfg.WallBudget; w > 0 {
-		s.deadline = time.Now().Add(w)
-	}
-}
-
-func (s *session) end() { s.deadline = time.Time{} }
-
 // handleInstall compiles and installs a TL module. The module's
-// constants run on the session's machine under the request's step and
-// wall budgets. A keyed request runs through the idempotency table: a
+// constants run on a borrowed machine under the request's step and wall
+// budgets. A keyed request runs through the idempotency table: a
 // client retrying a lost response gets the recorded result instead of
 // reinstalling.
 func (s *session) handleInstall(body []byte) (*ship.Result, *ship.WireError) {
@@ -118,13 +91,15 @@ func (s *session) handleInstall(body []byte) (*ship.Result, *ship.WireError) {
 	install := func() (*ship.Result, *ship.WireError, bool) {
 		s.srv.installMu.Lock()
 		defer s.srv.installMu.Unlock()
-		s.begin()
-		defer s.end()
 		unit, err := s.srv.comp.Compile(req.Source)
 		if err != nil {
 			return nil, ship.WireErr(ship.CodeCompile, err), false
 		}
-		oid, err := s.srv.lk.InstallModuleOn(s.m, unit)
+		var oid store.OID
+		err = s.srv.run(s.srv.st, func(m *machine.Machine) (err error) {
+			oid, err = s.srv.lk.InstallModuleOn(m, unit)
+			return err
+		})
 		if err != nil {
 			if werr := execErr(err); werr.Code == ship.CodeBudget {
 				return nil, werr, false
@@ -168,50 +143,38 @@ func (s *session) handleCall(body []byte) (*ship.Result, *ship.WireError) {
 		}
 		args[i] = v
 	}
-	s.begin()
-	defer s.end()
 	// The call executes against its own transaction: reads come from a
-	// snapshot pinned at begin, writes stay private until the commit below.
-	txn := s.openTxn()
-	defer s.closeTxn(txn)
-	var v machine.Value
+	// snapshot pinned at begin, writes stay private until the commit below
+	// (after which the deferred Abort is a no-op).
+	txn := s.srv.st.Begin()
+	defer txn.Abort()
+	var modOID, saved store.OID
+	var ok bool
 	if req.Module != "" {
-		modOID, ok := s.srv.module(req.Module)
-		if !ok {
+		if modOID, ok = s.srv.module(req.Module); !ok {
 			return nil, &ship.WireError{Code: ship.CodeNotFound, Msg: "module " + req.Module + " not installed"}
 		}
-		v, err = s.m.CallExport(modOID, req.Fn, args)
-	} else {
-		oid, ok := txn.Root(ship.SavedRoot + req.Fn)
-		if !ok {
-			return nil, &ship.WireError{Code: ship.CodeNotFound, Msg: "no saved closure " + req.Fn}
-		}
-		v, err = s.m.Apply(machine.Ref{OID: oid}, args)
+	} else if saved, ok = txn.Root(ship.SavedRoot + req.Fn); !ok {
+		return nil, &ship.WireError{Code: ship.CodeNotFound, Msg: "no saved closure " + req.Fn}
 	}
+	var v machine.Value
+	var steps int64
+	err = s.srv.run(txn, func(m *machine.Machine) (err error) {
+		if req.Module != "" {
+			v, err = m.CallExport(modOID, req.Fn, args)
+		} else {
+			v, err = m.Apply(machine.Ref{OID: saved}, args)
+		}
+		steps = m.Steps()
+		return err
+	})
 	if err != nil {
 		return nil, execErr(err)
 	}
 	if werr := s.commitTxn(txn, "call"); werr != nil {
 		return nil, werr
 	}
-	return &ship.Result{Val: s.machineToWire(v), Info: ship.ExecInfo{Steps: s.m.Steps()}}, nil
-}
-
-// openTxn begins a store transaction and points the session's machine at
-// it, so every primitive the request executes reads the transaction's
-// snapshot and writes its private buffer.
-func (s *session) openTxn() *store.Txn {
-	txn := s.srv.st.Begin()
-	s.m.Store = txn
-	return txn
-}
-
-// closeTxn restores the machine's store view and rolls the transaction
-// back if it is still open (commitTxn finished it on the success path;
-// Abort is then a no-op).
-func (s *session) closeTxn(txn *store.Txn) {
-	s.m.Store = s.srv.st
-	txn.Abort()
+	return &ship.Result{Val: s.machineToWire(v), Info: ship.ExecInfo{Steps: steps}}, nil
 }
 
 // commitTxn commits the request's transaction and maps the outcome onto
@@ -359,26 +322,31 @@ func (s *session) runSubmit(req *ship.Submit, srcHash ptml.Hash) (*ship.Result, 
 		return nil, ship.WireErr(ship.CodeCompile, err), false
 	}
 
-	// The transaction opens after the pipeline ran: compiled code objects
-	// are published to the raw store (shared by every session through the
-	// cache), while the execution below reads the transaction's snapshot
-	// and buffers its writes until the commit.
-	s.begin()
-	txn := s.openTxn()
-	defer s.closeTxn(txn)
-	if req.Explain {
-		s.srv.mg.CaptureExplain(s.m)
-		// Release the capture even if execution panics; after the take
-		// below this is a no-op.
-		defer s.srv.mg.TakeExplain(s.m)
-	}
-	v, err := s.m.Apply(res.Closure, nil)
-	s.end()
+	// The transaction opens after the pipeline ran, so no snapshot stays
+	// pinned while a term compiles; the pipeline itself writes nothing to
+	// the store. The execution reads the transaction's snapshot; its
+	// writes, and the objects a save= stages, stay buffered until the
+	// commit (after which the deferred Abort is a no-op).
+	txn := s.srv.st.Begin()
+	defer txn.Abort()
+	var v machine.Value
+	var steps int64
 	var explain string
-	if req.Explain {
-		// Collect even on failure so the capture sink never leaks.
-		explain = qopt.RenderPlan(s.srv.mg.TakeExplain(s.m))
-	}
+	err = s.srv.run(txn, func(m *machine.Machine) (err error) {
+		if req.Explain {
+			s.srv.mg.CaptureExplain(m)
+			// Release the capture even if execution panics; after the
+			// take below this is a no-op.
+			defer s.srv.mg.TakeExplain(m)
+		}
+		v, err = m.Apply(res.Closure, nil)
+		steps = m.Steps()
+		if req.Explain {
+			// Collect even on failure so the capture sink never leaks.
+			explain = qopt.RenderPlan(s.srv.mg.TakeExplain(m))
+		}
+		return err
+	})
 	if err != nil {
 		return nil, execErr(err), false
 	}
@@ -393,7 +361,7 @@ func (s *session) runSubmit(req *ship.Submit, srcHash ptml.Hash) (*ship.Result, 
 		return nil, werr, false
 	}
 	info := ship.ExecInfo{
-		Steps:    s.m.Steps(),
+		Steps:    steps,
 		CacheHit: res.CacheHit,
 		Rewrites: int64(res.Stats.Rewrites()),
 	}
@@ -501,8 +469,6 @@ func (s *session) handleOptimize(body []byte) (*ship.Result, *ship.WireError) {
 		return nil, &ship.WireError{Code: ship.CodeNotFound,
 			Msg: req.Module + "." + req.Fn + " is not an exported function"}
 	}
-	s.begin()
-	defer s.end()
 	res, err := s.srv.ropt.OptimizeAndInstall(s.srv.code, v.Ref)
 	if err != nil {
 		return nil, ship.WireErr(ship.CodeCompile, err)

@@ -90,16 +90,6 @@ func TestServedSelectRunsVectorized(t *testing.T) {
 		return n
 	}
 
-	// Re-front the server so the test can reach each session's machine.
-	var sess *session
-	srv.FrontEnd = ship.NewFrontEnd(ship.Daemon{
-		Name: "tycd",
-		Session: func(c *ship.Session) map[ship.Verb]ship.Handler {
-			sess = newSession(srv, c)
-			return sess.verbs()
-		},
-		Stats: srv.fillStats,
-	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -169,6 +159,7 @@ func TestServedSelectRunsVectorized(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
+			vec0, row0 := idleRows(srv)
 			for i, wantHit := range []bool{false, true} {
 				res, err := c.SubmitTML(sh.name, sh.src, sh.binds, sh.optimize, "")
 				if err != nil {
@@ -182,23 +173,28 @@ func TestServedSelectRunsVectorized(t *testing.T) {
 				}
 			}
 
-			// Read the session's machine profile once its goroutine has
-			// exited (deregistration under the front end's lock orders its
-			// writes before the Stats read that no longer counts it).
-			c.Close()
-			for deadline := time.Now().Add(10 * time.Second); srv.Stats().Sessions != 0; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatal("session did not end after its client closed")
-				}
-			}
-			if sess == nil {
-				t.Fatal("no session registered")
-			}
-			if p := sess.m.Profile(); p.VecRows != int64(2*sh.scanned) || p.RowRows != 0 {
-				t.Errorf("tier split over miss + hit: %+v, want %d vector rows and none row at a time", p, 2*sh.scanned)
+			// Each request's machine was back on the idle list before its
+			// answer was written.
+			vec, row := idleRows(srv)
+			if vec-vec0 != int64(2*sh.scanned) || row != row0 {
+				t.Errorf("tier split over miss + hit: %d vector rows, %d row at a time; want %d and none",
+					vec-vec0, row-row0, 2*sh.scanned)
 			}
 		})
 	}
+}
+
+// idleRows sums the rows the server's idle machines booked to the vector
+// and to the row-at-a-time tier.
+func idleRows(srv *Server) (vec, row int64) {
+	srv.idleMu.Lock()
+	defer srv.idleMu.Unlock()
+	for _, m := range srv.idle {
+		p := m.Profile()
+		vec += p.VecRows
+		row += p.RowRows
+	}
+	return vec, row
 }
 
 // answerOf reduces a served answer to one number: an integer as itself,

@@ -15,7 +15,7 @@ import (
 // panics after a query ran must still release its capture. The front end
 // recovers the panic and drops the session; a capture left behind would
 // make every later query on every session build plan nodes, and would
-// keep the dead session's machine reachable.
+// keep the panicked machine reachable. That machine is not lent again.
 func TestExplainReleasedOnPanic(t *testing.T) {
 	st, err := store.Open("")
 	if err != nil {
@@ -35,8 +35,13 @@ func TestExplainReleasedOnPanic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sess := newSession(srv, nil)
-	sess.m.RegisterExec("count", func(*machine.Machine, []machine.Value, []machine.Value) (machine.Outcome, error) {
+	// Leave one idle machine, whose count panics, for the submit to borrow.
+	var m *machine.Machine
+	srv.run(nil, func(lent *machine.Machine) error {
+		m = lent
+		return nil
+	})
+	m.RegisterExec("count", func(*machine.Machine, []machine.Value, []machine.Value) (machine.Outcome, error) {
 		panic("count failed")
 	})
 	app, err := tml.ParseApp(`(select proc(x !ce !cc) (cc true) r e cont(s) (count s e k))`,
@@ -63,9 +68,14 @@ func TestExplainReleasedOnPanic(t *testing.T) {
 				t.Fatal("submit did not panic")
 			}
 		}()
-		sess.handleSubmit(body)
+		newSession(srv, nil).handleSubmit(body)
 	}()
-	if plan := srv.mg.TakeExplain(sess.m); plan != nil {
+	if plan := srv.mg.TakeExplain(m); plan != nil {
 		t.Fatalf("capture left armed after the panic, holding %d plan nodes", len(plan))
+	}
+	for _, idle := range srv.idle {
+		if idle == m {
+			t.Fatal("the machine whose run panicked is idle again")
+		}
 	}
 }
