@@ -58,7 +58,11 @@ end`); err != nil {
 
 	// Export the function: its closure, code, PTML and bindings travel;
 	// the relation and the standard library are bound by name on arrival.
-	bundle, err := ship.ExportFunction(nodeA.Store, "app", "byKey")
+	fn, err := nodeA.FunctionOID("app", "byKey")
+	if err != nil {
+		log.Fatal(err)
+	}
+	bundle, err := ship.Export(nodeA.Store, fn)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -62,6 +62,46 @@ const ModuleRoot = "module:"
 // RelRoot is the store-root prefix relation declarations bind against.
 const RelRoot = "rel:"
 
+// Module resolves an installed module through its root in v: the
+// module: roots are the one module table.
+func Module(v store.View, name string) (store.OID, bool) {
+	return v.Root(ModuleRoot + name)
+}
+
+// Function resolves module.fn in v to the OID of the exported function's
+// persistent closure. A module or export v does not hold is a
+// *NotFoundError.
+func Function(v store.View, module, fn string) (store.OID, error) {
+	modOID, ok := Module(v, module)
+	if !ok {
+		return store.Nil, &NotFoundError{Module: module}
+	}
+	obj, err := v.Get(modOID)
+	if err != nil {
+		return store.Nil, err
+	}
+	mod, ok := obj.(*store.Module)
+	if !ok {
+		return store.Nil, fmt.Errorf("root %s%s holds a %s, not a module", ModuleRoot, module, obj.Kind())
+	}
+	val, ok := mod.Lookup(fn)
+	if !ok || val.Kind != store.ValRef {
+		return store.Nil, &NotFoundError{Module: module, Fn: fn}
+	}
+	return val.Ref, nil
+}
+
+// NotFoundError reports a module (Fn empty) or an exported function that
+// a store does not hold.
+type NotFoundError struct{ Module, Fn string }
+
+func (e *NotFoundError) Error() string {
+	if e.Fn == "" {
+		return "module " + e.Module + " not installed"
+	}
+	return e.Module + "." + e.Fn + " is not an exported function"
+}
+
 // InstallModule installs one compiled module and returns the module
 // object's OID. Imported modules and declared relations must already be
 // present in the store. The module's constants run on a fresh machine
@@ -197,7 +237,7 @@ func (l *Linker) resolveBindings(freeNames []string, free []*tl.FreeRef, declVal
 func (l *Linker) bindingValue(fr *tl.FreeRef, declVals map[string]store.Val) (store.Val, error) {
 	switch fr.Kind {
 	case tl.FreeModule:
-		oid, ok := l.st.Root(ModuleRoot + fr.Name)
+		oid, ok := Module(l.st, fr.Name)
 		if !ok {
 			return store.Val{}, fmt.Errorf("imported module %s not installed", fr.Name)
 		}

@@ -329,3 +329,30 @@ end`)
 		t.Error("failed install registered its module root")
 	}
 }
+
+// TestFunctionResolves: Function finds an exported closure through the
+// module: root, in the store and in a transaction's snapshot, and
+// reports a missing module or export as a *NotFoundError.
+func TestFunctionResolves(t *testing.T) {
+	st, lk, comp, _, _ := setup(t, linker.OptNone)
+	mod := install(t, lk, comp, `module p export f, k let f(n : Int) : Int = n let k = 3 end`)
+	want := st.MustGet(mod).(*store.Module).Exports[0].Val.Ref
+	txn := st.Begin()
+	defer txn.Abort()
+	for _, v := range []store.View{st, txn} {
+		if oid, err := linker.Function(v, "p", "f"); err != nil || oid != want {
+			t.Errorf("Function(p.f) = 0x%x, %v; want 0x%x", uint64(oid), err, uint64(want))
+		}
+	}
+	for _, c := range []struct{ mod, fn, msg string }{
+		{"nomod", "f", "module nomod not installed"},
+		{"p", "nope", "p.nope is not an exported function"},
+		{"p", "k", "p.k is not an exported function"},
+	} {
+		_, err := linker.Function(st, c.mod, c.fn)
+		var nf *linker.NotFoundError
+		if !errors.As(err, &nf) || err.Error() != c.msg {
+			t.Errorf("Function(%s.%s) = %v, want NotFoundError %q", c.mod, c.fn, err, c.msg)
+		}
+	}
+}

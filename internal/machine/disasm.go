@@ -6,7 +6,7 @@ import (
 )
 
 // Disasm renders a compiled program in a readable assembly-like listing
-// for the tmldump tool and for debugging code generation.
+// for tml dump and for debugging code generation.
 func Disasm(p *Program) string {
 	var b strings.Builder
 	for i, blk := range p.Blocks {

@@ -180,7 +180,7 @@ func (m *Machine) pollDeadline() error {
 
 // Profile is a snapshot of the machine's execution counters: abstract
 // steps, engine transfers (control transfers dispatched between closure
-// activations), and TAM frame allocation/reuse. tmlrun -profile prints
+// activations), and TAM frame allocation/reuse. tml run -profile prints
 // it; the allocation-budget tests assert on it.
 type Profile struct {
 	Steps       int64

@@ -126,7 +126,7 @@ func (s *Stats) bump(rule string) {
 	s.Rules[rule]++
 }
 
-// String formats the statistics for the tmlopt tool.
+// String formats the statistics for tml opt.
 func (s *Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "rounds=%d penalty=%d size %d→%d cost %d→%d",

@@ -1,7 +1,7 @@
 // Package pipeline unifies the compile→optimize→codegen→install flow of
 // paper Fig. 3 into one instrumented pass manager. The linker (static,
 // per-function optimization at installation), the reflective runtime
-// optimizer (paper §4.1) and the tmlopt tool all run their work as a Job
+// optimizer (paper §4.1) and tml opt all run their work as a Job
 // through a Pipeline, which sequences the passes — source
 // reconstruction, the reduce/expand rounds of the shared TML optimizer,
 // TAM code generation, and the persistent encodings — and records
@@ -243,7 +243,7 @@ type Pipeline struct {
 }
 
 // New returns a pipeline over st (nil for store-free jobs such as
-// tmlopt's term optimization; store-free pipelines never cache).
+// tml opt's term optimization; store-free pipelines never cache).
 func New(st *store.Store, cfg Config) *Pipeline {
 	p := &Pipeline{st: st, cfg: cfg}
 	if cfg.CacheEntries >= 0 && st != nil {

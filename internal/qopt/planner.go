@@ -4,7 +4,7 @@
 // cache (store.ColStats: row counts, distinct estimates, min/max,
 // sortedness); the planner turns them into access-path and join-algorithm
 // decisions, and every decision is recorded as a PlanNode so EXPLAIN
-// surfaces (tycsh explain=, tmlrun -explain, reflectopt.Result.Plan) can
+// surfaces (tycsh explain=, tml run -explain, reflectopt.Result.Plan) can
 // show estimated against actual cardinalities.
 package qopt
 

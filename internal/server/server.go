@@ -124,15 +124,16 @@ type Server struct {
 	gate *ship.Gate
 
 	mu        sync.Mutex
-	modules   map[string]store.OID
 	degraded  bool
 	degReason string
 }
 
 // New builds a server over the store: linker, TL compiler with the
-// standard library installed, the shared compilation pipeline (injected
-// into the reflective optimizer so SUBMIT compilations and reflective
-// optimizations share one cache), and the relational substrate manager.
+// standard library (installed only into a store that lacks it), the
+// shared compilation pipeline (injected into the reflective optimizer so
+// SUBMIT compilations and reflective optimizations share one cache), and
+// the relational substrate manager. Installed modules are found through
+// their module: roots, so a restart rebuilds no module table.
 func New(st *store.Store, cfg Config) (*Server, error) {
 	if cfg.WallBudget == 0 {
 		cfg.WallBudget = DefaultWallBudget
@@ -157,24 +158,16 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 	}
 	pipe := pipeline.New(st, pipeline.Config{})
 	s := &Server{
-		st:      st,
-		cfg:     cfg,
-		comp:    comp,
-		lk:      lk,
-		pipe:    pipe,
-		ropt:    reflectopt.New(st, reflectopt.Options{Pipe: pipe}),
-		mg:      relalg.NewManager(st),
-		code:    new(machine.CodeTable),
-		modules: make(map[string]store.OID),
-		dedup:   cfg.Dedup,
-		gate:    ship.NewGate(cfg.MaxInflight, cfg.RetryAfter, "server"),
-	}
-	for _, root := range st.Roots() {
-		if len(root) > len(linker.ModuleRoot) && root[:len(linker.ModuleRoot)] == linker.ModuleRoot {
-			if oid, ok := st.Root(root); ok {
-				s.modules[root[len(linker.ModuleRoot):]] = oid
-			}
-		}
+		st:    st,
+		cfg:   cfg,
+		comp:  comp,
+		lk:    lk,
+		pipe:  pipe,
+		ropt:  reflectopt.New(st, reflectopt.Options{Pipe: pipe}),
+		mg:    relalg.NewManager(st),
+		code:  new(machine.CodeTable),
+		dedup: cfg.Dedup,
+		gate:  ship.NewGate(cfg.MaxInflight, cfg.RetryAfter, "server"),
 	}
 	s.watch = newHub(cfg.WatchBacklog, cfg.WatchQueue, st.CSN())
 	st.SetRootHook(s.watch.publish)
@@ -206,14 +199,6 @@ func (s *Server) Manager() *relalg.Manager { return s.mg }
 
 // Pipeline exposes the shared compilation pipeline.
 func (s *Server) Pipeline() *pipeline.Pipeline { return s.pipe }
-
-// module resolves an installed module by name.
-func (s *Server) module(name string) (store.OID, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	oid, ok := s.modules[name]
-	return oid, ok
-}
 
 // run lends f a machine for one request: an idle one, or a new one over
 // the server's code image with the step budget and the query executors.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"tycoon/internal/linker"
 	"tycoon/internal/machine"
 	"tycoon/internal/pipeline"
 	"tycoon/internal/ptml"
@@ -95,9 +96,8 @@ func (s *session) handleInstall(body []byte) (*ship.Result, *ship.WireError) {
 		if err != nil {
 			return nil, ship.WireErr(ship.CodeCompile, err), false
 		}
-		var oid store.OID
-		err = s.srv.run(s.srv.st, func(m *machine.Machine) (err error) {
-			oid, err = s.srv.lk.InstallModuleOn(m, unit)
+		err = s.srv.run(s.srv.st, func(m *machine.Machine) error {
+			_, err := s.srv.lk.InstallModuleOn(m, unit)
 			return err
 		})
 		if err != nil {
@@ -106,9 +106,6 @@ func (s *session) handleInstall(body []byte) (*ship.Result, *ship.WireError) {
 			}
 			return nil, ship.WireErr(ship.CodeCompile, err), false
 		}
-		s.srv.mu.Lock()
-		s.srv.modules[unit.Name] = oid
-		s.srv.mu.Unlock()
 		if err := s.srv.st.Commit(); err != nil {
 			s.srv.noteCommit(err)
 			return nil, &ship.WireError{Code: ship.CodeDegraded, Msg: "install not durable: " + err.Error()}, false
@@ -151,7 +148,7 @@ func (s *session) handleCall(body []byte) (*ship.Result, *ship.WireError) {
 	var modOID, saved store.OID
 	var ok bool
 	if req.Module != "" {
-		if modOID, ok = s.srv.module(req.Module); !ok {
+		if modOID, ok = linker.Module(txn, req.Module); !ok {
 			return nil, &ship.WireError{Code: ship.CodeNotFound, Msg: "module " + req.Module + " not installed"}
 		}
 	} else if saved, ok = txn.Root(ship.SavedRoot + req.Fn); !ok {
@@ -452,24 +449,15 @@ func (s *session) handleOptimize(body []byte) (*ship.Result, *ship.WireError) {
 	if err != nil {
 		return nil, ship.WireErr(ship.CodeProto, err)
 	}
-	modOID, ok := s.srv.module(req.Module)
-	if !ok {
-		return nil, &ship.WireError{Code: ship.CodeNotFound, Msg: "module " + req.Module + " not installed"}
-	}
-	obj, err := s.srv.st.Get(modOID)
+	oid, err := linker.Function(s.srv.st, req.Module, req.Fn)
 	if err != nil {
+		var nf *linker.NotFoundError
+		if errors.As(err, &nf) {
+			return nil, ship.WireErr(ship.CodeNotFound, err)
+		}
 		return nil, ship.WireErr(ship.CodeInternal, err)
 	}
-	mod, ok := obj.(*store.Module)
-	if !ok {
-		return nil, &ship.WireError{Code: ship.CodeInternal, Msg: req.Module + " is not a module"}
-	}
-	v, ok := mod.Lookup(req.Fn)
-	if !ok || v.Kind != store.ValRef {
-		return nil, &ship.WireError{Code: ship.CodeNotFound,
-			Msg: req.Module + "." + req.Fn + " is not an exported function"}
-	}
-	res, err := s.srv.ropt.OptimizeAndInstall(s.srv.code, v.Ref)
+	res, err := s.srv.ropt.OptimizeAndInstall(s.srv.code, oid)
 	if err != nil {
 		return nil, ship.WireErr(ship.CodeCompile, err)
 	}

@@ -321,28 +321,6 @@ func CheckPTML(data []byte) (tml.Node, []*tml.Var, error) {
 	return node, free, nil
 }
 
-// ExportFunction is a convenience: resolve module.function in src and
-// export its closure.
-func ExportFunction(st *store.Store, module, fn string) ([]byte, error) {
-	modOID, ok := st.Root("module:" + module)
-	if !ok {
-		return nil, fmt.Errorf("ship: module %s not found", module)
-	}
-	obj, err := st.Get(modOID)
-	if err != nil {
-		return nil, err
-	}
-	mod, ok := obj.(*store.Module)
-	if !ok {
-		return nil, fmt.Errorf("ship: %s is not a module", module)
-	}
-	v, ok := mod.Lookup(fn)
-	if !ok || v.Kind != store.ValRef {
-		return nil, fmt.Errorf("ship: %s.%s is not an exported function", module, fn)
-	}
-	return Export(st, v.Ref)
-}
-
 // --- shipped-object codec -------------------------------------------------
 //
 // Payloads reuse the store's own object encoding, but with every OID

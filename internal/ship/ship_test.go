@@ -45,6 +45,15 @@ func newNode(t *testing.T) *node {
 	return &node{st: st, m: m, mg: mg, comp: comp, lk: lk}
 }
 
+// export bundles the closure of an exported function of n's store.
+func (n *node) export(module, fn string) ([]byte, error) {
+	oid, err := linker.Function(n.st, module, fn)
+	if err != nil {
+		return nil, err
+	}
+	return ship.Export(n.st, oid)
+}
+
 func (n *node) install(t *testing.T, src string) {
 	t.Helper()
 	unit, err := n.comp.Compile(src)
@@ -62,7 +71,7 @@ func TestShipSimpleFunction(t *testing.T) {
 module app export triple
 let triple(n : Int) : Int = n * 3
 end`)
-	bundle, err := ship.ExportFunction(src.st, "app", "triple")
+	bundle, err := src.export("app", "triple")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +93,7 @@ func TestShipBindsTargetLibrary(t *testing.T) {
 module app export sq
 let sq(n : Int) : Int = n * n
 end`)
-	bundle, err := ship.ExportFunction(src.st, "app", "sq")
+	bundle, err := src.export("app", "sq")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +124,7 @@ module app export f
 let helper(a : Int) : Int = a + 100
 let f(n : Int) : Int = if n < 1 then 0 else helper(n) + f(n - 1) end
 end`)
-	bundle, err := ship.ExportFunction(src.st, "app", "f")
+	bundle, err := src.export("app", "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +164,7 @@ end`)
 		t.Fatalf("source n() = %v, %v", v, err)
 	}
 
-	bundle, err := ship.ExportFunction(src.st, "q", "n")
+	bundle, err := src.export("q", "n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +205,7 @@ module app export gauss
 let gauss(n : Int) : Int =
   begin var s := 0; for i = 1 upto n do s := s + i end; s end
 end`)
-	bundle, err := ship.ExportFunction(src.st, "app", "gauss")
+	bundle, err := src.export("app", "gauss")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +246,7 @@ func exportTriple(t *testing.T) []byte {
 module app export triple
 let triple(n : Int) : Int = n * 3
 end`)
-	bundle, err := ship.ExportFunction(src.st, "app", "triple")
+	bundle, err := src.export("app", "triple")
 	if err != nil {
 		t.Fatal(err)
 	}

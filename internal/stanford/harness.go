@@ -74,7 +74,6 @@ type Suite struct {
 	Regime  Regime
 	Store   *store.Store
 	Machine *machine.Machine
-	mods    map[string]store.OID
 }
 
 // NewSuite compiles and installs the whole corpus under the regime.
@@ -100,7 +99,6 @@ func NewSuite(regime Regime) (*Suite, error) {
 		Regime:  regime,
 		Store:   st,
 		Machine: machine.New(st),
-		mods:    make(map[string]store.OID),
 	}
 	for _, p := range Programs() {
 		unit, err := comp.Compile(p.Src)
@@ -108,23 +106,20 @@ func NewSuite(regime Regime) (*Suite, error) {
 			st.Close()
 			return nil, fmt.Errorf("stanford: %s: %w", p.Name, err)
 		}
-		oid, err := lk.InstallModule(unit)
-		if err != nil {
+		if _, err := lk.InstallModule(unit); err != nil {
 			st.Close()
 			return nil, fmt.Errorf("stanford: %s: %w", p.Name, err)
 		}
-		s.mods[p.Name] = oid
 	}
 	if regime == RegimeDynamic {
 		ro := reflectopt.New(st, reflectopt.Options{})
 		for _, p := range Programs() {
-			mod := st.MustGet(s.mods[p.Name]).(*store.Module)
-			entry, ok := mod.Lookup("run")
-			if !ok || entry.Kind != store.ValRef {
+			entry, err := linker.Function(st, p.Name, "run")
+			if err != nil {
 				st.Close()
-				return nil, fmt.Errorf("stanford: %s exports no run closure", p.Name)
+				return nil, fmt.Errorf("stanford: %w", err)
 			}
-			if _, err := ro.OptimizeAndInstall(s.Machine.Code, entry.Ref); err != nil {
+			if _, err := ro.OptimizeAndInstall(s.Machine.Code, entry); err != nil {
 				st.Close()
 				return nil, fmt.Errorf("stanford: optimizing %s: %w", p.Name, err)
 			}
@@ -158,8 +153,9 @@ func (s *Suite) RunN(name string, n int64) (int64, int64, error) {
 	if n == 0 {
 		n = prog.N
 	}
+	mod, _ := linker.Module(s.Store, name)
 	s.Machine.ResetSteps()
-	v, err := s.Machine.CallExport(s.mods[name], "run", []machine.Value{machine.Int(n)})
+	v, err := s.Machine.CallExport(mod, "run", []machine.Value{machine.Int(n)})
 	if err != nil {
 		return 0, 0, fmt.Errorf("stanford: %s: %w", name, err)
 	}

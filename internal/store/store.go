@@ -737,7 +737,7 @@ func (s *Store) Len() int {
 	return len(s.objects)
 }
 
-// OIDs returns all live OIDs in ascending order (for the tmldump tool).
+// OIDs returns all live OIDs in ascending order (for tml dump).
 func (s *Store) OIDs() []OID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

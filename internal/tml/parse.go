@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements a parser for the s-expression concrete syntax used
-// by the pretty printer, the tmlopt tool and the test suite.
+// by the pretty printer, tml opt and the test suite.
 //
 // Grammar (paper Fig. 1, concretised):
 //

@@ -13,6 +13,7 @@ package tyclib
 
 import (
 	"fmt"
+	"slices"
 
 	"tycoon/internal/linker"
 	"tycoon/internal/store"
@@ -116,9 +117,13 @@ func CompileAll(c *tl.Compiler) ([]*tl.ModuleUnit, error) {
 	return units, nil
 }
 
-// Install compiles and installs the library into a store, returning the
+// Install makes the library available in a store and returns the
 // compiler (whose signature table now knows the library) for compiling
-// user modules against it.
+// user modules against it. The library is compiled every time, for its
+// signatures; a module is installed only when the store does not hold it
+// yet, so reopening a store adds nothing to it. A stored module whose
+// exports differ from the compiled signature is an error: compiled code
+// fetches exports by position.
 func Install(st *store.Store, lk *linker.Linker) (*tl.Compiler, error) {
 	c := tl.NewCompiler()
 	units, err := CompileAll(c)
@@ -126,10 +131,37 @@ func Install(st *store.Store, lk *linker.Linker) (*tl.Compiler, error) {
 		return nil, err
 	}
 	for _, u := range units {
+		if oid, ok := linker.Module(st, u.Name); ok {
+			if err := checkExports(st, oid, u); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		if _, err := lk.InstallModule(u); err != nil {
 			return nil, fmt.Errorf("tyclib: installing %s: %w", u.Name, err)
 		}
 	}
-	_ = st
 	return c, nil
+}
+
+// checkExports compares a stored library module's export names, position
+// by position, with the compiled signature.
+func checkExports(st *store.Store, oid store.OID, u *tl.ModuleUnit) error {
+	obj, err := st.Get(oid)
+	if err != nil {
+		return fmt.Errorf("tyclib: stored module %s: %w", u.Name, err)
+	}
+	var stored, compiled []string
+	if mod, ok := obj.(*store.Module); ok {
+		for _, e := range mod.Exports {
+			stored = append(stored, e.Name)
+		}
+	}
+	for _, m := range u.Sig.Members {
+		compiled = append(compiled, m.Name)
+	}
+	if !slices.Equal(stored, compiled) {
+		return fmt.Errorf("tyclib: stored module %s exports %v, the library compiles %v", u.Name, stored, compiled)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package tyclib_test
 
 import (
+	"strings"
 	"testing"
 
 	"tycoon/internal/linker"
@@ -147,8 +148,8 @@ func TestStrModule(t *testing.T) {
 }
 
 func TestCompileAllIsReentrant(t *testing.T) {
-	// CompileAll into a fresh compiler provides signatures only (used by
-	// tmlc when reopening a store that already has the library).
+	// CompileAll into a fresh compiler provides signatures only (what
+	// Install needs for a store that already has the library).
 	c := tl.NewCompiler()
 	units, err := tyclib.CompileAll(c)
 	if err != nil {
@@ -165,5 +166,38 @@ func TestCompileAllIsReentrant(t *testing.T) {
 	// AllowPrim must be restored.
 	if c.AllowPrim {
 		t.Error("CompileAll leaked AllowPrim")
+	}
+}
+
+// TestInstallOnce: installing into a store that already holds the
+// library adds nothing, and returns a compiler that knows its signatures.
+func TestInstallOnce(t *testing.T) {
+	st, _, _ := install(t)
+	before := st.Len()
+	comp, err := tyclib.Install(st, linker.New(st, linker.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := st.Len(); after != before {
+		t.Errorf("second install moved the store from %d to %d objects", before, after)
+	}
+	if _, ok := comp.Sigs["int"]; !ok {
+		t.Error("signature for int missing after a second install")
+	}
+}
+
+// TestInstallRefusesForeignExports: a stored module under a library name
+// whose exports differ from the compiled signature is an error, because
+// compiled code fetches exports by position.
+func TestInstallRefusesForeignExports(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.SetRoot(linker.ModuleRoot+"int", st.Alloc(&store.Module{Name: "int",
+		Exports: []store.Export{{Name: "sub", Val: store.IntVal(0)}, {Name: "add", Val: store.IntVal(0)}}}))
+	if _, err := tyclib.Install(st, linker.New(st, linker.Config{})); err == nil || !strings.Contains(err.Error(), "stored module int exports [sub add]") {
+		t.Errorf("install over a foreign int module = %v, want an export mismatch", err)
 	}
 }

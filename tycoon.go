@@ -109,12 +109,11 @@ type System struct {
 	Rel *relalg.Manager
 	// Reflect is the runtime reflective optimizer.
 	Reflect *reflectopt.Optimizer
-
-	modules map[string]store.OID
 }
 
 // Open creates (or reopens) a Tycoon system at path; an empty path is an
-// in-memory system. The TL standard library is compiled and installed.
+// in-memory system. The TL standard library is compiled, and installed
+// unless the store already holds it.
 func Open(path string, cfgs ...Config) (*System, error) {
 	var cfg Config
 	if len(cfgs) > 0 {
@@ -141,24 +140,14 @@ func Open(path string, cfgs ...Config) (*System, error) {
 	m.Out = cfg.Out
 	mg := relalg.NewManager(st)
 	mg.Register(m)
-	sys := &System{
+	return &System{
 		Store:    st,
 		Machine:  m,
 		Compiler: comp,
 		Linker:   lk,
 		Rel:      mg,
 		Reflect:  reflectopt.New(st, reflectopt.Options{}),
-		modules:  make(map[string]store.OID),
-	}
-	// Recover module roots from a reopened store.
-	for _, root := range st.Roots() {
-		if len(root) > len(linker.ModuleRoot) && root[:len(linker.ModuleRoot)] == linker.ModuleRoot {
-			if oid, ok := st.Root(root); ok {
-				sys.modules[root[len(linker.ModuleRoot):]] = oid
-			}
-		}
-	}
-	return sys, nil
+	}, nil
 }
 
 // Close commits and closes the store.
@@ -173,23 +162,17 @@ func (s *System) Install(src string) (OID, error) {
 	if err != nil {
 		return store.Nil, err
 	}
-	oid, err := s.Linker.InstallModule(unit)
-	if err != nil {
-		return store.Nil, err
-	}
-	s.modules[unit.Name] = oid
-	return oid, nil
+	return s.Linker.InstallModule(unit)
 }
 
-// Module resolves an installed module by name.
+// Module resolves an installed module by name, through its module: root.
 func (s *System) Module(name string) (OID, bool) {
-	oid, ok := s.modules[name]
-	return oid, ok
+	return linker.Module(s.Store, name)
 }
 
 // Call applies an exported function of an installed module.
 func (s *System) Call(module, fn string, args ...Value) (Value, error) {
-	oid, ok := s.modules[module]
+	oid, ok := s.Module(module)
 	if !ok {
 		return nil, fmt.Errorf("tycoon: module %s not installed", module)
 	}
@@ -198,23 +181,11 @@ func (s *System) Call(module, fn string, args ...Value) (Value, error) {
 
 // FunctionOID resolves the persistent closure of an exported function.
 func (s *System) FunctionOID(module, fn string) (OID, error) {
-	modOID, ok := s.modules[module]
-	if !ok {
-		return store.Nil, fmt.Errorf("tycoon: module %s not installed", module)
-	}
-	obj, err := s.Store.Get(modOID)
+	oid, err := linker.Function(s.Store, module, fn)
 	if err != nil {
-		return store.Nil, err
+		return store.Nil, fmt.Errorf("tycoon: %w", err)
 	}
-	mod, ok := obj.(*store.Module)
-	if !ok {
-		return store.Nil, fmt.Errorf("tycoon: %s is not a module", module)
-	}
-	v, ok := mod.Lookup(fn)
-	if !ok || v.Kind != store.ValRef {
-		return store.Nil, fmt.Errorf("tycoon: %s.%s is not an exported function", module, fn)
-	}
-	return v.Ref, nil
+	return oid, nil
 }
 
 // OptimizeFunction reflectively optimizes an exported function across its

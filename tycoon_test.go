@@ -2,6 +2,7 @@ package tycoon
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -181,5 +182,45 @@ func TestFacadeDirectPrims(t *testing.T) {
 	}
 	if sys.Steps() > 5 {
 		t.Errorf("direct mode took %d steps for two primitives", sys.Steps())
+	}
+}
+
+// TestReopenAddsNothing: reopening a store that already holds the
+// standard library installs nothing. Three Open/Close cycles keep the
+// object count and the log size at their first values, and a module
+// installed in the first still answers.
+func TestReopenAddsNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reopen.tyst")
+	var objects int
+	var size int64
+	for i := 0; i < 3; i++ {
+		sys, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if _, err := sys.Install(`module m export sq let sq(n : Int) : Int = n * n end`); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v, err := sys.Call("m", "sq", Int(7)); err != nil || v != Value(Int(49)) {
+			t.Fatalf("open %d: sq = %v, %v", i+1, v, err)
+		}
+		n := sys.Store.Len()
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			objects, size = n, info.Size()
+			continue
+		}
+		if n != objects || info.Size() != size {
+			t.Errorf("open %d: %d objects, %d bytes; first open left %d objects, %d bytes",
+				i+1, n, info.Size(), objects, size)
+		}
 	}
 }
