@@ -19,6 +19,7 @@ import (
 	"tycoon/internal/netfault"
 	"tycoon/internal/prim"
 	"tycoon/internal/ptml"
+	"tycoon/internal/relalg"
 	"tycoon/internal/server"
 	"tycoon/internal/ship"
 	"tycoon/internal/store"
@@ -52,8 +53,8 @@ func startBenchShard(b *testing.B, ids []int) string {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mg := srv.Manager()
-	oid, err := mg.CreateRelation("t", []store.Column{
+	tx := st.Begin()
+	oid, err := relalg.CreateRelation(tx, "t", []store.Column{
 		{Name: "id", Type: store.ColInt},
 		{Name: "val", Type: store.ColInt},
 	}, 0)
@@ -61,9 +62,12 @@ func startBenchShard(b *testing.B, ids []int) string {
 		b.Fatal(err)
 	}
 	for _, id := range ids {
-		if err := mg.InsertRow(oid, []store.Val{store.IntVal(int64(id)), store.IntVal(int64(id % 97))}); err != nil {
+		if err := relalg.InsertRow(tx, oid, []store.Val{store.IntVal(int64(id)), store.IntVal(int64(id % 97))}); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"tycoon/internal/client"
+	"tycoon/internal/relalg"
 	"tycoon/internal/server"
 	"tycoon/internal/ship"
 	"tycoon/internal/store"
@@ -36,8 +37,8 @@ func startBenchServer(b *testing.B) (*server.Server, string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mg := srv.Manager()
-	oid, err := mg.CreateRelation("t", []store.Column{
+	tx := st.Begin()
+	oid, err := relalg.CreateRelation(tx, "t", []store.Column{
 		{Name: "id", Type: store.ColInt},
 		{Name: "val", Type: store.ColInt},
 	}, 0)
@@ -45,9 +46,12 @@ func startBenchServer(b *testing.B) (*server.Server, string) {
 		b.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		if err := mg.InsertRow(oid, []store.Val{store.IntVal(int64(i)), store.IntVal(int64(i % 97))}); err != nil {
+		if err := relalg.InsertRow(tx, oid, []store.Val{store.IntVal(int64(i)), store.IntVal(int64(i % 97))}); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

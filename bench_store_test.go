@@ -32,11 +32,12 @@ func startBenchStore(b *testing.B, nSess int) (*store.Store, []store.OID) {
 	}
 	b.Cleanup(func() { st.Close() })
 	oids := make([]store.OID, nSess)
+	tx := st.Begin()
 	for i := range oids {
-		oids[i] = st.Alloc(&store.Blob{Bytes: []byte(fmt.Sprintf("session-%d", i))})
-		st.SetRoot(fmt.Sprintf("bench:%d", i), oids[i])
+		oids[i] = tx.Alloc(&store.Blob{Bytes: []byte(fmt.Sprintf("session-%d", i))})
+		tx.SetRoot(fmt.Sprintf("bench:%d", i), oids[i])
 	}
-	if err := st.Commit(); err != nil {
+	if err := tx.Commit(); err != nil {
 		b.Fatal(err)
 	}
 	return st, oids

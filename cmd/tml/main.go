@@ -15,8 +15,9 @@
 // compile and ship -import open the store through tycoon.Open, creating
 // it with the standard library if the path does not exist; run does the
 // same but refuses a missing path, as do dump and ship -export. A verb
-// that fails commits nothing: the process exits with the store's pending
-// writes dropped, so a compile or an import is all or nothing.
+// writes through the System's one transaction: it commits when the verb
+// succeeds, and a verb that fails closes the store without committing,
+// so a compile or an import is all or nothing.
 package main
 
 import (
@@ -88,6 +89,17 @@ func requireStore(path string) error {
 	return err
 }
 
+// finish ends a verb's session: on success it commits the System's
+// transaction and closes the store; on failure it closes the store
+// without committing, and returns the verb's error.
+func finish(sys *tycoon.System, err error) error {
+	if err != nil {
+		sys.Store.Close()
+		return err
+	}
+	return sys.Close()
+}
+
 // function resolves a function argument in st: a root name (anything
 // with a ':') or module.function.
 func function(st store.View, target string) (store.OID, error) {
@@ -110,7 +122,7 @@ func compile(flags *flag.FlagSet) action {
 	optimize := flags.Bool("O", false, "local compile-time optimization")
 	direct := flags.Bool("direct", false, "compile scalars to primitives directly")
 	strip := flags.Bool("strip", false, "omit PTML from installed closures")
-	return func(files []string, out, _ io.Writer) error {
+	return func(files []string, out, _ io.Writer) (err error) {
 		if len(files) == 0 {
 			return errors.New("usage: tml compile -store db.tyst [flags] file.tl…")
 		}
@@ -121,6 +133,7 @@ func compile(flags *flag.FlagSet) action {
 		if err != nil {
 			return err
 		}
+		defer func() { err = finish(sys, err) }()
 		if fresh {
 			fmt.Fprintln(out, "installed standard library (int, real, array, str)")
 		}
@@ -133,14 +146,14 @@ func compile(flags *flag.FlagSet) action {
 			if err != nil {
 				return fmt.Errorf("%s: %w", path, err)
 			}
-			oid, err := sys.Linker.InstallModule(unit)
+			oid, err := sys.Linker.InstallModule(sys.Txn(), unit)
 			if err != nil {
 				return fmt.Errorf("%s: %w", path, err)
 			}
 			fmt.Fprintf(out, "installed module %s (oid 0x%x, %d functions, %d constants)\n",
 				unit.Name, uint64(oid), len(unit.Funcs), len(unit.Consts))
 		}
-		return sys.Close()
+		return nil
 	}
 }
 
@@ -153,7 +166,7 @@ func runFn(flags *flag.FlagSet) action {
 	showSteps := flags.Bool("steps", false, "report abstract machine steps")
 	profile := flags.Bool("profile", false, "report steps, engine transfers, frame allocations, the continuation stack, vectorized rows and wall time")
 	explain := flags.Bool("explain", false, "print the executed physical plan (chosen algorithms, est vs actual cardinalities)")
-	return func(args []string, out, diag io.Writer) error {
+	return func(args []string, out, diag io.Writer) (err error) {
 		if len(args) < 1 {
 			return errors.New("usage: tml run -store db.tyst [-opt] function [int args…]")
 		}
@@ -172,13 +185,14 @@ func runFn(flags *flag.FlagSet) action {
 		if err != nil {
 			return err
 		}
-		fn, err := function(sys.Store, args[0])
+		defer func() { err = finish(sys, err) }()
+		fn, err := function(sys.Txn(), args[0])
 		if err != nil {
 			return err
 		}
 		m := sys.Machine
 		if *dynOpt {
-			res, err := sys.Reflect.OptimizeAndInstall(m.Code, fn)
+			res, err := sys.Reflect.OptimizeAndInstall(sys.Txn(), m.Code, fn)
 			if err != nil {
 				return fmt.Errorf("optimize: %w", err)
 			}
@@ -212,7 +226,7 @@ func runFn(flags *flag.FlagSet) action {
 				p.Steps, p.Transfers, p.FramesAlloc, p.FramesReuse, p.ContsPushed, p.ContsHeap, p.MaxContDepth,
 				p.Resolved, p.VecRows, p.RowRows, elapsed)
 		}
-		return sys.Close()
+		return nil
 	}
 }
 
@@ -227,7 +241,7 @@ func shipCode(flags *flag.FlagSet) action {
 	bundlePath := flags.String("out", "code.bundle", "bundle file to write (with -export)")
 	importPath := flags.String("import", "", "bundle file to import")
 	as := flags.String("as", "", "register the imported closure as root shipped:<name> (optional)")
-	return func(_ []string, out, _ io.Writer) error {
+	return func(_ []string, out, _ io.Writer) (err error) {
 		switch {
 		case *exportFn != "":
 			if err := requireStore(*storePath); err != nil {
@@ -260,16 +274,17 @@ func shipCode(flags *flag.FlagSet) action {
 			if err != nil {
 				return err
 			}
-			oid, err := ship.Import(sys.Store, bundle)
+			defer func() { err = finish(sys, err) }()
+			oid, err := ship.Import(sys.Txn(), bundle)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "imported %s as oid 0x%x\n", *importPath, uint64(oid))
 			if *as != "" {
-				sys.Store.SetRoot("shipped:"+*as, oid)
+				sys.Txn().SetRoot("shipped:"+*as, oid)
 				fmt.Fprintf(out, "registered root shipped:%s\n", *as)
 			}
-			return sys.Close()
+			return nil
 		default:
 			return errors.New("usage: tml ship -store db.tyst (-export function [-out f.bundle] | -import f.bundle [-as name])")
 		}

@@ -132,3 +132,54 @@ func TestUsage(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedVerbsCommitNothing: a compile that fails in its second file
+// and an import refused for a module the target lacks run in-process on
+// an existing store; each leaves the log byte for byte as it was and
+// closes the store, which reopens and still answers.
+func TestFailedVerbsCommitNothing(t *testing.T) {
+	dir := t.TempDir()
+	db := filepath.Join(dir, "db.tyst")
+	mustTML(t, "compile", "-store", db,
+		write(t, filepath.Join(dir, "good.tl"), "module good export f let f(n : Int) : Int = n + 1 end\n"))
+	before, err := os.ReadFile(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(verb string) {
+		t.Helper()
+		after, err := os.ReadFile(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Errorf("failed %s changed the log: %d bytes, was %d", verb, len(after), len(before))
+		}
+		if out, _ := mustTML(t, "run", "-store", db, "good.f", "41"); out != "42\n" {
+			t.Errorf("after the failed %s: good.f 41 = %q", verb, out)
+		}
+	}
+
+	// The first file installs, the second's constant faults.
+	first := write(t, filepath.Join(dir, "m2.tl"), "module m2 export g let g(n : Int) : Int = n end\n")
+	bad := write(t, filepath.Join(dir, "bad.tl"), "module bad export f let z : Int = 1 / 0 let f(n : Int) : Int = n + z end\n")
+	if code, _, diag := invoke(t, "compile", "-store", db, first, bad); code != 1 {
+		t.Fatalf("compile with a faulting constant: exit %d, stderr %q", code, diag)
+	}
+	unchanged("compile")
+	if code, _, _ := invoke(t, "run", "-store", db, "m2.g", "1"); code != 1 {
+		t.Error("the failed compile's first module is installed")
+	}
+
+	// A bundle of app.f needs module helper, which db lacks.
+	src := filepath.Join(dir, "src.tyst")
+	mustTML(t, "compile", "-store", src,
+		write(t, filepath.Join(dir, "helper.tl"), "module helper export inc let inc(n : Int) : Int = n + 1 end\n"),
+		write(t, filepath.Join(dir, "app.tl"), "module app export f let f(n : Int) : Int = helper.inc(n) end\n"))
+	bundle := filepath.Join(dir, "app.bundle")
+	mustTML(t, "ship", "-store", src, "-export", "app.f", "-out", bundle)
+	if code, _, diag := invoke(t, "ship", "-store", db, "-import", bundle, "-as", "app.f"); code != 1 || !strings.Contains(diag, "helper") {
+		t.Fatalf("import without helper: exit %d, stderr %q", code, diag)
+	}
+	unchanged("import")
+}

@@ -17,6 +17,7 @@ import (
 	"tycoon/internal/netfault"
 	"tycoon/internal/prim"
 	"tycoon/internal/ptml"
+	"tycoon/internal/relalg"
 	"tycoon/internal/server"
 	"tycoon/internal/ship"
 	"tycoon/internal/store"
@@ -101,10 +102,11 @@ type shardProc struct {
 }
 
 // loadRows fills relation t with this shard's partition of the
-// benchmark rows (id, id%97).
-func loadRows(srv *server.Server, ids []int) error {
-	mg := srv.Manager()
-	oid, err := mg.CreateRelation("t", []store.Column{
+// benchmark rows (id, id%97), in one commit.
+func loadRows(st *store.Store, ids []int) error {
+	tx := st.Begin()
+	defer tx.Abort()
+	oid, err := relalg.CreateRelation(tx, "t", []store.Column{
 		{Name: "id", Type: store.ColInt},
 		{Name: "val", Type: store.ColInt},
 	}, 0)
@@ -112,11 +114,11 @@ func loadRows(srv *server.Server, ids []int) error {
 		return err
 	}
 	for _, id := range ids {
-		if err := mg.InsertRow(oid, []store.Val{store.IntVal(int64(id)), store.IntVal(int64(id % 97))}); err != nil {
+		if err := relalg.InsertRow(tx, oid, []store.Val{store.IntVal(int64(id)), store.IntVal(int64(id % 97))}); err != nil {
 			return err
 		}
 	}
-	return nil
+	return tx.Commit()
 }
 
 func (sp *shardProc) start(firstBoot bool, ids []int) error {
@@ -130,7 +132,7 @@ func (sp *shardProc) start(firstBoot bool, ids []int) error {
 		return err
 	}
 	if firstBoot {
-		if err := loadRows(srv, ids); err != nil {
+		if err := loadRows(sp.st, ids); err != nil {
 			return err
 		}
 	}

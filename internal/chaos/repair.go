@@ -99,7 +99,7 @@ func (r *repReplica) start(firstBoot bool, ids []int) error {
 		return err
 	}
 	if firstBoot {
-		if err := loadRows(srv, ids); err != nil {
+		if err := loadRows(r.st, ids); err != nil {
 			return err
 		}
 	}

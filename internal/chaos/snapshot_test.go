@@ -63,12 +63,13 @@ func TestSnapshotIsolation(t *testing.T) {
 		iters   = 40
 	)
 	var pairs [npairs][2]store.OID
+	setup := st.Begin()
 	for i := range pairs {
-		pairs[i][0] = st.Alloc(&store.Blob{Bytes: []byte{0}})
-		pairs[i][1] = st.Alloc(&store.Blob{Bytes: []byte{0}})
+		pairs[i][0] = setup.Alloc(&store.Blob{Bytes: []byte{0}})
+		pairs[i][1] = setup.Alloc(&store.Blob{Bytes: []byte{0}})
 	}
-	counter := st.Alloc(&store.Array{Elems: []store.Val{store.IntVal(0)}})
-	if err := st.Commit(); err != nil {
+	counter := setup.Alloc(&store.Array{Elems: []store.Val{store.IntVal(0)}})
+	if err := setup.Commit(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -13,6 +13,7 @@ import (
 	"tycoon/internal/cluster"
 	"tycoon/internal/prim"
 	"tycoon/internal/ptml"
+	"tycoon/internal/relalg"
 	"tycoon/internal/server"
 	"tycoon/internal/ship"
 	"tycoon/internal/store"
@@ -112,8 +113,8 @@ func startReplica(t *testing.T, ids []int) *replicaProc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg := srv.Manager()
-	oid, err := mg.CreateRelation("t", []store.Column{
+	tx := st.Begin()
+	oid, err := relalg.CreateRelation(tx, "t", []store.Column{
 		{Name: "id", Type: store.ColInt},
 		{Name: "val", Type: store.ColInt},
 	}, 0)
@@ -121,9 +122,12 @@ func startReplica(t *testing.T, ids []int) *replicaProc {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		if err := mg.InsertRow(oid, []store.Val{store.IntVal(int64(id)), store.IntVal(int64(id % 97))}); err != nil {
+		if err := relalg.InsertRow(tx, oid, []store.Val{store.IntVal(int64(id)), store.IntVal(int64(id % 97))}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -1091,7 +1095,11 @@ func TestRepairMismatchFailsLoud(t *testing.T) {
 	if !ok {
 		t.Fatal("revived replica lost rel:t")
 	}
-	if err := target.srv.Manager().InsertRow(oid, []store.Val{store.IntVal(9999), store.IntVal(1)}); err != nil {
+	tx := target.st.Begin()
+	if err := relalg.InsertRow(tx, oid, []store.Val{store.IntVal(9999), store.IntVal(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -26,6 +26,7 @@ func buildStore(t *testing.T, path string) store.OID {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tx := st.Begin()
 	defer st.Close()
 
 	n, err := tml.Parse("proc(x !ce !cc) (+ x y ce cc)", popts)
@@ -49,13 +50,13 @@ func buildStore(t *testing.T, path string) store.OID {
 	for _, v := range tml.FreeVars(abs) {
 		bindings = append(bindings, store.Binding{Name: v.String(), Val: store.IntVal(1)})
 	}
-	codeOID := st.Alloc(&store.Blob{Bytes: code})
-	ptmlOID := st.Alloc(&store.Blob{Bytes: pdata})
-	cloOID := st.Alloc(&store.Closure{Name: "f", Code: codeOID, PTML: ptmlOID, Bindings: bindings})
-	modOID := st.Alloc(&store.Module{Name: "m", Exports: []store.Export{{Name: "f", Val: store.RefVal(cloOID)}}})
-	st.SetRoot("main", modOID)
-	st.Alloc(&store.Blob{Bytes: []byte("garbage")}) // unreachable
-	if err := st.Commit(); err != nil {
+	codeOID := tx.Alloc(&store.Blob{Bytes: code})
+	ptmlOID := tx.Alloc(&store.Blob{Bytes: pdata})
+	cloOID := tx.Alloc(&store.Closure{Name: "f", Code: codeOID, PTML: ptmlOID, Bindings: bindings})
+	modOID := tx.Alloc(&store.Module{Name: "m", Exports: []store.Export{{Name: "f", Val: store.RefVal(cloOID)}}})
+	tx.SetRoot("main", modOID)
+	tx.Alloc(&store.Blob{Bytes: []byte("garbage")}) // unreachable
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	return cloOID
@@ -99,10 +100,11 @@ func TestCheckDanglingRootAndReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oid := st.Alloc(&store.Tuple{Fields: []store.Val{store.RefVal(0x999)}})
-	st.SetRoot("t", oid)
-	st.SetRoot("gone", 0x777)
-	if err := st.Commit(); err != nil {
+	tx := st.Begin()
+	oid := tx.Alloc(&store.Tuple{Fields: []store.Val{store.RefVal(0x999)}})
+	tx.SetRoot("t", oid)
+	tx.SetRoot("gone", 0x777)
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -125,12 +127,13 @@ func TestCheckMissingBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := st.MustGet(cloOID).(*store.Closure)
+	tx := st.Begin()
+	c := *tx.MustGet(cloOID).(*store.Closure)
 	c.Bindings = nil
-	if err := st.Update(cloOID, c); err != nil {
+	if err := tx.Update(cloOID, &c); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Commit(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -151,11 +154,12 @@ func TestCheckCorruptPTML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clo := st.MustGet(cloOID).(*store.Closure)
-	if err := st.Update(clo.PTML, &store.Blob{Bytes: []byte("not ptml")}); err != nil {
+	tx := st.Begin()
+	clo := tx.MustGet(cloOID).(*store.Closure)
+	if err := tx.Update(clo.PTML, &store.Blob{Bytes: []byte("not ptml")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Commit(); err != nil {
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -218,10 +222,11 @@ func TestCheckServerSavedRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetRoot(ship.SavedRoot+"good", cloOID)
-	blobOID := st.Alloc(&store.Blob{Bytes: []byte("not a closure")})
-	st.SetRoot(ship.SavedRoot+"bad", blobOID)
-	if err := st.Commit(); err != nil {
+	tx := st.Begin()
+	tx.SetRoot(ship.SavedRoot+"good", cloOID)
+	blobOID := tx.Alloc(&store.Blob{Bytes: []byte("not a closure")})
+	tx.SetRoot(ship.SavedRoot+"bad", blobOID)
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()

@@ -5,6 +5,7 @@ import (
 
 	"tycoon/internal/linker"
 	"tycoon/internal/machine"
+	"tycoon/internal/relalg"
 	"tycoon/internal/store"
 )
 
@@ -97,8 +98,8 @@ let deepTry(n : Int) : Int =
   end
 end`
 	for _, level := range []linker.OptLevel{linker.OptNone, linker.OptLocal} {
-		_, lk, comp, m, _ := setup(t, level)
-		mod := install(t, lk, comp, src)
+		st, lk, comp, m, _ := setup(t, level)
+		mod := install(t, st, lk, comp, src)
 		cases := []struct {
 			fn   string
 			args []machine.Value
@@ -145,8 +146,8 @@ end`
 
 // TestCaseWithoutElseRaises pins the runtime semantics of a fall-through.
 func TestCaseWithoutElseRaises(t *testing.T) {
-	_, lk, comp, m, _ := setup(t, linker.OptNone)
-	mod := install(t, lk, comp, `
+	st, lk, comp, m, _ := setup(t, linker.OptNone)
+	mod := install(t, st, lk, comp, `
 module c export f
 let f(n : Int) : Int = begin case n of 1 => print(1) | 2 => print(2) end; n end
 end`)
@@ -161,8 +162,8 @@ end`)
 // TestExceptionAcrossCalls checks that the ce chain crosses function
 // boundaries: a raise deep in a callee lands in the caller's handler.
 func TestExceptionAcrossCalls(t *testing.T) {
-	_, lk, comp, m, _ := setup(t, linker.OptNone)
-	mod := install(t, lk, comp, `
+	st, lk, comp, m, _ := setup(t, linker.OptNone)
+	mod := install(t, st, lk, comp, `
 module x export outer
 let inner(n : Int) : Int = if n = 0 then raise "deep" else n end
 let middle(n : Int) : Int = inner(n) * 2
@@ -180,16 +181,15 @@ end`)
 
 // TestJoinQueries executes TL θ-joins end to end.
 func TestJoinQueries(t *testing.T) {
-	st, lk, comp, m, mg := setup(t, linker.OptNone)
-	_ = st
-	emp, err := mg.CreateRelation("jemp", []store.Column{
+	st, lk, comp, m, _ := setup(t, linker.OptNone)
+	emp, err := relalg.CreateRelation(st, "jemp", []store.Column{
 		{Name: "id", Type: store.ColInt},
 		{Name: "dept", Type: store.ColInt},
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dept, err := mg.CreateRelation("jdept", []store.Column{
+	dept, err := relalg.CreateRelation(st, "jdept", []store.Column{
 		{Name: "dno", Type: store.ColInt},
 		{Name: "budget", Type: store.ColInt},
 	})
@@ -197,16 +197,16 @@ func TestJoinQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 20; i++ {
-		if err := mg.InsertRow(emp, []store.Val{store.IntVal(i), store.IntVal(i % 4)}); err != nil {
+		if err := relalg.InsertRow(st, emp, []store.Val{store.IntVal(i), store.IntVal(i % 4)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for d := int64(0); d < 4; d++ {
-		if err := mg.InsertRow(dept, []store.Val{store.IntVal(d), store.IntVal(d * 1000)}); err != nil {
+		if err := relalg.InsertRow(st, dept, []store.Val{store.IntVal(d), store.IntVal(d * 1000)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mod := install(t, lk, comp, `
+	mod := install(t, st, lk, comp, `
 module j export pay, pairs
 rel jemp : Rel(id : Int, dept : Int)
 rel jdept : Rel(dno : Int, budget : Int)

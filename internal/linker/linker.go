@@ -40,20 +40,20 @@ type Config struct {
 	StripPTML bool
 }
 
-// Linker installs modules into one store.
+// Linker installs modules, each into the transaction it is handed: the
+// transaction's commit publishes the install, and a failed install takes
+// back what it wrote.
 type Linker struct {
-	st   *store.Store
 	cfg  Config
 	pipe *pipeline.Pipeline
 }
 
-// New returns a linker over st.
-func New(st *store.Store, cfg Config) *Linker {
+// New returns a linker.
+func New(cfg Config) *Linker {
 	// Installation jobs carry no cache key (every install persists fresh
 	// blobs), so the pipeline is used purely as the instrumented pass
-	// sequencer here; caching serves the reflective path.
-	pipe := pipeline.New(st, pipeline.Config{CacheEntries: -1})
-	return &Linker{st: st, cfg: cfg, pipe: pipe}
+	// sequencer here, over no store; caching serves the reflective path.
+	return &Linker{cfg: cfg, pipe: pipeline.New(nil, pipeline.Config{})}
 }
 
 // ModuleRoot is the store-root prefix for installed modules.
@@ -102,23 +102,37 @@ func (e *NotFoundError) Error() string {
 	return e.Module + "." + e.Fn + " is not an exported function"
 }
 
-// InstallModule installs one compiled module and returns the module
-// object's OID. Imported modules and declared relations must already be
-// present in the store. The module's constants run on a fresh machine
-// over the linker's store, under the default step budget.
-func (l *Linker) InstallModule(unit *tl.ModuleUnit) (store.OID, error) {
-	return l.InstallModuleOn(machine.New(l.st), unit)
+// InstallModule installs one compiled module into tx and returns the
+// module object's OID. Imported modules and declared relations must be
+// visible to tx. The module's constants run on a fresh machine over tx,
+// under the default step budget. A failed install takes back everything
+// it wrote, so tx is left as it was.
+func (l *Linker) InstallModule(tx *store.Txn, unit *tl.ModuleUnit) (store.OID, error) {
+	return l.InstallModuleOn(machine.New(tx), tx, unit)
 }
 
 // InstallModuleOn is InstallModule running the module's constants on m,
 // under m's step budget and deadline: a server installs on the machine
-// it lent the request, so an INSTALL is bounded like any other request. Every constant runs before the linker allocates anything, so
-// a constant that fails leaves no record of the module behind.
-func (l *Linker) InstallModuleOn(m *machine.Machine, unit *tl.ModuleUnit) (store.OID, error) {
+// it lent the request, so an INSTALL is bounded like any other request.
+func (l *Linker) InstallModuleOn(m *machine.Machine, tx *store.Txn, unit *tl.ModuleUnit) (_ store.OID, err error) {
+	var wrote []store.OID
+	alloc := func(obj store.Object) store.OID {
+		oid := tx.Alloc(obj)
+		wrote = append(wrote, oid)
+		return oid
+	}
+	defer func() {
+		if err != nil {
+			for _, oid := range wrote {
+				tx.Discard(oid)
+			}
+		}
+	}()
+
 	// Declared relations must resolve (their bindings are baked into the
 	// closure records).
 	for _, rd := range unit.Rels {
-		if _, ok := l.st.Root(RelRoot + rd.Name); !ok {
+		if _, ok := tx.Root(RelRoot + rd.Name); !ok {
 			return store.Nil, fmt.Errorf("linker: module %s: relation %s not present in store (create it first)", unit.Name, rd.Name)
 		}
 	}
@@ -127,7 +141,7 @@ func (l *Linker) InstallModuleOn(m *machine.Machine, unit *tl.ModuleUnit) (store
 	// them, while the checker forbids constants from calling functions.
 	declVals := make(map[string]store.Val, len(unit.Funcs)+len(unit.Consts))
 	for _, cu := range unit.Consts {
-		v, err := l.evalConst(m, cu, declVals)
+		v, err := evalConst(m, tx, cu, declVals)
 		if err != nil {
 			return store.Nil, fmt.Errorf("linker: constant %s.%s: %w", unit.Name, cu.Name, err)
 		}
@@ -138,17 +152,17 @@ func (l *Linker) InstallModuleOn(m *machine.Machine, unit *tl.ModuleUnit) (store
 	// regardless of declaration order (mutual recursion).
 	declOIDs := make(map[string]store.OID, len(unit.Funcs))
 	for _, fu := range unit.Funcs {
-		declOIDs[fu.Name] = l.st.Alloc(&store.Closure{Name: unit.Name + "." + fu.Name})
+		declOIDs[fu.Name] = alloc(&store.Closure{Name: unit.Name + "." + fu.Name})
 		declVals[fu.Name] = store.RefVal(declOIDs[fu.Name])
 	}
 
 	// Install function bodies.
 	for _, fu := range unit.Funcs {
-		clo, err := l.buildClosure(unit.Name+"."+fu.Name, fu.Abs, fu.Free, declVals)
+		clo, err := l.buildClosure(tx, alloc, unit.Name+"."+fu.Name, fu.Abs, fu.Free, declVals)
 		if err != nil {
 			return store.Nil, fmt.Errorf("linker: %s.%s: %w", unit.Name, fu.Name, err)
 		}
-		if err := l.st.Update(declOIDs[fu.Name], clo); err != nil {
+		if err := tx.Update(declOIDs[fu.Name], clo); err != nil {
 			return store.Nil, err
 		}
 	}
@@ -163,16 +177,17 @@ func (l *Linker) InstallModuleOn(m *machine.Machine, unit *tl.ModuleUnit) (store
 		}
 		mod.Exports = append(mod.Exports, store.Export{Name: member.Name, Val: v})
 	}
-	oid := l.st.Alloc(mod)
-	l.st.SetRoot(ModuleRoot+unit.Name, oid)
+	oid := alloc(mod)
+	tx.SetRoot(ModuleRoot+unit.Name, oid)
 	return oid, nil
 }
 
 // buildClosure optimizes, compiles and persists one function by running
 // it as a job through the compilation pipeline: optional local
 // optimization (OptLocal), TAM code generation, and both persistent
-// encodings in one instrumented sequence.
-func (l *Linker) buildClosure(name string, abs *tml.Abs, free []*tl.FreeRef, declVals map[string]store.Val) (*store.Closure, error) {
+// encodings in one instrumented sequence. Its blobs go through alloc;
+// its bindings resolve in view.
+func (l *Linker) buildClosure(view store.View, alloc func(store.Object) store.OID, name string, abs *tml.Abs, free []*tl.FreeRef, declVals map[string]store.Val) (*store.Closure, error) {
 	res, err := l.pipe.Run(pipeline.Job{
 		Name: name,
 		Source: func(gen *tml.VarGen) (*tml.Abs, error) {
@@ -187,14 +202,14 @@ func (l *Linker) buildClosure(name string, abs *tml.Abs, free []*tl.FreeRef, dec
 	if err != nil {
 		return nil, err
 	}
-	codeOID := l.st.Alloc(&store.Blob{Bytes: res.Code})
+	codeOID := alloc(&store.Blob{Bytes: res.Code})
 
 	ptmlOID := store.Nil
 	if !l.cfg.StripPTML {
-		ptmlOID = l.st.Alloc(&store.Blob{Bytes: res.PTML})
+		ptmlOID = alloc(&store.Blob{Bytes: res.PTML})
 	}
 
-	bindings, err := l.resolveBindings(res.Prog.EntryBlock().FreeNames, free, declVals)
+	bindings, err := resolveBindings(view, res.Prog.EntryBlock().FreeNames, free, declVals)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +229,7 @@ func (l *Linker) buildClosure(name string, abs *tml.Abs, free []*tl.FreeRef, dec
 
 // resolveBindings produces the closure record's [identifier, value] pairs
 // for the free variables the compiled code actually captures.
-func (l *Linker) resolveBindings(freeNames []string, free []*tl.FreeRef, declVals map[string]store.Val) ([]store.Binding, error) {
+func resolveBindings(view store.View, freeNames []string, free []*tl.FreeRef, declVals map[string]store.Val) ([]store.Binding, error) {
 	byName := make(map[string]*tl.FreeRef, len(free))
 	for _, fr := range free {
 		byName[fr.Var.String()] = fr
@@ -225,7 +240,7 @@ func (l *Linker) resolveBindings(freeNames []string, free []*tl.FreeRef, declVal
 		if !ok {
 			return nil, fmt.Errorf("no free-variable metadata for %s", name)
 		}
-		val, err := l.bindingValue(fr, declVals)
+		val, err := bindingValue(view, fr, declVals)
 		if err != nil {
 			return nil, err
 		}
@@ -234,10 +249,10 @@ func (l *Linker) resolveBindings(freeNames []string, free []*tl.FreeRef, declVal
 	return bindings, nil
 }
 
-func (l *Linker) bindingValue(fr *tl.FreeRef, declVals map[string]store.Val) (store.Val, error) {
+func bindingValue(view store.View, fr *tl.FreeRef, declVals map[string]store.Val) (store.Val, error) {
 	switch fr.Kind {
 	case tl.FreeModule:
-		oid, ok := Module(l.st, fr.Name)
+		oid, ok := Module(view, fr.Name)
 		if !ok {
 			return store.Val{}, fmt.Errorf("imported module %s not installed", fr.Name)
 		}
@@ -249,7 +264,7 @@ func (l *Linker) bindingValue(fr *tl.FreeRef, declVals map[string]store.Val) (st
 		}
 		return v, nil
 	case tl.FreeRel:
-		oid, ok := l.st.Root(RelRoot + fr.Name)
+		oid, ok := view.Root(RelRoot + fr.Name)
 		if !ok {
 			return store.Val{}, fmt.Errorf("relation %s not present in store", fr.Name)
 		}
@@ -260,11 +275,11 @@ func (l *Linker) bindingValue(fr *tl.FreeRef, declVals map[string]store.Val) (st
 }
 
 // evalConst compiles a constant initialiser and runs it on m.
-func (l *Linker) evalConst(m *machine.Machine, cu *tl.ConstUnit, declVals map[string]store.Val) (store.Val, error) {
+func evalConst(m *machine.Machine, view store.View, cu *tl.ConstUnit, declVals map[string]store.Val) (store.Val, error) {
 	vars := make([]*tml.Var, len(cu.Free))
 	vals := make([]machine.Value, len(cu.Free))
 	for i, fr := range cu.Free {
-		sv, err := l.bindingValue(fr, declVals)
+		sv, err := bindingValue(view, fr, declVals)
 		if err != nil {
 			return store.Val{}, err
 		}

@@ -13,33 +13,48 @@ import (
 	"tycoon/internal/tyclib"
 )
 
-// setup installs tyclib into a fresh in-memory store and returns the
-// pieces needed to compile and run user modules.
-func setup(t *testing.T, level linker.OptLevel) (*store.Store, *linker.Linker, *tl.Compiler, *machine.Machine, *relalg.Manager) {
+// library commits tyclib into a fresh in-memory store and returns the
+// store, the linker and the compiler that knows the library.
+func library(t *testing.T, cfg linker.Config) (*store.Store, *linker.Linker, *tl.Compiler) {
 	t.Helper()
 	st, err := store.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	lk := linker.New(st, linker.Config{Level: level})
-	comp, err := tyclib.Install(st, lk)
+	lk := linker.New(cfg)
+	tx := st.Begin()
+	comp, err := tyclib.Install(tx, lk)
 	if err != nil {
 		t.Fatalf("tyclib install: %v", err)
 	}
-	m := machine.New(st)
-	mg := relalg.NewManager(st)
-	mg.Register(m)
-	return st, lk, comp, m, mg
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return st, lk, comp
 }
 
-func install(t *testing.T, lk *linker.Linker, comp *tl.Compiler, src string) store.OID {
+// setup returns the pieces needed to compile and run user modules over a
+// library store: one open transaction, which installs write into and the
+// machine runs against.
+func setup(t *testing.T, level linker.OptLevel) (*store.Txn, *linker.Linker, *tl.Compiler, *machine.Machine, *relalg.Manager) {
+	t.Helper()
+	st, lk, comp := library(t, linker.Config{Level: level})
+	tx := st.Begin()
+	t.Cleanup(tx.Abort)
+	m := machine.New(tx)
+	mg := relalg.NewManager(tx)
+	mg.Register(m)
+	return tx, lk, comp, m, mg
+}
+
+func install(t *testing.T, tx *store.Txn, lk *linker.Linker, comp *tl.Compiler, src string) store.OID {
 	t.Helper()
 	unit, err := comp.Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	oid, err := lk.InstallModule(unit)
+	oid, err := lk.InstallModule(tx, unit)
 	if err != nil {
 		t.Fatalf("install: %v", err)
 	}
@@ -107,8 +122,8 @@ end
 
 func TestEndToEndDemo(t *testing.T) {
 	for _, level := range []linker.OptLevel{linker.OptNone, linker.OptLocal} {
-		_, lk, comp, m, _ := setup(t, level)
-		mod := install(t, lk, comp, demoSrc)
+		st, lk, comp, m, _ := setup(t, level)
+		mod := install(t, st, lk, comp, demoSrc)
 
 		cases := []struct {
 			fn   string
@@ -138,9 +153,9 @@ func TestEndToEndDemo(t *testing.T) {
 }
 
 func TestEndToEndQueries(t *testing.T) {
-	st, lk, comp, m, mg := setup(t, linker.OptNone)
+	st, lk, comp, m, _ := setup(t, linker.OptNone)
 	// Create the relation the module binds against.
-	oid, err := mg.CreateRelation("emp", []store.Column{
+	oid, err := relalg.CreateRelation(st, "emp", []store.Column{
 		{Name: "id", Type: store.ColInt},
 		{Name: "sal", Type: store.ColInt},
 	}, 0)
@@ -148,11 +163,10 @@ func TestEndToEndQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 100; i++ {
-		if err := mg.InsertRow(oid, []store.Val{store.IntVal(i), store.IntVal(i * 100)}); err != nil {
+		if err := relalg.InsertRow(st, oid, []store.Val{store.IntVal(i), store.IntVal(i * 100)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_ = st
 
 	src := `
 module q export high, hasId, total, addOne, cnt
@@ -163,7 +177,7 @@ let total() : Int = begin var s := 0; foreach e in emp do s := s + e.sal end; s 
 let addOne(i : Int, s : Int) : Ok = insert tuple i, s end into emp
 let cnt() : Int = count(emp)
 end`
-	mod := install(t, lk, comp, src)
+	mod := install(t, st, lk, comp, src)
 
 	if got := callInt(t, m, mod, "high", machine.Int(5000)); got != 50 {
 		t.Errorf("high(5000) = %d, want 50", got)
@@ -188,13 +202,13 @@ end`
 }
 
 func TestConstantsAndCrossModule(t *testing.T) {
-	_, lk, comp, m, _ := setup(t, linker.OptNone)
-	install(t, lk, comp, `
+	st, lk, comp, m, _ := setup(t, linker.OptNone)
+	install(t, st, lk, comp, `
 module geom export pi, area
 let pi = 3.14159
 let area(r : Real) : Real = pi * r * r
 end`)
-	mod2 := install(t, lk, comp, `
+	mod2 := install(t, st, lk, comp, `
 module uses export f
 let f(r : Real) : Int = real.toInt(geom.area(r))
 end`)
@@ -209,8 +223,9 @@ func TestPersistAndRerun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lk := linker.New(st, linker.Config{})
-	comp, err := tyclib.Install(st, lk)
+	lk := linker.New(linker.Config{})
+	tx := st.Begin()
+	comp, err := tyclib.Install(tx, lk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +233,10 @@ func TestPersistAndRerun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lk.InstallModule(unit); err != nil {
+	if _, err := lk.InstallModule(tx, unit); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -242,8 +260,8 @@ func TestPersistAndRerun(t *testing.T) {
 }
 
 func TestUnhandledExceptionPropagates(t *testing.T) {
-	_, lk, comp, m, _ := setup(t, linker.OptNone)
-	mod := install(t, lk, comp, `
+	st, lk, comp, m, _ := setup(t, linker.OptNone)
+	mod := install(t, st, lk, comp, `
 module boom export f
 let f(n : Int) : Int = if n = 0 then raise "zero" else n end
 end`)
@@ -257,21 +275,14 @@ end`)
 }
 
 func TestStripPTML(t *testing.T) {
-	st, err := store.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	lk := linker.New(st, linker.Config{StripPTML: true})
-	comp, err := tyclib.Install(st, lk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, lk, comp := library(t, linker.Config{StripPTML: true})
+	st := db.Begin()
+	defer st.Abort()
 	unit, err := comp.Compile(`module s export f let f(n : Int) : Int = n + 1 end`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	modOID, err := lk.InstallModule(unit)
+	modOID, err := lk.InstallModule(st, unit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +300,7 @@ func TestStripPTML(t *testing.T) {
 }
 
 func TestMissingRelationFailsInstall(t *testing.T) {
-	_, lk, comp, _, _ := setup(t, linker.OptNone)
+	st, lk, comp, _, _ := setup(t, linker.OptNone)
 	unit, err := comp.Compile(`
 module r export f
 rel nosuch : Rel(id : Int)
@@ -298,17 +309,17 @@ end`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lk.InstallModule(unit); err == nil {
+	if _, err := lk.InstallModule(st, unit); err == nil {
 		t.Error("install with missing relation succeeded")
 	}
 }
 
 // TestFailedConstantLeavesNoObjects installs a module whose constant
-// raises: the install fails with the exception, and the store holds
-// exactly the objects it held before, so a later commit cannot make any
-// part of the failed module durable.
+// raises: the install fails with the exception, and once its transaction
+// is aborted the store holds exactly the objects it held before, so a
+// later commit cannot make any part of the failed module durable.
 func TestFailedConstantLeavesNoObjects(t *testing.T) {
-	st, lk, comp, _, _ := setup(t, linker.OptNone)
+	st, lk, comp := library(t, linker.Config{})
 	unit, err := comp.Compile(`
 module bad export f, g, c
 let c = 1 / 0
@@ -319,9 +330,11 @@ end`)
 		t.Fatal(err)
 	}
 	before := st.Len()
-	if _, err := lk.InstallModule(unit); !errors.Is(err, machine.ErrUnhandled) {
+	tx := st.Begin()
+	if _, err := lk.InstallModule(tx, unit); !errors.Is(err, machine.ErrUnhandled) {
 		t.Fatalf("install = %v, want the constant's unhandled exception", err)
 	}
+	tx.Abort()
 	if after := st.Len(); after != before {
 		t.Errorf("failed install moved the store from %d to %d objects", before, after)
 	}
@@ -334,8 +347,12 @@ end`)
 // module: root, in the store and in a transaction's snapshot, and
 // reports a missing module or export as a *NotFoundError.
 func TestFunctionResolves(t *testing.T) {
-	st, lk, comp, _, _ := setup(t, linker.OptNone)
-	mod := install(t, lk, comp, `module p export f, k let f(n : Int) : Int = n let k = 3 end`)
+	st, lk, comp := library(t, linker.Config{})
+	tx := st.Begin()
+	mod := install(t, tx, lk, comp, `module p export f, k let f(n : Int) : Int = n let k = 3 end`)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	want := st.MustGet(mod).(*store.Module).Exports[0].Val.Ref
 	txn := st.Begin()
 	defer txn.Abort()

@@ -264,19 +264,15 @@ func TestContTailCallPopsActivationRecords(t *testing.T) {
 // with the stack at the depth it entered at, and the caller's records
 // below survive.
 func TestContPredicateRaiseRestoresStack(t *testing.T) {
-	st, err := store.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	st := openTxn(t)
 	mg := relalg.NewManager(st)
 	mg.NoVector = true
-	rel, err := mg.CreateRelation("r", []store.Column{{Name: "id", Type: store.ColInt}})
+	rel, err := relalg.CreateRelation(st, "r", []store.Column{{Name: "id", Type: store.ColInt}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		if err := mg.InsertRow(rel, []store.Val{store.IntVal(int64(i))}); err != nil {
+		if err := relalg.InsertRow(st, rel, []store.Val{store.IntVal(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -287,6 +287,10 @@ func registerArrayExecs() {
 			a.B[i] = byte(ch)
 			return m.one(0, unitVal), nil
 		case Ref:
+			tx, err := m.writer("b[:=]")
+			if err != nil {
+				return Outcome{}, err
+			}
 			obj, err := m.fetch("b[:=]", a)
 			if err != nil {
 				return Outcome{}, err
@@ -299,7 +303,7 @@ func registerArrayExecs() {
 				return m.throw("b[:=]", Str("index out of range"))
 			}
 			ba.Bytes[i] = byte(ch)
-			m.Store.MarkDirty(a.OID)
+			tx.MarkDirty(a.OID)
 			return m.one(0, unitVal), nil
 		default:
 			return Outcome{}, rtErr("b[:=]", "expected byte array, got %s", vals[0].Show())
@@ -456,6 +460,10 @@ func execIndexStore(m *Machine, vals, conts []Value) (Outcome, error) {
 		a.Elems[i] = vals[2]
 		return m.one(0, unitVal), nil
 	case Ref:
+		tx, err := m.writer("[:=]")
+		if err != nil {
+			return Outcome{}, err
+		}
 		obj, err := m.fetch("[:=]", a)
 		if err != nil {
 			return Outcome{}, err
@@ -472,7 +480,7 @@ func execIndexStore(m *Machine, vals, conts []Value) (Outcome, error) {
 			return Outcome{}, err
 		}
 		arr.Elems[i] = sv
-		m.Store.MarkDirty(a.OID)
+		tx.MarkDirty(a.OID)
 		return m.one(0, unitVal), nil
 	default:
 		return Outcome{}, rtErr("[:=]", "expected mutable array, got %s", vals[0].Show())

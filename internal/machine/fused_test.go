@@ -63,8 +63,7 @@ func TestFusedAgreesWithGenericOnRandomPrograms(t *testing.T) {
 // the member and link memos on the resolved machine and the store and the
 // code table on the generic one, with identical results and work.
 func TestFusedAgreesWithGenericThroughLibrary(t *testing.T) {
-	st, _ := store.Open("")
-	defer st.Close()
+	st := openTxn(t)
 	var exports []store.Export
 	for _, op := range []string{"+", "-"} {
 		prog, err := CompileProc(compileAbsSrc(t, "proc(a b !ce !k) ("+op+" a b ce k)"), op)

@@ -221,25 +221,45 @@ func TestPrint(t *testing.T) {
 func TestStoreAccess(t *testing.T) {
 	st, _ := store.Open("")
 	defer st.Close()
-	oid := st.Alloc(&store.Array{Elems: []store.Val{store.IntVal(5), store.IntVal(6)}})
-	m := New(st)
+	tx := st.Begin()
+	oid := tx.Alloc(&store.Array{Elems: []store.Val{store.IntVal(5), store.IntVal(6)}})
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	binds := map[string]Value{"arr": Ref{OID: oid}}
+	// A machine over the store itself reads, and refuses to write before
+	// it touches the array.
+	m := New(st)
 	v, err := runSrc(t, m, "([] arr 1 cont(x) (halt x))", binds)
 	wantIntResult(t, v, err, 6)
-	// Store update through [:=].
+	_, err = runSrc(t, m, "([:=] arr 0 77 cont(u) (halt ok))", binds)
+	var rt *RuntimeError
+	if !errors.As(err, &rt) || rt.Op != "[:=]" {
+		t.Fatalf("[:=] outside a transaction = %v, want a [:=] runtime error", err)
+	}
+	if got := st.MustGet(oid).(*store.Array).Elems[0].Int; got != 5 {
+		t.Fatalf("refused write changed the array: %d", got)
+	}
+	// Store update through [:=] in a transaction, published at commit.
+	tx = st.Begin()
+	m.Store = tx
 	_, err = runSrc(t, m, "([:=] arr 0 77 cont(u) (halt ok))", binds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := st.MustGet(oid).(*store.Array).Elems[0].Int
-	if got != 77 {
+	if got := st.MustGet(oid).(*store.Array).Elems[0].Int; got != 5 {
+		t.Fatalf("uncommitted write visible: %d", got)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.MustGet(oid).(*store.Array).Elems[0].Int; got != 77 {
 		t.Errorf("store array not updated: %d", got)
 	}
 }
 
 func TestOidLiteralResolves(t *testing.T) {
-	st, _ := store.Open("")
-	defer st.Close()
+	st := openTxn(t)
 	oid := st.Alloc(&store.Tuple{Fields: []store.Val{store.RealVal(3.5)}})
 	m := New(st)
 	src := "([] <oid 0x" + refHex(uint64(oid)) + "> 0 cont(x) (halt x))"

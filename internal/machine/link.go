@@ -24,12 +24,12 @@ import (
 //
 // The table holds at most one value per closure record and one program
 // per code blob, all of which the store already holds, so it has no
-// bound of its own. Sharing links is sound because the code and bindings
-// of a complete closure record, and a code blob, are never rewritten
-// (SetClosureAttrs replaces only derived attributes). Only placeholders
-// are: the linker's closure records without code and ship.Import's empty
-// objects. A placeholder fails to link or decode, and failures are never
-// cached.
+// bound of its own. Sharing links is sound because a committed closure
+// record or code blob is never rewritten. The only objects that are —
+// the linker's closure records without code and ship.Import's empty
+// placeholders — live inside the transaction that allocates them and
+// are replaced before it commits, so no other machine can reach one; a
+// placeholder fails to link or decode, and failures are never cached.
 type CodeTable struct {
 	closures sync.Map // store.OID → Value: installs and links
 	programs sync.Map // store.OID → *Program: decoded code blobs

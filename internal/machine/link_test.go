@@ -7,7 +7,23 @@ import (
 	"tycoon/internal/store"
 )
 
-// storeInc persists n closures sharing one compiled "+ a 1" code blob.
+// openTxn returns a transaction over a fresh in-memory store, aborted
+// when the test ends.
+func openTxn(t testing.TB) *store.Txn {
+	t.Helper()
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := st.Begin()
+	t.Cleanup(func() {
+		tx.Abort()
+		st.Close()
+	})
+	return tx
+}
+
+// storeInc commits n closures sharing one compiled "+ a 1" code blob.
 func storeInc(t *testing.T, st *store.Store, n int) []store.OID {
 	t.Helper()
 	prog, err := CompileProc(compileAbsSrc(t, "proc(a !e !k) (+ a 1 e k)"), "inc")
@@ -15,10 +31,14 @@ func storeInc(t *testing.T, st *store.Store, n int) []store.OID {
 		t.Fatal(err)
 	}
 	code, _ := EncodeProgram(prog)
-	codeOID := st.Alloc(&store.Blob{Bytes: code})
+	tx := st.Begin()
+	codeOID := tx.Alloc(&store.Blob{Bytes: code})
 	oids := make([]store.OID, n)
 	for i := range oids {
-		oids[i] = st.Alloc(&store.Closure{Name: "inc", Code: codeOID})
+		oids[i] = tx.Alloc(&store.Closure{Name: "inc", Code: codeOID})
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
 	return oids
 }
@@ -208,15 +228,17 @@ func TestCodeTablePlaceholderNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	code := obj.(*store.Closure).Code
-	oid := st.Alloc(&store.Closure{Name: "inc"})
-	m := New(st)
+	tx := st.Begin()
+	defer tx.Abort()
+	oid := tx.Alloc(&store.Closure{Name: "inc"})
+	m := New(tx)
 	if v, err := m.Apply(Ref{OID: oid}, []Value{Int(1)}); err == nil {
 		t.Fatalf("placeholder applied to %v", v)
 	}
 	if _, ok := TableClosure(m.Code, oid); ok {
 		t.Fatal("failed link was cached")
 	}
-	if err := st.Update(oid, &store.Closure{Name: "inc", Code: code}); err != nil {
+	if err := tx.Update(oid, &store.Closure{Name: "inc", Code: code}); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := m.Apply(Ref{OID: oid}, []Value{Int(1)}); err != nil || v != Value(Int(2)) {

@@ -369,6 +369,16 @@ func (m *Machine) fetch(op string, r Ref) (store.Object, error) {
 	return obj, nil
 }
 
+// writer returns the transaction a write to a stored object goes
+// through. Only a transaction writes: a machine over the store itself,
+// or over no store, refuses before it touches the object.
+func (m *Machine) writer(op string) (*store.Txn, error) {
+	if tx, ok := m.Store.(*store.Txn); ok {
+		return tx, nil
+	}
+	return nil, rtErr(op, "a stored object is written only inside a transaction")
+}
+
 // FromStoreVal converts a store slot value to a runtime value. Scalars
 // come from the interning tables, so converting a row of small integers
 // and booleans allocates nothing.

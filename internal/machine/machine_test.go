@@ -58,8 +58,7 @@ func TestOverrideLink(t *testing.T) {
 }
 
 func TestLinkErrors(t *testing.T) {
-	st, _ := store.Open("")
-	defer st.Close()
+	st := openTxn(t)
 	m := New(st)
 	// Applying an OID of a non-closure object.
 	blob := st.Alloc(&store.Blob{Bytes: []byte("x")})
@@ -91,8 +90,7 @@ func TestLinkErrors(t *testing.T) {
 }
 
 func TestCallExportErrors(t *testing.T) {
-	st, _ := store.Open("")
-	defer st.Close()
+	st := openTxn(t)
 	m := New(st)
 	blob := st.Alloc(&store.Blob{})
 	if _, err := m.CallExport(blob, "f", nil); err == nil {
@@ -147,8 +145,7 @@ func TestHandlerStack(t *testing.T) {
 }
 
 func TestProgramCacheSharedAcrossClosures(t *testing.T) {
-	st, _ := store.Open("")
-	defer st.Close()
+	st := openTxn(t)
 	abs := compileAbsSrc(t, "proc(a !e !k) (+ a 1 e k)")
 	prog, err := CompileProc(abs, "inc")
 	if err != nil {

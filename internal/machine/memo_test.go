@@ -16,7 +16,7 @@ import (
 
 // storeProc persists a compiled procedure as a closure record with no
 // free variables and returns its OID.
-func storeProc(t *testing.T, st *store.Store, src, name string) store.OID {
+func storeProc(t *testing.T, st *store.Txn, src, name string) store.OID {
 	t.Helper()
 	code, err := machine.EncodeProgram(compileProc(t, src))
 	if err != nil {
@@ -26,20 +26,26 @@ func storeProc(t *testing.T, st *store.Store, src, name string) store.OID {
 }
 
 // storeLib persists a module "lib" exporting add = proc(a b) a+b.
-func storeLib(t *testing.T, st *store.Store) store.OID {
+func storeLib(t *testing.T, st *store.Txn) store.OID {
 	t.Helper()
 	add := storeProc(t, st, "proc(a b !ce !k) (+ a b ce k)", "add")
 	return st.Alloc(&store.Module{Name: "lib", Exports: []store.Export{{Name: "add", Val: store.RefVal(add)}}})
 }
 
-func openStore(t *testing.T) *store.Store {
+// openTxn returns a transaction over a fresh in-memory store, aborted
+// when the test ends.
+func openTxn(t *testing.T) *store.Txn {
 	t.Helper()
 	st, err := store.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
-	return st
+	tx := st.Begin()
+	t.Cleanup(func() {
+		tx.Abort()
+		st.Close()
+	})
+	return tx
 }
 
 func wantMemoEmpty(t *testing.T, m *machine.Machine, when string) {
@@ -66,7 +72,7 @@ func (w installWriter) Write(p []byte) (int, error) {
 // by the second; one landing between two calls of the same OID within an
 // Apply is not seen by the second call.
 func TestMemoInstallSeenAtNextApply(t *testing.T) {
-	st := openStore(t)
+	st := openTxn(t)
 	inc := storeProc(t, st, "proc(a !e !k) (+ a 1 e k)", "inc")
 	dec := closureOf(compileProc(t, "proc(a !e !k) (- a 1 e k)"))
 	twice := closureOf(compileProc(t, "proc(x !ce !cc) (f x ce cont(a) (f a ce cc))"), machine.Ref{OID: inc})
@@ -93,7 +99,7 @@ func TestMemoInstallSeenAtNextApply(t *testing.T) {
 // TestMemoSkipsStoreArrays: a store array is mutable, so a [] after a
 // [:=] on the same Ref within one Apply reads the new value.
 func TestMemoSkipsStoreArrays(t *testing.T) {
-	st := openStore(t)
+	st := openTxn(t)
 	arr := st.Alloc(&store.Array{Elems: []store.Val{store.IntVal(1), store.IntVal(2)}})
 	fn := closureOf(compileProc(t, `proc(x !ce !cc)
 	  ([] a 1 cont(old) ([:=] a 1 x cont(u) ([] a 1 cont(now) (+ old now ce cc))))`), machine.Ref{OID: arr})
@@ -117,7 +123,7 @@ func TestMemoSkipsStoreArrays(t *testing.T) {
 // memoize, so once it is updated with exports the next Apply resolves
 // them.
 func TestMemoPlaceholderModule(t *testing.T) {
-	st := openStore(t)
+	st := openTxn(t)
 	inc := storeProc(t, st, "proc(a !e !k) (+ a 1 e k)", "inc")
 	mod := st.Alloc(&store.Module{Name: "lib"})
 	fn := closureOf(compileProc(t, "proc(x !ce !cc) ([] lib 0 cont(f) (f x ce cc))"), machine.Ref{OID: mod})
@@ -138,15 +144,15 @@ func TestMemoPlaceholderModule(t *testing.T) {
 // Apply returns, and a nested entry — a query predicate's call back into
 // the machine — leaves them as it found them.
 func TestMemoLivesForOutermostApply(t *testing.T) {
-	st := openStore(t)
+	st := openTxn(t)
 	mg := relalg.NewManager(st)
 	mg.NoVector = true
-	rel, err := mg.CreateRelation("r", []store.Column{{Name: "id", Type: store.ColInt}})
+	rel, err := relalg.CreateRelation(st, "r", []store.Column{{Name: "id", Type: store.ColInt}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := mg.InsertRow(rel, []store.Val{store.IntVal(int64(i))}); err != nil {
+		if err := relalg.InsertRow(st, rel, []store.Val{store.IntVal(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +191,7 @@ func TestMemoLivesForOutermostApply(t *testing.T) {
 // its link — and the next Apply starts from an empty memo.
 func TestMemoResolvedCount(t *testing.T) {
 	const n = 50
-	st := openStore(t)
+	st := openTxn(t)
 	// The loop counts to n through lib's add, fetching the member and
 	// applying its OID once per iteration: the library-factored shape of E1.
 	fn := closureOf(compileProc(t, `proc(n !ce !cc)

@@ -121,16 +121,31 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss", cs)
 	}
 
-	// A binding-relevant store mutation advances the epoch and kills the
+	// A committed binding-relevant write advances the epoch and kills the
 	// entry; an in-place MarkDirty does not.
-	oid := st.Alloc(&store.Array{Elems: []store.Val{store.IntVal(1)}})
-	st.MarkDirty(oid)
+	write := func(f func(tx *store.Txn) error) {
+		tx := st.Begin()
+		if err := f(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var oid store.OID
+	write(func(tx *store.Txn) error {
+		oid = tx.Alloc(&store.Array{Elems: []store.Val{store.IntVal(1)}})
+		return nil
+	})
+	write(func(tx *store.Txn) error {
+		tx.MustGet(oid).(*store.Array).Elems[0] = store.IntVal(2)
+		tx.MarkDirty(oid)
+		return nil
+	})
 	if r, _ := p.Run(job); !r.CacheHit {
 		t.Error("MarkDirty invalidated the cache")
 	}
-	if err := st.Update(oid, &store.Array{}); err != nil {
-		t.Fatal(err)
-	}
+	write(func(tx *store.Txn) error { return tx.Update(oid, &store.Array{}) })
 	r3, err := p.Run(job)
 	if err != nil {
 		t.Fatal(err)

@@ -107,8 +107,15 @@ func setupRel(t *testing.T, n int) (*store.Store, *relalg.Manager, store.OID) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	mg := relalg.NewManager(st)
-	oid, err := mg.CreateRelation("t", []store.Column{
+	return st, relalg.NewManager(st), fillRel(t, st, "t", n, func(i int) (int64, int64) { return int64(i), int64(i * 10) })
+}
+
+// fillRel commits relation name(id, val), indexed on id, holding the n
+// rows row(0)…row(n-1).
+func fillRel(t *testing.T, st *store.Store, name string, n int, row func(i int) (id, val int64)) store.OID {
+	t.Helper()
+	tx := st.Begin()
+	oid, err := relalg.CreateRelation(tx, name, []store.Column{
 		{Name: "id", Type: store.ColInt},
 		{Name: "val", Type: store.ColInt},
 	}, 0)
@@ -116,11 +123,15 @@ func setupRel(t *testing.T, n int) (*store.Store, *relalg.Manager, store.OID) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := mg.InsertRow(oid, []store.Val{store.IntVal(int64(i)), store.IntVal(int64(i * 10))}); err != nil {
+		id, val := row(i)
+		if err := relalg.InsertRow(tx, oid, []store.Val{store.IntVal(id), store.IntVal(val)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return st, mg, oid
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return oid
 }
 
 func TestIndexScanRewrite(t *testing.T) {
@@ -168,19 +179,7 @@ func TestIndexRuleCostGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	mg := relalg.NewManager(st)
-	oid, err := mg.CreateRelation("dup", []store.Column{
-		{Name: "id", Type: store.ColInt},
-		{Name: "val", Type: store.ColInt},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := mg.InsertRow(oid, []store.Val{store.IntVal(7), store.IntVal(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	oid := fillRel(t, st, "dup", 100, func(i int) (int64, int64) { return 7, int64(i) })
 	src := `
 (select proc(x !ce !cc)
           ([] x 0 cont(t) (== t 7 cont() (cc true) cont() (cc false)))

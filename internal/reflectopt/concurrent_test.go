@@ -38,7 +38,7 @@ func TestRepeatOptimizeCacheHit(t *testing.T) {
 	w := setup(t)
 	absOID := installGeom(t, w)
 
-	r1, err := w.ro.Optimize(absOID)
+	r1, err := w.ro.Optimize(w.st, absOID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRepeatOptimizeCacheHit(t *testing.T) {
 		t.Fatal("first optimization recorded no passes")
 	}
 
-	r2, err := w.ro.Optimize(absOID)
+	r2, err := w.ro.Optimize(w.st, absOID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestConcurrentOptimizeSameClosure(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			res, err := w.ro.Optimize(absOID)
+			res, err := w.ro.Optimize(w.st, absOID)
 			if err != nil {
 				t.Error(err)
 				return
@@ -146,7 +146,7 @@ func TestConcurrentOptimizeDifferentClosures(t *testing.T) {
 			go func(i, slot int) {
 				defer wg.Done()
 				<-start
-				res, err := w.ro.Optimize(oids[i])
+				res, err := w.ro.Optimize(w.st, oids[i])
 				if err != nil {
 					t.Error(err)
 					return
@@ -182,24 +182,30 @@ func TestConcurrentOptimizeDifferentClosures(t *testing.T) {
 	}
 }
 
-// TestBindingChangeInvalidates: a binding change through the store —
-// updating an object and republishing a module root, the mutations a
-// module upgrade performs — advances the binding epoch and forces
-// recomputation instead of serving stale folded code. A non-binding
-// mutation (MarkDirty) leaves the cache intact.
+// TestBindingChangeInvalidates: a committed binding change — updating
+// an object and republishing a module root, the writes a module upgrade
+// commits — advances the binding epoch and forces recomputation instead
+// of serving stale folded code. A committed non-binding mutation
+// (MarkDirty) leaves the cache intact.
 func TestBindingChangeInvalidates(t *testing.T) {
 	w := setup(t)
 	absOID := installGeom(t, w)
 
-	if _, err := w.ro.Optimize(absOID); err != nil {
+	if _, err := w.ro.Optimize(w.st, absOID); err != nil {
 		t.Fatal(err)
 	}
 
 	// MarkDirty is an in-place mutation of a non-binding object: the
 	// entry stays valid.
-	scratch := w.st.Alloc(&store.Array{Elems: []store.Val{store.IntVal(1)}})
-	w.st.MarkDirty(scratch)
-	res, err := w.ro.Optimize(absOID)
+	var scratch store.OID
+	w.write(t, func(tx *store.Txn) {
+		scratch = tx.Alloc(&store.Array{Elems: []store.Val{store.IntVal(1)}})
+	})
+	w.write(t, func(tx *store.Txn) {
+		tx.MustGet(scratch).(*store.Array).Elems[0] = store.IntVal(2)
+		tx.MarkDirty(scratch)
+	})
+	res, err := w.ro.Optimize(w.st, absOID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +215,12 @@ func TestBindingChangeInvalidates(t *testing.T) {
 
 	// Update republishes an object — the mutation a module upgrade
 	// performs on its closures. The epoch advances; the entry dies.
-	if err := w.st.Update(scratch, &store.Array{}); err != nil {
-		t.Fatal(err)
-	}
-	res, err = w.ro.Optimize(absOID)
+	w.write(t, func(tx *store.Txn) {
+		if err := tx.Update(scratch, &store.Array{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	res, err = w.ro.Optimize(w.st, absOID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +250,13 @@ func TestConcurrentInstallAndOptimize(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := w.lk.InstallModule(unit); err != nil {
+			tx := w.st.Begin()
+			if _, err := w.lk.InstallModule(tx, unit); err != nil {
+				tx.Abort()
+				t.Error(err)
+				return
+			}
+			if err := tx.Commit(); err != nil {
 				t.Error(err)
 				return
 			}
@@ -251,7 +265,7 @@ func TestConcurrentInstallAndOptimize(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
-			res, err := w.ro.Optimize(absOID)
+			res, err := w.ro.Optimize(w.st, absOID)
 			if err != nil {
 				t.Error(err)
 				return

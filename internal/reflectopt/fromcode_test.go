@@ -7,7 +7,6 @@ import (
 	"tycoon/internal/machine"
 	"tycoon/internal/reflectopt"
 	"tycoon/internal/store"
-	"tycoon/internal/tyclib"
 )
 
 // TestE8FromCodeReconstruction exercises the paper's §6 future work: a
@@ -18,31 +17,13 @@ import (
 // the possible optimizations" with: not on these programs.
 func TestE8FromCodeReconstruction(t *testing.T) {
 	build := func(strip bool) (*store.Store, *machine.Machine, store.OID) {
-		st, err := store.Open("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		lk := linker.New(st, linker.Config{StripPTML: strip})
-		comp, err := tyclib.Install(st, lk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unit, err := comp.Compile(`
+		w := setupWith(t, linker.Config{StripPTML: strip})
+		modOID := w.install(t, `
 module g export gauss
 let gauss(n : Int) : Int =
   begin var s := 0; for i = 1 upto n do s := s + i end; s end
 end`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		modOID, err := lk.InstallModule(unit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mod := st.MustGet(modOID).(*store.Module)
-		v, _ := mod.Lookup("gauss")
-		return st, machine.New(st), v.Ref
+		return w.st, machine.New(w.st), w.exportOID(t, modOID, "gauss")
 	}
 
 	run := func(m *machine.Machine, fn machine.Value) int64 {
@@ -60,7 +41,7 @@ end`)
 	// Reference: PTML-based reflective optimization.
 	stP, mP, oidP := build(false)
 	roP := reflectopt.New(stP, reflectopt.Options{})
-	resP, err := roP.Optimize(oidP)
+	resP, err := roP.Optimize(stP, oidP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +50,7 @@ end`)
 	// Experiment: code-based reconstruction on a stripped store.
 	stC, mC, oidC := build(true)
 	roC := reflectopt.New(stC, reflectopt.Options{FromCode: true})
-	resC, err := roC.Optimize(oidC)
+	resC, err := roC.Optimize(stC, oidC)
 	if err != nil {
 		t.Fatalf("FromCode optimization failed: %v", err)
 	}
@@ -94,33 +75,15 @@ end`)
 // TestFromCodeOnRecursiveFunction checks the Y reconstruction path
 // end-to-end: cells become Y bindings again and inlining stays bounded.
 func TestFromCodeOnRecursiveFunction(t *testing.T) {
-	st, err := store.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	lk := linker.New(st, linker.Config{StripPTML: true})
-	comp, err := tyclib.Install(st, lk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unit, err := comp.Compile(`
+	w := setupWith(t, linker.Config{StripPTML: true})
+	fact := w.exportOID(t, w.install(t, `
 module r export fact
 let fact(n : Int) : Int = if n < 2 then 1 else n * fact(n - 1) end
-end`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modOID, err := lk.InstallModule(unit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := st.MustGet(modOID).(*store.Module)
-	v, _ := mod.Lookup("fact")
+end`), "fact")
 
-	ro := reflectopt.New(st, reflectopt.Options{FromCode: true})
-	m := machine.New(st)
-	res, err := ro.OptimizeAndInstall(m.Code, v.Ref)
+	ro := reflectopt.New(w.st, reflectopt.Options{FromCode: true})
+	m := machine.New(w.st)
+	res, err := ro.OptimizeAndInstall(w.st, m.Code, fact)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,11 +71,13 @@ const (
 	DefaultMaxInlineSize = 60_000
 )
 
-// Optimizer performs reflective optimization against one store. It is
-// safe for concurrent use: runs of the same closure against the same
-// bindings are deduplicated and cached by the underlying pipeline.
+// Optimizer performs reflective optimization over one store, reading
+// each closure through the view its caller hands it (the store itself,
+// or a transaction that sees its own uncommitted installs). It writes
+// nothing to the store. It is safe for concurrent use: runs of the same
+// closure against the same bindings are deduplicated and cached by the
+// underlying pipeline.
 type Optimizer struct {
-	st   *store.Store
 	opts Options
 	pipe *pipeline.Pipeline
 	// optionsFP folds every Options field that changes the output into
@@ -92,7 +94,7 @@ func New(st *store.Store, opts Options) *Optimizer {
 		pipe = pipeline.New(st, pipeline.Config{})
 	}
 	fp := pipeline.FingerprintOptions("reflectopt", opts.FromCode)
-	return &Optimizer{st: st, opts: opts, pipe: pipe, optionsFP: fp}
+	return &Optimizer{opts: opts, pipe: pipe, optionsFP: fp}
 }
 
 // Result is the outcome of one reflective optimization.
@@ -130,8 +132,8 @@ func (o *Optimizer) CacheStats() pipeline.CacheStats {
 // when decompiling), the fingerprint of its R-value binding table, and
 // the optimizer options. A zero key (closure without the needed blob)
 // bypasses the cache; Optimize then reports the real error.
-func (o *Optimizer) cacheKey(oid store.OID) pipeline.Key {
-	obj, err := o.st.Get(oid)
+func (o *Optimizer) cacheKey(v store.View, oid store.OID) pipeline.Key {
+	obj, err := v.Get(oid)
 	if err != nil {
 		return pipeline.Key{}
 	}
@@ -141,7 +143,7 @@ func (o *Optimizer) cacheKey(oid store.OID) pipeline.Key {
 	}
 	var src ptml.Hash
 	if o.opts.FromCode {
-		blob, ok := o.blob(clo.Code)
+		blob, ok := blob(v, clo.Code)
 		if !ok {
 			return pipeline.Key{}
 		}
@@ -150,7 +152,7 @@ func (o *Optimizer) cacheKey(oid store.OID) pipeline.Key {
 		if clo.PTML == store.Nil {
 			return pipeline.Key{}
 		}
-		blob, ok := o.blob(clo.PTML)
+		blob, ok := blob(v, clo.PTML)
 		if !ok {
 			return pipeline.Key{}
 		}
@@ -167,8 +169,8 @@ func (o *Optimizer) cacheKey(oid store.OID) pipeline.Key {
 	}
 }
 
-func (o *Optimizer) blob(oid store.OID) ([]byte, bool) {
-	obj, err := o.st.Get(oid)
+func blob(v store.View, oid store.OID) ([]byte, bool) {
+	obj, err := v.Get(oid)
 	if err != nil {
 		return nil, false
 	}
@@ -179,31 +181,33 @@ func (o *Optimizer) blob(oid store.OID) ([]byte, bool) {
 	return b.Bytes, true
 }
 
-// Optimize reflectively optimizes the persistent closure denoted by oid
-// and returns newly generated code. The persistent original is left
-// untouched except for its cached derived attributes (cost, savings).
-// Repeat optimization of an unchanged closure is a cache hit: no
-// reduce/expand passes run, and concurrent calls on the same closure do
-// the work exactly once.
-func (o *Optimizer) Optimize(oid store.OID) (*Result, error) {
+// Optimize reflectively optimizes the persistent closure denoted by oid,
+// reading it and everything it binds through v, and returns newly
+// generated code. The persistent original is left untouched. Repeat
+// optimization of an unchanged closure is a cache hit: no reduce/expand
+// passes run, and concurrent calls on the same closure do the work
+// exactly once.
+func (o *Optimizer) Optimize(v store.View, oid store.OID) (*Result, error) {
 	state := &inlineState{counts: make(map[store.OID]int)}
 	reflectPack := pipeline.RulePack{Name: "reflect", Rules: []opt.Rule{
-		{Name: "fold-field", Apply: o.foldField},
+		{Name: "fold-field", Apply: func(ctx *opt.Ctx, app *tml.App) (*tml.App, bool) {
+			return foldField(v, app)
+		}},
 		{Name: "link-inline", Apply: func(ctx *opt.Ctx, app *tml.App) (*tml.App, bool) {
-			return o.linkInline(ctx, app, state)
+			return o.linkInline(v, ctx, app, state)
 		}},
 	}}
-	packs := []pipeline.RulePack{reflectPack, qopt.RuntimePack(o.st)}
+	packs := []pipeline.RulePack{reflectPack, qopt.RuntimePack(v)}
 
 	job := pipeline.Job{
-		Name: optName(o.st, oid),
+		Name: optName(v, oid),
 		Source: func(gen *tml.VarGen) (*tml.Abs, error) {
-			return o.reconstruct(oid, gen)
+			return o.reconstruct(v, oid, gen)
 		},
 		Packs:         packs,
 		Codegen:       true,
 		RequireClosed: true,
-		Key:           o.cacheKey(oid),
+		Key:           o.cacheKey(v, oid),
 	}
 	res, err := o.pipe.Run(job)
 	if err != nil {
@@ -217,16 +221,6 @@ func (o *Optimizer) Optimize(oid store.OID) (*Result, error) {
 		inlined = res.Opt.Rules["link-inline"]
 	}
 
-	if !res.CacheHit && res.Opt != nil {
-		// Cache derived attributes in the persistent system state (paper
-		// §4.1: "the optimizer attaches several derived attributes
-		// (costs, savings, …) to the generated code"). Attrs are
-		// metadata, not bindings: SetClosureAttrs does not advance the
-		// binding epoch, so writing them never invalidates the entry
-		// that produced them.
-		_ = o.st.SetClosureAttrs(oid, int32(res.Opt.CostAfter),
-			int32(res.Opt.CostBefore-res.Opt.CostAfter))
-	}
 	return &Result{
 		Abs:      res.Abs,
 		Closure:  res.Closure,
@@ -234,7 +228,7 @@ func (o *Optimizer) Optimize(oid store.OID) (*Result, error) {
 		Inlined:  inlined,
 		Pipeline: res.Stats,
 		CacheHit: res.CacheHit,
-		Plan:     accessPlan(o.st, res.Abs),
+		Plan:     accessPlan(v, res.Abs),
 	}, nil
 }
 
@@ -243,7 +237,7 @@ func (o *Optimizer) Optimize(oid store.OID) (*Result, error) {
 // statistics. Deriving it from the result (rather than recording inside
 // the rules) keeps the plan available on pipeline cache hits, when no
 // rule ever runs.
-func accessPlan(st *store.Store, abs *tml.Abs) []*qopt.PlanNode {
+func accessPlan(st store.View, abs *tml.Abs) []*qopt.PlanNode {
 	if abs == nil {
 		return nil
 	}
@@ -321,8 +315,8 @@ func accessPlan(st *store.Store, abs *tml.Abs) []*qopt.PlanNode {
 // OptimizeAndInstall optimizes and then installs the new code in the code
 // table, so every subsequent application of the OID through a machine
 // using the table runs it.
-func (o *Optimizer) OptimizeAndInstall(code *machine.CodeTable, oid store.OID) (*Result, error) {
-	res, err := o.Optimize(oid)
+func (o *Optimizer) OptimizeAndInstall(v store.View, code *machine.CodeTable, oid store.OID) (*Result, error) {
+	res, err := o.Optimize(v, oid)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +324,7 @@ func (o *Optimizer) OptimizeAndInstall(code *machine.CodeTable, oid store.OID) (
 	return res, nil
 }
 
-func optName(st *store.Store, oid store.OID) string {
+func optName(st store.View, oid store.OID) string {
 	if obj, err := st.Get(oid); err == nil {
 		if c, ok := obj.(*store.Closure); ok {
 			return c.Name + "!opt"
@@ -343,8 +337,8 @@ func optName(st *store.Store, oid store.OID) string {
 // R-value bindings of its free variables, yielding the paper's §4.1
 // wrapper shape: the original parameters around a λ binding the former
 // globals to their runtime values.
-func (o *Optimizer) reconstruct(oid store.OID, gen *tml.VarGen) (*tml.Abs, error) {
-	obj, err := o.st.Get(oid)
+func (o *Optimizer) reconstruct(v store.View, oid store.OID, gen *tml.VarGen) (*tml.Abs, error) {
+	obj, err := v.Get(oid)
 	if err != nil {
 		return nil, err
 	}
@@ -358,12 +352,12 @@ func (o *Optimizer) reconstruct(oid store.OID, gen *tml.VarGen) (*tml.Abs, error
 		if !o.opts.FromCode && clo.PTML == store.Nil {
 			return nil, fmt.Errorf("%w: %s", ErrNoPTML, clo.Name)
 		}
-		abs, free, err = o.decompile(clo, gen)
+		abs, free, err = decompile(v, clo, gen)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		blobObj, err := o.st.Get(clo.PTML)
+		blobObj, err := v.Get(clo.PTML)
 		if err != nil {
 			return nil, err
 		}
@@ -386,10 +380,10 @@ func (o *Optimizer) reconstruct(oid store.OID, gen *tml.VarGen) (*tml.Abs, error
 	}
 	// Bind every free variable to its recorded runtime value.
 	vals := make([]tml.Value, len(free))
-	for i, v := range free {
-		bv, ok := clo.Binding(v.String())
+	for i, fv := range free {
+		bv, ok := clo.Binding(fv.String())
 		if !ok {
-			return nil, fmt.Errorf("reflectopt: %s: no binding for %s", clo.Name, v)
+			return nil, fmt.Errorf("reflectopt: %s: no binding for %s", clo.Name, fv)
 		}
 		vals[i] = machine.StoreValToTML(bv)
 	}
@@ -401,8 +395,8 @@ func (o *Optimizer) reconstruct(oid store.OID, gen *tml.VarGen) (*tml.Abs, error
 // decompile reconstructs TML from the closure's executable code (paper
 // §6 future work): the label tables recorded by the code generator make
 // the inversion exact up to join-point duplication.
-func (o *Optimizer) decompile(clo *store.Closure, gen *tml.VarGen) (*tml.Abs, []*tml.Var, error) {
-	blobObj, err := o.st.Get(clo.Code)
+func decompile(v store.View, clo *store.Closure, gen *tml.VarGen) (*tml.Abs, []*tml.Var, error) {
+	blobObj, err := v.Get(clo.Code)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -424,7 +418,7 @@ func (o *Optimizer) decompile(clo *store.Closure, gen *tml.VarGen) (*tml.Abs, []
 // foldField folds ([] <oid> K cont) on immutable store objects: module
 // member fetches and tuple field accesses against runtime bindings.
 // Mutable objects (arrays, relations) are never folded.
-func (o *Optimizer) foldField(ctx *opt.Ctx, app *tml.App) (*tml.App, bool) {
+func foldField(v store.View, app *tml.App) (*tml.App, bool) {
 	p, ok := app.Fn.(*tml.Prim)
 	if !ok || p.Name != "[]" || len(app.Args) != 3 {
 		return nil, false
@@ -437,7 +431,7 @@ func (o *Optimizer) foldField(ctx *opt.Ctx, app *tml.App) (*tml.App, bool) {
 	if !ok || idxLit.Kind != tml.LitInt {
 		return nil, false
 	}
-	obj, err := o.st.Get(store.OID(oidNode.Ref))
+	obj, err := v.Get(store.OID(oidNode.Ref))
 	if err != nil {
 		return nil, false
 	}
@@ -473,7 +467,7 @@ type inlineState struct {
 // transitive reachability (paper §4.1). Self-recursive closures unroll
 // at most DefaultInlineRecursive times; the accumulated size bound stops
 // mutual recursion through the store.
-func (o *Optimizer) linkInline(ctx *opt.Ctx, app *tml.App, state *inlineState) (*tml.App, bool) {
+func (o *Optimizer) linkInline(v store.View, ctx *opt.Ctx, app *tml.App, state *inlineState) (*tml.App, bool) {
 	oidNode, ok := app.Fn.(*tml.Oid)
 	if !ok {
 		return nil, false
@@ -482,7 +476,7 @@ func (o *Optimizer) linkInline(ctx *opt.Ctx, app *tml.App, state *inlineState) (
 	if state.size >= DefaultMaxInlineSize {
 		return nil, false
 	}
-	abs, err := o.reconstruct(oid, ctx.Gen)
+	abs, err := o.reconstruct(v, oid, ctx.Gen)
 	if err != nil {
 		return nil, false // no PTML or not a closure: leave the call dynamic
 	}

@@ -26,21 +26,40 @@ type world struct {
 
 func setup(t *testing.T) *world {
 	t.Helper()
+	return setupWith(t, linker.Config{})
+}
+
+// setupWith is setup with the library installed under cfg.
+func setupWith(t *testing.T, cfg linker.Config) *world {
+	t.Helper()
 	st, err := store.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	lk := linker.New(st, linker.Config{})
-	comp, err := tyclib.Install(st, lk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lk := linker.New(cfg)
+	w := &world{st: st, lk: lk}
+	w.write(t, func(tx *store.Txn) {
+		if w.comp, err = tyclib.Install(tx, lk); err != nil {
+			t.Fatal(err)
+		}
+	})
 	m := machine.New(st)
 	mg := relalg.NewManager(st)
 	mg.Register(m)
-	ro := reflectopt.New(st, reflectopt.Options{})
-	return &world{st: st, lk: lk, comp: comp, m: m, mg: mg, ro: ro}
+	w.m, w.mg, w.ro = m, mg, reflectopt.New(st, reflectopt.Options{})
+	return w
+}
+
+// write runs f in one transaction over the world's store and commits it.
+func (w *world) write(t *testing.T, f func(tx *store.Txn)) {
+	t.Helper()
+	tx := w.st.Begin()
+	defer tx.Abort()
+	f(tx)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func (w *world) install(t *testing.T, src string) store.OID {
@@ -49,10 +68,12 @@ func (w *world) install(t *testing.T, src string) store.OID {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	oid, err := w.lk.InstallModule(unit)
-	if err != nil {
-		t.Fatalf("install: %v", err)
-	}
+	var oid store.OID
+	w.write(t, func(tx *store.Txn) {
+		if oid, err = w.lk.InstallModule(tx, unit); err != nil {
+			t.Fatalf("install: %v", err)
+		}
+	})
 	return oid
 }
 
@@ -104,7 +125,7 @@ end`)
 
 	// optimizedAbs = reflect.optimize(abs).
 	absOID := w.exportOID(t, geomOID, "abs")
-	res, err := w.ro.Optimize(absOID)
+	res, err := w.ro.Optimize(w.st, absOID)
 	if err != nil {
 		t.Fatalf("reflect optimize: %v", err)
 	}
@@ -159,7 +180,7 @@ end`)
 	}
 	stepsBefore := w.m.Steps()
 
-	if _, err := w.ro.OptimizeAndInstall(w.m.Code, gaussOID); err != nil {
+	if _, err := w.ro.OptimizeAndInstall(w.st, w.m.Code, gaussOID); err != nil {
 		t.Fatal(err)
 	}
 	// The same CallExport path now runs the optimized code.
@@ -181,7 +202,7 @@ module r export fact
 let fact(n : Int) : Int = if n < 2 then 1 else n * fact(n - 1) end
 end`)
 	factOID := w.exportOID(t, modOID, "fact")
-	res, err := w.ro.Optimize(factOID)
+	res, err := w.ro.Optimize(w.st, factOID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,24 +213,9 @@ end`)
 }
 
 func TestStrippedClosureRejected(t *testing.T) {
-	st, _ := store.Open("")
-	defer st.Close()
-	lk := linker.New(st, linker.Config{StripPTML: true})
-	comp, err := tyclib.Install(st, lk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unit, err := comp.Compile(`module s export f let f(n : Int) : Int = n + 1 end`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modOID, err := lk.InstallModule(unit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := st.MustGet(modOID).(*store.Module)
-	ro := reflectopt.New(st, reflectopt.Options{})
-	if _, err := ro.Optimize(mod.Exports[0].Val.Ref); !errors.Is(err, reflectopt.ErrNoPTML) {
+	w := setupWith(t, linker.Config{StripPTML: true})
+	modOID := w.install(t, `module s export f let f(n : Int) : Int = n + 1 end`)
+	if _, err := w.ro.Optimize(w.st, w.exportOID(t, modOID, "f")); !errors.Is(err, reflectopt.ErrNoPTML) {
 		t.Errorf("err = %v, want ErrNoPTML", err)
 	}
 }
@@ -220,18 +226,20 @@ func TestStrippedClosureRejected(t *testing.T) {
 // Fig. 4 interaction.
 func TestIndexThroughAbstraction(t *testing.T) {
 	w := setup(t)
-	relOID, err := w.mg.CreateRelation("emp", []store.Column{
-		{Name: "id", Type: store.ColInt},
-		{Name: "sal", Type: store.ColInt},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 500; i++ {
-		if err := w.mg.InsertRow(relOID, []store.Val{store.IntVal(i), store.IntVal(i * 7)}); err != nil {
+	w.write(t, func(tx *store.Txn) {
+		relOID, err := relalg.CreateRelation(tx, "emp", []store.Column{
+			{Name: "id", Type: store.ColInt},
+			{Name: "sal", Type: store.ColInt},
+		}, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
+		for i := int64(0); i < 500; i++ {
+			if err := relalg.InsertRow(tx, relOID, []store.Val{store.IntVal(i), store.IntVal(i * 7)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 	w.install(t, `
 module schema export keyOf
 type Emp = Tuple id, sal : Int end
@@ -257,7 +265,7 @@ end`)
 	stepsScan := w.m.Steps()
 
 	byKeyOID := w.exportOID(t, qmod, "byKey")
-	res, err := w.ro.OptimizeAndInstall(w.m.Code, byKeyOID)
+	res, err := w.ro.OptimizeAndInstall(w.st, w.m.Code, byKeyOID)
 	if err != nil {
 		t.Fatal(err)
 	}

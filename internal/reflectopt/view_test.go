@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tycoon/internal/machine"
+	"tycoon/internal/relalg"
 	"tycoon/internal/store"
 	"tycoon/internal/tml"
 )
@@ -16,22 +17,24 @@ import (
 // view definition and then merging the stacked selections into one scan.
 func TestViewExpansion(t *testing.T) {
 	w := setup(t)
-	relOID, err := w.mg.CreateRelation("emp", []store.Column{
-		{Name: "id", Type: store.ColInt},
-		{Name: "sal", Type: store.ColInt},
-		{Name: "dept", Type: store.ColInt},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 300; i++ {
-		err := w.mg.InsertRow(relOID, []store.Val{
-			store.IntVal(i), store.IntVal(i * 11 % 9000), store.IntVal(i % 5),
-		})
+	w.write(t, func(tx *store.Txn) {
+		relOID, err := relalg.CreateRelation(tx, "emp", []store.Column{
+			{Name: "id", Type: store.ColInt},
+			{Name: "sal", Type: store.ColInt},
+			{Name: "dept", Type: store.ColInt},
+		}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
+		for i := int64(0); i < 300; i++ {
+			err := relalg.InsertRow(tx, relOID, []store.Val{
+				store.IntVal(i), store.IntVal(i * 11 % 9000), store.IntVal(i % 5),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 	// highPaid is a view: a stored query definition.
 	w.install(t, `
 module views export highPaid
@@ -52,7 +55,7 @@ end`)
 	}
 
 	oid := w.exportOID(t, qmod, "inDept")
-	res, err := w.ro.OptimizeAndInstall(w.m.Code, oid)
+	res, err := w.ro.OptimizeAndInstall(w.st, w.m.Code, oid)
 	if err != nil {
 		t.Fatal(err)
 	}

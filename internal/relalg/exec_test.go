@@ -39,7 +39,7 @@ func TestIndexCacheReuse(t *testing.T) {
 
 	// Insert through the manager: the next scan extends the index over
 	// the new row instead of rebuilding it.
-	if err := mg.InsertRow(oid, []store.Val{store.IntVal(123), store.IntVal(7)}); err != nil {
+	if err := insertRow(st, oid, []store.Val{store.IntVal(123), store.IntVal(7)}); err != nil {
 		t.Fatal(err)
 	}
 	v, err := run(t, m, scan)
@@ -171,7 +171,7 @@ func TestIndexSnapshotHorizon(t *testing.T) {
 		fresh[i] = []store.Val{store.IntVal(int64(i)), store.IntVal(0)}
 	}
 	rel.Rows = fresh
-	if err := mg.InsertRow(oid, []store.Val{store.IntVal(123), store.IntVal(7)}); err != nil {
+	if err := insertRow(st, oid, []store.Val{store.IntVal(123), store.IntVal(7)}); err != nil {
 		t.Fatal(err)
 	}
 	v, err = run(t, m, scan)

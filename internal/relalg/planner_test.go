@@ -21,23 +21,11 @@ func joinSrc(l, r store.OID) string {
 	      ` + oidStr(l) + ` ` + oidStr(r) + ` e k)`
 }
 
-// fillRel creates a two-column persistent relation whose key column holds
-// the given values (second column is the insertion position).
-func fillRel(t *testing.T, mg *Manager, name string, keys []store.Val) store.OID {
+// fillRel commits a two-column persistent relation whose key column
+// holds the given values (second column is the insertion position).
+func fillRel(t *testing.T, st *store.Store, name string, keys []store.Val) store.OID {
 	t.Helper()
-	oid, err := mg.CreateRelation(name, []store.Column{
-		{Name: "k", Type: store.ColInt},
-		{Name: "pos", Type: store.ColInt},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if err := mg.InsertRow(oid, []store.Val{k, store.IntVal(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return oid
+	return fillShape(t, st, name, shape{keys: keys})
 }
 
 func intKeysOf(vals ...int64) []store.Val {
@@ -61,12 +49,12 @@ func findNode(plan []*qopt.PlanNode, op string) *qopt.PlanNode {
 // cost-based planner: the same query over the same schema switches join
 // algorithm purely because the live column statistics changed.
 func TestPlannerSwitchesJoinAlgoOnLiveStats(t *testing.T) {
-	_, mg, m, left := world(t, 64)
+	st, mg, m, left := world(t, 64)
 	var asc []store.Val
 	for i := 0; i < 64; i++ {
 		asc = append(asc, store.IntVal(int64(i)))
 	}
-	right := fillRel(t, mg, "s", asc)
+	right := fillRel(t, st, "s", asc)
 	src := joinSrc(left, right)
 
 	// Both key columns ascending: the planner merges pre-sorted inputs.
@@ -91,7 +79,7 @@ func TestPlannerSwitchesJoinAlgoOnLiveStats(t *testing.T) {
 
 	// One out-of-order insert breaks the right key's sortedness: nothing
 	// else changes, and the planner flips to a hash join.
-	if err := mg.InsertRow(right, []store.Val{store.IntVal(0), store.IntVal(64)}); err != nil {
+	if err := insertRow(st, right, []store.Val{store.IntVal(0), store.IntVal(64)}); err != nil {
 		t.Fatal(err)
 	}
 	mg.CaptureExplain(m)
@@ -108,8 +96,8 @@ func TestPlannerSwitchesJoinAlgoOnLiveStats(t *testing.T) {
 	}
 
 	// Inputs too small for setup costs: nested loop.
-	tinyL := fillRel(t, mg, "tl", intKeysOf(1, 2))
-	tinyR := fillRel(t, mg, "tr", intKeysOf(2, 3))
+	tinyL := fillRel(t, st, "tl", intKeysOf(1, 2))
+	tinyR := fillRel(t, st, "tr", intKeysOf(2, 3))
 	mg.CaptureExplain(m)
 	if _, err := run(t, m, joinSrc(tinyL, tinyR)); err != nil {
 		t.Fatal(err)
@@ -267,19 +255,35 @@ func shapeZoo() (map[string]shape, []string) {
 	return zoo, names
 }
 
-// fillShape is fillRel for a zoo shape.
-func fillShape(t *testing.T, st *store.Store, mg *Manager, name string, sh shape) store.OID {
+// fillShape is fillRel for a zoo shape: a ragged shape gets an empty row
+// after its first sh.ragged keys, which InsertRow would refuse.
+func fillShape(t *testing.T, st *store.Store, name string, sh shape) store.OID {
 	t.Helper()
-	if sh.ragged == 0 {
-		return fillRel(t, mg, name, sh.keys)
+	tx := st.Begin()
+	defer tx.Abort()
+	oid, err := CreateRelation(tx, name, []store.Column{
+		{Name: "k", Type: store.ColInt},
+		{Name: "pos", Type: store.ColInt},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	oid := fillRel(t, mg, name, sh.keys[:sh.ragged])
-	rel := st.MustGet(oid).(*store.Relation)
-	rel.Rows = append(rel.Rows, []store.Val{})
-	for i, k := range sh.keys[sh.ragged:] {
-		if err := mg.InsertRow(oid, []store.Val{k, store.IntVal(int64(sh.ragged + i))}); err != nil {
-			t.Fatal(err)
+	insert := func(from int, keys []store.Val) {
+		for i, k := range keys {
+			if err := InsertRow(tx, oid, []store.Val{k, store.IntVal(int64(from + i))}); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	if sh.ragged == 0 {
+		insert(0, sh.keys)
+	} else {
+		insert(0, sh.keys[:sh.ragged])
+		tx.MustGet(oid).(*store.Relation).AppendRow([]store.Val{})
+		insert(sh.ragged, sh.keys[sh.ragged:])
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
 	return oid
 }
@@ -309,8 +313,8 @@ func TestJoinPlansMatchOracle(t *testing.T) {
 						}
 						mg := NewManager(st)
 						mode.set(mg)
-						l := fillShape(t, st, mg, "l", zoo[ln])
-						r := fillShape(t, st, mg, "r", zoo[rn])
+						l := fillShape(t, st, "l", zoo[ln])
+						r := fillShape(t, st, "r", zoo[rn])
 						m := machine.New(st)
 						mg.Register(m)
 						m.ResetSteps()
@@ -383,7 +387,7 @@ func TestSelectPlansMatchOracle(t *testing.T) {
 					}
 					mg := NewManager(st)
 					mode.set(mg)
-					oid := fillShape(t, st, mg, "t", zoo[name])
+					oid := fillShape(t, st, "t", zoo[name])
 					m := machine.New(st)
 					mg.Register(m)
 					m.ResetProfile()
@@ -470,7 +474,7 @@ func TestProjectPlansMatchOracle(t *testing.T) {
 						}
 						mg := NewManager(st)
 						mode.set(mg)
-						oid := fillShape(t, st, mg, "t", zoo[name])
+						oid := fillShape(t, st, "t", zoo[name])
 						m := machine.New(st)
 						mg.Register(m)
 						m.ResetSteps()
@@ -574,16 +578,20 @@ func TestVectorIntOpsAgreeWithOracle(t *testing.T) {
 			}
 			mg := NewManager(st)
 			mg.NoVector = oracle
-			oid, err := mg.CreateRelation("t", []store.Column{
+			tx := st.Begin()
+			oid, err := CreateRelation(tx, "t", []store.Column{
 				{Name: "a", Type: store.ColInt}, {Name: "b", Type: store.ColInt},
 			}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range rows {
-				if err := mg.InsertRow(oid, []store.Val{store.IntVal(p[0]), store.IntVal(p[1])}); err != nil {
+				if err := InsertRow(tx, oid, []store.Val{store.IntVal(p[0]), store.IntVal(p[1])}); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
 			}
 			m := machine.New(st)
 			mg.Register(m)

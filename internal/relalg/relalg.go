@@ -106,7 +106,7 @@ func joinRows(out *Rel, rows1, rows2 [][]store.Val, pairs []pair) {
 // relation's derived cache (store.Relation.IndexLookup), next to its
 // columns, and die with the relation.
 type Manager struct {
-	st *store.Store
+	st store.View
 	// NoVector disables the vectorized kernels: every predicate runs row
 	// at a time on a fresh tuple. It is the oracle the step-parity and
 	// plan-equivalence tests compare the vector kernels against.
@@ -143,8 +143,9 @@ type IndexStats struct {
 	Copies int64
 }
 
-// NewManager returns a manager over st.
-func NewManager(st *store.Store) *Manager {
+// NewManager returns a manager whose executors read through st when the
+// machine they run on has no store of its own.
+func NewManager(st store.View) *Manager {
 	return &Manager{st: st}
 }
 
@@ -174,9 +175,10 @@ func (mg *Manager) Register(m *machine.Machine) {
 }
 
 // CreateRelation allocates a persistent relation with the given schema
-// and index declarations and registers it as a store root under
-// "rel:<name>", the name TL rel declarations bind against.
-func (mg *Manager) CreateRelation(name string, schema []store.Column, indexCols ...int) (store.OID, error) {
+// and index declarations in tx and binds it to the root "rel:<name>",
+// the name TL rel declarations bind against. Both become visible when tx
+// commits.
+func CreateRelation(tx *store.Txn, name string, schema []store.Column, indexCols ...int) (store.OID, error) {
 	rel := &store.Relation{Name: name, Schema: schema}
 	for _, c := range indexCols {
 		if c < 0 || c >= len(schema) {
@@ -184,14 +186,14 @@ func (mg *Manager) CreateRelation(name string, schema []store.Column, indexCols 
 		}
 		rel.Indexes = append(rel.Indexes, store.IndexSpec{Column: c})
 	}
-	oid := mg.st.Alloc(rel)
-	mg.st.SetRoot("rel:"+name, oid)
+	oid := tx.Alloc(rel)
+	tx.SetRoot("rel:"+name, oid)
 	return oid, nil
 }
 
 // view resolves the store a machine executes against: the machine's own
 // view (a transaction or snapshot when the server wrapped the request in
-// one) when set, the manager's raw store otherwise.
+// one) when set, the manager's otherwise.
 func (mg *Manager) view(m *machine.Machine) store.View {
 	if m != nil && m.Store != nil {
 		return m.Store
@@ -199,18 +201,13 @@ func (mg *Manager) view(m *machine.Machine) store.View {
 	return mg.st
 }
 
-// InsertRow appends a row to a persistent relation. It writes through
-// the raw store; rows inserted by programs running under a transaction
-// go through the machine's view instead (execInsert). The relation's
-// derived cache picks the row up on its next use.
-func (mg *Manager) InsertRow(oid store.OID, row []store.Val) error {
-	return mg.insertRow(mg.st, oid, row)
-}
-
-// insertRow appends a row through the given store view. A transaction's
-// localised relation view carries the row privately until commit.
-func (mg *Manager) insertRow(st store.View, oid store.OID, row []store.Val) error {
-	obj, err := st.Get(oid)
+// InsertRow appends a row to a persistent relation in tx. The
+// transaction's localised relation view carries the row privately until
+// commit, which merges it into the relation; the relation's derived
+// cache picks it up on its next use. Programs insert through rinsert,
+// on the transaction their machine runs against.
+func InsertRow(tx *store.Txn, oid store.OID, row []store.Val) error {
+	obj, err := tx.Get(oid)
 	if err != nil {
 		return err
 	}
@@ -222,7 +219,7 @@ func (mg *Manager) insertRow(st store.View, oid store.OID, row []store.Val) erro
 		return fmt.Errorf("relalg: row width %d, schema width %d", len(row), len(rel.Schema))
 	}
 	rel.AppendRow(row)
-	st.MarkDirty(oid)
+	tx.MarkDirty(oid)
 	return nil
 }
 
@@ -576,7 +573,11 @@ func (mg *Manager) execInsert(m *machine.Machine, vals, conts []machine.Value) (
 		rel.Rows = append(rel.Rows, stRow)
 		return ok1(machine.Unit{}), nil
 	case machine.Ref:
-		if err := mg.insertRow(mg.view(m), rel.OID, stRow); err != nil {
+		tx, ok := m.Store.(*store.Txn)
+		if !ok {
+			return machine.Outcome{}, fmt.Errorf("relalg: rinsert: a stored relation is written only inside a transaction")
+		}
+		if err := InsertRow(tx, rel.OID, stRow); err != nil {
 			return machine.Outcome{}, err
 		}
 		return ok1(machine.Unit{}), nil

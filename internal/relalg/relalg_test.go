@@ -13,7 +13,8 @@ import (
 	"tycoon/internal/tml"
 )
 
-// world builds a store with relation r(id, val) of n rows, id indexed.
+// world builds a store with relation r(id, val) of n rows, id indexed,
+// committed in one transaction, and a machine reading the store.
 func world(t *testing.T, n int) (*store.Store, *Manager, *machine.Machine, store.OID) {
 	t.Helper()
 	st, err := store.Open("")
@@ -22,7 +23,8 @@ func world(t *testing.T, n int) (*store.Store, *Manager, *machine.Machine, store
 	}
 	t.Cleanup(func() { st.Close() })
 	mg := NewManager(st)
-	oid, err := mg.CreateRelation("r", []store.Column{
+	tx := st.Begin()
+	oid, err := CreateRelation(tx, "r", []store.Column{
 		{Name: "id", Type: store.ColInt},
 		{Name: "val", Type: store.ColInt},
 	}, 0)
@@ -30,13 +32,37 @@ func world(t *testing.T, n int) (*store.Store, *Manager, *machine.Machine, store
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := mg.InsertRow(oid, []store.Val{store.IntVal(int64(i)), store.IntVal(int64(i % 10))}); err != nil {
+		if err := InsertRow(tx, oid, []store.Val{store.IntVal(int64(i)), store.IntVal(int64(i % 10))}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
 	m := machine.New(st)
 	mg.Register(m)
 	return st, mg, m, oid
+}
+
+// createRelation commits a relation made by CreateRelation.
+func createRelation(st *store.Store, name string, schema []store.Column, indexCols ...int) (store.OID, error) {
+	tx := st.Begin()
+	defer tx.Abort()
+	oid, err := CreateRelation(tx, name, schema, indexCols...)
+	if err != nil {
+		return store.Nil, err
+	}
+	return oid, tx.Commit()
+}
+
+// insertRow commits one row appended by InsertRow.
+func insertRow(st *store.Store, oid store.OID, row []store.Val) error {
+	tx := st.Begin()
+	defer tx.Abort()
+	if err := InsertRow(tx, oid, row); err != nil {
+		return err
+	}
+	return tx.Commit()
 }
 
 // compileTerm compiles a query term with machine.CompileClosure, the
@@ -176,17 +202,16 @@ func TestProjectComputes(t *testing.T) {
 }
 
 func TestJoin(t *testing.T) {
-	st, mg, m, left := world(t, 4)
-	right, err := mg.CreateRelation("s", []store.Column{{Name: "k", Type: store.ColInt}}, 0)
+	st, _, m, left := world(t, 4)
+	right, err := createRelation(st, "s", []store.Column{{Name: "k", Type: store.ColInt}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := mg.InsertRow(right, []store.Val{store.IntVal(int64(i))}); err != nil {
+		if err := insertRow(st, right, []store.Val{store.IntVal(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_ = st
 	// Equi-join on left.id = right.k: concatenated row is (id, val, k).
 	v, err := run(t, m, `
 (join proc(x !ce !cc)
@@ -220,7 +245,7 @@ func TestExistsEarlyExit(t *testing.T) {
 }
 
 func TestCountAndEmpty(t *testing.T) {
-	_, mg, m, oid := world(t, 7)
+	st, _, m, oid := world(t, 7)
 	v, err := run(t, m, "(count "+oidStr(oid)+" e k)")
 	if err != nil || v != machine.Value(machine.Int(7)) {
 		t.Fatalf("count = %v, %v", v, err)
@@ -229,7 +254,7 @@ func TestCountAndEmpty(t *testing.T) {
 	if err != nil || v != machine.Value(machine.Bool(false)) {
 		t.Fatalf("empty = %v, %v", v, err)
 	}
-	emptyRel, err := mg.CreateRelation("none", []store.Column{{Name: "x", Type: store.ColInt}})
+	emptyRel, err := createRelation(st, "none", []store.Column{{Name: "x", Type: store.ColInt}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +266,24 @@ func TestCountAndEmpty(t *testing.T) {
 
 func TestInsertPersistentAndTransient(t *testing.T) {
 	st, _, m, oid := world(t, 2)
-	_, err := run(t, m, `
-(vector 99 5 cont(row) (rinsert `+oidStr(oid)+` row e cont(u) (k u)))`)
+	insert := `(vector 99 5 cont(row) (rinsert ` + oidStr(oid) + ` row e cont(u) (k u)))`
+	// A machine over the store itself cannot write the relation.
+	if _, err := run(t, m, insert); err == nil || !strings.Contains(err.Error(), "only inside a transaction") {
+		t.Fatalf("rinsert outside a transaction = %v", err)
+	}
+	if got := st.MustGet(oid).(*store.Relation).NumRows(); got != 2 {
+		t.Fatalf("refused rinsert left %d rows", got)
+	}
+	tx := st.Begin()
+	m.Store = tx
+	_, err := run(t, m, insert)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	m.Store = st
 	rel := st.MustGet(oid).(*store.Relation)
 	if len(rel.Rows) != 3 || rel.Rows[2][0].Int != 99 {
 		t.Errorf("persistent insert failed: %v", rel.Rows)
@@ -263,7 +301,7 @@ func TestInsertPersistentAndTransient(t *testing.T) {
 }
 
 func TestIndexScanUsesAndMaintainsIndex(t *testing.T) {
-	_, mg, m, oid := world(t, 500)
+	st, _, m, oid := world(t, 500)
 	m.ResetSteps()
 	v, err := run(t, m, "(indexscan "+oidStr(oid)+" 0 123 e k)")
 	if err != nil {
@@ -277,7 +315,7 @@ func TestIndexScanUsesAndMaintainsIndex(t *testing.T) {
 		t.Errorf("index probe cost %d steps; the scan would cost ~500", probeSteps)
 	}
 	// Index maintenance on insert (the index was built above).
-	if err := mg.InsertRow(oid, []store.Val{store.IntVal(123), store.IntVal(0)}); err != nil {
+	if err := insertRow(st, oid, []store.Val{store.IntVal(123), store.IntVal(0)}); err != nil {
 		t.Fatal(err)
 	}
 	v, err = run(t, m, "(indexscan "+oidStr(oid)+" 0 123 e k)")
@@ -373,15 +411,17 @@ func TestIndexScanRaggedRelation(t *testing.T) {
 }
 
 func TestInsertRowValidation(t *testing.T) {
-	st, mg, _, oid := world(t, 1)
-	if err := mg.InsertRow(oid, []store.Val{store.IntVal(1)}); err == nil {
+	st, _, _, oid := world(t, 1)
+	tx := st.Begin()
+	defer tx.Abort()
+	if err := InsertRow(tx, oid, []store.Val{store.IntVal(1)}); err == nil {
 		t.Error("width mismatch accepted")
 	}
-	blob := st.Alloc(&store.Blob{})
-	if err := mg.InsertRow(blob, []store.Val{store.IntVal(1)}); err == nil {
+	blob := tx.Alloc(&store.Blob{})
+	if err := InsertRow(tx, blob, []store.Val{store.IntVal(1)}); err == nil {
 		t.Error("insert into non-relation accepted")
 	}
-	if _, err := mg.CreateRelation("bad", []store.Column{{Name: "x", Type: store.ColInt}}, 5); err == nil {
+	if _, err := CreateRelation(tx, "bad", []store.Column{{Name: "x", Type: store.ColInt}}, 5); err == nil {
 		t.Error("out-of-range index column accepted")
 	}
 }

@@ -17,11 +17,10 @@
 //     wrapping uint64 lanes): two replicas that applied the same append
 //     set in different orders agree, a lost or extra row still shows.
 //   - Closures hash by name, the canonical α-hash of their PTML blob and
-//     their bindings — NOT the TAM code bytes or the cached optimizer
-//     attributes. OPTIMIZE reaches only the first replica of a shard, so
-//     code and cost caches legitimately diverge; the PTML is the
-//     semantic content the paper's whole design preserves for exactly
-//     this kind of re-derivation.
+//     their bindings — NOT the TAM code bytes or the derived optimizer
+//     attributes, which a replica derives from the PTML under its own
+//     compile settings; the PTML is the semantic content the paper's
+//     whole design preserves for exactly this kind of re-derivation.
 package server
 
 import (

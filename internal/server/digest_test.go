@@ -24,6 +24,14 @@ func newTestStore(t *testing.T) *store.Store {
 	return st
 }
 
+// commit commits tx or fails the test.
+func commit(t *testing.T, tx *store.Txn) {
+	t.Helper()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDigestOIDAndOrderIndependent: two stores that hold the same
 // logical contents under different OID allocations and different row
 // orders must produce identical digests — that is what lets a repaired
@@ -32,10 +40,11 @@ func newTestStore(t *testing.T) *store.Store {
 func TestDigestOIDAndOrderIndependent(t *testing.T) {
 	build := func(shiftOIDs bool, rowsReversed bool) *store.Store {
 		st := newTestStore(t)
+		tx := st.Begin()
 		if shiftOIDs {
 			// Burn allocations so every subsequent OID differs.
 			for i := 0; i < 7; i++ {
-				st.Alloc(&store.Blob{Bytes: []byte{byte(i)}})
+				tx.Alloc(&store.Blob{Bytes: []byte{byte(i)}})
 			}
 		}
 		rows := [][]store.Val{
@@ -53,10 +62,11 @@ func TestDigestOIDAndOrderIndependent(t *testing.T) {
 			Schema: []store.Column{{Name: "id", Type: store.ColInt}, {Name: "s", Type: store.ColStr}},
 			Rows:   rows,
 		}
-		relOID := st.Alloc(rel)
-		st.SetRoot("rows", relOID)
-		tup := st.Alloc(&store.Tuple{Fields: []store.Val{store.IntVal(9), {Kind: store.ValRef, Ref: relOID}}})
-		st.SetRoot("pair", tup)
+		relOID := tx.Alloc(rel)
+		tx.SetRoot("rows", relOID)
+		tup := tx.Alloc(&store.Tuple{Fields: []store.Val{store.IntVal(9), {Kind: store.ValRef, Ref: relOID}}})
+		tx.SetRoot("pair", tup)
+		commit(t, tx)
 		return st
 	}
 
@@ -74,9 +84,10 @@ func TestDigestOIDAndOrderIndependent(t *testing.T) {
 	// A lost row must show.
 	st := build(false, false)
 	oid, _ := st.Root("rows")
-	obj, _ := st.Get(oid)
-	rel := obj.(*store.Relation)
-	rel.AppendRow([]store.Val{store.IntVal(4), store.StrVal("d")})
+	tx := st.Begin()
+	tx.MustGet(oid).(*store.Relation).AppendRow([]store.Val{store.IntVal(4), store.StrVal("d")})
+	tx.MarkDirty(oid)
+	commit(t, tx)
 	c := digestMap(StoreDigests(st, ""))
 	if c["rows"] == a["rows"] {
 		t.Error("extra row did not change the rows digest")
@@ -87,19 +98,21 @@ func TestDigestOIDAndOrderIndependent(t *testing.T) {
 }
 
 // TestDigestIgnoresCodeAndOptimizerAttrs: replicas legitimately diverge
-// in TAM code bytes and cached cost attributes (OPTIMIZE reaches only the
-// first replica), so those must not enter the digest — while the PTML
-// content must.
+// in TAM code bytes and derived cost attributes (each derives them from
+// the PTML under its own settings), so those must not enter the digest —
+// while the PTML content must.
 func TestDigestIgnoresCodeAndOptimizerAttrs(t *testing.T) {
 	build := func(code []byte, cost int32, ptmlBytes []byte) *store.Store {
 		st := newTestStore(t)
-		codeOID := st.Alloc(&store.Blob{Bytes: code})
-		ptmlOID := st.Alloc(&store.Blob{Bytes: ptmlBytes})
-		cl := st.Alloc(&store.Closure{
+		tx := st.Begin()
+		codeOID := tx.Alloc(&store.Blob{Bytes: code})
+		ptmlOID := tx.Alloc(&store.Blob{Bytes: ptmlBytes})
+		cl := tx.Alloc(&store.Closure{
 			Name: "q", Code: codeOID, PTML: ptmlOID, Cost: cost,
 			Bindings: []store.Binding{{Name: "x", Val: store.IntVal(5)}},
 		})
-		st.SetRoot(ship.SavedRoot+"q", cl)
+		tx.SetRoot(ship.SavedRoot+"q", cl)
+		commit(t, tx)
 		return st
 	}
 	base := digestMap(StoreDigests(build([]byte("code-v1"), 10, []byte("ptml-1")), ""))
@@ -115,9 +128,11 @@ func TestDigestIgnoresCodeAndOptimizerAttrs(t *testing.T) {
 
 func TestDigestPrefix(t *testing.T) {
 	st := newTestStore(t)
-	st.SetRoot("rows", st.Alloc(&store.Blob{Bytes: []byte("r")}))
-	st.SetRoot(ship.SavedRoot+"a", st.Alloc(&store.Blob{Bytes: []byte("a")}))
-	st.SetRoot(ship.SavedRoot+"b", st.Alloc(&store.Blob{Bytes: []byte("b")}))
+	tx := st.Begin()
+	tx.SetRoot("rows", tx.Alloc(&store.Blob{Bytes: []byte("r")}))
+	tx.SetRoot(ship.SavedRoot+"a", tx.Alloc(&store.Blob{Bytes: []byte("a")}))
+	tx.SetRoot(ship.SavedRoot+"b", tx.Alloc(&store.Blob{Bytes: []byte("b")}))
+	commit(t, tx)
 
 	all := StoreDigests(st, "")
 	if len(all.Roots) != 3 {

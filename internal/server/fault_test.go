@@ -264,8 +264,11 @@ func TestDegradedPerWriter(t *testing.T) {
 // succeeds.
 func TestConflictAbortsRetryable(t *testing.T) {
 	srv, addr, st := world(t, "", server.Config{StepBudget: 1 << 60})
-	oid := st.Alloc(&store.Array{Elems: []store.Val{store.IntVal(0)}})
-	st.SetRoot("arr", oid)
+	var oid store.OID
+	write(t, st, func(tx *store.Txn) {
+		oid = tx.Alloc(&store.Array{Elems: []store.Val{store.IntVal(0)}})
+		tx.SetRoot("arr", oid)
+	})
 	binds := []ship.WBind{{Name: "a", Val: ship.WVal{Kind: ship.WRoot, Str: "arr"}}}
 
 	// The slow writer stores 1 into the slot, then burns a long countdown
@@ -427,8 +430,11 @@ func TestConcurrentDuplicatesCollapse(t *testing.T) {
 // every durable effect exactly-once.
 func TestDedupRecordsOnlyEffects(t *testing.T) {
 	srv, addr, st := world(t, "", server.Config{})
-	oid := st.Alloc(&store.Array{Elems: []store.Val{store.IntVal(0)}})
-	st.SetRoot("arr", oid)
+	var oid store.OID
+	write(t, st, func(tx *store.Txn) {
+		oid = tx.Alloc(&store.Array{Elems: []store.Val{store.IntVal(0)}})
+		tx.SetRoot("arr", oid)
+	})
 	c := dial(t, addr)
 	binds := []ship.WBind{{Name: "a", Val: ship.WVal{Kind: ship.WRoot, Str: "arr"}}}
 

@@ -151,9 +151,15 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 	if cfg.LocalOpt {
 		level = linker.OptLocal
 	}
-	lk := linker.New(st, linker.Config{Level: level})
-	comp, err := tyclib.Install(st, lk)
+	lk := linker.New(linker.Config{Level: level})
+	// The library installs (into a store that lacks it) as one commit.
+	tx := st.Begin()
+	comp, err := tyclib.Install(tx, lk)
 	if err != nil {
+		tx.Abort()
+		return nil, err
+	}
+	if err := tx.Commit(); err != nil {
 		return nil, err
 	}
 	pipe := pipeline.New(st, pipeline.Config{})
@@ -187,15 +193,12 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		// sessions are nudged, so that when the nudge fires a stream's
 		// parked reader, its final flush already finds the terminal error.
 		BeforeDrain: s.watch.drain,
-		// The store itself stays open; the owner closes it.
-		AfterDrain: st.Commit,
+		// The store itself stays open; the owner closes it. Draining
+		// flushes any backlog a failed commit left queued.
+		AfterDrain: st.Flush,
 	})
 	return s, nil
 }
-
-// Manager exposes the shared relational substrate so embedders (tests,
-// the server benchmark) can create relations in-process before serving.
-func (s *Server) Manager() *relalg.Manager { return s.mg }
 
 // Pipeline exposes the shared compilation pipeline.
 func (s *Server) Pipeline() *pipeline.Pipeline { return s.pipe }
@@ -279,12 +282,12 @@ func (s *Server) Degraded() (bool, string) {
 	return s.degraded, s.degReason
 }
 
-// ClearDegraded probes the store with a commit and, if it succeeds,
-// leaves degraded mode. The probe is a real commit: whatever dirty
-// state and failed-commit backlog accumulated before the mode latched
-// gets durable too.
+// ClearDegraded probes the store with a flush and, if it succeeds,
+// leaves degraded mode. The probe is a real write: whatever
+// failed-commit backlog accumulated before the mode latched gets durable
+// too.
 func (s *Server) ClearDegraded() error {
-	err := s.st.Commit()
+	err := s.st.Flush()
 	s.noteCommit(err)
 	return err
 }

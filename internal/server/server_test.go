@@ -14,6 +14,7 @@ import (
 	"tycoon/internal/client"
 	"tycoon/internal/fsck"
 	"tycoon/internal/machine"
+	"tycoon/internal/relalg"
 	"tycoon/internal/server"
 	"tycoon/internal/ship"
 	"tycoon/internal/store"
@@ -58,22 +59,34 @@ func dial(t *testing.T, addr string) *client.Client {
 	return c
 }
 
-// fill creates relation t(id, val) with an index on id and n rows where
+// fill commits relation t(id, val) with an index on id and n rows where
 // val = i % 97, the distribution the E benchmarks use.
-func fill(t *testing.T, srv *server.Server, n int) {
+func fill(t *testing.T, st *store.Store, n int) {
 	t.Helper()
-	mg := srv.Manager()
-	oid, err := mg.CreateRelation("t", []store.Column{
-		{Name: "id", Type: store.ColInt},
-		{Name: "val", Type: store.ColInt},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := mg.InsertRow(oid, []store.Val{store.IntVal(int64(i)), store.IntVal(int64(i % 97))}); err != nil {
+	write(t, st, func(tx *store.Txn) {
+		oid, err := relalg.CreateRelation(tx, "t", []store.Column{
+			{Name: "id", Type: store.ColInt},
+			{Name: "val", Type: store.ColInt},
+		}, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < n; i++ {
+			if err := relalg.InsertRow(tx, oid, []store.Val{store.IntVal(int64(i)), store.IntVal(int64(i % 97))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// write runs f in one transaction over st and commits it.
+func write(t *testing.T, st *store.Store, f func(tx *store.Txn)) {
+	t.Helper()
+	tx := st.Begin()
+	defer tx.Abort()
+	f(tx)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -214,8 +227,8 @@ func TestSubmitErrors(t *testing.T) {
 // answers a pair for its first row and single columns after — answers an
 // execution error, and the connection stays up to answer the next verb.
 func TestSubmitIndexScanRaggedRelation(t *testing.T) {
-	srv, addr, _ := world(t, "", server.Config{})
-	fill(t, srv, 100)
+	_, addr, st := world(t, "", server.Config{})
+	fill(t, st, 100)
 	c := dial(t, addr)
 	_, err := c.SubmitTML("", `(project proc(x !ce !cc)
 	  ([] x 0 cont(a) (== a 0
@@ -268,8 +281,8 @@ func TestHandlerDoesNotLeakAcrossRequests(t *testing.T) {
 // as one miss) and every other session observes a hit or rides the
 // singleflight.
 func TestSharedCacheAcrossSessions(t *testing.T) {
-	srv, addr, _ := world(t, "", server.Config{})
-	fill(t, srv, 1000)
+	srv, addr, st := world(t, "", server.Config{})
+	fill(t, st, 1000)
 
 	const sessions = 64
 	var wg sync.WaitGroup
@@ -335,8 +348,8 @@ func TestSharedCacheAcrossSessions(t *testing.T) {
 // sessions scanning over the wire; under -race this covers the COW
 // index-cache and row-snapshot paths end to end.
 func TestConcurrentInsertAndScan(t *testing.T) {
-	srv, addr, st := world(t, "", server.Config{})
-	fill(t, srv, 200)
+	_, addr, st := world(t, "", server.Config{})
+	fill(t, st, 200)
 	oid, ok := st.Root("rel:t")
 	if !ok {
 		t.Fatal("relation t missing")
@@ -355,8 +368,14 @@ func TestConcurrentInsertAndScan(t *testing.T) {
 				default:
 				}
 				row := []store.Val{store.IntVal(int64(1000 + w*10000 + i)), store.IntVal(123)}
-				if err := srv.Manager().InsertRow(oid, row); err != nil {
+				tx := st.Begin()
+				if err := relalg.InsertRow(tx, oid, row); err != nil {
+					tx.Abort()
 					t.Errorf("insert: %v", err)
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					t.Errorf("insert commit: %v", err)
 					return
 				}
 			}
@@ -396,8 +415,8 @@ func TestConcurrentInsertAndScan(t *testing.T) {
 
 func TestSaveAndCall(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.tyst")
-	srv, addr, st := world(t, path, server.Config{})
-	fill(t, srv, 100)
+	_, addr, st := world(t, path, server.Config{})
+	fill(t, st, 100)
 	c := dial(t, addr)
 
 	res, err := c.SubmitTML("sel", selectSrc,
@@ -423,9 +442,6 @@ func TestSaveAndCall(t *testing.T) {
 	wantCode(t, err, ship.CodeNotFound)
 
 	// The srv: root must pass the object-store audit.
-	if err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
 	rep, err := fsck.CheckPath(path)
 	if err != nil {
 		t.Fatal(err)
@@ -538,11 +554,11 @@ func TestStepBudget(t *testing.T) {
 
 func TestWallBudget(t *testing.T) {
 	// Steps effectively unbounded so the wall clock trips first.
-	srv, addr, _ := world(t, "", server.Config{
+	_, addr, st := world(t, "", server.Config{
 		StepBudget: 1 << 60,
 		WallBudget: 50 * time.Millisecond,
 	})
-	fill(t, srv, 1000)
+	fill(t, st, 1000)
 	c := dial(t, addr)
 	start := time.Now()
 	_, err := c.SubmitTML("loop", loopSrc, nil, false, "")
@@ -695,8 +711,8 @@ func TestDeadlineSteps(t *testing.T) {
 // actually executed, estimated against actual cardinalities; without
 // the flag the result carries no plan.
 func TestSubmitExplain(t *testing.T) {
-	srv, addr, _ := world(t, "", server.Config{})
-	fill(t, srv, 1000)
+	_, addr, st := world(t, "", server.Config{})
+	fill(t, st, 1000)
 	c := dial(t, addr)
 
 	binds := []ship.WBind{{Name: "r", Val: ship.WVal{Kind: ship.WRoot, Str: "rel:t"}}}
@@ -731,8 +747,8 @@ func TestSubmitExplain(t *testing.T) {
 // bare comparison, the general vector evaluator for arithmetic, a hash
 // join for an unsorted key, a sort-merge join for two sorted ones.
 func TestSubmitExplainServedAlgorithms(t *testing.T) {
-	srv, addr, _ := world(t, "", server.Config{})
-	fill(t, srv, 200)
+	_, addr, st := world(t, "", server.Config{})
+	fill(t, st, 200)
 	c := dial(t, addr)
 
 	binds := []ship.WBind{{Name: "r", Val: ship.WVal{Kind: ship.WRoot, Str: "rel:t"}}}
@@ -765,5 +781,121 @@ func TestSubmitExplainServedAlgorithms(t *testing.T) {
 				t.Errorf("%s (hit=%v): plan lacks %q:\n%s", q.name, wantHit, q.want, res.Explain)
 			}
 		}
+	}
+}
+
+// TestFailedInstallLeavesNothing: served INSTALLs that fail after the
+// compiler accepted them — a's constant faults, b fails linking h after
+// g was built — leave the store's object count and log as they were; a
+// good INSTALL after them adds only its own module, and a restart adds
+// nothing.
+func TestFailedInstallLeavesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.tyst")
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(st, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	c := dial(t, ln.Addr().String())
+	state := func() (int, int64) {
+		t.Helper()
+		size, err := st.LogSize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Len(), size
+	}
+	objects, size := state()
+	for _, src := range []string{
+		`module a export f, z
+		 let z : Int = 1 / 0
+		 let f(n : Int) : Int = n + z
+		 end`,
+		`module b export g, h
+		 let g(n : Int) : Int = n * 2
+		 let h(n : Int) : Int = a.f(n)
+		 end`,
+	} {
+		if _, err := c.Install(src); err == nil {
+			t.Fatalf("install succeeded:\n%s", src)
+		}
+		if n, sz := state(); n != objects || sz != size {
+			t.Fatalf("failed install moved the store from %d objects, %d bytes to %d, %d", objects, size, n, sz)
+		}
+	}
+	if _, err := c.Install(`module c export k let k(n : Int) : Int = n + 1 end`); err != nil {
+		t.Fatal(err)
+	}
+	// The good module is four objects: its closure, the closure's code
+	// and PTML blobs, and the module.
+	objects += 4
+	n, grown := state()
+	if n != objects || grown <= size {
+		t.Fatalf("good install left %d objects, %d bytes; want %d objects and a longer log than %d bytes", n, grown, objects, size)
+	}
+	size = grown
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = store.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := server.New(st, server.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if n, sz := state(); n != objects || sz != size {
+		t.Errorf("restart: %d objects, %d bytes; before it %d, %d", n, sz, objects, size)
+	}
+	for _, name := range []string{"a", "b"} {
+		if _, ok := st.Root("module:" + name); ok {
+			t.Errorf("failed module %s is installed after a restart", name)
+		}
+	}
+}
+
+// TestOptimizeWritesNothing: OPTIMIZE reads the store and writes nothing
+// to it — the commit sequence number and the log stay where they were —
+// and a repeated OPTIMIZE is still served from the pipeline cache.
+func TestOptimizeWritesNothing(t *testing.T) {
+	_, addr, st := world(t, filepath.Join(t.TempDir(), "db.tyst"), server.Config{})
+	c := dial(t, addr)
+	if _, err := c.Install("module demo export double let double(a : Int) : Int = a * 2 end"); err != nil {
+		t.Fatal(err)
+	}
+	csn := st.CSN()
+	size, err := st.LogSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wantHit := range []bool{false, true} {
+		res, err := c.Optimize("demo", "double")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Info.CacheHit != wantHit {
+			t.Errorf("optimize %d: cache hit %v, want %v", i+1, res.Info.CacheHit, wantHit)
+		}
+	}
+	after, err := st.LogSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CSN() != csn || after != size {
+		t.Errorf("OPTIMIZE moved the store from csn %d, %d bytes to csn %d, %d bytes", csn, size, st.CSN(), after)
 	}
 }

@@ -79,10 +79,12 @@ func (s *session) handleDigest(body []byte) (ship.Verb, []byte, *ship.WireError)
 	return ship.VDigestOK, s.srv.Digests(req.Prefix).Encode(), nil
 }
 
-// handleInstall compiles and installs a TL module. The module's
-// constants run on a borrowed machine under the request's step and wall
-// budgets. A keyed request runs through the idempotency table: a
-// client retrying a lost response gets the recorded result instead of
+// handleInstall compiles and installs a TL module in one transaction:
+// the module is published whole at its commit, and an install that
+// fails anywhere leaves nothing in the store. The module's constants run
+// on a borrowed machine over that transaction, under the request's step
+// and wall budgets. A keyed request runs through the idempotency table:
+// a client retrying a lost response gets the recorded result instead of
 // reinstalling.
 func (s *session) handleInstall(body []byte) (*ship.Result, *ship.WireError) {
 	req, err := ship.DecodeInstall(body)
@@ -96,8 +98,10 @@ func (s *session) handleInstall(body []byte) (*ship.Result, *ship.WireError) {
 		if err != nil {
 			return nil, ship.WireErr(ship.CodeCompile, err), false
 		}
-		err = s.srv.run(s.srv.st, func(m *machine.Machine) error {
-			_, err := s.srv.lk.InstallModuleOn(m, unit)
+		txn := s.srv.st.Begin()
+		defer txn.Abort()
+		err = s.srv.run(txn, func(m *machine.Machine) error {
+			_, err := s.srv.lk.InstallModuleOn(m, txn, unit)
 			return err
 		})
 		if err != nil {
@@ -106,11 +110,9 @@ func (s *session) handleInstall(body []byte) (*ship.Result, *ship.WireError) {
 			}
 			return nil, ship.WireErr(ship.CodeCompile, err), false
 		}
-		if err := s.srv.st.Commit(); err != nil {
-			s.srv.noteCommit(err)
-			return nil, &ship.WireError{Code: ship.CodeDegraded, Msg: "install not durable: " + err.Error()}, false
+		if werr := s.commitTxn(txn, "install"); werr != nil {
+			return nil, werr, false
 		}
-		s.srv.noteCommit(nil)
 		s.srv.Logf("session %d: installed module %s", s.c.ID(), unit.Name)
 		// An install is always a durable write: record it.
 		return &ship.Result{Val: ship.WVal{Kind: ship.WStr, Str: unit.Name}}, nil, true
@@ -370,7 +372,7 @@ func (s *session) runSubmit(req *ship.Submit, srcHash ptml.Hash) (*ship.Result, 
 // under the srv: root namespace tycfsck audits. The writes ride the
 // request's transaction; durability (and any conflict with a concurrent
 // save under the same name) is decided by its commit.
-func (s *session) save(st store.View, saveAs, name string, res *pipeline.Result) *ship.WireError {
+func (s *session) save(st *store.Txn, saveAs, name string, res *pipeline.Result) *ship.WireError {
 	if len(res.Code) == 0 || len(res.PTML) == 0 {
 		return &ship.WireError{Code: ship.CodeInternal, Msg: "compiled submit carries no encodings to save"}
 	}
@@ -443,7 +445,8 @@ func (s *session) rebind(data []byte, binds map[string]store.Val, gen *tml.VarGe
 // handleOptimize reflectively optimizes an installed function and
 // installs the code in the server's code table, so every session's next
 // call runs it; the compilation lands in the shared pipeline cache, so a
-// repeated optimize of the same function is a hit.
+// repeated optimize of the same function is a hit. It reads the store
+// and writes nothing to it.
 func (s *session) handleOptimize(body []byte) (*ship.Result, *ship.WireError) {
 	req, err := ship.DecodeOptimize(body)
 	if err != nil {
@@ -457,7 +460,7 @@ func (s *session) handleOptimize(body []byte) (*ship.Result, *ship.WireError) {
 		}
 		return nil, ship.WireErr(ship.CodeInternal, err)
 	}
-	res, err := s.srv.ropt.OptimizeAndInstall(s.srv.code, oid)
+	res, err := s.srv.ropt.OptimizeAndInstall(s.srv.st, s.srv.code, oid)
 	if err != nil {
 		return nil, ship.WireErr(ship.CodeCompile, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tycoon/internal/client"
+	"tycoon/internal/relalg"
 	"tycoon/internal/ship"
 	"tycoon/internal/store"
 )
@@ -64,7 +65,8 @@ func TestServedSelectRunsVectorized(t *testing.T) {
 		for i := range cols {
 			cols[i] = store.Column{Name: fmt.Sprintf("c%d", i), Type: store.ColInt}
 		}
-		oid, err := srv.Manager().CreateRelation(name, cols, 0)
+		tx := srv.st.Begin()
+		oid, err := relalg.CreateRelation(tx, name, cols, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,10 +76,11 @@ func TestServedSelectRunsVectorized(t *testing.T) {
 			for j, c := range cells {
 				vals[j] = store.IntVal(c)
 			}
-			if err := srv.Manager().InsertRow(oid, vals); err != nil {
+			if err := relalg.InsertRow(tx, oid, vals); err != nil {
 				t.Fatal(err)
 			}
 		}
+		commit(t, tx)
 	}
 	// matches counts the rows of a relation that keep holds for.
 	matches := func(name string, keep func(row []int64) bool) int64 {

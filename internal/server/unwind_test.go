@@ -6,6 +6,7 @@ import (
 	"tycoon/internal/machine"
 	"tycoon/internal/prim"
 	"tycoon/internal/ptml"
+	"tycoon/internal/relalg"
 	"tycoon/internal/ship"
 	"tycoon/internal/store"
 	"tycoon/internal/tml"
@@ -26,15 +27,17 @@ func TestExplainReleasedOnPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oid, err := srv.Manager().CreateRelation("t", []store.Column{{Name: "id", Type: store.ColInt}})
+	tx := st.Begin()
+	oid, err := relalg.CreateRelation(tx, "t", []store.Column{{Name: "id", Type: store.ColInt}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := srv.Manager().InsertRow(oid, []store.Val{store.IntVal(int64(i))}); err != nil {
+		if err := relalg.InsertRow(tx, oid, []store.Val{store.IntVal(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	commit(t, tx)
 	// Leave one idle machine, whose count panics, for the submit to borrow.
 	var m *machine.Machine
 	srv.run(nil, func(lent *machine.Machine) error {

@@ -258,8 +258,9 @@ func TestWatchSlowSubscriberDropped(t *testing.T) {
 func TestWatchResumeHorizonLost(t *testing.T) {
 	_, addr, st := world(t, filepath.Join(t.TempDir(), "w.tyst"), server.Config{WatchBacklog: 4})
 	for i := 0; i < 12; i++ {
-		oid := st.Alloc(&store.Blob{Bytes: []byte{byte(i)}})
-		st.SetRoot(fmt.Sprintf("old:%d", i), oid)
+		write(t, st, func(tx *store.Txn) {
+			tx.SetRoot(fmt.Sprintf("old:%d", i), tx.Alloc(&store.Blob{Bytes: []byte{byte(i)}}))
+		})
 	}
 	_, err := client.NewWatcher(addr, []string{"*"}, 1, client.Options{Timeout: 30 * time.Second})
 	if err == nil {

@@ -70,8 +70,8 @@ const (
 
 var bundleCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// Export serialises the transitive code closure of root.
-func Export(st *store.Store, root store.OID) ([]byte, error) {
+// Export serialises the transitive code closure of root, read through st.
+func Export(st store.View, root store.OID) ([]byte, error) {
 	e := &exporter{st: st, index: make(map[store.OID]int)}
 	if err := e.visit(root); err != nil {
 		return nil, err
@@ -133,7 +133,7 @@ type entry struct {
 }
 
 type exporter struct {
-	st      *store.Store
+	st      store.View
 	index   map[store.OID]int
 	entries []entry
 }
@@ -208,9 +208,11 @@ func refsOf(obj store.Object) []store.OID {
 	return refs
 }
 
-// Import replays a bundle into st and returns the new OID of the
-// bundle's root object.
-func Import(st *store.Store, bundle []byte) (store.OID, error) {
+// Import replays a bundle into tx and returns the new OID of the
+// bundle's root object. Every object it writes is private to tx until
+// tx commits; a refused import takes back what it wrote, so tx is left
+// as it was.
+func Import(tx *store.Txn, bundle []byte) (_ store.OID, err error) {
 	body, err := bundleBody(bundle)
 	if err != nil {
 		return store.Nil, err
@@ -227,6 +229,15 @@ func Import(st *store.Store, bundle []byte) (store.OID, error) {
 	}
 	entries := make([]pending, 0, n)
 	oids := make([]store.OID, n)
+	defer func() {
+		if err != nil {
+			for i, ent := range entries {
+				if !ent.byName {
+					tx.Discard(oids[i])
+				}
+			}
+		}
+	}()
 
 	// Pass 1: allocate OIDs (placeholders for objects, resolved roots
 	// for by-name relations) so cyclic references can be rewritten.
@@ -234,7 +245,7 @@ func Import(st *store.Store, bundle []byte) (store.OID, error) {
 		switch r.u8() {
 		case entryRelation:
 			name := r.str()
-			oid, ok := st.Root("rel:" + name)
+			oid, ok := tx.Root("rel:" + name)
 			if !ok {
 				return store.Nil, fmt.Errorf("%w: relation %q not present in target store", ErrUnresolved, name)
 			}
@@ -242,7 +253,7 @@ func Import(st *store.Store, bundle []byte) (store.OID, error) {
 			entries = append(entries, pending{byName: true})
 		case entryModule:
 			name := r.str()
-			oid, ok := st.Root("module:" + name)
+			oid, ok := tx.Root("module:" + name)
 			if !ok {
 				return store.Nil, fmt.Errorf("%w: module %q not installed in target store", ErrUnresolved, name)
 			}
@@ -251,7 +262,7 @@ func Import(st *store.Store, bundle []byte) (store.OID, error) {
 		case entryObject:
 			kind := store.Kind(r.u8())
 			payload := r.bytesField()
-			oids[i] = st.Alloc(&store.Blob{}) // placeholder
+			oids[i] = tx.Alloc(&store.Blob{}) // placeholder
 			entries = append(entries, pending{kind: kind, payload: payload})
 		default:
 			return store.Nil, fmt.Errorf("%w: unknown entry", ErrBadBundle)
@@ -297,7 +308,7 @@ func Import(st *store.Store, bundle []byte) (store.OID, error) {
 		if ent.byName {
 			continue
 		}
-		if err := st.Update(oids[i], objs[oids[i]]); err != nil {
+		if err := tx.Update(oids[i], objs[oids[i]]); err != nil {
 			return store.Nil, err
 		}
 	}

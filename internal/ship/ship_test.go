@@ -34,9 +34,13 @@ func newNode(t *testing.T) *node {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	lk := linker.New(st, linker.Config{})
-	comp, err := tyclib.Install(st, lk)
+	lk := linker.New(linker.Config{})
+	tx := st.Begin()
+	comp, err := tyclib.Install(tx, lk)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	m := machine.New(st)
@@ -60,7 +64,41 @@ func (n *node) install(t *testing.T, src string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.lk.InstallModule(unit); err != nil {
+	tx := n.st.Begin()
+	if _, err := n.lk.InstallModule(tx, unit); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// importBundle imports bundle into n's store in one transaction: it
+// commits when the import succeeds and aborts when it fails.
+func (n *node) importBundle(bundle []byte) (store.OID, error) {
+	tx := n.st.Begin()
+	defer tx.Abort()
+	oid, err := ship.Import(tx, bundle)
+	if err != nil {
+		return store.Nil, err
+	}
+	return oid, tx.Commit()
+}
+
+// relation commits relation name(id), indexed, holding ids 0…rows-1.
+func (n *node) relation(t *testing.T, name string, rows int64) {
+	t.Helper()
+	tx := n.st.Begin()
+	oid, err := relalg.CreateRelation(tx, name, []store.Column{{Name: "id", Type: store.ColInt}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < rows; i++ {
+		if err := relalg.InsertRow(tx, oid, []store.Val{store.IntVal(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -77,7 +115,7 @@ end`)
 	}
 
 	dst := newNode(t)
-	oid, err := ship.Import(dst.st, bundle)
+	oid, err := dst.importBundle(bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +140,7 @@ end`)
 
 	dst := newNode(t)
 	dstObjects := dst.st.Len()
-	oid, err := ship.Import(dst.st, bundle)
+	oid, err := dst.importBundle(bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +167,7 @@ end`)
 		t.Fatal(err)
 	}
 	dst := newNode(t)
-	oid, err := ship.Import(dst.st, bundle)
+	oid, err := dst.importBundle(bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,15 +183,7 @@ func TestShipCodeDataStays(t *testing.T) {
 	// same name, which holds different data — "code shipping", not data
 	// shipping.
 	src := newNode(t)
-	relSrc, err := src.mg.CreateRelation("emp", []store.Column{{Name: "id", Type: store.ColInt}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 3; i++ {
-		if err := src.mg.InsertRow(relSrc, []store.Val{store.IntVal(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	src.relation(t, "emp", 3)
 	src.install(t, `
 module q export n
 rel emp : Rel(id : Int)
@@ -171,16 +201,8 @@ end`)
 
 	// Target with a DIFFERENT emp relation (7 rows).
 	dst := newNode(t)
-	relDst, err := dst.mg.CreateRelation("emp", []store.Column{{Name: "id", Type: store.ColInt}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 7; i++ {
-		if err := dst.mg.InsertRow(relDst, []store.Val{store.IntVal(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	oid, err := ship.Import(dst.st, bundle)
+	dst.relation(t, "emp", 7)
+	oid, err := dst.importBundle(bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +213,7 @@ end`)
 
 	// Without the relation in the target, import fails cleanly.
 	empty := newNode(t)
-	if _, err := ship.Import(empty.st, bundle); !errors.Is(err, ship.ErrUnresolved) {
+	if _, err := empty.importBundle(bundle); !errors.Is(err, ship.ErrUnresolved) {
 		t.Errorf("import without relation: %v, want ErrUnresolved", err)
 	}
 }
@@ -210,12 +232,12 @@ end`)
 		t.Fatal(err)
 	}
 	dst := newNode(t)
-	oid, err := ship.Import(dst.st, bundle)
+	oid, err := dst.importBundle(bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ro := reflectopt.New(dst.st, reflectopt.Options{})
-	res, err := ro.OptimizeAndInstall(dst.m.Code, oid)
+	res, err := ro.OptimizeAndInstall(dst.st, dst.m.Code, oid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +253,7 @@ end`)
 func TestImportRejectsGarbage(t *testing.T) {
 	dst := newNode(t)
 	for _, data := range [][]byte{nil, []byte("XX"), []byte("TYSHIP01")} {
-		if _, err := ship.Import(dst.st, data); err == nil {
+		if _, err := dst.importBundle(data); err == nil {
 			t.Errorf("Import(%q) succeeded", data)
 		}
 	}
@@ -255,7 +277,7 @@ end`)
 
 // TestImportRefusesIllFormedPTML: a bundle whose closure carries a PTML
 // tree that violates a §2.2 constraint is refused, although its bytes
-// are intact.
+// are intact, and the refused import leaves nothing in the target.
 func TestImportRefusesIllFormedPTML(t *testing.T) {
 	src := newNode(t)
 	src.install(t, `
@@ -281,16 +303,34 @@ end`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.st.Update(clo.PTML, &store.Blob{Bytes: data}); err != nil {
+	tx := src.st.Begin()
+	if err := tx.Update(clo.PTML, &store.Blob{Bytes: data}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	bundle, err := ship.Export(src.st, fn.Ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ship.Import(newNode(t).st, bundle)
+	// The refused import takes back its placeholders itself: committing
+	// its transaction anyway publishes nothing.
+	dst := newNode(t)
+	before := dst.st.Len()
+	tx = dst.st.Begin()
+	_, err = ship.Import(tx, bundle)
 	if !errors.Is(err, ship.ErrBadBundle) || !errors.Is(err, tml.ErrIllFormed) {
 		t.Fatalf("import of an ill-formed closure: %v, want ErrBadBundle naming the violation", err)
+	}
+	if tx.Mutated() {
+		t.Error("refused import left writes in its transaction")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if after := dst.st.Len(); after != before {
+		t.Errorf("refused import moved the target from %d to %d objects", before, after)
 	}
 }
 
@@ -298,7 +338,7 @@ func TestImportDetectsTruncation(t *testing.T) {
 	bundle := exportTriple(t)
 	dst := newNode(t)
 	for cut := 0; cut < len(bundle); cut++ {
-		_, err := ship.Import(dst.st, bundle[:cut])
+		_, err := dst.importBundle(bundle[:cut])
 		if err == nil {
 			t.Fatalf("bundle truncated to %d/%d bytes imported", cut, len(bundle))
 		}
@@ -316,7 +356,7 @@ func TestImportDetectsBitFlip(t *testing.T) {
 	for off := 0; off < len(bundle); off++ {
 		mut := append([]byte(nil), bundle...)
 		mut[off] ^= 0x20
-		_, err := ship.Import(dst.st, mut)
+		_, err := dst.importBundle(mut)
 		if err == nil {
 			t.Fatalf("bundle with bit flipped at offset %d imported", off)
 		}
@@ -336,7 +376,7 @@ func TestImportLegacyV1Bundle(t *testing.T) {
 	bundle := exportTriple(t)
 	legacy := append([]byte("TYSHIP01"), bundle[12:len(bundle)-4]...)
 	dst := newNode(t)
-	oid, err := ship.Import(dst.st, legacy)
+	oid, err := dst.importBundle(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,42 +86,47 @@ func NewSuite(regime Regime) (*Suite, error) {
 	if regime == RegimeLocal || regime == RegimeDynamic {
 		level = linker.OptLocal
 	}
-	lk := linker.New(st, linker.Config{Level: level})
-	comp, err := tyclib.Install(st, lk)
-	if err != nil {
+	fail := func(err error) (*Suite, error) {
 		st.Close()
 		return nil, err
 	}
+	// The library and the corpus install as one transaction.
+	tx := st.Begin()
+	defer tx.Abort()
+	lk := linker.New(linker.Config{Level: level})
+	comp, err := tyclib.Install(tx, lk)
+	if err != nil {
+		return fail(err)
+	}
 	if regime == RegimeDirect {
 		comp.Mode = tl.DirectPrims
+	}
+	for _, p := range Programs() {
+		unit, err := comp.Compile(p.Src)
+		if err != nil {
+			return fail(fmt.Errorf("stanford: %s: %w", p.Name, err))
+		}
+		if _, err := lk.InstallModule(tx, unit); err != nil {
+			return fail(fmt.Errorf("stanford: %s: %w", p.Name, err))
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		return fail(err)
 	}
 	s := &Suite{
 		Regime:  regime,
 		Store:   st,
 		Machine: machine.New(st),
 	}
-	for _, p := range Programs() {
-		unit, err := comp.Compile(p.Src)
-		if err != nil {
-			st.Close()
-			return nil, fmt.Errorf("stanford: %s: %w", p.Name, err)
-		}
-		if _, err := lk.InstallModule(unit); err != nil {
-			st.Close()
-			return nil, fmt.Errorf("stanford: %s: %w", p.Name, err)
-		}
-	}
 	if regime == RegimeDynamic {
 		ro := reflectopt.New(st, reflectopt.Options{})
 		for _, p := range Programs() {
 			entry, err := linker.Function(st, p.Name, "run")
 			if err != nil {
-				st.Close()
-				return nil, fmt.Errorf("stanford: %w", err)
+				return fail(fmt.Errorf("stanford: %w", err))
 			}
-			if _, err := ro.OptimizeAndInstall(s.Machine.Code, entry); err != nil {
-				st.Close()
-				return nil, fmt.Errorf("stanford: optimizing %s: %w", p.Name, err)
+			if _, err := ro.OptimizeAndInstall(st, s.Machine.Code, entry); err != nil {
+				return fail(fmt.Errorf("stanford: optimizing %s: %w", p.Name, err))
 			}
 		}
 	}

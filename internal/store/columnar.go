@@ -576,7 +576,7 @@ func (r *Relation) ColumnStats(nrows int) []ColStats {
 
 // RelationStats resolves oid through a View and reports the per-column
 // statistics of the relation at the view's horizon. This is the planner's
-// entry point: the same statistics whatever the view — raw store, snapshot
+// entry point: the same statistics whatever the view — the store, snapshot
 // or transaction — with nil when oid is not a relation or the columnar
 // form is unavailable.
 func RelationStats(v View, oid OID) []ColStats {

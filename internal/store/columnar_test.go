@@ -215,12 +215,11 @@ func TestColumnsViewDelegation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := intRel(30)
-	oid := s.Alloc(r)
+	oid := alloc(t, s, r)
 	sn := s.Snapshot()
 	defer sn.Release()
 	// Rows appended after the snapshot must never appear in its columns.
-	r.AppendRow([]Val{IntVal(999), IntVal(999)})
-	s.MarkDirty(oid)
+	appendRow(t, s, oid, []Val{IntVal(999), IntVal(999)})
 
 	obj, err := sn.Get(oid)
 	if err != nil {
@@ -295,7 +294,7 @@ func TestRelationStatsThroughView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oid := s.Alloc(intRel(40))
+	oid := alloc(t, s, intRel(40))
 	sts := RelationStats(s, oid)
 	if sts == nil || len(sts) != 2 {
 		t.Fatalf("RelationStats: %+v", sts)
@@ -323,7 +322,7 @@ func TestDerivedCacheConcurrentSnapshots(t *testing.T) {
 	}
 	r := intRel(200)
 	r.Indexes = []IndexSpec{{Column: 1}}
-	oid := s.Alloc(r)
+	oid := alloc(t, s, r)
 
 	check := func(view *Relation, rows [][]Val, key Val) bool {
 		var want []int
@@ -403,8 +402,13 @@ func TestDerivedCacheConcurrentSnapshots(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 200; i < 1000; i++ {
-			r.AppendRow([]Val{IntVal(int64(i)), IntVal(int64(i % 7))})
-			s.MarkDirty(oid)
+			tx := s.Begin()
+			tx.MustGet(oid).(*Relation).AppendRow([]Val{IntVal(int64(i)), IntVal(int64(i % 7))})
+			tx.MarkDirty(oid)
+			if err := tx.Commit(); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	wg.Wait()

@@ -18,7 +18,8 @@ import (
 // The rewrite goes through a temporary file in the same directory and
 // replaces the log atomically with an fsynced rename; a crash during
 // compaction leaves either the original or the fully written replacement,
-// never a mix. Pending (uncommitted) changes are committed first.
+// never a mix. Open transactions are not part of the image: they
+// publish later, by appending to the rewritten log as any commit does.
 // In-memory stores compact trivially.
 // Compaction never blocks snapshot readers: it rewrites only the on-disk
 // image, and the in-memory version chains open snapshots read are
@@ -27,9 +28,6 @@ import (
 // is strictly more durable than appending them — and their waiters are
 // released as flushed.
 func (s *Store) Compact() error {
-	if err := s.Commit(); err != nil {
-		return err
-	}
 	// fileMu first: a concurrent group-commit flush finishes before the
 	// rewrite starts, and any commit staged after the state snapshot below
 	// blocks on fileMu until the new file handle is in place.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -12,16 +13,18 @@ func TestCompactReclaimsSupersededStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oid := s.Alloc(&Array{Elems: []Val{IntVal(0)}})
-	s.SetRoot("a", oid)
+	var oid OID
+	write(t, s, func(tx *Txn) {
+		oid = tx.Alloc(&Array{Elems: []Val{IntVal(0)}})
+		tx.SetRoot("a", oid)
+	})
 	// 200 committed updates → 200 superseded records.
 	for i := 0; i < 200; i++ {
-		if err := s.Update(oid, &Array{Elems: []Val{IntVal(int64(i))}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Commit(); err != nil {
-			t.Fatal(err)
-		}
+		write(t, s, func(tx *Txn) {
+			if err := tx.Update(oid, &Array{Elems: []Val{IntVal(int64(i))}}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 	before, err := s.LogSize()
 	if err != nil {
@@ -42,7 +45,7 @@ func TestCompactReclaimsSupersededStates(t *testing.T) {
 		t.Errorf("live state lost: %d", got)
 	}
 	// …and further commits + reopen still work.
-	next := s.Alloc(&Blob{Bytes: []byte("post-compact")})
+	next := alloc(t, s, &Blob{Bytes: []byte("post-compact")})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestCompactReclaimsSupersededStates(t *testing.T) {
 func TestCompactInMemory(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
-	s.Alloc(&Blob{})
+	alloc(t, s, &Blob{})
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestConcurrentAccess(t *testing.T) {
 	var wg sync.WaitGroup
 	oids := make([]OID, 16)
 	for i := range oids {
-		oids[i] = s.Alloc(&Array{Elems: []Val{IntVal(0)}})
+		oids[i] = alloc(t, s, &Array{Elems: []Val{IntVal(0)}})
 	}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -92,22 +95,21 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Errorf("Get: %v", err)
 					return
 				}
-				if err := s.Update(oid, &Array{Elems: []Val{IntVal(int64(i))}}); err != nil {
+				tx := s.Begin()
+				if err := tx.Update(oid, &Array{Elems: []Val{IntVal(int64(i))}}); err != nil {
 					t.Errorf("Update: %v", err)
+					tx.Abort()
 					return
 				}
-				s.SetRoot("g", oid)
-				if i%25 == 0 {
-					if err := s.Commit(); err != nil {
-						t.Errorf("Commit: %v", err)
-						return
-					}
+				tx.SetRoot("g", oid)
+				// Writers race on the root: losing to a first committer
+				// is the expected outcome, anything else is a fault.
+				if err := tx.Commit(); err != nil && !errors.Is(err, ErrConflict) {
+					t.Errorf("Commit: %v", err)
+					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
 }

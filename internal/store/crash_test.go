@@ -35,20 +35,20 @@ func snapshotState(s *Store) map[string]string {
 	return m
 }
 
-// mutate applies a few random state changes between commits.
-func mutate(s *Store, rng *rand.Rand, live *[]OID) {
+// mutate applies a few random state changes to one transaction.
+func mutate(tx *Txn, rng *rand.Rand, live *[]OID) {
 	for n := 1 + rng.Intn(3); n > 0; n-- {
 		switch {
 		case len(*live) == 0 || rng.Intn(3) == 0:
 			b := make([]byte, rng.Intn(24))
 			rng.Read(b)
-			*live = append(*live, s.Alloc(&Blob{Bytes: b}))
+			*live = append(*live, tx.Alloc(&Blob{Bytes: b}))
 		case rng.Intn(2) == 0:
 			oid := (*live)[rng.Intn(len(*live))]
-			s.Update(oid, &Array{Elems: []Val{IntVal(rng.Int63()), StrVal("x")}})
+			tx.Update(oid, &Array{Elems: []Val{IntVal(rng.Int63()), StrVal("x")}})
 		default:
 			oid := (*live)[rng.Intn(len(*live))]
-			s.SetRoot(fmt.Sprintf("root-%d", rng.Intn(4)), oid)
+			tx.SetRoot(fmt.Sprintf("root-%d", rng.Intn(4)), oid)
 		}
 	}
 }
@@ -78,9 +78,14 @@ func runCrashWorkload(fsys iofault.FS, seed int64) (snaps []map[string]string, i
 	}()
 	var live []OID
 	for i := 0; i < 8; i++ {
-		mutate(s, rng, &live)
+		tx := s.Begin()
+		mutate(tx, rng, &live)
+		// A commit publishes in memory before its flush, so the state
+		// after it returns is the batch's prospective durable state,
+		// whether or not the flush failed.
+		err := tx.Commit()
 		prospective := snapshotState(s)
-		if err := s.Commit(); err != nil {
+		if err != nil {
 			return snaps, prospective, err
 		}
 		snaps = append(snaps, prospective)
@@ -155,9 +160,9 @@ func TestCrashDuringCompactKeepsState(t *testing.T) {
 			return nil, nil, err
 		}
 		for i := 0; i < 5; i++ {
-			oid := s.Alloc(&Blob{Bytes: []byte{byte(i)}})
-			s.SetRoot(fmt.Sprintf("r%d", i), oid)
-			if err := s.Commit(); err != nil {
+			tx := s.Begin()
+			tx.SetRoot(fmt.Sprintf("r%d", i), tx.Alloc(&Blob{Bytes: []byte{byte(i)}}))
+			if err := tx.Commit(); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -207,15 +212,16 @@ func TestFailedSyncIsRetryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oid := s.Alloc(&Blob{Bytes: []byte("v")})
+	tx := s.Begin()
+	oid := tx.Alloc(&Blob{Bytes: []byte("v")})
 	// Fail the commit's sync once: the commit must report the failure and
-	// keep the batch dirty, so a retry persists it.
+	// keep the batch queued, so a retried flush persists it.
 	inj.FailSyncAt(inj.Ops() + 1) // next op is the write, then the sync
-	if err := s.Commit(); !errors.Is(err, iofault.ErrInjected) {
+	if err := tx.Commit(); !errors.Is(err, iofault.ErrInjected) {
 		t.Fatalf("commit with failing sync = %v", err)
 	}
-	if err := s.Commit(); err != nil {
-		t.Fatalf("retried commit = %v", err)
+	if err := s.Flush(); err != nil {
+		t.Fatalf("retried flush = %v", err)
 	}
 	fs.Crash()
 	st, err := OpenFS(fs, crashPath)

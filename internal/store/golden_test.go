@@ -27,18 +27,26 @@ func buildGoldenV2(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := s.Alloc(&Blob{Bytes: []byte("persistent")})
-	tup := s.Alloc(&Tuple{Fields: []Val{IntVal(7), StrVal("x"), RefVal(blob)}})
-	s.SetRoot("golden", tup)
-	if err := s.Commit(); err != nil {
+	tx := s.Begin()
+	blob := tx.Alloc(&Blob{Bytes: []byte("persistent")})
+	tup := tx.Alloc(&Tuple{Fields: []Val{IntVal(7), StrVal("x"), RefVal(blob)}})
+	tx.SetRoot("golden", tup)
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	arr := s.Alloc(&Array{Elems: []Val{BoolVal(true), RealVal(1.5), NilVal()}})
-	if err := s.Update(blob, &Blob{Bytes: []byte("intermediate code")}); err != nil {
+	tx = s.Begin()
+	arr := tx.Alloc(&Array{Elems: []Val{BoolVal(true), RealVal(1.5), NilVal()}})
+	if err := tx.Update(blob, &Blob{Bytes: []byte("intermediate code")}); err != nil {
 		t.Fatal(err)
 	}
-	s.SetRoot("second", arr)
-	if err := s.Close(); err != nil { // Close commits the second batch
+	// The fixture's second batch carries the whole root table: bind the
+	// first root again beside the new one.
+	tx.SetRoot("golden", tup)
+	tx.SetRoot("second", arr)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -51,8 +59,17 @@ func appendToV1(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oid := s.Alloc(&Blob{Bytes: []byte("appended")})
-	s.SetRoot("late", oid)
+	tx := s.Begin()
+	// The fixture's appended batch carries the whole root table: bind
+	// every replayed root again beside the new one.
+	for _, name := range s.Roots() {
+		oid, _ := s.Root(name)
+		tx.SetRoot(name, oid)
+	}
+	tx.SetRoot("late", tx.Alloc(&Blob{Bytes: []byte("appended")}))
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

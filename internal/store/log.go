@@ -22,9 +22,10 @@ import (
 //	tag 2 (root):   u8 tag, u32 len, name bytes, u64 oid
 //
 // Format v1 (legacy, still readable) is the bare records; format v2
-// frames them: a CRC after every record and a commit trailer closing the
-// batch of each Commit, so a crash between the records of one Commit
-// rolls the whole batch back instead of replaying it half-applied.
+// frames them: a CRC after every record and a commit trailer closing
+// each group-commit batch (one or more transactions), so a crash between
+// the records of one batch rolls the whole batch back instead of
+// replaying it half-applied.
 //
 // Recovery distinguishes the two failure classes frame.Scan reports:
 //
@@ -216,63 +217,6 @@ func rootRecord(name string, oid OID) []byte {
 	e.str(name)
 	e.u64(uint64(oid))
 	return e.buf.Bytes()
-}
-
-// dirtyRecords encodes the dirty objects (in deterministic OID order,
-// keeping logs reproducible) and changed roots as a record batch.
-// The caller must hold s.mu.
-func (s *Store) dirtyRecords(version uint32) (batch bytes.Buffer, count int) {
-	oids := make([]OID, 0, len(s.dirty))
-	for oid := range s.dirty {
-		oids = append(oids, oid)
-	}
-	sortOIDs(oids)
-	for _, oid := range oids {
-		obj, ok := s.objects[oid]
-		if !ok {
-			continue
-		}
-		logFormat.AppendRecord(&batch, version, objectRecord(oid, obj))
-		count++
-	}
-	if s.rootsDirty {
-		for _, name := range rootNames(s.roots) {
-			logFormat.AppendRecord(&batch, version, rootRecord(name, s.roots[name]))
-			count++
-		}
-	}
-	return batch, count
-}
-
-// Commit atomically appends every dirty object (and the root table, if
-// changed) to the log and syncs the file. The records go through the
-// group committer: concurrent commits (legacy or transactional) queued
-// meanwhile are flushed together under one commit trailer and one fsync,
-// so replay either sees a whole group or none of it. With nothing dirty,
-// Commit degrades to Flush — it retries any backlog a failed earlier
-// commit left queued, which is what makes it the operator's heal probe.
-// In-memory stores just clear the dirty set.
-func (s *Store) Commit() error {
-	s.mu.Lock()
-	if s.file == nil {
-		s.dirty = make(map[OID]bool)
-		s.rootsDirty = false
-		s.mu.Unlock()
-		return nil
-	}
-	var req *commitReq
-	if len(s.dirty) > 0 || s.rootsDirty {
-		batch, count := s.dirtyRecords(s.version)
-		s.dirty = make(map[OID]bool)
-		s.rootsDirty = false
-		req = &commitReq{recs: batch, count: count}
-		s.cm.stage(req)
-	}
-	s.mu.Unlock()
-	if req == nil {
-		return s.Flush()
-	}
-	return s.awaitCommit(req)
 }
 
 // encodeFullLog renders a complete log image of the given state in the

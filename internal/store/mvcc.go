@@ -16,14 +16,13 @@ import (
 // v2 log format (the trailer already frames N records, so grouped
 // transactions need no format change and stay tycfsck-auditable).
 //
-// The legacy single-writer API (Alloc/Get/Update/MarkDirty/Commit) keeps
-// its exact semantics: it operates on the live head state and publishes a
-// new version per mutation, so snapshots opened concurrently still read
-// consistently. The one caveat is in-place mutation of arrays through the
-// raw-store API: the old and new version share the object pointer, so
-// such changes are visible through older snapshots too. The transactional
-// path never mutates in place — writers work on private copies published
-// at commit — which is what the server uses for all sessions.
+// A transaction is the only way to write. The store itself is read-only:
+// Get, Root and Snapshot read committed state, and nothing reaches the
+// live state or the log except a Txn's Commit. Writers never mutate
+// shared objects in place — a transaction works on private copies of the
+// mutable kinds and publishes them at commit — so every snapshot reads
+// exactly the state committed when it opened, arrays included, and a
+// transaction that fails or is abandoned leaves no trace.
 
 // ErrConflict is the sentinel wrapped by first-committer-wins aborts: a
 // transaction tried to commit a write to an object (or root binding) that
@@ -212,24 +211,32 @@ func (sn *Snap) Release() {
 	if sn.released {
 		return
 	}
-	sn.released = true
 	s := sn.s
 	s.mu.Lock()
+	sn.releaseLocked()
+	s.mu.Unlock()
+}
+
+// releaseLocked unpins the snapshot; caller holds s.mu.
+func (sn *Snap) releaseLocked() {
+	if sn.released {
+		return
+	}
+	sn.released = true
+	s := sn.s
 	if n := s.pins[sn.csn]; n <= 1 {
 		delete(s.pins, sn.csn)
 	} else {
 		s.pins[sn.csn] = n - 1
 	}
 	s.snaps--
-	s.mu.Unlock()
 }
 
 // --- transactions -----------------------------------------------------------
 
-// writeClass classifies a transaction's write to one OID, mirroring the
-// legacy API's epoch rules: updates (and root changes) advance the
-// binding epoch, in-place dirty mutations do not, and fresh allocations
-// can never conflict.
+// writeClass classifies a transaction's write to one OID: updates (and
+// root changes) advance the binding epoch, in-place dirty mutations do
+// not, and fresh allocations can never conflict.
 type writeClass uint8
 
 const (
@@ -269,9 +276,6 @@ func (s *Store) Begin() *Txn {
 		rootW:    make(map[string]OID),
 	}
 }
-
-// Snapshot exposes the transaction's read snapshot.
-func (t *Txn) Snapshot() *Snap { return t.snap }
 
 // Mutated reports whether the transaction wrote anything (the server's
 // dedup table records only executions with durable effects).
@@ -364,6 +368,18 @@ func (t *Txn) MarkDirty(oid OID) {
 	}
 }
 
+// Discard takes back the transaction's own write to oid, if it made one:
+// a fresh allocation is forgotten (its OID stays reserved, a hole as
+// after an abort) and any other object reads as in the snapshot again.
+// A writer that fails halfway discards what it wrote, so the rest of the
+// transaction can still commit without it.
+func (t *Txn) Discard(oid OID) {
+	delete(t.local, oid)
+	delete(t.class, oid)
+	delete(t.base, oid)
+	delete(t.baseRows, oid)
+}
+
 // SetRoot binds a root name, visible to other sessions at Commit.
 func (t *Txn) SetRoot(name string, oid OID) {
 	t.rootW[name] = oid
@@ -448,7 +464,12 @@ func (t *Txn) Commit() error {
 	}
 
 	// --- publish under one CSN ---
+	// The snapshot has served its last read: unpin it first, so the
+	// versions it alone kept alive are reclaimed by this very publish.
+	t.snap.releaseLocked()
 	s.csn++
+	// An in-memory store keeps no log: its commits encode no records.
+	logged := s.file != nil
 	var recs bytes.Buffer
 	count := 0
 	oids := make([]OID, 0, len(t.class))
@@ -477,8 +498,10 @@ func (t *Txn) Commit() error {
 		if t.class[oid] == classUpdate {
 			s.epoch++
 		}
-		logFormat.AppendRecord(&recs, s.version, objectRecord(oid, logObj))
-		count++
+		if logged {
+			logFormat.AppendRecord(&recs, s.version, objectRecord(oid, logObj))
+			count++
+		}
 	}
 	if len(t.rootW) > 0 {
 		next := make(map[string]OID, len(s.roots)+len(t.rootW))
@@ -489,8 +512,10 @@ func (t *Txn) Commit() error {
 		for _, name := range rootNames(t.rootW) {
 			next[name] = t.rootW[name]
 			s.epoch++
-			logFormat.AppendRecord(&recs, s.version, rootRecord(name, t.rootW[name]))
-			count++
+			if logged {
+				logFormat.AppendRecord(&recs, s.version, rootRecord(name, t.rootW[name]))
+				count++
+			}
 			changes = append(changes, RootChange{Root: name, OID: t.rootW[name]})
 		}
 		s.roots = next
@@ -502,7 +527,7 @@ func (t *Txn) Commit() error {
 	}
 	s.txCommitted++
 	var req *commitReq
-	if s.file != nil {
+	if logged {
 		req = &commitReq{recs: recs, count: count}
 		s.cm.stage(req)
 	}

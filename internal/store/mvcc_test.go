@@ -33,17 +33,21 @@ func (s *Store) setCommitGate(gate chan struct{}) {
 func TestSnapshotReadsArePinned(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
-	oid := s.Alloc(&Blob{Bytes: []byte("v1")})
-	s.SetRoot("r", oid)
+	var oid OID
+	write(t, s, func(tx *Txn) {
+		oid = tx.Alloc(&Blob{Bytes: []byte("v1")})
+		tx.SetRoot("r", oid)
+	})
 
 	snap := s.Snapshot()
 	defer snap.Release()
 
-	if err := s.Update(oid, &Blob{Bytes: []byte("v2")}); err != nil {
-		t.Fatal(err)
-	}
-	later := s.Alloc(&Blob{Bytes: []byte("new")})
-	s.SetRoot("r", later)
+	write(t, s, func(tx *Txn) {
+		if err := tx.Update(oid, &Blob{Bytes: []byte("v2")}); err != nil {
+			t.Fatal(err)
+		}
+		tx.SetRoot("r", tx.Alloc(&Blob{Bytes: []byte("new")}))
+	})
 
 	// Repeatable read: the snapshot still sees v1 and the old root.
 	for i := 0; i < 2; i++ {
@@ -69,15 +73,13 @@ func TestSnapshotRelationHorizon(t *testing.T) {
 	defer s.Close()
 	rel := &Relation{Name: "t", Schema: []Column{{Name: "n", Type: ColInt}}}
 	rel.AppendRow([]Val{IntVal(1)})
-	oid := s.Alloc(rel)
+	oid := alloc(t, s, rel)
 
 	snap := s.Snapshot()
 	defer snap.Release()
 
-	// Append through the live store after the snapshot opened.
-	live := s.MustGet(oid).(*Relation)
-	live.AppendRow([]Val{IntVal(2)})
-	s.MarkDirty(oid)
+	// Commit an append after the snapshot opened.
+	appendRow(t, s, oid, []Val{IntVal(2)})
 
 	obj, err := snap.Get(oid)
 	if err != nil {
@@ -97,7 +99,8 @@ func TestSnapshotRelationHorizon(t *testing.T) {
 func TestTxnFirstCommitterWins(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
-	oid := s.Alloc(&Blob{Bytes: []byte("base")})
+	oid := alloc(t, s, &Blob{Bytes: []byte("base")})
+	st0 := s.TxStats()
 
 	t1 := s.Begin()
 	t2 := s.Begin()
@@ -126,16 +129,16 @@ func TestTxnFirstCommitterWins(t *testing.T) {
 		t.Fatalf("retry: %v", err)
 	}
 	st := s.TxStats()
-	if st.Committed != 2 || st.Conflicts != 1 || st.Aborted != 1 {
-		t.Errorf("stats = %+v, want 2 committed / 1 conflict / 1 aborted", st)
+	if st.Committed-st0.Committed != 2 || st.Conflicts != 1 || st.Aborted != 1 {
+		t.Errorf("stats = %+v after %+v, want 2 more committed / 1 conflict / 1 aborted", st, st0)
 	}
 }
 
 func TestTxnRootConflict(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
-	a := s.Alloc(&Blob{Bytes: []byte("a")})
-	b := s.Alloc(&Blob{Bytes: []byte("b")})
+	a := alloc(t, s, &Blob{Bytes: []byte("a")})
+	b := alloc(t, s, &Blob{Bytes: []byte("b")})
 
 	t1 := s.Begin()
 	t2 := s.Begin()
@@ -155,7 +158,7 @@ func TestTxnRootConflict(t *testing.T) {
 func TestTxnIsolationUntilCommit(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
-	oid := s.Alloc(&Array{Elems: []Val{IntVal(0)}})
+	oid := alloc(t, s, &Array{Elems: []Val{IntVal(0)}})
 
 	tx := s.Begin()
 	arr := tx.MustGet(oid).(*Array)
@@ -183,7 +186,8 @@ func TestTxnIsolationUntilCommit(t *testing.T) {
 func TestTxnAbortRollsBack(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
-	oid := s.Alloc(&Blob{Bytes: []byte("keep")})
+	oid := alloc(t, s, &Blob{Bytes: []byte("keep")})
+	st0 := s.TxStats()
 
 	tx := s.Begin()
 	if err := tx.Update(oid, &Blob{Bytes: []byte("drop")}); err != nil {
@@ -202,8 +206,41 @@ func TestTxnAbortRollsBack(t *testing.T) {
 	if _, ok := s.Root("r"); ok {
 		t.Error("aborted root binding visible")
 	}
-	if st := s.TxStats(); st.Aborted != 1 || st.Committed != 0 {
-		t.Errorf("stats = %+v, want 1 aborted", st)
+	if st := s.TxStats(); st.Aborted != 1 || st.Committed != st0.Committed {
+		t.Errorf("stats = %+v after %+v, want 1 aborted", st, st0)
+	}
+}
+
+// TestTxnDiscard: Discard takes back a transaction's own writes — an
+// allocation is forgotten, an update reads as in the snapshot again —
+// and leaves its other writes to commit.
+func TestTxnDiscard(t *testing.T) {
+	s, _ := Open("")
+	defer s.Close()
+	oid := alloc(t, s, &Blob{Bytes: []byte("keep")})
+
+	tx := s.Begin()
+	kept := tx.Alloc(&Blob{Bytes: []byte("kept")})
+	dropped := tx.Alloc(&Blob{Bytes: []byte("dropped")})
+	if err := tx.Update(oid, &Blob{Bytes: []byte("changed")}); err != nil {
+		t.Fatal(err)
+	}
+	tx.Discard(dropped)
+	tx.Discard(oid)
+	if got := string(tx.MustGet(oid).(*Blob).Bytes); got != "keep" {
+		t.Errorf("discarded update still reads %q in its transaction", got)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(dropped); !errors.Is(err, ErrNotFound) {
+		t.Errorf("discarded allocation published: %v", err)
+	}
+	if got := string(s.MustGet(oid).(*Blob).Bytes); got != "keep" {
+		t.Errorf("discarded update published: %q", got)
+	}
+	if got := string(s.MustGet(kept).(*Blob).Bytes); got != "kept" {
+		t.Errorf("kept allocation reads %q", got)
 	}
 }
 
@@ -211,7 +248,7 @@ func TestTxnRelationAppendsCommute(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
 	rel := &Relation{Name: "log", Schema: []Column{{Name: "n", Type: ColInt}}}
-	oid := s.Alloc(rel)
+	oid := alloc(t, s, rel)
 
 	t1 := s.Begin()
 	t2 := s.Begin()
@@ -246,7 +283,7 @@ func TestTxnAppendVsReplaceConflicts(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
 	rel := &Relation{Name: "t", Schema: []Column{{Name: "n", Type: ColInt}}}
-	oid := s.Alloc(rel)
+	oid := alloc(t, s, rel)
 
 	appender := s.Begin()
 	ra := appender.MustGet(oid).(*Relation)
@@ -269,13 +306,18 @@ func TestTxnAppendVsReplaceConflicts(t *testing.T) {
 func TestVersionChainGC(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
-	oid := s.Alloc(&Blob{Bytes: []byte("v0")})
+	oid := alloc(t, s, &Blob{Bytes: []byte("v0")})
+	update := func(obj Object) {
+		write(t, s, func(tx *Txn) {
+			if err := tx.Update(oid, obj); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 
 	snap := s.Snapshot()
 	for i := 1; i <= 5; i++ {
-		if err := s.Update(oid, &Blob{Bytes: []byte{byte(i)}}); err != nil {
-			t.Fatal(err)
-		}
+		update(&Blob{Bytes: []byte{byte(i)}})
 	}
 	// The pinned snapshot keeps its serving version plus everything newer.
 	if n := s.chainLen(oid); n < 2 {
@@ -287,9 +329,7 @@ func TestVersionChainGC(t *testing.T) {
 
 	snap.Release()
 	// Reclamation happens on the next publication.
-	if err := s.Update(oid, &Blob{Bytes: []byte("v6")}); err != nil {
-		t.Fatal(err)
-	}
+	update(&Blob{Bytes: []byte("v6")})
 	if n := s.chainLen(oid); n != 1 {
 		t.Errorf("chain length %d after release+publish, want 1", n)
 	}
@@ -306,8 +346,9 @@ func TestVersionChainGC(t *testing.T) {
 // after it failed with "object not found … (born after snapshot)". The
 // chain now starts with the replayed object as a CSN-0 version: the old
 // snapshot keeps resolving it, to the old state, for every way a commit
-// can publish (row-append merge, replacement, raw update), and the base
-// version is reclaimed like any other once no snapshot can reach it.
+// can publish (row-append merge, replacement, in one commit or a later
+// one), and the base version is reclaimed like any other once no
+// snapshot can reach it.
 func TestSnapshotOutlivesFirstCommitAfterReopen(t *testing.T) {
 	path := t.TempDir() + "/db.tyst"
 	s, err := Open(path)
@@ -317,12 +358,12 @@ func TestSnapshotOutlivesFirstCommitAfterReopen(t *testing.T) {
 	rel := &Relation{Name: "events", Schema: []Column{{Name: "n", Type: ColInt}}}
 	rel.AppendRow([]Val{IntVal(1)})
 	rel.AppendRow([]Val{IntVal(2)})
-	relOID := s.Alloc(rel)
-	blobOID := s.Alloc(&Blob{Bytes: []byte("old")})
-	rawOID := s.Alloc(&Blob{Bytes: []byte("old")})
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	var relOID, blobOID, rawOID OID
+	write(t, s, func(tx *Txn) {
+		relOID = tx.Alloc(rel)
+		blobOID = tx.Alloc(&Blob{Bytes: []byte("old")})
+		rawOID = tx.Alloc(&Blob{Bytes: []byte("old")})
+	})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -352,9 +393,14 @@ func TestSnapshotOutlivesFirstCommitAfterReopen(t *testing.T) {
 	if err := writer.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Update(rawOID, &Blob{Bytes: []byte("new")}); err != nil {
-		t.Fatal(err)
+	update := func(oid OID, obj Object) {
+		write(t, s, func(tx *Txn) {
+			if err := tx.Update(oid, obj); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
+	update(rawOID, &Blob{Bytes: []byte("new")})
 
 	obj, err := reader.Get(relOID)
 	if err != nil {
@@ -383,14 +429,12 @@ func TestSnapshotOutlivesFirstCommitAfterReopen(t *testing.T) {
 
 	// An object allocated in this boot still has no base version: nothing
 	// older than its allocation may resolve it through the chain.
-	if n := s.chainLen(s.Alloc(&Blob{})); n != 1 {
+	if n := s.chainLen(alloc(t, s, &Blob{})); n != 1 {
 		t.Errorf("fresh allocation has a %d-version chain, want 1", n)
 	}
 	// Once the old snapshot is gone the base versions are reclaimed.
 	reader.Abort()
-	if err := s.Update(rawOID, &Blob{Bytes: []byte("newer")}); err != nil {
-		t.Fatal(err)
-	}
+	update(rawOID, &Blob{Bytes: []byte("newer")})
 	if n := s.chainLen(rawOID); n != 1 {
 		t.Errorf("chain length %d after release+publish, want 1", n)
 	}
@@ -411,21 +455,23 @@ func TestCompactRacingSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oid := s.Alloc(&Blob{Bytes: []byte("old")})
 	rel := &Relation{Name: "t", Schema: []Column{{Name: "n", Type: ColInt}}}
 	rel.AppendRow([]Val{IntVal(1)})
-	roid := s.Alloc(rel)
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	var oid, roid OID
+	write(t, s, func(tx *Txn) {
+		oid = tx.Alloc(&Blob{Bytes: []byte("old")})
+		roid = tx.Alloc(rel)
+	})
 
 	snap := s.Snapshot()
 	defer snap.Release()
-	if err := s.Update(oid, &Blob{Bytes: []byte("new")}); err != nil {
-		t.Fatal(err)
-	}
-	s.MustGet(roid).(*Relation).AppendRow([]Val{IntVal(2)})
-	s.MarkDirty(roid)
+	write(t, s, func(tx *Txn) {
+		if err := tx.Update(oid, &Blob{Bytes: []byte("new")}); err != nil {
+			t.Fatal(err)
+		}
+		tx.MustGet(roid).(*Relation).AppendRow([]Val{IntVal(2)})
+		tx.MarkDirty(roid)
+	})
 
 	// Compact with the snapshot open, plus concurrent snapshot readers.
 	var wg sync.WaitGroup
@@ -481,12 +527,11 @@ func TestGroupCommitBatchesConcurrentTxns(t *testing.T) {
 		t.Fatal(err)
 	}
 	oids := make([]OID, writers)
-	for i := range oids {
-		oids[i] = s.Alloc(&Blob{Bytes: []byte{0}})
-	}
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	write(t, s, func(tx *Txn) {
+		for i := range oids {
+			oids[i] = tx.Alloc(&Blob{Bytes: []byte{0}})
+		}
+	})
 	st0 := s.TxStats()
 
 	gate := make(chan struct{})
@@ -574,13 +619,14 @@ func TestCrashAtEveryOpGroupCommit(t *testing.T) {
 		}
 		defer s.Close()
 		for i := 0; i < txns; i++ {
-			a := s.Alloc(&Blob{Bytes: []byte{0}})
-			b := s.Alloc(&Blob{Bytes: []byte{0}})
+			tx := s.Begin()
+			a := tx.Alloc(&Blob{Bytes: []byte{0}})
+			b := tx.Alloc(&Blob{Bytes: []byte{0}})
 			pairs = append(pairs, [2]OID{a, b})
-			if err := s.Commit(); err != nil {
+			if err := tx.Commit(); err != nil {
 				return pairs, err
 			}
-			tx := s.Begin()
+			tx = s.Begin()
 			if err := tx.Update(a, &Blob{Bytes: []byte{byte(i + 1)}}); err != nil {
 				return pairs, err
 			}
@@ -652,10 +698,7 @@ func TestFlushHealsBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oid := s.Alloc(&Blob{Bytes: []byte("x")})
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	oid := alloc(t, s, &Blob{Bytes: []byte("x")})
 
 	tx := s.Begin()
 	if err := tx.Update(oid, &Blob{Bytes: []byte("y")}); err != nil {

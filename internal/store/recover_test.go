@@ -26,13 +26,12 @@ func buildLog(t *testing.T, path string, batches int) [][]OID {
 	var out [][]OID
 	for b := 0; b < batches; b++ {
 		var oids []OID
-		for i := 0; i < 3; i++ {
-			oids = append(oids, s.Alloc(&Blob{Bytes: bytes.Repeat([]byte{byte(b*16 + i)}, 20)}))
-		}
-		s.SetRoot("latest", oids[0])
-		if err := s.Commit(); err != nil {
-			t.Fatal(err)
-		}
+		write(t, s, func(tx *Txn) {
+			for i := 0; i < 3; i++ {
+				oids = append(oids, tx.Alloc(&Blob{Bytes: bytes.Repeat([]byte{byte(b*16 + i)}, 20)}))
+			}
+			tx.SetRoot("latest", oids[0])
+		})
 		out = append(out, oids)
 	}
 	if err := s.Close(); err != nil {
@@ -307,10 +306,7 @@ func TestV1LogReadableAndMigratedByCompact(t *testing.T) {
 		t.Errorf("v1 object = %q", got)
 	}
 	// Appends to a v1 log stay v1 (uniform file), and remain readable.
-	oid3 := s.Alloc(&Blob{Bytes: []byte("appended")})
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	oid3 := alloc(t, s, &Blob{Bytes: []byte("appended")})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

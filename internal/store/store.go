@@ -7,7 +7,7 @@
 // The store is log-structured: every committed object state is appended to
 // a single file as a self-delimiting record, and Open replays the log with
 // last-writer-wins semantics. Since format v2 every record carries a
-// CRC32C checksum and every Commit is framed by a batch trailer, so replay
+// CRC32C checksum and every commit is framed by a batch trailer, so replay
 // rolls back half-written commits, detects bit rot as a typed ErrCorrupt
 // (rather than decoding garbage), and a salvage mode recovers the longest
 // valid prefix of a damaged log (see log.go). An empty path yields a
@@ -168,14 +168,10 @@ func (v Val) String() string {
 // Object is implemented by every persistent object kind.
 type Object interface {
 	Kind() Kind
-	// clone returns a deep copy; Snapshot uses it to hand out isolated
-	// object states.
+	// clone returns a deep copy: a transaction's private copy of a
+	// mutable object, isolated from the committed original.
 	clone() Object
 }
-
-// Snapshot returns a deep copy of an object, isolated from subsequent
-// in-place mutation of the stored original.
-func Snapshot(obj Object) Object { return obj.clone() }
 
 // Tuple is an immutable record of slots; the front end lowers TL tuple
 // values to it.
@@ -255,14 +251,14 @@ type Binding struct {
 // Closure is the persistent representation of a compiled procedure: the
 // executable code (a Blob of TAM code), the attached persistent TML tree
 // (a Blob of PTML; paper Fig. 3), the R-value bindings of its free
-// variables, and derived attributes cached by the optimizer (costs,
-// savings, …; paper §4.1) to speed up repeated optimization.
+// variables, and the derived optimizer attributes (costs, savings, …;
+// paper §4.1) the linker records when it installs the closure.
 type Closure struct {
 	Name     string
 	Code     OID // TAM code blob
 	PTML     OID // persistent TML blob; Nil if stripped
 	Bindings []Binding
-	// Cost and Savings are the cached derived optimizer attributes.
+	// Cost and Savings are the derived optimizer attributes.
 	Cost    int32
 	Savings int32
 }
@@ -425,18 +421,14 @@ func (b *Blob) clone() Object {
 // ErrNotFound is returned when an OID does not resolve.
 var ErrNotFound = errors.New("store: object not found")
 
-// View is the object-graph access surface shared by the raw store (live
-// head state, legacy autocommit semantics) and a Txn (snapshot reads,
-// buffered writes, first-committer-wins commit). The machine executes
-// against a View, so the same interpreter serves embedded single-writer
-// tools and the server's transactional sessions.
+// View is the read surface shared by the store (its committed head
+// state) and a Txn (its snapshot plus its own writes). Writes exist only
+// on *Txn: every change to the store is a transaction, published whole
+// by its Commit. The machine executes against a View; a stored array or
+// relation can only be written when that View is a *Txn.
 type View interface {
 	Get(oid OID) (Object, error)
 	MustGet(oid OID) Object
-	Alloc(obj Object) OID
-	Update(oid OID, obj Object) error
-	MarkDirty(oid OID)
-	SetRoot(name string, oid OID)
 	Root(name string) (OID, bool)
 }
 
@@ -464,16 +456,12 @@ type Store struct {
 	// Chain prev pointers are immutable; heads swap and tails truncate
 	// under mu. See mvcc.go.
 	vers map[OID]*version
-	// roots is copy-on-write once concurrent access begins: SetRoot and
-	// transactional commits swap in a fresh map, so snapshots hold the
-	// captured map without copying it.
-	roots      map[string]OID
-	dirty      map[OID]bool
-	rootsDirty bool
-	next       OID
-	// csn is the commit sequence number: every publication event (legacy
-	// Alloc/Update/MarkDirty/SetRoot, or one whole transactional commit)
-	// advances it, and snapshots pin it.
+	// roots is copy-on-write: a commit that rebinds a root swaps in a
+	// fresh map, so snapshots hold the captured map without copying it.
+	roots map[string]OID
+	next  OID
+	// csn is the commit sequence number: every transactional commit that
+	// writes advances it by one, and snapshots pin it.
 	csn  uint64
 	pins map[uint64]int // open-snapshot pin counts by CSN
 	// snaps counts open snapshots (pins collapses same-CSN snapshots).
@@ -483,7 +471,7 @@ type Store struct {
 	txCommitted uint64
 	txAborted   uint64
 	txConflicts uint64
-	// epoch counts binding-relevant mutations (Update, SetRoot). The
+	// epoch counts binding-relevant writes (Txn.Update, Txn.SetRoot). The
 	// compilation pipeline's optimized-code cache tags every entry with
 	// the epoch it was computed at and discards it once the epoch has
 	// advanced, so optimized code can never survive a change to the
@@ -538,7 +526,6 @@ func OpenFS(fsys iofault.FS, path string) (*Store, error) {
 		objects: make(map[OID]Object),
 		vers:    make(map[OID]*version),
 		roots:   make(map[string]OID),
-		dirty:   make(map[OID]bool),
 		pins:    make(map[uint64]int),
 		next:    1,
 	}
@@ -571,37 +558,29 @@ func OpenFS(fsys iofault.FS, path string) (*Store, error) {
 	return s, nil
 }
 
-// Close commits pending changes and releases the store file.
+// Close flushes the group committer's backlog (records of commits whose
+// flush failed) and releases the store file. It writes nothing else: a
+// transaction still open is dropped, exactly as if it had aborted. The
+// file is released even when the flush fails; the flush error is
+// reported first.
 func (s *Store) Close() error {
-	if err := s.Commit(); err != nil {
-		return err
-	}
+	err := s.Flush()
 	s.fileMu.Lock()
 	defer s.fileMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.file != nil {
-		err := s.file.Close()
+		if cerr := s.file.Close(); err == nil {
+			err = cerr
+		}
 		s.file = nil
-		return err
 	}
-	return nil
+	return err
 }
 
-// Alloc stores obj under a fresh OID.
-func (s *Store) Alloc(obj Object) OID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	oid := s.next
-	s.next++
-	s.dirty[oid] = true
-	s.csn++
-	s.publishLocked(oid, obj)
-	return oid
-}
-
-// Get resolves an OID. The returned object is the live in-store value:
-// callers that mutate it must call Update to make the change durable.
+// Get resolves an OID to its committed head state. The returned object
+// is shared with every reader and must not be mutated; a writer reads it
+// through a Txn, which hands out private copies of the mutable kinds.
 func (s *Store) Get(oid OID) (Object, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -621,93 +600,18 @@ func (s *Store) MustGet(oid OID) Object {
 	return obj
 }
 
-// Update records a new state for oid; the object is written out on the
-// next Commit.
-func (s *Store) Update(oid OID, obj Object) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.objects[oid]; !ok {
-		return fmt.Errorf("%w: oid 0x%x", ErrNotFound, uint64(oid))
-	}
-	s.dirty[oid] = true
-	s.epoch++
-	s.csn++
-	s.publishLocked(oid, obj)
-	return nil
-}
-
-// BindingEpoch reports the store's binding epoch: a counter advanced by
-// every mutation that can change the R-value bindings reachable from
-// compiled code (Update and SetRoot). In-place mutation of mutable
-// objects via MarkDirty — array stores, relation row inserts — does not
-// advance it, because mutable objects are never folded into optimized
-// code (paper §4.1 folds immutable modules and tuples only), so such
-// changes cannot invalidate cached optimization results.
+// BindingEpoch reports the store's binding epoch: a counter advanced, at
+// commit, by every transactional write that can change the R-value
+// bindings reachable from compiled code (Txn.Update and Txn.SetRoot).
+// In-place mutation of mutable objects marked with Txn.MarkDirty — array
+// stores, relation row inserts — does not advance it, because mutable
+// objects are never folded into optimized code (paper §4.1 folds
+// immutable modules and tuples only), so such changes cannot invalidate
+// cached optimization results.
 func (s *Store) BindingEpoch() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.epoch
-}
-
-// SetClosureAttrs records the optimizer's derived attributes on a
-// closure (paper §4.1: costs, savings) without advancing the binding
-// epoch — the attributes are cached metadata, not bindings, and writing
-// them back must not invalidate the very cache entry just computed. The
-// closure object is replaced rather than mutated in place, so concurrent
-// readers holding the previous snapshot stay race-free.
-func (s *Store) SetClosureAttrs(oid OID, cost, savings int32) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	obj, ok := s.objects[oid]
-	if !ok {
-		return fmt.Errorf("%w: oid 0x%x", ErrNotFound, uint64(oid))
-	}
-	clo, ok := obj.(*Closure)
-	if !ok {
-		return fmt.Errorf("store: oid 0x%x is a %s, not a closure", uint64(oid), obj.Kind())
-	}
-	next := clo.clone().(*Closure)
-	next.Cost = cost
-	next.Savings = savings
-	s.dirty[oid] = true
-	s.csn++
-	s.publishLocked(oid, next)
-	return nil
-}
-
-// MarkDirty schedules an in-place mutated object for the next Commit.
-// It also republishes the object's version so snapshots opened afterwards
-// pick up a fresh relation row horizon. (For arrays mutated in place the
-// old and new version share the object pointer — the raw-store API gives
-// no version isolation for them; the transactional API does.)
-func (s *Store) MarkDirty(oid OID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if obj, ok := s.objects[oid]; ok {
-		s.dirty[oid] = true
-		s.csn++
-		s.publishLocked(oid, obj)
-	}
-}
-
-// SetRoot binds a name in the persistent root table (database names,
-// module tables, benchmark corpora).
-func (s *Store) SetRoot(name string, oid OID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Copy-on-write: snapshots hold the previous map by reference.
-	next := make(map[string]OID, len(s.roots)+1)
-	for k, v := range s.roots {
-		next[k] = v
-	}
-	next[name] = oid
-	s.roots = next
-	s.rootsDirty = true
-	s.epoch++
-	s.csn++
-	if s.rootHook != nil {
-		s.rootHook(s.csn, []RootChange{{Root: name, OID: oid}})
-	}
 }
 
 // Root resolves a persistent root name.

@@ -8,6 +8,33 @@ import (
 	"testing/quick"
 )
 
+// write runs f in one transaction and commits it.
+func write(t testing.TB, s *Store, f func(tx *Txn)) {
+	t.Helper()
+	tx := s.Begin()
+	f(tx)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// alloc commits obj under a fresh OID in a transaction of its own.
+func alloc(t testing.TB, s *Store, obj Object) OID {
+	t.Helper()
+	var oid OID
+	write(t, s, func(tx *Txn) { oid = tx.Alloc(obj) })
+	return oid
+}
+
+// appendRow commits one row appended to relation oid.
+func appendRow(t testing.TB, s *Store, oid OID, row []Val) {
+	t.Helper()
+	write(t, s, func(tx *Txn) {
+		tx.MustGet(oid).(*Relation).AppendRow(row)
+		tx.MarkDirty(oid)
+	})
+}
+
 func TestInMemoryBasics(t *testing.T) {
 	s, err := Open("")
 	if err != nil {
@@ -15,7 +42,7 @@ func TestInMemoryBasics(t *testing.T) {
 	}
 	defer s.Close()
 
-	oid := s.Alloc(&Tuple{Fields: []Val{IntVal(1), StrVal("x")}})
+	oid := alloc(t, s, &Tuple{Fields: []Val{IntVal(1), StrVal("x")}})
 	if oid == Nil {
 		t.Fatal("Alloc returned Nil")
 	}
@@ -30,15 +57,17 @@ func TestInMemoryBasics(t *testing.T) {
 	if _, err := s.Get(999); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get(unknown) = %v, want ErrNotFound", err)
 	}
-	if err := s.Update(oid, &Tuple{Fields: []Val{IntVal(2)}}); err != nil {
-		t.Fatal(err)
-	}
+	write(t, s, func(tx *Txn) {
+		if err := tx.Update(oid, &Tuple{Fields: []Val{IntVal(2)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Update(888, tup); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Update(unknown) = %v, want ErrNotFound", err)
+		}
+	})
 	tup = s.MustGet(oid).(*Tuple)
 	if tup.Fields[0].Int != 2 {
 		t.Error("Update did not take effect")
-	}
-	if err := s.Update(888, tup); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Update(unknown) = %v, want ErrNotFound", err)
 	}
 	if s.Len() != 1 {
 		t.Errorf("Len = %d, want 1", s.Len())
@@ -48,10 +77,13 @@ func TestInMemoryBasics(t *testing.T) {
 func TestRoots(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()
-	a := s.Alloc(&Blob{Bytes: []byte("a")})
-	b := s.Alloc(&Blob{Bytes: []byte("b")})
-	s.SetRoot("modules", a)
-	s.SetRoot("bench", b)
+	var a, b OID
+	write(t, s, func(tx *Txn) {
+		a = tx.Alloc(&Blob{Bytes: []byte("a")})
+		b = tx.Alloc(&Blob{Bytes: []byte("b")})
+		tx.SetRoot("modules", a)
+		tx.SetRoot("bench", b)
+	})
 	if oid, ok := s.Root("modules"); !ok || oid != a {
 		t.Errorf("Root(modules) = %v, %v", oid, ok)
 	}
@@ -178,10 +210,12 @@ func TestPersistAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	var oids []OID
-	for _, obj := range allKinds() {
-		oids = append(oids, s.Alloc(obj))
-	}
-	s.SetRoot("first", oids[0])
+	write(t, s, func(tx *Txn) {
+		for _, obj := range allKinds() {
+			oids = append(oids, tx.Alloc(obj))
+		}
+		tx.SetRoot("first", oids[0])
+	})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +241,9 @@ func TestPersistAcrossReopen(t *testing.T) {
 		t.Errorf("root lost: %v %v", oid, ok)
 	}
 	// Fresh allocations must not collide with replayed OIDs.
-	fresh := s2.Alloc(&Blob{Bytes: nil})
+	tx := s2.Begin()
+	defer tx.Abort()
+	fresh := tx.Alloc(&Blob{Bytes: nil})
 	for _, old := range oids {
 		if fresh == old {
 			t.Fatal("OID reuse after reopen")
@@ -218,13 +254,12 @@ func TestPersistAcrossReopen(t *testing.T) {
 func TestLastWriterWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lww.tyst")
 	s, _ := Open(path)
-	oid := s.Alloc(&Blob{Bytes: []byte("v1")})
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Update(oid, &Blob{Bytes: []byte("v2")}); err != nil {
-		t.Fatal(err)
-	}
+	oid := alloc(t, s, &Blob{Bytes: []byte("v1")})
+	write(t, s, func(tx *Txn) {
+		if err := tx.Update(oid, &Blob{Bytes: []byte("v2")}); err != nil {
+			t.Fatal(err)
+		}
+	})
 	s.Close()
 
 	s2, _ := Open(path)
@@ -237,7 +272,7 @@ func TestLastWriterWins(t *testing.T) {
 func TestTornTailIgnored(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.tyst")
 	s, _ := Open(path)
-	oid := s.Alloc(&Blob{Bytes: []byte("good")})
+	oid := alloc(t, s, &Blob{Bytes: []byte("good")})
 	s.Close()
 
 	// Append garbage that looks like the start of a record.
@@ -269,12 +304,12 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 func TestMarkDirtyPersists(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dirty.tyst")
 	s, _ := Open(path)
-	oid := s.Alloc(&Array{Elems: []Val{IntVal(1)}})
-	s.Commit()
-	// In-place mutation + MarkDirty.
-	arr := s.MustGet(oid).(*Array)
-	arr.Elems[0] = IntVal(99)
-	s.MarkDirty(oid)
+	oid := alloc(t, s, &Array{Elems: []Val{IntVal(1)}})
+	// In-place mutation of the transaction's copy + MarkDirty.
+	write(t, s, func(tx *Txn) {
+		tx.MustGet(oid).(*Array).Elems[0] = IntVal(99)
+		tx.MarkDirty(oid)
+	})
 	s.Close()
 
 	s2, _ := Open(path)
@@ -374,21 +409,20 @@ func TestQuickTupleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsolation: the copy a transaction takes of a mutable
+// object is isolated from the original, for every kind.
 func TestSnapshotIsolation(t *testing.T) {
-	s, _ := Open("")
-	defer s.Close()
-	oid := s.Alloc(&Array{Elems: []Val{IntVal(1)}})
-	live := s.MustGet(oid).(*Array)
-	snap := Snapshot(live).(*Array)
+	live := &Array{Elems: []Val{IntVal(1)}}
+	snap := live.clone().(*Array)
 	live.Elems[0] = IntVal(99)
 	if snap.Elems[0].Int != 1 {
-		t.Error("snapshot not isolated from mutation")
+		t.Error("copy not isolated from mutation")
 	}
-	// Every kind snapshots without aliasing its slices.
+	// Every kind copies without aliasing its slices.
 	for _, obj := range allKinds() {
-		cp := Snapshot(obj)
+		cp := obj.clone()
 		if !objectsEqual(obj, cp) {
-			t.Errorf("%s: snapshot differs", obj.Kind())
+			t.Errorf("%s: copy differs", obj.Kind())
 		}
 	}
 }

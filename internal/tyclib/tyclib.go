@@ -117,27 +117,27 @@ func CompileAll(c *tl.Compiler) ([]*tl.ModuleUnit, error) {
 	return units, nil
 }
 
-// Install makes the library available in a store and returns the
+// Install makes the library available in a transaction and returns the
 // compiler (whose signature table now knows the library) for compiling
 // user modules against it. The library is compiled every time, for its
-// signatures; a module is installed only when the store does not hold it
-// yet, so reopening a store adds nothing to it. A stored module whose
-// exports differ from the compiled signature is an error: compiled code
-// fetches exports by position.
-func Install(st *store.Store, lk *linker.Linker) (*tl.Compiler, error) {
+// signatures; a module is installed only when tx does not see it yet, so
+// reopening a store adds nothing to it. A stored module whose exports
+// differ from the compiled signature is an error: compiled code fetches
+// exports by position. The caller commits tx (or aborts it on an error).
+func Install(tx *store.Txn, lk *linker.Linker) (*tl.Compiler, error) {
 	c := tl.NewCompiler()
 	units, err := CompileAll(c)
 	if err != nil {
 		return nil, err
 	}
 	for _, u := range units {
-		if oid, ok := linker.Module(st, u.Name); ok {
-			if err := checkExports(st, oid, u); err != nil {
+		if oid, ok := linker.Module(tx, u.Name); ok {
+			if err := checkExports(tx, oid, u); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		if _, err := lk.InstallModule(u); err != nil {
+		if _, err := lk.InstallModule(tx, u); err != nil {
 			return nil, fmt.Errorf("tyclib: installing %s: %w", u.Name, err)
 		}
 	}
@@ -146,7 +146,7 @@ func Install(st *store.Store, lk *linker.Linker) (*tl.Compiler, error) {
 
 // checkExports compares a stored library module's export names, position
 // by position, with the compiled signature.
-func checkExports(st *store.Store, oid store.OID, u *tl.ModuleUnit) error {
+func checkExports(st store.View, oid store.OID, u *tl.ModuleUnit) error {
 	obj, err := st.Get(oid)
 	if err != nil {
 		return fmt.Errorf("tyclib: stored module %s: %w", u.Name, err)

@@ -18,9 +18,12 @@ func install(t *testing.T) (*store.Store, *machine.Machine, *tl.Compiler) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	lk := linker.New(st, linker.Config{})
-	comp, err := tyclib.Install(st, lk)
+	tx := st.Begin()
+	comp, err := tyclib.Install(tx, linker.New(linker.Config{}))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	return st, machine.New(st), comp
@@ -174,9 +177,14 @@ func TestCompileAllIsReentrant(t *testing.T) {
 func TestInstallOnce(t *testing.T) {
 	st, _, _ := install(t)
 	before := st.Len()
-	comp, err := tyclib.Install(st, linker.New(st, linker.Config{}))
+	tx := st.Begin()
+	defer tx.Abort()
+	comp, err := tyclib.Install(tx, linker.New(linker.Config{}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tx.Mutated() {
+		t.Error("second install wrote to its transaction")
 	}
 	if after := st.Len(); after != before {
 		t.Errorf("second install moved the store from %d to %d objects", before, after)
@@ -195,9 +203,11 @@ func TestInstallRefusesForeignExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.SetRoot(linker.ModuleRoot+"int", st.Alloc(&store.Module{Name: "int",
+	tx := st.Begin()
+	defer tx.Abort()
+	tx.SetRoot(linker.ModuleRoot+"int", tx.Alloc(&store.Module{Name: "int",
 		Exports: []store.Export{{Name: "sub", Val: store.IntVal(0)}, {Name: "add", Val: store.IntVal(0)}}}))
-	if _, err := tyclib.Install(st, linker.New(st, linker.Config{})); err == nil || !strings.Contains(err.Error(), "stored module int exports [sub add]") {
+	if _, err := tyclib.Install(tx, linker.New(linker.Config{})); err == nil || !strings.Contains(err.Error(), "stored module int exports [sub add]") {
 		t.Errorf("install over a foreign int module = %v, want an export mismatch", err)
 	}
 }

@@ -95,11 +95,17 @@ type Config struct {
 	Out io.Writer
 }
 
-// System is an open Tycoon environment.
+// System is an open Tycoon environment. It keeps one transaction open
+// over its store: Install, CreateRelation and InsertRow write into it,
+// its Machine and Module, FunctionOID, Call and OptimizeFunction read
+// through it (so they see the System's own uncommitted writes), and
+// Commit or Close publish it as one atomic batch. Store reads committed
+// state only.
 type System struct {
 	// Store is the persistent object store.
 	Store *store.Store
-	// Machine executes compiled (TAM) code, the only kind it runs.
+	// Machine executes compiled (TAM) code, the only kind it runs, over
+	// the System's open transaction.
 	Machine *machine.Machine
 	// Compiler compiles TL modules (the standard library is preloaded).
 	Compiler *tl.Compiler
@@ -109,11 +115,13 @@ type System struct {
 	Rel *relalg.Manager
 	// Reflect is the runtime reflective optimizer.
 	Reflect *reflectopt.Optimizer
+
+	tx *store.Txn
 }
 
 // Open creates (or reopens) a Tycoon system at path; an empty path is an
 // in-memory system. The TL standard library is compiled, and installed
-// unless the store already holds it.
+// into the System's transaction unless the store already holds it.
 func Open(path string, cfgs ...Config) (*System, error) {
 	var cfg Config
 	if len(cfgs) > 0 {
@@ -123,20 +131,27 @@ func Open(path string, cfgs ...Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	return open(st, cfg)
+}
+
+// open is Open over an opened store, which the System then owns.
+func open(st *store.Store, cfg Config) (*System, error) {
 	level := linker.OptNone
 	if cfg.LocalOpt {
 		level = linker.OptLocal
 	}
-	lk := linker.New(st, linker.Config{Level: level, StripPTML: cfg.StripPTML})
-	comp, err := tyclib.Install(st, lk)
+	tx := st.Begin()
+	lk := linker.New(linker.Config{Level: level, StripPTML: cfg.StripPTML})
+	comp, err := tyclib.Install(tx, lk)
 	if err != nil {
+		tx.Abort()
 		st.Close()
 		return nil, err
 	}
 	if cfg.DirectPrims {
 		comp.Mode = tl.DirectPrims
 	}
-	m := machine.New(st)
+	m := machine.New(tx)
 	m.Out = cfg.Out
 	mg := relalg.NewManager(st)
 	mg.Register(m)
@@ -147,14 +162,33 @@ func Open(path string, cfgs ...Config) (*System, error) {
 		Linker:   lk,
 		Rel:      mg,
 		Reflect:  reflectopt.New(st, reflectopt.Options{}),
+		tx:       tx,
 	}, nil
 }
 
-// Close commits and closes the store.
-func (s *System) Close() error { return s.Store.Close() }
+// Close publishes the System's transaction and closes the store. The
+// store is closed even when the commit fails; the commit's error is
+// reported first.
+func (s *System) Close() error {
+	err := s.tx.Commit()
+	if cerr := s.Store.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
-// Commit flushes pending store changes.
-func (s *System) Commit() error { return s.Store.Commit() }
+// Commit publishes everything the System wrote since it opened or last
+// committed, as one atomic batch, and opens the next transaction.
+func (s *System) Commit() error {
+	err := s.tx.Commit()
+	s.tx = s.Store.Begin()
+	s.Machine.Store = s.tx
+	return err
+}
+
+// Txn is the System's open transaction: ship.Import and other writers
+// outside the facade write into it, and Commit or Close publish it.
+func (s *System) Txn() *store.Txn { return s.tx }
 
 // Install compiles and installs a TL module, returning its OID.
 func (s *System) Install(src string) (OID, error) {
@@ -162,12 +196,12 @@ func (s *System) Install(src string) (OID, error) {
 	if err != nil {
 		return store.Nil, err
 	}
-	return s.Linker.InstallModule(unit)
+	return s.Linker.InstallModule(s.tx, unit)
 }
 
 // Module resolves an installed module by name, through its module: root.
 func (s *System) Module(name string) (OID, bool) {
-	return linker.Module(s.Store, name)
+	return linker.Module(s.tx, name)
 }
 
 // Call applies an exported function of an installed module.
@@ -181,7 +215,7 @@ func (s *System) Call(module, fn string, args ...Value) (Value, error) {
 
 // FunctionOID resolves the persistent closure of an exported function.
 func (s *System) FunctionOID(module, fn string) (OID, error) {
-	oid, err := linker.Function(s.Store, module, fn)
+	oid, err := linker.Function(s.tx, module, fn)
 	if err != nil {
 		return store.Nil, fmt.Errorf("tycoon: %w", err)
 	}
@@ -198,7 +232,7 @@ func (s *System) OptimizeFunction(module, fn string) (*reflectopt.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return s.Reflect.OptimizeAndInstall(s.Machine.Code, oid)
+	return s.Reflect.OptimizeAndInstall(s.tx, s.Machine.Code, oid)
 }
 
 // OptCacheStats is the optimized-code cache counters of the reflective
@@ -215,12 +249,12 @@ func (s *System) OptCacheStats() OptCacheStats {
 // indexes on the given column positions) that TL rel declarations can
 // bind against.
 func (s *System) CreateRelation(name string, schema []Column, indexCols ...int) (OID, error) {
-	return s.Rel.CreateRelation(name, schema, indexCols...)
+	return relalg.CreateRelation(s.tx, name, schema, indexCols...)
 }
 
 // InsertRow appends a row to a persistent relation.
 func (s *System) InsertRow(rel OID, row ...Val) error {
-	return s.Rel.InsertRow(rel, row)
+	return relalg.InsertRow(s.tx, rel, row)
 }
 
 // Steps reports the machine's step counter — the machine-independent

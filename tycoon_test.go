@@ -206,10 +206,10 @@ func TestReopenAddsNothing(t *testing.T) {
 		if v, err := sys.Call("m", "sq", Int(7)); err != nil || v != Value(Int(49)) {
 			t.Fatalf("open %d: sq = %v, %v", i+1, v, err)
 		}
-		n := sys.Store.Len()
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
+		n := sys.Store.Len() // what Close published
 		info, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
@@ -222,5 +222,111 @@ func TestReopenAddsNothing(t *testing.T) {
 			t.Errorf("open %d: %d objects, %d bytes; first open left %d objects, %d bytes",
 				i+1, n, info.Size(), objects, size)
 		}
+	}
+}
+
+// failingInstalls are two installs that fail after the compiler has
+// accepted them: a's constant faults (its signature still reaches the
+// compiler), and b fails linking h, after g was built, because a was
+// never installed.
+var failingInstalls = []string{
+	`module a export f, z
+	 let z : Int = 1 / 0
+	 let f(n : Int) : Int = n + z
+	 end`,
+	`module b export g, h
+	 let g(n : Int) : Int = n * 2
+	 let h(n : Int) : Int = a.f(n)
+	 end`,
+}
+
+// goodInstall is the install that commits beside the failed ones.
+const goodInstall = `module c export k let k(n : Int) : Int = n + 1 end`
+
+// logSize reports the size of the store file at path.
+func logSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
+// installAround opens a System over a new store at path, commits the
+// library, tries each failing install, then installs goodInstall and
+// closes. It checks that the failures changed neither the object count
+// nor the log, and returns how much the good install grew both.
+func installAround(t *testing.T, path string, failing []string) (objects int, bytes int64) {
+	t.Helper()
+	sys, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	objects0, size0 := sys.Store.Len(), logSize(t, path)
+	for _, src := range failing {
+		if _, err := sys.Install(src); err == nil {
+			t.Fatalf("install succeeded:\n%s", src)
+		}
+	}
+	if err := sys.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n, size := sys.Store.Len(), logSize(t, path); n != objects0 || size != size0 {
+		t.Errorf("after the failed installs: %d objects, %d bytes; before them %d, %d", n, size, objects0, size0)
+	}
+	if _, err := sys.Install(goodInstall); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return sys.Store.Len() - objects0, logSize(t, path) - size0
+}
+
+// TestFailedInstallLeavesNothing: installs that fail leave nothing in
+// the System's transaction, so neither the next commit nor a restart
+// publishes any part of them. A good install committed beside them adds
+// exactly what it adds to a store that never saw them.
+func TestFailedInstallLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "failed.tyst")
+	objects, bytes := installAround(t, path, failingInstalls)
+	wantObjects, wantBytes := installAround(t, filepath.Join(dir, "control.tyst"), nil)
+	if objects != wantObjects || bytes != wantBytes {
+		t.Errorf("good install beside the failures added %d objects, %d bytes; alone it adds %d, %d",
+			objects, bytes, wantObjects, wantBytes)
+	}
+
+	size := logSize(t, path)
+	sys, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := sys.Store.Len()
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := logSize(t, path); after != size {
+		t.Errorf("restart moved the log from %d to %d bytes", size, after)
+	}
+	sys, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if sys.Store.Len() != n {
+		t.Errorf("restart moved the store from %d to %d objects", n, sys.Store.Len())
+	}
+	for _, name := range []string{"a", "b"} {
+		if _, ok := sys.Module(name); ok {
+			t.Errorf("failed module %s is installed after a restart", name)
+		}
+	}
+	if v, err := sys.Call("c", "k", Int(41)); err != nil || v != Value(Int(42)) {
+		t.Errorf("c.k(41) = %v, %v", v, err)
 	}
 }
