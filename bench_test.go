@@ -155,7 +155,7 @@ func e4Setup(b *testing.B) (*System, Value, Value) {
 			e4Err = err
 			return
 		}
-		res, e4Err = e4Sys.Reflect.Optimize(e4Sys.Txn(), oid)
+		res, e4Err = e4Sys.Reflect.Optimize(oid)
 		if e4Err != nil {
 			return
 		}
@@ -231,10 +231,6 @@ func getQueryWorld(b *testing.B, n int) *queryWorld {
 			b.Fatal(err)
 		}
 	}
-	// Committed, so the store itself serves the rule packs' statistics.
-	if err := sys.Commit(); err != nil {
-		b.Fatal(err)
-	}
 	w := &queryWorld{st: sys.Store, sys: sys, oid: oid}
 	qwMap[n] = w
 	return w
@@ -297,7 +293,7 @@ func mergeSelectSrc(oid store.OID) string {
                  t e k))`
 }
 
-func benchQuery(b *testing.B, n int, src func(store.OID) string, rules func(store.View) []opt.Rule) {
+func benchQuery(b *testing.B, n int, src func(store.OID) string, rules func(*store.Store) []opt.Rule) {
 	w := getQueryWorld(b, n)
 	app := parseQuery(b, src(w.oid))
 	if rules != nil {
@@ -328,7 +324,7 @@ func BenchmarkE5_MergeSelect(b *testing.B) {
 			benchQuery(b, n, mergeSelectSrc, nil)
 		})
 		b.Run(fmt.Sprintf("n=%d/merged", n), func(b *testing.B) {
-			benchQuery(b, n, mergeSelectSrc, func(store.View) []opt.Rule { return qopt.StaticRules() })
+			benchQuery(b, n, mergeSelectSrc, func(*store.Store) []opt.Rule { return qopt.StaticRules() })
 		})
 	}
 }
@@ -347,7 +343,7 @@ func BenchmarkE6_TrivialExists(b *testing.B) {
 			benchQuery(b, n, trivialExistsSrc, nil)
 		})
 		b.Run(fmt.Sprintf("n=%d/rewritten", n), func(b *testing.B) {
-			benchQuery(b, n, trivialExistsSrc, func(store.View) []opt.Rule { return qopt.StaticRules() })
+			benchQuery(b, n, trivialExistsSrc, func(*store.Store) []opt.Rule { return qopt.StaticRules() })
 		})
 	}
 }
@@ -392,7 +388,7 @@ func BenchmarkF3_RoundTrip(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Reflect.Optimize(sys.Txn(), oid); err != nil {
+		if _, err := sys.Reflect.Optimize(oid); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -422,7 +418,7 @@ func BenchmarkF4_MutualOptimize(b *testing.B) {
 	b.ResetTimer()
 	var rewrites int
 	for i := 0; i < b.N; i++ {
-		res, err := sys.Reflect.Optimize(sys.Txn(), oid)
+		res, err := sys.Reflect.Optimize(oid)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -454,14 +450,14 @@ func BenchmarkE8_Reconstruction(b *testing.B) {
 	fromCode := reflectopt.New(sys.Store, reflectopt.Options{FromCode: true})
 	b.Run("via-ptml", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fromPTML.Optimize(sys.Txn(), oid); err != nil {
+			if _, err := fromPTML.Optimize(oid); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("via-decompile", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fromCode.Optimize(sys.Txn(), oid); err != nil {
+			if _, err := fromCode.Optimize(oid); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -15,9 +15,9 @@
 // compile and ship -import open the store through tycoon.Open, creating
 // it with the standard library if the path does not exist; run does the
 // same but refuses a missing path, as do dump and ship -export. A verb
-// writes through the System's one transaction: it commits when the verb
-// succeeds, and a verb that fails closes the store without committing,
-// so a compile or an import is all or nothing.
+// writes in one transaction, which commits only when the verb succeeds,
+// so a compile, a run or an import is all or nothing (a store the verb
+// created keeps the standard library that opening it installed).
 package main
 
 import (
@@ -89,15 +89,23 @@ func requireStore(path string) error {
 	return err
 }
 
-// finish ends a verb's session: on success it commits the System's
-// transaction and closes the store; on failure it closes the store
-// without committing, and returns the verb's error.
-func finish(sys *tycoon.System, err error) error {
-	if err != nil {
-		sys.Store.Close()
+// inTxn runs a verb's writes f in one transaction over sys's store and
+// commits it when f succeeds; a failing f commits nothing.
+func inTxn(sys *tycoon.System, f func(tx *store.Txn) error) error {
+	tx := sys.Store.Begin()
+	defer tx.Abort()
+	if err := f(tx); err != nil {
 		return err
 	}
-	return sys.Close()
+	return tx.Commit()
+}
+
+// closeSys closes sys at the end of a verb, reporting the close's error
+// unless the verb already failed.
+func closeSys(sys *tycoon.System, err *error) {
+	if cerr := sys.Close(); *err == nil {
+		*err = cerr
+	}
 }
 
 // function resolves a function argument in st: a root name (anything
@@ -133,27 +141,29 @@ func compile(flags *flag.FlagSet) action {
 		if err != nil {
 			return err
 		}
-		defer func() { err = finish(sys, err) }()
+		defer closeSys(sys, &err)
 		if fresh {
 			fmt.Fprintln(out, "installed standard library (int, real, array, str)")
 		}
-		for _, path := range files {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return err
+		return inTxn(sys, func(tx *store.Txn) error {
+			for _, path := range files {
+				src, err := os.ReadFile(path)
+				if err != nil {
+					return err
+				}
+				unit, err := sys.Compiler.Compile(string(src))
+				if err != nil {
+					return fmt.Errorf("%s: %w", path, err)
+				}
+				oid, err := sys.Linker.InstallModule(tx, unit)
+				if err != nil {
+					return fmt.Errorf("%s: %w", path, err)
+				}
+				fmt.Fprintf(out, "installed module %s (oid 0x%x, %d functions, %d constants)\n",
+					unit.Name, uint64(oid), len(unit.Funcs), len(unit.Consts))
 			}
-			unit, err := sys.Compiler.Compile(string(src))
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			oid, err := sys.Linker.InstallModule(sys.Txn(), unit)
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			fmt.Fprintf(out, "installed module %s (oid 0x%x, %d functions, %d constants)\n",
-				unit.Name, uint64(oid), len(unit.Funcs), len(unit.Consts))
-		}
-		return nil
+			return nil
+		})
 	}
 }
 
@@ -185,14 +195,14 @@ func runFn(flags *flag.FlagSet) action {
 		if err != nil {
 			return err
 		}
-		defer func() { err = finish(sys, err) }()
-		fn, err := function(sys.Txn(), args[0])
+		defer closeSys(sys, &err)
+		fn, err := function(sys.Store, args[0])
 		if err != nil {
 			return err
 		}
 		m := sys.Machine
 		if *dynOpt {
-			res, err := sys.Reflect.OptimizeAndInstall(sys.Txn(), m.Code, fn)
+			res, err := sys.Reflect.OptimizeAndInstall(m.Code, fn)
 			if err != nil {
 				return fmt.Errorf("optimize: %w", err)
 			}
@@ -205,8 +215,14 @@ func runFn(flags *flag.FlagSet) action {
 		if *explain {
 			sys.Rel.CaptureExplain(m)
 		}
+		var result machine.Value
 		start := time.Now()
-		result, err := m.Apply(machine.Ref{OID: fn}, callArgs)
+		err = inTxn(sys, func(tx *store.Txn) (err error) {
+			m.Store = tx
+			defer func() { m.Store = sys.Store }()
+			result, err = m.Apply(machine.Ref{OID: fn}, callArgs)
+			return err
+		})
 		elapsed := time.Since(start)
 		if *explain {
 			// Collect even on failure so the capture sink is cleaned up and a
@@ -274,17 +290,19 @@ func shipCode(flags *flag.FlagSet) action {
 			if err != nil {
 				return err
 			}
-			defer func() { err = finish(sys, err) }()
-			oid, err := ship.Import(sys.Txn(), bundle)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "imported %s as oid 0x%x\n", *importPath, uint64(oid))
-			if *as != "" {
-				sys.Txn().SetRoot("shipped:"+*as, oid)
-				fmt.Fprintf(out, "registered root shipped:%s\n", *as)
-			}
-			return nil
+			defer closeSys(sys, &err)
+			return inTxn(sys, func(tx *store.Txn) error {
+				oid, err := ship.Import(tx, bundle)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintf(out, "imported %s as oid 0x%x\n", *importPath, uint64(oid))
+				if *as != "" {
+					tx.SetRoot("shipped:"+*as, oid)
+					fmt.Fprintf(out, "registered root shipped:%s\n", *as)
+				}
+				return nil
+			})
 		default:
 			return errors.New("usage: tml ship -store db.tyst (-export function [-out f.bundle] | -import f.bundle [-as name])")
 		}

@@ -10,9 +10,9 @@ import (
 
 // TestCrashAtEveryOpSession crashes one System session — create a
 // relation, insert rows, install a module over it, Close — at every
-// filesystem operation in turn, and once after its last. The session publishes one batch, so each
-// reopened store holds the whole module, callable and counting every
-// row, or nothing at all.
+// filesystem operation in turn, and once after its last. Close flushes
+// the session's publications as one batch, so each reopened store holds
+// the whole module, callable and counting every row, or nothing at all.
 func TestCrashAtEveryOpSession(t *testing.T) {
 	const path = "d/session.tyst"
 	const rows = 10

@@ -62,7 +62,7 @@ end`); err != nil {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bundle, err := ship.Export(nodeA.Txn(), fn)
+	bundle, err := ship.Export(nodeA.Store, fn)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,8 +71,12 @@ end`); err != nil {
 	// Node B has its own (bigger) emp relation.
 	nodeB := buildNode("B", 50000)
 	defer nodeB.Close()
-	oid, err := ship.Import(nodeB.Txn(), bundle)
+	tx := nodeB.Store.Begin()
+	oid, err := ship.Import(tx, bundle)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -87,7 +91,7 @@ end`); err != nil {
 	// Reflective optimization on node B uses node B's runtime bindings —
 	// its index on emp.id — which node A never knew about.
 	ro := reflectopt.New(nodeB.Store, reflectopt.Options{})
-	res, err := ro.OptimizeAndInstall(nodeB.Txn(), nodeB.Machine.Code, oid)
+	res, err := ro.OptimizeAndInstall(nodeB.Machine.Code, oid)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,8 +41,8 @@ type Config struct {
 }
 
 // Linker installs modules, each into the transaction it is handed: the
-// transaction's commit publishes the install, and a failed install takes
-// back what it wrote.
+// transaction's commit publishes the install, and a caller whose install
+// failed aborts it.
 type Linker struct {
 	cfg  Config
 	pipe *pipeline.Pipeline
@@ -105,8 +105,7 @@ func (e *NotFoundError) Error() string {
 // InstallModule installs one compiled module into tx and returns the
 // module object's OID. Imported modules and declared relations must be
 // visible to tx. The module's constants run on a fresh machine over tx,
-// under the default step budget. A failed install takes back everything
-// it wrote, so tx is left as it was.
+// under the default step budget.
 func (l *Linker) InstallModule(tx *store.Txn, unit *tl.ModuleUnit) (store.OID, error) {
 	return l.InstallModuleOn(machine.New(tx), tx, unit)
 }
@@ -114,21 +113,7 @@ func (l *Linker) InstallModule(tx *store.Txn, unit *tl.ModuleUnit) (store.OID, e
 // InstallModuleOn is InstallModule running the module's constants on m,
 // under m's step budget and deadline: a server installs on the machine
 // it lent the request, so an INSTALL is bounded like any other request.
-func (l *Linker) InstallModuleOn(m *machine.Machine, tx *store.Txn, unit *tl.ModuleUnit) (_ store.OID, err error) {
-	var wrote []store.OID
-	alloc := func(obj store.Object) store.OID {
-		oid := tx.Alloc(obj)
-		wrote = append(wrote, oid)
-		return oid
-	}
-	defer func() {
-		if err != nil {
-			for _, oid := range wrote {
-				tx.Discard(oid)
-			}
-		}
-	}()
-
+func (l *Linker) InstallModuleOn(m *machine.Machine, tx *store.Txn, unit *tl.ModuleUnit) (store.OID, error) {
 	// Declared relations must resolve (their bindings are baked into the
 	// closure records).
 	for _, rd := range unit.Rels {
@@ -152,13 +137,13 @@ func (l *Linker) InstallModuleOn(m *machine.Machine, tx *store.Txn, unit *tl.Mod
 	// regardless of declaration order (mutual recursion).
 	declOIDs := make(map[string]store.OID, len(unit.Funcs))
 	for _, fu := range unit.Funcs {
-		declOIDs[fu.Name] = alloc(&store.Closure{Name: unit.Name + "." + fu.Name})
+		declOIDs[fu.Name] = tx.Alloc(&store.Closure{Name: unit.Name + "." + fu.Name})
 		declVals[fu.Name] = store.RefVal(declOIDs[fu.Name])
 	}
 
 	// Install function bodies.
 	for _, fu := range unit.Funcs {
-		clo, err := l.buildClosure(tx, alloc, unit.Name+"."+fu.Name, fu.Abs, fu.Free, declVals)
+		clo, err := l.buildClosure(tx, unit.Name+"."+fu.Name, fu.Abs, fu.Free, declVals)
 		if err != nil {
 			return store.Nil, fmt.Errorf("linker: %s.%s: %w", unit.Name, fu.Name, err)
 		}
@@ -177,7 +162,7 @@ func (l *Linker) InstallModuleOn(m *machine.Machine, tx *store.Txn, unit *tl.Mod
 		}
 		mod.Exports = append(mod.Exports, store.Export{Name: member.Name, Val: v})
 	}
-	oid := alloc(mod)
+	oid := tx.Alloc(mod)
 	tx.SetRoot(ModuleRoot+unit.Name, oid)
 	return oid, nil
 }
@@ -185,9 +170,8 @@ func (l *Linker) InstallModuleOn(m *machine.Machine, tx *store.Txn, unit *tl.Mod
 // buildClosure optimizes, compiles and persists one function by running
 // it as a job through the compilation pipeline: optional local
 // optimization (OptLocal), TAM code generation, and both persistent
-// encodings in one instrumented sequence. Its blobs go through alloc;
-// its bindings resolve in view.
-func (l *Linker) buildClosure(view store.View, alloc func(store.Object) store.OID, name string, abs *tml.Abs, free []*tl.FreeRef, declVals map[string]store.Val) (*store.Closure, error) {
+// encodings in one instrumented sequence, into tx.
+func (l *Linker) buildClosure(tx *store.Txn, name string, abs *tml.Abs, free []*tl.FreeRef, declVals map[string]store.Val) (*store.Closure, error) {
 	res, err := l.pipe.Run(pipeline.Job{
 		Name: name,
 		Source: func(gen *tml.VarGen) (*tml.Abs, error) {
@@ -202,14 +186,14 @@ func (l *Linker) buildClosure(view store.View, alloc func(store.Object) store.OI
 	if err != nil {
 		return nil, err
 	}
-	codeOID := alloc(&store.Blob{Bytes: res.Code})
+	codeOID := tx.Alloc(&store.Blob{Bytes: res.Code})
 
 	ptmlOID := store.Nil
 	if !l.cfg.StripPTML {
-		ptmlOID = alloc(&store.Blob{Bytes: res.PTML})
+		ptmlOID = tx.Alloc(&store.Blob{Bytes: res.PTML})
 	}
 
-	bindings, err := resolveBindings(view, res.Prog.EntryBlock().FreeNames, free, declVals)
+	bindings, err := resolveBindings(tx, res.Prog.EntryBlock().FreeNames, free, declVals)
 	if err != nil {
 		return nil, err
 	}

@@ -33,8 +33,8 @@ func StaticRules() []opt.Rule {
 }
 
 // RuntimeRules returns the full rule set, including the rules that
-// consult the runtime bindings visible through st.
-func RuntimeRules(st store.View) []opt.Rule {
+// consult the store's runtime bindings.
+func RuntimeRules(st *store.Store) []opt.Rule {
 	rules := StaticRules()
 	ix := &indexRule{st: st}
 	rules = append(rules, opt.Rule{Name: "index-scan", Apply: ix.apply})
@@ -50,7 +50,7 @@ func StaticPack() pipeline.RulePack {
 // RuntimePack packages the full rule set — including the index rule that
 // consults runtime binding knowledge — for the pipeline's reflective
 // jobs (paper §4.2: query optimization delayed until bindings exist).
-func RuntimePack(st store.View) pipeline.RulePack {
+func RuntimePack(st *store.Store) pipeline.RulePack {
 	return pipeline.RulePack{Name: "qopt-runtime", Rules: RuntimeRules(st)}
 }
 
@@ -180,7 +180,7 @@ func trivialExists(ctx *opt.Ctx, app *tml.App) (*tml.App, bool) {
 // a simple equality between an indexed column of the (runtime-bound)
 // relation and a row-independent key.
 type indexRule struct {
-	st store.View
+	st *store.Store
 }
 
 func (ir *indexRule) apply(ctx *opt.Ctx, app *tml.App) (*tml.App, bool) {

@@ -38,7 +38,7 @@ func TestRepeatOptimizeCacheHit(t *testing.T) {
 	w := setup(t)
 	absOID := installGeom(t, w)
 
-	r1, err := w.ro.Optimize(w.st, absOID)
+	r1, err := w.ro.Optimize(absOID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRepeatOptimizeCacheHit(t *testing.T) {
 		t.Fatal("first optimization recorded no passes")
 	}
 
-	r2, err := w.ro.Optimize(w.st, absOID)
+	r2, err := w.ro.Optimize(absOID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestConcurrentOptimizeSameClosure(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			res, err := w.ro.Optimize(w.st, absOID)
+			res, err := w.ro.Optimize(absOID)
 			if err != nil {
 				t.Error(err)
 				return
@@ -146,7 +146,7 @@ func TestConcurrentOptimizeDifferentClosures(t *testing.T) {
 			go func(i, slot int) {
 				defer wg.Done()
 				<-start
-				res, err := w.ro.Optimize(w.st, oids[i])
+				res, err := w.ro.Optimize(oids[i])
 				if err != nil {
 					t.Error(err)
 					return
@@ -191,7 +191,7 @@ func TestBindingChangeInvalidates(t *testing.T) {
 	w := setup(t)
 	absOID := installGeom(t, w)
 
-	if _, err := w.ro.Optimize(w.st, absOID); err != nil {
+	if _, err := w.ro.Optimize(absOID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,7 +205,7 @@ func TestBindingChangeInvalidates(t *testing.T) {
 		tx.MustGet(scratch).(*store.Array).Elems[0] = store.IntVal(2)
 		tx.MarkDirty(scratch)
 	})
-	res, err := w.ro.Optimize(w.st, absOID)
+	res, err := w.ro.Optimize(absOID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestBindingChangeInvalidates(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	res, err = w.ro.Optimize(w.st, absOID)
+	res, err = w.ro.Optimize(absOID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestConcurrentInstallAndOptimize(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
-			res, err := w.ro.Optimize(w.st, absOID)
+			res, err := w.ro.Optimize(absOID)
 			if err != nil {
 				t.Error(err)
 				return

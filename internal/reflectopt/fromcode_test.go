@@ -41,7 +41,7 @@ end`)
 	// Reference: PTML-based reflective optimization.
 	stP, mP, oidP := build(false)
 	roP := reflectopt.New(stP, reflectopt.Options{})
-	resP, err := roP.Optimize(stP, oidP)
+	resP, err := roP.Optimize(oidP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ end`)
 	// Experiment: code-based reconstruction on a stripped store.
 	stC, mC, oidC := build(true)
 	roC := reflectopt.New(stC, reflectopt.Options{FromCode: true})
-	resC, err := roC.Optimize(stC, oidC)
+	resC, err := roC.Optimize(oidC)
 	if err != nil {
 		t.Fatalf("FromCode optimization failed: %v", err)
 	}
@@ -83,7 +83,7 @@ end`), "fact")
 
 	ro := reflectopt.New(w.st, reflectopt.Options{FromCode: true})
 	m := machine.New(w.st)
-	res, err := ro.OptimizeAndInstall(w.st, m.Code, fact)
+	res, err := ro.OptimizeAndInstall(m.Code, fact)
 	if err != nil {
 		t.Fatal(err)
 	}

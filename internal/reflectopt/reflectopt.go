@@ -71,13 +71,11 @@ const (
 	DefaultMaxInlineSize = 60_000
 )
 
-// Optimizer performs reflective optimization over one store, reading
-// each closure through the view its caller hands it (the store itself,
-// or a transaction that sees its own uncommitted installs). It writes
-// nothing to the store. It is safe for concurrent use: runs of the same
-// closure against the same bindings are deduplicated and cached by the
-// underlying pipeline.
+// Optimizer performs reflective optimization against one store. It is
+// safe for concurrent use: runs of the same closure against the same
+// bindings are deduplicated and cached by the underlying pipeline.
 type Optimizer struct {
+	st   *store.Store
 	opts Options
 	pipe *pipeline.Pipeline
 	// optionsFP folds every Options field that changes the output into
@@ -94,7 +92,7 @@ func New(st *store.Store, opts Options) *Optimizer {
 		pipe = pipeline.New(st, pipeline.Config{})
 	}
 	fp := pipeline.FingerprintOptions("reflectopt", opts.FromCode)
-	return &Optimizer{opts: opts, pipe: pipe, optionsFP: fp}
+	return &Optimizer{st: st, opts: opts, pipe: pipe, optionsFP: fp}
 }
 
 // Result is the outcome of one reflective optimization.
@@ -132,8 +130,8 @@ func (o *Optimizer) CacheStats() pipeline.CacheStats {
 // when decompiling), the fingerprint of its R-value binding table, and
 // the optimizer options. A zero key (closure without the needed blob)
 // bypasses the cache; Optimize then reports the real error.
-func (o *Optimizer) cacheKey(v store.View, oid store.OID) pipeline.Key {
-	obj, err := v.Get(oid)
+func (o *Optimizer) cacheKey(oid store.OID) pipeline.Key {
+	obj, err := o.st.Get(oid)
 	if err != nil {
 		return pipeline.Key{}
 	}
@@ -143,7 +141,7 @@ func (o *Optimizer) cacheKey(v store.View, oid store.OID) pipeline.Key {
 	}
 	var src ptml.Hash
 	if o.opts.FromCode {
-		blob, ok := blob(v, clo.Code)
+		blob, ok := o.blob(clo.Code)
 		if !ok {
 			return pipeline.Key{}
 		}
@@ -152,7 +150,7 @@ func (o *Optimizer) cacheKey(v store.View, oid store.OID) pipeline.Key {
 		if clo.PTML == store.Nil {
 			return pipeline.Key{}
 		}
-		blob, ok := blob(v, clo.PTML)
+		blob, ok := o.blob(clo.PTML)
 		if !ok {
 			return pipeline.Key{}
 		}
@@ -169,8 +167,8 @@ func (o *Optimizer) cacheKey(v store.View, oid store.OID) pipeline.Key {
 	}
 }
 
-func blob(v store.View, oid store.OID) ([]byte, bool) {
-	obj, err := v.Get(oid)
+func (o *Optimizer) blob(oid store.OID) ([]byte, bool) {
+	obj, err := o.st.Get(oid)
 	if err != nil {
 		return nil, false
 	}
@@ -181,33 +179,31 @@ func blob(v store.View, oid store.OID) ([]byte, bool) {
 	return b.Bytes, true
 }
 
-// Optimize reflectively optimizes the persistent closure denoted by oid,
-// reading it and everything it binds through v, and returns newly
-// generated code. The persistent original is left untouched. Repeat
-// optimization of an unchanged closure is a cache hit: no reduce/expand
-// passes run, and concurrent calls on the same closure do the work
-// exactly once.
-func (o *Optimizer) Optimize(v store.View, oid store.OID) (*Result, error) {
+// Optimize reflectively optimizes the persistent closure denoted by oid
+// and returns newly generated code. It writes nothing to the store: the
+// persistent original is left untouched.
+// Repeat optimization of an unchanged closure is a cache hit: no
+// reduce/expand passes run, and concurrent calls on the same closure do
+// the work exactly once.
+func (o *Optimizer) Optimize(oid store.OID) (*Result, error) {
 	state := &inlineState{counts: make(map[store.OID]int)}
 	reflectPack := pipeline.RulePack{Name: "reflect", Rules: []opt.Rule{
-		{Name: "fold-field", Apply: func(ctx *opt.Ctx, app *tml.App) (*tml.App, bool) {
-			return foldField(v, app)
-		}},
+		{Name: "fold-field", Apply: o.foldField},
 		{Name: "link-inline", Apply: func(ctx *opt.Ctx, app *tml.App) (*tml.App, bool) {
-			return o.linkInline(v, ctx, app, state)
+			return o.linkInline(ctx, app, state)
 		}},
 	}}
-	packs := []pipeline.RulePack{reflectPack, qopt.RuntimePack(v)}
+	packs := []pipeline.RulePack{reflectPack, qopt.RuntimePack(o.st)}
 
 	job := pipeline.Job{
-		Name: optName(v, oid),
+		Name: optName(o.st, oid),
 		Source: func(gen *tml.VarGen) (*tml.Abs, error) {
-			return o.reconstruct(v, oid, gen)
+			return o.reconstruct(oid, gen)
 		},
 		Packs:         packs,
 		Codegen:       true,
 		RequireClosed: true,
-		Key:           o.cacheKey(v, oid),
+		Key:           o.cacheKey(oid),
 	}
 	res, err := o.pipe.Run(job)
 	if err != nil {
@@ -228,7 +224,7 @@ func (o *Optimizer) Optimize(v store.View, oid store.OID) (*Result, error) {
 		Inlined:  inlined,
 		Pipeline: res.Stats,
 		CacheHit: res.CacheHit,
-		Plan:     accessPlan(v, res.Abs),
+		Plan:     accessPlan(o.st, res.Abs),
 	}, nil
 }
 
@@ -237,7 +233,7 @@ func (o *Optimizer) Optimize(v store.View, oid store.OID) (*Result, error) {
 // statistics. Deriving it from the result (rather than recording inside
 // the rules) keeps the plan available on pipeline cache hits, when no
 // rule ever runs.
-func accessPlan(st store.View, abs *tml.Abs) []*qopt.PlanNode {
+func accessPlan(st *store.Store, abs *tml.Abs) []*qopt.PlanNode {
 	if abs == nil {
 		return nil
 	}
@@ -315,8 +311,8 @@ func accessPlan(st store.View, abs *tml.Abs) []*qopt.PlanNode {
 // OptimizeAndInstall optimizes and then installs the new code in the code
 // table, so every subsequent application of the OID through a machine
 // using the table runs it.
-func (o *Optimizer) OptimizeAndInstall(v store.View, code *machine.CodeTable, oid store.OID) (*Result, error) {
-	res, err := o.Optimize(v, oid)
+func (o *Optimizer) OptimizeAndInstall(code *machine.CodeTable, oid store.OID) (*Result, error) {
+	res, err := o.Optimize(oid)
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +320,7 @@ func (o *Optimizer) OptimizeAndInstall(v store.View, code *machine.CodeTable, oi
 	return res, nil
 }
 
-func optName(st store.View, oid store.OID) string {
+func optName(st *store.Store, oid store.OID) string {
 	if obj, err := st.Get(oid); err == nil {
 		if c, ok := obj.(*store.Closure); ok {
 			return c.Name + "!opt"
@@ -337,8 +333,8 @@ func optName(st store.View, oid store.OID) string {
 // R-value bindings of its free variables, yielding the paper's §4.1
 // wrapper shape: the original parameters around a λ binding the former
 // globals to their runtime values.
-func (o *Optimizer) reconstruct(v store.View, oid store.OID, gen *tml.VarGen) (*tml.Abs, error) {
-	obj, err := v.Get(oid)
+func (o *Optimizer) reconstruct(oid store.OID, gen *tml.VarGen) (*tml.Abs, error) {
+	obj, err := o.st.Get(oid)
 	if err != nil {
 		return nil, err
 	}
@@ -352,12 +348,12 @@ func (o *Optimizer) reconstruct(v store.View, oid store.OID, gen *tml.VarGen) (*
 		if !o.opts.FromCode && clo.PTML == store.Nil {
 			return nil, fmt.Errorf("%w: %s", ErrNoPTML, clo.Name)
 		}
-		abs, free, err = decompile(v, clo, gen)
+		abs, free, err = o.decompile(clo, gen)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		blobObj, err := v.Get(clo.PTML)
+		blobObj, err := o.st.Get(clo.PTML)
 		if err != nil {
 			return nil, err
 		}
@@ -380,10 +376,10 @@ func (o *Optimizer) reconstruct(v store.View, oid store.OID, gen *tml.VarGen) (*
 	}
 	// Bind every free variable to its recorded runtime value.
 	vals := make([]tml.Value, len(free))
-	for i, fv := range free {
-		bv, ok := clo.Binding(fv.String())
+	for i, v := range free {
+		bv, ok := clo.Binding(v.String())
 		if !ok {
-			return nil, fmt.Errorf("reflectopt: %s: no binding for %s", clo.Name, fv)
+			return nil, fmt.Errorf("reflectopt: %s: no binding for %s", clo.Name, v)
 		}
 		vals[i] = machine.StoreValToTML(bv)
 	}
@@ -395,8 +391,8 @@ func (o *Optimizer) reconstruct(v store.View, oid store.OID, gen *tml.VarGen) (*
 // decompile reconstructs TML from the closure's executable code (paper
 // §6 future work): the label tables recorded by the code generator make
 // the inversion exact up to join-point duplication.
-func decompile(v store.View, clo *store.Closure, gen *tml.VarGen) (*tml.Abs, []*tml.Var, error) {
-	blobObj, err := v.Get(clo.Code)
+func (o *Optimizer) decompile(clo *store.Closure, gen *tml.VarGen) (*tml.Abs, []*tml.Var, error) {
+	blobObj, err := o.st.Get(clo.Code)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -418,7 +414,7 @@ func decompile(v store.View, clo *store.Closure, gen *tml.VarGen) (*tml.Abs, []*
 // foldField folds ([] <oid> K cont) on immutable store objects: module
 // member fetches and tuple field accesses against runtime bindings.
 // Mutable objects (arrays, relations) are never folded.
-func foldField(v store.View, app *tml.App) (*tml.App, bool) {
+func (o *Optimizer) foldField(ctx *opt.Ctx, app *tml.App) (*tml.App, bool) {
 	p, ok := app.Fn.(*tml.Prim)
 	if !ok || p.Name != "[]" || len(app.Args) != 3 {
 		return nil, false
@@ -431,7 +427,7 @@ func foldField(v store.View, app *tml.App) (*tml.App, bool) {
 	if !ok || idxLit.Kind != tml.LitInt {
 		return nil, false
 	}
-	obj, err := v.Get(store.OID(oidNode.Ref))
+	obj, err := o.st.Get(store.OID(oidNode.Ref))
 	if err != nil {
 		return nil, false
 	}
@@ -467,7 +463,7 @@ type inlineState struct {
 // transitive reachability (paper §4.1). Self-recursive closures unroll
 // at most DefaultInlineRecursive times; the accumulated size bound stops
 // mutual recursion through the store.
-func (o *Optimizer) linkInline(v store.View, ctx *opt.Ctx, app *tml.App, state *inlineState) (*tml.App, bool) {
+func (o *Optimizer) linkInline(ctx *opt.Ctx, app *tml.App, state *inlineState) (*tml.App, bool) {
 	oidNode, ok := app.Fn.(*tml.Oid)
 	if !ok {
 		return nil, false
@@ -476,7 +472,7 @@ func (o *Optimizer) linkInline(v store.View, ctx *opt.Ctx, app *tml.App, state *
 	if state.size >= DefaultMaxInlineSize {
 		return nil, false
 	}
-	abs, err := o.reconstruct(v, oid, ctx.Gen)
+	abs, err := o.reconstruct(oid, ctx.Gen)
 	if err != nil {
 		return nil, false // no PTML or not a closure: leave the call dynamic
 	}

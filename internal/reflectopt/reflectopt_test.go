@@ -125,7 +125,7 @@ end`)
 
 	// optimizedAbs = reflect.optimize(abs).
 	absOID := w.exportOID(t, geomOID, "abs")
-	res, err := w.ro.Optimize(w.st, absOID)
+	res, err := w.ro.Optimize(absOID)
 	if err != nil {
 		t.Fatalf("reflect optimize: %v", err)
 	}
@@ -180,7 +180,7 @@ end`)
 	}
 	stepsBefore := w.m.Steps()
 
-	if _, err := w.ro.OptimizeAndInstall(w.st, w.m.Code, gaussOID); err != nil {
+	if _, err := w.ro.OptimizeAndInstall(w.m.Code, gaussOID); err != nil {
 		t.Fatal(err)
 	}
 	// The same CallExport path now runs the optimized code.
@@ -202,7 +202,7 @@ module r export fact
 let fact(n : Int) : Int = if n < 2 then 1 else n * fact(n - 1) end
 end`)
 	factOID := w.exportOID(t, modOID, "fact")
-	res, err := w.ro.Optimize(w.st, factOID)
+	res, err := w.ro.Optimize(factOID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ end`)
 func TestStrippedClosureRejected(t *testing.T) {
 	w := setupWith(t, linker.Config{StripPTML: true})
 	modOID := w.install(t, `module s export f let f(n : Int) : Int = n + 1 end`)
-	if _, err := w.ro.Optimize(w.st, w.exportOID(t, modOID, "f")); !errors.Is(err, reflectopt.ErrNoPTML) {
+	if _, err := w.ro.Optimize(w.exportOID(t, modOID, "f")); !errors.Is(err, reflectopt.ErrNoPTML) {
 		t.Errorf("err = %v, want ErrNoPTML", err)
 	}
 }
@@ -265,7 +265,7 @@ end`)
 	stepsScan := w.m.Steps()
 
 	byKeyOID := w.exportOID(t, qmod, "byKey")
-	res, err := w.ro.OptimizeAndInstall(w.st, w.m.Code, byKeyOID)
+	res, err := w.ro.OptimizeAndInstall(w.m.Code, byKeyOID)
 	if err != nil {
 		t.Fatal(err)
 	}

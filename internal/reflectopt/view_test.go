@@ -55,7 +55,7 @@ end`)
 	}
 
 	oid := w.exportOID(t, qmod, "inDept")
-	res, err := w.ro.OptimizeAndInstall(w.st, w.m.Code, oid)
+	res, err := w.ro.OptimizeAndInstall(w.m.Code, oid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -460,7 +460,7 @@ func (s *session) handleOptimize(body []byte) (*ship.Result, *ship.WireError) {
 		}
 		return nil, ship.WireErr(ship.CodeInternal, err)
 	}
-	res, err := s.srv.ropt.OptimizeAndInstall(s.srv.st, s.srv.code, oid)
+	res, err := s.srv.ropt.OptimizeAndInstall(s.srv.code, oid)
 	if err != nil {
 		return nil, ship.WireErr(ship.CodeCompile, err)
 	}

@@ -210,9 +210,8 @@ func refsOf(obj store.Object) []store.OID {
 
 // Import replays a bundle into tx and returns the new OID of the
 // bundle's root object. Every object it writes is private to tx until
-// tx commits; a refused import takes back what it wrote, so tx is left
-// as it was.
-func Import(tx *store.Txn, bundle []byte) (_ store.OID, err error) {
+// tx commits; a caller whose import was refused aborts tx.
+func Import(tx *store.Txn, bundle []byte) (store.OID, error) {
 	body, err := bundleBody(bundle)
 	if err != nil {
 		return store.Nil, err
@@ -229,15 +228,6 @@ func Import(tx *store.Txn, bundle []byte) (_ store.OID, err error) {
 	}
 	entries := make([]pending, 0, n)
 	oids := make([]store.OID, n)
-	defer func() {
-		if err != nil {
-			for i, ent := range entries {
-				if !ent.byName {
-					tx.Discard(oids[i])
-				}
-			}
-		}
-	}()
 
 	// Pass 1: allocate OIDs (placeholders for objects, resolved roots
 	// for by-name relations) so cyclic references can be rewritten.

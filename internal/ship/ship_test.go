@@ -237,7 +237,7 @@ end`)
 		t.Fatal(err)
 	}
 	ro := reflectopt.New(dst.st, reflectopt.Options{})
-	res, err := ro.OptimizeAndInstall(dst.st, dst.m.Code, oid)
+	res, err := ro.OptimizeAndInstall(dst.m.Code, oid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,20 +314,12 @@ end`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The refused import takes back its placeholders itself: committing
-	// its transaction anyway publishes nothing.
+	// The refused import's placeholders die with its transaction.
 	dst := newNode(t)
 	before := dst.st.Len()
-	tx = dst.st.Begin()
-	_, err = ship.Import(tx, bundle)
+	_, err = dst.importBundle(bundle)
 	if !errors.Is(err, ship.ErrBadBundle) || !errors.Is(err, tml.ErrIllFormed) {
 		t.Fatalf("import of an ill-formed closure: %v, want ErrBadBundle naming the violation", err)
-	}
-	if tx.Mutated() {
-		t.Error("refused import left writes in its transaction")
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
 	}
 	if after := dst.st.Len(); after != before {
 		t.Errorf("refused import moved the target from %d to %d objects", before, after)

@@ -125,7 +125,7 @@ func NewSuite(regime Regime) (*Suite, error) {
 			if err != nil {
 				return fail(fmt.Errorf("stanford: %w", err))
 			}
-			if _, err := ro.OptimizeAndInstall(st, s.Machine.Code, entry); err != nil {
+			if _, err := ro.OptimizeAndInstall(s.Machine.Code, entry); err != nil {
 				return fail(fmt.Errorf("stanford: optimizing %s: %w", p.Name, err))
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -18,11 +19,13 @@ import (
 //
 // A transaction is the only way to write. The store itself is read-only:
 // Get, Root and Snapshot read committed state, and nothing reaches the
-// live state or the log except a Txn's Commit. Writers never mutate
-// shared objects in place — a transaction works on private copies of the
-// mutable kinds and publishes them at commit — so every snapshot reads
-// exactly the state committed when it opened, arrays included, and a
-// transaction that fails or is abandoned leaves no trace.
+// live state or the log except a Txn's Commit or Publish (a commit that
+// does not wait for the disk and keeps the transaction open). Writers
+// never mutate shared objects in place — a transaction works on private
+// copies of the mutable kinds and publishes them at commit — so every
+// snapshot reads exactly the state committed when it opened, arrays
+// included, and a transaction that fails or is abandoned leaves no
+// trace.
 
 // ErrConflict is the sentinel wrapped by first-committer-wins aborts: a
 // transaction tried to commit a write to an object (or root binding) that
@@ -43,11 +46,16 @@ type version struct {
 
 // publishLocked makes obj the live state of oid and pushes it as the new
 // head version at the current CSN, then reclaims chain tail versions no
-// snapshot can reach. Caller holds s.mu and has already advanced s.csn to
-// the publishing event's CSN.
+// snapshot can reach. With no snapshot open the chain is just its head,
+// which is overwritten in place. Caller holds s.mu and has already
+// advanced s.csn to the publishing event's CSN.
 func (s *Store) publishLocked(oid OID, obj Object) {
 	s.seedBaseLocked(oid)
 	s.objects[oid] = obj
+	if v := s.vers[oid]; v != nil && s.snaps == 0 {
+		*v = version{csn: s.csn, obj: obj, rows: rowHorizon(obj)}
+		return
+	}
 	s.vers[oid] = &version{csn: s.csn, obj: obj, rows: rowHorizon(obj), prev: s.vers[oid]}
 	s.gcChainLocked(oid)
 }
@@ -175,12 +183,19 @@ type Snap struct {
 
 // Snapshot opens a snapshot of the current committed state.
 func (s *Store) Snapshot() *Snap {
+	sn := new(Snap)
 	s.mu.Lock()
-	sn := &Snap{s: s, csn: s.csn, nextAt: s.next, roots: s.roots}
-	s.pins[sn.csn]++
-	s.snaps++
+	s.pinLocked(sn)
 	s.mu.Unlock()
 	return sn
+}
+
+// pinLocked points sn at the current committed state and pins it.
+// Caller holds s.mu.
+func (s *Store) pinLocked(sn *Snap) {
+	*sn = Snap{s: s, csn: s.csn, nextAt: s.next, roots: s.roots}
+	s.pins[sn.csn]++
+	s.snaps++
 }
 
 // CSN reports the commit sequence number the snapshot is pinned at.
@@ -261,6 +276,7 @@ type Txn struct {
 	base     map[OID]*Relation // live relation a view was derived from
 	baseRows map[OID]int       // committed row horizon of that view
 	rootW    map[string]OID
+	logBuf   []logObj // publish's records, copied by stage
 	done     bool
 }
 
@@ -368,18 +384,6 @@ func (t *Txn) MarkDirty(oid OID) {
 	}
 }
 
-// Discard takes back the transaction's own write to oid, if it made one:
-// a fresh allocation is forgotten (its OID stays reserved, a hole as
-// after an abort) and any other object reads as in the snapshot again.
-// A writer that fails halfway discards what it wrote, so the rest of the
-// transaction can still commit without it.
-func (t *Txn) Discard(oid OID) {
-	delete(t.local, oid)
-	delete(t.class, oid)
-	delete(t.base, oid)
-	delete(t.baseRows, oid)
-}
-
 // SetRoot binds a root name, visible to other sessions at Commit.
 func (t *Txn) SetRoot(name string, oid OID) {
 	t.rootW[name] = oid
@@ -413,12 +417,12 @@ func (t *Txn) Abort() {
 // version postdates the snapshot aborts with ErrConflict — except
 // relation row appends against an unchanged relation identity, which
 // commute and merge. On success every write is published atomically
-// under one new CSN and the encoded records are staged with the group
-// committer; the call returns once a leader has fsynced them (batched
-// with whatever other transactions queued meanwhile). A read-only commit
-// is free. On ErrConflict the transaction rolled back; on an I/O error
-// the writes are published in memory and their records stay queued — the
-// next successful flush (any later commit, or Store.Flush) makes them
+// under one new CSN and staged with the group committer; the call
+// returns once a leader has fsynced it (batched with whatever other
+// transactions queued meanwhile). A read-only commit is free. On
+// ErrConflict the transaction rolled back; on an I/O error the writes
+// are published in memory and their records stay queued — the next
+// successful flush (any later commit, or Store.Flush) makes them
 // durable, so the failure latches only this writer's durability answer,
 // not the store.
 func (t *Txn) Commit() error {
@@ -430,11 +434,51 @@ func (t *Txn) Commit() error {
 	if !t.Mutated() {
 		return nil
 	}
-	s := t.s
+	req, err := t.publish(false)
+	if err != nil || req == nil {
+		return err
+	}
+	return t.s.awaitCommit(req)
+}
 
+// Publish commits the writes so far as Commit does, without waiting for
+// the disk, and keeps the transaction open over a snapshot that includes
+// them. The next Commit, Store.Flush or Store.Close makes them durable;
+// the queue flushes in commit order, so a crash loses only whole
+// publications no durable commit followed. A relation it appended to
+// stays localised, so publishing row by row copies no rows. On
+// ErrConflict the transaction rolled back and is finished.
+func (t *Txn) Publish() error {
+	if t.done {
+		return errors.New("store: transaction already finished")
+	}
+	if !t.Mutated() {
+		return nil
+	}
+	if _, err := t.publish(true); err != nil {
+		t.done = true
+		t.snap.Release()
+		return err
+	}
+	return nil
+}
+
+// publish validates the write set and publishes it under one new CSN,
+// staging its records with the group committer (the returned request;
+// nil for an in-memory store, which keeps no log). With next set the
+// transaction goes on over a snapshot at the new CSN.
+func (t *Txn) publish(next bool) (*commitReq, error) {
+	s := t.s
+	var small [4]OID // a publication writes few objects: no allocation
+	oids := small[:0]
+	for oid := range t.class {
+		oids = append(oids, oid)
+	}
+	slices.Sort(oids)
 	s.mu.Lock()
 	// --- validate: first committer wins ---
-	for oid, cl := range t.class {
+	for _, oid := range oids {
+		cl := t.class[oid]
 		if cl == classAlloc {
 			continue
 		}
@@ -452,14 +496,14 @@ func (t *Txn) Commit() error {
 		s.txConflicts++
 		s.txAborted++
 		s.mu.Unlock()
-		return fmt.Errorf("%w: oid 0x%x modified since snapshot (csn %d)", ErrConflict, uint64(oid), t.snap.csn)
+		return nil, fmt.Errorf("%w: oid 0x%x modified since snapshot (csn %d)", ErrConflict, uint64(oid), t.snap.csn)
 	}
 	for name := range t.rootW {
 		if s.roots[name] != t.snap.roots[name] {
 			s.txConflicts++
 			s.txAborted++
 			s.mu.Unlock()
-			return fmt.Errorf("%w: root %q rebound since snapshot", ErrConflict, name)
+			return nil, fmt.Errorf("%w: root %q rebound since snapshot", ErrConflict, name)
 		}
 	}
 
@@ -468,57 +512,54 @@ func (t *Txn) Commit() error {
 	// versions it alone kept alive are reclaimed by this very publish.
 	t.snap.releaseLocked()
 	s.csn++
-	// An in-memory store keeps no log: its commits encode no records.
+	// An in-memory store keeps no log: its commits stage no records.
 	logged := s.file != nil
-	var recs bytes.Buffer
-	count := 0
-	oids := make([]OID, 0, len(t.class))
-	for oid := range t.class {
-		oids = append(oids, oid)
-	}
-	sortOIDs(oids)
+	objs := t.logBuf[:0]
 	for _, oid := range oids {
 		obj := t.local[oid]
-		logObj := obj
-		if live, ok := t.base[oid]; ok && t.class[oid] == classDirty {
-			// Merge private appended rows into the live relation, then log
-			// the merged state: encoding only this transaction's view would
-			// lose a concurrent committer's rows under last-writer-wins
-			// replay.
-			view := obj.(*Relation)
+		cl := t.class[oid]
+		if live, ok := t.base[oid]; ok && cl == classDirty {
+			// Merge private appended rows into the live relation: logging
+			// only this transaction's view would lose a concurrent
+			// committer's rows under last-writer-wins replay. Unless
+			// another writer appended meanwhile, the view's rows extend
+			// the live ones, and the relation takes them over.
 			s.seedBaseLocked(oid)
-			for _, row := range view.RowsSnapshot()[t.baseRows[oid]:] {
-				live.AppendRow(row)
+			merged := t.baseRows[oid]
+			rows := obj.(*Relation).RowsSnapshot()
+			if live.NumRows() == merged {
+				live.adoptRows(rows)
+			} else {
+				for _, row := range rows[merged:] {
+					live.AppendRow(row)
+				}
+				delete(t.base, oid) // the view no longer equals the relation
 			}
-			s.publishLocked(oid, live)
-			logObj = relView(live, s.vers[oid].rows)
-		} else {
-			s.publishLocked(oid, obj)
+			t.baseRows[oid] = len(rows)
+			obj = live
 		}
-		if t.class[oid] == classUpdate {
+		s.publishLocked(oid, obj)
+		if cl == classUpdate {
 			s.epoch++
 		}
 		if logged {
-			logFormat.AppendRecord(&recs, s.version, objectRecord(oid, logObj))
-			count++
+			objs = append(objs, logObj{oid, obj, rowHorizon(obj)})
 		}
 	}
+	t.logBuf = objs
+	var changes []RootChange
 	if len(t.rootW) > 0 {
-		next := make(map[string]OID, len(s.roots)+len(t.rootW))
+		roots := make(map[string]OID, len(s.roots)+len(t.rootW))
 		for k, v := range s.roots {
-			next[k] = v
+			roots[k] = v
 		}
-		changes := make([]RootChange, 0, len(t.rootW))
+		changes = make([]RootChange, 0, len(t.rootW))
 		for _, name := range rootNames(t.rootW) {
-			next[name] = t.rootW[name]
+			roots[name] = t.rootW[name]
 			s.epoch++
-			if logged {
-				logFormat.AppendRecord(&recs, s.version, rootRecord(name, t.rootW[name]))
-				count++
-			}
 			changes = append(changes, RootChange{Root: name, OID: t.rootW[name]})
 		}
-		s.roots = next
+		s.roots = roots
 		if s.rootHook != nil {
 			// One call for the whole commit, under s.mu: observers see the
 			// batch at a single CSN, in CSN order, never torn.
@@ -528,26 +569,50 @@ func (t *Txn) Commit() error {
 	s.txCommitted++
 	var req *commitReq
 	if logged {
-		req = &commitReq{recs: recs, count: count}
-		s.cm.stage(req)
+		req = s.cm.stage(objs, changes, next)
+	}
+	if next {
+		s.pinLocked(t.snap) // the released snapshot, repinned
+		// Keep only the relation views the transaction appended to that
+		// still equal their relation: every other localised object is
+		// now shared or stale.
+		if len(t.local) > len(oids) {
+			for oid := range t.local {
+				if _, written := t.class[oid]; !written {
+					t.forget(oid)
+				}
+			}
+		}
+		for _, oid := range oids {
+			if _, ok := t.base[oid]; !ok || t.class[oid] != classDirty {
+				t.forget(oid)
+			}
+			delete(t.class, oid)
+		}
+		clear(t.rootW)
 	}
 	s.mu.Unlock()
+	return req, nil
+}
 
-	if req == nil {
-		return nil
-	}
-	return s.awaitCommit(req)
+// forget drops the transaction's localised copy of oid.
+func (t *Txn) forget(oid OID) {
+	delete(t.local, oid)
+	delete(t.base, oid)
+	delete(t.baseRows, oid)
 }
 
 // --- group committer --------------------------------------------------------
 
-// commitReq is one staged record batch awaiting durability. Records are
-// encoded at stage time (under s.mu, preserving CSN order in the queue);
-// a leader later writes every queued batch under one commit trailer and
-// fsyncs once for all of them.
+// commitReq is one staged publication awaiting durability: the states it
+// published and the roots it bound, staged under s.mu so the queue is in
+// CSN order. A leader later encodes every queued request under one
+// commit trailer and fsyncs once for all of them.
 type commitReq struct {
-	recs  bytes.Buffer
-	count int
+	objs  []logObj
+	roots []RootChange
+	count int // records staged (0: a Flush probe)
+	txns  int // publications staged into it
 	done  bool
 	err   error
 	// absorbed marks a request satisfied by Compact's full rewrite while
@@ -555,8 +620,25 @@ type commitReq struct {
 	absorbed bool
 }
 
-// committer is the group-commit engine. Committers stage their encoded
-// records and wait; the first waiter to find the committer idle becomes
+// logObj is one object state a publication logs, encoded at flush time:
+// published objects never change, except that a relation grows, so it is
+// logged as a view pinned at its published row count.
+type logObj struct {
+	oid  OID
+	obj  Object
+	rows int // relation row horizon (-1 for other kinds)
+}
+
+// record encodes w as a log record.
+func (w logObj) record() []byte {
+	if r, ok := w.obj.(*Relation); ok {
+		return objectRecord(w.oid, relView(r, w.rows))
+	}
+	return objectRecord(w.oid, w.obj)
+}
+
+// committer is the group-commit engine. Committers stage their records
+// and wait; the first waiter to find the committer idle becomes
 // the leader, drains the whole queue in one write+fsync, and wakes
 // everyone. A failed flush keeps the records queued (the backlog) so a
 // later commit — or an operator probe via Flush — retries them; only the
@@ -580,14 +662,33 @@ func (c *committer) init() {
 	}
 }
 
-// stage enqueues a request. Called with s.mu held, so queue order is
-// commit (CSN) order.
-func (c *committer) stage(req *commitReq) {
+// stage enqueues one publication's records as a request and returns it.
+// Called with s.mu held, so queue order is commit (CSN) order. While no
+// flush runs, an unawaited publication (Txn.Publish) joins the last
+// request instead, replacing the newest state of an object it logs last.
+func (c *committer) stage(objs []logObj, roots []RootChange, unawaited bool) *commitReq {
 	c.mu.Lock()
 	c.init()
-	c.queue = append(c.queue, req)
+	var req *commitReq
+	if n := len(c.queue); unawaited && n > 0 && !c.flushing && c.queue[n-1].count > 0 {
+		req = c.queue[n-1]
+	} else {
+		req = &commitReq{}
+		c.queue = append(c.queue, req)
+	}
+	for _, w := range objs {
+		if n := len(req.objs); n > 0 && req.objs[n-1].oid == w.oid {
+			req.objs[n-1] = w
+		} else {
+			req.objs = append(req.objs, w)
+		}
+	}
+	req.roots = append(req.roots, roots...)
+	req.count = len(req.objs) + len(req.roots)
+	req.txns++
 	c.cond.Broadcast()
 	c.mu.Unlock()
+	return req
 }
 
 // awaitCommit blocks until req is durable or its flush attempt failed,
@@ -613,7 +714,7 @@ func (s *Store) awaitCommit(req *commitReq) error {
 				var txns uint64
 				for _, r := range batch {
 					if !r.absorbed && r.count > 0 {
-						txns++
+						txns += uint64(r.txns)
 					}
 				}
 				if txns > 0 {
@@ -687,17 +788,27 @@ func (s *Store) flushBatch(batch []*commitReq) error {
 	// Skip requests already satisfied while this leader waited for the
 	// file lock (Compact absorbed them into a full rewrite).
 	c := &s.cm
-	var raw bytes.Buffer
-	count := 0
+	var reqs []*commitReq
 	c.mu.Lock()
 	for _, r := range batch {
-		if r.absorbed {
-			continue
+		if !r.absorbed {
+			reqs = append(reqs, r)
 		}
-		raw.Write(r.recs.Bytes())
-		count += r.count
 	}
 	c.mu.Unlock()
+	// No request of a batch in flight changes (stage merges into none),
+	// so the records are encoded outside the lock.
+	var raw bytes.Buffer
+	count := 0
+	for _, r := range reqs {
+		for _, w := range r.objs {
+			logFormat.AppendRecord(&raw, s.version, w.record())
+		}
+		for _, rc := range r.roots {
+			logFormat.AppendRecord(&raw, s.version, rootRecord(rc.Root, rc.OID))
+		}
+		count += r.count
+	}
 	if count == 0 {
 		return nil // probe-only batch: durability already verified by queue emptiness
 	}

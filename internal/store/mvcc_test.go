@@ -211,39 +211,6 @@ func TestTxnAbortRollsBack(t *testing.T) {
 	}
 }
 
-// TestTxnDiscard: Discard takes back a transaction's own writes — an
-// allocation is forgotten, an update reads as in the snapshot again —
-// and leaves its other writes to commit.
-func TestTxnDiscard(t *testing.T) {
-	s, _ := Open("")
-	defer s.Close()
-	oid := alloc(t, s, &Blob{Bytes: []byte("keep")})
-
-	tx := s.Begin()
-	kept := tx.Alloc(&Blob{Bytes: []byte("kept")})
-	dropped := tx.Alloc(&Blob{Bytes: []byte("dropped")})
-	if err := tx.Update(oid, &Blob{Bytes: []byte("changed")}); err != nil {
-		t.Fatal(err)
-	}
-	tx.Discard(dropped)
-	tx.Discard(oid)
-	if got := string(tx.MustGet(oid).(*Blob).Bytes); got != "keep" {
-		t.Errorf("discarded update still reads %q in its transaction", got)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(dropped); !errors.Is(err, ErrNotFound) {
-		t.Errorf("discarded allocation published: %v", err)
-	}
-	if got := string(s.MustGet(oid).(*Blob).Bytes); got != "keep" {
-		t.Errorf("discarded update published: %q", got)
-	}
-	if got := string(s.MustGet(kept).(*Blob).Bytes); got != "kept" {
-		t.Errorf("kept allocation reads %q", got)
-	}
-}
-
 func TestTxnRelationAppendsCommute(t *testing.T) {
 	s, _ := Open("")
 	defer s.Close()

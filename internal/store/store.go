@@ -372,6 +372,15 @@ func (r *Relation) AppendRow(row []Val) int {
 	return idx
 }
 
+// adoptRows makes rows, which extend r's rows, r's rows, capped at their
+// length so an append through r never writes into the array the
+// transaction that handed them over goes on appending to.
+func (r *Relation) adoptRows(rows [][]Val) {
+	r.rowsMu.Lock()
+	r.Rows = rows[:len(rows):len(rows)]
+	r.rowsMu.Unlock()
+}
+
 func (r *Relation) clone() Object {
 	rows := r.RowsSnapshot()
 	d := &Relation{

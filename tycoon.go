@@ -95,17 +95,17 @@ type Config struct {
 	Out io.Writer
 }
 
-// System is an open Tycoon environment. It keeps one transaction open
-// over its store: Install, CreateRelation and InsertRow write into it,
-// its Machine and Module, FunctionOID, Call and OptimizeFunction read
-// through it (so they see the System's own uncommitted writes), and
-// Commit or Close publish it as one atomic batch. Store reads committed
-// state only.
+// System is an open Tycoon environment. Every facade write (Install,
+// CreateRelation, InsertRow, what a Call writes) is one transaction,
+// published when the call returns (store.Txn.Publish), so Store and
+// every reader see it at once, and durable after Commit or Close. A
+// write that fails publishes nothing. After InsertRow the transaction
+// stays open, so the next row appends without copying the relation;
+// the next Install, CreateRelation, Call, Commit or Close ends it.
 type System struct {
 	// Store is the persistent object store.
 	Store *store.Store
-	// Machine executes compiled (TAM) code, the only kind it runs, over
-	// the System's open transaction.
+	// Machine executes compiled (TAM) code, the only kind it runs.
 	Machine *machine.Machine
 	// Compiler compiles TL modules (the standard library is preloaded).
 	Compiler *tl.Compiler
@@ -116,12 +116,12 @@ type System struct {
 	// Reflect is the runtime reflective optimizer.
 	Reflect *reflectopt.Optimizer
 
-	tx *store.Txn
+	tx *store.Txn // the open write transaction, if any
 }
 
 // Open creates (or reopens) a Tycoon system at path; an empty path is an
 // in-memory system. The TL standard library is compiled, and installed
-// into the System's transaction unless the store already holds it.
+// unless the store already holds it.
 func Open(path string, cfgs ...Config) (*System, error) {
 	var cfg Config
 	if len(cfgs) > 0 {
@@ -140,55 +140,67 @@ func open(st *store.Store, cfg Config) (*System, error) {
 	if cfg.LocalOpt {
 		level = linker.OptLocal
 	}
-	tx := st.Begin()
 	lk := linker.New(linker.Config{Level: level, StripPTML: cfg.StripPTML})
-	comp, err := tyclib.Install(tx, lk)
-	if err != nil {
-		tx.Abort()
+	s := &System{Store: st}
+	comp, err := tyclib.Install(s.writer(), lk)
+	if err = s.publish(err); err != nil {
 		st.Close()
 		return nil, err
 	}
+	s.release()
 	if cfg.DirectPrims {
 		comp.Mode = tl.DirectPrims
 	}
-	m := machine.New(tx)
+	m := machine.New(st)
 	m.Out = cfg.Out
 	mg := relalg.NewManager(st)
 	mg.Register(m)
-	return &System{
-		Store:    st,
-		Machine:  m,
-		Compiler: comp,
-		Linker:   lk,
-		Rel:      mg,
-		Reflect:  reflectopt.New(st, reflectopt.Options{}),
-		tx:       tx,
-	}, nil
+	s.Machine, s.Compiler, s.Linker, s.Rel = m, comp, lk, mg
+	s.Reflect = reflectopt.New(st, reflectopt.Options{})
+	return s, nil
 }
 
-// Close publishes the System's transaction and closes the store. The
-// store is closed even when the commit fails; the commit's error is
-// reported first.
-func (s *System) Close() error {
-	err := s.tx.Commit()
-	if cerr := s.Store.Close(); err == nil {
-		err = cerr
+// writer returns the System's writer, beginning one if none is open.
+func (s *System) writer() *store.Txn {
+	if s.tx == nil {
+		s.tx = s.Store.Begin()
+	}
+	return s.tx
+}
+
+// publish ends a write into the writer that returned err: it publishes
+// what a successful write wrote, or aborts the writer.
+func (s *System) publish(err error) error {
+	if err == nil {
+		err = s.tx.Publish()
+	}
+	if err != nil {
+		s.release()
 	}
 	return err
 }
 
-// Commit publishes everything the System wrote since it opened or last
-// committed, as one atomic batch, and opens the next transaction.
-func (s *System) Commit() error {
-	err := s.tx.Commit()
-	s.tx = s.Store.Begin()
-	s.Machine.Store = s.tx
-	return err
+// release ends the writer, which holds nothing unpublished after a
+// successful write, unpinning its snapshot.
+func (s *System) release() {
+	if s.tx != nil {
+		s.tx.Abort()
+		s.tx = nil
+	}
 }
 
-// Txn is the System's open transaction: ship.Import and other writers
-// outside the facade write into it, and Commit or Close publish it.
-func (s *System) Txn() *store.Txn { return s.tx }
+// Close makes everything published durable and closes the store, even
+// when the flush fails.
+func (s *System) Close() error {
+	s.release()
+	return s.Store.Close()
+}
+
+// Commit makes everything published so far durable.
+func (s *System) Commit() error {
+	s.release()
+	return s.Store.Flush()
+}
 
 // Install compiles and installs a TL module, returning its OID.
 func (s *System) Install(src string) (OID, error) {
@@ -196,26 +208,35 @@ func (s *System) Install(src string) (OID, error) {
 	if err != nil {
 		return store.Nil, err
 	}
-	return s.Linker.InstallModule(s.tx, unit)
+	defer s.release()
+	oid, err := s.Linker.InstallModule(s.writer(), unit)
+	return oid, s.publish(err)
 }
 
 // Module resolves an installed module by name, through its module: root.
 func (s *System) Module(name string) (OID, bool) {
-	return linker.Module(s.tx, name)
+	return linker.Module(s.Store, name)
 }
 
-// Call applies an exported function of an installed module.
+// Call applies an exported function of an installed module, in a
+// transaction of its own: what the function writes is published when it
+// returns, and nothing of it when it fails.
 func (s *System) Call(module, fn string, args ...Value) (Value, error) {
 	oid, ok := s.Module(module)
 	if !ok {
 		return nil, fmt.Errorf("tycoon: module %s not installed", module)
 	}
-	return s.Machine.CallExport(oid, fn, args)
+	s.release()
+	defer s.release()
+	s.Machine.Store = s.writer()
+	v, err := s.Machine.CallExport(oid, fn, args)
+	s.Machine.Store = s.Store
+	return v, s.publish(err)
 }
 
 // FunctionOID resolves the persistent closure of an exported function.
 func (s *System) FunctionOID(module, fn string) (OID, error) {
-	oid, err := linker.Function(s.tx, module, fn)
+	oid, err := linker.Function(s.Store, module, fn)
 	if err != nil {
 		return store.Nil, fmt.Errorf("tycoon: %w", err)
 	}
@@ -224,15 +245,16 @@ func (s *System) FunctionOID(module, fn string) (OID, error) {
 
 // OptimizeFunction reflectively optimizes an exported function across its
 // module abstraction barriers (paper §4.1) and installs the new code for
-// all subsequent calls through this system. Repeat optimization of an
-// unchanged function is served from the pipeline's content-addressed
-// cache (Result.CacheHit), and concurrent calls deduplicate the work.
+// all subsequent calls through this system. It writes nothing to the
+// store. Repeat optimization of an unchanged function is served from the
+// pipeline's content-addressed cache (Result.CacheHit), and concurrent
+// calls deduplicate the work.
 func (s *System) OptimizeFunction(module, fn string) (*reflectopt.Result, error) {
 	oid, err := s.FunctionOID(module, fn)
 	if err != nil {
 		return nil, err
 	}
-	return s.Reflect.OptimizeAndInstall(s.tx, s.Machine.Code, oid)
+	return s.Reflect.OptimizeAndInstall(s.Machine.Code, oid)
 }
 
 // OptCacheStats is the optimized-code cache counters of the reflective
@@ -249,12 +271,14 @@ func (s *System) OptCacheStats() OptCacheStats {
 // indexes on the given column positions) that TL rel declarations can
 // bind against.
 func (s *System) CreateRelation(name string, schema []Column, indexCols ...int) (OID, error) {
-	return relalg.CreateRelation(s.tx, name, schema, indexCols...)
+	defer s.release()
+	oid, err := relalg.CreateRelation(s.writer(), name, schema, indexCols...)
+	return oid, s.publish(err)
 }
 
 // InsertRow appends a row to a persistent relation.
 func (s *System) InsertRow(rel OID, row ...Val) error {
-	return relalg.InsertRow(s.tx, rel, row)
+	return s.publish(relalg.InsertRow(s.writer(), rel, row))
 }
 
 // Steps reports the machine's step counter — the machine-independent

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tycoon/internal/store"
 )
 
 func TestFacadeLifecycle(t *testing.T) {
@@ -206,10 +208,10 @@ func TestReopenAddsNothing(t *testing.T) {
 		if v, err := sys.Call("m", "sq", Int(7)); err != nil || v != Value(Int(49)) {
 			t.Fatalf("open %d: sq = %v, %v", i+1, v, err)
 		}
+		n := sys.Store.Len()
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
-		n := sys.Store.Len() // what Close published
 		info, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
@@ -287,9 +289,9 @@ func installAround(t *testing.T, path string, failing []string) (objects int, by
 	return sys.Store.Len() - objects0, logSize(t, path) - size0
 }
 
-// TestFailedInstallLeavesNothing: installs that fail leave nothing in
-// the System's transaction, so neither the next commit nor a restart
-// publishes any part of them. A good install committed beside them adds
+// TestFailedInstallLeavesNothing: installs that fail publish nothing,
+// so neither the next commit nor a restart makes any part of them
+// durable. A good install committed beside them adds
 // exactly what it adds to a store that never saw them.
 func TestFailedInstallLeavesNothing(t *testing.T) {
 	dir := t.TempDir()
@@ -328,5 +330,136 @@ func TestFailedInstallLeavesNothing(t *testing.T) {
 	}
 	if v, err := sys.Call("c", "k", Int(41)); err != nil || v != Value(Int(42)) {
 		t.Errorf("c.k(41) = %v, %v", v, err)
+	}
+}
+
+// TestFacadeWritesVisibleToStore: every facade write is published when
+// the call returns — Store and a transaction begun on it see relations,
+// rows and modules before any Commit — and is durable only after
+// Commit. Install releases the transaction the rows kept open.
+func TestFacadeWritesVisibleToStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "visible.tyst")
+	sys, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	size := logSize(t, path)
+	rel, err := sys.CreateRelation("acct", []Column{{Name: "id", Type: ColInt}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 50
+	for i := int64(0); i < rows; i++ {
+		if err := sys.InsertRow(rel, IntVal(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.Install(`module q export n
+	  rel acct : Rel(id : Int)
+	  let n() : Int = count(acct)
+	  end`); err != nil {
+		t.Fatal(err)
+	}
+	if open := sys.Store.TxStats().OpenSnapshots; open != 0 {
+		t.Errorf("%d snapshots open after Install", open)
+	}
+	tx := sys.Store.Begin()
+	oid, ok := tx.Root("rel:acct")
+	if !ok || oid != rel {
+		t.Fatalf("a transaction on Store resolves rel:acct to %v, %v; want %v", oid, ok, rel)
+	}
+	if n := tx.MustGet(rel).(*store.Relation).NumRows(); n != rows {
+		t.Errorf("a transaction on Store sees %d rows, want %d", n, rows)
+	}
+	if _, ok := tx.Root("module:q"); !ok {
+		t.Error("a transaction on Store does not see module q")
+	}
+	tx.Abort()
+	if v, err := sys.Call("q", "n"); err != nil || v != Value(Int(rows)) {
+		t.Errorf("q.n() = %v, %v; want %d", v, err, rows)
+	}
+	if got := logSize(t, path); got != size {
+		t.Errorf("published writes reached the log before Commit: %d → %d bytes", size, got)
+	}
+	if err := sys.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := logSize(t, path); got <= size {
+		t.Errorf("Commit left the log at %d bytes", got)
+	}
+	if open := sys.Store.TxStats().OpenSnapshots; open != 0 {
+		t.Errorf("%d snapshots open after Commit", open)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if open := sys.Store.TxStats().OpenSnapshots; open != 0 {
+		t.Errorf("%d snapshots open after reopening", open)
+	}
+	if v, err := sys.Call("q", "n"); err != nil || v != Value(Int(rows)) {
+		t.Errorf("after reopening q.n() = %v, %v; want %d", v, err, rows)
+	}
+}
+
+// TestOptimizeSeesForeignUpdate: OptimizeFunction reads the store's
+// current state, so after another transaction commits an Update to the
+// module a function binds, the next optimization folds the new code
+// instead of serving the old from the cache.
+func TestOptimizeSeesForeignUpdate(t *testing.T) {
+	sys, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if _, err := sys.Install(`module a export f let f(n : Int) : Int = n + 1 end`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Install(`module b export g let g(n : Int) : Int = a.f(n) end`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.OptimizeFunction("b", "g"); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := sys.Call("b", "g", Int(1)); err != nil || v != Value(Int(2)) {
+		t.Fatalf("optimized g(1) = %v, %v; want 2", v, err)
+	}
+
+	// Another writer replaces the module object g binds with that of a
+	// module exporting a new f.
+	oldA, _ := sys.Module("a")
+	unit, err := sys.Compiler.Compile(`module a2 export f let f(n : Int) : Int = n + 100 end`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := sys.Store.Begin()
+	newA, err := sys.Linker.InstallModule(tx, unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(oldA, tx.MustGet(newA)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := sys.OptimizeFunction("b", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHit {
+		t.Error("optimization after the update was served from the cache")
+	}
+	if v, err := sys.Call("b", "g", Int(1)); err != nil || v != Value(Int(101)) {
+		t.Errorf("re-optimized g(1) = %v, %v; want 101", v, err)
 	}
 }
