@@ -446,8 +446,8 @@ func BenchmarkE8_Reconstruction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fromPTML := reflectopt.New(sys.Store, reflectopt.Options{})
-	fromCode := reflectopt.New(sys.Store, reflectopt.Options{FromCode: true})
+	fromPTML := reflectopt.New(sys.Store, pipeline.New(sys.Store, pipeline.Config{}), reflectopt.Options{})
+	fromCode := reflectopt.New(sys.Store, pipeline.New(sys.Store, pipeline.Config{}), reflectopt.Options{FromCode: true})
 	b.Run("via-ptml", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := fromPTML.Optimize(oid); err != nil {
@@ -614,7 +614,7 @@ func BenchmarkSuiteOverhead_Linker(b *testing.B) {
 			b.Fatal(err)
 		}
 		tx := st.Begin()
-		if _, err := tyclib.Install(tx, linker.New(linker.Config{Level: linker.OptLocal})); err != nil {
+		if _, err := tyclib.Install(machine.New(tx), tx, linker.New(linker.Config{LocalOpt: true})); err != nil {
 			b.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {

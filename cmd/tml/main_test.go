@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tycoon"
 )
 
 // invoke runs one tml command line in-process and returns its exit code and
@@ -182,4 +184,37 @@ func TestFailedVerbsCommitNothing(t *testing.T) {
 		t.Fatalf("import without helper: exit %d, stderr %q", code, diag)
 	}
 	unchanged("import")
+}
+
+// TestCompiledConstantQueriesRelation: tml compile runs a module's
+// constants on a machine with the query executors, so a constant may
+// count a relation. No tml verb creates a relation; the facade does.
+func TestCompiledConstantQueriesRelation(t *testing.T) {
+	dir := t.TempDir()
+	db := filepath.Join(dir, "db.tyst")
+	sys, err := tycoon.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := sys.CreateRelation("t", []tycoon.Column{{Name: "id", Type: tycoon.ColInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 10; i++ {
+		if err := sys.InsertRow(rel, tycoon.IntVal(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mustTML(t, "compile", "-store", db, write(t, filepath.Join(dir, "q.tl"), `module q export n
+rel t : Rel(id : Int)
+let c : Int = count(t)
+let n() : Int = c
+end
+`))
+	if out, _ := mustTML(t, "run", "-store", db, "q.n"); out != "10\n" {
+		t.Errorf("run q.n = %q, want 10", out)
+	}
 }

@@ -75,7 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cs := sys.OptCacheStats()
+	cs := sys.Reflect.CacheStats()
 	fmt.Printf("\nre-optimize: cache hit = %v (%d passes ran); cache: %d hits / %d misses\n",
 		res2.CacheHit, len(res2.Pipeline.Passes), cs.Hits, cs.Misses)
 }

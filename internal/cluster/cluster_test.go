@@ -1024,6 +1024,50 @@ func TestHandoffRepairRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsCountsRepairBeforeLive races Stats against repair passes: a
+// snapshot that shows a repaired replica live must also count its
+// repair, since the chaos lane's convergence loop reads exactly that
+// pair.
+func TestStatsCountsRepairBeforeLive(t *testing.T) {
+	tc, _ := bootRepairCluster(t, 1, 2)
+	target := tc.replicas[0][1]
+	const rounds = 3
+	for round := int64(1); round <= rounds; round++ {
+		target.kill(t)
+		if _, err := tc.co.Submit(saveSubmit(t, tc.topo, 0, int(round))); err != nil {
+			t.Fatalf("round %d: write with one replica down: %v", round, err)
+		}
+		target.revive(t)
+		tc.co.MarkAllUp()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			tc.co.RepairNow()
+		}()
+		for live := false; !live; {
+			select {
+			case <-done:
+				live = true
+			default:
+			}
+			st := tc.co.Stats()
+			if replicaStat(t, st, target.addr).State == "live" {
+				if st.Repairs < round {
+					t.Errorf("round %d: a snapshot shows the replica live with Repairs = %d", round, st.Repairs)
+				}
+				live = true
+			}
+		}
+		<-done
+		if t.Failed() {
+			return
+		}
+		if rs := replicaStat(t, tc.co.Stats(), target.addr); rs.State != "live" {
+			t.Fatalf("round %d: replica not repaired: %+v", round, rs)
+		}
+	}
+}
+
 // TestScatterSumDuringLag: a merge=sum scatter started while a replica
 // is lagging must keep satisfying the never-wrong-answers oracle — the
 // healthy replica serves its shard in full, and the lagging replica is

@@ -997,7 +997,6 @@ func (co *Coordinator) Stats() *ship.ClusterStats {
 		Shed:           co.gate.Shed(),
 		HandoffWrites:  co.handoffWrites.Load(),
 		RepairShipped:  co.repairShipped.Load(),
-		Repairs:        co.repairs.Load(),
 		RepairMismatch: co.repairMismatch.Load(),
 	}
 	for _, s := range co.shards {
@@ -1021,6 +1020,8 @@ func (co *Coordinator) Stats() *ship.ClusterStats {
 			})
 		}
 	}
+	// After the states: a repair is counted before its replica turns live.
+	st.Repairs = co.repairs.Load()
 	return st
 }
 

@@ -83,8 +83,10 @@ func (co *Coordinator) repairReplica(s *shard, rep *replica) {
 	}
 	rep.lagMu.Lock()
 	if rep.ho.Len() == 0 {
-		rep.state.Store(repLive)
+		// Counted before the state flips: a Stats reader that sees the
+		// replica live (it reads Repairs after the states) sees the repair.
 		co.repairs.Add(1)
+		rep.state.Store(repLive)
 		co.logf("shard %d replica %s repaired: backlog drained, digests agree, back in reads", s.index, rep.addr)
 	} else {
 		// New writes landed between the audit and now; not converged yet.

@@ -3,7 +3,6 @@ package linker_test
 import (
 	"testing"
 
-	"tycoon/internal/linker"
 	"tycoon/internal/machine"
 	"tycoon/internal/relalg"
 	"tycoon/internal/store"
@@ -97,7 +96,7 @@ let deepTry(n : Int) : Int =
     if e2 = "rethrown" then -1 else -2 end
   end
 end`
-	for _, level := range []linker.OptLevel{linker.OptNone, linker.OptLocal} {
+	for _, level := range []bool{false, true} {
 		st, lk, comp, m, _ := setup(t, level)
 		mod := install(t, st, lk, comp, src)
 		cases := []struct {
@@ -134,11 +133,11 @@ end`
 		for _, tt := range cases {
 			v, err := m.CallExport(mod, tt.fn, tt.args)
 			if err != nil {
-				t.Errorf("level %d: %s(%v): %v", level, tt.fn, tt.args, err)
+				t.Errorf("localOpt %v: %s(%v): %v", level, tt.fn, tt.args, err)
 				continue
 			}
 			if !machine.Eq(v, tt.want) {
-				t.Errorf("level %d: %s(%v) = %s, want %s", level, tt.fn, tt.args, v.Show(), tt.want.Show())
+				t.Errorf("localOpt %v: %s(%v) = %s, want %s", level, tt.fn, tt.args, v.Show(), tt.want.Show())
 			}
 		}
 	}
@@ -146,7 +145,7 @@ end`
 
 // TestCaseWithoutElseRaises pins the runtime semantics of a fall-through.
 func TestCaseWithoutElseRaises(t *testing.T) {
-	st, lk, comp, m, _ := setup(t, linker.OptNone)
+	st, lk, comp, m, _ := setup(t, false)
 	mod := install(t, st, lk, comp, `
 module c export f
 let f(n : Int) : Int = begin case n of 1 => print(1) | 2 => print(2) end; n end
@@ -162,7 +161,7 @@ end`)
 // TestExceptionAcrossCalls checks that the ce chain crosses function
 // boundaries: a raise deep in a callee lands in the caller's handler.
 func TestExceptionAcrossCalls(t *testing.T) {
-	st, lk, comp, m, _ := setup(t, linker.OptNone)
+	st, lk, comp, m, _ := setup(t, false)
 	mod := install(t, st, lk, comp, `
 module x export outer
 let inner(n : Int) : Int = if n = 0 then raise "deep" else n end
@@ -181,7 +180,7 @@ end`)
 
 // TestJoinQueries executes TL θ-joins end to end.
 func TestJoinQueries(t *testing.T) {
-	st, lk, comp, m, _ := setup(t, linker.OptNone)
+	st, lk, comp, m, _ := setup(t, false)
 	emp, err := relalg.CreateRelation(st, "jemp", []store.Column{
 		{Name: "id", Type: store.ColInt},
 		{Name: "dept", Type: store.ColInt},
@@ -234,7 +233,7 @@ end`)
 
 // TestJoinRowRestriction pins the whole-tuple restriction on join rows.
 func TestJoinRowRestriction(t *testing.T) {
-	_, _, comp, _, _ := setup(t, linker.OptNone)
+	_, _, comp, _, _ := setup(t, false)
 	_, err := comp.Compile(`
 module bad export f
 rel jemp2 : Rel(id : Int)

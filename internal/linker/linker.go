@@ -18,22 +18,12 @@ import (
 	"tycoon/internal/tml"
 )
 
-// OptLevel selects the static optimization applied at installation.
-type OptLevel uint8
-
-// The optimization levels.
-const (
-	// OptNone installs code as generated.
-	OptNone OptLevel = iota
-	// OptLocal runs the TML optimizer on each function in isolation —
-	// the compile-time regime of experiment E1.
-	OptLocal
-)
-
 // Config configures a Linker.
 type Config struct {
-	// Level selects static optimization (E1's regimes).
-	Level OptLevel
+	// LocalOpt runs the TML optimizer on each function in isolation —
+	// the compile-time regime of experiment E1; without it code installs
+	// as generated.
+	LocalOpt bool
 	// StripPTML omits the persistent TML tree from installed closures;
 	// the paper's §6 code-size comparison (E3) measures exactly this
 	// difference. Stripped closures cannot be dynamically re-optimized.
@@ -91,28 +81,25 @@ func Function(v store.View, module, fn string) (store.OID, error) {
 	return val.Ref, nil
 }
 
-// NotFoundError reports a module (Fn empty) or an exported function that
-// a store does not hold.
-type NotFoundError struct{ Module, Fn string }
+// NotFoundError reports a module (Fn empty), an exported function or a
+// root (Root set) that a store does not hold.
+type NotFoundError struct{ Module, Fn, Root string }
 
 func (e *NotFoundError) Error() string {
+	if e.Root != "" {
+		return "no root " + e.Root
+	}
 	if e.Fn == "" {
 		return "module " + e.Module + " not installed"
 	}
 	return e.Module + "." + e.Fn + " is not an exported function"
 }
 
-// InstallModule installs one compiled module into tx and returns the
+// InstallModuleOn installs one compiled module into tx and returns the
 // module object's OID. Imported modules and declared relations must be
-// visible to tx. The module's constants run on a fresh machine over tx,
-// under the default step budget.
-func (l *Linker) InstallModule(tx *store.Txn, unit *tl.ModuleUnit) (store.OID, error) {
-	return l.InstallModuleOn(machine.New(tx), tx, unit)
-}
-
-// InstallModuleOn is InstallModule running the module's constants on m,
-// under m's step budget and deadline: a server installs on the machine
-// it lent the request, so an INSTALL is bounded like any other request.
+// visible to tx. The module's constants run on m, over tx, under m's
+// step budget and deadline: a core machine, so a constant may query a
+// relation, print, and is bounded like any other run.
 func (l *Linker) InstallModuleOn(m *machine.Machine, tx *store.Txn, unit *tl.ModuleUnit) (store.OID, error) {
 	// Declared relations must resolve (their bindings are baked into the
 	// closure records).
@@ -169,7 +156,7 @@ func (l *Linker) InstallModuleOn(m *machine.Machine, tx *store.Txn, unit *tl.Mod
 
 // buildClosure optimizes, compiles and persists one function by running
 // it as a job through the compilation pipeline: optional local
-// optimization (OptLocal), TAM code generation, and both persistent
+// optimization (LocalOpt), TAM code generation, and both persistent
 // encodings in one instrumented sequence, into tx.
 func (l *Linker) buildClosure(tx *store.Txn, name string, abs *tml.Abs, free []*tl.FreeRef, declVals map[string]store.Val) (*store.Closure, error) {
 	res, err := l.pipe.Run(pipeline.Job{
@@ -178,7 +165,7 @@ func (l *Linker) buildClosure(tx *store.Txn, name string, abs *tml.Abs, free []*
 			gen.Skip(tml.MaxVarID(abs))
 			return abs, nil
 		},
-		SkipOptimize: l.cfg.Level == OptNone,
+		SkipOptimize: !l.cfg.LocalOpt,
 		Codegen:      true,
 		EncodeTAM:    true,
 		EncodePTML:   !l.cfg.StripPTML,

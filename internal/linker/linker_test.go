@@ -24,7 +24,7 @@ func library(t *testing.T, cfg linker.Config) (*store.Store, *linker.Linker, *tl
 	t.Cleanup(func() { st.Close() })
 	lk := linker.New(cfg)
 	tx := st.Begin()
-	comp, err := tyclib.Install(tx, lk)
+	comp, err := tyclib.Install(machine.New(tx), tx, lk)
 	if err != nil {
 		t.Fatalf("tyclib install: %v", err)
 	}
@@ -37,9 +37,9 @@ func library(t *testing.T, cfg linker.Config) (*store.Store, *linker.Linker, *tl
 // setup returns the pieces needed to compile and run user modules over a
 // library store: one open transaction, which installs write into and the
 // machine runs against.
-func setup(t *testing.T, level linker.OptLevel) (*store.Txn, *linker.Linker, *tl.Compiler, *machine.Machine, *relalg.Manager) {
+func setup(t *testing.T, localOpt bool) (*store.Txn, *linker.Linker, *tl.Compiler, *machine.Machine, *relalg.Manager) {
 	t.Helper()
-	st, lk, comp := library(t, linker.Config{Level: level})
+	st, lk, comp := library(t, linker.Config{LocalOpt: localOpt})
 	tx := st.Begin()
 	t.Cleanup(tx.Abort)
 	m := machine.New(tx)
@@ -54,7 +54,7 @@ func install(t *testing.T, tx *store.Txn, lk *linker.Linker, comp *tl.Compiler, 
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	oid, err := lk.InstallModule(tx, unit)
+	oid, err := lk.InstallModuleOn(machine.New(tx), tx, unit)
 	if err != nil {
 		t.Fatalf("install: %v", err)
 	}
@@ -121,7 +121,7 @@ end
 `
 
 func TestEndToEndDemo(t *testing.T) {
-	for _, level := range []linker.OptLevel{linker.OptNone, linker.OptLocal} {
+	for _, level := range []bool{false, true} {
 		st, lk, comp, m, _ := setup(t, level)
 		mod := install(t, st, lk, comp, demoSrc)
 
@@ -146,14 +146,14 @@ func TestEndToEndDemo(t *testing.T) {
 		}
 		for _, tt := range cases {
 			if got := callInt(t, m, mod, tt.fn, tt.args...); got != tt.want {
-				t.Errorf("level %d: %s = %d, want %d", level, tt.fn, got, tt.want)
+				t.Errorf("localOpt %v: %s = %d, want %d", level, tt.fn, got, tt.want)
 			}
 		}
 	}
 }
 
 func TestEndToEndQueries(t *testing.T) {
-	st, lk, comp, m, _ := setup(t, linker.OptNone)
+	st, lk, comp, m, _ := setup(t, false)
 	// Create the relation the module binds against.
 	oid, err := relalg.CreateRelation(st, "emp", []store.Column{
 		{Name: "id", Type: store.ColInt},
@@ -202,7 +202,7 @@ end`
 }
 
 func TestConstantsAndCrossModule(t *testing.T) {
-	st, lk, comp, m, _ := setup(t, linker.OptNone)
+	st, lk, comp, m, _ := setup(t, false)
 	install(t, st, lk, comp, `
 module geom export pi, area
 let pi = 3.14159
@@ -225,7 +225,7 @@ func TestPersistAndRerun(t *testing.T) {
 	}
 	lk := linker.New(linker.Config{})
 	tx := st.Begin()
-	comp, err := tyclib.Install(tx, lk)
+	comp, err := tyclib.Install(machine.New(tx), tx, lk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestPersistAndRerun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lk.InstallModule(tx, unit); err != nil {
+	if _, err := lk.InstallModuleOn(machine.New(tx), tx, unit); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -260,7 +260,7 @@ func TestPersistAndRerun(t *testing.T) {
 }
 
 func TestUnhandledExceptionPropagates(t *testing.T) {
-	st, lk, comp, m, _ := setup(t, linker.OptNone)
+	st, lk, comp, m, _ := setup(t, false)
 	mod := install(t, st, lk, comp, `
 module boom export f
 let f(n : Int) : Int = if n = 0 then raise "zero" else n end
@@ -282,7 +282,7 @@ func TestStripPTML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modOID, err := lk.InstallModule(st, unit)
+	modOID, err := lk.InstallModuleOn(machine.New(st), st, unit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestStripPTML(t *testing.T) {
 }
 
 func TestMissingRelationFailsInstall(t *testing.T) {
-	st, lk, comp, _, _ := setup(t, linker.OptNone)
+	st, lk, comp, _, _ := setup(t, false)
 	unit, err := comp.Compile(`
 module r export f
 rel nosuch : Rel(id : Int)
@@ -309,7 +309,7 @@ end`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lk.InstallModule(st, unit); err == nil {
+	if _, err := lk.InstallModuleOn(machine.New(st), st, unit); err == nil {
 		t.Error("install with missing relation succeeded")
 	}
 }
@@ -331,7 +331,7 @@ end`)
 	}
 	before := st.Len()
 	tx := st.Begin()
-	if _, err := lk.InstallModule(tx, unit); !errors.Is(err, machine.ErrUnhandled) {
+	if _, err := lk.InstallModuleOn(machine.New(tx), tx, unit); !errors.Is(err, machine.ErrUnhandled) {
 		t.Fatalf("install = %v, want the constant's unhandled exception", err)
 	}
 	tx.Abort()

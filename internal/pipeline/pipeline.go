@@ -121,8 +121,8 @@ type Job struct {
 	Opt opt.Options
 	// Packs are extra rule packs applied during reduction, in order.
 	Packs []RulePack
-	// SkipOptimize installs the source as produced (the linker's OptNone
-	// level): no reduce/expand passes run.
+	// SkipOptimize installs the source as produced (the linker without
+	// LocalOpt): no reduce/expand passes run.
 	SkipOptimize bool
 	// Codegen compiles the optimized term to TAM code.
 	Codegen bool

@@ -251,7 +251,7 @@ func TestConcurrentInstallAndOptimize(t *testing.T) {
 				return
 			}
 			tx := w.st.Begin()
-			if _, err := w.lk.InstallModule(tx, unit); err != nil {
+			if _, err := w.lk.InstallModuleOn(machine.New(tx), tx, unit); err != nil {
 				tx.Abort()
 				t.Error(err)
 				return

@@ -5,6 +5,7 @@ import (
 
 	"tycoon/internal/linker"
 	"tycoon/internal/machine"
+	"tycoon/internal/pipeline"
 	"tycoon/internal/reflectopt"
 	"tycoon/internal/store"
 )
@@ -40,7 +41,7 @@ end`)
 
 	// Reference: PTML-based reflective optimization.
 	stP, mP, oidP := build(false)
-	roP := reflectopt.New(stP, reflectopt.Options{})
+	roP := reflectopt.New(stP, pipeline.New(stP, pipeline.Config{}), reflectopt.Options{})
 	resP, err := roP.Optimize(oidP)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +50,7 @@ end`)
 
 	// Experiment: code-based reconstruction on a stripped store.
 	stC, mC, oidC := build(true)
-	roC := reflectopt.New(stC, reflectopt.Options{FromCode: true})
+	roC := reflectopt.New(stC, pipeline.New(stC, pipeline.Config{}), reflectopt.Options{FromCode: true})
 	resC, err := roC.Optimize(oidC)
 	if err != nil {
 		t.Fatalf("FromCode optimization failed: %v", err)
@@ -81,7 +82,7 @@ module r export fact
 let fact(n : Int) : Int = if n < 2 then 1 else n * fact(n - 1) end
 end`), "fact")
 
-	ro := reflectopt.New(w.st, reflectopt.Options{FromCode: true})
+	ro := reflectopt.New(w.st, pipeline.New(w.st, pipeline.Config{}), reflectopt.Options{FromCode: true})
 	m := machine.New(w.st)
 	res, err := ro.OptimizeAndInstall(m.Code, fact)
 	if err != nil {

@@ -46,13 +46,6 @@ type Options struct {
 	// Closures installed with StripPTML become optimizable again, at the
 	// cost of a non-isomorphic (occasionally duplicated) tree.
 	FromCode bool
-	// Pipe, when non-nil, is the compilation pipeline to run jobs through
-	// instead of a private one. tycd injects its server-wide pipeline here
-	// so reflective optimizations and remote SUBMIT compilations share one
-	// cache and one singleflight group across all sessions. The optionsFP
-	// component of every key keeps the FromCode and PTML configurations
-	// apart from each other and from other users of the shared cache.
-	Pipe *pipeline.Pipeline
 }
 
 // Cross-barrier inlining bounds.
@@ -85,12 +78,13 @@ type Optimizer struct {
 	optionsFP uint64
 }
 
-// New returns a dynamic optimizer over st.
-func New(st *store.Store, opts Options) *Optimizer {
-	pipe := opts.Pipe
-	if pipe == nil {
-		pipe = pipeline.New(st, pipeline.Config{})
-	}
+// New returns a dynamic optimizer over st that runs its jobs through
+// pipe, which it may share: in the core, reflective optimizations and
+// tycd's SUBMIT compilations share one cache and one singleflight group.
+// The optionsFP component of every key keeps the FromCode and PTML
+// configurations apart from each other and from the pipeline's other
+// users.
+func New(st *store.Store, pipe *pipeline.Pipeline, opts Options) *Optimizer {
 	fp := pipeline.FingerprintOptions("reflectopt", opts.FromCode)
 	return &Optimizer{st: st, opts: opts, pipe: pipe, optionsFP: fp}
 }

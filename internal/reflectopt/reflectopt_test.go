@@ -7,6 +7,7 @@ import (
 
 	"tycoon/internal/linker"
 	"tycoon/internal/machine"
+	"tycoon/internal/pipeline"
 	"tycoon/internal/reflectopt"
 	"tycoon/internal/relalg"
 	"tycoon/internal/store"
@@ -40,14 +41,14 @@ func setupWith(t *testing.T, cfg linker.Config) *world {
 	lk := linker.New(cfg)
 	w := &world{st: st, lk: lk}
 	w.write(t, func(tx *store.Txn) {
-		if w.comp, err = tyclib.Install(tx, lk); err != nil {
+		if w.comp, err = tyclib.Install(machine.New(tx), tx, lk); err != nil {
 			t.Fatal(err)
 		}
 	})
 	m := machine.New(st)
 	mg := relalg.NewManager(st)
 	mg.Register(m)
-	w.m, w.mg, w.ro = m, mg, reflectopt.New(st, reflectopt.Options{})
+	w.m, w.mg, w.ro = m, mg, reflectopt.New(st, pipeline.New(st, pipeline.Config{}), reflectopt.Options{})
 	return w
 }
 
@@ -70,7 +71,7 @@ func (w *world) install(t *testing.T, src string) store.OID {
 	}
 	var oid store.OID
 	w.write(t, func(tx *store.Txn) {
-		if oid, err = w.lk.InstallModule(tx, unit); err != nil {
+		if oid, err = w.lk.InstallModuleOn(machine.New(tx), tx, unit); err != nil {
 			t.Fatalf("install: %v", err)
 		}
 	})

@@ -38,7 +38,7 @@ import (
 )
 
 // Digests answers a DIGEST request against the server's store.
-func (s *Server) Digests(prefix string) *ship.DigestOK { return StoreDigests(s.st, prefix) }
+func (s *Server) Digests(prefix string) *ship.DigestOK { return StoreDigests(s.core.Store, prefix) }
 
 // StoreDigests computes the per-root digest map of a store, restricted
 // to roots whose name starts with prefix ("" means all). CSN and binding

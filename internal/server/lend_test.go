@@ -46,11 +46,7 @@ func TestIdleSessionsHoldNoMachine(t *testing.T) {
 		t.Cleanup(func() { c.Close() })
 		return c
 	}
-	idle := func() int {
-		srv.idleMu.Lock()
-		defer srv.idleMu.Unlock()
-		return len(srv.idle)
-	}
+	idle := func() int { return len(srv.core.Idle()) }
 	call := func(c *client.Client, n int64) error {
 		res, err := c.Call("app", "fib", ship.WVal{Kind: ship.WInt, Int: n})
 		if err == nil && n == 15 && res.Val.Int != 610 {

@@ -1,8 +1,10 @@
 // Package server implements tycd, the multi-session Tycoon database
-// server: N concurrent client sessions sharing one persistent store, one
-// relational index cache, one code table of reflectively optimized
-// closures, the execution machines their requests borrow and — the point
-// of the exercise — one compilation pipeline. A PTML tree submitted by any
+// server: N concurrent client sessions over one core (package
+// internal/core, the composition root the facade and the Stanford
+// harness build too), so they share one persistent store, one relational
+// index cache, one code table of reflectively optimized closures, the
+// execution machines their requests borrow and — the point of the
+// exercise — one compilation pipeline. A PTML tree submitted by any
 // session is compiled (and optionally reflectively optimized) exactly
 // once; every other session submitting the α-same term against the
 // same bindings gets the cached code, and concurrent first submissions
@@ -23,15 +25,9 @@ import (
 	"sync"
 	"time"
 
-	"tycoon/internal/linker"
-	"tycoon/internal/machine"
-	"tycoon/internal/pipeline"
-	"tycoon/internal/reflectopt"
-	"tycoon/internal/relalg"
+	"tycoon/internal/core"
 	"tycoon/internal/ship"
 	"tycoon/internal/store"
-	"tycoon/internal/tl"
-	"tycoon/internal/tyclib"
 )
 
 // Defaults for Config zero values.
@@ -90,30 +86,9 @@ type Config struct {
 // serving core's; this package supplies the verbs.
 type Server struct {
 	*ship.FrontEnd
-	st   *store.Store
-	cfg  Config
-	comp *tl.Compiler
-	lk   *linker.Linker
-	pipe *pipeline.Pipeline
-	ropt *reflectopt.Optimizer
-	mg   *relalg.Manager
-	// code is the server's one code image: every machine links persistent
-	// closures and decodes code blobs into it, once per server, and
-	// OPTIMIZE installs into it, so optimized code serves every session,
-	// not only the one that asked.
-	code *machine.CodeTable
-
-	// idle holds the machines no request is running on (see run). It
-	// never holds more than ran at once, which the overload gate and the
-	// session limit bound; a sync.Pool would drop them at GC and the next
-	// request would rebuild their stacks, frames and memos.
-	idleMu sync.Mutex
-	idle   []*machine.Machine
-
-	// installMu serialises module compilation and installation: the TL
-	// compiler accumulates module signatures and is not safe for
-	// concurrent Compile calls.
-	installMu sync.Mutex
+	// core is the environment the verbs run in: store, compiler, the
+	// shared pipeline, code table and lent machines.
+	core *core.Core
 
 	// dedup is the idempotency record table (see dedup.go).
 	dedup *Dedup
@@ -128,12 +103,13 @@ type Server struct {
 	degReason string
 }
 
-// New builds a server over the store: linker, TL compiler with the
-// standard library (installed only into a store that lacks it), the
-// shared compilation pipeline (injected into the reflective optimizer so
-// SUBMIT compilations and reflective optimizations share one cache), and
-// the relational substrate manager. Installed modules are found through
-// their module: roots, so a restart rebuilds no module table.
+// New builds a server over the store on one core (package core): the TL
+// compiler with the standard library (installed only into a store that
+// lacks it), the shared compilation pipeline that SUBMIT compilations and
+// reflective optimizations share, the relational substrate and the code
+// table. The core lends each request a machine under the server's step
+// and wall budgets. Installed modules are found through their module:
+// roots, so a restart rebuilds no module table.
 func New(st *store.Store, cfg Config) (*Server, error) {
 	if cfg.WallBudget == 0 {
 		cfg.WallBudget = DefaultWallBudget
@@ -147,31 +123,21 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 	if cfg.Dedup == nil {
 		cfg.Dedup = NewDedup(0)
 	}
-	level := linker.OptNone
-	if cfg.LocalOpt {
-		level = linker.OptLocal
-	}
-	lk := linker.New(linker.Config{Level: level})
-	// The library installs (into a store that lacks it) as one commit.
-	tx := st.Begin()
-	comp, err := tyclib.Install(tx, lk)
+	c, err := core.New(st, core.Config{
+		Options:    core.Options{LocalOpt: cfg.LocalOpt},
+		StepBudget: cfg.StepBudget,
+		WallBudget: cfg.WallBudget,
+	})
 	if err != nil {
-		tx.Abort()
 		return nil, err
 	}
-	if err := tx.Commit(); err != nil {
+	// Boot is durable: the library the core published reaches the disk
+	// before the first request does.
+	if err := st.Flush(); err != nil {
 		return nil, err
 	}
-	pipe := pipeline.New(st, pipeline.Config{})
 	s := &Server{
-		st:    st,
-		cfg:   cfg,
-		comp:  comp,
-		lk:    lk,
-		pipe:  pipe,
-		ropt:  reflectopt.New(st, reflectopt.Options{Pipe: pipe}),
-		mg:    relalg.NewManager(st),
-		code:  new(machine.CodeTable),
+		core:  c,
 		dedup: cfg.Dedup,
 		gate:  ship.NewGate(cfg.MaxInflight, cfg.RetryAfter, "server"),
 	}
@@ -198,43 +164,6 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		AfterDrain: st.Flush,
 	})
 	return s, nil
-}
-
-// Pipeline exposes the shared compilation pipeline.
-func (s *Server) Pipeline() *pipeline.Pipeline { return s.pipe }
-
-// run lends f a machine for one request: an idle one, or a new one over
-// the server's code image with the step budget and the query executors.
-// The machine runs against view, from a zero step count and under the
-// request's wall deadline; afterwards it forgets both and goes back to
-// the idle list. A machine whose run panicked is not put back: whatever
-// state the panic left behind is never lent again.
-func (s *Server) run(view store.View, f func(*machine.Machine) error) error {
-	var m *machine.Machine
-	s.idleMu.Lock()
-	if n := len(s.idle); n > 0 {
-		m = s.idle[n-1]
-		s.idle[n-1] = nil
-		s.idle = s.idle[:n-1]
-	}
-	s.idleMu.Unlock()
-	if m == nil {
-		m = machine.New(nil)
-		m.Code = s.code
-		m.MaxSteps = s.cfg.StepBudget
-		s.mg.Register(m)
-	}
-	m.Store = view
-	m.ResetSteps()
-	if w := s.cfg.WallBudget; w > 0 {
-		m.Deadline = time.Now().Add(w)
-	}
-	err := f(m)
-	m.Store, m.Deadline = nil, time.Time{}
-	s.idleMu.Lock()
-	s.idle = append(s.idle, m)
-	s.idleMu.Unlock()
-	return err
 }
 
 // enterDegraded latches the advisory degraded flag: this writer's commit
@@ -287,7 +216,7 @@ func (s *Server) Degraded() (bool, string) {
 // failed-commit backlog accumulated before the mode latched gets durable
 // too.
 func (s *Server) ClearDegraded() error {
-	err := s.st.Flush()
+	err := s.core.Store.Flush()
 	s.noteCommit(err)
 	return err
 }
@@ -299,9 +228,9 @@ func (s *Server) fillStats(out *ship.ServerStats) {
 	s.mu.Unlock()
 	out.Inflight, out.Shed = s.gate.Inflight(), s.gate.Shed()
 	out.IdemApplied, out.IdemDeduped = s.dedup.Counters()
-	out.Pipeline = s.pipe.CacheStats()
-	out.Indexes = s.mg.IndexStats()
-	tx := s.st.TxStats()
+	out.Pipeline = s.core.Pipe.CacheStats()
+	out.Indexes = s.core.Rel.IndexStats()
+	tx := s.core.Store.TxStats()
 	out.Store = &tx
 	out.Watch = s.watch.stats()
 }

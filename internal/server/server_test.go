@@ -610,6 +610,26 @@ end`)
 	}
 }
 
+// TestInstalledConstantQueriesRelation: a served INSTALL runs a module's
+// constants on a lent machine with the query executors, as the facade
+// and tml compile do, so a constant may count a relation.
+func TestInstalledConstantQueriesRelation(t *testing.T) {
+	_, addr, st := world(t, "", server.Config{})
+	fill(t, st, 10)
+	c := dial(t, addr)
+	if _, err := c.Install(`module q export n
+rel t : Rel(id : Int, val : Int)
+let c : Int = count(t)
+let n() : Int = c
+end`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Call("q", "n")
+	if err != nil || res.Val.Int != 10 {
+		t.Fatalf("q.n() = %v, %v; want 10", res, err)
+	}
+}
+
 // TestDrainCommitsStore is the tycd half of a graceful drain (the
 // front end's half — idle sessions woken, newcomers refused, no waiting
 // out the context — is ship's TestFrontEndConformance): sessions that

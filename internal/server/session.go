@@ -20,7 +20,7 @@ import (
 // session is one client connection's view of the server: the verb
 // handlers over the shared store, derived caches, code image and
 // pipeline. It owns no execution state; each request that runs code
-// borrows a machine for its duration (Server.run). The connection itself
+// borrows a machine for its duration (core.Run). The connection itself
 // belongs to the serving core (ship.Session).
 type session struct {
 	srv *Server
@@ -82,36 +82,30 @@ func (s *session) handleDigest(body []byte) (ship.Verb, []byte, *ship.WireError)
 // handleInstall compiles and installs a TL module in one transaction:
 // the module is published whole at its commit, and an install that
 // fails anywhere leaves nothing in the store. The module's constants run
-// on a borrowed machine over that transaction, under the request's step
-// and wall budgets. A keyed request runs through the idempotency table:
-// a client retrying a lost response gets the recorded result instead of
-// reinstalling.
+// on a machine the core lends over that transaction, under the request's
+// step and wall budgets. A keyed request runs through the idempotency
+// table: a client retrying a lost response gets the recorded result
+// instead of reinstalling.
 func (s *session) handleInstall(body []byte) (*ship.Result, *ship.WireError) {
 	req, err := ship.DecodeInstall(body)
 	if err != nil {
 		return nil, ship.WireErr(ship.CodeProto, err)
 	}
 	install := func() (*ship.Result, *ship.WireError, bool) {
-		s.srv.installMu.Lock()
-		defer s.srv.installMu.Unlock()
-		unit, err := s.srv.comp.Compile(req.Source)
-		if err != nil {
-			return nil, ship.WireErr(ship.CodeCompile, err), false
-		}
-		txn := s.srv.st.Begin()
-		defer txn.Abort()
-		err = s.srv.run(txn, func(m *machine.Machine) error {
-			_, err := s.srv.lk.InstallModuleOn(m, txn, unit)
-			return err
-		})
-		if err != nil {
-			if werr := execErr(err); werr.Code == ship.CodeBudget {
-				return nil, werr, false
+		var werr *ship.WireError
+		unit, _, err := s.srv.core.Install(req.Source, func(txn *store.Txn) error {
+			if werr = s.commitTxn(txn, "install"); werr != nil {
+				return werr
 			}
-			return nil, ship.WireErr(ship.CodeCompile, err), false
-		}
-		if werr := s.commitTxn(txn, "install"); werr != nil {
+			return nil
+		})
+		switch {
+		case werr != nil:
 			return nil, werr, false
+		case err != nil && execErr(err).Code == ship.CodeBudget:
+			return nil, execErr(err), false
+		case err != nil:
+			return nil, ship.WireErr(ship.CodeCompile, err), false
 		}
 		s.srv.Logf("session %d: installed module %s", s.c.ID(), unit.Name)
 		// An install is always a durable write: record it.
@@ -145,30 +139,23 @@ func (s *session) handleCall(body []byte) (*ship.Result, *ship.WireError) {
 	// The call executes against its own transaction: reads come from a
 	// snapshot pinned at begin, writes stay private until the commit below
 	// (after which the deferred Abort is a no-op).
-	txn := s.srv.st.Begin()
+	txn := s.srv.core.Store.Begin()
 	defer txn.Abort()
-	var modOID, saved store.OID
-	var ok bool
-	if req.Module != "" {
-		if modOID, ok = linker.Module(txn, req.Module); !ok {
-			return nil, &ship.WireError{Code: ship.CodeNotFound, Msg: "module " + req.Module + " not installed"}
-		}
-	} else if saved, ok = txn.Root(ship.SavedRoot + req.Fn); !ok {
-		return nil, &ship.WireError{Code: ship.CodeNotFound, Msg: "no saved closure " + req.Fn}
+	fn := req.Fn
+	if req.Module == "" {
+		fn = ship.SavedRoot + req.Fn
 	}
-	var v machine.Value
-	var steps int64
-	err = s.srv.run(txn, func(m *machine.Machine) (err error) {
-		if req.Module != "" {
-			v, err = m.CallExport(modOID, req.Fn, args)
-		} else {
-			v, err = m.Apply(machine.Ref{OID: saved}, args)
-		}
-		steps = m.Steps()
-		return err
-	})
+	v, steps, err := s.srv.core.Call(txn, req.Module, fn, args)
 	if err != nil {
-		return nil, execErr(err)
+		var nf *linker.NotFoundError
+		switch {
+		case !errors.As(err, &nf):
+			return nil, execErr(err)
+		case req.Module == "":
+			return nil, &ship.WireError{Code: ship.CodeNotFound, Msg: "no saved closure " + req.Fn}
+		default:
+			return nil, ship.WireErr(ship.CodeNotFound, err)
+		}
 	}
 	if werr := s.commitTxn(txn, "call"); werr != nil {
 		return nil, werr
@@ -293,7 +280,7 @@ func (s *session) runSubmit(req *ship.Submit, srcHash ptml.Hash) (*ship.Result, 
 	}
 	var packs []pipeline.RulePack
 	if req.Optimize {
-		packs = append(packs, qopt.RuntimePack(s.srv.st))
+		packs = append(packs, qopt.RuntimePack(s.srv.core.Store))
 	}
 	job := pipeline.Job{
 		Name: name,
@@ -312,7 +299,7 @@ func (s *session) runSubmit(req *ship.Submit, srcHash ptml.Hash) (*ship.Result, 
 			Options:  pipeline.FingerprintOptions("tycd-submit", req.Optimize),
 		},
 	}
-	res, err := s.srv.pipe.Run(job)
+	res, err := s.srv.core.Pipe.Run(job)
 	switch {
 	case errors.Is(err, tml.ErrIllFormed):
 		// The shipped term violates a §2.2 constraint: the client's fault.
@@ -326,23 +313,23 @@ func (s *session) runSubmit(req *ship.Submit, srcHash ptml.Hash) (*ship.Result, 
 	// the store. The execution reads the transaction's snapshot; its
 	// writes, and the objects a save= stages, stay buffered until the
 	// commit (after which the deferred Abort is a no-op).
-	txn := s.srv.st.Begin()
+	txn := s.srv.core.Store.Begin()
 	defer txn.Abort()
 	var v machine.Value
 	var steps int64
 	var explain string
-	err = s.srv.run(txn, func(m *machine.Machine) (err error) {
+	err = s.srv.core.Run(txn, func(m *machine.Machine) (err error) {
 		if req.Explain {
-			s.srv.mg.CaptureExplain(m)
+			s.srv.core.Rel.CaptureExplain(m)
 			// Release the capture even if execution panics; after the
 			// take below this is a no-op.
-			defer s.srv.mg.TakeExplain(m)
+			defer s.srv.core.Rel.TakeExplain(m)
 		}
 		v, err = m.Apply(res.Closure, nil)
 		steps = m.Steps()
 		if req.Explain {
 			// Collect even on failure so the capture sink never leaks.
-			explain = qopt.RenderPlan(s.srv.mg.TakeExplain(m))
+			explain = qopt.RenderPlan(s.srv.core.Rel.TakeExplain(m))
 		}
 		return err
 	})
@@ -443,7 +430,7 @@ func (s *session) rebind(data []byte, binds map[string]store.Val, gen *tml.VarGe
 }
 
 // handleOptimize reflectively optimizes an installed function and
-// installs the code in the server's code table, so every session's next
+// installs the code in the core's code table, so every session's next
 // call runs it; the compilation lands in the shared pipeline cache, so a
 // repeated optimize of the same function is a hit. It reads the store
 // and writes nothing to it.
@@ -452,16 +439,12 @@ func (s *session) handleOptimize(body []byte) (*ship.Result, *ship.WireError) {
 	if err != nil {
 		return nil, ship.WireErr(ship.CodeProto, err)
 	}
-	oid, err := linker.Function(s.srv.st, req.Module, req.Fn)
+	res, err := s.srv.core.Optimize(req.Module, req.Fn)
 	if err != nil {
 		var nf *linker.NotFoundError
 		if errors.As(err, &nf) {
 			return nil, ship.WireErr(ship.CodeNotFound, err)
 		}
-		return nil, ship.WireErr(ship.CodeInternal, err)
-	}
-	res, err := s.srv.ropt.OptimizeAndInstall(s.srv.code, oid)
-	if err != nil {
 		return nil, ship.WireErr(ship.CodeCompile, err)
 	}
 	info := ship.ExecInfo{
@@ -520,7 +503,7 @@ func (s *session) wireToStoreVal(v ship.WVal) (store.Val, error) {
 	case ship.WRef:
 		return store.RefVal(store.OID(v.Ref)), nil
 	case ship.WRoot:
-		oid, ok := s.srv.st.Root(v.Str)
+		oid, ok := s.srv.core.Store.Root(v.Str)
 		if !ok {
 			return store.Val{}, fmt.Errorf("no root named %q", v.Str)
 		}

@@ -65,7 +65,7 @@ func TestServedSelectRunsVectorized(t *testing.T) {
 		for i := range cols {
 			cols[i] = store.Column{Name: fmt.Sprintf("c%d", i), Type: store.ColInt}
 		}
-		tx := srv.st.Begin()
+		tx := srv.core.Store.Begin()
 		oid, err := relalg.CreateRelation(tx, name, cols, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -190,9 +190,7 @@ func TestServedSelectRunsVectorized(t *testing.T) {
 // idleRows sums the rows the server's idle machines booked to the vector
 // and to the row-at-a-time tier.
 func idleRows(srv *Server) (vec, row int64) {
-	srv.idleMu.Lock()
-	defer srv.idleMu.Unlock()
-	for _, m := range srv.idle {
+	for _, m := range srv.core.Idle() {
 		p := m.Profile()
 		vec += p.VecRows
 		row += p.RowRows

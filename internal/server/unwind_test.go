@@ -40,7 +40,7 @@ func TestExplainReleasedOnPanic(t *testing.T) {
 	commit(t, tx)
 	// Leave one idle machine, whose count panics, for the submit to borrow.
 	var m *machine.Machine
-	srv.run(nil, func(lent *machine.Machine) error {
+	srv.core.Run(nil, func(lent *machine.Machine) error {
 		m = lent
 		return nil
 	})
@@ -73,10 +73,10 @@ func TestExplainReleasedOnPanic(t *testing.T) {
 		}()
 		newSession(srv, nil).handleSubmit(body)
 	}()
-	if plan := srv.mg.TakeExplain(m); plan != nil {
+	if plan := srv.core.Rel.TakeExplain(m); plan != nil {
 		t.Fatalf("capture left armed after the panic, holding %d plan nodes", len(plan))
 	}
-	for _, idle := range srv.idle {
+	for _, idle := range srv.core.Idle() {
 		if idle == m {
 			t.Fatal("the machine whose run panicked is idle again")
 		}

@@ -245,7 +245,7 @@ func (s *session) handleWatch(body []byte) (ship.Verb, []byte, *ship.WireError) 
 	// The store CSN is read before subscribing (lock order: the hub lock
 	// nests inside the store lock via the root hook, so the hub must
 	// never call the store); the subscribe replay covers the gap.
-	now := s.srv.st.CSN()
+	now := s.srv.core.Store.CSN()
 	sub, pos, werr := s.srv.watch.subscribe(req.Patterns, req.SinceCSN, now)
 	if werr != nil {
 		return 0, nil, werr

@@ -6,6 +6,7 @@ import (
 
 	"tycoon/internal/linker"
 	"tycoon/internal/machine"
+	"tycoon/internal/pipeline"
 	"tycoon/internal/prim"
 	"tycoon/internal/ptml"
 	"tycoon/internal/reflectopt"
@@ -36,7 +37,7 @@ func newNode(t *testing.T) *node {
 	t.Cleanup(func() { st.Close() })
 	lk := linker.New(linker.Config{})
 	tx := st.Begin()
-	comp, err := tyclib.Install(tx, lk)
+	comp, err := tyclib.Install(machine.New(tx), tx, lk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func (n *node) install(t *testing.T, src string) {
 		t.Fatal(err)
 	}
 	tx := n.st.Begin()
-	if _, err := n.lk.InstallModule(tx, unit); err != nil {
+	if _, err := n.lk.InstallModuleOn(machine.New(tx), tx, unit); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -236,7 +237,7 @@ end`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro := reflectopt.New(dst.st, reflectopt.Options{})
+	ro := reflectopt.New(dst.st, pipeline.New(dst.st, pipeline.Config{}), reflectopt.Options{})
 	res, err := ro.OptimizeAndInstall(dst.m.Code, oid)
 	if err != nil {
 		t.Fatal(err)

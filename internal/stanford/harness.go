@@ -3,12 +3,10 @@ package stanford
 import (
 	"fmt"
 
+	"tycoon/internal/core"
 	"tycoon/internal/linker"
 	"tycoon/internal/machine"
-	"tycoon/internal/reflectopt"
 	"tycoon/internal/store"
-	"tycoon/internal/tl"
-	"tycoon/internal/tyclib"
 )
 
 // Regime is one of the optimization regimes the paper's §6 evaluation
@@ -76,61 +74,40 @@ type Suite struct {
 	Machine *machine.Machine
 }
 
-// NewSuite compiles and installs the whole corpus under the regime.
+// NewSuite compiles and installs the whole corpus under the regime, on
+// one core: RegimeLocal and RegimeDynamic install with LocalOpt,
+// RegimeDirect with DirectPrims, and RegimeDynamic then reflectively
+// optimizes every program's entry into the core's code table, which the
+// suite's machine runs on.
 func NewSuite(regime Regime) (*Suite, error) {
 	st, err := store.Open("")
 	if err != nil {
 		return nil, err
 	}
-	level := linker.OptNone
-	if regime == RegimeLocal || regime == RegimeDynamic {
-		level = linker.OptLocal
-	}
 	fail := func(err error) (*Suite, error) {
 		st.Close()
 		return nil, err
 	}
-	// The library and the corpus install as one transaction.
-	tx := st.Begin()
-	defer tx.Abort()
-	lk := linker.New(linker.Config{Level: level})
-	comp, err := tyclib.Install(tx, lk)
+	c, err := core.New(st, core.Config{Options: core.Options{
+		LocalOpt:    regime == RegimeLocal || regime == RegimeDynamic,
+		DirectPrims: regime == RegimeDirect,
+	}})
 	if err != nil {
 		return fail(err)
 	}
-	if regime == RegimeDirect {
-		comp.Mode = tl.DirectPrims
-	}
 	for _, p := range Programs() {
-		unit, err := comp.Compile(p.Src)
-		if err != nil {
+		if _, _, err := c.Install(p.Src, (*store.Txn).Commit); err != nil {
 			return fail(fmt.Errorf("stanford: %s: %w", p.Name, err))
 		}
-		if _, err := lk.InstallModule(tx, unit); err != nil {
-			return fail(fmt.Errorf("stanford: %s: %w", p.Name, err))
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		return fail(err)
-	}
-	s := &Suite{
-		Regime:  regime,
-		Store:   st,
-		Machine: machine.New(st),
 	}
 	if regime == RegimeDynamic {
-		ro := reflectopt.New(st, reflectopt.Options{})
 		for _, p := range Programs() {
-			entry, err := linker.Function(st, p.Name, "run")
-			if err != nil {
-				return fail(fmt.Errorf("stanford: %w", err))
-			}
-			if _, err := ro.OptimizeAndInstall(s.Machine.Code, entry); err != nil {
+			if _, err := c.Optimize(p.Name, "run"); err != nil {
 				return fail(fmt.Errorf("stanford: optimizing %s: %w", p.Name, err))
 			}
 		}
 	}
-	return s, nil
+	return &Suite{Regime: regime, Store: st, Machine: c.NewMachine(st)}, nil
 }
 
 // Close releases the underlying store.

@@ -2,7 +2,11 @@
 // paper's §6 evaluation uses ("performing local program optimizations on
 // standard benchmarks for imperative programs (the Stanford Suite)…") —
 // to TL, and provides the harness that runs them under the three
-// optimization regimes of experiments E1 and E2.
+// optimization regimes of experiments E1 and E2 (plus the direct-primitive
+// ablation). A suite is built on the environment's one composition root
+// (package internal/core): each regime is a core configuration,
+// LocalOpt or DirectPrims, and the dynamic regime's optimized code goes
+// into the code table the suite's machine runs on.
 //
 // Substitutions: the original suite's Trees and Puzzle programs need
 // recursive record types that TL's monomorphic type system does not

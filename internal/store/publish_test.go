@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"tycoon/internal/iofault"
@@ -202,5 +204,118 @@ func TestPublishConflictFinishes(t *testing.T) {
 	}
 	if open := s.TxStats().OpenSnapshots; open != 0 {
 		t.Errorf("%d snapshots open after the failed publication", open)
+	}
+}
+
+// TestPublishedRowsAreCapped: a publication hands its transaction's rows
+// to the live relation capped at their length, so a commit that merges
+// another transaction's append into the relation never writes into the
+// array the publisher goes on appending to.
+func TestPublishedRowsAreCapped(t *testing.T) {
+	s, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rel := alloc(t, s, &Relation{Name: "r", Schema: []Column{{Name: "n", Type: ColInt}}})
+	appendTo := func(tx *Txn, ns ...int64) {
+		for _, n := range ns {
+			tx.MustGet(rel).(*Relation).AppendRow([]Val{IntVal(n)})
+		}
+		tx.MarkDirty(rel)
+	}
+	u := s.Begin()
+	appendTo(u, 300)
+	tx := s.Begin()
+	appendTo(tx, 1, 2, 3)
+	if err := tx.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	appendTo(tx, 200)
+	if err := u.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for _, row := range s.MustGet(rel).(*Relation).RowsSnapshot() {
+		got = append(got, row[0].Int)
+	}
+	if want := []int64{1, 2, 3, 300, 200}; !slices.Equal(got, want) {
+		t.Errorf("relation reads %v, want %v", got, want)
+	}
+}
+
+// blockingFS is a MemFS whose files' Sync, once armed, signals entered
+// and then waits for release: it holds a group-commit leader mid-flush.
+type blockingFS struct {
+	*iofault.MemFS
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+type blockingFile struct {
+	iofault.File
+	fs *blockingFS
+}
+
+func (fs *blockingFS) OpenFile(name string, flag int, perm os.FileMode) (iofault.File, error) {
+	f, err := fs.MemFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return blockingFile{File: f, fs: fs}, nil
+}
+
+func (f blockingFile) Sync() error {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		close(f.fs.entered)
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestPublishDuringFlushIsLogged: a publication staged while a leader is
+// flushing the queue gets a request of its own instead of joining the
+// one being written, whose records are already encoded; so Close makes it
+// durable.
+func TestPublishDuringFlushIsLogged(t *testing.T) {
+	fs := &blockingFS{MemFS: iofault.NewMemFS(iofault.NewInjector(1)),
+		entered: make(chan struct{}), release: make(chan struct{})}
+	s, err := OpenFS(fs, crashPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.armed.Store(true)
+	committed := make(chan error, 1)
+	go func() {
+		tx := s.Begin()
+		tx.SetRoot("first", tx.Alloc(&Blob{Bytes: []byte("first")}))
+		committed <- tx.Commit()
+	}()
+	<-fs.entered
+	tx := s.Begin()
+	tx.SetRoot("second", tx.Alloc(&Blob{Bytes: []byte("second")}))
+	if err := tx.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	tx.Abort()
+	close(fs.release)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenFS(fs, crashPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, name := range []string{"first", "second"} {
+		if _, ok := re.Root(name); !ok {
+			t.Errorf("root %s is lost after Close and a reopen", name)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"slices"
 
 	"tycoon/internal/linker"
+	"tycoon/internal/machine"
 	"tycoon/internal/store"
 	"tycoon/internal/tl"
 )
@@ -123,8 +124,9 @@ func CompileAll(c *tl.Compiler) ([]*tl.ModuleUnit, error) {
 // signatures; a module is installed only when tx does not see it yet, so
 // reopening a store adds nothing to it. A stored module whose exports
 // differ from the compiled signature is an error: compiled code fetches
-// exports by position. The caller commits tx (or aborts it on an error).
-func Install(tx *store.Txn, lk *linker.Linker) (*tl.Compiler, error) {
+// exports by position. Module installs run on m, a machine over tx. The
+// caller commits tx (or aborts it on an error).
+func Install(m *machine.Machine, tx *store.Txn, lk *linker.Linker) (*tl.Compiler, error) {
 	c := tl.NewCompiler()
 	units, err := CompileAll(c)
 	if err != nil {
@@ -137,7 +139,7 @@ func Install(tx *store.Txn, lk *linker.Linker) (*tl.Compiler, error) {
 			}
 			continue
 		}
-		if _, err := lk.InstallModule(tx, u); err != nil {
+		if _, err := lk.InstallModuleOn(m, tx, u); err != nil {
 			return nil, fmt.Errorf("tyclib: installing %s: %w", u.Name, err)
 		}
 	}

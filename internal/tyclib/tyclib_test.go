@@ -19,7 +19,7 @@ func install(t *testing.T) (*store.Store, *machine.Machine, *tl.Compiler) {
 	}
 	t.Cleanup(func() { st.Close() })
 	tx := st.Begin()
-	comp, err := tyclib.Install(tx, linker.New(linker.Config{}))
+	comp, err := tyclib.Install(machine.New(tx), tx, linker.New(linker.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestInstallOnce(t *testing.T) {
 	before := st.Len()
 	tx := st.Begin()
 	defer tx.Abort()
-	comp, err := tyclib.Install(tx, linker.New(linker.Config{}))
+	comp, err := tyclib.Install(machine.New(tx), tx, linker.New(linker.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestInstallRefusesForeignExports(t *testing.T) {
 	defer tx.Abort()
 	tx.SetRoot(linker.ModuleRoot+"int", tx.Alloc(&store.Module{Name: "int",
 		Exports: []store.Export{{Name: "sub", Val: store.IntVal(0)}, {Name: "add", Val: store.IntVal(0)}}}))
-	if _, err := tyclib.Install(tx, linker.New(linker.Config{})); err == nil || !strings.Contains(err.Error(), "stored module int exports [sub add]") {
+	if _, err := tyclib.Install(machine.New(tx), tx, linker.New(linker.Config{})); err == nil || !strings.Contains(err.Error(), "stored module int exports [sub add]") {
 		t.Errorf("install over a foreign int module = %v, want an export mismatch", err)
 	}
 }

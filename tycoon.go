@@ -4,11 +4,13 @@
 // system built around TML, a persistent continuation-passing-style
 // intermediate code representation shared by programs and queries.
 //
-// A System bundles the persistent object store, the TL compiler, the
-// module linker (which attaches PTML — the compact persistent TML
-// encoding — to every installed function), the execution machine with
-// the relational substrate, and the reflective runtime optimizer that
-// re-optimizes functions across module abstraction barriers (paper §4.1).
+// A System is a thin facade over the one internal core that tycd and the
+// Stanford harness build too (package internal/core): the persistent
+// object store, the TL compiler, the module linker (which attaches PTML —
+// the compact persistent TML encoding — to every installed function),
+// the execution machines with the relational substrate, and the
+// reflective runtime optimizer that re-optimizes functions across module
+// abstraction barriers (paper §4.1), all on one code table.
 //
 // Quick start:
 //
@@ -22,16 +24,14 @@ package tycoon
 
 import (
 	"fmt"
-	"io"
 
+	"tycoon/internal/core"
 	"tycoon/internal/linker"
 	"tycoon/internal/machine"
-	"tycoon/internal/pipeline"
 	"tycoon/internal/reflectopt"
 	"tycoon/internal/relalg"
 	"tycoon/internal/store"
 	"tycoon/internal/tl"
-	"tycoon/internal/tyclib"
 )
 
 // Value is a runtime value of the Tycoon machine.
@@ -80,22 +80,14 @@ var (
 	StrVal = store.StrVal
 )
 
-// Config tunes Open.
-type Config struct {
-	// LocalOpt applies compile-time (local) optimization at installation.
-	LocalOpt bool
-	// DirectPrims compiles scalar operations straight to primitives
-	// instead of through the dynamically bound library modules — the
-	// ablation of the paper's compilation strategy.
-	DirectPrims bool
-	// StripPTML installs code without the persistent TML trees; halves
-	// code size (paper §6) but disables reflective optimization.
-	StripPTML bool
-	// Out receives the output of TL's print; nil discards it.
-	Out io.Writer
-}
+// Config tunes Open: LocalOpt, DirectPrims, StripPTML and Out, the
+// core's install and output options.
+type Config = core.Options
 
-// System is an open Tycoon environment. Every facade write (Install,
+// System is an open Tycoon environment: a thin facade over one
+// internal core (the composition root tycd and the Stanford harness
+// build too), so Install, Call and OptimizeFunction mean what tycd's
+// INSTALL, CALL and OPTIMIZE mean. Every facade write (Install,
 // CreateRelation, InsertRow, what a Call writes) is one transaction,
 // published when the call returns (store.Txn.Publish), so Store and
 // every reader see it at once, and durable after Commit or Close. A
@@ -105,12 +97,16 @@ type Config struct {
 type System struct {
 	// Store is the persistent object store.
 	Store *store.Store
-	// Machine executes compiled (TAM) code, the only kind it runs.
+	// Machine executes compiled (TAM) code, the only kind it runs. It is
+	// a core machine over Store: it has the query executors and shares
+	// the core's code table, so OptimizeFunction's code runs on it.
 	Machine *machine.Machine
 	// Compiler compiles TL modules (the standard library is preloaded).
 	Compiler *tl.Compiler
-	// Linker installs compiled modules into the store.
-	Linker *linker.Linker
+	// Linker is the core the System is a facade over; its InstallModule
+	// installs a compiled module into a transaction, running the module's
+	// constants on a core machine.
+	Linker *core.Core
 	// Rel is the relational substrate manager.
 	Rel *relalg.Manager
 	// Reflect is the runtime reflective optimizer.
@@ -136,28 +132,19 @@ func Open(path string, cfgs ...Config) (*System, error) {
 
 // open is Open over an opened store, which the System then owns.
 func open(st *store.Store, cfg Config) (*System, error) {
-	level := linker.OptNone
-	if cfg.LocalOpt {
-		level = linker.OptLocal
-	}
-	lk := linker.New(linker.Config{Level: level, StripPTML: cfg.StripPTML})
-	s := &System{Store: st}
-	comp, err := tyclib.Install(s.writer(), lk)
-	if err = s.publish(err); err != nil {
+	c, err := core.New(st, core.Config{Options: cfg})
+	if err != nil {
 		st.Close()
 		return nil, err
 	}
-	s.release()
-	if cfg.DirectPrims {
-		comp.Mode = tl.DirectPrims
-	}
-	m := machine.New(st)
-	m.Out = cfg.Out
-	mg := relalg.NewManager(st)
-	mg.Register(m)
-	s.Machine, s.Compiler, s.Linker, s.Rel = m, comp, lk, mg
-	s.Reflect = reflectopt.New(st, reflectopt.Options{})
-	return s, nil
+	return &System{
+		Store:    st,
+		Machine:  c.NewMachine(st),
+		Compiler: c.Compiler,
+		Linker:   c,
+		Rel:      c.Rel,
+		Reflect:  c.Reflect,
+	}, nil
 }
 
 // writer returns the System's writer, beginning one if none is open.
@@ -204,13 +191,9 @@ func (s *System) Commit() error {
 
 // Install compiles and installs a TL module, returning its OID.
 func (s *System) Install(src string) (OID, error) {
-	unit, err := s.Compiler.Compile(src)
-	if err != nil {
-		return store.Nil, err
-	}
-	defer s.release()
-	oid, err := s.Linker.InstallModule(s.writer(), unit)
-	return oid, s.publish(err)
+	s.release()
+	_, oid, err := s.Linker.Install(src, (*store.Txn).Publish)
+	return oid, err
 }
 
 // Module resolves an installed module by name, through its module: root.
@@ -218,9 +201,9 @@ func (s *System) Module(name string) (OID, bool) {
 	return linker.Module(s.Store, name)
 }
 
-// Call applies an exported function of an installed module, in a
-// transaction of its own: what the function writes is published when it
-// returns, and nothing of it when it fails.
+// Call applies an exported function of an installed module on Machine,
+// in a transaction of its own: what the function writes is published
+// when it returns, and nothing of it when it fails.
 func (s *System) Call(module, fn string, args ...Value) (Value, error) {
 	oid, ok := s.Module(module)
 	if !ok {
@@ -244,27 +227,13 @@ func (s *System) FunctionOID(module, fn string) (OID, error) {
 }
 
 // OptimizeFunction reflectively optimizes an exported function across its
-// module abstraction barriers (paper §4.1) and installs the new code for
-// all subsequent calls through this system. It writes nothing to the
-// store. Repeat optimization of an unchanged function is served from the
-// pipeline's content-addressed cache (Result.CacheHit), and concurrent
-// calls deduplicate the work.
+// module abstraction barriers (paper §4.1) and installs the new code in
+// the core's code table, for all subsequent calls through this system.
+// It writes nothing to the store. Repeat optimization of an unchanged
+// function is served from the pipeline's content-addressed cache
+// (Result.CacheHit), and concurrent calls deduplicate the work.
 func (s *System) OptimizeFunction(module, fn string) (*reflectopt.Result, error) {
-	oid, err := s.FunctionOID(module, fn)
-	if err != nil {
-		return nil, err
-	}
-	return s.Reflect.OptimizeAndInstall(s.Machine.Code, oid)
-}
-
-// OptCacheStats is the optimized-code cache counters of the reflective
-// optimizer's compilation pipeline.
-type OptCacheStats = pipeline.CacheStats
-
-// OptCacheStats reports cache hit/miss/dedup counters of the reflective
-// optimizer.
-func (s *System) OptCacheStats() OptCacheStats {
-	return s.Reflect.CacheStats()
+	return s.Linker.Optimize(module, fn)
 }
 
 // CreateRelation creates a persistent relation (with optional hash

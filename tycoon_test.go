@@ -463,3 +463,42 @@ func TestOptimizeSeesForeignUpdate(t *testing.T) {
 		t.Errorf("re-optimized g(1) = %v, %v; want 101", v, err)
 	}
 }
+
+// queryConst is a module whose constant queries a relation and prints:
+// installing it needs a machine with the query executors and the
+// System's print output.
+const queryConst = `module q export n
+  rel t : Rel(id : Int)
+  let c : Int = begin print("counting t"); count(t) end
+  let n() : Int = c
+  end`
+
+// TestConstantsRunOnACoreMachine: Install runs a module's constants on a
+// core machine, so a constant may query a relation, and what it prints
+// reaches Config.Out.
+func TestConstantsRunOnACoreMachine(t *testing.T) {
+	var out bytes.Buffer
+	sys, err := Open("", Config{Out: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	rel, err := sys.CreateRelation("t", []Column{{Name: "id", Type: ColInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 10; i++ {
+		if err := sys.InsertRow(rel, IntVal(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.Install(queryConst); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := sys.Call("q", "n"); err != nil || v != Value(Int(10)) {
+		t.Errorf("q.n() = %v, %v; want 10", v, err)
+	}
+	if got := out.String(); got != "counting t\n" {
+		t.Errorf("the constant printed %q to Config.Out, want %q", got, "counting t\n")
+	}
+}
